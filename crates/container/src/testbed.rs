@@ -287,9 +287,15 @@ impl Testbed {
     }
 
     /// A container on `host` under `policy`, with its own service identity.
+    ///
+    /// Registers a scrape-time collector for the container's lifetime
+    /// manager — `container.lifetime_tracked`,
+    /// `container.lifetime_next_deadline_us`, `container.lifetime_expired`
+    /// and `container.lifetime_sweep_examined`, per host — on the same
+    /// terms as the db stats gauges: `gather()` only.
     pub fn container(&self, host: &str, policy: SecurityPolicy) -> Container {
         let identity = self.ca.issue(&format!("CN=container,O=VO,OU={host}"));
-        Container::new(
+        let container = Container::new(
             host.to_owned(),
             policy,
             self.network.clone(),
@@ -298,7 +304,11 @@ impl Testbed {
             self.model.clone(),
             identity,
             self.cert_store.clone(),
-        )
+        );
+        container
+            .lifetime()
+            .register_metrics(self.network.telemetry(), host);
+        container
     }
 
     /// A client agent on `host` with a freshly-issued identity for `dn`.
