@@ -1,8 +1,8 @@
-//! The durability bench: prices the WAL's fsync policies on real hardware,
-//! times crash recovery, and re-proves the crash-sweep invariants in
-//! release mode, written to `BENCH_durability.json`.
+//! `ogsa-bench durability`: prices the WAL's fsync policies on real
+//! hardware, times crash recovery, and re-proves the crash-sweep invariants
+//! in release mode, written to `BENCH_durability.json`.
 //!
-//! Gates (exit nonzero on violation):
+//! Gates:
 //!
 //! 1. **Zero lost acked writes / zero half-applied batches** across an
 //!    exhaustive byte-offset crash sweep on the simulated medium.
@@ -17,15 +17,11 @@
 //!    virtual duration under SimDisk and under the durable backend, so
 //!    every virtual-time figure in the repo is bit-identical with
 //!    durability enabled or disabled.
-//!
-//! Pass an output directory as the first argument (default: `.`).
 
-use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ogsa_core::sim::{CostModel, VirtualClock};
-use ogsa_core::xml::Element;
 use ogsa_core::xmldb::snapshot::apply_op;
 use ogsa_core::xmldb::wal::WalOp;
 use ogsa_core::xmldb::{
@@ -33,11 +29,8 @@ use ogsa_core::xmldb::{
     StoreImage,
 };
 
-const COLL: &str = "resources";
-
-fn doc(v: i64) -> Element {
-    Element::new("counter").with_child(Element::text_element("value", v.to_string()))
-}
+use crate::fixture::{doc, virtual_elapsed, COLL};
+use crate::{json_array, Gates, Outcome};
 
 fn fresh_db(backend: Arc<DurableBackend>) -> Database {
     Database::new(
@@ -218,31 +211,7 @@ fn recovery_time(dir: &std::path::Path, ops: usize) -> (usize, f64) {
     (report.wal_records_replayed, wall_ms)
 }
 
-/// Virtual duration of a fixed workload under `backend`.
-fn virtual_elapsed(backend: BackendKind) -> u64 {
-    let clock = VirtualClock::new();
-    let start = clock.now();
-    let db = Database::new(
-        clock.clone(),
-        Arc::new(CostModel::calibrated_2005()),
-        backend,
-    );
-    let c = db.collection(COLL);
-    for i in 0..20 {
-        c.insert(&format!("k{i}"), doc(i)).unwrap();
-    }
-    c.insert_many((0..10).map(|i| (format!("b{i}"), doc(i))).collect())
-        .unwrap();
-    for i in 0..20 {
-        c.get(&format!("k{i}"));
-    }
-    c.update("k3", doc(33)).unwrap();
-    c.remove("k7");
-    clock.now().since(start).as_micros()
-}
-
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
+pub fn run() -> Outcome {
     let tmp = std::env::temp_dir().join(format!("ogsa-durability-bench-{}", std::process::id()));
 
     // 1+2: the crash sweep and determinism gates.
@@ -296,7 +265,7 @@ fn main() -> ExitCode {
         .find(|r| matches!(r.policy, FsyncPolicy::GroupCommit(_)))
         .map(|r| r.rps)
         .unwrap_or(0.0);
-    let gates: Vec<(&str, bool)> = vec![
+    let gates = vec![
         ("zero_lost_acked_writes", sweep.lost_acked == 0),
         ("zero_half_applied_batches", sweep.half_applied == 0),
         ("deterministic_recovery", sweep.deterministic),
@@ -311,59 +280,40 @@ fn main() -> ExitCode {
         ("virtual_time_identical", vt_simdisk == vt_durable),
     ];
 
-    let rows_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    let rows_json = json_array(rows.iter().map(|r| {
+        format!(
+            "{{\"policy\":\"{}\",\"ops\":{},\"wall_ms\":{:.3},\"rps\":{:.1}}}",
+            r.label, r.ops, r.wall_ms, r.rps
+        )
+    }));
+    Outcome {
+        artifact: (
+            "BENCH_durability.json",
             format!(
-                "{{\"policy\":\"{}\",\"ops\":{},\"wall_ms\":{:.3},\"rps\":{:.1}}}",
-                r.label, r.ops, r.wall_ms, r.rps
-            )
-        })
-        .collect();
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|(name, pass)| format!("{{\"name\":\"{name}\",\"pass\":{pass}}}"))
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\"benchmark\":\"durability\",",
-            "\"sweep\":{{\"crash_points\":{},\"lost_acked\":{},\"half_applied_batches\":{},",
-            "\"determinism_samples\":{},\"deterministic\":{}}},",
-            "\"recovery\":{{\"ops\":{},\"replayed\":{},\"wall_ms\":{:.3}}},",
-            "\"virtual_time\":{{\"simdisk_us\":{},\"durable_us\":{}}},",
-            "\"simdisk_implied_rps\":{:.1},",
-            "\"throughput\":[{}],",
-            "\"gates\":[{}]}}\n"
+                concat!(
+                    "{{\"benchmark\":\"durability\",",
+                    "\"sweep\":{{\"crash_points\":{},\"lost_acked\":{},\"half_applied_batches\":{},",
+                    "\"determinism_samples\":{},\"deterministic\":{}}},",
+                    "\"recovery\":{{\"ops\":{},\"replayed\":{},\"wall_ms\":{:.3}}},",
+                    "\"virtual_time\":{{\"simdisk_us\":{},\"durable_us\":{}}},",
+                    "\"simdisk_implied_rps\":{:.1},",
+                    "\"throughput\":{}"
+                ),
+                sweep.crash_points,
+                sweep.lost_acked,
+                sweep.half_applied,
+                sweep.determinism_samples,
+                sweep.deterministic,
+                recovery_ops,
+                replayed,
+                recovery_ms,
+                vt_simdisk,
+                vt_durable,
+                simdisk_rps,
+                rows_json,
+            ),
         ),
-        sweep.crash_points,
-        sweep.lost_acked,
-        sweep.half_applied,
-        sweep.determinism_samples,
-        sweep.deterministic,
-        recovery_ops,
-        replayed,
-        recovery_ms,
-        vt_simdisk,
-        vt_durable,
-        simdisk_rps,
-        rows_json.join(","),
-        gates_json.join(",")
-    );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_durability.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, pass)| !pass)
-        .map(|(name, _)| *name)
-        .collect();
-    if failed.is_empty() {
-        println!("durability gates: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("durability gates REGRESSED: {}", failed.join(", "));
-        ExitCode::FAILURE
+        extra: Vec::new(),
+        gates: Gates::Named(gates),
     }
 }

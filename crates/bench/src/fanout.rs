@@ -1,11 +1,11 @@
-//! The fan-out bench: wall-clocks the precompiled topic trie against the
+//! `ogsa-bench fanout`: wall-clocks the precompiled topic trie against the
 //! retained naive matcher across subscriber counts (1k → 1M) and topic
 //! shapes, sweeps the sharded table's makespan throughput over shard
 //! counts, runs both stacks' delivery cores under their honest batching
 //! rules, and re-proves the cross-cutting invariants in release mode.
 //! Results go to `BENCH_fanout.json`.
 //!
-//! Gates (exit nonzero on violation):
+//! Gates:
 //!
 //! 1. **Trie/naive agreement** on every probe of every (size, shape) cell.
 //! 2. **Trie ≥ 10×** the naive matcher at 100k subscribers and above.
@@ -20,17 +20,13 @@
 //!    experiment) over the recosted fan-out path.
 //! 6. **Batched determinism** — a chaotic coalesced WSN run replays
 //!    byte-identically under the same seed and diverges under another.
-//!
-//! Pass an output directory as the first argument (default: `.`).
-
-use std::process::ExitCode;
 
 use ogsa_core::ablation;
 use ogsa_core::comparison::fanout::{batched_span_dump, shard_sweep, stack_fanout, trie_vs_naive};
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
+use crate::{json_array, Gates, Outcome};
 
+pub fn run() -> Outcome {
     let trie_rows = trie_vs_naive(&[1_000, 10_000, 100_000, 1_000_000]);
     println!(
         "{:>10} {:>9} {:>7} {:>9} {:>12} {:>12} {:>9}  agree",
@@ -118,7 +114,7 @@ fn main() -> ExitCode {
         .filter(|r| r.stack == "eventing")
         .all(|r| r.envelopes == r.deliveries);
 
-    let gates: Vec<(&str, bool)> = vec![
+    let gates = vec![
         ("trie_agrees_with_naive", trie_rows.iter().all(|r| r.agree)),
         ("trie_10x_at_100k_subs", min_speedup_at_scale >= 10.0),
         (
@@ -135,97 +131,66 @@ fn main() -> ExitCode {
         ("batched_runs_seed_deterministic", deterministic),
     ];
 
-    let trie_json: Vec<String> = trie_rows
-        .iter()
-        .map(|r| {
+    let trie_json = json_array(trie_rows.iter().map(|r| {
+        format!(
+            concat!(
+                "{{\"subscribers\":{},\"shape\":\"{}\",\"probes\":{},\"matches\":{},",
+                "\"trie_wall_us\":{:.1},\"naive_wall_us\":{:.1},\"speedup\":{:.2},",
+                "\"agree\":{}}}"
+            ),
+            r.subscribers,
+            r.shape.key(),
+            r.probes,
+            r.matches,
+            r.trie_wall_us,
+            r.naive_wall_us,
+            r.speedup(),
+            r.agree
+        )
+    }));
+    let shard_json = json_array(shard_rows.iter().map(|r| {
+        format!(
+            concat!(
+                "{{\"shards\":{},\"subscribers\":{},\"events\":{},\"notes\":{},",
+                "\"max_busy_us\":{},\"contentions\":{},\"rps\":{:.1}}}"
+            ),
+            r.shards, r.subscribers, r.events, r.notes, r.max_busy_us, r.contentions, r.rps
+        )
+    }));
+    let stack_json = json_array(stack_rows.iter().map(|r| {
+        format!(
+            concat!(
+                "{{\"stack\":\"{}\",\"subscribers\":{},\"events\":{},\"deliveries\":{},",
+                "\"envelopes\":{},\"virtual_us\":{},\"wall_ms\":{:.3}}}"
+            ),
+            r.stack, r.subscribers, r.events, r.deliveries, r.envelopes, r.virtual_us, r.wall_ms
+        )
+    }));
+    Outcome {
+        artifact: (
+            "BENCH_fanout.json",
             format!(
                 concat!(
-                    "{{\"subscribers\":{},\"shape\":\"{}\",\"probes\":{},\"matches\":{},",
-                    "\"trie_wall_us\":{:.1},\"naive_wall_us\":{:.1},\"speedup\":{:.2},",
-                    "\"agree\":{}}}"
+                    "{{\"benchmark\":\"fanout\",",
+                    "\"trie\":{},",
+                    "\"shard_sweep\":{},",
+                    "\"stacks\":{},",
+                    "\"amplification\":{{\"demand_lifecycle_factor\":{:.2},",
+                    "\"broker_factor\":{:.2}}},",
+                    "\"determinism\":{{\"span_bytes\":{},\"same_seed_identical\":{},",
+                    "\"cross_seed_distinct\":{}}}"
                 ),
-                r.subscribers,
-                r.shape.key(),
-                r.probes,
-                r.matches,
-                r.trie_wall_us,
-                r.naive_wall_us,
-                r.speedup(),
-                r.agree
-            )
-        })
-        .collect();
-    let shard_json: Vec<String> = shard_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"shards\":{},\"subscribers\":{},\"events\":{},\"notes\":{},",
-                    "\"max_busy_us\":{},\"contentions\":{},\"rps\":{:.1}}}"
-                ),
-                r.shards, r.subscribers, r.events, r.notes, r.max_busy_us, r.contentions, r.rps
-            )
-        })
-        .collect();
-    let stack_json: Vec<String> = stack_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"stack\":\"{}\",\"subscribers\":{},\"events\":{},\"deliveries\":{},",
-                    "\"envelopes\":{},\"virtual_us\":{},\"wall_ms\":{:.3}}}"
-                ),
-                r.stack,
-                r.subscribers,
-                r.events,
-                r.deliveries,
-                r.envelopes,
-                r.virtual_us,
-                r.wall_ms
-            )
-        })
-        .collect();
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|(name, pass)| format!("{{\"name\":\"{name}\",\"pass\":{pass}}}"))
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\"benchmark\":\"fanout\",",
-            "\"trie\":[{}],",
-            "\"shard_sweep\":[{}],",
-            "\"stacks\":[{}],",
-            "\"amplification\":{{\"demand_lifecycle_factor\":{:.2},",
-            "\"broker_factor\":{:.2}}},",
-            "\"determinism\":{{\"span_bytes\":{},\"same_seed_identical\":{},",
-            "\"cross_seed_distinct\":{}}},",
-            "\"gates\":[{}]}}\n"
+                trie_json,
+                shard_json,
+                stack_json,
+                demand.factor(),
+                broker.factor(),
+                dump_a.len(),
+                dump_a == dump_b,
+                dump_a != dump_c,
+            ),
         ),
-        trie_json.join(","),
-        shard_json.join(","),
-        stack_json.join(","),
-        demand.factor(),
-        broker.factor(),
-        dump_a.len(),
-        dump_a == dump_b,
-        dump_a != dump_c,
-        gates_json.join(",")
-    );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_fanout.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, pass)| !pass)
-        .map(|(name, _)| *name)
-        .collect();
-    if failed.is_empty() {
-        println!("fanout gates: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fanout gates REGRESSED: {}", failed.join(", "));
-        ExitCode::FAILURE
+        extra: Vec::new(),
+        gates: Gates::Named(gates),
     }
 }

@@ -1,6 +1,6 @@
-//! Observability-plane harness: overhead, scrape fidelity, exemplar
-//! completeness, and virtual-time determinism — written out as
-//! `BENCH_obs.json`.
+//! `ogsa-bench obs`: the observability-plane harness — overhead, scrape
+//! fidelity, exemplar completeness, and virtual-time determinism — written
+//! out as `BENCH_obs.json`.
 //!
 //! Two servers over one span-quiet testbed serve the same signed
 //! WS-Transfer counter: one with the live observability plane enabled
@@ -22,21 +22,18 @@
 //!    on shared CI hosts, where round-to-round drift alone exceeds 10%.
 //! 4. **Determinism** — the same-seed virtual-time JSONL span dump is
 //!    byte-identical with the flight recorder (and wall clocks) enabled.
-//!
-//! Pass an output directory as the first argument (default: current
-//! directory).
 
-use std::process::ExitCode;
 use std::time::Duration;
 
 use ogsa_core::container::Testbed;
-use ogsa_core::counter::{CounterApi, TransferCounter, WsrfCounter};
+use ogsa_core::counter::{CounterApi, WsrfCounter};
 use ogsa_core::security::SecurityPolicy;
-use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport, ObsConfig, ServeConfig, Server};
-use ogsa_core::sim::CostModel;
+use ogsa_core::serve::{loadgen, LoadConfig, LoadReport, ObsConfig, ServeConfig, Server};
 use ogsa_core::telemetry::export::spans_to_jsonl;
 use ogsa_core::telemetry::FlightRecorder;
-use ogsa_core::xmldb::BackendKind;
+
+use crate::fixture::{load_report_json, run_load, SignedGet};
+use crate::{json_array, Gates, Outcome};
 
 /// Connections for each measured round (closed loop).
 const CONNECTIONS: usize = 16;
@@ -47,17 +44,6 @@ const WARMUP: Duration = Duration::from_millis(300);
 const ROUNDS: usize = 3;
 /// Instrumentation may cost at most this fraction of rps or p99.
 const MAX_REGRESSION: f64 = 0.05;
-
-fn run_load(config: &LoadConfig) -> LoadReport {
-    loadgen::run(config).unwrap_or_else(|e| panic!("loadgen run failed: {e}"))
-}
-
-fn report_json(name: &str, r: &LoadReport) -> String {
-    format!(
-        "\"{name}\":{{\"requests\":{},\"errors\":{},\"rps\":{:.1},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
-        r.requests, r.errors, r.rps, r.mean_us, r.p50_us, r.p99_us, r.p999_us, r.max_us,
-    )
-}
 
 /// Run the deterministic virtual-time counter scenario and dump its span
 /// forest as JSONL. With `observe` set, wall-clock stamping is on and the
@@ -90,51 +76,23 @@ fn virtual_dump(observe: bool) -> String {
     spans_to_jsonl(&tb.telemetry().take_spans())
 }
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-
-    // Span-quiet testbed (the flight recorder's captures still see spans:
-    // capture works on a disabled instance without filling its store).
-    let tb = Testbed::new_quiet(CostModel::free(), BackendKind::Memory);
-    let container = tb.container("host-a", SecurityPolicy::X509Sign);
-    let wxf = TransferCounter::deploy(&container);
-    let agent = tb.client("host-b", "CN=obs,O=VO", SecurityPolicy::X509Sign);
-    let counter = wxf.client(agent.clone()).create().expect("create counter");
-    wxf.client(agent.clone())
-        .set(&counter, 7)
-        .expect("seed counter");
-    let (address, wire) = agent.prepare_wire(
-        &counter,
-        ogsa_core::transfer::messages::actions::GET,
-        ogsa_core::transfer::messages::get_request(),
-    );
-    let rest = address.strip_prefix("http://").expect("http address");
-    let slash = rest.find('/').expect("address path");
-    let (host, target) = (rest[..slash].to_owned(), rest[slash..].to_owned());
-
+pub fn run() -> Outcome {
+    // The flight recorder's captures still see spans on the fixture's
+    // span-quiet testbed: capture works on a disabled instance without
+    // filling its store.
+    let fixture = SignedGet::deploy();
     loadgen::raise_nofile_limit((CONNECTIONS as u64) * 4 + 256);
 
     // Stripped server: the pre-observability dispatch path.
     let stripped_server = Server::bind(
-        tb.network(),
+        fixture.tb.network(),
         ServeConfig {
             observe: ObsConfig::disabled(),
             ..ServeConfig::default()
         },
     )
     .expect("bind stripped server");
-
-    let base = LoadConfig {
-        addr: stripped_server.addr(),
-        connections: CONNECTIONS,
-        duration: ROUND,
-        warmup: WARMUP,
-        mode: LoadMode::Closed,
-        target,
-        host,
-        body: wire,
-        scrape_admin: None,
-    };
+    let base = fixture.load(stripped_server.addr(), CONNECTIONS, ROUND, WARMUP);
 
     println!("obs bench: calibrating slow threshold from a stripped round");
     let calibration = run_load(&base);
@@ -150,7 +108,7 @@ fn main() -> ExitCode {
     // retained trace is evicted during the measured rounds (eviction
     // would orphan exemplars and void the completeness gate).
     let instrumented_server = Server::bind(
-        tb.network(),
+        fixture.tb.network(),
         ServeConfig {
             observe: ObsConfig {
                 slow_threshold_us,
@@ -256,34 +214,40 @@ fn main() -> ExitCode {
         plain.len()
     );
 
-    let pass = overhead_ok
-        && scrape_ok
-        && exemplars_complete
-        && trace_endpoint_ok
-        && deterministic
-        && errors == 0;
+    let gates = vec![
+        ("overhead_within_5_percent", overhead_ok),
+        ("mid_run_scrape_consistent", scrape_ok),
+        ("exemplars_complete", exemplars_complete),
+        ("debug_trace_endpoint_ok", trace_endpoint_ok),
+        ("virtual_dump_identical_when_observed", deterministic),
+        ("zero_request_errors", errors == 0),
+    ];
+    println!(
+        "  best paired rps ratio {:.3} (min {:.2}), p99 {}us (limit {}us), {} exemplars, {errors} errors",
+        best.rps_ratio,
+        1.0 - MAX_REGRESSION,
+        instrumented.p99_us,
+        best.p99_limit_us,
+        exemplars.len(),
+    );
 
     let scrape = instrumented.scrape.as_ref().unwrap();
-    let rounds_json = pairs
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"stripped_rps\":{:.1},\"stripped_p99_us\":{},\"instrumented_rps\":{:.1},\"instrumented_p99_us\":{},\"rps_ratio\":{:.4},\"p99_limit_us\":{},\"ok\":{}}}",
-                p.stripped.rps,
-                p.stripped.p99_us,
-                p.instrumented.rps,
-                p.instrumented.p99_us,
-                p.rps_ratio,
-                p.p99_limit_us,
-                p.ok,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
+    let rounds_json = json_array(pairs.iter().map(|p| {
+        format!(
+            "{{\"stripped_rps\":{:.1},\"stripped_p99_us\":{},\"instrumented_rps\":{:.1},\"instrumented_p99_us\":{},\"rps_ratio\":{:.4},\"p99_limit_us\":{},\"ok\":{}}}",
+            p.stripped.rps,
+            p.stripped.p99_us,
+            p.instrumented.rps,
+            p.instrumented.p99_us,
+            p.rps_ratio,
+            p.p99_limit_us,
+            p.ok,
+        )
+    }));
     let json = format!(
-        "{{\"benchmark\":\"obs\",\"workload\":\"signed transfer get\",\"connections\":{CONNECTIONS},\"rounds\":[{rounds_json}],{},{},\"slow_threshold_us\":{slow_threshold_us},\"flight\":{{\"traces\":{},\"slow\":{slow_retained},\"exemplars\":{},\"complete\":{exemplars_complete},\"debug_trace_ok\":{trace_endpoint_ok}}},\"scrape\":{{\"mid_run_parsed\":{},\"mid_run_server_requests\":{},\"final_server_requests\":{},\"consistent\":{scrape_ok}}},\"determinism\":{{\"jsonl_bytes\":{},\"identical\":{deterministic}}},\"gate\":{{\"max_regression\":{MAX_REGRESSION},\"best_rps_ratio\":{:.4},\"overhead_ok\":{overhead_ok},\"errors\":{errors},\"pass\":{pass}}}}}\n",
-        report_json("stripped", stripped),
-        report_json("instrumented", instrumented),
+        "{{\"benchmark\":\"obs\",\"workload\":\"signed transfer get\",\"connections\":{CONNECTIONS},\"rounds\":{rounds_json},{},{},\"slow_threshold_us\":{slow_threshold_us},\"flight\":{{\"traces\":{},\"slow\":{slow_retained},\"exemplars\":{},\"complete\":{exemplars_complete},\"debug_trace_ok\":{trace_endpoint_ok}}},\"scrape\":{{\"mid_run_parsed\":{},\"mid_run_server_requests\":{},\"final_server_requests\":{},\"consistent\":{scrape_ok}}},\"determinism\":{{\"jsonl_bytes\":{},\"identical\":{deterministic}}},\"gate\":{{\"max_regression\":{MAX_REGRESSION},\"best_rps_ratio\":{:.4},\"overhead_ok\":{overhead_ok},\"errors\":{errors},\"pass\":{}}}",
+        load_report_json("stripped", stripped),
+        load_report_json("instrumented", instrumented),
         traces.len(),
         exemplars.len(),
         scrape.mid_run_parsed,
@@ -291,29 +255,12 @@ fn main() -> ExitCode {
         scrape.final_server_requests,
         plain.len(),
         best.rps_ratio,
+        gates.iter().all(|g| g.1),
     );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_obs.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
 
-    if pass {
-        println!(
-            "obs gate: best paired rps ratio {:.3} (min {:.2}), p99 {}us <= {}us, scrape consistent, {} exemplars complete, deterministic dumps",
-            best.rps_ratio,
-            1.0 - MAX_REGRESSION,
-            instrumented.p99_us,
-            best.p99_limit_us,
-            exemplars.len(),
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "obs gate FAILED: overhead_ok={overhead_ok} (best ratio {:.3}, p99 {}us vs limit {}us), scrape_ok={scrape_ok}, exemplars_complete={exemplars_complete}, debug_trace_ok={trace_endpoint_ok}, deterministic={deterministic}, errors={errors}",
-            best.rps_ratio,
-            instrumented.p99_us,
-            best.p99_limit_us,
-        );
-        ExitCode::FAILURE
+    Outcome {
+        artifact: ("BENCH_obs.json", json),
+        extra: Vec::new(),
+        gates: Gates::Named(gates),
     }
 }

@@ -1,8 +1,8 @@
-//! The replication bench: re-proves the failover theorems in release mode,
-//! times replica catch-up on wall clock, and checks the virtual-time
+//! `ogsa-bench replication`: re-proves the failover theorems in release
+//! mode, times replica catch-up on wall clock, and checks the virtual-time
 //! invariance of shipping, written to `BENCH_replication.json`.
 //!
-//! Gates (exit nonzero on violation):
+//! Gates:
 //!
 //! 1. **Zero lost quorum-acked writes** — a partition sweep over every
 //!    replication-record boundary (replica first, then the primary),
@@ -18,15 +18,11 @@
 //!    bit-identical with replication enabled.
 //! 4. **Deterministic failover** — the full partition sweep, run twice,
 //!    produces byte-identical converged images at every boundary.
-//!
-//! Pass an output directory as the first argument (default: `.`).
 
-use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ogsa_core::sim::{CostModel, VirtualClock};
-use ogsa_core::xml::Element;
 use ogsa_core::xmldb::repl::{promote, LoopbackFabric, ReplConfig, ReplicaNode, Replicator};
 use ogsa_core::xmldb::snapshot::apply_op;
 use ogsa_core::xmldb::wal::WalOp;
@@ -34,12 +30,10 @@ use ogsa_core::xmldb::{
     encode_store, BackendKind, Database, DurableBackend, DurableConfig, FsyncPolicy, StoreImage,
 };
 
-const COLL: &str = "resources";
-const PRIMARY: &str = "primary";
+use crate::fixture::{doc, virtual_elapsed, COLL};
+use crate::{Gates, Outcome};
 
-fn doc(v: i64) -> Element {
-    Element::new("counter").with_child(Element::text_element("value", v.to_string()))
-}
+const PRIMARY: &str = "primary";
 
 struct Cluster {
     db: Database,
@@ -206,47 +200,24 @@ fn catch_up_wall(base_ops: usize, suffix_ops: usize) -> (bool, f64) {
     (caught, wall_ms)
 }
 
-/// Virtual duration of a fixed calibrated workload, with or without a
-/// replication tap on the durable backend.
-fn virtual_elapsed(replicate: bool) -> u64 {
-    let clock = VirtualClock::new();
-    let start = clock.now();
+/// [`virtual_elapsed`] over a durable backend with a replication tap
+/// attached.
+fn virtual_elapsed_replicated() -> u64 {
     let backend = Arc::new(DurableBackend::sim(DurableConfig::default()));
-    let db = Database::new(
-        clock.clone(),
-        Arc::new(CostModel::calibrated_2005()),
-        BackendKind::Custom(backend.clone()),
-    );
-    let _repl = replicate.then(|| {
-        let fabric = LoopbackFabric::new();
-        fabric.register("r1", ReplicaNode::new(FsyncPolicy::PerWrite));
-        fabric.register("r2", ReplicaNode::new(FsyncPolicy::PerWrite));
-        let repl = Arc::new(Replicator::new(
-            PRIMARY,
-            &["r1", "r2"],
-            fabric,
-            ReplConfig::majority(3),
-        ));
-        backend.set_observer(repl.clone());
-        repl
-    });
-    let c = db.collection(COLL);
-    for i in 0..20 {
-        c.insert(&format!("k{i}"), doc(i)).unwrap();
-    }
-    c.insert_many((0..10).map(|i| (format!("b{i}"), doc(i))).collect())
-        .unwrap();
-    for i in 0..20 {
-        c.get(&format!("k{i}"));
-    }
-    c.update("k3", doc(33)).unwrap();
-    c.remove("k7");
-    clock.now().since(start).as_micros()
+    let fabric = LoopbackFabric::new();
+    fabric.register("r1", ReplicaNode::new(FsyncPolicy::PerWrite));
+    fabric.register("r2", ReplicaNode::new(FsyncPolicy::PerWrite));
+    let repl = Arc::new(Replicator::new(
+        PRIMARY,
+        &["r1", "r2"],
+        fabric,
+        ReplConfig::majority(3),
+    ));
+    backend.set_observer(repl);
+    virtual_elapsed(BackendKind::Custom(backend))
 }
 
-fn main() -> ExitCode {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
-
+pub fn run() -> Outcome {
     // 1 + 4: the partition-boundary failover sweep, twice, for the
     // zero-loss and determinism gates.
     let (part1, part2) = (4, 10);
@@ -259,8 +230,10 @@ fn main() -> ExitCode {
     let (caught_up, catch_up_ms) = catch_up_wall(base_ops, suffix_ops);
 
     // 3: virtual time must not notice the replication tap.
-    let vt_plain = virtual_elapsed(false);
-    let vt_replicated = virtual_elapsed(true);
+    let vt_plain = virtual_elapsed(BackendKind::Custom(Arc::new(DurableBackend::sim(
+        DurableConfig::default(),
+    ))));
+    let vt_replicated = virtual_elapsed_replicated();
 
     println!(
         "failover sweep: {} boundaries, {} lost acked, {} diverged, deterministic: {}",
@@ -274,7 +247,7 @@ fn main() -> ExitCode {
         "virtual time: plain {vt_plain} µs vs replicated {vt_replicated} µs (must be identical)"
     );
 
-    let gates: Vec<(&str, bool)> = vec![
+    let gates = vec![
         ("zero_lost_acked_writes", sweep.lost_acked == 0),
         ("single_history_convergence", sweep.diverged == 0),
         ("deterministic_failover", deterministic),
@@ -282,46 +255,30 @@ fn main() -> ExitCode {
         ("virtual_time_identical", vt_plain == vt_replicated),
     ];
 
-    let gates_json: Vec<String> = gates
-        .iter()
-        .map(|(name, pass)| format!("{{\"name\":\"{name}\",\"pass\":{pass}}}"))
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\"benchmark\":\"replication\",",
-            "\"sweep\":{{\"boundaries\":{},\"lost_acked\":{},\"diverged\":{},",
-            "\"deterministic\":{}}},",
-            "\"catch_up\":{{\"base_ops\":{},\"suffix_ops\":{},\"wall_ms\":{:.3},\"complete\":{}}},",
-            "\"virtual_time\":{{\"plain_us\":{},\"replicated_us\":{}}},",
-            "\"gates\":[{}]}}\n"
+    Outcome {
+        artifact: (
+            "BENCH_replication.json",
+            format!(
+                concat!(
+                    "{{\"benchmark\":\"replication\",",
+                    "\"sweep\":{{\"boundaries\":{},\"lost_acked\":{},\"diverged\":{},",
+                    "\"deterministic\":{}}},",
+                    "\"catch_up\":{{\"base_ops\":{},\"suffix_ops\":{},\"wall_ms\":{:.3},\"complete\":{}}},",
+                    "\"virtual_time\":{{\"plain_us\":{},\"replicated_us\":{}}}"
+                ),
+                sweep.boundaries,
+                sweep.lost_acked,
+                sweep.diverged,
+                deterministic,
+                base_ops,
+                suffix_ops,
+                catch_up_ms,
+                caught_up,
+                vt_plain,
+                vt_replicated,
+            ),
         ),
-        sweep.boundaries,
-        sweep.lost_acked,
-        sweep.diverged,
-        deterministic,
-        base_ops,
-        suffix_ops,
-        catch_up_ms,
-        caught_up,
-        vt_plain,
-        vt_replicated,
-        gates_json.join(",")
-    );
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("mkdir {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_replication.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, pass)| !pass)
-        .map(|(name, _)| *name)
-        .collect();
-    if failed.is_empty() {
-        println!("replication gates: all hold");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("replication gates REGRESSED: {}", failed.join(", "));
-        ExitCode::FAILURE
+        extra: Vec::new(),
+        gates: Gates::Named(gates),
     }
 }

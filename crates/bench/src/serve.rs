@@ -1,0 +1,180 @@
+//! `ogsa-bench serve`: the socket-level load harness for the serving tier,
+//! written out as `BENCH_serve.json`.
+//!
+//! Binds the real keep-alive TCP listener (`ogsa_serve::Server`) over a
+//! span-quiet testbed, deploys the signed WS-Transfer counter, and drives
+//! it with the built-in load generator in three shapes:
+//!
+//! 1. **Sustain** — `SUSTAIN_CONNECTIONS` concurrent keep-alive
+//!    connections, closed loop. Gate: every connection establishes and no
+//!    request errors.
+//! 2. **Closed 32** — the acceptance comparison point. Gate: sustained rps
+//!    within [`MAX_RPS_RATIO`]x of the in-process multi-client harness at
+//!    the same client count, p99 under [`P99_MAX_US`].
+//! 3. **Open loop** — arrivals at a fixed fraction of the measured closed
+//!    capacity, so the tail figures include queueing delay rather than
+//!    just service time.
+//!
+//! Every request on the wire is a replay of one pre-signed envelope; the
+//! server still verifies and re-signs per request, so the per-op crypto
+//! cost matches the in-process harness's server side. Virtual-time
+//! figures are untouched: the serving tier charges no simulated cost.
+
+use std::time::{Duration, Instant};
+
+use ogsa_core::security::SecurityPolicy;
+use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport, ServeConfig, Server};
+use ogsa_core::throughput::{self, ThroughputConfig};
+
+use crate::fixture::{load_report_json, run_load, SignedGet};
+use crate::{Gates, Outcome};
+
+/// The headline concurrency claim: this many keep-alive connections held
+/// open at once, all completing requests, none erroring.
+const SUSTAIN_CONNECTIONS: usize = 1024;
+
+/// Client count for the in-process comparison (matches the acceptance
+/// figure in BENCH_throughput.json).
+const COMPARE_CLIENTS: usize = 32;
+
+/// The socket path may cost at most this factor versus the in-process
+/// harness (i.e. serve rps must be at least in-process rps / 2).
+const MAX_RPS_RATIO: f64 = 2.0;
+
+/// p99 ceiling for the 32-connection closed loop. Generous: CI hosts can
+/// be single-core and heavily shared, and 32 concurrent signed requests
+/// queue behind one another there.
+const P99_MAX_US: u64 = 1_000_000;
+
+/// Fraction of measured closed-loop capacity to offer in the open-loop
+/// run — below saturation, so the tail reflects queueing, not collapse.
+const OPEN_LOAD_FACTOR: f64 = 0.6;
+
+fn print_report(name: &str, r: &LoadReport) {
+    println!(
+        "  {name:<10} {:>5}/{:<5} conns  {:>8} reqs  {:>3} errs  {:>9.0} rps  p50 {:>6}us  p99 {:>7}us  p999 {:>7}us",
+        r.connections_established,
+        r.connections_requested,
+        r.requests,
+        r.errors,
+        r.rps,
+        r.p50_us,
+        r.p99_us,
+        r.p999_us,
+    );
+}
+
+pub fn run() -> Outcome {
+    let fixture = SignedGet::deploy();
+
+    let granted = loadgen::raise_nofile_limit((SUSTAIN_CONNECTIONS as u64) * 2 + 64);
+    assert!(
+        granted >= (SUSTAIN_CONNECTIONS as u64) + 32,
+        "fd limit {granted} too low for {SUSTAIN_CONNECTIONS} connections"
+    );
+
+    let mut server =
+        Server::bind(fixture.tb.network(), ServeConfig::default()).expect("bind serving tier");
+    let addr = server.addr();
+    let load = |connections: usize| -> LoadConfig {
+        fixture.load(
+            addr,
+            connections,
+            Duration::from_secs(2),
+            Duration::from_millis(500),
+        )
+    };
+
+    println!(
+        "serve loadgen (signed WS-Transfer Get, {} workers)",
+        ServeConfig::default().workers
+    );
+
+    // Shape 1: hold SUSTAIN_CONNECTIONS keep-alive connections open.
+    let sustain = run_load(&load(SUSTAIN_CONNECTIONS));
+    print_report("sustain", &sustain);
+
+    // Shape 2: the acceptance comparison point.
+    let closed32 = run_load(&load(COMPARE_CLIENTS));
+    print_report("closed-32", &closed32);
+
+    // Shape 3: open loop below saturation for honest tail figures.
+    let open_rps = (closed32.rps * OPEN_LOAD_FACTOR).max(100.0);
+    let open = run_load(&LoadConfig {
+        mode: LoadMode::Open { rps: open_rps },
+        ..load(COMPARE_CLIENTS * 2)
+    });
+    print_report("open-loop", &open);
+
+    // In-process comparison figure: the PR-4 multi-client harness at the
+    // same client count, measured on the host clock in this process.
+    let config = ThroughputConfig {
+        policy: SecurityPolicy::X509Sign,
+        clients: vec![COMPARE_CLIENTS],
+        shards: vec![8],
+        iterations: 4,
+        grid_clients: vec![],
+        grid_shards: vec![],
+    };
+    let wall_start = Instant::now();
+    let rows = throughput::run(&config);
+    let wall = wall_start.elapsed();
+    let in_process_requests: u64 = rows.iter().map(|r| r.requests).sum();
+    let in_process_rps = in_process_requests as f64 / wall.as_secs_f64();
+    println!(
+        "  in-process {COMPARE_CLIENTS} clients: {in_process_requests} reqs in {:.0}ms = {in_process_rps:.0} rps",
+        wall.as_secs_f64() * 1_000.0
+    );
+
+    let rps_ratio = in_process_rps / closed32.rps.max(1e-9);
+    let sustained = sustain.connections_established == SUSTAIN_CONNECTIONS;
+    let errors = sustain.errors + closed32.errors + open.errors;
+    let stats = server.stats();
+    let gates = vec![
+        ("connections_sustained", sustained),
+        ("zero_request_errors", errors == 0),
+        (
+            "socket_rps_within_2x_of_in_process",
+            rps_ratio <= MAX_RPS_RATIO,
+        ),
+        ("closed_32_p99_under_1s", closed32.p99_us <= P99_MAX_US),
+        ("zero_dispatch_panics", stats.dispatch_panics() == 0),
+    ];
+    println!(
+        "  {} of {SUSTAIN_CONNECTIONS} conns sustained, {errors} errors, socket rps within {rps_ratio:.2}x of in-process (max {MAX_RPS_RATIO}x), p99 {}us (max {P99_MAX_US}us), {} panics",
+        sustain.connections_established,
+        closed32.p99_us,
+        stats.dispatch_panics(),
+    );
+
+    let json = format!(
+        "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}},\"gate\":{{\"sustain_connections\":{},\"sustained\":{},\"errors\":{},\"max_rps_ratio\":{},\"rps_ratio\":{:.3},\"p99_max_us\":{},\"p99_us\":{},\"pass\":{}}}",
+        load_report_json("sustain", &sustain),
+        load_report_json("closed_32", &closed32),
+        load_report_json("open_loop", &open),
+        open_rps,
+        COMPARE_CLIENTS,
+        in_process_requests,
+        wall.as_secs_f64() * 1_000.0,
+        in_process_rps,
+        stats.accepted(),
+        stats.requests(),
+        stats.http_errors(),
+        stats.dispatch_panics(),
+        SUSTAIN_CONNECTIONS,
+        sustained,
+        errors,
+        MAX_RPS_RATIO,
+        rps_ratio,
+        P99_MAX_US,
+        closed32.p99_us,
+        gates.iter().all(|g| g.1),
+    );
+    server.shutdown();
+
+    Outcome {
+        artifact: ("BENCH_serve.json", json),
+        extra: Vec::new(),
+        gates: Gates::Named(gates),
+    }
+}

@@ -1,8 +1,8 @@
 //! The sharded subscription table.
 //!
 //! Subscriptions are routed to shards by the FNV-1a hash of their
-//! expression's literal root segment (the PR-3 shard router, re-used from
-//! `ogsa_xmldb::fnv1a`), so concurrent Subscribe/Unsubscribe/Notify on
+//! expression's literal root segment (`ogsa_sim::rng::hash_str`, the same
+//! router the xmldb collections use), so concurrent Subscribe/Unsubscribe/Notify on
 //! different topic roots take different locks. Expressions whose head is a
 //! wildcard (`*`, `//`, or a match-everything filter) cannot be routed and
 //! live in a dedicated *wildcard shard* that every resolve also consults.
@@ -19,9 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
+use ogsa_sim::rng::hash_str;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_telemetry::Telemetry;
-use ogsa_xmldb::fnv1a;
 use parking_lot::{Mutex, RwLock};
 
 use crate::trie::{CompiledTopic, TopicTrie};
@@ -279,7 +279,7 @@ impl<T: Subscriber> ShardedTable<T> {
 
     /// The shard a literal root name routes to.
     pub fn shard_of(&self, root: &str) -> usize {
-        (fnv1a(root) % (self.shards.len() as u64 - 1)) as usize
+        (hash_str(root) % (self.shards.len() as u64 - 1)) as usize
     }
 
     fn shard_for_topic(&self, topic: &CompiledTopic) -> usize {
@@ -317,10 +317,6 @@ impl<T: Subscriber> ShardedTable<T> {
     }
 
     fn note_contention(&self, shard: usize) {
-        self.inner_note_contention(shard);
-    }
-
-    fn inner_note_contention(&self, shard: usize) {
         self.stats.inner.contentions.fetch_add(1, Ordering::Relaxed);
         let label = if shard == self.wild() {
             "wild".to_owned()

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ogsa_sim::rng::hash_str;
 use ogsa_sim::{CostModel, VirtualClock};
 use parking_lot::Mutex;
 
@@ -33,13 +34,7 @@ impl HostFs {
     /// The WS-Transfer DataService's directory naming: "The directory
     /// created is a hash of the user DN" (§4.2.2).
     pub fn dn_directory(dn: &str) -> String {
-        // FNV-1a, stable across runs.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in dn.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        format!("u{h:016x}")
+        format!("u{:016x}", hash_str(dn))
     }
 
     /// Create a directory (idempotent). Charged as one file op.

@@ -33,9 +33,6 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     length_bits: u64,
-    /// Pin to the scalar rounds (differential benchmarking only).
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    force_scalar: bool,
 }
 
 impl Default for Sha256 {
@@ -45,7 +42,6 @@ impl Default for Sha256 {
             buffer: [0; 64],
             buffered: 0,
             length_bits: 0,
-            force_scalar: false,
         }
     }
 }
@@ -53,17 +49,6 @@ impl Default for Sha256 {
 impl Sha256 {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A state pinned to the scalar rounds regardless of CPU support —
-    /// the pre-optimisation behaviour. Digests are identical; only the
-    /// wall-clock cost differs. Used by the differential benchmarks.
-    #[doc(hidden)]
-    pub fn new_scalar() -> Self {
-        Sha256 {
-            force_scalar: true,
-            ..Self::default()
-        }
     }
 
     /// Absorb bytes.
@@ -99,7 +84,7 @@ impl Sha256 {
     fn compress_blocks(&mut self, blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0);
         #[cfg(target_arch = "x86_64")]
-        if !self.force_scalar && shani::available() {
+        if shani::available() {
             // SAFETY: `available()` confirmed sha+sse4.1+ssse3 at runtime.
             unsafe { shani::compress_blocks(&mut self.state, blocks) };
             return;

@@ -37,5 +37,5 @@ pub mod server;
 pub use admin::{AdminPlane, ObsConfig, ReadyState};
 pub use conn::{Advance, Conn, Dispatch, Request};
 pub use http::{Head, HeadParse, HttpError, Method};
-pub use loadgen::{LatencyHistogram, LoadConfig, LoadMode, LoadReport, ScrapeCheck};
+pub use loadgen::{LoadConfig, LoadMode, LoadReport, ScrapeCheck};
 pub use server::{ServeConfig, ServeStats, Server};

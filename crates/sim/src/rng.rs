@@ -31,7 +31,11 @@ pub fn mix64(words: &[u64]) -> u64 {
     splitmix64(&mut state)
 }
 
-/// Hash a string into a mixable word (FNV-1a).
+/// Hash a string into a mixable word (FNV-1a). The workspace's one string
+/// hash: fault edges, xmldb and fan-out shard routing and the §4.2.2
+/// hash-of-DN directory names all depend on its exact values, which are
+/// stable across runs and platforms.
+#[inline]
 pub fn hash_str(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.as_bytes() {

@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock, RwLockReadGuard, RwLockWriteGuard};
 
+use ogsa_sim::rng::hash_str;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_telemetry::{SpanKind, Telemetry};
 use ogsa_xml::{write_document, Element, XPath, XPathContext};
@@ -245,18 +246,6 @@ impl std::fmt::Debug for Collection {
     }
 }
 
-/// FNV-1a: a stable, dependency-free key hash so shard routing is
-/// deterministic across runs and platforms. Public because other sharded
-/// subsystems (the notification fan-out tables) route with the same hash.
-pub fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl Collection {
     pub fn name(&self) -> &str {
         &self.name
@@ -269,7 +258,7 @@ impl Collection {
 
     /// The shard a key routes to (stable across runs).
     pub fn shard_of(&self, key: &str) -> usize {
-        (fnv1a(key) % self.shards.len() as u64) as usize
+        (hash_str(key) % self.shards.len() as u64) as usize
     }
 
     /// Register an observer for updates/removals; see [`InvalidationHook`].

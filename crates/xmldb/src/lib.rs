@@ -49,7 +49,7 @@ pub mod wal;
 
 pub use backend::{BackendKind, CostProfile, CustomBackend};
 pub use cache::ResourceCache;
-pub use db::{fnv1a, Collection, Database, DbConfig, InvalidationHook, DEFAULT_SHARDS};
+pub use db::{Collection, Database, DbConfig, InvalidationHook, DEFAULT_SHARDS};
 pub use durable::{DurableBackend, DurableConfig, RecoveryReport, WalObserver};
 pub use error::DbError;
 pub use repl::{
