@@ -244,7 +244,7 @@ fn shard_cell(subscribers: usize, shards: usize, events: usize) -> ShardRow {
         "wsn",
     );
     for i in 0..subscribers {
-        table.insert(BenchSub::new(i), TopicShape::Flat.topic(i), false);
+        table.insert(BenchSub::new(i), TopicShape::Flat.topic(i), None, false);
     }
     // Charge only the delivery phase against the makespan: snapshot the
     // insert-phase busy time and subtract it per shard.
@@ -316,7 +316,7 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
         } else {
             CompiledTopic::match_all()
         };
-        table.insert(BenchSub::new(i), topic, false);
+        table.insert(BenchSub::new(i), topic, None, false);
     }
 
     let deliveries = Arc::new(AtomicU64::new(0));

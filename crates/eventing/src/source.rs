@@ -8,7 +8,7 @@ use ogsa_addressing::EndpointReference;
 use ogsa_container::{ClientAgent, Container, Operation, OperationContext, WebService};
 use ogsa_fanout::{Deliverer, DelivererConfig, Sink};
 use ogsa_soap::Fault;
-use ogsa_xml::{Element, XPath, XPathContext};
+use ogsa_xml::Element;
 
 use crate::delivery::{DeliveryMode, PushDelivery};
 use crate::fanout::EventIndex;
@@ -87,11 +87,15 @@ impl WebService for EventSourceService {
                         req.mode
                     )));
                 }
-                // Validate the filter eagerly so bad XPath faults at
-                // subscribe time, not delivery time.
-                if let Some(f) = &req.filter {
-                    XPath::compile(f).map_err(|e| Fault::client(format!("invalid filter: {e}")))?;
-                }
+                // Compile the filter eagerly so bad XPath faults at
+                // subscribe time, not delivery time — and keep the result:
+                // it is the form the fan-out index evaluates.
+                let filter = req
+                    .filter
+                    .as_deref()
+                    .map(|f| self.index.compile_filter(f))
+                    .transpose()
+                    .map_err(|e| Fault::client(format!("invalid filter: {e}")))?;
                 let id = format!("es-{}", self.seq.fetch_add(1, Ordering::Relaxed));
                 let sub = EventSubscription {
                     id: id.clone(),
@@ -104,7 +108,7 @@ impl WebService for EventSourceService {
                 // The flat file stays the charged store of record; the
                 // index mirrors it for cache-hit-priced fan-out.
                 self.store.insert(sub.clone());
-                self.index.insert(sub);
+                self.index.insert(sub, filter);
                 let manager = EndpointReference::resource(self.manager_address.clone(), id);
                 let _ = ctx;
                 Ok(SubscribeRequest::response(&manager, req.expires))
@@ -174,10 +178,7 @@ impl NotificationManager {
         // Expired/unsubscribed subscribers lose their parked events and
         // their ledger row too — nothing in the fan-out plane outlives them.
         let evictor = deliverer.clone();
-        index.on_evict(Arc::new(move |id| {
-            evictor.evict(id);
-            evictor.ledger().forget(id);
-        }));
+        index.on_evict(Arc::new(move |id| evictor.ledger().forget(id)));
         deliverer
     }
 
@@ -207,9 +208,9 @@ impl NotificationManager {
     }
 
     /// Trigger an event: purge expired subscriptions only when the expiry
-    /// watermark says one is actually due (notifying their `EndTo`),
-    /// evaluate filters over the index, and deliver through each
-    /// subscription's mode. Returns the number of deliveries.
+    /// watermark says one is actually due (notifying their `EndTo`), ask
+    /// the index which subscriptions' filters accept the event, and deliver
+    /// through each one's mode. Returns the number of deliveries.
     pub fn trigger(&self, event: Element) -> usize {
         let now = self.agent.clock().now();
         if self.index.expiry_due(now) {
@@ -227,18 +228,8 @@ impl NotificationManager {
                 }
             }
         }
-        let matching: Vec<_> = self
-            .index
-            .all_active()
-            .into_iter()
-            .filter(|sub| match &sub.filter {
-                None => true,
-                Some(f) => XPath::compile(f)
-                    .and_then(|xp| xp.matches(&event, &XPathContext::new()))
-                    .unwrap_or(false),
-            })
-            .filter(|sub| self.modes.contains_key(&sub.mode))
-            .collect();
+        let mut matching = self.index.matching(&event);
+        matching.retain(|sub| self.modes.contains_key(&sub.mode));
         // Each delivery owns its message body, but the last one can take
         // the event itself — a single-subscriber trigger clones nothing.
         let last = matching.len();

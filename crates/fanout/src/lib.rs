@@ -18,12 +18,19 @@
 //!   resolves a concrete topic path to its subscriber set in one walk. The
 //!   naive per-subscription matcher ([`trie::CompiledTopic::matches`]) is
 //!   retained as a differential oracle.
+//! * [`filter::ContentFilter`] — the compiled-filter index: a content
+//!   filter (WS-Eventing `Filter`, WS-Notification `Selector`) is compiled
+//!   once when its subscription enters the table and grouped by text, so
+//!   [`table::ShardedTable::resolve_matching`] evaluates each distinct
+//!   filter among an event's candidates once. Event cost follows what the
+//!   event matches, not how many subscriptions exist.
 //! * [`outbox::Deliverer`] — bounded per-subscriber outboxes drained by a
 //!   coalescing deliverer, with drop-oldest backpressure
 //!   (`wsn.backpressure_drops` + PR-1 dead-letter records) and a durable
-//!   [`outbox::RedeliveryLedger`]. Parked batches count as external work
-//!   on the [`ogsa_transport::Network`], so `quiesce()`/`drain()` cannot
-//!   return while notifications are still queued.
+//!   [`outbox::RedeliveryLedger`] — one slot per subscriber holding both.
+//!   Parked batches count as external work on the
+//!   [`ogsa_transport::Network`], so `quiesce()`/`drain()` cannot return
+//!   while notifications are still queued.
 //!
 //! Honest accounting: WS-Eventing has no topic space, so its entries all
 //! use [`trie::CompiledTopic::match_all`] and land on the wildcard shard —
@@ -31,10 +38,12 @@
 //! wouldn't. Its sink also never coalesces multiple events into one
 //! envelope, because WS-Eventing's spec has no batch container.
 
+pub mod filter;
 pub mod outbox;
 pub mod table;
 pub mod trie;
 
+pub use filter::ContentFilter;
 pub use outbox::{Deliverer, DelivererConfig, DeliveryPlan, LedgerEntry, RedeliveryLedger, Sink};
 pub use table::{FanoutCosts, FanoutStats, ShardedTable, Subscriber};
 pub use trie::{CompiledTopic, Seg, TopicTrie};

@@ -17,8 +17,13 @@
 //! ledger. Queued notifications register as external work on the network,
 //! so `Network::quiesce`/`drain` cannot return while coalesced batches are
 //! still parked.
+//!
+//! State is **one slot per subscriber**: its ledger row, its outbox and the
+//! `Arc` of the subscription, found by `&str` in one map under one lock —
+//! accepting a notification allocates nothing but the queue's own growth.
+//! Flushes still drain subscribers in id order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use ogsa_transport::{DeadLetter, FaultKind, Network};
@@ -77,51 +82,44 @@ pub struct LedgerEntry {
     pub dropped: u64,
 }
 
-#[derive(Default)]
-pub struct RedeliveryLedger {
-    entries: Mutex<BTreeMap<String, LedgerEntry>>,
-}
-
-impl RedeliveryLedger {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn with(&self, id: &str, f: impl FnOnce(&mut LedgerEntry)) {
-        f(self.entries.lock().entry(id.to_owned()).or_default());
-    }
-
-    pub fn entry(&self, id: &str) -> Option<LedgerEntry> {
-        self.entries.lock().get(id).cloned()
-    }
-
-    pub fn snapshot(&self) -> BTreeMap<String, LedgerEntry> {
-        self.entries.lock().clone()
-    }
-
-    /// Drop a subscriber's row (eviction at expiry keeps the ledger from
-    /// leaking alongside the table).
-    pub fn forget(&self, id: &str) {
-        self.entries.lock().remove(id);
-    }
-}
-
-struct Outbox<T> {
-    sub: T,
+/// One subscriber's delivery state: ledger row and outbox together, so an
+/// accepted notification touches one map entry under one lock.
+struct Slot<T> {
+    /// The subscription as of the first notification parked since the last
+    /// drain (a renewal's new payload is picked up batch by batch).
+    sub: Arc<T>,
     shard: usize,
+    row: LedgerEntry,
     queue: VecDeque<Element>,
+}
+
+/// Everything parked for one subscriber, taken out of its slot for a send.
+struct Batch<T> {
+    sub: Arc<T>,
+    shard: usize,
+    bodies: Vec<Element>,
+}
+
+impl<T> Slot<T> {
+    fn take_batch(&mut self) -> Option<Batch<T>> {
+        (!self.queue.is_empty()).then(|| Batch {
+            sub: self.sub.clone(),
+            shard: self.shard,
+            bodies: Vec::from(std::mem::take(&mut self.queue)),
+        })
+    }
 }
 
 struct DelivererInner<T: Subscriber> {
     config: Mutex<DelivererConfig>,
-    /// BTreeMap so flushes drain subscribers in id order — deterministic
-    /// under the virtual clock.
-    outboxes: Mutex<BTreeMap<String, Outbox<T>>>,
+    /// Keyed by subscription id. Hashed for the per-match lookup; a flush
+    /// sorts the non-empty slots by id, so drains stay deterministic under
+    /// the virtual clock.
+    slots: Mutex<HashMap<String, Slot<T>>>,
     sink: Sink<T>,
     net: Network,
     from_host: String,
     stats: FanoutStats,
-    ledger: RedeliveryLedger,
     stack: &'static str,
 }
 
@@ -138,6 +136,35 @@ impl<T: Subscriber> Clone for Deliverer<T> {
     }
 }
 
+/// The redelivery ledger: a view of the per-subscriber rows a
+/// [`Deliverer`] keeps in its slots.
+pub struct RedeliveryLedger<'a, T: Subscriber> {
+    deliverer: &'a Deliverer<T>,
+}
+
+impl<T: Subscriber> RedeliveryLedger<'_, T> {
+    pub fn entry(&self, id: &str) -> Option<LedgerEntry> {
+        let slots = self.deliverer.inner.slots.lock();
+        slots.get(id).map(|s| s.row.clone())
+    }
+
+    pub fn snapshot(&self) -> BTreeMap<String, LedgerEntry> {
+        let slots = self.deliverer.inner.slots.lock();
+        slots
+            .iter()
+            .map(|(id, s)| (id.clone(), s.row.clone()))
+            .collect()
+    }
+
+    /// Drop a subscriber's slot (eviction at expiry keeps the ledger from
+    /// leaking alongside the table); anything still parked in it is
+    /// discarded as [`Deliverer::evict`] does.
+    pub fn forget(&self, id: &str) {
+        self.deliverer.evict(id);
+        self.deliverer.inner.slots.lock().remove(id);
+    }
+}
+
 impl<T: Subscriber> Deliverer<T> {
     pub fn new(
         net: Network,
@@ -149,12 +176,11 @@ impl<T: Subscriber> Deliverer<T> {
         Deliverer {
             inner: Arc::new(DelivererInner {
                 config: Mutex::new(DelivererConfig::default()),
-                outboxes: Mutex::new(BTreeMap::new()),
+                slots: Mutex::new(HashMap::new()),
                 sink,
                 net,
                 from_host: from_host.into(),
                 stats,
-                ledger: RedeliveryLedger::new(),
                 stack,
             }),
         }
@@ -168,60 +194,73 @@ impl<T: Subscriber> Deliverer<T> {
         *self.inner.config.lock()
     }
 
-    pub fn ledger(&self) -> &RedeliveryLedger {
-        &self.inner.ledger
+    pub fn ledger(&self) -> RedeliveryLedger<'_, T> {
+        RedeliveryLedger { deliverer: self }
     }
 
     /// Notifications currently parked in outboxes.
     pub fn pending(&self) -> usize {
-        self.inner
-            .outboxes
-            .lock()
-            .values()
-            .map(|o| o.queue.len())
-            .sum()
+        let slots = self.inner.slots.lock();
+        slots.values().map(|s| s.queue.len()).sum()
+    }
+
+    /// Run `f` on the subscriber's slot, creating it on first contact — the
+    /// only time accepting a notification allocates a key.
+    fn with_slot<R>(&self, sub: &Arc<T>, shard: usize, f: impl FnOnce(&mut Slot<T>) -> R) -> R {
+        let mut slots = self.inner.slots.lock();
+        if let Some(slot) = slots.get_mut(sub.sub_id()) {
+            return f(slot);
+        }
+        f(slots.entry(sub.sub_id().to_owned()).or_insert(Slot {
+            sub: sub.clone(),
+            shard,
+            row: LedgerEntry::default(),
+            queue: VecDeque::new(),
+        }))
     }
 
     /// Accept one notification body for one subscriber. `shard` is the
     /// subscriber's table shard (for the per-shard outbox-depth gauge).
-    pub fn enqueue(&self, sub: &T, shard: usize, body: Element) {
+    pub fn enqueue(&self, sub: &Arc<T>, shard: usize, body: Element) {
         let config = self.config();
-        self.inner.ledger.with(sub.sub_id(), |e| e.enqueued += 1);
         match config.plan {
-            DeliveryPlan::Immediate => self.send(sub, vec![body]),
+            DeliveryPlan::Immediate => {
+                self.with_slot(sub, shard, |slot| slot.row.enqueued += 1);
+                self.send(sub, vec![body]);
+            }
             DeliveryPlan::Coalesce { batch_max } => {
-                let drain_now = {
-                    let mut outboxes = self.inner.outboxes.lock();
-                    let outbox =
-                        outboxes
-                            .entry(sub.sub_id().to_owned())
-                            .or_insert_with(|| Outbox {
-                                sub: sub.clone(),
-                                shard,
-                                queue: VecDeque::new(),
-                            });
+                let full = self.with_slot(sub, shard, |slot| {
+                    slot.row.enqueued += 1;
+                    if slot.queue.is_empty() {
+                        slot.sub = sub.clone();
+                        slot.shard = shard;
+                    }
                     // Parked work holds the network open: quiesce() must
                     // not return while a batch is queued.
                     self.inner.net.begin_external_work();
-                    outbox.queue.push_back(body);
+                    slot.queue.push_back(body);
                     self.inner.stats.add_depth(shard, 1);
-                    if outbox.queue.len() > config.outbox_capacity {
-                        let evicted = outbox.queue.pop_front().expect("len > cap ≥ 0");
-                        self.overflow(&outbox.sub, shard, &evicted);
+                    if slot.queue.len() > config.outbox_capacity {
+                        let evicted = slot.queue.pop_front().expect("len > cap ≥ 0");
+                        self.overflow(slot, shard, &evicted);
                     }
-                    outbox.queue.len() >= batch_max.max(1)
-                };
-                if drain_now {
-                    self.drain_subscriber(sub.sub_id());
+                    if slot.queue.len() >= batch_max.max(1) {
+                        slot.take_batch()
+                    } else {
+                        None
+                    }
+                });
+                if let Some(batch) = full {
+                    self.send_batch(batch);
                 }
             }
         }
     }
 
-    fn overflow(&self, sub: &T, shard: usize, evicted: &Element) {
+    fn overflow(&self, slot: &mut Slot<T>, shard: usize, evicted: &Element) {
         self.inner.stats.sub_depth(shard, 1);
         self.inner.stats.bump_drop();
-        self.inner.ledger.with(sub.sub_id(), |e| e.dropped += 1);
+        slot.row.dropped += 1;
         self.inner
             .net
             .telemetry()
@@ -229,7 +268,7 @@ impl<T: Subscriber> Deliverer<T> {
             .inc("wsn.backpressure_drops", &[("stack", self.inner.stack)]);
         let wire_bytes = evicted.into_document_string().len();
         self.inner.net.record_dead_letter(DeadLetter {
-            to: sub.endpoint().address.clone(),
+            to: slot.sub.endpoint().address.clone(),
             from_host: self.inner.from_host.clone(),
             attempts: 0,
             reason: FaultKind::Drop,
@@ -240,30 +279,23 @@ impl<T: Subscriber> Deliverer<T> {
         self.inner.net.end_external_work();
     }
 
+    /// Hand `bodies` to the sink (outside the slots lock: the sink goes to
+    /// the wire), then record the delivery — unless the subscriber was
+    /// forgotten meanwhile.
     fn send(&self, sub: &T, bodies: Vec<Element>) {
         let n = bodies.len() as u64;
         (self.inner.sink)(sub, bodies);
-        self.inner.ledger.with(sub.sub_id(), |e| {
-            e.delivered += n;
-            e.envelopes += 1;
-        });
-    }
-
-    /// Drain one subscriber's outbox; returns how many notifications left.
-    pub fn drain_subscriber(&self, sub_id: &str) -> usize {
-        let Some(outbox) = self.inner.outboxes.lock().remove(sub_id) else {
-            return 0;
-        };
-        self.drain_outbox(outbox)
-    }
-
-    fn drain_outbox(&self, outbox: Outbox<T>) -> usize {
-        let k = outbox.queue.len();
-        if k == 0 {
-            return 0;
+        if let Some(slot) = self.inner.slots.lock().get_mut(sub.sub_id()) {
+            slot.row.delivered += n;
+            slot.row.envelopes += 1;
         }
-        self.send(&outbox.sub, outbox.queue.into_iter().collect());
-        self.inner.stats.sub_depth(outbox.shard, k as u64);
+    }
+
+    /// Send a taken batch; returns how many notifications left.
+    fn send_batch(&self, batch: Batch<T>) -> usize {
+        let k = batch.bodies.len();
+        self.send(&batch.sub, batch.bodies);
+        self.inner.stats.sub_depth(batch.shard, k as u64);
         // Resolve external work only after the sink put the messages on the
         // wire (which registers its own pending one-ways), so the network
         // never looks momentarily idle mid-hand-off.
@@ -273,29 +305,39 @@ impl<T: Subscriber> Deliverer<T> {
         k
     }
 
+    /// Drain one subscriber's outbox; returns how many notifications left.
+    pub fn drain_subscriber(&self, sub_id: &str) -> usize {
+        let batch = {
+            let mut slots = self.inner.slots.lock();
+            slots.get_mut(sub_id).and_then(Slot::take_batch)
+        };
+        batch.map_or(0, |b| self.send_batch(b))
+    }
+
     /// Drain every outbox, subscribers in id order; returns notifications
     /// flushed.
     pub fn flush(&self) -> usize {
-        let outboxes = std::mem::take(&mut *self.inner.outboxes.lock());
-        let mut n = 0;
-        for (_, outbox) in outboxes {
-            n += self.drain_outbox(outbox);
-        }
-        n
+        let mut batches: Vec<Batch<T>> = {
+            let mut slots = self.inner.slots.lock();
+            slots.values_mut().filter_map(Slot::take_batch).collect()
+        };
+        batches.sort_by(|a, b| a.sub.sub_id().cmp(b.sub.sub_id()));
+        batches.into_iter().map(|b| self.send_batch(b)).sum()
     }
 
     /// Discard (without delivering) anything parked for `sub_id` — eviction
     /// support for subscribers destroyed while batches were queued. The
     /// discarded messages are accounted as backpressure drops.
     pub fn evict(&self, sub_id: &str) -> usize {
-        let Some(outbox) = self.inner.outboxes.lock().remove(sub_id) else {
+        let mut slots = self.inner.slots.lock();
+        let Some(slot) = slots.get_mut(sub_id) else {
             return 0;
         };
-        let k = outbox.queue.len();
-        for body in &outbox.queue {
-            self.overflow(&outbox.sub, outbox.shard, body);
+        let queue = std::mem::take(&mut slot.queue);
+        for body in &queue {
+            self.overflow(slot, slot.shard, body);
         }
-        k
+        queue.len()
     }
 }
 
@@ -306,7 +348,6 @@ mod tests {
     use ogsa_sim::{CostModel, VirtualClock};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[derive(Clone)]
     struct Sub {
         id: String,
         to: EndpointReference,
@@ -321,11 +362,11 @@ mod tests {
         }
     }
 
-    fn sub(id: &str) -> Sub {
-        Sub {
+    fn sub(id: &str) -> Arc<Sub> {
+        Arc::new(Sub {
             id: id.to_owned(),
             to: EndpointReference::service("http://c/inbox"),
-        }
+        })
     }
 
     fn net() -> Network {
@@ -466,5 +507,28 @@ mod tests {
         assert_eq!(n.pending_oneways(), 0);
         d.flush();
         assert_eq!(calls.load(Ordering::SeqCst), 0, "nothing delivered");
+    }
+
+    #[test]
+    fn forgetting_a_subscriber_drops_its_row_and_whatever_is_parked() {
+        let n = net();
+        let d = deliverer(&n, Arc::new(|_s: &Sub, _b: Vec<Element>| {}));
+        d.set_config(DelivererConfig {
+            plan: DeliveryPlan::Coalesce { batch_max: 100 },
+            outbox_capacity: 100,
+        });
+        d.enqueue(&sub("a"), 0, Element::new("E"));
+        d.enqueue(&sub("b"), 1, Element::new("E"));
+        d.ledger().forget("a");
+        assert!(d.ledger().entry("a").is_none());
+        assert_eq!(d.pending(), 1, "b's notification is still parked");
+        assert_eq!(n.pending_oneways(), 1, "a's external-work slot resolved");
+        assert_eq!(n.dead_letters().len(), 1);
+        assert_eq!(
+            d.ledger().snapshot().keys().collect::<Vec<_>>(),
+            ["b"],
+            "one slot per live subscriber"
+        );
+        assert_eq!(d.flush(), 1);
     }
 }

@@ -7,6 +7,13 @@
 //! wildcard (`*`, `//`, or a match-everything filter) cannot be routed and
 //! live in a dedicated *wildcard shard* that every resolve also consults.
 //!
+//! Entries are `Arc<T>`: a resolve, [`ShardedTable::all`] and the deliverer's
+//! per-subscriber slots hand out the `Arc`, so no subscription (EPR, topic
+//! expression, strings) is deep-cloned per match or per parked batch. Each
+//! shard also keeps the [`crate::filter`] index: content filters compiled
+//! once at insert and grouped by text, so [`ShardedTable::resolve_matching`]
+//! evaluates each distinct filter among an event's candidates once.
+//!
 //! Exactly like the PR-3 xmldb collections, the shard count never changes
 //! what an operation *costs* — it only changes which lock it takes and
 //! which shard's busy time the cost is attributed to. The `fanout` bench's
@@ -21,13 +28,15 @@ use std::sync::Arc;
 use ogsa_addressing::EndpointReference;
 use ogsa_sim::rng::hash_str;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
-use ogsa_telemetry::Telemetry;
+use ogsa_telemetry::{series_key, Telemetry};
+use ogsa_xml::{Element, XmlResult};
 use parking_lot::{Mutex, RwLock};
 
+use crate::filter::{ContentFilter, FilterGroups};
 use crate::trie::{CompiledTopic, TopicTrie};
 
 /// What the fan-out core needs to know about a stack's subscription type.
-pub trait Subscriber: Clone + Send + Sync + 'static {
+pub trait Subscriber: Send + Sync + 'static {
     /// Stable subscription id (the WS-Resource id / WS-Eventing id).
     fn sub_id(&self) -> &str;
     /// Where deliveries go (dead letters are recorded against this).
@@ -41,7 +50,10 @@ pub trait Subscriber: Clone + Send + Sync + 'static {
 pub struct FanoutCosts {
     /// Fixed cost per resolve (the trie walk).
     pub resolve_fixed: SimDuration,
-    /// Per matched candidate (entry clone + filter hand-off).
+    /// Per trie-matched, unpaused candidate (entry hand-off + its content
+    /// filter) — charged whether or not the filter then accepts, and
+    /// however many candidates share one compiled filter: the filter index
+    /// moves the wall clock only.
     pub per_candidate: SimDuration,
     /// Per table mutation (insert/remove/pause).
     pub mutate: SimDuration,
@@ -84,6 +96,8 @@ struct StatsInner {
     outbox_depth: Vec<AtomicU64>,
     contentions: AtomicU64,
     backpressure_drops: AtomicU64,
+    filter_compilations: AtomicU64,
+    filter_evaluations: AtomicU64,
 }
 
 impl FanoutStats {
@@ -96,6 +110,8 @@ impl FanoutStats {
                 outbox_depth: (0..shards).map(cell).collect(),
                 contentions: AtomicU64::new(0),
                 backpressure_drops: AtomicU64::new(0),
+                filter_compilations: AtomicU64::new(0),
+                filter_evaluations: AtomicU64::new(0),
             }),
         }
     }
@@ -147,6 +163,18 @@ impl FanoutStats {
         self.inner.backpressure_drops.load(Ordering::Relaxed)
     }
 
+    /// Content filters compiled for this table (one per filtered insert;
+    /// never on the notify path).
+    pub fn filter_compilations(&self) -> u64 {
+        self.inner.filter_compilations.load(Ordering::Relaxed)
+    }
+
+    /// Content-filter evaluations: one per distinct filter among an
+    /// event's candidates.
+    pub fn filter_evaluations(&self) -> u64 {
+        self.inner.filter_evaluations.load(Ordering::Relaxed)
+    }
+
     pub(crate) fn add_depth(&self, shard: usize, n: u64) {
         self.inner.outbox_depth[shard].fetch_add(n, Ordering::Relaxed);
     }
@@ -161,11 +189,13 @@ impl FanoutStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publish the scrape-time gauges on a metrics registry:
+    /// Publish the scrape-time series on a metrics registry: the gauges
     /// `wsn.subscribers{stack,shard}` and `wsn.outbox_depth{stack,shard}`
-    /// (the `wsn.` prefix names the shared fan-out core; the `stack` label
-    /// says which stack's table this is). Gauges ride `gather()` only, so
-    /// deterministic `snapshot()` comparisons are unaffected.
+    /// and the counters `wsn.filter_compilations{stack}` and
+    /// `wsn.filter_evaluations{stack}` (the `wsn.` prefix names the shared
+    /// fan-out core; the `stack` label says which stack's table this is).
+    /// They ride `gather()` only, so deterministic `snapshot()` comparisons
+    /// are unaffected.
     pub fn register_gauges(&self, tel: &Telemetry, stack: &'static str) {
         let stats = self.clone();
         tel.metrics().register_collector(move |snap| {
@@ -191,6 +221,13 @@ impl FanoutStats {
                     n,
                 );
             }
+            for (name, n) in [
+                ("wsn.filter_compilations", stats.filter_compilations()),
+                ("wsn.filter_evaluations", stats.filter_evaluations()),
+            ] {
+                snap.counters
+                    .insert(series_key(name, &[("stack", stack)]), n);
+            }
         });
     }
 }
@@ -198,6 +235,7 @@ impl FanoutStats {
 struct Shard<T> {
     trie: TopicTrie,
     entries: HashMap<u64, Entry<T>>,
+    filters: FilterGroups,
 }
 
 impl<T> Default for Shard<T> {
@@ -205,13 +243,16 @@ impl<T> Default for Shard<T> {
         Shard {
             trie: TopicTrie::new(),
             entries: HashMap::new(),
+            filters: FilterGroups::default(),
         }
     }
 }
 
 struct Entry<T> {
     paused: bool,
-    sub: T,
+    sub: Arc<T>,
+    /// The entry's group in the shard's filter index, if it has a filter.
+    filter: Option<usize>,
 }
 
 struct Location {
@@ -329,8 +370,35 @@ impl<T: Subscriber> ShardedTable<T> {
         );
     }
 
-    /// Insert (or replace) a subscription under its compiled expression.
-    pub fn insert(&self, sub: T, topic: CompiledTopic, paused: bool) {
+    /// Compile a content filter for a subscription about to enter this
+    /// table — the only compilation the filter ever gets (counted in
+    /// `wsn.filter_compilations`). Errors are the caller's to fault on.
+    pub fn compile_filter(&self, text: &str) -> XmlResult<ContentFilter> {
+        self.stats
+            .inner
+            .filter_compilations
+            .fetch_add(1, Ordering::Relaxed);
+        ContentFilter::compile(text)
+    }
+
+    /// As [`ShardedTable::compile_filter`], for callers with nobody to
+    /// fault (a stored subscription re-indexed at restart, a stack that
+    /// never validated): a text that does not compile becomes a filter
+    /// that matches nothing.
+    pub fn compile_filter_lenient(&self, text: &str) -> ContentFilter {
+        self.compile_filter(text)
+            .unwrap_or_else(|_| ContentFilter::matches_nothing(text))
+    }
+
+    /// Insert (or replace) a subscription under its compiled expression
+    /// and, if it has one, its compiled content filter.
+    pub fn insert(
+        &self,
+        sub: T,
+        topic: CompiledTopic,
+        filter: Option<ContentFilter>,
+        paused: bool,
+    ) {
         self.remove(sub.sub_id());
         let shard = self.shard_for_topic(&topic);
         let reg = self.next_reg.fetch_add(1, Ordering::Relaxed);
@@ -339,27 +407,39 @@ impl<T: Subscriber> ShardedTable<T> {
         {
             let mut s = self.write_shard(shard);
             s.trie.insert(reg, &topic);
-            s.entries.insert(reg, Entry { paused, sub });
+            let filter = filter.map(|f| s.filters.join(f));
+            let sub = Arc::new(sub);
+            s.entries.insert(
+                reg,
+                Entry {
+                    paused,
+                    sub,
+                    filter,
+                },
+            );
         }
         self.locations.lock().insert(id, Location { shard, reg });
         self.stats.inner.subscribers[shard].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Evict a subscription by id; false if unknown. This is the leak fix's
-    /// entry point: WS-RL expiry destructors and `Destroy` handlers call it
-    /// so dead subscribers leave the fan-out path immediately.
-    pub fn remove(&self, sub_id: &str) -> bool {
-        let Some(loc) = self.locations.lock().remove(sub_id) else {
-            return false;
-        };
+    /// Evict a subscription by id, returning it; `None` if unknown. This
+    /// is the leak fix's entry point: WS-RL expiry destructors and
+    /// `Destroy` handlers call it so dead subscribers leave the fan-out
+    /// path immediately.
+    pub fn remove(&self, sub_id: &str) -> Option<Arc<T>> {
+        let loc = self.locations.lock().remove(sub_id)?;
         self.charge(loc.shard, self.costs.mutate);
-        {
+        let entry = {
             let mut s = self.write_shard(loc.shard);
             s.trie.remove(loc.reg);
-            s.entries.remove(&loc.reg);
-        }
+            let entry = s.entries.remove(&loc.reg);
+            if let Some(slot) = entry.as_ref().and_then(|e| e.filter) {
+                s.filters.leave(slot);
+            }
+            entry
+        };
         self.stats.inner.subscribers[loc.shard].fetch_sub(1, Ordering::Relaxed);
-        true
+        entry.map(|e| e.sub)
     }
 
     /// Flip a subscription's paused flag; false if unknown.
@@ -379,21 +459,16 @@ impl<T: Subscriber> ShardedTable<T> {
         }
     }
 
-    /// Replace a stored subscription's payload in place (renewals).
-    pub fn update(&self, sub: T) -> bool {
+    /// Replace a stored subscription's payload in place (renewals),
+    /// returning the replaced one; `None` if unknown. Topic and content
+    /// filter stay as registered at insert.
+    pub fn update(&self, sub: T) -> Option<Arc<T>> {
         let locations = self.locations.lock();
-        let Some(loc) = locations.get(sub.sub_id()) else {
-            return false;
-        };
+        let loc = locations.get(sub.sub_id())?;
         self.charge(loc.shard, self.costs.mutate);
         let mut s = self.write_shard(loc.shard);
-        match s.entries.get_mut(&loc.reg) {
-            Some(e) => {
-                e.sub = sub;
-                true
-            }
-            None => false,
-        }
+        let e = s.entries.get_mut(&loc.reg)?;
+        Some(std::mem::replace(&mut e.sub, Arc::new(sub)))
     }
 
     /// How many subscriptions are indexed.
@@ -405,41 +480,59 @@ impl<T: Subscriber> ShardedTable<T> {
         self.len() == 0
     }
 
-    fn collect_shard(&self, shard: usize, path: &[&str], out: &mut Vec<T>) -> usize {
+    /// One shard's contribution to a resolve: returns the candidate count
+    /// (trie-matched and unpaused — what virtual time charges), pushing
+    /// onto `out` those whose content filter also accepts `message`.
+    fn collect_shard(
+        &self,
+        shard: usize,
+        path: &[&str],
+        message: Option<&Element>,
+        out: &mut Vec<Arc<T>>,
+    ) -> usize {
         let s = self.read_shard(shard);
         let mut ids = Vec::new();
         s.trie.resolve(path, &mut ids);
+        let mut verdicts = s.filters.verdicts();
         let mut n = 0;
         for reg in ids {
-            if let Some(e) = s.entries.get(&reg) {
-                if !e.paused {
-                    out.push(e.sub.clone());
-                    n += 1;
-                }
+            let Some(e) = s.entries.get(&reg) else {
+                continue;
+            };
+            if e.paused {
+                continue;
             }
+            n += 1;
+            let accepted = match (e.filter, message) {
+                (Some(slot), Some(message)) => verdicts.accepts(slot, message),
+                _ => true,
+            };
+            if accepted {
+                out.push(e.sub.clone());
+            }
+        }
+        if verdicts.evaluations > 0 {
+            self.stats
+                .inner
+                .filter_evaluations
+                .fetch_add(verdicts.evaluations, Ordering::Relaxed);
         }
         n
     }
 
-    /// Resolve a concrete topic path to its unpaused subscriber set in one
-    /// trie walk per consulted shard (the routed shard + the wildcard
-    /// shard). Results are sorted by subscription id, which matches the
-    /// BTreeMap document order the naive database scan produced — so the
-    /// delivery order (and therefore every virtual-time figure) is
-    /// unchanged by the index.
-    pub fn resolve(&self, path: &[&str]) -> Vec<T> {
+    fn resolve_inner(&self, path: &[&str], message: Option<&Element>) -> Vec<Arc<T>> {
         let mut out = Vec::new();
         if path.is_empty() {
             return out;
         }
         let shard = self.shard_of(path[0]);
-        let n = self.collect_shard(shard, path, &mut out);
+        let n = self.collect_shard(shard, path, message, &mut out);
         self.charge(
             shard,
             self.costs.resolve_fixed + self.costs.per_candidate * n as u64,
         );
         let wild = self.wild();
-        let w = self.collect_shard(wild, path, &mut out);
+        let w = self.collect_shard(wild, path, message, &mut out);
         if w > 0 {
             self.charge(wild, self.costs.per_candidate * w as u64);
         }
@@ -447,9 +540,27 @@ impl<T: Subscriber> ShardedTable<T> {
         out
     }
 
+    /// Resolve a concrete topic path to its unpaused subscriber set in one
+    /// trie walk per consulted shard (the routed shard + the wildcard
+    /// shard), content filters not consulted. Results are sorted by
+    /// subscription id, which matches the BTreeMap document order the naive
+    /// database scan produced — so the delivery order (and therefore every
+    /// virtual-time figure) is unchanged by the index.
+    pub fn resolve(&self, path: &[&str]) -> Vec<Arc<T>> {
+        self.resolve_inner(path, None)
+    }
+
+    /// [`ShardedTable::resolve`], keeping only subscriptions whose content
+    /// filter accepts `message`. Each distinct filter among the candidates
+    /// is evaluated once; the virtual-time charge is `resolve`'s — every
+    /// candidate, accepted or not.
+    pub fn resolve_matching(&self, path: &[&str], message: &Element) -> Vec<Arc<T>> {
+        self.resolve_inner(path, Some(message))
+    }
+
     /// Every indexed subscription (paused included), sorted by id — the
     /// broker's demand bookkeeping and restart rebuilds use this.
-    pub fn all(&self) -> Vec<(T, bool)> {
+    pub fn all(&self) -> Vec<(Arc<T>, bool)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let s = shard.read();
@@ -495,9 +606,14 @@ mod tests {
     #[test]
     fn routes_by_root_and_consults_wildcard_shard() {
         let t = table(8);
-        t.insert(Sub::new("a"), CompiledTopic::simple("jobs"), false);
-        t.insert(Sub::new("b"), CompiledTopic::full("//exited"), false);
-        t.insert(Sub::new("c"), CompiledTopic::concrete("data/x"), false);
+        t.insert(Sub::new("a"), CompiledTopic::simple("jobs"), None, false);
+        t.insert(Sub::new("b"), CompiledTopic::full("//exited"), None, false);
+        t.insert(
+            Sub::new("c"),
+            CompiledTopic::concrete("data/x"),
+            None,
+            false,
+        );
         let hits = t.resolve(&["jobs", "exited"]);
         let ids: Vec<&str> = hits.iter().map(|s| s.sub_id()).collect();
         assert_eq!(ids, ["a", "b"]);
@@ -507,7 +623,7 @@ mod tests {
     #[test]
     fn paused_entries_do_not_resolve() {
         let t = table(4);
-        t.insert(Sub::new("a"), CompiledTopic::simple("t"), false);
+        t.insert(Sub::new("a"), CompiledTopic::simple("t"), None, false);
         assert_eq!(t.resolve(&["t"]).len(), 1);
         assert!(t.set_paused("a", true));
         assert!(t.resolve(&["t"]).is_empty());
@@ -518,9 +634,9 @@ mod tests {
     #[test]
     fn remove_evicts_immediately() {
         let t = table(4);
-        t.insert(Sub::new("a"), CompiledTopic::simple("t"), false);
-        assert!(t.remove("a"));
-        assert!(!t.remove("a"));
+        t.insert(Sub::new("a"), CompiledTopic::simple("t"), None, false);
+        assert!(t.remove("a").is_some());
+        assert!(t.remove("a").is_none());
         assert!(t.resolve(&["t"]).is_empty());
         assert_eq!(t.stats().subscribers().iter().sum::<u64>(), 0);
     }
@@ -528,8 +644,8 @@ mod tests {
     #[test]
     fn reinsert_replaces() {
         let t = table(4);
-        t.insert(Sub::new("a"), CompiledTopic::simple("t"), false);
-        t.insert(Sub::new("a"), CompiledTopic::simple("u"), false);
+        t.insert(Sub::new("a"), CompiledTopic::simple("t"), None, false);
+        t.insert(Sub::new("a"), CompiledTopic::simple("u"), None, false);
         assert_eq!(t.len(), 1);
         assert!(t.resolve(&["t"]).is_empty());
         assert_eq!(t.resolve(&["u"]).len(), 1);
@@ -539,10 +655,88 @@ mod tests {
     fn resolve_order_is_lexicographic_by_id() {
         let t = table(2);
         for id in ["sub-2", "sub-0", "sub-10", "sub-1"] {
-            t.insert(Sub::new(id), CompiledTopic::simple("t"), false);
+            t.insert(Sub::new(id), CompiledTopic::simple("t"), None, false);
         }
-        let ids: Vec<String> = t.resolve(&["t"]).into_iter().map(|s| s.id).collect();
+        let ids: Vec<String> = t.resolve(&["t"]).iter().map(|s| s.id.clone()).collect();
         assert_eq!(ids, ["sub-0", "sub-1", "sub-10", "sub-2"]);
+    }
+
+    #[test]
+    fn each_distinct_filter_is_evaluated_once_and_every_candidate_is_charged() {
+        let clock = VirtualClock::new();
+        let t = ShardedTable::new(
+            4,
+            clock.clone(),
+            FanoutCosts {
+                resolve_fixed: SimDuration::from_micros(7),
+                per_candidate: SimDuration::from_micros(3),
+                mutate: SimDuration::ZERO,
+            },
+            Telemetry::disabled(),
+            "wsn",
+        );
+        for i in 0..9 {
+            let filter = t.compile_filter(&format!("/E[@k='{}']", i % 3)).unwrap();
+            let topic = if i < 6 {
+                CompiledTopic::simple("t")
+            } else {
+                CompiledTopic::full("//x")
+            };
+            t.insert(Sub::new(&format!("s{i}")), topic, Some(filter), false);
+        }
+        t.insert(Sub::new("open"), CompiledTopic::simple("t"), None, false);
+        t.insert(
+            Sub::new("dead"),
+            CompiledTopic::simple("t"),
+            Some(t.compile_filter_lenient("///bad")),
+            false,
+        );
+        assert!(t.set_paused("s0", true));
+        assert_eq!(t.stats().filter_compilations(), 10);
+
+        let before = clock.now();
+        let event = Element::new("E").with_attr("k", "1");
+        let ids: Vec<String> = t
+            .resolve_matching(&["t", "x"], &event)
+            .iter()
+            .map(|s| s.id.clone())
+            .collect();
+        assert_eq!(ids, ["open", "s1", "s4", "s7"]);
+        // Routed shard: 3 filters + the dead one; wildcard shard: 3 more.
+        assert_eq!(t.stats().filter_evaluations(), 7);
+        // 10 unpaused candidates charged, accepted or not.
+        assert_eq!(
+            clock.now().since(before),
+            SimDuration::from_micros(7 + 3 * 10)
+        );
+        assert_eq!(t.resolve(&["t", "x"]).len(), 10, "filters not consulted");
+        assert_eq!(t.stats().filter_evaluations(), 7);
+        assert_eq!(t.stats().filter_compilations(), 10, "none per event");
+    }
+
+    #[test]
+    fn an_entry_leaves_its_filter_group_when_replaced_or_removed() {
+        let t = table(1);
+        let f = |text: &str| Some(t.compile_filter(text).unwrap());
+        t.insert(Sub::new("a"), CompiledTopic::simple("t"), f("/A"), false);
+        t.insert(Sub::new("b"), CompiledTopic::simple("t"), f("/A"), false);
+        // Re-insert under another filter; an update keeps the filter.
+        t.insert(Sub::new("a"), CompiledTopic::simple("t"), f("/B"), false);
+        assert!(t.update(Sub::new("b")).is_some());
+        assert!(t.update(Sub::new("ghost")).is_none());
+        let ids = |root: &str| -> Vec<String> {
+            t.resolve_matching(&["t"], &Element::new(root))
+                .iter()
+                .map(|s| s.id.clone())
+                .collect()
+        };
+        assert_eq!(ids("A"), ["b"]);
+        assert_eq!(ids("B"), ["a"]);
+        assert!(t.remove("a").is_some());
+        assert!(t.remove("b").is_some());
+        assert!(ids("A").is_empty());
+        let evaluated = t.stats().filter_evaluations();
+        assert_eq!(evaluated, 4, "2 groups x 2 events; none once empty");
     }
 
     #[test]
@@ -564,6 +758,7 @@ mod tests {
                 t.insert(
                     Sub::new(&format!("s{i}")),
                     CompiledTopic::simple("t"),
+                    None,
                     false,
                 );
             }
@@ -596,6 +791,7 @@ mod tests {
             t.insert(
                 Sub::new(&format!("s{i}")),
                 CompiledTopic::simple(&root),
+                None,
                 false,
             );
             t.resolve(&[root.as_str()]);

@@ -129,18 +129,13 @@ pub struct Subscription {
 
 impl Subscription {
     /// Does an emitted (topic, message) pair pass this subscription's
-    /// filters?
+    /// filters? The naive matcher — it interprets the topic expression and
+    /// compiles the selector on every call — kept as the oracle for the
+    /// fan-out index, which is what the producer asks.
     pub fn accepts(&self, topic: &TopicPath, message: &Element) -> bool {
         if self.paused || !self.topic.matches(topic) {
             return false;
         }
-        self.selector_accepts(message)
-    }
-
-    /// The message-content selector alone — what remains to check after the
-    /// sharded table's trie already matched the topic and filtered paused
-    /// entries.
-    pub fn selector_accepts(&self, message: &Element) -> bool {
         match &self.selector {
             None => true,
             Some(expr) => XPath::compile(expr)

@@ -13,10 +13,13 @@
 //! database: `subscribe` inserts, pause/resume flips the indexed flag,
 //! `Destroy` and WS-RL expiry evict **eagerly** (a dead subscriber never
 //! costs a delivery attempt), and deploy rebuilds the index from whatever
-//! subscription documents already exist (container restart). The naive
-//! full-database scan is retained as [`SubscriptionStore::active_matching_naive`]
-//! — the differential oracle the property tests and the `fanout` bench
-//! compare the index against.
+//! subscription documents already exist (container restart). A `Selector`
+//! is compiled once as its subscription enters the index and evaluated once
+//! per event for all the candidates that share its text; one that does not
+//! compile (nobody validated it, or a stored document went bad) matches
+//! nothing. The naive full-database scan is retained as
+//! [`SubscriptionStore::active_matching_naive`] — the differential oracle
+//! the property tests compare the index against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,6 +55,17 @@ pub struct SubscriptionStore {
 }
 
 impl SubscriptionStore {
+    /// Index `sub` under its compiled topic expression and selector.
+    fn index_subscription(index: &ShardedTable<Subscription>, sub: Subscription) {
+        let topic = sub.topic.compile();
+        let selector = sub
+            .selector
+            .as_deref()
+            .map(|s| index.compile_filter_lenient(s));
+        let paused = sub.paused;
+        index.insert(sub, topic, selector, paused);
+    }
+
     fn evict(&self, id: &str) {
         self.index.remove(id);
         for hook in self.evict_hooks.lock().iter() {
@@ -81,7 +95,7 @@ impl SubscriptionStore {
             use_notify: req.use_notify,
         };
         self.base.create_with_id(ctx, &id, sub.to_document())?;
-        self.index.insert(sub, req.topic.compile(), false);
+        Self::index_subscription(&self.index, sub);
         // Clients can request an initial lifetime; the manager controls it
         // thereafter (§2.1). The destructor evicts from the fan-out index
         // *at expiry*, not lazily on the next notify — an expired
@@ -108,22 +122,17 @@ impl SubscriptionStore {
     }
 
     /// All unpaused subscriptions whose filters pass for (topic, message):
-    /// one trie walk over the routed shard + the wildcard shard, then the
-    /// message-content selector on the survivors.
-    pub fn active_matching(&self, topic: &TopicPath, message: &Element) -> Vec<Subscription> {
+    /// one trie walk over the routed shard + the wildcard shard, then each
+    /// distinct message-content selector among the survivors, once.
+    pub fn active_matching(&self, topic: &TopicPath, message: &Element) -> Vec<Arc<Subscription>> {
         let segs: Vec<&str> = topic.segments().iter().map(String::as_str).collect();
-        self.index
-            .resolve(&segs)
-            .into_iter()
-            .filter(|s| s.selector_accepts(message))
-            .collect()
+        self.index.resolve_matching(&segs, message)
     }
 
     /// The seed's matcher: a full database scan testing every subscription
     /// document — one database query, as WSRF.NET's database-resident
     /// subscriptions imply. Retained as the differential oracle for
-    /// [`SubscriptionStore::active_matching`]; the `fanout` bench measures
-    /// the index against it.
+    /// [`SubscriptionStore::active_matching`].
     pub fn active_matching_naive(&self, topic: &TopicPath, message: &Element) -> Vec<Subscription> {
         let collection = self.base.store().collection();
         let xp = ogsa_xml::XPath::compile("/SubscriptionResource").expect("static xpath");
@@ -144,7 +153,7 @@ impl SubscriptionStore {
     }
 
     /// All subscriptions, paused or not.
-    pub fn all(&self) -> Vec<Subscription> {
+    pub fn all(&self) -> Vec<Arc<Subscription>> {
         self.index.all().into_iter().map(|(s, _)| s).collect()
     }
 
@@ -211,9 +220,7 @@ impl SubscriptionManagerService {
                 if let Some(n) = id.strip_prefix("sub-").and_then(|n| n.parse::<u64>().ok()) {
                     max_seq = max_seq.max(n + 1);
                 }
-                let paused = sub.paused;
-                let topic = sub.topic.compile();
-                index.insert(sub, topic, paused);
+                SubscriptionStore::index_subscription(&index, sub);
             }
         }
         let store = SubscriptionStore {

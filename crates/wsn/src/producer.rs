@@ -91,10 +91,7 @@ impl NotificationProducer {
         // Destroyed/expired subscribers lose their parked batches and their
         // ledger row too — nothing in the fan-out plane outlives them.
         let evictor = deliverer.clone();
-        store.on_evict(Arc::new(move |id| {
-            evictor.evict(id);
-            evictor.ledger().forget(id);
-        }));
+        store.on_evict(Arc::new(move |id| evictor.ledger().forget(id)));
         deliverer
     }
 

@@ -12,7 +12,9 @@
 //!    to every subscriber, reproducibly.
 //!
 //! Plus the scrape contract: the fan-out gauges and counters are on
-//! `/metrics` and survive a strict exposition parse.
+//! `/metrics` and survive a strict exposition parse — and the count behind
+//! the filter index's scaling claim: an event costs one evaluation per
+//! distinct filter and no compilation, however many subscribers share it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -400,6 +402,16 @@ fn metrics_exposition_exposes_the_fanout_series() {
     assert_eq!(sum("wsn_subscribers"), 2.0, "got:\n{text}");
     assert_eq!(sum("wsn_outbox_depth"), 4.0, "got:\n{text}");
     assert_eq!(sum("wsn_backpressure_drops"), 4.0, "got:\n{text}");
+    // No subscription here has a selector: the filter counters are present
+    // and zero.
+    for name in ["wsn_filter_compilations", "wsn_filter_evaluations"] {
+        assert_eq!(sum(name), 0.0, "got:\n{text}");
+        assert_eq!(exp.types.get(name).map(String::as_str), Some("counter"));
+        assert!(
+            exp.samples.iter().any(|s| s.name == name),
+            "{name} missing:\n{text}"
+        );
+    }
     assert_eq!(
         exp.types.get("wsn_subscribers").map(String::as_str),
         Some("gauge")
@@ -415,4 +427,82 @@ fn metrics_exposition_exposes_the_fanout_series() {
 
     producer.deliverer().flush();
     assert!(tb.network().quiesce(DRAIN));
+}
+
+/// N events over S subscriptions sharing F distinct filters cost exactly
+/// N × F evaluations and no compilation on the notify path, on both stacks.
+/// A count that repeats exactly: the claim that event cost follows the
+/// distinct filters, not the subscribers, does not rest on a timer.
+#[test]
+fn an_event_costs_one_evaluation_per_distinct_filter_and_no_compilation() {
+    const S: usize = 24;
+    const F: usize = 4;
+    const N: usize = 10;
+    let filter = |i: usize| format!("/CounterValueChanged[newValue > {}]", i % F);
+
+    let tb = Testbed::free();
+    let container = tb.container("host-a", SecurityPolicy::None);
+    let (publisher, producer) = deploy_wsn(&container, coalesce(100, 100), None);
+    let (source, notifier) = EventSourceService::deploy(&container, "/services/Events");
+    let notifier = notifier.with_delivery(coalesce(100, 100));
+    let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
+    let wsn_consumer = NotificationConsumer::listen(&client, "/c");
+    let ev_consumer = EventConsumer::listen(&client, "/e");
+    for i in 0..S {
+        client
+            .invoke(
+                &publisher,
+                actions::SUBSCRIBE,
+                SubscribeRequest::new(wsn_consumer.epr().clone(), TopicExpression::simple("t"))
+                    .with_selector(&filter(i))
+                    .to_element(),
+            )
+            .expect("WSN subscribe");
+        client
+            .invoke(
+                &source,
+                ev_actions::SUBSCRIBE,
+                EvSubscribeRequest::new(ev_consumer.epr().clone())
+                    .with_filter(&filter(i))
+                    .to_element(),
+            )
+            .expect("WS-Eventing subscribe");
+    }
+
+    // Read through the one registry, as `/metrics` does.
+    let counts = || {
+        let snap = tb.telemetry().metrics().gather();
+        ["wsn", "eventing"].map(|stack| {
+            (
+                snap.counter(&format!("wsn.filter_compilations{{stack={stack}}}")),
+                snap.counter(&format!("wsn.filter_evaluations{{stack={stack}}}")),
+            )
+        })
+    };
+    assert_eq!(
+        counts(),
+        [(S as u64, 0); 2],
+        "one compilation per filtered subscription, at Subscribe"
+    );
+
+    let topic = TopicPath::parse("t/x").unwrap();
+    let mut fanned_out = 0;
+    for v in 0..N as i64 {
+        // newValue v passes the filters `> k` with k < v.
+        let passing = S / F * (v as usize).min(F);
+        assert_eq!(producer.notify(&topic, event(v)), passing);
+        assert_eq!(notifier.trigger(event(v)), passing);
+        fanned_out += passing;
+    }
+    assert_eq!(
+        counts(),
+        [(S as u64, (N * F) as u64); 2],
+        "N × F evaluations, no compilation, per stack"
+    );
+
+    producer.deliverer().flush();
+    notifier.deliverer().flush();
+    assert!(tb.network().quiesce(DRAIN));
+    assert_eq!(wsn_consumer.drain().len(), fanned_out);
+    assert_eq!(ev_consumer.drain().len(), fanned_out);
 }
