@@ -5,6 +5,27 @@ use ogsa_xml::{ns, Element, QName, XmlError, XmlResult};
 
 use crate::epr::EndpointReference;
 
+/// The WS-Addressing header names, built once: every message reuses these
+/// instead of paying two interner lookups per name.
+struct Names {
+    to: QName,
+    action: QName,
+    message_id: QName,
+    reply_to: QName,
+    relates_to: QName,
+}
+
+fn names() -> &'static Names {
+    static NAMES: std::sync::OnceLock<Names> = std::sync::OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        to: QName::new(ns::WSA, "To"),
+        action: QName::new(ns::WSA, "Action"),
+        message_id: QName::new(ns::WSA, "MessageID"),
+        reply_to: QName::new(ns::WSA, "ReplyTo"),
+        relates_to: QName::new(ns::WSA, "RelatesTo"),
+    })
+}
+
 /// The anonymous reply address: "respond on the connection".
 pub const ANONYMOUS: &str = "http://schemas.xmlsoap.org/ws/2004/08/addressing/role/anonymous";
 
@@ -71,21 +92,21 @@ impl MessageHeaders {
 
     /// Stamp these headers onto an envelope.
     pub fn apply(&self, mut env: Envelope) -> Envelope {
-        let q = |l: &str| QName::new(ns::WSA, l);
+        let n = names();
         env.headers
-            .push(Element::text_element(q("To"), self.to.clone()));
+            .push(Element::text_element(n.to.clone(), self.to.clone()));
         env.headers
-            .push(Element::text_element(q("Action"), self.action.clone()));
+            .push(Element::text_element(n.action.clone(), self.action.clone()));
         env.headers.push(Element::text_element(
-            q("MessageID"),
+            n.message_id.clone(),
             self.message_id.clone(),
         ));
         if let Some(r) = &self.reply_to {
-            env.headers.push(r.to_element_named(q("ReplyTo")));
+            env.headers.push(r.to_element_named(n.reply_to.clone()));
         }
         if let Some(r) = &self.relates_to {
             env.headers
-                .push(Element::text_element(q("RelatesTo"), r.clone()));
+                .push(Element::text_element(n.relates_to.clone(), r.clone()));
         }
         for p in &self.reference_properties {
             env.headers.push(p.clone());
@@ -97,16 +118,17 @@ impl MessageHeaders {
     /// (anything not in the wsa namespace) are treated as echoed reference
     /// properties, per the 2004/08 binding.
     pub fn extract(env: &Envelope) -> XmlResult<Self> {
-        let q = |l: &str| QName::new(ns::WSA, l);
-        let text = |l: &str| env.header(&q(l)).map(|h| h.text());
-        let to = text("To").ok_or_else(|| XmlError::Schema("missing wsa:To".into()))?;
-        let action = text("Action").ok_or_else(|| XmlError::Schema("missing wsa:Action".into()))?;
-        let message_id = text("MessageID").unwrap_or_default();
+        let n = names();
+        let text = |name: &QName| env.header(name).map(|h| h.text());
+        let to = text(&n.to).ok_or_else(|| XmlError::Schema("missing wsa:To".into()))?;
+        let action =
+            text(&n.action).ok_or_else(|| XmlError::Schema("missing wsa:Action".into()))?;
+        let message_id = text(&n.message_id).unwrap_or_default();
         let reply_to = env
-            .header(&q("ReplyTo"))
+            .header(&n.reply_to)
             .map(EndpointReference::from_element)
             .transpose()?;
-        let relates_to = text("RelatesTo");
+        let relates_to = text(&n.relates_to);
         let reference_properties = env
             .headers
             .iter()

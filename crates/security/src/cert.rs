@@ -9,43 +9,13 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use ogsa_xml::Element;
 use parking_lot::RwLock;
 
 use crate::sha256::{hex, sha256};
 
-/// A simulated X.509 certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// Subject distinguished name, e.g. `CN=alice,O=UVA-VO`.
-    pub subject_dn: String,
-    /// Issuer DN.
-    pub issuer_dn: String,
-    /// Serial number, unique per issuer.
-    pub serial: u64,
-    /// Key identifier (hash of the simulated key material).
-    pub key_id: String,
-}
-
-impl Certificate {
-    /// XML form carried in `wsse:BinarySecurityToken`.
-    pub fn to_element(&self) -> Element {
-        Element::new("X509Certificate")
-            .with_child(Element::text_element("Subject", self.subject_dn.clone()))
-            .with_child(Element::text_element("Issuer", self.issuer_dn.clone()))
-            .with_child(Element::text_element("Serial", self.serial.to_string()))
-            .with_child(Element::text_element("KeyId", self.key_id.clone()))
-    }
-
-    pub fn from_element(e: &Element) -> Option<Self> {
-        Some(Certificate {
-            subject_dn: e.child_text("Subject")?.to_owned(),
-            issuer_dn: e.child_text("Issuer")?.to_owned(),
-            serial: e.child_parse("Serial")?,
-            key_id: e.child_text("KeyId")?.to_owned(),
-        })
-    }
-}
+/// A simulated X.509 certificate: the fields the token on the wire carries,
+/// so the SOAP layer's typed security block holds one as is.
+pub use ogsa_soap::security::Certificate;
 
 /// A certificate plus its private key material — what a client or service
 /// holds locally.
@@ -170,18 +140,5 @@ mod tests {
         assert_ne!(a.cert.serial, b.cert.serial);
         assert_ne!(a.cert.key_id, b.cert.key_id);
         assert_ne!(a.secret, b.secret);
-    }
-
-    #[test]
-    fn certificate_xml_roundtrip() {
-        let store = CertStore::new();
-        let cert = store.authority("CN=CA").issue("CN=svc,O=VO").cert;
-        let back = Certificate::from_element(&cert.to_element()).unwrap();
-        assert_eq!(cert, back);
-    }
-
-    #[test]
-    fn malformed_certificate_element_is_none() {
-        assert!(Certificate::from_element(&Element::new("X509Certificate")).is_none());
     }
 }

@@ -1,21 +1,27 @@
 //! WS-Security envelope signing and verification.
 //!
 //! [`sign_envelope`] canonicalises the body and the WS-Addressing headers,
-//! digests them with SHA-256, builds a `ds:SignedInfo`, "signs" it with the
-//! simulated private key, and prepends a `wsse:Security` header carrying a
-//! timestamp, the signer's certificate as a `BinarySecurityToken`, and the
-//! `ds:Signature`. [`verify_envelope`] undoes all of that, failing on any
-//! tampering, unknown signer, or untrusted issuer. Both charge the 2005-era
-//! WSE processing cost to the virtual clock.
+//! digests them with SHA-256, "signs" the canonical `ds:SignedInfo` over
+//! those two digests with the simulated private key, and sets the
+//! envelope's `wsse:Security` header: a timestamp, the signer's certificate
+//! as a `BinarySecurityToken`, and the `ds:Signature`. [`verify_envelope`]
+//! undoes all of that, failing on any tampering, unknown signer, or
+//! untrusted issuer. Both charge the 2005-era WSE processing cost to the
+//! virtual clock.
+//!
+//! The header is the typed [`SecurityHeader`] the SOAP layer carries, not a
+//! tree, and `ds:SignedInfo` has one canonical text with two digest-sized
+//! holes — so neither side builds or walks a single node for it.
 
 use std::cell::Cell;
 
 use ogsa_sim::{CostModel, VirtualClock};
-use ogsa_soap::Envelope;
-use ogsa_xml::{canonicalize_into, ns, CanonSink, Element, QName};
+use ogsa_soap::security::hex32;
+use ogsa_soap::{Envelope, SecurityHeader, SignedBlock};
+use ogsa_xml::{canonicalize_into, ns, CanonSink};
 
 use crate::cert::{CertStore, Certificate, Identity};
-use crate::sha256::{hex, Sha256};
+use crate::sha256::Sha256;
 
 thread_local! {
     /// Envelope canonicalisation passes performed by this thread — one per
@@ -23,40 +29,6 @@ thread_local! {
     /// threads never race; the container surfaces per-operation deltas as
     /// the `sec.c14n_passes` telemetry counter.
     static C14N_PASSES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The fixed WS-Security vocabulary, built once: every sign/verify reuses
-/// these instead of paying an interner lookup per name.
-struct Names {
-    signed_info: QName,
-    reference: QName,
-    digest_value: QName,
-    signature: QName,
-    signature_value: QName,
-    key_info: QName,
-    key_name: QName,
-    security: QName,
-    token: QName,
-    timestamp: QName,
-    created: QName,
-}
-
-fn names() -> &'static Names {
-    use std::sync::OnceLock;
-    static NAMES: OnceLock<Names> = OnceLock::new();
-    NAMES.get_or_init(|| Names {
-        signed_info: QName::new(ns::DS, "SignedInfo"),
-        reference: QName::new(ns::DS, "Reference"),
-        digest_value: QName::new(ns::DS, "DigestValue"),
-        signature: QName::new(ns::DS, "Signature"),
-        signature_value: QName::new(ns::DS, "SignatureValue"),
-        key_info: QName::new(ns::DS, "KeyInfo"),
-        key_name: QName::new(ns::DS, "KeyName"),
-        security: QName::new(ns::WSSE, "Security"),
-        token: QName::new(ns::WSSE, "BinarySecurityToken"),
-        timestamp: QName::new(ns::WSU, "Timestamp"),
-        created: QName::new(ns::WSU, "Created"),
-    })
 }
 
 /// Total envelope canonicalisation passes performed by this thread. The
@@ -170,12 +142,11 @@ impl SignerInfo {
 }
 
 /// One canonicalisation pass over the envelope's signed content, streamed
-/// directly into the digest states.
-fn digest_body_and_headers(env: &Envelope) -> (String, String) {
+/// directly into the digest states: `(body, headers)`.
+fn digest_body_and_headers(env: &Envelope) -> ([u8; 32], [u8; 32]) {
     note_c14n_pass();
     let mut body = ShaSink::new();
     canonicalize_into(&env.body, &mut body);
-    let body_digest = hex(&body.finalize());
     // Every non-security header participates in the headers digest, in
     // order (addressing headers, echoed reference properties, ...).
     let mut h = ShaSink::new();
@@ -185,82 +156,66 @@ fn digest_body_and_headers(env: &Envelope) -> (String, String) {
         }
         canonicalize_into(header, &mut h);
     }
-    (body_digest, hex(&h.finalize()))
+    (body.finalize(), h.finalize())
 }
 
-#[cfg(test)] // production paths stream via `mac_element`; tests forge with this
-fn mac(secret: &[u8; 32], data: &[u8]) -> String {
-    // Simulated RSA signature: keyed hash (see crate docs). Simple
-    // prefix-MAC is fine here — the key is fixed-length, so no length
-    // extension concern for this simulation.
+/// The canonical form of `ds:SignedInfo`, split at its two digests. The
+/// block's grammar admits no other `SignedInfo`, so this text *is* its
+/// canonicalisation (the unit tests hold it to `canonicalize` on the tree).
+const SIGNED_INFO: [&str; 3] = [
+    "<{http://www.w3.org/2000/09/xmldsig#}SignedInfo>\
+     <{http://www.w3.org/2000/09/xmldsig#}Reference URI=\"#Body\">\
+     <{http://www.w3.org/2000/09/xmldsig#}DigestValue>",
+    "</{http://www.w3.org/2000/09/xmldsig#}DigestValue>\
+     </{http://www.w3.org/2000/09/xmldsig#}Reference>\
+     <{http://www.w3.org/2000/09/xmldsig#}Reference URI=\"#Headers\">\
+     <{http://www.w3.org/2000/09/xmldsig#}DigestValue>",
+    "</{http://www.w3.org/2000/09/xmldsig#}DigestValue>\
+     </{http://www.w3.org/2000/09/xmldsig#}Reference>\
+     </{http://www.w3.org/2000/09/xmldsig#}SignedInfo>",
+];
+
+/// Simulated RSA signature over the canonical `ds:SignedInfo` holding these
+/// two digests: a keyed hash (see crate docs). Simple prefix-MAC is fine
+/// here — the key is fixed-length, so no length extension concern for this
+/// simulation.
+fn mac_signed_info(
+    secret: &[u8; 32],
+    body_digest: &[u8; 32],
+    headers_digest: &[u8; 32],
+) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(secret);
-    h.update(data);
-    hex(&h.finalize())
+    h.update(SIGNED_INFO[0].as_bytes());
+    h.update(&hex32(body_digest));
+    h.update(SIGNED_INFO[1].as_bytes());
+    h.update(&hex32(headers_digest));
+    h.update(SIGNED_INFO[2].as_bytes());
+    h.finalize()
 }
 
-/// [`mac`] over an element's canonical form, streamed — equivalent to
-/// `mac(secret, &canonicalize(e))` without materialising the bytes.
-fn mac_element(secret: &[u8; 32], e: &Element) -> String {
-    let mut h = ShaSink::new();
-    h.update(secret);
-    canonicalize_into(e, &mut h);
-    hex(&h.finalize())
-}
-
-/// Sign `env` as `identity`, charging `model` costs to `clock`.
+/// Sign `env` as `identity`, charging `model` costs to `clock`. A security
+/// header already present is replaced: size, digests and the charge are
+/// those of the unsigned message.
 pub fn sign_envelope(
     env: &mut Envelope,
     identity: &Identity,
     clock: &VirtualClock,
     model: &CostModel,
 ) {
+    env.security = None;
     let size = env.wire_size();
     clock.advance(model.sign_time(size));
 
     let (body_digest, headers_digest) = digest_body_and_headers(env);
-
-    let n = names();
-    let signed_info = Element::new(n.signed_info.clone())
-        .with_child(
-            Element::new(n.reference.clone())
-                .with_attr("URI", "#Body")
-                .with_child(Element::text_element(n.digest_value.clone(), body_digest)),
-        )
-        .with_child(
-            Element::new(n.reference.clone())
-                .with_attr("URI", "#Headers")
-                .with_child(Element::text_element(
-                    n.digest_value.clone(),
-                    headers_digest,
-                )),
-        );
-    let signature_value = mac_element(identity.secret(), &signed_info);
-
-    let signature = Element::new(n.signature.clone())
-        .with_child(signed_info)
-        .with_child(Element::text_element(
-            n.signature_value.clone(),
-            signature_value,
-        ))
-        .with_child(
-            Element::new(n.key_info.clone()).with_child(Element::text_element(
-                n.key_name.clone(),
-                identity.cert.key_id.clone(),
-            )),
-        );
-
-    let timestamp = Element::new(n.timestamp.clone()).with_child(Element::text_element(
-        n.created.clone(),
-        clock.now().0.to_string(),
-    ));
-
-    let security = Element::new(n.security.clone())
-        .with_child(timestamp)
-        .with_child(Element::new(n.token.clone()).with_child(identity.cert.to_element()))
-        .with_child(signature);
-
-    env.headers.push(security);
+    env.security = Some(SecurityHeader::Signed(SignedBlock {
+        created: clock.now().0,
+        certificate: identity.cert.clone(),
+        body_digest,
+        headers_digest,
+        signature_value: mac_signed_info(identity.secret(), &body_digest, &headers_digest),
+        key_name: identity.cert.key_id.clone(),
+    }));
 }
 
 /// Verify the signature on `env` against `store`, charging verification
@@ -275,42 +230,21 @@ pub fn verify_envelope(
     let size = env.wire_size();
     clock.advance(model.verify_time(size));
 
-    let n = names();
-    let security = env.header(&n.security).ok_or(SecurityError::NotSigned)?;
+    let block = match &env.security {
+        None => return Err(SecurityError::NotSigned),
+        Some(SecurityHeader::Malformed(reason)) => {
+            return Err(SecurityError::Malformed(reason.clone()))
+        }
+        Some(SecurityHeader::Signed(block)) => block,
+    };
+    let cert = &block.certificate;
 
-    let token = security
-        .child(&n.token)
-        .ok_or_else(|| SecurityError::Malformed("no BinarySecurityToken".into()))?;
-    let cert_elem = token
-        .child_elements()
-        .next()
-        .ok_or_else(|| SecurityError::Malformed("empty BinarySecurityToken".into()))?;
-    let cert = Certificate::from_element(cert_elem)
-        .ok_or_else(|| SecurityError::Malformed("unparseable certificate".into()))?;
-
-    if !store.trusts(&cert) {
+    if !store.trusts(cert) {
         return Err(SecurityError::UntrustedIssuer {
             issuer: cert.issuer_dn.clone(),
         });
     }
-
-    let signature = security
-        .child(&n.signature)
-        .ok_or_else(|| SecurityError::Malformed("no ds:Signature".into()))?;
-    let signed_info = signature
-        .child(&n.signed_info)
-        .ok_or_else(|| SecurityError::Malformed("no ds:SignedInfo".into()))?;
-    let signature_value = signature
-        .child(&n.signature_value)
-        .ok_or_else(|| SecurityError::Malformed("no ds:SignatureValue".into()))?
-        .text();
-    let key_name = signature
-        .child(&n.key_info)
-        .and_then(|ki| ki.child(&n.key_name))
-        .ok_or_else(|| SecurityError::Malformed("no ds:KeyName".into()))?
-        .text();
-
-    if key_name != cert.key_id {
+    if block.key_name != cert.key_id {
         return Err(SecurityError::Malformed(
             "KeyName does not match certificate key id".into(),
         ));
@@ -318,24 +252,13 @@ pub fn verify_envelope(
 
     // Recompute digests over the current envelope content.
     let (body_digest, headers_digest) = digest_body_and_headers(env);
-    for reference in signed_info.children_named(&n.reference) {
-        let uri = reference.attr_local("URI").unwrap_or("");
-        let claimed = reference
-            .child(&n.digest_value)
-            .map(|d| d.text())
-            .unwrap_or_default();
-        let actual = match uri {
-            "#Body" => &body_digest,
-            "#Headers" => &headers_digest,
-            _ => {
-                return Err(SecurityError::Malformed(format!(
-                    "unknown reference URI {uri}"
-                )))
-            }
-        };
-        if &claimed != actual {
+    for (reference, claimed, actual) in [
+        ("#Body", &block.body_digest, &body_digest),
+        ("#Headers", &block.headers_digest, &headers_digest),
+    ] {
+        if claimed != actual {
             return Err(SecurityError::DigestMismatch {
-                reference: uri.to_owned(),
+                reference: reference.to_owned(),
             });
         }
     }
@@ -344,18 +267,22 @@ pub fn verify_envelope(
     let secret = store
         .verification_secret(&cert.key_id)
         .ok_or(SecurityError::UnknownSigner)?;
-    if mac_element(&secret, signed_info) != signature_value {
+    if mac_signed_info(&secret, &block.body_digest, &block.headers_digest) != block.signature_value
+    {
         return Err(SecurityError::BadSignature);
     }
 
-    Ok(SignerInfo { certificate: cert })
+    Ok(SignerInfo {
+        certificate: cert.clone(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::hex;
     use ogsa_sim::SimDuration;
-    use ogsa_xml::canonicalize;
+    use ogsa_xml::{canonicalize, Element, QName};
 
     fn setup() -> (CertStore, Identity, VirtualClock, CostModel) {
         let store = CertStore::new();
@@ -430,24 +357,28 @@ mod tests {
     }
 
     #[test]
-    fn signature_forgery_detected() {
+    fn signing_again_replaces_the_first_signature() {
         let (store, alice, clock, model) = setup();
-        let mut env = sample_env();
-        sign_envelope(&mut env, &alice, &clock, &model);
-        // Re-sign the digests with a different key but keep alice's cert.
-        let mallory = store.authority("CN=UVA-CA").issue("CN=mallory");
-        let sec = env.header_mut(&QName::new(ns::WSSE, "Security")).unwrap();
-        let sig = sec.child_mut(&QName::new(ns::DS, "Signature")).unwrap();
-        let si = sig
-            .child(&QName::new(ns::DS, "SignedInfo"))
-            .unwrap()
-            .clone();
-        let forged = mac(mallory.secret(), &canonicalize(&si));
-        sig.child_mut(&QName::new(ns::DS, "SignatureValue"))
-            .unwrap()
-            .set_text(forged);
-        let err = verify_envelope(&env, &store, &clock, &model).unwrap_err();
-        assert_eq!(err, SecurityError::BadSignature);
+        let bob = store.authority("CN=UVA-CA").issue("CN=bob,O=UVA-VO");
+        let mut twice = sample_env();
+        sign_envelope(&mut twice, &alice, &clock, &model);
+        let before = clock.now();
+        sign_envelope(&mut twice, &bob, &clock, &model);
+        // Charged for the unsigned message, not for alice's block on top.
+        assert_eq!(
+            clock.now().since(before),
+            model.sign_time(sample_env().wire_size())
+        );
+        let signer = verify_envelope(&twice, &store, &clock, &model).unwrap();
+        assert_eq!(signer.dn(), "CN=bob,O=UVA-VO");
+        // One block on the wire.
+        let wire = twice.to_wire();
+        assert_eq!(wire.matches("<wsse:Security>").count(), 1);
+        let back = Envelope::from_wire(&wire).unwrap();
+        assert_eq!(
+            verify_envelope(&back, &store, &clock, &model).unwrap().dn(),
+            "CN=bob,O=UVA-VO"
+        );
     }
 
     #[test]
@@ -498,12 +429,27 @@ mod tests {
     }
 
     #[test]
-    fn streamed_mac_matches_buffered_mac() {
-        let e = Element::new(QName::new(ns::DS, "SignedInfo"))
-            .with_attr("a", "x<y")
-            .with_child(Element::text_element("v", "1 & 2"));
+    fn signed_info_template_is_the_canonical_form_of_the_tree() {
+        let (body_digest, headers_digest) = ([0x5a; 32], [0xc3; 32]);
+        let reference = |uri: &str, digest: &[u8; 32]| {
+            Element::new(QName::new(ns::DS, "Reference"))
+                .with_attr("URI", uri)
+                .with_child(Element::text_element(
+                    QName::new(ns::DS, "DigestValue"),
+                    hex(digest),
+                ))
+        };
+        let tree = Element::new(QName::new(ns::DS, "SignedInfo"))
+            .with_child(reference("#Body", &body_digest))
+            .with_child(reference("#Headers", &headers_digest));
         let secret = [7u8; 32];
-        assert_eq!(mac_element(&secret, &e), mac(&secret, &canonicalize(&e)));
+        let mut buffered = Sha256::new();
+        buffered.update(&secret);
+        buffered.update(&canonicalize(&tree));
+        assert_eq!(
+            mac_signed_info(&secret, &body_digest, &headers_digest),
+            buffered.finalize()
+        );
     }
 
     #[test]

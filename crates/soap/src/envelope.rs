@@ -2,11 +2,13 @@
 
 use ogsa_xml::writer::{subtree_len, write_subtree_into};
 use ogsa_xml::{
-    intern, ns, parse, Element, Node, Prefixes, PrefixesBuilder, QName, XmlError, XmlResult,
-    XML_DECL,
+    build_subtree, parse, Element, Event, Prefixes, PrefixesBuilder, QName, Reader, XmlError,
+    XmlResult, XML_DECL,
 };
 
 use crate::fault::Fault;
+use crate::security::{read_security, SecurityHeader};
+use crate::vocab::vocab;
 
 /// A SOAP message: zero or more header blocks and one body payload element.
 ///
@@ -14,8 +16,13 @@ use crate::fault::Fault;
 /// convention uses an empty element named by the operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
+    /// Every header block except `wsse:Security`.
     pub headers: Vec<Element>,
     pub body: Element,
+    /// The `wsse:Security` header, carried typed instead of as a tree: it
+    /// is not among `headers`, [`Envelope::header`] does not find it, and
+    /// on the wire it follows them.
+    pub security: Option<SecurityHeader>,
 }
 
 impl Envelope {
@@ -24,6 +31,7 @@ impl Envelope {
         Envelope {
             headers: Vec::new(),
             body,
+            security: None,
         }
     }
 
@@ -43,15 +51,20 @@ impl Envelope {
         self.headers.iter_mut().find(|h| h.name == *name)
     }
 
-    /// Remove all headers with the given name, returning the first removed.
+    /// Remove the first header with the given name, returning it. Asked for
+    /// `wsse:Security`, it strips the typed block and returns the tree that
+    /// block reads as.
     pub fn take_header(&mut self, name: &QName) -> Option<Element> {
+        if *name == vocab().security {
+            return self.security.take().map(|s| security_tree(&s));
+        }
         let idx = self.headers.iter().position(|h| h.name == *name)?;
         Some(self.headers.remove(idx))
     }
 
     /// True if the body is a SOAP fault.
     pub fn is_fault(&self) -> bool {
-        self.body.name == QName::new(ns::SOAP, "Fault")
+        self.body.name == vocab().fault
     }
 
     /// Decode the body as a [`Fault`], if it is one.
@@ -63,20 +76,6 @@ impl Envelope {
         }
     }
 
-    /// Build the full `<soap:Envelope>` element tree.
-    pub fn to_element(&self) -> Element {
-        let mut env = Element::new(QName::new(ns::SOAP, "Envelope"));
-        if !self.headers.is_empty() {
-            let mut header = Element::new(QName::new(ns::SOAP, "Header"));
-            for h in &self.headers {
-                header.add_child(h.clone());
-            }
-            env.add_child(header);
-        }
-        env.add_child(Element::new(QName::new(ns::SOAP, "Body")).with_child(self.body.clone()));
-        env
-    }
-
     /// Serialise to the wire (document string).
     pub fn to_wire(&self) -> String {
         let mut out = String::new();
@@ -86,14 +85,13 @@ impl Envelope {
 
     /// Serialise to the wire into an existing buffer, writing the
     /// `<soap:Envelope>`/`<soap:Header>`/`<soap:Body>` wrappers by hand
-    /// around the *borrowed* header and body subtrees. This produces bytes
-    /// identical to serialising [`Envelope::to_element`] (same URI set, so
-    /// the same deterministic prefix assignment) without cloning every
-    /// header and body into a throwaway tree first.
+    /// around the *borrowed* header and body subtrees and the security
+    /// block's template. These are the bytes the generic writer gives for
+    /// the same message built as one tree (same URI set, so the same
+    /// deterministic prefix assignment).
     pub fn to_wire_into(&self, out: &mut String) {
         let p = self.wire_prefixes();
-        let soap_uri = intern(ns::SOAP);
-        let sp = p.prefix_for(&soap_uri);
+        let sp = p.prefix_for(&vocab().soap);
         out.reserve(XML_DECL.len() + self.envelope_len(&p, sp));
         out.push_str(XML_DECL);
         out.push('<');
@@ -101,12 +99,15 @@ impl Envelope {
         out.push_str(":Envelope");
         p.write_declarations(out);
         out.push('>');
-        if !self.headers.is_empty() {
+        if self.has_header_element() {
             out.push('<');
             out.push_str(sp);
             out.push_str(":Header>");
             for h in &self.headers {
                 write_subtree_into(h, &p, out);
+            }
+            if let Some(security) = &self.security {
+                security.write_into(out);
             }
             out.push_str("</");
             out.push_str(sp);
@@ -124,17 +125,38 @@ impl Envelope {
         out.push_str(":Envelope>");
     }
 
+    fn has_header_element(&self) -> bool {
+        !self.headers.is_empty() || self.security.is_some()
+    }
+
     /// The deterministic prefix assignment for this envelope's wire form:
-    /// the SOAP namespace (for the wrappers) plus every URI in the headers
-    /// and body — exactly the set [`Envelope::to_element`] would produce.
+    /// the SOAP namespace (for the wrappers), every URI in the headers and
+    /// body, and the security block's three — the set the whole message
+    /// has as one tree.
     fn wire_prefixes(&self) -> Prefixes {
+        let v = vocab();
         let mut b = PrefixesBuilder::new();
-        b.add_uri(&intern(ns::SOAP));
+        b.add_uri(&v.soap);
         for h in &self.headers {
             b.add_tree(h);
         }
+        match &self.security {
+            Some(SecurityHeader::Signed(_)) => {
+                b.add_uri(&v.wsse);
+                b.add_uri(&v.wsu);
+                b.add_uri(&v.ds);
+            }
+            Some(SecurityHeader::Malformed(_)) => b.add_uri(&v.wsse),
+            None => {}
+        }
         b.add_tree(&self.body);
-        b.build()
+        let p = b.build();
+        // The block's template spells its prefixes out.
+        debug_assert!(
+            self.security.is_none() || p.prefix_for(&v.wsse) == "wsse",
+            "a preferred prefix was displaced"
+        );
+        p
     }
 
     /// Counting twin of [`Envelope::to_wire_into`] (everything after the
@@ -142,11 +164,14 @@ impl Envelope {
     fn envelope_len(&self, p: &Prefixes, sp: &str) -> usize {
         // `<sp:Envelope` + declarations + `>` ... `</sp:Envelope>`
         let mut n = 1 + sp.len() + 9 + p.declarations_len() + 1 + 2 + sp.len() + 9 + 1;
-        if !self.headers.is_empty() {
+        if self.has_header_element() {
             // `<sp:Header>` + `</sp:Header>`
             n += 1 + sp.len() + 7 + 1 + 2 + sp.len() + 7 + 1;
             for h in &self.headers {
                 n += subtree_len(h, p);
+            }
+            if let Some(security) = &self.security {
+                n += security.wire_len();
             }
         }
         // `<sp:Body>` + `</sp:Body>`
@@ -154,58 +179,57 @@ impl Envelope {
         n + subtree_len(&self.body, p)
     }
 
-    /// Parse an envelope off the wire.
+    /// Parse an envelope off the wire, straight from the reader's events:
+    /// trees are built for the ordinary header blocks and the Body payload
+    /// only, and a `wsse:Security` block is read into its typed form.
+    ///
+    /// `soap:Header`, `soap:Body` and the element inside the Body must each
+    /// appear at most once — a second one would ride along outside the
+    /// signature — and are an [`XmlError::Schema`] otherwise. A second
+    /// `wsse:Security` makes the security header malformed.
     pub fn from_wire(wire: &str) -> XmlResult<Self> {
-        Self::from_document(parse(wire)?)
-    }
-
-    /// Interpret an already-parsed element as an envelope.
-    pub fn from_element(root: &Element) -> XmlResult<Self> {
-        Self::from_document(root.clone())
-    }
-
-    /// Interpret a parsed document as an envelope, consuming the tree: the
-    /// header blocks and the body payload move out of it, so decoding a
-    /// message never deep-clones the subtrees the parser just built.
-    pub fn from_document(root: Element) -> XmlResult<Self> {
-        if root.name != QName::new(ns::SOAP, "Envelope") {
+        let soap = &vocab().soap;
+        let mut reader = Reader::new(wire);
+        let root_is_envelope =
+            matches!(reader.next()?, Event::Start) && reader.is_named(Some(soap), "Envelope");
+        if !root_is_envelope {
+            let (uri, local) = reader.name();
+            let uri = uri.map(|u| format!("{{{u}}}")).unwrap_or_default();
             return Err(XmlError::Schema(format!(
-                "expected soap:Envelope, found {:?}",
-                root.name
+                "expected soap:Envelope, found {uri}{local}"
             )));
         }
-        let header_name = QName::new(ns::SOAP, "Header");
-        let body_name = QName::new(ns::SOAP, "Body");
         let mut headers = Vec::new();
+        let mut security = None;
         let mut saw_header = false;
-        let mut body_elem = None;
-        for node in root.children {
-            let Node::Element(child) = node else { continue };
-            if !saw_header && child.name == header_name {
-                saw_header = true;
-                headers = child
-                    .children
-                    .into_iter()
-                    .filter_map(|n| match n {
-                        Node::Element(e) => Some(e),
-                        _ => None,
-                    })
-                    .collect();
-            } else if body_elem.is_none() && child.name == body_name {
-                body_elem = Some(child);
+        let mut body = None;
+        loop {
+            match reader.next()? {
+                Event::Start if reader.is_named(Some(soap), "Header") => {
+                    if std::mem::replace(&mut saw_header, true) {
+                        return Err(XmlError::Schema("more than one soap:Header".into()));
+                    }
+                    read_header_blocks(&mut reader, &mut headers, &mut security)?;
+                }
+                Event::Start if reader.is_named(Some(soap), "Body") => {
+                    if body.is_some() {
+                        return Err(XmlError::Schema("more than one soap:Body".into()));
+                    }
+                    body = Some(read_body_payload(&mut reader)?);
+                }
+                Event::Start => reader.skip_to_depth(1)?,
+                Event::End => break,
+                _ => {}
             }
         }
-        let body_elem =
-            body_elem.ok_or_else(|| XmlError::Schema("envelope has no soap:Body".into()))?;
-        let body = body_elem
-            .children
-            .into_iter()
-            .find_map(|n| match n {
-                Node::Element(e) => Some(e),
-                _ => None,
-            })
-            .ok_or_else(|| XmlError::Schema("soap:Body is empty".into()))?;
-        Ok(Envelope { headers, body })
+        // Nothing but comments and whitespace may follow the envelope.
+        reader.next()?;
+        let body = body.ok_or_else(|| XmlError::Schema("envelope has no soap:Body".into()))?;
+        Ok(Envelope {
+            headers,
+            body,
+            security,
+        })
     }
 
     /// Wire size in bytes — the quantity the transport's bandwidth and
@@ -214,15 +238,82 @@ impl Envelope {
     /// unchanged) without serialising anything.
     pub fn wire_size(&self) -> usize {
         let p = self.wire_prefixes();
-        let sp = p.prefix_for(&intern(ns::SOAP));
+        let sp = p.prefix_for(&vocab().soap);
         XML_DECL.len() + self.envelope_len(&p, sp)
     }
+}
+
+/// The children of a `soap:Header` whose start tag was just read.
+fn read_header_blocks(
+    reader: &mut Reader<'_>,
+    headers: &mut Vec<Element>,
+    security: &mut Option<SecurityHeader>,
+) -> XmlResult<()> {
+    let wsse = &vocab().wsse;
+    loop {
+        match reader.next()? {
+            Event::Start if reader.is_named(Some(wsse), "Security") => {
+                let block = read_security(reader)?;
+                *security = Some(match security {
+                    None => block,
+                    Some(_) => {
+                        SecurityHeader::Malformed("more than one wsse:Security header".into())
+                    }
+                });
+            }
+            Event::Start => headers.push(build_subtree(reader)?),
+            Event::End => return Ok(()),
+            _ => {}
+        }
+    }
+}
+
+/// The one element inside a `soap:Body` whose start tag was just read.
+fn read_body_payload(reader: &mut Reader<'_>) -> XmlResult<Element> {
+    let mut payload = None;
+    loop {
+        match reader.next()? {
+            Event::Start => {
+                if payload.is_some() {
+                    return Err(XmlError::Schema(
+                        "soap:Body holds more than one element".into(),
+                    ));
+                }
+                payload = Some(build_subtree(reader)?);
+            }
+            Event::End => {
+                return payload.ok_or_else(|| XmlError::Schema("soap:Body is empty".into()))
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The tree a security block reads as: its own wire form, parsed. Only
+/// [`Envelope::take_header`] wants one.
+fn security_tree(security: &SecurityHeader) -> Element {
+    let v = vocab();
+    let mut doc = format!(
+        "<x xmlns:wsse=\"{}\" xmlns:wsu=\"{}\" xmlns:ds=\"{}\">",
+        v.wsse, v.wsu, v.ds
+    );
+    security.write_into(&mut doc);
+    doc.push_str("</x>");
+    let wrapper = parse(&doc).expect("the block's template is well-formed");
+    wrapper
+        .children
+        .into_iter()
+        .find_map(|n| match n {
+            ogsa_xml::Node::Element(e) => Some(e),
+            _ => None,
+        })
+        .expect("the wrapper holds the block")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ogsa_xml::Element;
+    use ogsa_xml::{ns, Element};
 
     fn sample() -> Envelope {
         Envelope::new(Element::text_element("Ping", "hello"))
@@ -275,29 +366,45 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_legacy_tree_serialisation_bytewise() {
-        let cases = [
-            Envelope::new(Element::new("X")),
-            sample(),
-            Envelope::new(
-                Element::new(QName::new(ns::COUNTER, "createCounter"))
-                    .with_attr("note", "a<b & \"c\"")
-                    .with_child(Element::text_element("seed", "42")),
+    fn duplicated_envelope_parts_are_schema_errors() {
+        let wire = |inner: &str| {
+            format!(
+                "<s:Envelope xmlns:s=\"{}\" xmlns:a=\"{}\">{inner}</s:Envelope>",
+                ns::SOAP,
+                ns::WSA
             )
-            .with_header(
-                Element::new(QName::new(ns::WSSE, "Security"))
-                    .with_child(Element::new(QName::new(ns::WSU, "Timestamp")).with_text("12:00")),
-            ),
-            Envelope::new(
-                Element::new(QName::new("urn:one", "a"))
-                    .with_child(Element::new(QName::new("urn:two", "b"))),
-            ),
-        ];
-        for env in cases {
-            let legacy = env.to_element().into_document_string();
-            assert_eq!(env.to_wire(), legacy);
-            assert_eq!(env.wire_size(), legacy.len());
+        };
+        let header = "<s:Header><a:To>t</a:To></s:Header>";
+        let body = "<s:Body><Ping/></s:Body>";
+        assert!(Envelope::from_wire(&wire(&format!("{header}{body}"))).is_ok());
+        for smuggled in [
+            format!("{header}{header}{body}"),
+            format!("{header}{body}{body}"),
+            format!("{body}{header}{header}"),
+            format!("{header}<s:Body><Ping/><Pong/></s:Body>"),
+        ] {
+            assert!(
+                matches!(
+                    Envelope::from_wire(&wire(&smuggled)),
+                    Err(XmlError::Schema(_))
+                ),
+                "{smuggled}"
+            );
         }
+    }
+
+    #[test]
+    fn unknown_envelope_children_are_dropped_and_still_checked() {
+        let wire = |extra: &str| {
+            format!(
+                "<s:Envelope xmlns:s=\"{}\">{extra}<s:Body><Ping/></s:Body></s:Envelope>",
+                ns::SOAP
+            )
+        };
+        let env = Envelope::from_wire(&wire("<Other><Deep>x</Deep></Other>")).unwrap();
+        assert_eq!(env, Envelope::new(Element::new("Ping")));
+        assert!(Envelope::from_wire(&wire("<Other><Deep></Other>")).is_err());
+        assert!(Envelope::from_wire(&format!("{}trailing", wire(""))).is_err());
     }
 
     #[test]

@@ -12,6 +12,9 @@
 
 pub mod envelope;
 pub mod fault;
+pub mod security;
+mod vocab;
 
 pub use envelope::Envelope;
 pub use fault::{Fault, FaultCode};
+pub use security::{Certificate, SecurityHeader, SignedBlock};

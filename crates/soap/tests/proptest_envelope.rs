@@ -1,8 +1,10 @@
 //! Property tests: envelopes with arbitrary headers and bodies survive the
 //! wire; faults round-trip through their XML form.
 
+mod oracle;
+
 use ogsa_soap::{Envelope, Fault, FaultCode};
-use ogsa_xml::Element;
+use ogsa_xml::{ns, Element, QName};
 use proptest::prelude::*;
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -61,9 +63,10 @@ proptest! {
     fn fast_wire_path_is_byte_identical_to_tree_serialisation(body in arb_element(), headers in proptest::collection::vec(arb_element(), 0..4)) {
         let mut env = Envelope::new(body);
         env.headers = headers;
-        let legacy = env.to_element().into_document_string();
+        let legacy = oracle::to_wire(&env);
         prop_assert_eq!(env.to_wire(), legacy.clone());
         prop_assert_eq!(env.wire_size(), legacy.len());
+        prop_assert_eq!(Envelope::from_wire(&legacy), oracle::from_wire(&legacy));
     }
 
     #[test]
@@ -72,5 +75,30 @@ proptest! {
         let sized = Envelope::new(Element::text_element("B", text.clone()));
         prop_assert!(sized.wire_size() >= small.wire_size());
         prop_assert!(sized.wire_size() >= text.len());
+    }
+}
+
+#[test]
+fn fast_wire_path_matches_the_tree_on_namespaced_shapes() {
+    let cases = [
+        Envelope::new(Element::new("X")),
+        Envelope::new(Element::text_element("Ping", "hello"))
+            .with_header(Element::new(QName::new(ns::WSA, "Action")).with_text("urn:ping")),
+        Envelope::new(
+            Element::new(QName::new(ns::COUNTER, "createCounter"))
+                .with_attr("note", "a<b & \"c\"")
+                .with_child(Element::text_element("seed", "42")),
+        )
+        .with_header(Element::new(QName::new(ns::WSU, "Timestamp")).with_text("12:00")),
+        Envelope::new(
+            Element::new(QName::new("urn:one", "a"))
+                .with_child(Element::new(QName::new("urn:two", "b"))),
+        ),
+    ];
+    for env in cases {
+        let legacy = oracle::to_wire(&env);
+        assert_eq!(env.to_wire(), legacy);
+        assert_eq!(env.wire_size(), legacy.len());
+        assert_eq!(Envelope::from_wire(&legacy), oracle::from_wire(&legacy));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A self-contained XML infoset for the OGSA stack reproduction: qualified
 //! names with interned namespaces, an element tree, a namespace-aware pull
-//! parser, a prefix-managing writer, a deterministic canonical form (used by
+//! reader and the tree-building parser over it, a prefix-managing writer, a deterministic canonical form (used by
 //! WS-Security signing), and an XPath-subset engine (used by WSRF
 //! `QueryResourceProperties`, WS-Notification/WS-Eventing message filters,
 //! and the Xindice-analogue XML database).
@@ -31,6 +31,7 @@ pub mod name;
 pub mod node;
 pub mod parser;
 pub mod pool;
+pub mod reader;
 #[doc(hidden)]
 pub mod reference;
 pub mod writer;
@@ -39,10 +40,11 @@ pub mod xpath;
 pub use canonical::{canonicalize, canonicalize_into, CanonSink};
 pub use error::{XmlError, XmlResult};
 pub use escape::{escape_attr, escape_text, unescape};
-pub use name::{intern, ns, QName};
+pub use name::{intern, interned_len, ns, QName, INTERN_CAPACITY};
 pub use node::{Attribute, Element, Node};
-pub use parser::parse;
+pub use parser::{build_subtree, parse};
 pub use pool::{pooled_string, PooledString};
+pub use reader::{Event, RawAttr, Reader};
 pub use writer::{
     document_len, element_len, write_document, write_document_into, write_element, write_into,
     Prefixes, PrefixesBuilder, XML_DECL,

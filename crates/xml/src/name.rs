@@ -187,55 +187,81 @@ impl From<&str> for QName {
     }
 }
 
+/// Most strings the interner will hold. The WS-* vocabulary is a few
+/// hundred names; names arrive off sockets too, so the table must not grow
+/// with what peers send.
+pub const INTERN_CAPACITY: usize = 8192;
+
+/// FNV-1a: the keys are short names and a small fixed set of namespace
+/// URIs, where this beats SipHash by enough to show up in parse
+/// profiles (every element and attribute name passes through here).
+#[derive(Clone)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::hash::Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+}
+
+type InternTable =
+    std::collections::HashMap<String, Arc<str>, std::hash::BuildHasherDefault<Fnv1a>>;
+
+fn intern_table() -> &'static parking_lot::RwLock<InternTable> {
+    static INTERNED: std::sync::OnceLock<parking_lot::RwLock<InternTable>> =
+        std::sync::OnceLock::new();
+    INTERNED.get_or_init(Default::default)
+}
+
 /// Intern a string (namespace URI or local name): repeated occurrences share
 /// a single allocation per process, so [`QName`] equality is usually a
 /// pointer comparison.
 ///
 /// The table is read-mostly once a workload warms up (the WS-* vocabulary is
 /// small and fixed), so lookups take a shared lock; only the first sighting
-/// of a string takes the write lock.
+/// of a string takes the write lock. It holds at most [`INTERN_CAPACITY`]
+/// strings: once full, an unseen string comes back as a fresh `Arc` that is
+/// not shared, which [`QName`] equality handles by comparing content.
 pub fn intern(s: &str) -> Arc<str> {
-    use parking_lot::RwLock;
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
-
-    /// FNV-1a: the keys are short names and a small fixed set of namespace
-    /// URIs, where this beats SipHash by enough to show up in parse
-    /// profiles (every element and attribute name passes through here).
-    #[derive(Clone)]
-    struct Fnv1a(u64);
-    impl Default for Fnv1a {
-        fn default() -> Self {
-            Fnv1a(0xcbf2_9ce4_8422_2325)
+    let table = intern_table();
+    {
+        let guard = table.read();
+        if let Some(existing) = guard.get(s) {
+            return existing.clone();
+        }
+        if guard.len() >= INTERN_CAPACITY {
+            return Arc::from(s);
         }
     }
-    impl std::hash::Hasher for Fnv1a {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            let mut h = self.0;
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-            self.0 = h;
-        }
-    }
-    type FnvMap = HashMap<String, Arc<str>, std::hash::BuildHasherDefault<Fnv1a>>;
-
-    static INTERNED: OnceLock<RwLock<FnvMap>> = OnceLock::new();
-    let map = INTERNED.get_or_init(|| RwLock::new(FnvMap::default()));
-    if let Some(existing) = map.read().get(s) {
-        return existing.clone();
-    }
-    let mut guard = map.write();
+    let mut guard = table.write();
     if let Some(existing) = guard.get(s) {
         return existing.clone();
     }
     let arc: Arc<str> = Arc::from(s);
-    guard.insert(s.to_owned(), arc.clone());
+    if guard.len() < INTERN_CAPACITY {
+        guard.insert(s.to_owned(), arc.clone());
+    }
     arc
+}
+
+/// Number of strings the interner holds — never more than
+/// [`INTERN_CAPACITY`].
+pub fn interned_len() -> usize {
+    intern_table().read().len()
 }
 
 #[cfg(test)]

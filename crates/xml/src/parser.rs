@@ -1,434 +1,86 @@
-//! A namespace-aware recursive-descent parser for the XML subset the WS-*
-//! stacks exchange: elements, attributes, character data, entity and
-//! character references, CDATA sections, comments, processing instructions
-//! (skipped), and `xmlns`/`xmlns:p` scoped namespace bindings.
+//! The tree builder: [`parse`] drives the pull [`Reader`] and assembles the
+//! [`Element`] tree every layer above works on.
 //!
-//! DTDs are rejected (no WS-I-compliant message carries one, and rejecting
-//! them avoids entity-expansion pathologies).
-//!
-//! The parser scans byte slices and decodes character data in a **single
-//! pass**: entity resolution and end-of-line normalisation are fused, and
-//! both text and attribute values come back as [`Cow::Borrowed`] slices of
-//! the input unless a reference or normalisation actually fires. Names are
-//! resolved through the global interner, so the `QName`s it produces compare
-//! by pointer. The original two-pass implementation is preserved in
-//! [`crate::reference`] for differential testing.
-
-use std::borrow::Cow;
+//! Names are resolved through the global interner here (the reader itself
+//! interns nothing), so the `QName`s a parsed tree carries compare by
+//! pointer. The original two-pass implementation is preserved in
+//! [`crate::reference`] for differential testing. Where a document breaks
+//! in more than one way, the first break in document order is the one
+//! reported.
 
 use crate::error::{XmlError, XmlResult};
-use crate::escape::resolve_entity;
 use crate::name::{intern, QName};
 use crate::node::{Attribute, Element, Node};
-use std::sync::Arc;
+use crate::reader::{Event, Reader};
 
 /// Parse a complete document (or bare element) into its root [`Element`].
 pub fn parse(input: &str) -> XmlResult<Element> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        input,
-        pos: 0,
+    let mut reader = Reader::new(input);
+    let root = match reader.next()? {
+        Event::Start => build_subtree(&mut reader)?,
+        _ => return Err(XmlError::parse(reader.offset(), "expected a root element")),
     };
-    p.skip_prolog()?;
-    let mut scope = NsScope::default();
-    let root = p.parse_element(&mut scope)?;
-    p.skip_misc();
-    if p.pos != p.bytes.len() {
-        return Err(XmlError::parse(
-            p.pos,
-            "trailing content after root element",
-        ));
-    }
+    // Nothing but comments and whitespace may follow the root.
+    reader.next()?;
     Ok(root)
 }
 
-/// In-scope namespace bindings, maintained as an undo stack so nested scopes
-/// never clone the whole map (the paper's messages nest 6-10 levels deep).
-/// Prefixes borrow from the input, so pushing a binding allocates nothing.
-#[derive(Default)]
-struct NsScope<'a> {
-    /// (prefix, uri) pairs; later entries shadow earlier ones.
-    bindings: Vec<(&'a str, Arc<str>)>,
-    /// Default-namespace stack ("" binding); `None` entries mean unbound.
-    default_ns: Vec<Option<Arc<str>>>,
-}
-
-impl NsScope<'_> {
-    fn lookup(&self, prefix: &str) -> Option<Arc<str>> {
-        if prefix == "xml" {
-            return Some(intern("http://www.w3.org/XML/1998/namespace"));
-        }
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(p, _)| *p == prefix)
-            .map(|(_, uri)| uri.clone())
-    }
-
-    fn default_uri(&self) -> Option<Arc<str>> {
-        self.default_ns.last().cloned().flatten()
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    input: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn skip_ws(&mut self) {
-        let rest = &self.bytes[self.pos..];
-        self.pos += rest
-            .iter()
-            .position(|&b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-            .unwrap_or(rest.len());
-    }
-
-    fn expect(&mut self, s: &str) -> XmlResult<()> {
-        if self.starts_with(s) {
-            self.pos += s.len();
-            Ok(())
-        } else {
-            Err(XmlError::parse(self.pos, format!("expected `{s}`")))
-        }
-    }
-
-    /// Skip the XML declaration, comments, PIs and whitespace before the root.
-    fn skip_prolog(&mut self) -> XmlResult<()> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                let end = self.input[self.pos..].find("?>").ok_or_else(|| {
-                    XmlError::parse(self.pos, "unterminated processing instruction")
-                })?;
-                self.pos += end + 2;
-            } else if self.starts_with("<!--") {
-                self.skip_comment()?;
-            } else if self.starts_with("<!DOCTYPE") {
-                return Err(XmlError::parse(self.pos, "DTDs are not accepted"));
-            } else {
-                return Ok(());
+/// Build the tree of the element whose [`Event::Start`] the reader has just
+/// returned, consuming events through its matching end. The open elements
+/// are kept on an explicit stack, so nesting depth costs heap, not call
+/// stack.
+pub fn build_subtree(reader: &mut Reader<'_>) -> XmlResult<Element> {
+    let mut ancestors: Vec<Element> = Vec::new();
+    let mut current = started_element(reader);
+    loop {
+        match reader.next()? {
+            Event::Start => {
+                let parent = std::mem::replace(&mut current, started_element(reader));
+                ancestors.push(parent);
             }
-        }
-    }
-
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                if self.skip_comment().is_err() {
-                    return;
+            Event::End => match ancestors.pop() {
+                Some(mut parent) => {
+                    parent.children.push(Node::Element(current));
+                    current = parent;
                 }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn skip_comment(&mut self) -> XmlResult<()> {
-        debug_assert!(self.starts_with("<!--"));
-        let end = self.input[self.pos + 4..]
-            .find("-->")
-            .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
-        self.pos += 4 + end + 3;
-        Ok(())
-    }
-
-    fn read_name(&mut self) -> XmlResult<&'a str> {
-        fn is_name_byte(b: u8) -> bool {
-            b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
-        }
-        let start = self.pos;
-        let rest = &self.bytes[start..];
-        let len = rest
-            .iter()
-            .position(|&b| !is_name_byte(b))
-            .unwrap_or(rest.len());
-        if len == 0 {
-            return Err(XmlError::parse(start, "expected a name"));
-        }
-        self.pos = start + len;
-        Ok(&self.input[start..self.pos])
-    }
-
-    fn parse_element(&mut self, scope: &mut NsScope<'a>) -> XmlResult<Element> {
-        let open_pos = self.pos;
-        self.expect("<")?;
-        let raw_name = self.read_name()?;
-
-        // First pass over attributes: raw (name, value) pairs, applying
-        // xmlns bindings into the scope as they are seen. Values stay
-        // borrowed unless decoding had to rewrite them.
-        let mut raw_attrs: Vec<(&'a str, Cow<'a, str>)> = Vec::new();
-        let bindings_mark = scope.bindings.len();
-        let mut pushed_default = false;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.expect("/>")?;
-                    let elem =
-                        self.finish_element(raw_name, raw_attrs, Vec::new(), scope, open_pos)?;
-                    self.pop_scope(scope, bindings_mark, pushed_default);
-                    return Ok(elem);
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => {
-                    let attr_name = self.read_name()?;
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let value = self.read_quoted()?;
-                    if attr_name == "xmlns" {
-                        if !pushed_default {
-                            pushed_default = true;
-                            scope.default_ns.push(None);
-                        }
-                        *scope.default_ns.last_mut().unwrap() = if value.is_empty() {
-                            None
-                        } else {
-                            Some(intern(&value))
-                        };
-                    } else if let Some(prefix) = attr_name.strip_prefix("xmlns:") {
-                        scope.bindings.push((prefix, intern(&value)));
-                    } else {
-                        raw_attrs.push((attr_name, value));
-                    }
-                }
-                None => return Err(XmlError::parse(self.pos, "unterminated start tag")),
-            }
-        }
-
-        // Content.
-        let mut children = Vec::new();
-        loop {
-            if self.starts_with("</") {
-                self.pos += 2;
-                let close_name = self.read_name()?;
-                self.skip_ws();
-                self.expect(">")?;
-                if close_name != raw_name {
-                    return Err(XmlError::TagMismatch {
-                        expected: raw_name.to_owned(),
-                        found: close_name.to_owned(),
-                        offset: self.pos,
-                    });
-                }
-                let elem = self.finish_element(raw_name, raw_attrs, children, scope, open_pos)?;
-                self.pop_scope(scope, bindings_mark, pushed_default);
-                return Ok(elem);
-            } else if self.starts_with("<!--") {
-                let start = self.pos + 4;
-                let end = self.input[start..]
-                    .find("-->")
-                    .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
-                children.push(Node::Comment(self.input[start..start + end].to_owned()));
-                self.pos = start + end + 3;
-            } else if self.starts_with("<![CDATA[") {
-                let start = self.pos + 9;
-                let end = self.input[start..]
-                    .find("]]>")
-                    .ok_or_else(|| XmlError::parse(self.pos, "unterminated CDATA"))?;
-                children.push(Node::Text(self.input[start..start + end].to_owned()));
-                self.pos = start + end + 3;
-            } else if self.starts_with("<?") {
-                let end = self.input[self.pos..]
-                    .find("?>")
-                    .ok_or_else(|| XmlError::parse(self.pos, "unterminated PI"))?;
-                self.pos += end + 2;
-            } else if self.peek() == Some(b'<') {
-                children.push(Node::Element(self.parse_element(scope)?));
-            } else if self.peek().is_some() {
-                let start = self.pos;
-                let rest = &self.bytes[start..];
-                self.pos = start + rest.iter().position(|&b| b == b'<').unwrap_or(rest.len());
-                let text = decode_text(&self.input[start..self.pos], start)?;
-                children.push(Node::Text(text.into_owned()));
-            } else {
+                None => return Ok(current),
+            },
+            Event::Text(text) => current.children.push(Node::Text(text.into_owned())),
+            Event::Comment(comment) => current.children.push(Node::Comment(comment.to_owned())),
+            Event::Eof => {
                 return Err(XmlError::parse(
-                    self.pos,
-                    "unexpected end of input in element content",
-                ));
+                    reader.offset(),
+                    "document ended inside an element",
+                ))
             }
         }
     }
+}
 
-    fn pop_scope(&self, scope: &mut NsScope<'a>, bindings_mark: usize, pushed_default: bool) {
-        scope.bindings.truncate(bindings_mark);
-        if pushed_default {
-            scope.default_ns.pop();
-        }
-    }
-
-    fn finish_element(
-        &self,
-        raw_name: &str,
-        raw_attrs: Vec<(&str, Cow<'_, str>)>,
-        children: Vec<Node>,
-        scope: &NsScope<'a>,
-        open_pos: usize,
-    ) -> XmlResult<Element> {
-        let name = self.resolve(raw_name, scope, true, open_pos)?;
-        let mut attrs = Vec::with_capacity(raw_attrs.len());
-        for (raw, value) in raw_attrs {
-            attrs.push(Attribute {
-                name: self.resolve(raw, scope, false, open_pos)?,
-                value: value.into_owned(),
-            });
-        }
-        Ok(Element {
-            name,
-            attrs,
-            children,
+/// The childless element for the reader's current start tag. Local parts go
+/// through the interner so repeated names share one allocation and compare
+/// by pointer.
+fn started_element(reader: &mut Reader<'_>) -> Element {
+    let (uri, local) = reader.name();
+    let name = QName {
+        ns: uri.cloned(),
+        local: intern(local),
+    };
+    let attrs = reader
+        .drain_attrs()
+        .map(|a| Attribute {
+            name: QName {
+                ns: a.ns,
+                local: intern(a.local),
+            },
+            value: a.value.into_owned(),
         })
+        .collect();
+    Element {
+        name,
+        attrs,
+        children: Vec::new(),
     }
-
-    /// Resolve `prefix:local` against the in-scope bindings. Element names
-    /// with no prefix take the default namespace; attribute names do not
-    /// (per the XML namespaces spec). Local parts go through the interner so
-    /// repeated names share one allocation and compare by pointer.
-    fn resolve(
-        &self,
-        raw: &str,
-        scope: &NsScope<'a>,
-        is_element: bool,
-        offset: usize,
-    ) -> XmlResult<QName> {
-        match raw.split_once(':') {
-            Some((prefix, local)) => {
-                let uri = scope
-                    .lookup(prefix)
-                    .ok_or_else(|| XmlError::UnboundPrefix {
-                        prefix: prefix.to_owned(),
-                        offset,
-                    })?;
-                Ok(QName {
-                    ns: Some(uri),
-                    local: intern(local),
-                })
-            }
-            None => Ok(QName {
-                ns: if is_element {
-                    scope.default_uri()
-                } else {
-                    None
-                },
-                local: intern(raw),
-            }),
-        }
-    }
-
-    fn read_quoted(&mut self) -> XmlResult<Cow<'a, str>> {
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(XmlError::parse(self.pos, "expected quoted attribute value")),
-        };
-        self.pos += 1;
-        let start = self.pos;
-        match self.bytes[start..].iter().position(|&b| b == quote) {
-            Some(len) => {
-                let raw = &self.input[start..start + len];
-                self.pos = start + len + 1;
-                decode_attr(raw, start)
-            }
-            None => Err(XmlError::parse(start, "unterminated attribute value")),
-        }
-    }
-}
-
-/// Decode character data in one pass: XML 1.0 §2.11 end-of-line handling
-/// (`\r\n` and bare `\r` become `\n`) fused with entity/character-reference
-/// resolution. Clean input is returned borrowed. Resolution happens after
-/// normalisation conceptually, so a `&#13;` survives as a literal `\r`.
-fn decode_text(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
-    if !raw.bytes().any(|b| b == b'\r' || b == b'&') {
-        return Ok(Cow::Borrowed(raw));
-    }
-    let bytes = raw.as_bytes();
-    let mut out = String::with_capacity(raw.len());
-    let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\r' => {
-                out.push_str(&raw[start..i]);
-                out.push('\n');
-                i += 1;
-                if bytes.get(i) == Some(&b'\n') {
-                    i += 1;
-                }
-                start = i;
-            }
-            b'&' => {
-                out.push_str(&raw[start..i]);
-                let (c, len) = resolve_entity(&raw[i..], offset)?;
-                out.push(c);
-                i += len;
-                start = i;
-            }
-            _ => i += 1,
-        }
-    }
-    out.push_str(&raw[start..]);
-    Ok(Cow::Owned(out))
-}
-
-/// Decode an attribute value in one pass: XML 1.0 §3.3.3 whitespace
-/// normalisation (literal `\t`/`\n`/`\r` become spaces, CRLF counting as
-/// one) fused with entity resolution — whitespace written as a character
-/// reference survives verbatim. Clean input is returned borrowed.
-fn decode_attr(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
-    if !raw
-        .bytes()
-        .any(|b| matches!(b, b'\t' | b'\n' | b'\r' | b'&'))
-    {
-        return Ok(Cow::Borrowed(raw));
-    }
-    let bytes = raw.as_bytes();
-    let mut out = String::with_capacity(raw.len());
-    let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\r' => {
-                out.push_str(&raw[start..i]);
-                out.push(' ');
-                i += 1;
-                if bytes.get(i) == Some(&b'\n') {
-                    i += 1;
-                }
-                start = i;
-            }
-            b'\t' | b'\n' => {
-                out.push_str(&raw[start..i]);
-                out.push(' ');
-                i += 1;
-                start = i;
-            }
-            b'&' => {
-                out.push_str(&raw[start..i]);
-                let (c, len) = resolve_entity(&raw[i..], offset)?;
-                out.push(c);
-                i += len;
-                start = i;
-            }
-            _ => i += 1,
-        }
-    }
-    out.push_str(&raw[start..]);
-    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -436,6 +88,7 @@ mod tests {
     use super::*;
     use crate::name::ns;
     use crate::writer::write_element;
+    use std::sync::Arc;
 
     #[test]
     fn attribute_whitespace_normalises_to_spaces() {
@@ -454,23 +107,6 @@ mod tests {
         // A carriage return written as a character reference is preserved.
         let e = parse("<a>one&#13;two</a>").unwrap();
         assert_eq!(e.text(), "one\rtwo");
-    }
-
-    #[test]
-    fn clean_decode_borrows() {
-        // The zero-copy fast path: no entity, no carriage return — no
-        // allocation in either decoder.
-        assert!(matches!(
-            decode_text("plain text\nwith newline", 0).unwrap(),
-            Cow::Borrowed(_)
-        ));
-        assert!(matches!(
-            decode_attr("plain value", 0).unwrap(),
-            Cow::Borrowed(_)
-        ));
-        // Dirty input allocates exactly once.
-        assert!(matches!(decode_text("a&amp;b", 0).unwrap(), Cow::Owned(_)));
-        assert!(matches!(decode_attr("a\tb", 0).unwrap(), Cow::Owned(_)));
     }
 
     #[test]

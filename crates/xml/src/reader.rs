@@ -1,0 +1,691 @@
+//! A namespace-aware pull reader for the XML subset the WS-* stacks
+//! exchange: elements, attributes, character data, entity and character
+//! references, CDATA sections, comments, processing instructions (skipped),
+//! and `xmlns`/`xmlns:p` scoped namespace bindings.
+//!
+//! DTDs are rejected (no WS-I-compliant message carries one, and rejecting
+//! them avoids entity-expansion pathologies).
+//!
+//! The reader scans byte slices and decodes character data in a **single
+//! pass**: entity resolution and end-of-line normalisation are fused, and
+//! both text and attribute values come back as [`Cow::Borrowed`] slices of
+//! the input unless a reference or normalisation actually fires. It builds
+//! no nodes and interns no names: a start tag's name is its resolved
+//! namespace URI plus the local part as a slice of the input, so a consumer
+//! that knows the shape it expects (the SOAP layer reading a
+//! `wsse:Security` block) allocates nothing per element. [`crate::parser`]
+//! is the tree builder over it.
+
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use crate::error::{XmlError, XmlResult};
+use crate::escape::resolve_entity;
+use crate::name::intern;
+
+/// One step through a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Event<'a> {
+    /// A start tag. Its name and attributes are read from the reader
+    /// ([`Reader::name`], [`Reader::attrs`]) until the next call to
+    /// [`Reader::next`]. An empty-element tag yields `Start` then `End`.
+    Start,
+    /// The end of the innermost open element.
+    End,
+    /// Decoded character data (a text run or a CDATA section).
+    Text(Cow<'a, str>),
+    /// A comment inside element content (comments around the root are
+    /// skipped).
+    Comment(&'a str),
+    /// The root element has closed and nothing but comments and whitespace
+    /// followed it.
+    Eof,
+}
+
+/// An attribute of the current start tag. Unprefixed attributes are in no
+/// namespace (per the XML namespaces spec).
+#[derive(Debug)]
+pub struct RawAttr<'a> {
+    pub ns: Option<Arc<str>>,
+    pub local: &'a str,
+    pub value: Cow<'a, str>,
+}
+
+/// In-scope namespace bindings, maintained as an undo stack so nested scopes
+/// never clone the whole map (the paper's messages nest 6-10 levels deep).
+/// Prefixes borrow from the input, so pushing a binding allocates nothing.
+#[derive(Default)]
+struct NsScope<'a> {
+    /// (prefix, uri) pairs; later entries shadow earlier ones.
+    bindings: Vec<(&'a str, Arc<str>)>,
+    /// Default-namespace stack ("" binding); `None` entries mean unbound.
+    default_ns: Vec<Option<Arc<str>>>,
+}
+
+impl NsScope<'_> {
+    fn lookup(&self, prefix: &str) -> Option<Arc<str>> {
+        if prefix == "xml" {
+            return Some(intern("http://www.w3.org/XML/1998/namespace"));
+        }
+        self.bindings
+            .iter()
+            .rev()
+            .find(|(p, _)| *p == prefix)
+            .map(|(_, uri)| uri.clone())
+    }
+
+    fn default_uri(&self) -> Option<Arc<str>> {
+        self.default_ns.last().cloned().flatten()
+    }
+}
+
+/// An element whose end tag has not been read yet.
+struct Open<'a> {
+    raw_name: &'a str,
+    bindings_mark: usize,
+    pushed_default: bool,
+}
+
+enum State {
+    /// Before the root element's start tag.
+    Prolog,
+    /// Inside the root element.
+    Content,
+    /// An empty-element tag was reported as `Start`; its `End` is next.
+    EmptyElement,
+    /// After the root element's end tag.
+    Epilog,
+}
+
+/// The pull reader. Create one per document and call [`Reader::next`] until
+/// [`Event::Eof`] or an error; errors are final.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    input: &'a str,
+    pos: usize,
+    state: State,
+    scope: NsScope<'a>,
+    open: Vec<Open<'a>>,
+    name_ns: Option<Arc<str>>,
+    name_local: &'a str,
+    /// Attributes of the current start tag; the buffer is reused from tag
+    /// to tag.
+    attrs: Vec<RawAttr<'a>>,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            bytes: input.as_bytes(),
+            input,
+            pos: 0,
+            state: State::Prolog,
+            scope: NsScope::default(),
+            open: Vec::new(),
+            name_ns: None,
+            name_local: "",
+            attrs: Vec::new(),
+        }
+    }
+
+    /// The current start tag's resolved name: namespace URI (prefixed names
+    /// take their binding, unprefixed ones the default namespace) and local
+    /// part.
+    pub fn name(&self) -> (Option<&Arc<str>>, &'a str) {
+        (self.name_ns.as_ref(), self.name_local)
+    }
+
+    /// Is the current start tag named `{uri}local` (`None`: in no namespace)?
+    /// Interned URIs compare by pointer; content is the fallback.
+    pub fn is_named(&self, uri: Option<&Arc<str>>, local: &str) -> bool {
+        self.name_local == local
+            && match (&self.name_ns, uri) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+                _ => false,
+            }
+    }
+
+    /// The current start tag's attributes, `xmlns` declarations excluded,
+    /// in document order.
+    pub fn attrs(&self) -> &[RawAttr<'a>] {
+        &self.attrs
+    }
+
+    /// Move the current start tag's attributes out (a tree builder keeps
+    /// their decoded values without copying them).
+    pub fn drain_attrs(&mut self) -> std::vec::Drain<'_, RawAttr<'a>> {
+        self.attrs.drain(..)
+    }
+
+    /// Number of elements currently open, the one just started included.
+    pub fn depth(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Byte offset of the next unread input, for error reporting.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Read on, discarding events, until at most `depth` elements are open.
+    /// Everything skipped is still checked for well-formedness.
+    pub fn skip_to_depth(&mut self, depth: usize) -> XmlResult<()> {
+        while self.open.len() > depth {
+            self.next()?;
+        }
+        Ok(())
+    }
+
+    /// The next event.
+    #[allow(clippy::should_implement_trait)] // fallible, and events borrow the input
+    pub fn next(&mut self) -> XmlResult<Event<'a>> {
+        match self.state {
+            State::Prolog => {
+                self.skip_prolog()?;
+                self.read_start_tag()
+            }
+            State::EmptyElement => {
+                self.state = State::Content;
+                self.close_element();
+                Ok(Event::End)
+            }
+            State::Content => self.read_content(),
+            State::Epilog => {
+                self.skip_misc();
+                if self.pos != self.bytes.len() {
+                    return Err(XmlError::parse(
+                        self.pos,
+                        "trailing content after root element",
+                    ));
+                }
+                Ok(Event::Eof)
+            }
+        }
+    }
+
+    fn read_content(&mut self) -> XmlResult<Event<'a>> {
+        loop {
+            let rest = &self.bytes[self.pos..];
+            match rest {
+                [b'<', b'/', ..] => return self.read_end_tag(),
+                [b'<', b'!', ..] if rest.starts_with(b"<!--") => {
+                    let start = self.pos + 4;
+                    let end = self.input[start..]
+                        .find("-->")
+                        .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
+                    self.pos = start + end + 3;
+                    return Ok(Event::Comment(&self.input[start..start + end]));
+                }
+                [b'<', b'!', ..] if rest.starts_with(b"<![CDATA[") => {
+                    let start = self.pos + 9;
+                    let end = self.input[start..]
+                        .find("]]>")
+                        .ok_or_else(|| XmlError::parse(self.pos, "unterminated CDATA"))?;
+                    self.pos = start + end + 3;
+                    return Ok(Event::Text(Cow::Borrowed(&self.input[start..start + end])));
+                }
+                [b'<', b'?', ..] => {
+                    let end = self.input[self.pos..]
+                        .find("?>")
+                        .ok_or_else(|| XmlError::parse(self.pos, "unterminated PI"))?;
+                    self.pos += end + 2;
+                }
+                [b'<', ..] => return self.read_start_tag(),
+                [_, ..] => return self.read_text(),
+                [] => {
+                    return Err(XmlError::parse(
+                        self.pos,
+                        "unexpected end of input in element content",
+                    ))
+                }
+            }
+        }
+    }
+
+    /// Read `</name>`, which must close the innermost open element.
+    fn read_end_tag(&mut self) -> XmlResult<Event<'a>> {
+        let raw_name = self.open.last().map_or("", |o| o.raw_name);
+        let after = &self.bytes[self.pos + 2..];
+        if after.starts_with(raw_name.as_bytes()) && after.get(raw_name.len()) == Some(&b'>') {
+            // The expected name, exactly: nothing to scan or compare.
+            self.pos += 2 + raw_name.len() + 1;
+        } else {
+            self.pos += 2;
+            let close_name = self.read_name()?;
+            self.skip_ws();
+            self.expect(">")?;
+            if close_name != raw_name {
+                return Err(XmlError::TagMismatch {
+                    expected: raw_name.to_owned(),
+                    found: close_name.to_owned(),
+                    offset: self.pos,
+                });
+            }
+        }
+        self.close_element();
+        Ok(Event::End)
+    }
+
+    /// Read character data up to the next `<`, noting on the way whether
+    /// any of it needs decoding.
+    fn read_text(&mut self) -> XmlResult<Event<'a>> {
+        let start = self.pos;
+        let mut clean = true;
+        let mut end = self.bytes.len();
+        for (i, &b) in self.bytes[start..].iter().enumerate() {
+            match b {
+                b'<' => {
+                    end = start + i;
+                    break;
+                }
+                b'&' | b'\r' => clean = false,
+                _ => {}
+            }
+        }
+        self.pos = end;
+        let raw = &self.input[start..end];
+        if clean {
+            Ok(Event::Text(Cow::Borrowed(raw)))
+        } else {
+            decode_text(raw, start).map(Event::Text)
+        }
+    }
+
+    /// Read one start tag: bind its `xmlns` declarations, then resolve its
+    /// name and its attributes' names against the new scope.
+    fn read_start_tag(&mut self) -> XmlResult<Event<'a>> {
+        let open_pos = self.pos;
+        self.expect("<")?;
+        let raw_name = self.read_name()?;
+
+        self.attrs.clear();
+        let bindings_mark = self.scope.bindings.len();
+        let mut pushed_default = false;
+        let empty = loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    self.expect("/>")?;
+                    break true;
+                }
+                Some(b'>') => {
+                    self.pos += 1;
+                    break false;
+                }
+                Some(_) => {
+                    let attr_name = self.read_name()?;
+                    self.skip_ws();
+                    self.expect("=")?;
+                    self.skip_ws();
+                    let value = self.read_quoted()?;
+                    if attr_name == "xmlns" {
+                        if !pushed_default {
+                            pushed_default = true;
+                            self.scope.default_ns.push(None);
+                        }
+                        *self.scope.default_ns.last_mut().expect("pushed above") =
+                            if value.is_empty() {
+                                None
+                            } else {
+                                Some(intern(&value))
+                            };
+                    } else if let Some(prefix) = attr_name.strip_prefix("xmlns:") {
+                        self.scope.bindings.push((prefix, intern(&value)));
+                    } else {
+                        // Resolved below, once every binding of this tag
+                        // is in scope.
+                        self.attrs.push(RawAttr {
+                            ns: None,
+                            local: attr_name,
+                            value,
+                        });
+                    }
+                }
+                None => return Err(XmlError::parse(self.pos, "unterminated start tag")),
+            }
+        };
+        self.open.push(Open {
+            raw_name,
+            bindings_mark,
+            pushed_default,
+        });
+
+        let scope = &self.scope;
+        let unbound = |prefix: &str| XmlError::UnboundPrefix {
+            prefix: prefix.to_owned(),
+            offset: open_pos,
+        };
+        match raw_name.split_once(':') {
+            Some((prefix, local)) => {
+                self.name_ns = Some(scope.lookup(prefix).ok_or_else(|| unbound(prefix))?);
+                self.name_local = local;
+            }
+            None => {
+                self.name_ns = scope.default_uri();
+                self.name_local = raw_name;
+            }
+        }
+        for attr in &mut self.attrs {
+            if let Some((prefix, local)) = attr.local.split_once(':') {
+                attr.ns = Some(scope.lookup(prefix).ok_or_else(|| unbound(prefix))?);
+                attr.local = local;
+            }
+        }
+
+        self.state = if empty {
+            State::EmptyElement
+        } else {
+            State::Content
+        };
+        Ok(Event::Start)
+    }
+
+    /// Drop the innermost open element and the bindings it declared.
+    fn close_element(&mut self) {
+        if let Some(open) = self.open.pop() {
+            self.scope.bindings.truncate(open.bindings_mark);
+            if open.pushed_default {
+                self.scope.default_ns.pop();
+            }
+        }
+        if self.open.is_empty() {
+            self.state = State::Epilog;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn starts_with(&self, s: &str) -> bool {
+        self.bytes[self.pos..].starts_with(s.as_bytes())
+    }
+
+    fn skip_ws(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+            .unwrap_or(rest.len());
+    }
+
+    fn expect(&mut self, s: &str) -> XmlResult<()> {
+        if self.starts_with(s) {
+            self.pos += s.len();
+            Ok(())
+        } else {
+            Err(XmlError::parse(self.pos, format!("expected `{s}`")))
+        }
+    }
+
+    /// Skip the XML declaration, comments, PIs and whitespace before the root.
+    fn skip_prolog(&mut self) -> XmlResult<()> {
+        loop {
+            self.skip_ws();
+            if self.starts_with("<?") {
+                let end = self.input[self.pos..].find("?>").ok_or_else(|| {
+                    XmlError::parse(self.pos, "unterminated processing instruction")
+                })?;
+                self.pos += end + 2;
+            } else if self.starts_with("<!--") {
+                self.skip_comment()?;
+            } else if self.starts_with("<!DOCTYPE") {
+                return Err(XmlError::parse(self.pos, "DTDs are not accepted"));
+            } else {
+                return Ok(());
+            }
+        }
+    }
+
+    fn skip_misc(&mut self) {
+        loop {
+            self.skip_ws();
+            if self.starts_with("<!--") {
+                if self.skip_comment().is_err() {
+                    return;
+                }
+            } else {
+                return;
+            }
+        }
+    }
+
+    fn skip_comment(&mut self) -> XmlResult<()> {
+        debug_assert!(self.starts_with("<!--"));
+        let end = self.input[self.pos + 4..]
+            .find("-->")
+            .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
+        self.pos += 4 + end + 3;
+        Ok(())
+    }
+
+    fn read_name(&mut self) -> XmlResult<&'a str> {
+        fn is_name_byte(b: u8) -> bool {
+            b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
+        }
+        let start = self.pos;
+        let rest = &self.bytes[start..];
+        let len = rest
+            .iter()
+            .position(|&b| !is_name_byte(b))
+            .unwrap_or(rest.len());
+        if len == 0 {
+            return Err(XmlError::parse(start, "expected a name"));
+        }
+        self.pos = start + len;
+        Ok(&self.input[start..self.pos])
+    }
+
+    fn read_quoted(&mut self) -> XmlResult<Cow<'a, str>> {
+        let quote = match self.peek() {
+            Some(q @ (b'"' | b'\'')) => q,
+            _ => return Err(XmlError::parse(self.pos, "expected quoted attribute value")),
+        };
+        self.pos += 1;
+        let start = self.pos;
+        match self.bytes[start..].iter().position(|&b| b == quote) {
+            Some(len) => {
+                let raw = &self.input[start..start + len];
+                self.pos = start + len + 1;
+                decode_attr(raw, start)
+            }
+            None => Err(XmlError::parse(start, "unterminated attribute value")),
+        }
+    }
+}
+
+/// Decode character data in one pass: XML 1.0 §2.11 end-of-line handling
+/// (`\r\n` and bare `\r` become `\n`) fused with entity/character-reference
+/// resolution. Clean input is returned borrowed. Resolution happens after
+/// normalisation conceptually, so a `&#13;` survives as a literal `\r`.
+fn decode_text(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
+    if !raw.bytes().any(|b| b == b'\r' || b == b'&') {
+        return Ok(Cow::Borrowed(raw));
+    }
+    let bytes = raw.as_bytes();
+    let mut out = String::with_capacity(raw.len());
+    let mut start = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\r' => {
+                out.push_str(&raw[start..i]);
+                out.push('\n');
+                i += 1;
+                if bytes.get(i) == Some(&b'\n') {
+                    i += 1;
+                }
+                start = i;
+            }
+            b'&' => {
+                out.push_str(&raw[start..i]);
+                let (c, len) = resolve_entity(&raw[i..], offset)?;
+                out.push(c);
+                i += len;
+                start = i;
+            }
+            _ => i += 1,
+        }
+    }
+    out.push_str(&raw[start..]);
+    Ok(Cow::Owned(out))
+}
+
+/// Decode an attribute value in one pass: XML 1.0 §3.3.3 whitespace
+/// normalisation (literal `\t`/`\n`/`\r` become spaces, CRLF counting as
+/// one) fused with entity resolution — whitespace written as a character
+/// reference survives verbatim. Clean input is returned borrowed.
+fn decode_attr(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
+    if !raw
+        .bytes()
+        .any(|b| matches!(b, b'\t' | b'\n' | b'\r' | b'&'))
+    {
+        return Ok(Cow::Borrowed(raw));
+    }
+    let bytes = raw.as_bytes();
+    let mut out = String::with_capacity(raw.len());
+    let mut start = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\r' => {
+                out.push_str(&raw[start..i]);
+                out.push(' ');
+                i += 1;
+                if bytes.get(i) == Some(&b'\n') {
+                    i += 1;
+                }
+                start = i;
+            }
+            b'\t' | b'\n' => {
+                out.push_str(&raw[start..i]);
+                out.push(' ');
+                i += 1;
+                start = i;
+            }
+            b'&' => {
+                out.push_str(&raw[start..i]);
+                let (c, len) = resolve_entity(&raw[i..], offset)?;
+                out.push(c);
+                i += len;
+                start = i;
+            }
+            _ => i += 1,
+        }
+    }
+    out.push_str(&raw[start..]);
+    Ok(Cow::Owned(out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::name::ns;
+
+    #[test]
+    fn clean_decode_borrows() {
+        // The zero-copy fast path: no entity, no carriage return — no
+        // allocation in either decoder.
+        assert!(matches!(
+            decode_text("plain text\nwith newline", 0).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        assert!(matches!(
+            decode_attr("plain value", 0).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        // Dirty input allocates exactly once.
+        assert!(matches!(decode_text("a&amp;b", 0).unwrap(), Cow::Owned(_)));
+        assert!(matches!(decode_attr("a\tb", 0).unwrap(), Cow::Owned(_)));
+    }
+
+    /// Every event of a document, names rendered `{uri}local`.
+    fn trace(input: &str) -> XmlResult<Vec<String>> {
+        let mut r = Reader::new(input);
+        let mut out = Vec::new();
+        loop {
+            out.push(match r.next()? {
+                Event::Start => {
+                    let (uri, local) = r.name();
+                    let mut s = format!("<{{{}}}{local}", uri.map_or("", |u| &**u));
+                    for a in r.attrs() {
+                        let uri = a.ns.as_deref().unwrap_or("");
+                        s.push_str(&format!(" {{{uri}}}{}={}", a.local, a.value));
+                    }
+                    s
+                }
+                Event::End => format!("/{}", r.depth()),
+                Event::Text(t) => format!("T:{t}"),
+                Event::Comment(c) => format!("C:{c}"),
+                Event::Eof => return Ok(out),
+            });
+        }
+    }
+
+    #[test]
+    fn events_in_document_order_with_resolved_names() {
+        let doc = format!(
+            "<?xml version=\"1.0\"?><!-- pre --><s:a xmlns:s=\"{0}\" xmlns=\"urn:d\" k=\"v\" s:q=\"1\">\
+             hi<b/><!-- in --><![CDATA[<raw>]]><?pi x?></s:a><!-- post -->",
+            ns::SOAP
+        );
+        assert_eq!(
+            trace(&doc).unwrap(),
+            [
+                &format!("<{{{0}}}a {{}}k=v {{{0}}}q=1", ns::SOAP),
+                "T:hi",
+                "<{urn:d}b",
+                "/1",
+                "C: in ",
+                "T:<raw>",
+                "/0",
+            ]
+        );
+    }
+
+    #[test]
+    fn bindings_declared_after_their_use_in_the_same_tag_resolve() {
+        assert_eq!(
+            trace("<p:a p:k=\"v\" xmlns:p=\"urn:p\"/>").unwrap(),
+            ["<{urn:p}a {urn:p}k=v", "/0"]
+        );
+    }
+
+    #[test]
+    fn skip_to_depth_leaves_the_enclosing_element_open() {
+        let mut r = Reader::new("<a><b><c>deep</c><d/></b><e/></a>");
+        assert_eq!(r.next().unwrap(), Event::Start); // a
+        assert_eq!(r.next().unwrap(), Event::Start); // b
+        r.skip_to_depth(1).unwrap();
+        assert_eq!(r.next().unwrap(), Event::Start);
+        assert!(r.is_named(None, "e"));
+        assert!(!r.is_named(Some(&intern("urn:x")), "e"));
+    }
+
+    #[test]
+    fn skipped_content_is_still_checked() {
+        let mut r = Reader::new("<a><b><c></d></b></a>");
+        r.next().unwrap();
+        r.next().unwrap();
+        assert!(matches!(
+            r.skip_to_depth(1),
+            Err(XmlError::TagMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn errors_are_reported_where_the_document_breaks() {
+        assert!(matches!(
+            trace("<p:a/>"),
+            Err(XmlError::UnboundPrefix { .. })
+        ));
+        assert!(matches!(
+            trace("<a q:k=\"v\"/>"),
+            Err(XmlError::UnboundPrefix { .. })
+        ));
+        assert!(trace("<a/><b/>").is_err());
+        assert!(trace("<a>").is_err());
+        assert!(trace("").is_err());
+    }
+}
