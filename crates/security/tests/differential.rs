@@ -374,6 +374,77 @@ fn an_unsigned_sibling_cannot_ride_along() {
     }
 }
 
+/// `attr_local` answers with the first of two like-named attributes while
+/// canonicalisation digests both: a signed payload carrying a pair — spelt
+/// alike, or through two prefixes bound to one namespace — is not XML, on
+/// either path, before any verdict.
+#[test]
+fn a_duplicate_attribute_in_the_signed_payload_is_not_a_message() {
+    let w = World::new();
+    let (_, wire) = signed_sample(&w);
+    for hostile in [
+        edit(&wire, "<value>", "<value unit=\"a\" unit=\"b\">"),
+        edit(
+            &wire,
+            "<value>",
+            "<value xmlns:p=\"urn:x\" xmlns:q=\"urn:x\" p:unit=\"a\" q:unit=\"b\">",
+        ),
+        edit(&wire, "<cnt:SetCounter>", "<cnt:SetCounter id='1' id='1'>"),
+    ] {
+        assert!(matches!(
+            Envelope::from_wire(&hostile),
+            Err(ogsa_xml::XmlError::Parse { .. })
+        ));
+        assert!(oracle::from_wire(&hostile).is_err());
+        assert!(ogsa_xml::reference::parse(&hostile).is_err());
+    }
+    // One of each is only an edit under the signature.
+    let single = edit(&wire, "<value>", "<value unit=\"a\">");
+    assert_eq!(
+        w.verify_wire(&single),
+        Err(SecurityError::DigestMismatch {
+            reference: "#Body".into()
+        })
+    );
+}
+
+// ---- long clean runs: the block search under every pass --------------------
+
+/// Sign → wire → parse → verify with a clean Body text on each side of the
+/// search's 32-byte block, at the benchmark's upload size and at a megabyte:
+/// the priced size is the written size, the round trip verifies, and the
+/// last payload byte is under the digest.
+#[test]
+fn long_clean_payloads_round_trip_and_their_last_byte_is_signed() {
+    let w = World::new();
+    let alice = w.identity("CN=UVA-CA", "CN=alice,O=UVA-VO");
+    for len in [0usize, 31, 32, 33, 24_576, 1 << 20] {
+        // Clean text of exactly `len` bytes, its one `z` last.
+        let mut payload: String = ('a'..='y').cycle().take(len.saturating_sub(1)).collect();
+        payload.extend((len > 0).then_some('z'));
+        let mut env = sample_setting(&payload);
+        w.sign(&mut env, &alice);
+        let wire = env.to_wire();
+        assert_eq!(env.wire_size(), wire.len(), "{len}");
+        let received = Envelope::from_wire(&wire).unwrap();
+        // (Empty text leaves no node behind.)
+        assert_eq!(received.body.child_text("value").unwrap_or(""), payload);
+        assert_eq!(w.verify(&received).unwrap(), "CN=alice,O=UVA-VO", "{len}");
+
+        if len > 0 {
+            let flipped = edit(&wire, "z</value>", "Z</value>");
+            let tampered = Envelope::from_wire(&flipped).unwrap();
+            assert_eq!(
+                w.verify(&tampered),
+                Err(SecurityError::DigestMismatch {
+                    reference: "#Body".into()
+                }),
+                "{len}"
+            );
+        }
+    }
+}
+
 // ---- the hostile block corpus ---------------------------------------------
 
 /// Every entry is well-formed XML whose security block departs from the

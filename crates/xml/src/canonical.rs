@@ -11,7 +11,7 @@
 //! can feed the bytes straight into an incremental hash state without ever
 //! materialising the canonical `String` ([`canonicalize_into`]).
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::escape_runs;
 use crate::node::{Element, Node};
 
 /// A consumer of canonical output. The security layer implements this for
@@ -43,7 +43,8 @@ pub fn canonicalize(e: &Element) -> Vec<u8> {
 /// Stream the canonical form of `e` into `sink`, one pass over the tree,
 /// with no intermediate canonical buffer. Clark names are pushed as their
 /// four parts (`<` `{` uri `}` local) rather than formatted into a
-/// temporary, and clean text reaches the sink as a borrowed slice.
+/// temporary, and text reaches the sink as borrowed slices — clean run,
+/// entity, clean run — so a text node holding one `&` costs no `String`.
 pub fn canonicalize_into(e: &Element, sink: &mut dyn CanonSink) {
     open_name(e, sink);
     if e.attrs.len() > 1 {
@@ -61,7 +62,7 @@ pub fn canonicalize_into(e: &Element, sink: &mut dyn CanonSink) {
     for c in &e.children {
         match c {
             Node::Element(child) => canonicalize_into(child, sink),
-            Node::Text(t) => sink.push_str(&escape_text(t)),
+            Node::Text(t) => escape_runs(t, false, |run| sink.push_str(run)),
             Node::Comment(_) => {} // comments never participate in digests
         }
     }
@@ -88,7 +89,7 @@ fn push_attr(a: &crate::node::Attribute, sink: &mut dyn CanonSink) {
     sink.push_str(" ");
     clark_name(&a.name, sink);
     sink.push_str("=\"");
-    sink.push_str(&escape_attr(&a.value));
+    escape_runs(&a.value, true, |run| sink.push_str(run));
     sink.push_str("\"");
 }
 

@@ -34,6 +34,7 @@ pub mod pool;
 pub mod reader;
 #[doc(hidden)]
 pub mod reference;
+mod scan;
 pub mod writer;
 pub mod xpath;
 

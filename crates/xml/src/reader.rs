@@ -22,6 +22,7 @@ use std::sync::Arc;
 use crate::error::{XmlError, XmlResult};
 use crate::escape::resolve_entity;
 use crate::name::intern;
+use crate::scan::find_any;
 
 /// One step through a document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -267,29 +268,20 @@ impl<'a> Reader<'a> {
         Ok(Event::End)
     }
 
-    /// Read character data up to the next `<`, noting on the way whether
-    /// any of it needs decoding.
+    /// Read character data up to the next `<`. One search finds the end of
+    /// clean text; only text holding a `&` or `\r` is searched on for its
+    /// `<` and decoded.
     fn read_text(&mut self) -> XmlResult<Event<'a>> {
         let start = self.pos;
-        let mut clean = true;
-        let mut end = self.bytes.len();
-        for (i, &b) in self.bytes[start..].iter().enumerate() {
-            match b {
-                b'<' => {
-                    end = start + i;
-                    break;
-                }
-                b'&' | b'\r' => clean = false,
-                _ => {}
-            }
+        let rest = &self.bytes[start..];
+        let first = find_any(rest, b"<&\r").unwrap_or(rest.len());
+        if matches!(rest.get(first), None | Some(b'<')) {
+            self.pos = start + first;
+            return Ok(Event::Text(Cow::Borrowed(&self.input[start..self.pos])));
         }
-        self.pos = end;
-        let raw = &self.input[start..end];
-        if clean {
-            Ok(Event::Text(Cow::Borrowed(raw)))
-        } else {
-            decode_text(raw, start).map(Event::Text)
-        }
+        let len = find_any(&rest[first..], b"<").map_or(rest.len(), |i| first + i);
+        self.pos = start + len;
+        decode(&self.input[start..self.pos], start, false).map(Event::Text)
     }
 
     /// Read one start tag: bind its `xmlns` declarations, then resolve its
@@ -366,10 +358,24 @@ impl<'a> Reader<'a> {
                 self.name_local = raw_name;
             }
         }
-        for attr in &mut self.attrs {
+        for i in 0..self.attrs.len() {
+            let (earlier, rest) = self.attrs.split_at_mut(i);
+            let attr = &mut rest[0];
             if let Some((prefix, local)) = attr.local.split_once(':') {
                 attr.ns = Some(scope.lookup(prefix).ok_or_else(|| unbound(prefix))?);
                 attr.local = local;
+            }
+            // XML 1.0 §3.1, Namespaces in XML §6.3: expanded names are
+            // unique within a tag. A tag has a handful of attributes, so
+            // compare pairwise.
+            if earlier
+                .iter()
+                .any(|e| e.local == attr.local && e.ns == attr.ns)
+            {
+                return Err(XmlError::parse(
+                    open_pos,
+                    format!("duplicate attribute `{}`", attr.local),
+                ));
             }
         }
 
@@ -461,14 +467,11 @@ impl<'a> Reader<'a> {
     }
 
     fn read_name(&mut self) -> XmlResult<&'a str> {
-        fn is_name_byte(b: u8) -> bool {
-            b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
-        }
         let start = self.pos;
         let rest = &self.bytes[start..];
         let len = rest
             .iter()
-            .position(|&b| !is_name_byte(b))
+            .position(|&b| !NAME_BYTE[usize::from(b)])
             .unwrap_or(rest.len());
         if len == 0 {
             return Err(XmlError::parse(start, "expected a name"));
@@ -477,6 +480,9 @@ impl<'a> Reader<'a> {
         Ok(&self.input[start..self.pos])
     }
 
+    /// Read a quoted attribute value. One search finds the closing quote of
+    /// a clean value; only a value holding a `&` or literal whitespace is
+    /// searched on for its quote and decoded.
     fn read_quoted(&mut self) -> XmlResult<Cow<'a, str>> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
@@ -484,95 +490,72 @@ impl<'a> Reader<'a> {
         };
         self.pos += 1;
         let start = self.pos;
-        match self.bytes[start..].iter().position(|&b| b == quote) {
-            Some(len) => {
-                let raw = &self.input[start..start + len];
-                self.pos = start + len + 1;
-                decode_attr(raw, start)
-            }
-            None => Err(XmlError::parse(start, "unterminated attribute value")),
+        let rest = &self.bytes[start..];
+        let unterminated = || XmlError::parse(start, "unterminated attribute value");
+        let first = find_any(rest, &[quote, b'&', b'\t', b'\n', b'\r']).ok_or_else(unterminated)?;
+        if rest[first] == quote {
+            self.pos = start + first + 1;
+            return Ok(Cow::Borrowed(&self.input[start..start + first]));
         }
+        let len = first + find_any(&rest[first..], &[quote]).ok_or_else(unterminated)?;
+        self.pos = start + len + 1;
+        decode(&self.input[start..start + len], start, true)
     }
 }
 
-/// Decode character data in one pass: XML 1.0 §2.11 end-of-line handling
-/// (`\r\n` and bare `\r` become `\n`) fused with entity/character-reference
-/// resolution. Clean input is returned borrowed. Resolution happens after
-/// normalisation conceptually, so a `&#13;` survives as a literal `\r`.
-fn decode_text(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
-    if !raw.bytes().any(|b| b == b'\r' || b == b'&') {
-        return Ok(Cow::Borrowed(raw));
+/// The bytes a name may hold: ASCII letters, digits, `_` `-` `.` `:`, and
+/// anything outside ASCII. Names are short runs, where a table test per
+/// byte beats a block search.
+const NAME_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80;
+        b += 1;
     }
-    let bytes = raw.as_bytes();
-    let mut out = String::with_capacity(raw.len());
-    let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\r' => {
-                out.push_str(&raw[start..i]);
-                out.push('\n');
-                i += 1;
-                if bytes.get(i) == Some(&b'\n') {
-                    i += 1;
-                }
-                start = i;
-            }
-            b'&' => {
-                out.push_str(&raw[start..i]);
-                let (c, len) = resolve_entity(&raw[i..], offset)?;
-                out.push(c);
-                i += len;
-                start = i;
-            }
-            _ => i += 1,
-        }
-    }
-    out.push_str(&raw[start..]);
-    Ok(Cow::Owned(out))
-}
+    table
+};
 
-/// Decode an attribute value in one pass: XML 1.0 §3.3.3 whitespace
-/// normalisation (literal `\t`/`\n`/`\r` become spaces, CRLF counting as
-/// one) fused with entity resolution — whitespace written as a character
-/// reference survives verbatim. Clean input is returned borrowed.
-fn decode_attr(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
-    if !raw
-        .bytes()
-        .any(|b| matches!(b, b'\t' | b'\n' | b'\r' | b'&'))
-    {
+/// Decode character data (`attr` false) or an attribute value (`attr` true)
+/// in one pass, hopping from special byte to special byte. Text gets XML
+/// 1.0 §2.11 end-of-line handling (`\r\n` and bare `\r` become `\n`), an
+/// attribute value §3.3.3 whitespace normalisation (literal `\t`/`\n`/`\r`
+/// become spaces, CRLF counting as one), each fused with entity and
+/// character-reference resolution — a `&#13;` survives as a literal `\r`.
+/// Clean input is returned borrowed.
+fn decode(raw: &str, offset: usize, attr: bool) -> XmlResult<Cow<'_, str>> {
+    let bytes = raw.as_bytes();
+    let next_special = |from: usize| {
+        let rest = &bytes[from..];
+        let found = if attr {
+            find_any(rest, b"&\r\t\n")
+        } else {
+            find_any(rest, b"&\r")
+        };
+        found.map(|i| from + i)
+    };
+    let mut next = next_special(0);
+    if next.is_none() {
         return Ok(Cow::Borrowed(raw));
     }
-    let bytes = raw.as_bytes();
     let mut out = String::with_capacity(raw.len());
     let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\r' => {
-                out.push_str(&raw[start..i]);
-                out.push(' ');
-                i += 1;
-                if bytes.get(i) == Some(&b'\n') {
-                    i += 1;
-                }
-                start = i;
-            }
-            b'\t' | b'\n' => {
-                out.push_str(&raw[start..i]);
-                out.push(' ');
-                i += 1;
-                start = i;
-            }
+    while let Some(at) = next {
+        out.push_str(&raw[start..at]);
+        start = match bytes[at] {
             b'&' => {
-                out.push_str(&raw[start..i]);
-                let (c, len) = resolve_entity(&raw[i..], offset)?;
+                let (c, len) = resolve_entity(&raw[at..], offset)?;
                 out.push(c);
-                i += len;
-                start = i;
+                at + len
             }
-            _ => i += 1,
-        }
+            literal => {
+                out.push(if attr { ' ' } else { '\n' });
+                let crlf = literal == b'\r' && bytes.get(at + 1) == Some(&b'\n');
+                at + 1 + usize::from(crlf)
+            }
+        };
+        next = next_special(start);
     }
     out.push_str(&raw[start..]);
     Ok(Cow::Owned(out))
@@ -588,16 +571,19 @@ mod tests {
         // The zero-copy fast path: no entity, no carriage return — no
         // allocation in either decoder.
         assert!(matches!(
-            decode_text("plain text\nwith newline", 0).unwrap(),
+            decode("plain text\nwith newline", 0, false).unwrap(),
             Cow::Borrowed(_)
         ));
         assert!(matches!(
-            decode_attr("plain value", 0).unwrap(),
+            decode("plain value", 0, true).unwrap(),
             Cow::Borrowed(_)
         ));
         // Dirty input allocates exactly once.
-        assert!(matches!(decode_text("a&amp;b", 0).unwrap(), Cow::Owned(_)));
-        assert!(matches!(decode_attr("a\tb", 0).unwrap(), Cow::Owned(_)));
+        assert!(matches!(
+            decode("a&amp;b", 0, false).unwrap(),
+            Cow::Owned(_)
+        ));
+        assert!(matches!(decode("a\tb", 0, true).unwrap(), Cow::Owned(_)));
     }
 
     /// Every event of a document, names rendered `{uri}local`.
@@ -684,6 +670,20 @@ mod tests {
             trace("<a q:k=\"v\"/>"),
             Err(XmlError::UnboundPrefix { .. })
         ));
+        // A second attribute with the same expanded name, at its start tag.
+        for doc in [
+            "<a x='1' x='2'><b></a>",
+            "<a xmlns:p='urn:x' xmlns:q='urn:x' p:k='1' q:k='2'/>",
+        ] {
+            assert!(matches!(
+                Reader::new(doc).next(),
+                Err(XmlError::Parse { offset: 0, .. })
+            ));
+        }
+        assert_eq!(
+            trace("<a xmlns:p='urn:x' xmlns:q='urn:y' p:k='1' q:k='2' k='3'/>").unwrap()[0],
+            "<{}a {urn:x}k=1 {urn:y}k=2 {}k=3"
+        );
         assert!(trace("<a/><b/>").is_err());
         assert!(trace("<a>").is_err());
         assert!(trace("").is_err());

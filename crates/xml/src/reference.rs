@@ -273,10 +273,14 @@ impl<'a> Parser<'a> {
         let name = self.resolve(raw_name, scope, true, open_pos)?;
         let mut attrs = Vec::with_capacity(raw_attrs.len());
         for (raw, value) in raw_attrs {
-            attrs.push(Attribute {
-                name: self.resolve(raw, scope, false, open_pos)?,
-                value,
-            });
+            let name = self.resolve(raw, scope, false, open_pos)?;
+            if attrs.iter().any(|a: &Attribute| a.name == name) {
+                return Err(XmlError::parse(
+                    open_pos,
+                    format!("duplicate attribute `{raw}`"),
+                ));
+            }
+            attrs.push(Attribute { name, value });
         }
         Ok(Element {
             name,

@@ -118,6 +118,13 @@ fn corner_case_corpus_is_equivalent() {
         "<a>&#;</a>",
         "<a>&</a>",
         "<a>trailing&",
+        // Character references outside XML 1.0 `Char` are rejected…
+        "<a>&#0;</a>",
+        "<a>&#x1;</a>",
+        "<a>&#xFFFE;</a>",
+        "<a b=\"&#xFFFF;\"/>",
+        // …its edges are not.
+        "<a b=\"&#x20;&#xD7FF;\">&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>",
         // EOL normalisation in text, whitespace normalisation in attributes.
         "<a>line1\r\nline2\rline3\nline4</a>",
         "<a b=\"v1\r\nv2\rv3\nv4\tv5\"/>",
@@ -137,7 +144,11 @@ fn corner_case_corpus_is_equivalent() {
         "",
         "   ",
         "<a/><b/>",
+        // A second attribute with the same expanded name, however spelt.
         "<a b=\"1\" b=\"2\"/>",
+        "<a x='1' x='2'/>",
+        "<a xmlns:p='urn:x' xmlns:q='urn:x' p:k='1' q:k='2'/>",
+        "<a xmlns:p='urn:x' xmlns:q='urn:y' p:k='1' q:k='2' k='3'/>",
         "<a b=1/>",
         "<a b/>",
         "< a/>",
