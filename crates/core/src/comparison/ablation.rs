@@ -15,6 +15,8 @@ use ogsa_wsn::{
 };
 use ogsa_xml::Element;
 
+use super::Stack;
+
 /// One ablation result: the same measurement with a mechanism on and off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ablation {
@@ -99,19 +101,12 @@ pub fn notify_transport(iterations: usize) -> Ablation {
     let measure = |tcp: bool| -> f64 {
         let tb = Testbed::calibrated();
         let container = tb.container("host-a", SecurityPolicy::None);
-        let api: Box<dyn CounterApi> = if tcp {
-            Box::new(TransferCounter::deploy(&container).client(tb.client(
-                "host-b",
-                "CN=a",
-                SecurityPolicy::None,
-            )))
-        } else {
-            Box::new(WsrfCounter::deploy(&container).client(tb.client(
-                "host-b",
-                "CN=a",
-                SecurityPolicy::None,
-            )))
-        };
+        let stack = if tcp { Stack::Transfer } else { Stack::Wsrf };
+        let api = stack.deploy_counter(&container).client(tb.client(
+            "host-b",
+            "CN=a",
+            SecurityPolicy::None,
+        ));
         let c = api.create().unwrap();
         let waiter = api.subscribe(&c).unwrap();
         api.set(&c, 0).unwrap();

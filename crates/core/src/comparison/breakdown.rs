@@ -18,8 +18,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use ogsa_container::Testbed;
-use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
-use ogsa_gridbox::{GridScenario, TransferGrid, WsrfGrid};
+use ogsa_gridbox::{run_job, JobStep};
 use ogsa_telemetry::analysis::self_time_breakdown;
 use ogsa_telemetry::{SpanRecord, Telemetry};
 
@@ -127,10 +126,7 @@ fn counter_one(config: HelloConfig, stack: Stack, out: &mut BreakdownRun) {
     tb.network().set_synchronous_oneways(true);
     let container = tb.container("host-a", config.policy);
     let agent = tb.client("host-b", USER, config.policy);
-    let api: Box<dyn CounterApi> = match stack {
-        Stack::Wsrf => Box::new(WsrfCounter::deploy(&container).client(agent)),
-        Stack::Transfer => Box::new(TransferCounter::deploy(&container).client(agent)),
-    };
+    let api = stack.deploy_counter(&container).client(agent);
 
     // Warm-up: connections, TLS sessions, one trip down each path.
     let warm = api.create().expect("warm create");
@@ -192,28 +188,9 @@ pub fn grid_breakdown(config: GridConfig) -> BreakdownRun {
 }
 
 fn grid_one(config: GridConfig, stack: Stack, out: &mut BreakdownRun) {
-    use super::grid::OPERATIONS;
-
     let tb = Testbed::calibrated();
     tb.network().set_synchronous_oneways(true);
-    let hosts = ["site-a", "site-b"];
-    let apps = ["blast"];
-    let users = [USER];
-
-    enum Grid {
-        Wsrf(WsrfGrid),
-        Transfer(TransferGrid),
-    }
-    let grid = match stack {
-        Stack::Wsrf => Grid::Wsrf(WsrfGrid::deploy(&tb, config.policy, &hosts, &apps, &users)),
-        Stack::Transfer => Grid::Transfer(TransferGrid::deploy(
-            &tb,
-            config.policy,
-            &hosts,
-            &apps,
-            &users,
-        )),
-    };
+    let grid = stack.deploy_grid(&tb, config.policy, &[USER]);
 
     let tel = tb.telemetry().clone();
     let n = config.iterations.max(1);
@@ -223,50 +200,27 @@ fn grid_one(config: GridConfig, stack: Stack, out: &mut BreakdownRun) {
     let mut automatic_unreserve = false;
 
     for iter in 0..n + 1 {
-        let agent = tb.client("client-1", USER, config.policy);
-        let mut scenario: Box<dyn GridScenario> = match &grid {
-            Grid::Wsrf(g) => Box::new(g.scenario(agent)),
-            Grid::Transfer(g) => Box::new(g.scenario(agent)),
-        };
-
+        let mut scenario = grid.scenario(tb.client("client-1", USER, config.policy));
         // Iteration 0 is warm-up (connection + TLS establishment).
         let warmup = iter == 0;
-        let mut step = |slot: usize, f: &mut dyn FnMut()| {
-            tel.clear_spans();
-            let m0 = tb.network().stats().messages();
-            let t0 = tb.clock().now();
-            f();
-            if !warmup {
-                totals[slot] += tb.clock().now().since(t0).as_millis();
-                msgs[slot] += (tb.network().stats().messages() - m0) as f64;
-                let spans = tel.take_spans();
+        tel.clear_spans();
+        let mut m0 = tb.network().stats().messages();
+        let mut t0 = tb.clock().now();
+        run_job(&mut *scenario, &config.plan, |step| {
+            let (m, t) = (tb.network().stats().messages(), tb.clock().now());
+            let spans = tel.take_spans();
+            // Driving the job to completion is not a measured operation.
+            if let (false, JobStep::Operation(slot)) = (warmup, step) {
+                totals[slot] += t.since(t0).as_millis();
+                msgs[slot] += (m - m0) as f64;
                 for (k, v) in self_time_breakdown(&spans).self_time {
                     *comps[slot].entry(k).or_insert(0.0) += v.as_millis();
                 }
                 out.spans.extend(spans);
             }
-        };
-
-        step(0, &mut || {
-            scenario.get_available_resource("blast").expect("discover")
-        });
-        step(1, &mut || scenario.make_reservation().expect("reserve"));
-        step(2, &mut || {
-            scenario
-                .upload_file("input.dat", config.file_bytes)
-                .expect("upload")
-        });
-        step(3, &mut || {
-            scenario
-                .instantiate_job(config.job_runtime)
-                .expect("instantiate")
-        });
-        // Drive the job to completion between the measured steps.
-        scenario.finish_job(WAIT).expect("finish job");
-        step(4, &mut || {
-            scenario.delete_file("input.dat").expect("delete")
-        });
-        step(5, &mut || scenario.unreserve_resource().expect("unreserve"));
+            (m0, t0) = (m, t);
+        })
+        .expect("Figure 6 flow");
         automatic_unreserve = scenario.unreserve_is_automatic();
     }
 
@@ -276,7 +230,7 @@ fn grid_one(config: GridConfig, stack: Stack, out: &mut BreakdownRun) {
         comps[5].clear();
     }
 
-    for (i, operation) in OPERATIONS.iter().enumerate() {
+    for (i, operation) in super::grid::OPERATIONS.iter().enumerate() {
         out.rows.push(OpBreakdown {
             operation,
             stack,

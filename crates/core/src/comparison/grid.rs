@@ -5,26 +5,16 @@
 //! influencing the performance of individual operations is the number of
 //! web service outcalls (and message signings) triggered on the server".
 
-use std::time::Duration;
-
 use ogsa_container::Testbed;
-use ogsa_gridbox::{GridScenario, TransferGrid, WsrfGrid};
+use ogsa_gridbox::{run_job, JobPlan, JobStep};
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::SimDuration;
 
 use super::Stack;
 
 /// The six measured operations, in the paper's order.
-pub const OPERATIONS: [&str; 6] = [
-    "Get Available Resource",
-    "Make Reservation",
-    "Upload File",
-    "Instantiate Job",
-    "Delete File",
-    "Unreserve Resource",
-];
+pub use ogsa_gridbox::OPERATIONS;
 
-const WAIT: Duration = Duration::from_secs(5);
 const USER: &str = "CN=alice,O=UVA-VO";
 
 /// One bar of Figure 6.
@@ -41,10 +31,8 @@ pub struct GridRow {
 pub struct GridConfig {
     pub policy: SecurityPolicy,
     pub iterations: usize,
-    /// Size of the staged input file.
-    pub file_bytes: usize,
-    /// Scripted runtime of the submitted job.
-    pub job_runtime: SimDuration,
+    /// The job every iteration submits.
+    pub plan: JobPlan,
 }
 
 impl Default for GridConfig {
@@ -52,8 +40,10 @@ impl Default for GridConfig {
         GridConfig {
             policy: SecurityPolicy::X509Sign,
             iterations: 8,
-            file_bytes: 24 * 1024,
-            job_runtime: SimDuration::from_millis(2000.0),
+            plan: JobPlan {
+                file_bytes: 24 * 1024,
+                runtime: SimDuration::from_millis(2000.0),
+            },
         }
     }
 }
@@ -69,73 +59,29 @@ pub fn run(config: GridConfig) -> Vec<GridRow> {
 
 fn run_one(config: GridConfig, stack: Stack) -> Vec<GridRow> {
     let tb = Testbed::calibrated();
-    let hosts = ["site-a", "site-b"];
-    let apps = ["blast"];
-    let users = [USER];
+    let grid = stack.deploy_grid(&tb, config.policy, &[USER]);
 
-    // Deploy the VO, then run the full user flow `iterations` times,
-    // timing each step against the virtual clock.
-    enum Grid {
-        Wsrf(WsrfGrid),
-        Transfer(TransferGrid),
-    }
-    let grid = match stack {
-        Stack::Wsrf => Grid::Wsrf(WsrfGrid::deploy(&tb, config.policy, &hosts, &apps, &users)),
-        Stack::Transfer => Grid::Transfer(TransferGrid::deploy(
-            &tb,
-            config.policy,
-            &hosts,
-            &apps,
-            &users,
-        )),
-    };
-
+    // Run the full user flow `iterations` times, timing each step against
+    // the virtual clock.
     let clock = tb.clock().clone();
     let n = config.iterations.max(1);
     let mut totals = [0.0f64; 6];
 
     for iter in 0..n + 1 {
-        let agent = tb.client("client-1", USER, config.policy);
-        let mut scenario: Box<dyn GridScenario> = match &grid {
-            Grid::Wsrf(g) => Box::new(g.scenario(agent)),
-            Grid::Transfer(g) => Box::new(g.scenario(agent)),
-        };
-
+        let mut scenario = grid.scenario(tb.client("client-1", USER, config.policy));
         // Iteration 0 is warm-up (connection + TLS establishment).
         let warmup = iter == 0;
-        macro_rules! step {
-            ($slot:expr, $body:expr) => {{
-                let t = clock.now();
-                $body;
-                if !warmup {
-                    totals[$slot] += clock.now().since(t).as_millis();
-                }
-            }};
-        }
-
-        step!(
-            0,
-            scenario.get_available_resource("blast").expect("discover")
-        );
-        step!(1, scenario.make_reservation().expect("reserve"));
-        step!(
-            2,
-            scenario
-                .upload_file("input.dat", config.file_bytes)
-                .expect("upload")
-        );
-        step!(
-            3,
-            scenario
-                .instantiate_job(config.job_runtime)
-                .expect("instantiate")
-        );
-        // Drive the job to completion between the measured steps (not a
-        // Figure 6 operation).
-        scenario.finish_job(WAIT).expect("finish job");
-        step!(4, scenario.delete_file("input.dat").expect("delete"));
+        let mut t = clock.now();
+        run_job(&mut *scenario, &config.plan, |step| {
+            let now = clock.now();
+            // Driving the job to completion is not a Figure 6 operation.
+            if let (false, JobStep::Operation(slot)) = (warmup, step) {
+                totals[slot] += now.since(t).as_millis();
+            }
+            t = now;
+        })
+        .expect("Figure 6 flow");
         // Unreserve: automatic (free) on WSRF, one Put on WS-Transfer.
-        step!(5, scenario.unreserve_resource().expect("unreserve"));
         if scenario.unreserve_is_automatic() {
             totals[5] = 0.0;
         }

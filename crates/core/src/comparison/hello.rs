@@ -8,7 +8,6 @@
 use std::time::Duration;
 
 use ogsa_container::Testbed;
-use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
 use ogsa_security::SecurityPolicy;
 use ogsa_transport::Deployment;
 
@@ -70,10 +69,7 @@ fn run_one(config: HelloConfig, stack: Stack, deployment: Deployment) -> Vec<Hel
     let tb = Testbed::calibrated();
     let container = tb.container("host-a", config.policy);
     let agent = tb.client(client_host(deployment), "CN=alice,O=UVA-VO", config.policy);
-    let api: Box<dyn CounterApi> = match stack {
-        Stack::Wsrf => Box::new(WsrfCounter::deploy(&container).client(agent)),
-        Stack::Transfer => Box::new(TransferCounter::deploy(&container).client(agent)),
-    };
+    let api = stack.deploy_counter(&container).client(agent);
 
     // Warm-up: establish connections / TLS sessions, exercise each path
     // once (the paper measures steady state; socket caching is the whole

@@ -34,13 +34,13 @@
 //! stops being the bottleneck. That is the invariant the bench gate checks.
 
 use ogsa_container::Testbed;
-use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
-use ogsa_gridbox::{GridScenario, TransferGrid, WsrfGrid};
+use ogsa_counter::CounterApi;
+use ogsa_gridbox::{run_job, JobPlan};
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::SimDuration;
 use ogsa_xmldb::DbStats;
 
-use super::Stack;
+use super::{Stack, SITE_HOSTS};
 
 /// One cell of the throughput sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,25 +152,14 @@ fn counter_cell(
 ) -> ThroughputRow {
     let tb = Testbed::calibrated().with_shards(shards);
     let container = tb.container("host-a", config.policy);
-    enum Deployed {
-        Wsrf(WsrfCounter),
-        Transfer(TransferCounter),
-    }
-    let deployed = match stack {
-        Stack::Wsrf => Deployed::Wsrf(WsrfCounter::deploy(&container)),
-        Stack::Transfer => Deployed::Transfer(TransferCounter::deploy(&container)),
-    };
+    let deployed = stack.deploy_counter(&container);
     let apis: Vec<Box<dyn CounterApi>> = (0..clients)
         .map(|i| {
-            let agent = tb.client(
+            deployed.client(tb.client(
                 &format!("client-{i}"),
                 &format!("CN=client-{i},O=UVA-VO"),
                 config.policy,
-            );
-            match &deployed {
-                Deployed::Wsrf(d) => Box::new(d.client(agent)) as Box<dyn CounterApi>,
-                Deployed::Transfer(d) => Box::new(d.client(agent)),
-            }
+            ))
         })
         .collect();
 
@@ -221,8 +210,6 @@ const GRID_OPS_PER_FLOW: u64 = 6;
 
 fn gridbox_cell(stack: Stack, clients: usize, shards: usize) -> ThroughputRow {
     let tb = Testbed::calibrated().with_shards(shards);
-    let hosts = ["site-a", "site-b"];
-    let apps = ["blast"];
     // Figure 6's configuration: X.509-signed messages on every hop.
     let policy = SecurityPolicy::X509Sign;
     let users: Vec<String> = (0..clients)
@@ -230,19 +217,13 @@ fn gridbox_cell(stack: Stack, clients: usize, shards: usize) -> ThroughputRow {
         .collect();
     let user_refs: Vec<&str> = users.iter().map(String::as_str).collect();
 
-    enum Grid {
-        Wsrf(WsrfGrid),
-        Transfer(TransferGrid),
-    }
-    let grid = match stack {
-        Stack::Wsrf => Grid::Wsrf(WsrfGrid::deploy(&tb, policy, &hosts, &apps, &user_refs)),
-        Stack::Transfer => {
-            Grid::Transfer(TransferGrid::deploy(&tb, policy, &hosts, &apps, &user_refs))
-        }
-    };
+    let grid = stack.deploy_grid(&tb, policy, &user_refs);
 
     let clock = tb.clock().clone();
-    let site_stats: Vec<DbStats> = hosts.iter().map(|h| tb.db(h).stats().clone()).collect();
+    let site_stats: Vec<DbStats> = SITE_HOSTS
+        .iter()
+        .map(|h| tb.db(h).stats().clone())
+        .collect();
     let busy_before: Vec<Vec<u64>> = site_stats
         .iter()
         .map(|s| s.shard_busy_snapshot(shards))
@@ -251,27 +232,15 @@ fn gridbox_cell(stack: Stack, clients: usize, shards: usize) -> ThroughputRow {
     // Whole submission flows stay sequential (a reservation is exclusive
     // while its job runs), so the round-robin is at flow granularity: each
     // client runs one complete flow per round.
+    let plan = JobPlan {
+        file_bytes: 24 * 1024,
+        runtime: SimDuration::from_millis(200.0),
+    };
     let mut demand_us = vec![0u64; clients];
     for (c, user) in users.iter().enumerate() {
-        let agent = tb.client(&format!("client-{c}"), user, policy);
-        let mut scenario: Box<dyn GridScenario> = match &grid {
-            Grid::Wsrf(g) => Box::new(g.scenario(agent)),
-            Grid::Transfer(g) => Box::new(g.scenario(agent)),
-        };
+        let mut scenario = grid.scenario(tb.client(&format!("client-{c}"), user, policy));
         let t = clock.now();
-        scenario.get_available_resource("blast").expect("discover");
-        scenario.make_reservation().expect("reserve");
-        scenario
-            .upload_file("input.dat", 24 * 1024)
-            .expect("upload");
-        scenario
-            .instantiate_job(SimDuration::from_millis(200.0))
-            .expect("instantiate");
-        scenario
-            .finish_job(std::time::Duration::from_secs(5))
-            .expect("finish job");
-        scenario.delete_file("input.dat").expect("delete");
-        scenario.unreserve_resource().expect("unreserve");
+        run_job(&mut *scenario, &plan, |_| {}).expect("submission flow");
         demand_us[c] += clock.now().since(t).as_micros();
     }
 

@@ -70,3 +70,66 @@ pub trait GridScenario {
     /// the asynchronous job-exited notification. Returns the exit code.
     fn finish_job(&mut self, wait: Duration) -> Result<i32, ScenarioError>;
 }
+
+/// The six operations Figure 6 measures, in the paper's order.
+pub const OPERATIONS: [&str; 6] = [
+    "Get Available Resource",
+    "Make Reservation",
+    "Upload File",
+    "Instantiate Job",
+    "Delete File",
+    "Unreserve Resource",
+];
+
+/// What [`run_job`] reports as each step of the flow completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobStep {
+    /// The Figure 6 operation named by this index into [`OPERATIONS`].
+    Operation(usize),
+    /// The job was driven to completion and exited with this code — not an
+    /// operation of Figure 6.
+    Finished { exit_code: i32 },
+}
+
+/// What varies between one submission and the next; the application and
+/// the staged file's name do not.
+#[derive(Debug, Clone, Copy)]
+pub struct JobPlan {
+    /// Size of the staged input file.
+    pub file_bytes: usize,
+    /// Scripted runtime of the submitted job.
+    pub runtime: SimDuration,
+}
+
+const APPLICATION: &str = "blast";
+const INPUT_FILE: &str = "input.dat";
+/// Wall-clock safety net on the wait for the completion notification.
+const COMPLETION_WAIT: Duration = Duration::from_secs(10);
+
+/// One user's pass through the whole flow — discover, reserve, stage in,
+/// start, run to completion, clean up, release — on whichever stack
+/// `scenario` belongs to. `on_step` is called as each step completes, and
+/// nothing runs between that call and the next step: a harness that reads
+/// its clock (or drains its trace) there has timed exactly that step.
+/// Returns the job's exit code.
+pub fn run_job(
+    scenario: &mut dyn GridScenario,
+    plan: &JobPlan,
+    mut on_step: impl FnMut(JobStep),
+) -> Result<i32, ScenarioError> {
+    scenario.get_available_resource(APPLICATION)?;
+    on_step(JobStep::Operation(0));
+    scenario.make_reservation()?;
+    on_step(JobStep::Operation(1));
+    scenario.upload_file(INPUT_FILE, plan.file_bytes)?;
+    on_step(JobStep::Operation(2));
+    scenario.instantiate_job(plan.runtime)?;
+    on_step(JobStep::Operation(3));
+    let exit_code = scenario.finish_job(COMPLETION_WAIT)?;
+    on_step(JobStep::Finished { exit_code });
+    scenario.delete_file(INPUT_FILE)?;
+    on_step(JobStep::Operation(4));
+    scenario.unreserve_resource()?;
+    on_step(JobStep::Operation(5));
+    Ok(exit_code)
+}

@@ -24,7 +24,8 @@
 //!
 //! [`api::GridScenario`] is the uniform surface the Figure-6 harness
 //! measures: GetAvailableResource, MakeReservation, UploadFile,
-//! InstantiateJob, DeleteFile, UnreserveResource.
+//! InstantiateJob, DeleteFile, UnreserveResource. [`api::run_job`] names
+//! the flow through them once, for every harness, test and example.
 
 pub mod admin;
 pub mod api;
@@ -35,7 +36,7 @@ pub mod transfer_gib;
 pub mod wsrf_gib;
 
 pub use admin::{TransferAdminClient, WsrfAdminClient};
-pub use api::{GridScenario, ScenarioError};
+pub use api::{run_job, GridScenario, JobPlan, JobStep, ScenarioError, OPERATIONS};
 pub use hostfs::HostFs;
 pub use job::JobSpec;
 pub use procsim::{ProcStatus, ProcessTable};

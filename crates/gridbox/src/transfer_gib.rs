@@ -612,6 +612,9 @@ pub struct TransferGrid {
     pub allocation_epr: EndpointReference,
     pub sites: Vec<TransferSite>,
     admin: ClientAgent,
+    /// Names each scenario's event consumer endpoint; per grid, so that a
+    /// run does not depend on what the process ran before it.
+    consumer_seq: AtomicU64,
 }
 
 impl TransferGrid {
@@ -743,6 +746,7 @@ impl TransferGrid {
             allocation_epr,
             sites,
             admin,
+            consumer_seq: AtomicU64::new(0),
         }
     }
 
@@ -893,12 +897,11 @@ impl GridScenario for TransferGridScenario<'_> {
         let exec = EndpointReference::service(site.exec_address.clone());
 
         // Client call 1: subscribe (filtered to this user's jobs).
-        static CONSUMER_SEQ: AtomicU64 = AtomicU64::new(0);
         let consumer = EventConsumer::listen(
             &self.agent,
             &format!(
                 "/gib-events/{}",
-                CONSUMER_SEQ.fetch_add(1, Ordering::Relaxed)
+                self.grid.consumer_seq.fetch_add(1, Ordering::Relaxed)
             ),
         );
         let req = SubscribeRequest::new(consumer.epr().clone())

@@ -19,6 +19,7 @@
 //!   dominate Figure 6's InstantiateJob); job exit raises a
 //!   WS-Notification carrying the job EPR.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -559,6 +560,11 @@ pub struct WsrfGrid {
     pub reservation_epr: EndpointReference,
     pub sites: Vec<WsrfSite>,
     admin: ClientAgent,
+    /// Names each scenario's notification consumer endpoint. Per grid, not
+    /// per process: the endpoint's address travels in signed messages, so
+    /// its length is charged for, and a run must not depend on what the
+    /// process ran before it.
+    consumer_seq: AtomicU64,
 }
 
 impl WsrfGrid {
@@ -693,6 +699,7 @@ impl WsrfGrid {
             reservation_epr,
             sites,
             admin,
+            consumer_seq: AtomicU64::new(0),
         }
     }
 
@@ -851,12 +858,11 @@ impl GridScenario for WsrfGridScenario<'_> {
             .ok_or_else(|| ScenarioError::State("no data directory".into()))?;
 
         // Client call 1: subscribe to the job-exited topic.
-        static CONSUMER_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let consumer = NotificationConsumer::listen(
             &self.agent,
             &format!(
                 "/gib-notify/{}",
-                CONSUMER_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                self.grid.consumer_seq.fetch_add(1, Ordering::Relaxed)
             ),
         );
         let req = SubscribeRequest::new(

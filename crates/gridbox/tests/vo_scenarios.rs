@@ -1,10 +1,13 @@
 //! Full Grid-in-a-Box scenarios against both VO implementations: the
 //! Figure-5 flow end to end, plus the qualitative behaviours §4.2 calls out.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ogsa_container::{InvokeError, Testbed};
-use ogsa_gridbox::{GridScenario, ScenarioError, TransferGrid, WsrfGrid};
+use ogsa_gridbox::{
+    run_job, GridScenario, JobPlan, JobStep, ScenarioError, TransferGrid, WsrfGrid,
+};
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::SimDuration;
 
@@ -15,15 +18,16 @@ const ALICE: &str = "CN=alice,O=UVA-VO";
 const BOB: &str = "CN=bob,O=UVA-VO";
 
 fn run_full_flow(s: &mut dyn GridScenario) {
-    s.get_available_resource("blast").expect("discover");
-    s.make_reservation().expect("reserve");
-    s.upload_file("input.dat", 8 * 1024).expect("upload");
-    s.instantiate_job(SimDuration::from_millis(500.0))
-        .expect("start");
-    let exit = s.finish_job(WAIT).expect("finish");
-    assert_eq!(exit, 0);
-    s.delete_file("input.dat").expect("delete file");
-    s.unreserve_resource().expect("unreserve");
+    let plan = JobPlan {
+        file_bytes: 8 * 1024,
+        runtime: SimDuration::from_millis(500.0),
+    };
+    let mut steps = Vec::new();
+    let exit_code = run_job(s, &plan, |step| steps.push(step)).expect("the whole flow");
+    assert_eq!(exit_code, 0);
+    let mut expected: Vec<_> = (0..6).map(JobStep::Operation).collect();
+    expected.insert(4, JobStep::Finished { exit_code: 0 });
+    assert_eq!(steps, expected);
 }
 
 #[test]
@@ -247,4 +251,54 @@ fn exit_codes_propagate_through_notifications() {
     // via a second job created with a custom spec.
     s.instantiate_job(SimDuration::from_millis(5.0)).unwrap();
     assert_eq!(s.finish_job(WAIT).unwrap(), 0);
+}
+
+/// The consumer address in every Subscribe that `flow` sends to `services`.
+fn consumer_addresses(
+    tb: &Testbed,
+    services: &[&ogsa_addressing::EndpointReference],
+    flow: impl FnOnce(),
+) -> Vec<String> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    for service in services {
+        let net = tb.network();
+        let inner = net.handler_for(&service.address).expect("service bound");
+        let seen = seen.clone();
+        net.bind(
+            &service.address,
+            Arc::new(move |req: ogsa_soap::Envelope| {
+                if &*req.body.name.local == "Subscribe" {
+                    let consumer = req.body.find_local("Address").expect("a consumer EPR");
+                    seen.lock().unwrap().push(consumer.text());
+                }
+                inner(req)
+            }),
+        );
+    }
+    flow();
+    let addresses = seen.lock().unwrap().clone();
+    addresses
+}
+
+/// A scenario's consumer endpoint travels in signed, per-KB-charged
+/// messages, so its name must come from the testbed it runs in — not from
+/// how many scenarios this process happened to run before.
+#[test]
+fn fresh_testbeds_hand_their_first_scenario_the_same_consumer_epr() {
+    let wsrf = || {
+        let tb = Testbed::free();
+        let grid = WsrfGrid::deploy(&tb, SecurityPolicy::None, &["site-a"], APPS, &[ALICE]);
+        let mut s = grid.scenario(tb.client("client-1", ALICE, SecurityPolicy::None));
+        consumer_addresses(&tb, &[&grid.sites[0].exec_epr], || run_full_flow(&mut s))
+    };
+    let transfer = || {
+        let tb = Testbed::free();
+        let grid = TransferGrid::deploy(&tb, SecurityPolicy::None, &["site-a"], APPS, &[ALICE]);
+        let mut s = grid.scenario(tb.client("client-1", ALICE, SecurityPolicy::None));
+        consumer_addresses(&tb, &[&grid.sites[0].events_epr], || run_full_flow(&mut s))
+    };
+    for (first, second) in [(wsrf(), wsrf()), (transfer(), transfer())] {
+        assert_eq!(first.len(), 1, "one Subscribe per job: {first:?}");
+        assert_eq!(first, second);
+    }
 }

@@ -18,7 +18,7 @@ use std::cell::Cell;
 use ogsa_sim::{CostModel, VirtualClock};
 use ogsa_soap::security::hex32;
 use ogsa_soap::{Envelope, SecurityHeader, SignedBlock};
-use ogsa_xml::{canonicalize_into, ns, CanonSink};
+use ogsa_xml::{canonicalize_into, ns, Sink};
 
 use crate::cert::{CertStore, Certificate, Identity};
 use crate::sha256::Sha256;
@@ -67,7 +67,15 @@ impl ShaSink {
         self.len = 0;
     }
 
-    fn update(&mut self, bytes: &[u8]) {
+    fn finalize(mut self) -> [u8; 32] {
+        self.flush();
+        self.hasher.finalize()
+    }
+}
+
+impl Sink for ShaSink {
+    fn push_str(&mut self, s: &str) {
+        let bytes = s.as_bytes();
         if self.len + bytes.len() > self.buf.len() {
             self.flush();
             if bytes.len() >= self.buf.len() {
@@ -77,17 +85,6 @@ impl ShaSink {
         }
         self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
         self.len += bytes.len();
-    }
-
-    fn finalize(mut self) -> [u8; 32] {
-        self.flush();
-        self.hasher.finalize()
-    }
-}
-
-impl CanonSink for ShaSink {
-    fn push_str(&mut self, s: &str) {
-        self.update(s.as_bytes());
     }
 }
 

@@ -108,3 +108,38 @@ fn text_that_needs_escaping_costs_no_more_allocations_than_clean_text() {
     let dirty = round_trip_allocations(&request("some <&>t of a plausible length"));
     assert!(dirty <= clean, "{dirty} allocations dirty, {clean} clean");
 }
+
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Writing never sizes its buffer first: into a warm buffer it allocates
+/// what pricing the message allocates — the prefix assignment, nothing for
+/// the bytes — and `to_wire()` adds exactly the one `String` it returns.
+#[test]
+fn writing_allocates_only_the_string_it_returns() {
+    let store = CertStore::new();
+    let identity = store.authority("CN=UVA-CA").issue("CN=alice,O=UVA-VO");
+    let mut env = request("some <&>t of a plausible length");
+    sign_envelope(
+        &mut env,
+        &identity,
+        &VirtualClock::new(),
+        &CostModel::calibrated_2005(),
+    );
+    // Warm: the pool `to_wire()` writes through, and the caller's buffer.
+    let mut wire = env.to_wire();
+
+    let priced = allocations(|| assert_eq!(env.wire_size(), wire.len()));
+    wire.clear();
+    let written = allocations(|| env.to_wire_into(&mut wire));
+    let mut owned = String::new();
+    let returned = allocations(|| owned = env.to_wire());
+    assert_eq!(owned, wire);
+    assert_eq!(written, priced, "the bytes themselves cost no allocation");
+    assert_eq!(returned, written + 1, "one `String`, at its final length");
+    assert_eq!(owned.capacity(), owned.len());
+}

@@ -13,7 +13,7 @@ mod oracle;
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityError};
 use ogsa_sim::{CostModel, VirtualClock};
 use ogsa_soap::{Envelope, SecurityHeader};
-use ogsa_xml::{ns, Element, QName};
+use ogsa_xml::{canonicalize, canonicalize_into, ns, ByteCount, Element, QName, Sink};
 use proptest::prelude::*;
 
 // ---- arbitrary envelopes × identities -----------------------------------
@@ -174,6 +174,35 @@ proptest! {
         prop_assert_eq!(verdict.is_ok(), signed);
     }
 
+    /// A sink is handed fragments, and where it puts them is its own
+    /// business: recorded one by one they are the bytes a `String` got —
+    /// from the envelope's writer (tree writer, declarations and template
+    /// together), from the template alone, and from the canonicaliser.
+    #[test]
+    fn any_sink_sees_the_bytes_a_string_does(
+        mut env in arb_envelope(),
+        subject in arb_text(),
+    ) {
+        let w = World::new();
+        w.sign(&mut env, &w.identity("CN=CA", &subject));
+        let wire = env.to_wire();
+
+        let mut fragments = Fragments::default();
+        env.write_wire(&mut fragments);
+        prop_assert_eq!(&fragments.0.concat(), &wire);
+
+        let block = env.security.as_ref().unwrap();
+        let mut fragments = Fragments::default();
+        block.write_into(&mut fragments);
+        let template = fragments.0.concat();
+        prop_assert_eq!(template.len(), ByteCount::of(|n| block.write_into(n)));
+        prop_assert_eq!(wire.matches(&template).count(), 1);
+
+        let mut fragments = Fragments::default();
+        canonicalize_into(&env.body, &mut fragments);
+        prop_assert_eq!(fragments.0.concat().into_bytes(), canonicalize(&env.body));
+    }
+
     #[test]
     fn taking_the_security_header_yields_the_tree_it_reads_as(
         mut env in arb_envelope(),
@@ -189,6 +218,16 @@ proptest! {
         prop_assert_eq!(taken, expected);
         prop_assert!(env.security.is_none());
         prop_assert_eq!(w.verify(&env), Err(SecurityError::NotSigned));
+    }
+}
+
+/// Keeps every fragment as it arrived.
+#[derive(Default)]
+struct Fragments(Vec<String>);
+
+impl Sink for Fragments {
+    fn push_str(&mut self, s: &str) {
+        self.0.push(s.to_owned());
     }
 }
 

@@ -1,9 +1,9 @@
 //! The SOAP envelope: header blocks plus exactly one body element.
 
-use ogsa_xml::writer::{subtree_len, write_subtree_into};
+use ogsa_xml::writer::write_subtree_into;
 use ogsa_xml::{
-    build_subtree, parse, Element, Event, Prefixes, PrefixesBuilder, QName, Reader, XmlError,
-    XmlResult, XML_DECL,
+    build_subtree, collect_pooled, parse, ByteCount, Element, Event, Prefixes, PrefixesBuilder,
+    QName, Reader, Sink, XmlError, XmlResult, XML_DECL,
 };
 
 use crate::fault::Fault;
@@ -78,51 +78,54 @@ impl Envelope {
 
     /// Serialise to the wire (document string).
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        self.to_wire_into(&mut out);
-        out
+        collect_pooled(|out| self.write_wire(out))
     }
 
-    /// Serialise to the wire into an existing buffer, writing the
-    /// `<soap:Envelope>`/`<soap:Header>`/`<soap:Body>` wrappers by hand
-    /// around the *borrowed* header and body subtrees and the security
-    /// block's template. These are the bytes the generic writer gives for
-    /// the same message built as one tree (same URI set, so the same
-    /// deterministic prefix assignment).
+    /// Serialise to the wire into an existing buffer: [`Envelope::write_wire`]
+    /// under the signature a `PooledString` dereferences to.
     pub fn to_wire_into(&self, out: &mut String) {
+        self.write_wire(out);
+    }
+
+    /// Wire size in bytes — the quantity the transport's bandwidth and
+    /// signing cost models consume: the wire form written into a counter,
+    /// so it is `to_wire().len()` by construction and nothing is
+    /// serialised.
+    pub fn wire_size(&self) -> usize {
+        ByteCount::of(|n| self.write_wire(n))
+    }
+
+    /// The wire form, into any sink: the `<soap:Envelope>`/`<soap:Header>`/
+    /// `<soap:Body>` wrappers written by hand around the *borrowed* header
+    /// and body subtrees and the security block's template. These are the
+    /// bytes the generic writer gives for the same message built as one
+    /// tree (same URI set, so the same deterministic prefix assignment).
+    pub fn write_wire<S: Sink>(&self, out: &mut S) {
         let p = self.wire_prefixes();
         let sp = p.prefix_for(&vocab().soap);
-        out.reserve(XML_DECL.len() + self.envelope_len(&p, sp));
-        out.push_str(XML_DECL);
-        out.push('<');
-        out.push_str(sp);
-        out.push_str(":Envelope");
-        p.write_declarations(out);
-        out.push('>');
-        if self.has_header_element() {
-            out.push('<');
+        let tag = |out: &mut S, open: &str, name: &str| {
+            out.push_str(open);
             out.push_str(sp);
-            out.push_str(":Header>");
+            out.push_str(name);
+        };
+        out.push_str(XML_DECL);
+        tag(out, "<", ":Envelope");
+        p.write_declarations(out);
+        out.push_str(">");
+        if self.has_header_element() {
+            tag(out, "<", ":Header>");
             for h in &self.headers {
                 write_subtree_into(h, &p, out);
             }
             if let Some(security) = &self.security {
                 security.write_into(out);
             }
-            out.push_str("</");
-            out.push_str(sp);
-            out.push_str(":Header>");
+            tag(out, "</", ":Header>");
         }
-        out.push('<');
-        out.push_str(sp);
-        out.push_str(":Body>");
+        tag(out, "<", ":Body>");
         write_subtree_into(&self.body, &p, out);
-        out.push_str("</");
-        out.push_str(sp);
-        out.push_str(":Body>");
-        out.push_str("</");
-        out.push_str(sp);
-        out.push_str(":Envelope>");
+        tag(out, "</", ":Body>");
+        tag(out, "</", ":Envelope>");
     }
 
     fn has_header_element(&self) -> bool {
@@ -157,26 +160,6 @@ impl Envelope {
             "a preferred prefix was displaced"
         );
         p
-    }
-
-    /// Counting twin of [`Envelope::to_wire_into`] (everything after the
-    /// XML declaration) — must mirror it byte-for-byte.
-    fn envelope_len(&self, p: &Prefixes, sp: &str) -> usize {
-        // `<sp:Envelope` + declarations + `>` ... `</sp:Envelope>`
-        let mut n = 1 + sp.len() + 9 + p.declarations_len() + 1 + 2 + sp.len() + 9 + 1;
-        if self.has_header_element() {
-            // `<sp:Header>` + `</sp:Header>`
-            n += 1 + sp.len() + 7 + 1 + 2 + sp.len() + 7 + 1;
-            for h in &self.headers {
-                n += subtree_len(h, p);
-            }
-            if let Some(security) = &self.security {
-                n += security.wire_len();
-            }
-        }
-        // `<sp:Body>` + `</sp:Body>`
-        n += 1 + sp.len() + 5 + 1 + 2 + sp.len() + 5 + 1;
-        n + subtree_len(&self.body, p)
     }
 
     /// Parse an envelope off the wire, straight from the reader's events:
@@ -230,16 +213,6 @@ impl Envelope {
             body,
             security,
         })
-    }
-
-    /// Wire size in bytes — the quantity the transport's bandwidth and
-    /// signing cost models consume. Counted exactly (same figure as
-    /// `to_wire().len()`, bit-for-bit, so every virtual-time charge is
-    /// unchanged) without serialising anything.
-    pub fn wire_size(&self) -> usize {
-        let p = self.wire_prefixes();
-        let sp = p.prefix_for(&vocab().soap);
-        XML_DECL.len() + self.envelope_len(&p, sp)
     }
 }
 

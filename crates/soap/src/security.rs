@@ -5,9 +5,9 @@
 //! `BinarySecurityToken`, and a `ds:Signature` over two digests. So it is
 //! not an [`Element`](ogsa_xml::Element) tree. An [`Envelope`](crate::Envelope)
 //! holds its nine variable values in a [`SignedBlock`]; the wire form is
-//! written and priced from a fixed template ([`SecurityHeader::write_into`],
-//! [`SecurityHeader::wire_len`]) and read back straight off the pull reader
-//! ([`read_security`]) without building a node.
+//! written — into a buffer, or into a counter to price it — from a fixed
+//! template ([`SecurityHeader::write_into`]) and read back straight off the
+//! pull reader ([`read_security`]) without building a node.
 //!
 //! The accepted grammar is exactly what the template writes — same elements,
 //! same order, no attributes but the two `URI`s, no character data between
@@ -18,8 +18,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use ogsa_xml::escape::{escape_text_into, escaped_text_len};
-use ogsa_xml::{Event, Reader, XmlError, XmlResult};
+use ogsa_xml::{escape_runs, Event, Reader, Sink, XmlError, XmlResult};
 
 use crate::vocab::vocab;
 
@@ -83,22 +82,12 @@ const SEAMS: [&str; 10] = [
     "</ds:KeyName></ds:KeyInfo></ds:Signature></wsse:Security>",
 ];
 
-const fn seams_len() -> usize {
-    let mut n = 0;
-    let mut i = 0;
-    while i < SEAMS.len() {
-        n += SEAMS[i].len();
-        i += 1;
-    }
-    n
-}
-
 const MALFORMED_WIRE: &str = "<wsse:Security/>";
 
 impl SecurityHeader {
-    /// Append the block's wire form. The enclosing envelope must declare
-    /// the `wsse`, `wsu` and `ds` prefixes (`wsse` alone when malformed).
-    pub fn write_into(&self, out: &mut String) {
+    /// Write the block's wire form. The enclosing envelope must declare the
+    /// `wsse`, `wsu` and `ds` prefixes (`wsse` alone when malformed).
+    pub fn write_into<S: Sink>(&self, out: &mut S) {
         let b = match self {
             SecurityHeader::Signed(b) => b,
             SecurityHeader::Malformed(_) => return out.push_str(MALFORMED_WIRE),
@@ -106,13 +95,13 @@ impl SecurityHeader {
         out.push_str(SEAMS[0]);
         push_decimal(b.created, out);
         out.push_str(SEAMS[1]);
-        escape_text_into(&b.certificate.subject_dn, out);
+        escape_runs(&b.certificate.subject_dn, false, out);
         out.push_str(SEAMS[2]);
-        escape_text_into(&b.certificate.issuer_dn, out);
+        escape_runs(&b.certificate.issuer_dn, false, out);
         out.push_str(SEAMS[3]);
         push_decimal(b.certificate.serial, out);
         out.push_str(SEAMS[4]);
-        escape_text_into(&b.certificate.key_id, out);
+        escape_runs(&b.certificate.key_id, false, out);
         out.push_str(SEAMS[5]);
         push_hex(&b.body_digest, out);
         out.push_str(SEAMS[6]);
@@ -120,25 +109,8 @@ impl SecurityHeader {
         out.push_str(SEAMS[7]);
         push_hex(&b.signature_value, out);
         out.push_str(SEAMS[8]);
-        escape_text_into(&b.key_name, out);
+        escape_runs(&b.key_name, false, out);
         out.push_str(SEAMS[9]);
-    }
-
-    /// Exact byte length of [`SecurityHeader::write_into`]'s output.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            SecurityHeader::Signed(b) => {
-                seams_len()
-                    + decimal_len(b.created)
-                    + escaped_text_len(&b.certificate.subject_dn)
-                    + escaped_text_len(&b.certificate.issuer_dn)
-                    + decimal_len(b.certificate.serial)
-                    + escaped_text_len(&b.certificate.key_id)
-                    + 3 * 64
-                    + escaped_text_len(&b.key_name)
-            }
-            SecurityHeader::Malformed(_) => MALFORMED_WIRE.len(),
-        }
     }
 }
 
@@ -154,7 +126,7 @@ pub fn hex32(bytes: &[u8; 32]) -> [u8; 64] {
     out
 }
 
-fn push_hex(bytes: &[u8; 32], out: &mut String) {
+fn push_hex<S: Sink>(bytes: &[u8; 32], out: &mut S) {
     out.push_str(std::str::from_utf8(&hex32(bytes)).expect("hex digits are ASCII"));
 }
 
@@ -179,11 +151,7 @@ fn unhex32(s: &str) -> Option<[u8; 32]> {
     Some(out)
 }
 
-fn decimal_len(n: u64) -> usize {
-    n.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
-fn push_decimal(mut n: u64, out: &mut String) {
+fn push_decimal<S: Sink>(mut n: u64, out: &mut S) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     loop {
@@ -407,6 +375,7 @@ impl<'a> Block<'_, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ogsa_xml::ByteCount;
 
     #[test]
     fn decimals_have_one_spelling() {
@@ -414,7 +383,7 @@ mod tests {
             let mut s = String::new();
             push_decimal(n, &mut s);
             assert_eq!(s, n.to_string());
-            assert_eq!(decimal_len(n), s.len());
+            assert_eq!(ByteCount::of(|c| push_decimal(n, c)), s.len());
             assert_eq!(undecimal(&s), Some(n));
         }
         for bad in [

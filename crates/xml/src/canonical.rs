@@ -7,31 +7,14 @@
 //! regardless of the prefixes the sender chose — which is exactly the
 //! property a signature digest needs.
 //!
-//! Canonicalisation streams through a [`CanonSink`], so a digest consumer
-//! can feed the bytes straight into an incremental hash state without ever
+//! Canonicalisation streams through a [`Sink`], so a digest consumer can
+//! feed the bytes straight into an incremental hash state without ever
 //! materialising the canonical `String` ([`canonicalize_into`]).
 
 use crate::escape::escape_runs;
-use crate::node::{Element, Node};
-
-/// A consumer of canonical output. The security layer implements this for
-/// its incremental SHA-256 state; [`String`] and `Vec<u8>` implementations
-/// cover buffering callers.
-pub trait CanonSink {
-    fn push_str(&mut self, s: &str);
-}
-
-impl CanonSink for String {
-    fn push_str(&mut self, s: &str) {
-        String::push_str(self, s);
-    }
-}
-
-impl CanonSink for Vec<u8> {
-    fn push_str(&mut self, s: &str) {
-        self.extend_from_slice(s.as_bytes());
-    }
-}
+use crate::node::{Attribute, Element, Node};
+use crate::writer::Sink;
+use crate::QName;
 
 /// Canonical byte representation of the subtree rooted at `e`.
 pub fn canonicalize(e: &Element) -> Vec<u8> {
@@ -45,8 +28,9 @@ pub fn canonicalize(e: &Element) -> Vec<u8> {
 /// four parts (`<` `{` uri `}` local) rather than formatted into a
 /// temporary, and text reaches the sink as borrowed slices — clean run,
 /// entity, clean run — so a text node holding one `&` costs no `String`.
-pub fn canonicalize_into(e: &Element, sink: &mut dyn CanonSink) {
-    open_name(e, sink);
+pub fn canonicalize_into<S: Sink>(e: &Element, sink: &mut S) {
+    sink.push_str("<");
+    clark_name(&e.name, sink);
     if e.attrs.len() > 1 {
         let mut attrs: Vec<_> = e.attrs.iter().collect();
         attrs.sort_by(|a, b| a.name.cmp(&b.name));
@@ -62,7 +46,7 @@ pub fn canonicalize_into(e: &Element, sink: &mut dyn CanonSink) {
     for c in &e.children {
         match c {
             Node::Element(child) => canonicalize_into(child, sink),
-            Node::Text(t) => escape_runs(t, false, |run| sink.push_str(run)),
+            Node::Text(t) => escape_runs(t, false, sink),
             Node::Comment(_) => {} // comments never participate in digests
         }
     }
@@ -71,12 +55,7 @@ pub fn canonicalize_into(e: &Element, sink: &mut dyn CanonSink) {
     sink.push_str(">");
 }
 
-fn open_name(e: &Element, sink: &mut dyn CanonSink) {
-    sink.push_str("<");
-    clark_name(&e.name, sink);
-}
-
-fn clark_name(name: &crate::QName, sink: &mut dyn CanonSink) {
+fn clark_name<S: Sink>(name: &QName, sink: &mut S) {
     if let Some(uri) = &name.ns {
         sink.push_str("{");
         sink.push_str(uri);
@@ -85,11 +64,11 @@ fn clark_name(name: &crate::QName, sink: &mut dyn CanonSink) {
     sink.push_str(&name.local);
 }
 
-fn push_attr(a: &crate::node::Attribute, sink: &mut dyn CanonSink) {
+fn push_attr<S: Sink>(a: &Attribute, sink: &mut S) {
     sink.push_str(" ");
     clark_name(&a.name, sink);
     sink.push_str("=\"");
-    escape_runs(&a.value, true, |run| sink.push_str(run));
+    escape_runs(&a.value, true, sink);
     sink.push_str("\"");
 }
 
@@ -147,7 +126,7 @@ mod tests {
     #[test]
     fn streaming_chunks_concatenate_to_the_buffered_form() {
         struct Chunks(Vec<String>);
-        impl CanonSink for Chunks {
+        impl Sink for Chunks {
             fn push_str(&mut self, s: &str) {
                 self.0.push(s.to_owned());
             }

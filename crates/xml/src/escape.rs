@@ -1,42 +1,19 @@
 //! Text and attribute escaping/unescaping.
 //!
-//! Escaping is on the hot path of every message serialisation, so both
-//! directions avoid allocating when the input needs no work (`Cow`), and
-//! every pass — writing, counting, canonicalising — finds the next special
-//! byte with the block search in [`crate::scan`] and takes the clean run
-//! before it as one slice: a clean 24 KB text node is one vectorised scan
-//! and one `memcpy`, not 24 000 trips round a `match`.
+//! Escaping is on the hot path of every message serialisation. There is one
+//! escaper, [`escape_runs`], and every pass — writing, counting,
+//! canonicalising — is that escaper over a different [`Sink`]: it finds the
+//! next special byte with the block search in [`crate::scan`] and hands the
+//! clean run before it over as one slice, so a clean 24 KB text node is one
+//! vectorised scan and one `memcpy`, not 24 000 trips round a `match`, and
+//! costs no intermediate `String` however dirty it is. Unescaping borrows
+//! when the input needs no work (`Cow`).
 
 use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
 use crate::scan::find_any;
-
-/// Escape character data (`<`, `&`, and `>` for robustness; `\r` as a
-/// character reference so it survives the parser's end-of-line
-/// normalisation).
-pub fn escape_text(s: &str) -> Cow<'_, str> {
-    escape(s, false)
-}
-
-/// Escape an attribute value (additionally `"`/`'`, and `\t`/`\n`/`\r` as
-/// character references — a conformant parser normalises literal whitespace
-/// in attribute values to spaces, so EPR reference properties containing
-/// newlines would otherwise fail to round-trip).
-pub fn escape_attr(s: &str) -> Cow<'_, str> {
-    escape(s, true)
-}
-
-/// Append escaped character data to `out` without building an intermediate
-/// `Cow` (serialisers already own a target buffer).
-pub fn escape_text_into(s: &str, out: &mut String) {
-    escape_runs(s, false, |run| out.push_str(run));
-}
-
-/// Append an escaped attribute value to `out`.
-pub fn escape_attr_into(s: &str, out: &mut String) {
-    escape_runs(s, true, |run| out.push_str(run));
-}
+use crate::writer::Sink;
 
 /// The bytes escaped in character data, and in attribute values: exactly
 /// those [`entity_for`] has a replacement for.
@@ -67,46 +44,23 @@ fn first_special(s: &str, attr: bool) -> Option<usize> {
     }
 }
 
-fn escape(s: &str, attr: bool) -> Cow<'_, str> {
-    match first_special(s, attr) {
-        None => Cow::Borrowed(s),
-        Some(first) => {
-            let mut out = String::with_capacity(s.len() + 8);
-            out.push_str(&s[..first]);
-            escape_runs(&s[first..], attr, |run| out.push_str(run));
-            Cow::Owned(out)
-        }
-    }
-}
-
-/// The escaped form of `s` as a sequence of slices — clean run, entity,
-/// clean run, … — handed to `push` in order. Every special byte is ASCII,
-/// so slicing at those positions always lands on a char boundary.
-pub(crate) fn escape_runs<'s>(s: &'s str, attr: bool, mut push: impl FnMut(&'s str)) {
+/// Push the escaped form of `s` into `out` as a sequence of slices — clean
+/// run, entity, clean run, … Character data (`attr` false) escapes `<`,
+/// `&`, `>` for robustness, and `\r` as a character reference so it
+/// survives the parser's end-of-line normalisation. An attribute value
+/// additionally escapes `"`/`'`, and `\t`/`\n` as character references — a
+/// conformant parser normalises literal whitespace in attribute values to
+/// spaces, so EPR reference properties containing newlines would otherwise
+/// fail to round-trip. Every special byte is ASCII, so slicing at those
+/// positions always lands on a char boundary.
+pub fn escape_runs<S: Sink>(s: &str, attr: bool, out: &mut S) {
     let mut rest = s;
     while let Some(i) = first_special(rest, attr) {
-        push(&rest[..i]);
-        push(entity_for(rest.as_bytes()[i]));
+        out.push_str(&rest[..i]);
+        out.push_str(entity_for(rest.as_bytes()[i]));
         rest = &rest[i + 1..];
     }
-    push(rest);
-}
-
-/// Length of [`escape_text`]'s output, without producing it — used by the
-/// counting serialiser that prices envelopes for the cost model.
-pub fn escaped_text_len(s: &str) -> usize {
-    escaped_len(s, false)
-}
-
-/// Length of [`escape_attr`]'s output, without producing it.
-pub fn escaped_attr_len(s: &str) -> usize {
-    escaped_len(s, true)
-}
-
-fn escaped_len(s: &str, attr: bool) -> usize {
-    let mut len = 0;
-    escape_runs(s, attr, |run| len += run.len());
-    len
+    out.push_str(rest);
 }
 
 /// Resolve the five predefined entities plus decimal/hex character
@@ -167,21 +121,49 @@ pub(crate) fn resolve_entity(s: &str, offset: usize) -> XmlResult<(char, usize)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writer::ByteCount;
 
-    #[test]
-    fn no_alloc_when_clean() {
-        assert!(matches!(escape_text("hello world"), Cow::Borrowed(_)));
-        assert!(matches!(unescape("hello", 0).unwrap(), Cow::Borrowed(_)));
+    fn escape_text(s: &str) -> String {
+        let mut out = String::new();
+        escape_runs(s, false, &mut out);
+        out
+    }
+
+    fn escape_attr(s: &str) -> String {
+        let mut out = String::new();
+        escape_runs(s, true, &mut out);
+        out
     }
 
     #[test]
-    fn clean_attr_input_borrows() {
-        // Attribute escaping has more special characters, but clean input
-        // must still avoid the allocation entirely.
-        assert!(matches!(escape_attr("plain value 123"), Cow::Borrowed(_)));
-        // Text-clean but attr-dirty input allocates only for attrs.
-        assert!(matches!(escape_text("a\tb\nc"), Cow::Borrowed(_)));
-        assert!(matches!(escape_attr("a\tb\nc"), Cow::Owned(_)));
+    fn no_alloc_when_clean() {
+        assert!(matches!(unescape("hello", 0).unwrap(), Cow::Borrowed(_)));
+    }
+
+    /// Clean input is handed on as it stands — one fragment, the input's
+    /// own bytes — and tabs and newlines are clean in text, not in
+    /// attribute values.
+    #[test]
+    fn clean_input_reaches_the_sink_as_one_borrowed_run() {
+        struct Runs(Vec<(*const u8, usize)>);
+        impl Sink for Runs {
+            fn push_str(&mut self, s: &str) {
+                self.0.push((s.as_ptr(), s.len()));
+            }
+        }
+        let runs = |s: &str, attr| {
+            let mut out = Runs(Vec::new());
+            escape_runs(s, attr, &mut out);
+            out.0
+        };
+        for (s, attr) in [
+            ("hello world", false),
+            ("plain value 123", true),
+            ("a\tb\nc", false),
+        ] {
+            assert_eq!(runs(s, attr), [(s.as_ptr(), s.len())], "{s:?}");
+        }
+        assert_eq!(runs("a\tb\nc", true).len(), 5);
     }
 
     #[test]
@@ -196,22 +178,20 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_cow_variants() {
+    fn every_sink_sees_the_same_escaped_bytes() {
         for s in ["", "clean", "a<b&c>d", "x\r\ny", "q\"u'o\tt\ne", "☃<snow>"] {
-            let mut t = String::from("pre|");
-            escape_text_into(s, &mut t);
-            assert_eq!(t, format!("pre|{}", escape_text(s)));
-            let mut a = String::from("pre|");
-            escape_attr_into(s, &mut a);
-            assert_eq!(a, format!("pre|{}", escape_attr(s)));
-        }
-    }
-
-    #[test]
-    fn escaped_len_matches_output_len() {
-        for s in ["", "clean", "a<b&c>d", "x\r\ny", "q\"u'o\tt\ne", "☃<snow>"] {
-            assert_eq!(escaped_text_len(s), escape_text(s).len(), "text {s:?}");
-            assert_eq!(escaped_attr_len(s), escape_attr(s).len(), "attr {s:?}");
+            for attr in [false, true] {
+                let mut text = String::from("pre|");
+                escape_runs(s, attr, &mut text);
+                let mut bytes = b"pre|".to_vec();
+                escape_runs(s, attr, &mut bytes);
+                assert_eq!(text.as_bytes(), bytes, "attr={attr} {s:?}");
+                assert_eq!(
+                    ByteCount::of(|n| escape_runs(s, attr, n)),
+                    text.len() - 4,
+                    "attr={attr} {s:?}"
+                );
+            }
         }
     }
 

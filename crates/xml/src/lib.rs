@@ -38,16 +38,18 @@ mod scan;
 pub mod writer;
 pub mod xpath;
 
-pub use canonical::{canonicalize, canonicalize_into, CanonSink};
+pub use canonical::{canonicalize, canonicalize_into};
 pub use error::{XmlError, XmlResult};
-pub use escape::{escape_attr, escape_text, unescape};
+pub use escape::{escape_runs, unescape};
 pub use name::{intern, interned_len, ns, QName, INTERN_CAPACITY};
 pub use node::{Attribute, Element, Node};
 pub use parser::{build_subtree, parse};
-pub use pool::{pooled_string, PooledString};
+pub use pool::{collect_pooled, pooled_string, PooledString};
 pub use reader::{Event, RawAttr, Reader};
+/// The name the canonicaliser's consumers know [`Sink`] by.
+pub use writer::Sink as CanonSink;
 pub use writer::{
     document_len, element_len, write_document, write_document_into, write_element, write_into,
-    Prefixes, PrefixesBuilder, XML_DECL,
+    ByteCount, Prefixes, PrefixesBuilder, Sink, XML_DECL,
 };
 pub use xpath::{XPath, XPathContext, XPathValue};

@@ -38,6 +38,16 @@ pub fn pooled_string() -> PooledString {
     PooledString { buf: Some(buf) }
 }
 
+/// The `String` that `write` produces, at the cost of exactly one
+/// allocation once the pool is warm: written into a pooled buffer, whose
+/// capacity is already there, and copied out at its final length — cheaper
+/// than walking the input once to size the buffer and again to fill it.
+pub fn collect_pooled(write: impl FnOnce(&mut String)) -> String {
+    let mut buf = pooled_string();
+    write(&mut buf);
+    buf.as_str().to_owned()
+}
+
 /// An owned, pooled `String`. Dereferences to `String`, so it can be handed
 /// to any `&mut String` serialisation entry point.
 pub struct PooledString {

@@ -6,57 +6,93 @@
 //! prefixes otherwise. This mirrors how WSE/ASP.NET emitted envelopes and
 //! keeps messages compact and deterministic.
 //!
-//! Every writer has a counting twin ([`element_len`], [`Prefixes::
-//! declarations_len`], ...) that prices the output byte-for-byte without
-//! producing it. The `_into` entry points reserve that exact length up
-//! front, so serialising into a pooled buffer performs at most one
-//! (re)allocation, and the SOAP layer can charge the cost model for a wire
-//! size it never had to materialise.
+//! Every writer in the message path — this one, [`crate::escape`], the
+//! canonicaliser, the SOAP envelope and its security block — is one
+//! function generic over a [`Sink`]: it hands the output over as a sequence
+//! of `&str` fragments, in order, and knows nothing of where they go. A
+//! `String` keeps them, [`ByteCount`] adds up their lengths, a digest
+//! hashes them. A length is therefore never computed apart from the bytes:
+//! [`element_len`] and the SOAP layer's `wire_size` *are* the writer, run
+//! into the counter, so the cost model is charged for a size nobody had to
+//! materialise and no second definition of the format can drift from the
+//! first. A sink must treat `push_str(a); push_str(b)` as `push_str(a + b)`
+//! and may not fail; fragment boundaries carry no meaning.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::escape::{escape_attr_into, escape_text_into, escaped_attr_len, escaped_text_len};
+use crate::escape::escape_runs;
 use crate::name::{ns, QName};
 use crate::node::{Element, Node};
+use crate::pool::collect_pooled;
+
+/// Where a writer's bytes go (see the module comment for the contract).
+pub trait Sink {
+    fn push_str(&mut self, s: &str);
+}
+
+impl Sink for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// The sink that keeps nothing but the number of bytes it was given.
+#[derive(Debug)]
+pub struct ByteCount(pub usize);
+
+impl ByteCount {
+    /// The number of bytes `write` produces.
+    pub fn of(write: impl FnOnce(&mut ByteCount)) -> usize {
+        let mut n = ByteCount(0);
+        write(&mut n);
+        n.0
+    }
+}
+
+impl Sink for ByteCount {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+}
 
 /// The document prologue emitted by [`write_document`].
 pub const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"utf-8\"?>";
 
 /// Serialise as a full document: XML declaration plus the root element.
 pub fn write_document(root: &Element) -> String {
-    let mut out = String::new();
-    write_document_into(root, &mut out);
-    out
+    collect_pooled(|out| write_document_into(root, out))
 }
 
 /// Serialise a full document into an existing buffer.
 pub fn write_document_into(root: &Element, out: &mut String) {
-    let prefixes = Prefixes::for_tree(root);
-    out.reserve(XML_DECL.len() + elem_len(root, &prefixes, true));
     out.push_str(XML_DECL);
-    write_elem(root, &prefixes, true, out);
+    write_into(root, out);
 }
 
 /// Serialise the element without an XML declaration.
 pub fn write_element(root: &Element) -> String {
-    let mut out = String::new();
-    write_into(root, &mut out);
-    out
+    collect_pooled(|out| write_into(root, out))
 }
 
-/// Serialise into an existing buffer (lets the transport reuse allocations).
-/// The exact output length is counted first and reserved, so the buffer
-/// grows at most once.
-pub fn write_into(root: &Element, out: &mut String) {
-    let prefixes = Prefixes::for_tree(root);
-    out.reserve(elem_len(root, &prefixes, true));
-    write_elem(root, &prefixes, true, out);
+/// Serialise the element into any sink — an existing buffer, a counter, a
+/// digest.
+pub fn write_into<S: Sink>(root: &Element, out: &mut S) {
+    write_elem(root, &Prefixes::for_tree(root), true, out);
 }
 
 /// Exact byte length of [`write_element`]'s output, without producing it.
 pub fn element_len(root: &Element) -> usize {
-    elem_len(root, &Prefixes::for_tree(root), true)
+    ByteCount::of(|n| write_into(root, n))
 }
 
 /// Exact byte length of [`write_document`]'s output, without producing it.
@@ -95,22 +131,14 @@ impl Prefixes {
 
     /// Append ` xmlns:p="uri"` declarations for every collected URI, in
     /// deterministic (URI-sorted) order.
-    pub fn write_declarations(&self, out: &mut String) {
+    pub fn write_declarations<S: Sink>(&self, out: &mut S) {
         for (uri, prefix) in &self.entries {
             out.push_str(" xmlns:");
             out.push_str(prefix);
             out.push_str("=\"");
-            escape_attr_into(uri, out);
-            out.push('"');
+            escape_runs(uri, true, out);
+            out.push_str("\"");
         }
-    }
-
-    /// Exact byte length of [`Prefixes::write_declarations`]'s output.
-    pub fn declarations_len(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(uri, prefix)| 7 + prefix.len() + 2 + escaped_attr_len(uri) + 1)
-            .sum()
     }
 }
 
@@ -180,54 +208,48 @@ impl PrefixesBuilder {
     }
 }
 
-fn qname_str(name: &QName, prefixes: &Prefixes, out: &mut String) {
-    if let Some(uri) = &name.ns {
-        out.push_str(prefixes.prefix_for(uri));
-        out.push(':');
+/// The prefix a name is written with, looked up once per name.
+fn prefix_of<'p>(name: &QName, prefixes: &'p Prefixes) -> Option<&'p str> {
+    name.ns.as_ref().map(|uri| prefixes.prefix_for(uri))
+}
+
+fn qname_str<S: Sink>(prefix: Option<&str>, name: &QName, out: &mut S) {
+    if let Some(prefix) = prefix {
+        out.push_str(prefix);
+        out.push_str(":");
     }
     out.push_str(&name.local);
 }
 
-fn qname_len(name: &QName, prefixes: &Prefixes) -> usize {
-    match &name.ns {
-        Some(uri) => prefixes.prefix_for(uri).len() + 1 + name.local.len(),
-        None => name.local.len(),
-    }
-}
-
 /// Serialise a subtree under an already-established prefix assignment —
 /// no namespace declarations are emitted (the caller's root carries them).
-pub fn write_subtree_into(e: &Element, prefixes: &Prefixes, out: &mut String) {
+pub fn write_subtree_into<S: Sink>(e: &Element, prefixes: &Prefixes, out: &mut S) {
     write_elem(e, prefixes, false, out);
 }
 
-/// Exact byte length of [`write_subtree_into`]'s output.
-pub fn subtree_len(e: &Element, prefixes: &Prefixes) -> usize {
-    elem_len(e, prefixes, false)
-}
-
-fn write_elem(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mut String) {
-    out.push('<');
-    qname_str(&e.name, prefixes, out);
+fn write_elem<S: Sink>(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mut S) {
+    let prefix = prefix_of(&e.name, prefixes);
+    out.push_str("<");
+    qname_str(prefix, &e.name, out);
     if is_root {
         prefixes.write_declarations(out);
     }
     for a in &e.attrs {
-        out.push(' ');
-        qname_str(&a.name, prefixes, out);
+        out.push_str(" ");
+        qname_str(prefix_of(&a.name, prefixes), &a.name, out);
         out.push_str("=\"");
-        escape_attr_into(&a.value, out);
-        out.push('"');
+        escape_runs(&a.value, true, out);
+        out.push_str("\"");
     }
     if e.children.is_empty() {
         out.push_str("/>");
         return;
     }
-    out.push('>');
+    out.push_str(">");
     for child in &e.children {
         match child {
             Node::Element(c) => write_elem(c, prefixes, false, out),
-            Node::Text(t) => escape_text_into(t, out),
+            Node::Text(t) => escape_runs(t, false, out),
             Node::Comment(c) => {
                 out.push_str("<!--");
                 out.push_str(c);
@@ -236,32 +258,8 @@ fn write_elem(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mut String)
         }
     }
     out.push_str("</");
-    qname_str(&e.name, prefixes, out);
-    out.push('>');
-}
-
-/// Counting twin of [`write_elem`] — must mirror it byte-for-byte.
-fn elem_len(e: &Element, prefixes: &Prefixes, is_root: bool) -> usize {
-    let name_len = qname_len(&e.name, prefixes);
-    let mut n = 1 + name_len;
-    if is_root {
-        n += prefixes.declarations_len();
-    }
-    for a in &e.attrs {
-        n += 1 + qname_len(&a.name, prefixes) + 2 + escaped_attr_len(&a.value) + 1;
-    }
-    if e.children.is_empty() {
-        return n + 2;
-    }
-    n += 1;
-    for child in &e.children {
-        n += match child {
-            Node::Element(c) => elem_len(c, prefixes, false),
-            Node::Text(t) => escaped_text_len(t),
-            Node::Comment(c) => 4 + c.len() + 3,
-        };
-    }
-    n + 3 + name_len
+    qname_str(prefix, &e.name, out);
+    out.push_str(">");
 }
 
 #[cfg(test)]
@@ -351,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn into_buffer_appends_and_reserves() {
+    fn into_buffer_appends() {
         let e = gnarly();
         let mut buf = String::from("prefix|");
         write_into(&e, &mut buf);
@@ -372,7 +370,10 @@ mod tests {
             out,
             "<ns0:b>text &amp; &lt;markup&gt; with &#13; return</ns0:b>"
         );
-        assert_eq!(subtree_len(child, &prefixes), out.len());
+        assert_eq!(
+            ByteCount::of(|n| write_subtree_into(child, &prefixes, n)),
+            out.len()
+        );
     }
 
     #[test]
@@ -387,7 +388,7 @@ mod tests {
         assert_eq!(p.prefix_for(&intern("urn:two")), "ns0");
         let mut decls = String::new();
         p.write_declarations(&mut decls);
-        assert_eq!(decls.len(), p.declarations_len());
+        assert_eq!(decls.len(), ByteCount::of(|n| p.write_declarations(n)));
         assert!(decls.contains("xmlns:soap="));
     }
 }

@@ -1,6 +1,7 @@
 //! Differential tests for every pass over character data that rides on the
-//! block search (`src/scan.rs`): escaping, its `_into` and counting forms,
-//! and the reader's text and attribute-value decoding. The oracles scan a
+//! block search (`src/scan.rs`): the one escaper through each kind of sink
+//! (buffering, byte, counting, fragment-recording), and the reader's text
+//! and attribute-value decoding. The oracles scan a
 //! byte (or a `char`) at a time — the loops the search replaced live on
 //! here, and [`ogsa_xml::reference`] keeps its own — because an oracle that
 //! shared the kernel would prove nothing.
@@ -11,10 +12,7 @@
 //! multi-byte UTF-8 right beside them (a slice taken off a `char` boundary
 //! panics, so every comparison below is also a boundary check).
 
-use std::borrow::Cow;
-
-use ogsa_xml::escape::{escape_attr_into, escape_text_into, escaped_attr_len, escaped_text_len};
-use ogsa_xml::{escape_attr, escape_text, parse, reference, Event, Reader};
+use ogsa_xml::{escape_runs, parse, reference, ByteCount, Event, Reader, Sink};
 use proptest::prelude::*;
 
 /// Escaping as it was written before the block search: one `match` per
@@ -40,27 +38,30 @@ fn oracle_escape(s: &str, attr: bool) -> String {
     out
 }
 
+/// Keeps every fragment as it arrived.
+struct Fragments(Vec<String>);
+
+impl Sink for Fragments {
+    fn push_str(&mut self, s: &str) {
+        self.0.push(s.to_owned());
+    }
+}
+
 fn assert_escapes_like_the_oracle(s: &str) {
-    type Escaper = (
-        bool,
-        fn(&str) -> Cow<'_, str>,
-        fn(&str, &mut String),
-        fn(&str) -> usize,
-    );
-    let forms: [Escaper; 2] = [
-        (false, escape_text, escape_text_into, escaped_text_len),
-        (true, escape_attr, escape_attr_into, escaped_attr_len),
-    ];
-    for (attr, cow, into, len) in forms {
+    for attr in [false, true] {
         let expected = oracle_escape(s, attr);
-        let escaped = cow(s);
-        assert_eq!(escaped, expected, "attr={attr} {s:?}");
-        // Clean input is borrowed, not copied.
-        assert_eq!(matches!(escaped, Cow::Borrowed(_)), expected == s);
-        let mut out = String::from("pre|");
-        into(s, &mut out);
-        assert_eq!(out, format!("pre|{expected}"));
-        assert_eq!(len(s), expected.len());
+        let mut text = String::from("pre|");
+        escape_runs(s, attr, &mut text);
+        assert_eq!(text, format!("pre|{expected}"), "attr={attr} {s:?}");
+        let mut bytes = Vec::new();
+        escape_runs(s, attr, &mut bytes);
+        assert_eq!(bytes, expected.as_bytes());
+        assert_eq!(ByteCount::of(|n| escape_runs(s, attr, n)), expected.len());
+        let mut fragments = Fragments(Vec::new());
+        escape_runs(s, attr, &mut fragments);
+        assert_eq!(fragments.0.concat(), expected);
+        // Clean input is handed on whole, not cut up or copied.
+        assert_eq!(fragments.0.len() == 1, expected == s);
     }
 }
 
@@ -166,10 +167,9 @@ fn specials_at_block_boundaries_beside_multibyte_characters() {
 /// search ends in its first block and the blocks buy nothing. Measured once
 /// against the per-byte loops this replaced, on this very string (64 KB,
 /// release build, medians of three on the 2-vCPU box the change was written
-/// on; new ÷ old): counting pays most — `escaped_text_len` 70 → 146 µs
-/// (2.1×), `escaped_attr_len` 65 → 276 µs (4.2×) — writing little —
-/// `escape_text_into` 223 → 223 µs (1.0×), `escape_attr_into` 387 → 472 µs
-/// (1.2×) — and canonicalising and parsing nothing (239 → 197 µs, 460 →
+/// on; new ÷ old): counting pays most — text 70 → 146 µs (2.1×),
+/// attribute values 65 → 276 µs (4.2×) — writing little — text 223 →
+/// 223 µs (1.0×), attribute values 387 → 472 µs (1.2×) — and canonicalising and parsing nothing (239 → 197 µs, 460 →
 /// 390 µs for the escaped form: 0.8×). For scale, one special per hundred
 /// bytes is already 2–6× *faster* than the old loops, and clean text 4–18×.
 #[test]
@@ -180,7 +180,7 @@ fn dense_specials_complete_and_equal_the_oracle() {
         .take(64 * 1024)
         .collect();
     assert_escapes_like_the_oracle(&dense);
-    let doc = format!("<a k=\"{0}\">{0}</a>", escape_attr(&dense));
+    let doc = format!("<a k=\"{0}\">{0}</a>", oracle_escape(&dense, true));
     let tree = parse(&doc).unwrap();
     assert_eq!(tree, reference::parse(&doc).unwrap());
     assert_eq!(tree.text(), dense);

@@ -6,64 +6,44 @@
 //! cargo run --example grid_job
 //! ```
 
-use std::time::Duration;
-
+use ogsa_grid::comparison::Stack;
 use ogsa_grid::container::Testbed;
-use ogsa_grid::gridbox::{GridScenario, TransferGrid, WsrfGrid};
+use ogsa_grid::gridbox::{run_job, JobPlan, JobStep, OPERATIONS};
 use ogsa_grid::security::SecurityPolicy;
 use ogsa_grid::sim::SimDuration;
 
 const ALICE: &str = "CN=alice,O=UVA-VO";
 
-fn drive(label: &str, scenario: &mut dyn GridScenario, tb: &Testbed) {
+fn drive(label: &str, stack: Stack) {
+    // The configuration Figure 6 measures: X.509-signed messages, a
+    // distributed VO with a VO-services host and two execution sites.
+    let policy = SecurityPolicy::X509Sign;
+    let tb = Testbed::calibrated();
+    let grid = stack.deploy_grid(&tb, policy, &[ALICE]);
+    let mut scenario = grid.scenario(tb.client("client-1", ALICE, policy));
+    let plan = JobPlan {
+        file_bytes: 24 * 1024,
+        runtime: SimDuration::from_millis(1500.0),
+    };
+
     println!("== {label} ==");
     let clock = tb.clock().clone();
-    macro_rules! timed {
-        ($name:expr, $body:expr) => {{
-            let t = clock.now();
-            $body;
-            println!(
+    let mut t = clock.now();
+    run_job(&mut *scenario, &plan, |step| {
+        let now = clock.now();
+        match step {
+            JobStep::Operation(op) => println!(
                 "  {:<24} {:>8.0} ms",
-                $name,
-                clock.now().since(t).as_millis()
-            );
-        }};
-    }
-
-    timed!(
-        "Get Available Resource",
-        scenario.get_available_resource("blast").expect("discover")
-    );
-    timed!(
-        "Make Reservation",
-        scenario.make_reservation().expect("reserve")
-    );
-    timed!(
-        "Upload File",
-        scenario
-            .upload_file("input.dat", 24 * 1024)
-            .expect("upload")
-    );
-    timed!(
-        "Instantiate Job",
-        scenario
-            .instantiate_job(SimDuration::from_millis(1500.0))
-            .expect("start")
-    );
-
-    let exit = scenario
-        .finish_job(Duration::from_secs(5))
-        .expect("completion notification");
-    println!("  job finished asynchronously with exit code {exit}");
-
-    timed!(
-        "Delete File",
-        scenario.delete_file("input.dat").expect("delete")
-    );
-    timed!(
-        "Unreserve Resource",
-        scenario.unreserve_resource().expect("unreserve")
-    );
+                OPERATIONS[op],
+                now.since(t).as_millis()
+            ),
+            JobStep::Finished { exit_code } => {
+                println!("  job finished asynchronously with exit code {exit_code}")
+            }
+        }
+        t = now;
+    })
+    .expect("the flow completes");
     if scenario.unreserve_is_automatic() {
         println!("  (unreserve was automatic — the ExecService destroyed the reservation)");
     }
@@ -71,23 +51,6 @@ fn drive(label: &str, scenario: &mut dyn GridScenario, tb: &Testbed) {
 }
 
 fn main() {
-    // The configuration Figure 6 measures: X.509-signed messages, a
-    // distributed VO with a VO-services host and two execution sites.
-    let policy = SecurityPolicy::X509Sign;
-    let hosts = ["site-a", "site-b"];
-    let apps = ["blast"];
-    let users = [ALICE];
-
-    {
-        let tb = Testbed::calibrated();
-        let grid = WsrfGrid::deploy(&tb, policy, &hosts, &apps, &users);
-        let mut s = grid.scenario(tb.client("client-1", ALICE, policy));
-        drive("WSRF / WS-Notification (5 services)", &mut s, &tb);
-    }
-    {
-        let tb = Testbed::calibrated();
-        let grid = TransferGrid::deploy(&tb, policy, &hosts, &apps, &users);
-        let mut s = grid.scenario(tb.client("client-1", ALICE, policy));
-        drive("WS-Transfer / WS-Eventing (4 services)", &mut s, &tb);
-    }
+    drive("WSRF / WS-Notification (5 services)", Stack::Wsrf);
+    drive("WS-Transfer / WS-Eventing (4 services)", Stack::Transfer);
 }

@@ -13,9 +13,9 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use ogsa_grid::comparison::Stack;
 use ogsa_grid::container::Testbed;
-use ogsa_grid::counter::{CounterApi, TransferCounter, WsrfCounter};
-use ogsa_grid::gridbox::{GridScenario, TransferGrid, WsrfGrid};
+use ogsa_grid::gridbox::{run_job, JobPlan};
 use ogsa_grid::security::SecurityPolicy;
 use ogsa_grid::sim::SimDuration;
 use ogsa_grid::transport::{FaultPlan, NetStatsSnapshot, RetryPolicy};
@@ -30,12 +30,6 @@ const DRAIN: Duration = Duration::from_secs(10);
 /// Wall-clock wait for one already-quiesced notification hop.
 const NOTE_WAIT: Duration = Duration::from_millis(250);
 const ALICE: &str = "CN=alice,O=UVA-VO";
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stack {
-    Wsrf,
-    Transfer,
-}
 
 /// Roughly one fault per 2.5 messages: drops and garbles force the retry
 /// path, delays exercise deadlines without tripping them, duplicates
@@ -80,10 +74,7 @@ fn run_counter(stack: Stack, seed: u64) -> CounterOutcome {
     let agent = tb
         .client("host-b", "CN=alice", SecurityPolicy::None)
         .with_retry(call_policy(seed));
-    let api: Box<dyn CounterApi> = match stack {
-        Stack::Wsrf => Box::new(WsrfCounter::deploy(&container).client(agent)),
-        Stack::Transfer => Box::new(TransferCounter::deploy(&container).client(agent)),
-    };
+    let api = stack.deploy_counter(&container).client(agent);
 
     tb.network().set_fault_plan(chaos_plan(seed));
 
@@ -159,46 +150,21 @@ struct GridOutcome {
 fn run_grid(stack: Stack, seed: u64) -> GridOutcome {
     let tb = Testbed::free();
     let policy = SecurityPolicy::None;
-    let hosts = ["site-a", "site-b"];
-    let apps = ["blast"];
-    let users = [ALICE];
     let agent = tb
         .client("client-1", ALICE, policy)
         .with_retry(call_policy(seed));
-    match stack {
-        Stack::Wsrf => {
-            let grid = WsrfGrid::deploy(&tb, policy, &hosts, &apps, &users);
-            drive_grid(&mut grid.scenario(agent), &tb, seed)
-        }
-        Stack::Transfer => {
-            let grid = TransferGrid::deploy(&tb, policy, &hosts, &apps, &users);
-            drive_grid(&mut grid.scenario(agent), &tb, seed)
-        }
-    }
-}
+    let grid = stack.deploy_grid(&tb, policy, &[ALICE]);
+    let mut scenario = grid.scenario(agent);
 
-fn drive_grid(scenario: &mut dyn GridScenario, tb: &Testbed, seed: u64) -> GridOutcome {
     // Arm after deploy: the VO's own bootstrap is not part of the measured
     // scenario (and deploy-time agents carry no retry budget).
     tb.network().set_fault_plan(chaos_plan(seed));
 
-    scenario
-        .get_available_resource("blast")
-        .expect("discover under chaos");
-    scenario.make_reservation().expect("reserve under chaos");
-    scenario
-        .upload_file("input.dat", 8 * 1024)
-        .expect("upload under chaos");
-    scenario
-        .instantiate_job(SimDuration::from_millis(500.0))
-        .expect("start under chaos");
-    let exit_code = scenario.finish_job(DRAIN).expect("finish under chaos");
-    scenario
-        .delete_file("input.dat")
-        .expect("delete under chaos");
-    scenario
-        .unreserve_resource()
-        .expect("unreserve under chaos");
+    let plan = JobPlan {
+        file_bytes: 8 * 1024,
+        runtime: SimDuration::from_millis(500.0),
+    };
+    let exit_code = run_job(&mut *scenario, &plan, |_| {}).expect("the whole flow under chaos");
 
     assert!(tb.network().quiesce(DRAIN));
     GridOutcome {
