@@ -13,7 +13,7 @@
 //! | `throughput [out-dir]` | client × shard sweep → `BENCH_throughput.json`; the scaling invariant |
 //! | `durability [out-dir]` | WAL crash sweep, recovery time, fsync policies → `BENCH_durability.json` |
 //! | `serve [out-dir]` | socket load against the serving tier → `BENCH_serve.json` |
-//! | `obs [out-dir]` | observability-plane overhead and fidelity → `BENCH_obs.json` |
+//! | `obs [out-dir]` | observability-plane fidelity (its rps cost reported, not judged) → `BENCH_obs.json` |
 //! | `replication [out-dir]` | failover sweep, catch-up time → `BENCH_replication.json` |
 //! | `fanout [out-dir]` | trie vs naive, shard scaling, honest batching → `BENCH_fanout.json` |
 //! | `all [out-dir]` | every gated subcommand above, in that order |

@@ -1,12 +1,12 @@
-//! `ogsa-bench obs`: the observability-plane harness — overhead, scrape
-//! fidelity, exemplar completeness, and virtual-time determinism — written
-//! out as `BENCH_obs.json`.
+//! `ogsa-bench obs`: the observability-plane harness — scrape fidelity,
+//! exemplar completeness, and virtual-time determinism — written out as
+//! `BENCH_obs.json`.
 //!
 //! Two servers over one span-quiet testbed serve the same signed
 //! WS-Transfer counter: one with the live observability plane enabled
 //! (wall-clock shards + flight recorder + admin port), one
 //! instrumentation-stripped. The load generator alternates between them
-//! for several rounds (best-of to damp host noise) and the gates check:
+//! for several rounds and the gates check:
 //!
 //! 1. **Scrape under load** — a mid-run `GET /metrics` parses as strict
 //!    Prometheus text with consistent cumulative histograms, and the
@@ -14,14 +14,12 @@
 //! 2. **Exemplar completeness** — with the slow threshold calibrated to
 //!    the stripped run's p99, every exemplar attached to a histogram
 //!    bucket resolves to a fully-retained flight trace (spans included).
-//! 3. **Overhead** — rounds are *paired* (stripped then instrumented,
-//!    back to back, so both arms see the same host conditions) and the
-//!    best pair must show instrumented rps within [`MAX_REGRESSION`] of
-//!    stripped and instrumented p99 within the same factor plus one
-//!    log-bucket of slack. Pairing is what makes a ≤5% gate meaningful
-//!    on shared CI hosts, where round-to-round drift alone exceeds 10%.
-//! 4. **Determinism** — the same-seed virtual-time JSONL span dump is
+//! 3. **Determinism** — the same-seed virtual-time JSONL span dump is
 //!    byte-identical with the flight recorder (and wall clocks) enabled.
+//!
+//! Rounds are *paired* (stripped then instrumented, back to back) and each
+//! pair's instrumented/stripped rps ratio is reported, not judged: wall-clock
+//! speed has one judge, and the plane's cost is `trace.overhead_pct` there.
 
 use std::time::Duration;
 
@@ -40,10 +38,8 @@ const CONNECTIONS: usize = 16;
 /// Measured window / warmup per round.
 const ROUND: Duration = Duration::from_millis(1200);
 const WARMUP: Duration = Duration::from_millis(300);
-/// Alternating stripped/instrumented rounds; best-of damps host noise.
+/// Alternating stripped/instrumented rounds.
 const ROUNDS: usize = 3;
-/// Instrumentation may cost at most this fraction of rps or p99.
-const MAX_REGRESSION: f64 = 0.05;
 
 /// Run the deterministic virtual-time counter scenario and dump its span
 /// forest as JSONL. With `observe` set, wall-clock stamping is on and the
@@ -122,15 +118,11 @@ pub fn run() -> Outcome {
     let admin = instrumented_server.admin_addr().expect("admin port");
 
     // Paired rounds: one stripped run immediately followed by one
-    // instrumented run, per-pair ratio, best pair gates. Unpaired
-    // best-of-N is useless here: host drift between rounds exceeds the
-    // overhead being measured.
+    // instrumented run, so a pair's ratio sees one host condition.
     struct Pair {
         stripped: LoadReport,
         instrumented: LoadReport,
         rps_ratio: f64,
-        p99_limit_us: u64,
-        ok: bool,
     }
     let mut pairs: Vec<Pair> = Vec::with_capacity(ROUNDS);
     let mut scrape_ok = true;
@@ -150,22 +142,16 @@ pub fn run() -> Outcome {
         scrape_ok &= check.consistent_with(i.requests);
         errors += s.errors + i.errors;
         let rps_ratio = i.rps / s.rps.max(1e-9);
-        // One log-bucket (~3%) of p99 slack for histogram resolution.
-        let p99_limit_us = (s.p99_us as f64 * (1.0 + MAX_REGRESSION)) as u64 + s.p99_us / 32 + 1;
-        let ok = rps_ratio >= 1.0 - MAX_REGRESSION && i.p99_us <= p99_limit_us;
         pairs.push(Pair {
             stripped: s,
             instrumented: i,
             rps_ratio,
-            p99_limit_us,
-            ok,
         });
     }
     let best = pairs
         .iter()
         .max_by(|a, b| a.rps_ratio.total_cmp(&b.rps_ratio))
         .unwrap();
-    let overhead_ok = pairs.iter().any(|p| p.ok);
     let (stripped, instrumented) = (&best.stripped, &best.instrumented);
 
     // Exemplar completeness: every histogram exemplar must resolve to a
@@ -215,7 +201,6 @@ pub fn run() -> Outcome {
     );
 
     let gates = vec![
-        ("overhead_within_5_percent", overhead_ok),
         ("mid_run_scrape_consistent", scrape_ok),
         ("exemplars_complete", exemplars_complete),
         ("debug_trace_endpoint_ok", trace_endpoint_ok),
@@ -223,29 +208,25 @@ pub fn run() -> Outcome {
         ("zero_request_errors", errors == 0),
     ];
     println!(
-        "  best paired rps ratio {:.3} (min {:.2}), p99 {}us (limit {}us), {} exemplars, {errors} errors",
+        "  best paired rps ratio {:.3} (reported, not judged), p99 {}us, {} exemplars, {errors} errors",
         best.rps_ratio,
-        1.0 - MAX_REGRESSION,
         instrumented.p99_us,
-        best.p99_limit_us,
         exemplars.len(),
     );
 
     let scrape = instrumented.scrape.as_ref().unwrap();
     let rounds_json = json_array(pairs.iter().map(|p| {
         format!(
-            "{{\"stripped_rps\":{:.1},\"stripped_p99_us\":{},\"instrumented_rps\":{:.1},\"instrumented_p99_us\":{},\"rps_ratio\":{:.4},\"p99_limit_us\":{},\"ok\":{}}}",
+            "{{\"stripped_rps\":{:.1},\"stripped_p99_us\":{},\"instrumented_rps\":{:.1},\"instrumented_p99_us\":{},\"rps_ratio\":{:.4}}}",
             p.stripped.rps,
             p.stripped.p99_us,
             p.instrumented.rps,
             p.instrumented.p99_us,
             p.rps_ratio,
-            p.p99_limit_us,
-            p.ok,
         )
     }));
     let json = format!(
-        "{{\"benchmark\":\"obs\",\"workload\":\"signed transfer get\",\"connections\":{CONNECTIONS},\"rounds\":{rounds_json},{},{},\"slow_threshold_us\":{slow_threshold_us},\"flight\":{{\"traces\":{},\"slow\":{slow_retained},\"exemplars\":{},\"complete\":{exemplars_complete},\"debug_trace_ok\":{trace_endpoint_ok}}},\"scrape\":{{\"mid_run_parsed\":{},\"mid_run_server_requests\":{},\"final_server_requests\":{},\"consistent\":{scrape_ok}}},\"determinism\":{{\"jsonl_bytes\":{},\"identical\":{deterministic}}},\"gate\":{{\"max_regression\":{MAX_REGRESSION},\"best_rps_ratio\":{:.4},\"overhead_ok\":{overhead_ok},\"errors\":{errors},\"pass\":{}}}",
+        "{{\"benchmark\":\"obs\",\"workload\":\"signed transfer get\",\"connections\":{CONNECTIONS},\"rounds\":{rounds_json},{},{},\"slow_threshold_us\":{slow_threshold_us},\"flight\":{{\"traces\":{},\"slow\":{slow_retained},\"exemplars\":{},\"complete\":{exemplars_complete},\"debug_trace_ok\":{trace_endpoint_ok}}},\"scrape\":{{\"mid_run_parsed\":{},\"mid_run_server_requests\":{},\"final_server_requests\":{},\"consistent\":{scrape_ok}}},\"determinism\":{{\"jsonl_bytes\":{},\"identical\":{deterministic}}},\"gate\":{{\"best_rps_ratio\":{:.4},\"errors\":{errors},\"pass\":{}}}",
         load_report_json("stripped", stripped),
         load_report_json("instrumented", instrumented),
         traces.len(),

@@ -21,7 +21,8 @@ pub use ogsa_soap::security::Certificate;
 /// holds locally.
 #[derive(Debug, Clone)]
 pub struct Identity {
-    pub cert: Certificate,
+    /// Shared, not copied, into every block this identity signs.
+    pub cert: Arc<Certificate>,
     pub(crate) secret: [u8; 32],
 }
 
@@ -54,12 +55,12 @@ impl CertAuthority {
         // Deterministic key material: derived from issuer/subject/serial.
         let secret = sha256(format!("{}|{}|{}", self.issuer_dn, subject_dn, serial).as_bytes());
         let key_id = hex(&sha256(&secret)[..8]);
-        let cert = Certificate {
+        let cert = Arc::new(Certificate {
             subject_dn: subject_dn.to_owned(),
             issuer_dn: self.issuer_dn.clone(),
             serial,
             key_id: key_id.clone(),
-        };
+        });
         inner.keys.insert(key_id, secret);
         Identity { cert, secret }
     }

@@ -14,6 +14,7 @@
 //! holes — so neither side builds or walks a single node for it.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use ogsa_sim::{CostModel, VirtualClock};
 use ogsa_soap::security::hex32;
@@ -127,7 +128,7 @@ impl std::error::Error for SecurityError {}
 /// Who signed a verified envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignerInfo {
-    pub certificate: Certificate,
+    pub certificate: Arc<Certificate>,
 }
 
 impl SignerInfo {

@@ -366,6 +366,28 @@ mod tests {
         }
     }
 
+    /// One start tag of 100 000 attributes — under a server's body limit —
+    /// is refused at its 257th, not compared pairwise.
+    #[test]
+    fn an_attribute_flood_is_a_parse_error() {
+        let flood: String = (0..100_000).map(|i| format!(" a{i}=\"\"")).collect();
+        for wire in [
+            format!(
+                "<s:Envelope xmlns:s=\"{}\"><s:Body><Ping{flood}/></s:Body></s:Envelope>",
+                ns::SOAP
+            ),
+            format!(
+                "<s:Envelope xmlns:s=\"{}\"{flood}><s:Body><Ping/></s:Body></s:Envelope>",
+                ns::SOAP
+            ),
+        ] {
+            assert!(matches!(
+                Envelope::from_wire(&wire),
+                Err(XmlError::Parse { .. })
+            ));
+        }
+    }
+
     #[test]
     fn unknown_envelope_children_are_dropped_and_still_checked() {
         let wire = |extra: &str| {

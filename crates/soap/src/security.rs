@@ -7,11 +7,14 @@
 //! holds its nine variable values in a [`SignedBlock`]; the wire form is
 //! written — into a buffer, or into a counter to price it — from a fixed
 //! template ([`SecurityHeader::write_into`]) and read back straight off the
-//! pull reader ([`read_security`]) without building a node.
+//! pull reader ([`read_security`]) without building a node: against that
+//! same template when the bytes are the template's, event by event when
+//! they are not.
 //!
 //! The accepted grammar is exactly what the template writes — same elements,
 //! same order, no attributes but the two `URI`s, no character data between
-//! elements, lower-case hex digests, canonical decimals. Any departure is
+//! elements, lower-case hex digests, canonical decimals — under whatever
+//! prefixes, comments and entity spellings XML allows it. Any departure is
 //! kept as [`SecurityHeader::Malformed`] with the reason, which verification
 //! reports; only a document that is not well-formed XML is an error here.
 
@@ -41,7 +44,9 @@ pub struct Certificate {
 pub struct SignedBlock {
     /// `wsu:Created`: the signer's clock, in microseconds.
     pub created: u64,
-    pub certificate: Certificate,
+    /// Shared with the identity that signed: every message a sender signs
+    /// carries the same certificate.
+    pub certificate: Arc<Certificate>,
     /// SHA-256 of the canonical Body payload (`ds:Reference URI="#Body"`).
     pub body_digest: [u8; 32],
     /// SHA-256 over the canonical non-security headers
@@ -132,23 +137,26 @@ fn push_hex<S: Sink>(bytes: &[u8; 32], out: &mut S) {
 
 /// Exactly 64 lower-case hex digits, or nothing: one digest has one
 /// spelling, so a block that verifies cannot be re-spelled in flight.
-fn unhex32(s: &str) -> Option<[u8; 32]> {
-    fn nibble(c: u8) -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
+fn unhex32(digits: &[u8]) -> Option<[u8; 32]> {
+    /// A digit's value; every other byte has a bit above the low four set.
+    const NIBBLE: [u8; 256] = {
+        let mut table = [0xff; 256];
+        let mut value = 0;
+        while value < 16 {
+            table[b"0123456789abcdef"[value] as usize] = value as u8;
+            value += 1;
         }
-    }
-    let s = s.as_bytes();
-    if s.len() != 64 {
-        return None;
-    }
+        table
+    };
+    let digits: &[u8; 64] = digits.try_into().ok()?;
     let mut out = [0u8; 32];
-    for (b, pair) in out.iter_mut().zip(s.chunks_exact(2)) {
-        *b = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    let mut seen = 0;
+    for (b, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+        let (high, low) = (NIBBLE[pair[0] as usize], NIBBLE[pair[1] as usize]);
+        seen |= high | low;
+        *b = high << 4 | low;
     }
-    Some(out)
+    (seen < 16).then_some(out)
 }
 
 fn push_decimal<S: Sink>(mut n: u64, out: &mut S) {
@@ -196,7 +204,45 @@ fn departure<T>(reason: impl Into<String>) -> Result<T, Stop> {
 
 /// Read a `wsse:Security` block whose start tag `reader` has just returned,
 /// through its end tag, building no tree.
+///
+/// Nearly every block that arrives was written by [`SecurityHeader::write_into`],
+/// so it is first held against [`SEAMS`] itself; a block that differs from
+/// the template in any byte is read by the grammar, which alone decides what
+/// is accepted and words every refusal.
 pub(crate) fn read_security(reader: &mut Reader<'_>) -> XmlResult<SecurityHeader> {
+    match read_by_template(reader) {
+        Some(block) => Ok(SecurityHeader::Signed(block)),
+        None => read_by_grammar(reader),
+    }
+}
+
+/// The block as the template wrote it, or nothing read at all.
+fn read_by_template(reader: &mut Reader<'_>) -> Option<SignedBlock> {
+    let v = vocab();
+    let prefixes = [("wsse", &v.wsse), ("wsu", &v.wsu), ("ds", &v.ds)];
+    reader.read_template(&SEAMS, &prefixes, |values: [&str; 9]| {
+        let [created, subject_dn, issuer_dn, serial, key_id, body, headers, value, key_name] =
+            values;
+        let (created, serial) = (undecimal(created)?, undecimal(serial)?);
+        let (body_digest, headers_digest) =
+            (unhex32(body.as_bytes())?, unhex32(headers.as_bytes())?);
+        Some(SignedBlock {
+            created,
+            certificate: Arc::new(Certificate {
+                subject_dn: subject_dn.to_owned(),
+                issuer_dn: issuer_dn.to_owned(),
+                serial,
+                key_id: key_id.to_owned(),
+            }),
+            body_digest,
+            headers_digest,
+            signature_value: unhex32(value.as_bytes())?,
+            key_name: key_name.to_owned(),
+        })
+    })
+}
+
+fn read_by_grammar(reader: &mut Reader<'_>) -> XmlResult<SecurityHeader> {
     let enclosing = reader.depth() - 1;
     match read_signed(&mut Block(&mut *reader)) {
         Ok(block) => Ok(SecurityHeader::Signed(block)),
@@ -241,12 +287,12 @@ fn read_signed(b: &mut Block<'_, '_>) -> Result<SignedBlock, Stop> {
 
     Ok(SignedBlock {
         created,
-        certificate: Certificate {
+        certificate: Arc::new(Certificate {
             subject_dn,
             issuer_dn,
             serial,
             key_id,
-        },
+        }),
         body_digest,
         headers_digest,
         signature_value,
@@ -350,7 +396,7 @@ impl<'a> Block<'_, 'a> {
     /// A `ds:` leaf holding one digest.
     fn digest_leaf(&mut self, local: &str) -> Result<[u8; 32], Stop> {
         let text = self.leaf(Some(&vocab().ds), local)?;
-        unhex32(&text).ok_or_else(|| bad_value(local, &text))
+        unhex32(text.as_bytes()).ok_or_else(|| bad_value(local, &text))
     }
 
     /// `<ds:Reference URI="{uri}"><ds:DigestValue>…</ds:DigestValue></ds:Reference>`.
@@ -373,9 +419,17 @@ impl<'a> Block<'_, 'a> {
 }
 
 #[cfg(test)]
+#[allow(dead_code)] // the suites under tests/ use the rest
+#[path = "../tests/oracle/corpus.rs"]
+mod corpus;
+
+#[cfg(test)]
 mod tests {
+    use super::corpus::{self, arb_parts, arb_text, between, edit};
     use super::*;
-    use ogsa_xml::ByteCount;
+    use crate::Envelope;
+    use ogsa_xml::{ns, ByteCount, Element};
+    use proptest::prelude::*;
 
     #[test]
     fn decimals_have_one_spelling() {
@@ -406,10 +460,325 @@ mod tests {
         let bytes: [u8; 32] = std::array::from_fn(|i| (i * 9 + 3) as u8);
         let hex = hex32(&bytes);
         let hex = std::str::from_utf8(&hex).unwrap();
+        let unhex32 = |s: &str| unhex32(s.as_bytes());
         assert_eq!(unhex32(hex), Some(bytes));
         assert_eq!(unhex32(&hex.to_uppercase()), None);
         assert_eq!(unhex32(&hex[1..]), None);
         assert_eq!(unhex32(&format!("{hex}0")), None);
         assert_eq!(unhex32(&hex.replacen('0', "g", 1)), None);
+    }
+
+    /// The decoder the table replaced: a branch and an `Option` per digit.
+    fn unhex32_by_digit(s: &[u8]) -> Option<[u8; 32]> {
+        fn nibble(c: u8) -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                _ => None,
+            }
+        }
+        if s.len() != 64 {
+            return None;
+        }
+        let mut out = [0u8; 32];
+        for (b, pair) in out.iter_mut().zip(s.chunks_exact(2)) {
+            *b = nibble(pair[0])? << 4 | nibble(pair[1])?;
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn the_digest_table_decodes_as_the_per_digit_decoder_did() {
+        let clean = hex32(&std::array::from_fn(|i| (i * 37 + 11) as u8));
+        assert!(unhex32(&clean).is_some());
+        for at in 0..clean.len() {
+            for byte in 0..=u8::MAX {
+                let mut digits = clean;
+                digits[at] = byte;
+                assert_eq!(
+                    unhex32(&digits),
+                    unhex32_by_digit(&digits),
+                    "{byte:#x} at {at}"
+                );
+            }
+        }
+        for len in [0, 1, 63, 65, 128] {
+            assert_eq!(unhex32(&vec![b'0'; len]), None, "{len} digits");
+        }
+    }
+
+    // ---- the template read against the grammar read --------------------------
+
+    fn block(subject: &str, issuer: &str, key: &str, digests: [u8; 3]) -> SignedBlock {
+        SignedBlock {
+            created: 1_131_789_600_000_000,
+            certificate: Arc::new(Certificate {
+                subject_dn: subject.to_owned(),
+                issuer_dn: issuer.to_owned(),
+                serial: 1,
+                key_id: key.to_owned(),
+            }),
+            body_digest: [digests[0]; 32],
+            headers_digest: [digests[1]; 32],
+            signature_value: [digests[2]; 32],
+            key_name: key.to_owned(),
+        }
+    }
+
+    fn wire_of((body, headers): (Element, Vec<Element>), block: SignedBlock) -> String {
+        let mut env = Envelope::new(body);
+        env.headers = headers;
+        env.security = Some(SecurityHeader::Signed(block));
+        env.to_wire()
+    }
+
+    /// The message `crates/security/tests/differential.rs` signs, under a
+    /// block of the same shape.
+    fn sample_wire(value: &str, subject: &str, digests: [u8; 3]) -> String {
+        let block = block(subject, "CN=UVA-CA", "00c0ffee00c0ffee", digests);
+        wire_of(corpus::sample_parts(value), block)
+    }
+
+    fn signed_sample() -> String {
+        sample_wire("41", "CN=alice,O=UVA-VO", [0x5a, 0xc3, 0x7e])
+    }
+
+    /// A reader that has just returned the start tag of `wire`'s first
+    /// `wsse:Security` block, if the document gets that far.
+    fn at_block(wire: &str) -> Option<Reader<'_>> {
+        let mut reader = Reader::new(wire);
+        loop {
+            match reader.next() {
+                Ok(Event::Start) if reader.is_named(Some(&vocab().wsse), "Security") => {
+                    return Some(reader)
+                }
+                Ok(Event::Eof) | Err(_) => return None,
+                Ok(_) => {}
+            }
+        }
+    }
+
+    /// How `wire`'s block reads, and whether the template matched it —
+    /// having held the template attempt to the grammar alone: one answer
+    /// (a refusal's wording included), the reader left at one place, and
+    /// nothing consumed by an attempt that declined.
+    fn read_both_ways(wire: &str) -> Option<(XmlResult<SecurityHeader>, bool)> {
+        let mut attempt = at_block(wire)?;
+        let start = (attempt.offset(), attempt.depth());
+        let matched = read_by_template(&mut attempt).is_some();
+        if !matched {
+            assert_eq!((attempt.offset(), attempt.depth()), start, "{wire}");
+        }
+
+        let (mut first, mut alone) = (at_block(wire)?, at_block(wire)?);
+        let templated = read_security(&mut first);
+        assert_eq!(templated, read_by_grammar(&mut alone), "{wire}");
+        assert_eq!(
+            (first.offset(), first.depth()),
+            (alone.offset(), alone.depth()),
+            "{wire}"
+        );
+        if templated.is_ok() {
+            assert_eq!(first.depth(), start.1 - 1, "{wire}");
+            assert_eq!(first.next(), alone.next(), "{wire}");
+        }
+        Some((templated, matched))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever the writer wrote, the template reads — and reads as the
+        /// grammar does.
+        #[test]
+        fn a_written_block_matches_its_template_and_reads_as_the_grammar_reads_it(
+            parts in arb_parts(),
+            (subject, issuer, key) in (arb_text(), arb_text(), arb_text()),
+            (created, serial) in (any::<u64>(), any::<u64>()),
+            digests in (any::<u8>(), any::<u8>(), any::<u8>()),
+        ) {
+            let mut written = block(&subject, &issuer, &key, [digests.0, digests.1, digests.2]);
+            written.created = created;
+            Arc::make_mut(&mut written.certificate).serial = serial;
+            let wire = wire_of(parts, written.clone());
+            let (read, matched) = read_both_ways(&wire).expect("the block is there");
+            // `\r` is written `&#13;` and `&`, `<`, `>` as entities: a value
+            // holding one is the grammar's to decode.
+            let clean = |s: &String| !s.contains(['&', '<', '>', '\r']);
+            prop_assert_eq!(matched, [&subject, &issuer, &key].into_iter().all(clean));
+            prop_assert_eq!(read, Ok(SecurityHeader::Signed(written)));
+        }
+    }
+
+    #[test]
+    fn every_corpus_entry_reads_one_way() {
+        let wire = signed_sample();
+        let theirs = sample_wire("41", "CN=mallory", [0x5a, 0xc3, 0x99]);
+        let other = sample_wire("9999", "CN=alice,O=UVA-VO", [0x42, 0xc3, 0x66]);
+        assert!(read_both_ways(&wire).unwrap().1);
+
+        for (_, what, tampered) in corpus::tampered(&wire, &theirs, &other) {
+            let (read, matched) = read_both_ways(&tampered).expect(what);
+            assert!(matches!(read, Ok(SecurityHeader::Signed(_))), "{what}");
+            assert!(matched, "{what}: still the template's bytes");
+        }
+        for (what, hostile) in corpus::departures(&wire) {
+            let (read, matched) = read_both_ways(&hostile).expect(what);
+            if what == "two blocks" {
+                // Each is intact; it is the header that holds one too many.
+                assert!(matched);
+                let env = Envelope::from_wire(&hostile).unwrap();
+                assert!(matches!(env.security, Some(SecurityHeader::Malformed(_))));
+                continue;
+            }
+            assert!(matches!(read, Ok(SecurityHeader::Malformed(_))), "{what}");
+            assert!(!matched, "{what}");
+        }
+        for broken in corpus::broken_xml(&wire) {
+            // One breaks before the block is reached.
+            if let Some((read, matched)) = read_both_ways(&broken) {
+                assert!(read.is_err() && !matched, "{broken}");
+            }
+            assert!(Envelope::from_wire(&broken).is_err(), "{broken}");
+        }
+        let (read, matched) = read_both_ways(&corpus::commented(&wire)).unwrap();
+        assert_eq!(read, read_both_ways(&wire).unwrap().0);
+        assert!(!matched);
+    }
+
+    /// Bytes that look like the template but do not mean what it means, and
+    /// bytes that mean it but are not the template's: the match declines
+    /// both, and the grammar's answer stands.
+    #[test]
+    fn the_template_declines_what_only_the_grammar_can_judge() {
+        let wire = signed_sample();
+        let intact = read_both_ways(&wire).unwrap().0;
+        let subject = "<Subject>CN=alice,O=UVA-VO</Subject>";
+        let with_subject = |text: &str| {
+            let block = block(text, "CN=UVA-CA", "00c0ffee00c0ffee", [0x5a, 0xc3, 0x7e]);
+            Ok(SecurityHeader::Signed(block))
+        };
+        let malformed =
+            |read: &XmlResult<SecurityHeader>| matches!(read, Ok(SecurityHeader::Malformed(_)));
+
+        // A prefix the seams spell, bound to something else.
+        for prefix in ["wsu", "ds"] {
+            let declaration = format!(" xmlns:{prefix}=\"urn:not-it\">");
+            for tag in ["<soap:Header>", "<wsse:Security>"] {
+                let rebound = edit(&wire, tag, &tag.replace('>', &declaration));
+                let (read, matched) = read_both_ways(&rebound).unwrap();
+                assert!(malformed(&read) && !matched, "{rebound}");
+            }
+        }
+        // `wsse` itself re-bound: not a security block at all.
+        for tag in ["<soap:Header>", "<wsse:Security>"] {
+            let rebound = edit(&wire, tag, &tag.replace('>', " xmlns:wsse=\"urn:not-it\">"));
+            assert!(read_both_ways(&rebound).is_none());
+            let env = Envelope::from_wire(&rebound).unwrap();
+            assert_eq!((env.security, env.headers.len()), (None, 3));
+        }
+        // Re-bound to the URI it had: the same names, so `Signed` either way.
+        for (prefix, uri) in [("wsse", ns::WSSE), ("wsu", ns::WSU), ("ds", ns::DS)] {
+            let declaration = format!(" xmlns:{prefix}=\"{uri}\">");
+            for tag in ["<soap:Header>", "<wsse:Security>"] {
+                let rebound = edit(&wire, tag, &tag.replace('>', &declaration));
+                assert_eq!(read_both_ways(&rebound).unwrap().0, intact, "{rebound}");
+            }
+        }
+        // The block under another prefix.
+        let renamed = edit(
+            &wire,
+            "<wsse:Security>",
+            &format!("<sec:Security xmlns:sec=\"{}\">", ns::WSSE),
+        );
+        let renamed = edit(&renamed, "</wsse:Security>", "</sec:Security>");
+        assert_eq!(read_both_ways(&renamed).unwrap(), (intact.clone(), false));
+
+        // A default namespace puts `X509Certificate` and its fields in it.
+        for tag in ["<soap:Header>", "<wsse:Security>"] {
+            let defaulted = edit(&wire, tag, &tag.replace('>', " xmlns=\"urn:d\">"));
+            let (read, matched) = read_both_ways(&defaulted).unwrap();
+            assert!(malformed(&read) && !matched, "{defaulted}");
+        }
+        // …unless it is undeclared again before the block.
+        let undeclared = edit(&wire, "<soap:Header>", "<soap:Header xmlns=\"\">");
+        let undeclared = edit(
+            &undeclared,
+            "<soap:Envelope ",
+            "<soap:Envelope xmlns=\"urn:d\" ",
+        );
+        assert_eq!(read_both_ways(&undeclared).unwrap(), (intact.clone(), true));
+
+        // The tag is not the template's, though it says the same.
+        let spaced = edit(&wire, "<wsse:Security>", "<wsse:Security >");
+        assert_eq!(read_both_ways(&spaced).unwrap(), (intact.clone(), false));
+        let attributed = edit(&wire, "<wsse:Security>", "<wsse:Security Id=\"s\">");
+        let (read, matched) = read_both_ways(&attributed).unwrap();
+        assert!(malformed(&read) && !matched);
+
+        // Values only the events decode.
+        for (raw, decoded) in [
+            ("CN=a&amp;b", "CN=a&b"),
+            ("CN=a&#13;b", "CN=a\rb"),
+            ("CN=a\rb", "CN=a\nb"),
+            ("CN=a\r\nb", "CN=a\nb"),
+            ("CN=<![CDATA[<a>]]>", "CN=<a>"),
+            ("CN=a<!-- c -->b", "CN=ab"),
+            ("CN=a<?pi?>b", "CN=ab"),
+        ] {
+            let dirty = edit(&wire, subject, &format!("<Subject>{raw}</Subject>"));
+            assert_eq!(
+                read_both_ways(&dirty).unwrap(),
+                (with_subject(decoded), false),
+                "{raw}"
+            );
+        }
+        // Values the template reads itself.
+        for clean in [
+            "",
+            "CN=a>b",
+            "CN=a]]>b",
+            "CN=a\nb\t",
+            "CN=\u{e9}\u{2603}\u{1d11e}",
+        ] {
+            let edited = edit(&wire, subject, &format!("<Subject>{clean}</Subject>"));
+            assert_eq!(
+                read_both_ways(&edited).unwrap(),
+                (with_subject(clean), true),
+                "{clean}"
+            );
+        }
+        let empty_tag = edit(&wire, subject, "<Subject/>");
+        assert_eq!(
+            read_both_ways(&empty_tag).unwrap(),
+            (with_subject(""), false)
+        );
+        // An empty value where a number belongs is the grammar's to refuse.
+        let created = between(&wire, "<wsu:Created>", "</wsu:Created>");
+        let blank = edit(&wire, &format!("<wsu:Created>{created}<"), "<wsu:Created><");
+        let (read, matched) = read_both_ways(&blank).unwrap();
+        assert!(malformed(&read) && !matched);
+
+        // A comment or a CDATA section between elements.
+        for at in ["<wsu:Timestamp>", "<ds:Signature>", "</wsse:Security>"] {
+            let commented = edit(&wire, at, &format!("<!-- c -->{at}"));
+            assert_eq!(
+                read_both_ways(&commented).unwrap(),
+                (intact.clone(), false),
+                "{at}"
+            );
+            let cdata = edit(&wire, at, &format!("<![CDATA[]]>{at}"));
+            let (read, matched) = read_both_ways(&cdata).unwrap();
+            assert!(malformed(&read) && !matched, "{at}");
+        }
+
+        // Input that ends anywhere inside the block: mid-seam, mid-value.
+        let from = wire.find("<wsse:Security>").unwrap() + "<wsse:Security>".len();
+        let to = wire.find("</wsse:Security>").unwrap() + "</wsse:Security>".len();
+        for cut in from..to {
+            let (read, matched) = read_both_ways(&wire[..cut]).unwrap();
+            assert!(read.is_err() && !matched, "cut at {cut}");
+        }
+        assert_eq!(read_both_ways(&wire[..to]).unwrap(), (intact, true));
     }
 }

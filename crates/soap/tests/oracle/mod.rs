@@ -7,6 +7,10 @@
 
 #![allow(dead_code)] // each test binary uses its own part
 
+pub mod corpus;
+
+use std::sync::Arc;
+
 use ogsa_soap::{Certificate, Envelope, SecurityHeader, SignedBlock};
 use ogsa_xml::{ns, parse, Element, Node, QName, XmlError, XmlResult};
 
@@ -231,12 +235,12 @@ fn signed_from_element(e: &Element) -> Result<SignedBlock, String> {
 
     let token = branch(top[1], q(ns::WSSE, "BinarySecurityToken"), &[], 1)?;
     let cert = branch(token[0], QName::local("X509Certificate"), &[], 4)?;
-    let certificate = Certificate {
+    let certificate = Arc::new(Certificate {
         subject_dn: leaf(cert[0], QName::local("Subject"))?,
         issuer_dn: leaf(cert[1], QName::local("Issuer"))?,
         serial: decimal(&leaf(cert[2], QName::local("Serial"))?)?,
         key_id: leaf(cert[3], QName::local("KeyId"))?,
-    };
+    });
 
     let signature = branch(top[2], q(ns::DS, "Signature"), &[], 3)?;
     let signed_info = branch(signature[0], q(ns::DS, "SignedInfo"), &[], 2)?;

@@ -5,6 +5,7 @@
 //! `BTreeMap`s, so snapshots iterate in a deterministic order — two runs of
 //! the same seed serialise to identical JSON.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -142,24 +143,41 @@ impl std::fmt::Debug for MetricsInner {
 
 /// `name{k=v,...}` with labels sorted by key — the canonical series key.
 pub fn series_key(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_owned();
-    }
-    let mut sorted: Vec<&(&str, &str)> = labels.iter().collect();
-    sorted.sort();
-    let mut out = String::with_capacity(name.len() + 16 * labels.len());
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    with_key(name, labels, str::to_owned)
+}
+
+thread_local! {
+    /// Where a series key is rendered to be looked up: a bump of a series
+    /// that exists allocates nothing.
+    static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Run `f` on the series key, rendered into this thread's buffer.
+fn with_key<T>(name: &str, labels: &[(&str, &str)], f: impl FnOnce(&str) -> T) -> T {
+    KEY.with_borrow_mut(|key| {
+        key.clear();
+        key.push_str(name);
+        let mut open = '{';
+        let mut push = |(k, v): &(&str, &str)| {
+            key.push(open);
+            key.push_str(k);
+            key.push('=');
+            key.push_str(v);
+            open = ',';
+        };
+        // Most call sites pass one label, or several already in order.
+        if labels.windows(2).all(|pair| pair[0] <= pair[1]) {
+            labels.iter().for_each(&mut push);
+        } else {
+            let mut sorted: Vec<_> = labels.iter().collect();
+            sorted.sort();
+            sorted.into_iter().for_each(&mut push);
         }
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
-    }
-    out.push('}');
-    out
+        if !labels.is_empty() {
+            key.push('}');
+        }
+        f(key)
+    })
 }
 
 impl MetricsRegistry {
@@ -174,41 +192,43 @@ impl MetricsRegistry {
 
     /// Add `delta` to a counter series.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self
-            .inner
-            .counters
-            .lock()
-            .entry(series_key(name, labels))
-            .or_insert(0) += delta;
+        with_key(name, labels, |key| {
+            let mut counters = self.inner.counters.lock();
+            match counters.get_mut(key) {
+                Some(value) => *value += delta,
+                None => {
+                    counters.insert(key.to_owned(), delta);
+                }
+            }
+        })
     }
 
     /// Current value of a counter series.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.inner
-            .counters
-            .lock()
-            .get(&series_key(name, labels))
-            .copied()
-            .unwrap_or(0)
+        with_key(name, labels, |key| {
+            self.inner.counters.lock().get(key).copied().unwrap_or(0)
+        })
     }
 
     /// Record one virtual-time observation in a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        self.inner
-            .histograms
-            .lock()
-            .entry(series_key(name, labels))
-            .or_default()
-            .observe(d.as_micros());
+        with_key(name, labels, |key| {
+            let mut histograms = self.inner.histograms.lock();
+            match histograms.get_mut(key) {
+                Some(histogram) => histogram.observe(d.as_micros()),
+                None => histograms
+                    .entry(key.to_owned())
+                    .or_default()
+                    .observe(d.as_micros()),
+            }
+        })
     }
 
     /// Current state of a histogram series, if it has observations.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        self.inner
-            .histograms
-            .lock()
-            .get(&series_key(name, labels))
-            .cloned()
+        with_key(name, labels, |key| {
+            self.inner.histograms.lock().get(key).cloned()
+        })
     }
 
     /// Set a gauge series to a point-in-time value (last write wins).
@@ -292,6 +312,25 @@ mod tests {
         assert_eq!(m.counter("msgs", &[("stack", "wxf")]), 5);
         assert_eq!(m.counter("msgs", &[]), 0);
         assert_eq!(m.snapshot().counter_total("msgs"), 7);
+    }
+
+    #[test]
+    fn labels_in_any_order_reach_one_series() {
+        let m = MetricsRegistry::new();
+        m.inc("calls", &[("action", "Get"), ("outcome", "ok")]);
+        m.inc("calls", &[("outcome", "ok"), ("action", "Get")]);
+        m.observe("ms", &[("b", "2"), ("a", "1")], SimDuration::from_micros(5));
+        m.observe("ms", &[("a", "1"), ("b", "2")], SimDuration::from_micros(7));
+        let snap = m.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.counter("calls{action=Get,outcome=ok}"), 2);
+        assert_eq!(snap.histograms["ms{a=1,b=2}"].count, 2);
+        assert_eq!(
+            m.counter("calls", &[("outcome", "ok"), ("action", "Get")]),
+            2
+        );
+        // Equal labels keep their places, as a sort would leave them.
+        assert_eq!(series_key("n", &[("a", "1"), ("a", "1")]), "n{a=1,a=1}");
     }
 
     #[test]

@@ -268,6 +268,64 @@ impl<'a> Reader<'a> {
         Ok(Event::End)
     }
 
+    /// Read the element whose start tag was just returned against the text
+    /// that wrote it: `seams[0]`, a value, `seams[1]`, … a last value,
+    /// `seams[N]`, from the start tag through the end tag. A value is clean
+    /// character data — no `<`, `&` or `\r`, so its bytes are what the events
+    /// would decode. Matching bytes name the same elements only where the
+    /// seams' prefixes are bound as the writer bound them: the caller lists
+    /// every prefix the seams spell with its URI in `prefixes`, and no default
+    /// namespace may be in scope for the names without one.
+    ///
+    /// When all of it matches and `accept` takes the values, the element is
+    /// consumed and closed and `accept`'s answer returned. On the first
+    /// difference, or if `accept` declines, nothing is consumed: the events
+    /// read the element as if this had not been called.
+    pub fn read_template<const N: usize, T>(
+        &mut self,
+        seams: &[&str],
+        prefixes: &[(&str, &Arc<str>)],
+        accept: impl FnOnce([&'a str; N]) -> Option<T>,
+    ) -> Option<T> {
+        assert_eq!(seams.len(), N + 1, "one seam either side of each value");
+        // The tag itself: `<name>` to the byte, so it declared and carried
+        // nothing. (A `<` cannot sit unquoted inside a tag, so bytes ending
+        // the tag that spell `<name>` are the whole of it.)
+        let name = self.open.last()?.raw_name;
+        let tag = seams[0].get(..name.len() + 2)?;
+        let spells_name = tag.strip_prefix('<').and_then(|t| t.strip_suffix('>')) == Some(name);
+        let bound = |(prefix, uri): &(&str, &Arc<str>)| {
+            let binding = self.scope.lookup(prefix);
+            binding.is_some_and(|u| Arc::ptr_eq(&u, uri) || u == **uri)
+        };
+        if !matches!(self.state, State::Content)
+            || !spells_name
+            || !self.bytes[..self.pos].ends_with(tag.as_bytes())
+            || self.scope.default_uri().is_some()
+            || !prefixes.iter().all(bound)
+        {
+            return None;
+        }
+
+        let after = |at: usize, seam: &str| {
+            let matches = self.bytes[at..].starts_with(seam.as_bytes());
+            matches.then_some(at + seam.len())
+        };
+        let mut at = after(self.pos, &seams[0][tag.len()..])?;
+        let mut values = [""; N];
+        for (value, seam) in values.iter_mut().zip(&seams[1..]) {
+            let rest = &self.bytes[at..];
+            let len = find_any(rest, b"<&\r").filter(|&i| rest[i] == b'<')?;
+            *value = &self.input[at..at + len];
+            at = after(at + len, seam)?;
+        }
+
+        let out = accept(values)?;
+        self.pos = at;
+        self.close_element();
+        Some(out)
+    }
+
     /// Read character data up to the next `<`. One search finds the end of
     /// clean text; only text holding a `&` or `\r` is searched on for its
     /// `<` and decoded.
@@ -294,6 +352,7 @@ impl<'a> Reader<'a> {
         self.attrs.clear();
         let bindings_mark = self.scope.bindings.len();
         let mut pushed_default = false;
+        let mut carried = 0;
         let empty = loop {
             self.skip_ws();
             match self.peek() {
@@ -306,6 +365,10 @@ impl<'a> Reader<'a> {
                     break false;
                 }
                 Some(_) => {
+                    carried += 1;
+                    if carried > MAX_TAG_ATTRS {
+                        return Err(too_many_attrs(open_pos));
+                    }
                     let attr_name = self.read_name()?;
                     self.skip_ws();
                     self.expect("=")?;
@@ -366,8 +429,8 @@ impl<'a> Reader<'a> {
                 attr.local = local;
             }
             // XML 1.0 §3.1, Namespaces in XML §6.3: expanded names are
-            // unique within a tag. A tag has a handful of attributes, so
-            // compare pairwise.
+            // unique within a tag. A tag has at most `MAX_TAG_ATTRS`
+            // attributes, so compare pairwise.
             if earlier
                 .iter()
                 .any(|e| e.local == attr.local && e.ns == attr.ns)
@@ -501,6 +564,19 @@ impl<'a> Reader<'a> {
         self.pos = start + len + 1;
         decode(&self.input[start..start + len], start, true)
     }
+}
+
+/// Most attributes plus namespace declarations one start tag may carry. A
+/// WS-* message carries a dozen; duplicate detection and prefix lookup
+/// compare a tag's attributes and bindings pairwise, so an unbounded tag at a
+/// server's body limit would hold a worker for seconds.
+pub const MAX_TAG_ATTRS: usize = 256;
+
+pub(crate) fn too_many_attrs(offset: usize) -> XmlError {
+    XmlError::parse(
+        offset,
+        format!("more than {MAX_TAG_ATTRS} attributes on one start tag"),
+    )
 }
 
 /// The bytes a name may hold: ASCII letters, digits, `_` `-` `.` `:`, and
@@ -658,6 +734,85 @@ mod tests {
             r.skip_to_depth(1),
             Err(XmlError::TagMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_template_consumes_its_whole_element_or_nothing() {
+        let seams = ["<p:pair><p:a>", "</p:a><b k=\"v\">", "</b></p:pair>"];
+        let urn = intern("urn:p");
+        let doc = "<r xmlns:p=\"urn:p\"><p:pair><p:a>1 &gt; 0</p:a><b k=\"v\"></b></p:pair>\
+                   <p:pair><p:a>x</p:a><b k=\"v\">y\u{e9}</b></p:pair><p:pair/></r>";
+        let mut r = Reader::new(doc);
+        let pair = |r: &mut Reader<'_>| {
+            assert_eq!(r.next().unwrap(), Event::Start);
+            assert!(r.is_named(Some(&intern("urn:p")), "pair"));
+        };
+        let join = |[a, b]: [&str; 2]| Some(format!("{a}|{b}"));
+        assert_eq!(r.next().unwrap(), Event::Start); // r
+
+        // A value the events must decode: declined, and the events go on.
+        pair(&mut r);
+        let at = r.offset();
+        assert_eq!(r.read_template(&seams, &[("p", &urn)], join), None);
+        assert_eq!((r.offset(), r.depth()), (at, 2));
+        r.skip_to_depth(1).unwrap();
+
+        // Matching bytes: refused by the caller, by a binding, then taken.
+        pair(&mut r);
+        let at = r.offset();
+        assert_eq!(
+            r.read_template(&seams, &[("p", &urn)], |_: [&str; 2]| None::<()>),
+            None
+        );
+        let other = intern("urn:q");
+        assert_eq!(r.read_template(&seams, &[("p", &other)], join), None);
+        assert_eq!(r.read_template(&seams, &[("q", &urn)], join), None);
+        assert_eq!((r.offset(), r.depth()), (at, 2));
+        assert_eq!(
+            r.read_template(&seams, &[("p", &urn)], join).as_deref(),
+            Some("x|y\u{e9}")
+        );
+        assert_eq!(r.depth(), 1);
+
+        // An empty-element tag is not the template's start tag.
+        pair(&mut r);
+        assert_eq!(r.read_template(&seams, &[("p", &urn)], join), None);
+        assert_eq!(r.next().unwrap(), Event::End);
+        assert_eq!(r.next().unwrap(), Event::End);
+        assert_eq!(r.next().unwrap(), Event::Eof);
+
+        // The root itself, and a default namespace in scope.
+        let mut r = Reader::new("<a>v</a> ");
+        r.next().unwrap();
+        assert_eq!(
+            r.read_template(&["<a>", "</a>"], &[], |[v]| Some(v)),
+            Some("v")
+        );
+        assert_eq!(r.next().unwrap(), Event::Eof);
+        let mut r = Reader::new("<a xmlns=\"urn:d\"><b>v</b></a>");
+        r.next().unwrap();
+        r.next().unwrap();
+        assert_eq!(r.read_template(&["<b>", "</b>"], &[], |[v]| Some(v)), None);
+    }
+
+    #[test]
+    fn a_start_tag_carries_at_most_max_tag_attrs() {
+        let tag = |attrs: usize, declarations: usize| {
+            let attrs: String = (0..attrs).map(|i| format!(" a{i}='v'")).collect();
+            let declarations: String = (0..declarations)
+                .map(|i| format!(" xmlns:p{i}='urn:{i}'"))
+                .collect();
+            format!("<r{attrs}{declarations}/>")
+        };
+        for (attrs, declarations) in [(MAX_TAG_ATTRS, 0), (0, MAX_TAG_ATTRS), (200, 56)] {
+            assert!(trace(&tag(attrs, declarations)).is_ok());
+        }
+        for (attrs, declarations) in [(MAX_TAG_ATTRS + 1, 0), (0, MAX_TAG_ATTRS + 1), (200, 57)] {
+            assert!(matches!(
+                trace(&tag(attrs, declarations)),
+                Err(XmlError::Parse { offset: 0, .. })
+            ));
+        }
     }
 
     #[test]

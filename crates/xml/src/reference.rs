@@ -15,6 +15,7 @@ use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
 use crate::name::{intern, QName};
 use crate::node::{Attribute, Element, Node};
+use crate::reader::{too_many_attrs, MAX_TAG_ATTRS};
 
 /// Parse a complete document (or bare element) into its root [`Element`],
 /// using the original two-pass text decoding.
@@ -154,6 +155,7 @@ impl<'a> Parser<'a> {
         let mut raw_attrs: Vec<(&'a str, String)> = Vec::new();
         let bindings_mark = scope.bindings.len();
         let mut pushed_default = false;
+        let mut carried = 0;
         loop {
             self.skip_ws();
             match self.peek() {
@@ -169,6 +171,10 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 Some(_) => {
+                    carried += 1;
+                    if carried > MAX_TAG_ATTRS {
+                        return Err(too_many_attrs(open_pos));
+                    }
                     let attr_name = self.read_name()?;
                     self.skip_ws();
                     self.expect("=")?;

@@ -19,6 +19,7 @@
 //! and may not fail; fragment boundaries carry no meaning.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::escape::escape_runs;
@@ -105,9 +106,11 @@ pub fn document_len(root: &Element) -> usize {
 /// URIs are held in sorted order so generated prefixes do not depend on
 /// traversal order; lookups compare `Arc` pointers first (all URIs produced
 /// by the parser and `QName::new` are interned) and fall back to content.
+#[derive(Clone)]
 pub struct Prefixes {
     /// `(uri, prefix)` in URI-sorted order — also the declaration order.
-    entries: Vec<(Arc<str>, Cow<'static, str>)>,
+    /// Shared with the per-thread memo an assignment is remembered in.
+    entries: Arc<[(Arc<str>, Cow<'static, str>)]>,
 }
 
 impl Prefixes {
@@ -118,10 +121,36 @@ impl Prefixes {
         b.build()
     }
 
+    /// Preferred prefixes from [`ns::preferred_prefix`] where available and
+    /// unclaimed, `ns0`, `ns1`, ... otherwise, in URI order.
+    fn assign(uris: &[Arc<str>]) -> Prefixes {
+        let mut sorted: Vec<&Arc<str>> = uris.iter().collect();
+        sorted.sort_unstable();
+        let mut entries: Vec<(Arc<str>, Cow<'static, str>)> = Vec::with_capacity(uris.len());
+        let mut counter = 0usize;
+        for uri in sorted {
+            let preferred = ns::preferred_prefix(uri).map(Cow::Borrowed);
+            let prefix = match preferred {
+                Some(p) if !entries.iter().any(|(_, taken)| *taken == p) => p,
+                _ => loop {
+                    let candidate = format!("ns{counter}");
+                    counter += 1;
+                    if !entries.iter().any(|(_, taken)| **taken == candidate) {
+                        break Cow::Owned(candidate);
+                    }
+                },
+            };
+            entries.push((uri.clone(), prefix));
+        }
+        Prefixes {
+            entries: entries.into(),
+        }
+    }
+
     /// The prefix assigned to `uri`. Panics if the URI was never collected —
     /// serialising a tree with a builder that did not see it is a bug.
     pub fn prefix_for(&self, uri: &Arc<str>) -> &str {
-        for (u, p) in &self.entries {
+        for (u, p) in self.entries.iter() {
             if Arc::ptr_eq(u, uri) || **u == **uri {
                 return p;
             }
@@ -132,7 +161,7 @@ impl Prefixes {
     /// Append ` xmlns:p="uri"` declarations for every collected URI, in
     /// deterministic (URI-sorted) order.
     pub fn write_declarations<S: Sink>(&self, out: &mut S) {
-        for (uri, prefix) in &self.entries {
+        for (uri, prefix) in self.entries.iter() {
             out.push_str(" xmlns:");
             out.push_str(prefix);
             out.push_str("=\"");
@@ -140,6 +169,26 @@ impl Prefixes {
             out.push_str("\"");
         }
     }
+}
+
+/// How many assignments a thread remembers. A service writes a handful of
+/// URI sets; a whole Grid-in-a-Box job on both stacks writes fourteen.
+const MEMO_SLOTS: usize = 32;
+
+/// The assignment is a pure function of the URI set, and a thread writes the
+/// same few sets over and over (interned, so the same pointers): remember
+/// the last [`MEMO_SLOTS`] by the `Arc`s collected, in collection order. A
+/// key holds its `Arc`s, so a pointer it compares equal to is that string.
+#[derive(Default)]
+struct Memo {
+    /// A finished builder's collecting vector, emptied, for the next one.
+    spare: Vec<Arc<str>>,
+    /// Oldest first.
+    slots: Vec<(Vec<Arc<str>>, Prefixes)>,
+}
+
+thread_local! {
+    static MEMO: RefCell<Memo> = RefCell::default();
 }
 
 /// Collects namespace URIs from one or more trees (plus any synthetic names
@@ -153,7 +202,9 @@ pub struct PrefixesBuilder {
 
 impl PrefixesBuilder {
     pub fn new() -> PrefixesBuilder {
-        PrefixesBuilder::default()
+        PrefixesBuilder {
+            uris: MEMO.with_borrow_mut(|memo| std::mem::take(&mut memo.spare)),
+        }
     }
 
     /// Collect every URI in the subtree rooted at `e`.
@@ -182,29 +233,29 @@ impl PrefixesBuilder {
         }
     }
 
-    /// Freeze into a deterministic assignment: preferred prefixes from
-    /// [`ns::preferred_prefix`] where available and unclaimed, `ns0`,
-    /// `ns1`, ... otherwise.
+    /// Freeze into the deterministic assignment of [`Prefixes::assign`] —
+    /// remembered, if this thread lately built one for the same URIs.
     pub fn build(self) -> Prefixes {
         let mut uris = self.uris;
-        uris.sort_unstable_by(|a, b| a.as_ref().cmp(b.as_ref()));
-        let mut entries: Vec<(Arc<str>, Cow<'static, str>)> = Vec::with_capacity(uris.len());
-        let mut counter = 0usize;
-        for uri in uris {
-            let preferred = ns::preferred_prefix(&uri).map(Cow::Borrowed);
-            let prefix = match preferred {
-                Some(p) if !entries.iter().any(|(_, taken)| *taken == p) => p,
-                _ => loop {
-                    let candidate = format!("ns{counter}");
-                    counter += 1;
-                    if !entries.iter().any(|(_, taken)| **taken == candidate) {
-                        break Cow::Owned(candidate);
-                    }
-                },
+        MEMO.with_borrow_mut(|memo| {
+            let same = |key: &[Arc<str>]| {
+                key.len() == uris.len() && key.iter().zip(&uris).all(|(a, b)| Arc::ptr_eq(a, b))
             };
-            entries.push((uri, prefix));
-        }
-        Prefixes { entries }
+            let prefixes = match memo.slots.iter().find(|(key, _)| same(key)) {
+                Some((_, prefixes)) => prefixes.clone(),
+                None => {
+                    let prefixes = Prefixes::assign(&uris);
+                    if memo.slots.len() == MEMO_SLOTS {
+                        memo.slots.remove(0);
+                    }
+                    memo.slots.push((uris.clone(), prefixes.clone()));
+                    prefixes
+                }
+            };
+            uris.clear();
+            memo.spare = uris;
+            prefixes
+        })
     }
 }
 
@@ -374,6 +425,48 @@ mod tests {
             ByteCount::of(|n| write_subtree_into(child, &prefixes, n)),
             out.len()
         );
+    }
+
+    /// Remembered or computed, an assignment is the same: more URI sets
+    /// than the memo holds, each built again after all the others, in two
+    /// collection orders, interned and not.
+    #[test]
+    fn a_remembered_assignment_is_the_computed_one() {
+        let declared = |uris: &[Arc<str>]| {
+            let mut b = PrefixesBuilder::new();
+            uris.iter().for_each(|uri| b.add_uri(uri));
+            let mut out = String::new();
+            b.build().write_declarations(&mut out);
+            out
+        };
+        let computed = |uris: &[Arc<str>]| {
+            let mut out = String::new();
+            Prefixes::assign(uris).write_declarations(&mut out);
+            out
+        };
+        let sets: Vec<Vec<Arc<str>>> = (0..3 * MEMO_SLOTS)
+            .map(|i| {
+                vec![
+                    intern(ns::SOAP),
+                    intern(&format!("urn:memo:{i}")),
+                    intern(ns::WSA),
+                    Arc::from(format!("urn:memo:loose:{}", i % 2)),
+                ]
+            })
+            .collect();
+        for _ in 0..2 {
+            for set in &sets {
+                let expected = computed(set);
+                assert_eq!(declared(set), expected);
+                assert_eq!(declared(set), expected, "the hit");
+                let reversed: Vec<_> = set.iter().rev().cloned().collect();
+                assert_eq!(declared(&reversed), expected);
+            }
+        }
+        assert!(
+            declared(&sets[5]).contains("xmlns:ns0=\"urn:memo:5\" xmlns:ns1=\"urn:memo:loose:1\"")
+        );
+        assert_eq!(declared(&[]), "");
     }
 
     #[test]

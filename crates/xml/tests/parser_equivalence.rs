@@ -7,7 +7,7 @@
 //! EOL/whitespace normalisation), and raw near-XML soup that exercises the
 //! error paths.
 
-use ogsa_xml::{parse, reference, Element, QName};
+use ogsa_xml::{parse, reference, Element, QName, XmlError, MAX_TAG_ATTRS};
 use proptest::prelude::*;
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -159,5 +159,30 @@ fn corner_case_corpus_is_equivalent() {
     ];
     for case in cases {
         assert_equivalent(case);
+    }
+}
+
+/// Both parsers stop counting at the same attribute: a start tag carries at
+/// most `MAX_TAG_ATTRS` attributes and namespace declarations together.
+#[test]
+fn the_attribute_cap_is_the_same_in_both_parsers() {
+    let tag = |attrs: usize, declarations: usize| {
+        let attrs: String = (0..attrs).map(|i| format!(" a{i}=\"v\"")).collect();
+        let declarations: String = (0..declarations)
+            .map(|i| format!(" xmlns:p{i}=\"urn:{i}\""))
+            .collect();
+        format!("<r{attrs}{declarations}><kept/></r>")
+    };
+    for (attrs, declarations) in [(MAX_TAG_ATTRS, 0), (0, MAX_TAG_ATTRS), (255, 1)] {
+        let doc = tag(attrs, declarations);
+        assert_equivalent(&doc);
+        assert_eq!(parse(&doc).unwrap().attrs.len(), attrs);
+    }
+    for (attrs, declarations) in [(MAX_TAG_ATTRS + 1, 0), (0, MAX_TAG_ATTRS + 1), (255, 2)] {
+        let doc = tag(attrs, declarations);
+        assert_equivalent(&doc);
+        for refused in [parse(&doc), reference::parse(&doc)] {
+            assert!(matches!(refused, Err(XmlError::Parse { offset: 0, .. })));
+        }
     }
 }
