@@ -322,7 +322,7 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
     let deliveries = Arc::new(AtomicU64::new(0));
     let envelopes = Arc::new(AtomicU64::new(0));
     let (d, e) = (deliveries.clone(), envelopes.clone());
-    let sink: Sink<BenchSub> = Arc::new(move |_sub, bodies: Vec<Element>| {
+    let sink: Sink<BenchSub> = Arc::new(move |_sub, bodies: Vec<Arc<Element>>| {
         d.fetch_add(bodies.len() as u64, Ordering::Relaxed);
         // WSN: one <wsnt:Notify> envelope per drain. WS-Eventing: no batch
         // container in the spec, one wire message per event.
@@ -352,8 +352,9 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
         } else {
             table.stats().shards() - 1
         };
+        let event = Arc::new(Element::new("E"));
         for sub in table.resolve(path) {
-            deliverer.enqueue(&sub, shard, Element::new("E"));
+            deliverer.enqueue(&sub, shard, event.clone());
         }
     }
     deliverer.flush();

@@ -75,7 +75,7 @@ impl EventSourceService {
 }
 
 impl WebService for EventSourceService {
-    fn handle(&self, op: &Operation, ctx: &OperationContext) -> Result<Element, Fault> {
+    fn handle(&self, op: &Operation, _ctx: &OperationContext) -> Result<Element, Fault> {
         match op.action_name() {
             "Subscribe" => {
                 let req = SubscribeRequest::from_element(&op.body)
@@ -110,7 +110,6 @@ impl WebService for EventSourceService {
                 self.store.insert(sub.clone());
                 self.index.insert(sub, filter);
                 let manager = EndpointReference::resource(self.manager_address.clone(), id);
-                let _ = ctx;
                 Ok(SubscribeRequest::response(&manager, req.expires))
             }
             other => Err(Fault::client(format!(
@@ -160,12 +159,14 @@ impl NotificationManager {
         let sender = agent.clone();
         let sink_modes = modes.clone();
         let sink: Sink<EventSubscription> =
-            Arc::new(move |sub: &EventSubscription, bodies: Vec<Element>| {
+            Arc::new(move |sub: &EventSubscription, bodies: Vec<Arc<Element>>| {
                 let Some(mode) = sink_modes.get(&sub.mode) else {
                     return;
                 };
+                // The event is the envelope's root, which owns its tree:
+                // copied only while another outbox still holds it.
                 for body in bodies {
-                    mode.deliver(&sender, sub, body);
+                    mode.deliver(&sender, sub, Arc::unwrap_or_clone(body));
                 }
             });
         let deliverer = Deliverer::new(
@@ -207,13 +208,13 @@ impl NotificationManager {
         &self.deliverer
     }
 
-    /// Trigger an event: purge expired subscriptions only when the expiry
-    /// watermark says one is actually due (notifying their `EndTo`), ask
+    /// Trigger an event: purge expired subscriptions only when the store
+    /// says one is actually due (notifying their `EndTo`), ask
     /// the index which subscriptions' filters accept the event, and deliver
     /// through each one's mode. Returns the number of deliveries.
     pub fn trigger(&self, event: Element) -> usize {
         let now = self.agent.clock().now();
-        if self.index.expiry_due(now) {
+        if self.store.expiry_due(now) {
             // Something is due: the purge runs against the flat file (the
             // charged store of record) and evicts eagerly — an expired
             // subscriber is never charged a delivery attempt.
@@ -230,20 +231,15 @@ impl NotificationManager {
         }
         let mut matching = self.index.matching(&event);
         matching.retain(|sub| self.modes.contains_key(&sub.mode));
-        // Each delivery owns its message body, but the last one can take
-        // the event itself — a single-subscriber trigger clones nothing.
-        let last = matching.len();
-        let mut event = Some(event);
-        for (i, sub) in matching.iter().enumerate() {
-            let body = if i + 1 == last {
-                event.take().expect("event present until final delivery")
-            } else {
-                event.clone().expect("event present until final delivery")
-            };
-            self.deliverer
-                .enqueue(sub, self.index.stats().shards() - 1, body);
+        // Every match's outbox holds a pointer to the one event; the last
+        // is handed this function's own, so a single-subscriber trigger
+        // sends the tree it was given.
+        let shard = self.index.stats().shards() - 1;
+        let bodies = std::iter::repeat_n(Arc::new(event), matching.len());
+        for (sub, body) in matching.iter().zip(bodies) {
+            self.deliverer.enqueue(sub, shard, body);
         }
-        last
+        matching.len()
     }
 
     /// The underlying store (tests and benches inspect it).

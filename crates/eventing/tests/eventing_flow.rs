@@ -212,6 +212,37 @@ fn fan_out_to_many_subscribers() {
     }
 }
 
+/// One event fanned out to N coalescing subscribers is parked N times by
+/// pointer; WS-Eventing has no batch container, so each drain takes the
+/// tree for its own envelope — a copy while another outbox still holds it,
+/// the tree itself for the last.
+#[test]
+fn a_coalesced_event_is_parked_once_and_sent_to_each_subscriber() {
+    const N: usize = 4;
+    let (tb, source, notifier) = setup();
+    let notifier = notifier.with_delivery(ogsa_fanout::DelivererConfig {
+        plan: ogsa_fanout::DeliveryPlan::Coalesce { batch_max: 16 },
+        outbox_capacity: 64,
+    });
+    let client = tb.client("client-1", "CN=alice", SecurityPolicy::None);
+    let consumers: Vec<_> = (0..N)
+        .map(|i| EventConsumer::listen(&client, &format!("/events{i}")))
+        .collect();
+    for c in &consumers {
+        let req = SubscribeRequest::new(c.epr().clone()).to_element();
+        client.invoke(&source, actions::SUBSCRIBE, req).unwrap();
+    }
+    assert_eq!(notifier.trigger(event(7)), N);
+    let parked = notifier.deliverer().parked("es-0");
+    assert_eq!(parked.len(), 1);
+    assert_eq!(std::sync::Arc::strong_count(&parked[0]), N + 1);
+    assert_eq!(notifier.deliverer().flush(), N);
+    assert_eq!(std::sync::Arc::strong_count(&parked[0]), 1);
+    for c in &consumers {
+        assert_eq!(c.recv_timeout(WAIT).expect("pushed event"), event(7));
+    }
+}
+
 #[test]
 fn subscription_is_per_service_not_per_resource() {
     // Unlike WS-Notification, "a subscription is not associated with a

@@ -1,6 +1,6 @@
-//! Property tests: the flat-XML subscription store faithfully round-trips
-//! arbitrary subscriptions (the whole file is rewritten on every change, so
-//! serialisation bugs would corrupt unrelated entries).
+//! Property tests: the flat-XML subscription store hands back arbitrary
+//! subscriptions as it was given them, and a change to one leaves the
+//! others intact.
 
 use ogsa_addressing::EndpointReference;
 use ogsa_eventing::{EventSubscription, FlatXmlStore};

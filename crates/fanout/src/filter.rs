@@ -64,10 +64,11 @@ struct Group {
 
 /// One shard's distinct filters, grouped by text. A group lives in a slab
 /// slot for as long as any subscription refers to it; entries hold the slot.
+/// A free slot has no members and a filter that matches nothing.
 #[derive(Default)]
 pub(crate) struct FilterGroups {
     by_text: HashMap<String, usize>,
-    slots: Vec<Option<Group>>,
+    slots: Vec<Group>,
     free: Vec<usize>,
 }
 
@@ -75,14 +76,11 @@ impl FilterGroups {
     /// Join (or found) the group for `filter`'s text; returns its slot.
     pub(crate) fn join(&mut self, filter: ContentFilter) -> usize {
         if let Some(&slot) = self.by_text.get(filter.text()) {
-            self.slots[slot]
-                .as_mut()
-                .expect("indexed slot is live")
-                .members += 1;
+            self.slots[slot].members += 1;
             return slot;
         }
         let text = filter.text().to_owned();
-        let group = Some(Group { filter, members: 1 });
+        let group = Group { filter, members: 1 };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = group;
@@ -99,12 +97,16 @@ impl FilterGroups {
 
     /// One member leaves `slot`; the group goes with its last member.
     pub(crate) fn leave(&mut self, slot: usize) {
-        let group = self.slots[slot].as_mut().expect("left slot is live");
-        group.members -= 1;
-        if group.members == 0 {
-            let group = self.slots[slot].take().expect("checked live above");
-            self.by_text.remove(group.filter.text());
-            self.free.push(slot);
+        let group = &mut self.slots[slot];
+        match group.members {
+            0 => {} // free already: nothing refers to it
+            1 => {
+                group.members = 0;
+                let dead = std::mem::replace(&mut group.filter, ContentFilter::matches_nothing(""));
+                self.by_text.remove(dead.text());
+                self.free.push(slot);
+            }
+            _ => group.members -= 1,
         }
     }
 
@@ -130,11 +132,7 @@ impl Verdicts<'_> {
     pub(crate) fn accepts(&mut self, slot: usize, message: &Element) -> bool {
         *self.memo[slot].get_or_insert_with(|| {
             self.evaluations += 1;
-            self.groups.slots[slot]
-                .as_ref()
-                .expect("entry's slot is live")
-                .filter
-                .accepts(message)
+            self.groups.slots[slot].filter.accepts(message)
         })
     }
 }
@@ -172,6 +170,9 @@ mod tests {
         assert_eq!(groups.by_text.len(), 1, "one member still refers to it");
         groups.leave(a);
         assert!(groups.by_text.is_empty());
+        groups.leave(a);
+        assert_eq!(groups.free, [a], "leaving a free slot frees nothing twice");
+        assert!(!groups.verdicts().accepts(a, &Element::new("A")));
         assert_eq!(groups.join(filter("/B")), a, "freed slot reused");
         assert_eq!(groups.slots.len(), 1);
     }

@@ -22,6 +22,8 @@
 //! `Arc` of the subscription, found by `&str` in one map under one lock —
 //! accepting a notification allocates nothing but the queue's own growth.
 //! Flushes still drain subscribers in id order.
+//! A parked notification is an `Arc<Element>`: one tree per event, a
+//! pointer to it in every matching subscriber's outbox, no copy per match.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -62,7 +64,7 @@ impl Default for DelivererConfig {
 /// The stack-specific send: given one subscriber and everything queued for
 /// it, put the message(s) on the wire. WSN builds one coalesced envelope;
 /// WS-Eventing sends one message per element.
-pub type Sink<T> = Arc<dyn Fn(&T, Vec<Element>) + Send + Sync>;
+pub type Sink<T> = Arc<dyn Fn(&T, Vec<Arc<Element>>) + Send + Sync>;
 
 /// Per-subscriber delivery accounting: the durable redelivery ledger. The
 /// wire-level retry/dead-letter machinery (PR 1) is per *message*; the
@@ -90,14 +92,14 @@ struct Slot<T> {
     sub: Arc<T>,
     shard: usize,
     row: LedgerEntry,
-    queue: VecDeque<Element>,
+    queue: VecDeque<Arc<Element>>,
 }
 
 /// Everything parked for one subscriber, taken out of its slot for a send.
 struct Batch<T> {
     sub: Arc<T>,
     shard: usize,
-    bodies: Vec<Element>,
+    bodies: Vec<Arc<Element>>,
 }
 
 impl<T> Slot<T> {
@@ -204,6 +206,14 @@ impl<T: Subscriber> Deliverer<T> {
         slots.values().map(|s| s.queue.len()).sum()
     }
 
+    /// What is parked for `sub_id`, oldest first: the pointers, not copies.
+    pub fn parked(&self, sub_id: &str) -> Vec<Arc<Element>> {
+        let slots = self.inner.slots.lock();
+        slots
+            .get(sub_id)
+            .map_or_else(Vec::new, |s| s.queue.iter().cloned().collect())
+    }
+
     /// Run `f` on the subscriber's slot, creating it on first contact — the
     /// only time accepting a notification allocates a key.
     fn with_slot<R>(&self, sub: &Arc<T>, shard: usize, f: impl FnOnce(&mut Slot<T>) -> R) -> R {
@@ -221,7 +231,8 @@ impl<T: Subscriber> Deliverer<T> {
 
     /// Accept one notification body for one subscriber. `shard` is the
     /// subscriber's table shard (for the per-shard outbox-depth gauge).
-    pub fn enqueue(&self, sub: &Arc<T>, shard: usize, body: Element) {
+    pub fn enqueue(&self, sub: &Arc<T>, shard: usize, body: impl Into<Arc<Element>>) {
+        let body = body.into();
         let config = self.config();
         match config.plan {
             DeliveryPlan::Immediate => {
@@ -241,8 +252,9 @@ impl<T: Subscriber> Deliverer<T> {
                     slot.queue.push_back(body);
                     self.inner.stats.add_depth(shard, 1);
                     if slot.queue.len() > config.outbox_capacity {
-                        let evicted = slot.queue.pop_front().expect("len > cap ≥ 0");
-                        self.overflow(slot, shard, &evicted);
+                        if let Some(evicted) = slot.queue.pop_front() {
+                            self.overflow(slot, shard, &evicted);
+                        }
                     }
                     if slot.queue.len() >= batch_max.max(1) {
                         slot.take_batch()
@@ -266,7 +278,7 @@ impl<T: Subscriber> Deliverer<T> {
             .telemetry()
             .metrics()
             .inc("wsn.backpressure_drops", &[("stack", self.inner.stack)]);
-        let wire_bytes = evicted.into_document_string().len();
+        let wire_bytes = ogsa_xml::writer::document_len(evicted);
         self.inner.net.record_dead_letter(DeadLetter {
             to: slot.sub.endpoint().address.clone(),
             from_host: self.inner.from_host.clone(),
@@ -282,7 +294,7 @@ impl<T: Subscriber> Deliverer<T> {
     /// Hand `bodies` to the sink (outside the slots lock: the sink goes to
     /// the wire), then record the delivery — unless the subscriber was
     /// forgotten meanwhile.
-    fn send(&self, sub: &T, bodies: Vec<Element>) {
+    fn send(&self, sub: &T, bodies: Vec<Arc<Element>>) {
         let n = bodies.len() as u64;
         (self.inner.sink)(sub, bodies);
         if let Some(slot) = self.inner.slots.lock().get_mut(sub.sub_id()) {
@@ -392,7 +404,7 @@ mod tests {
         let seen = calls.clone();
         let d = deliverer(
             &n,
-            Arc::new(move |_s: &Sub, bodies: Vec<Element>| {
+            Arc::new(move |_s: &Sub, bodies: Vec<Arc<Element>>| {
                 assert_eq!(bodies.len(), 1);
                 seen.fetch_add(1, Ordering::SeqCst);
             }),
@@ -416,7 +428,7 @@ mod tests {
         let seen = batches.clone();
         let d = deliverer(
             &n,
-            Arc::new(move |s: &Sub, bodies: Vec<Element>| {
+            Arc::new(move |s: &Sub, bodies: Vec<Arc<Element>>| {
                 seen.lock().push((s.id.clone(), bodies.len()));
             }),
         );
@@ -441,6 +453,37 @@ mod tests {
         assert_eq!((e.delivered, e.envelopes), (3, 1));
     }
 
+    /// One event for many subscribers is one tree: every outbox holds a
+    /// pointer to it, and the drains let go of it.
+    #[test]
+    fn one_event_is_parked_once_however_many_subscribers_hold_it() {
+        let n = net();
+        let seen: Arc<Mutex<Vec<Arc<Element>>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = seen.clone();
+        let d = deliverer(
+            &n,
+            Arc::new(move |_s: &Sub, bodies: Vec<Arc<Element>>| sink_seen.lock().extend(bodies)),
+        );
+        d.set_config(DelivererConfig {
+            plan: DeliveryPlan::Coalesce { batch_max: 16 },
+            outbox_capacity: 64,
+        });
+        let event = Arc::new(Element::new("E"));
+        for id in ["a", "b", "c"] {
+            d.enqueue(&sub(id), 0, event.clone());
+        }
+        assert_eq!(Arc::strong_count(&event), 3 + 1);
+        assert!(Arc::ptr_eq(&d.parked("b")[0], &event));
+        assert!(d.parked("nobody").is_empty());
+        assert_eq!(d.flush(), 3);
+        assert!(seen.lock().iter().all(|body| Arc::ptr_eq(body, &event)));
+        seen.lock().clear();
+        assert_eq!(Arc::strong_count(&event), 1);
+        // An owned element is accepted as it always was.
+        d.enqueue(&sub("a"), 0, Element::new("E"));
+        assert_eq!(d.parked("a").len(), 1);
+    }
+
     #[test]
     fn batch_max_triggers_inline_drain() {
         let n = net();
@@ -448,7 +491,7 @@ mod tests {
         let seen = batches.clone();
         let d = deliverer(
             &n,
-            Arc::new(move |_s: &Sub, bodies: Vec<Element>| {
+            Arc::new(move |_s: &Sub, bodies: Vec<Arc<Element>>| {
                 seen.lock().push(bodies.len());
             }),
         );
@@ -468,7 +511,7 @@ mod tests {
     #[test]
     fn overflow_drops_oldest_and_dead_letters() {
         let n = net();
-        let d = deliverer(&n, Arc::new(|_s: &Sub, _b: Vec<Element>| {}));
+        let d = deliverer(&n, Arc::new(|_s: &Sub, _b: Vec<Arc<Element>>| {}));
         d.set_config(DelivererConfig {
             plan: DeliveryPlan::Coalesce { batch_max: 100 },
             outbox_capacity: 2,
@@ -493,7 +536,7 @@ mod tests {
         let seen = calls.clone();
         let d = deliverer(
             &n,
-            Arc::new(move |_s: &Sub, _b: Vec<Element>| {
+            Arc::new(move |_s: &Sub, _b: Vec<Arc<Element>>| {
                 seen.fetch_add(1, Ordering::SeqCst);
             }),
         );
@@ -512,7 +555,7 @@ mod tests {
     #[test]
     fn forgetting_a_subscriber_drops_its_row_and_whatever_is_parked() {
         let n = net();
-        let d = deliverer(&n, Arc::new(|_s: &Sub, _b: Vec<Element>| {}));
+        let d = deliverer(&n, Arc::new(|_s: &Sub, _b: Vec<Arc<Element>>| {}));
         d.set_config(DelivererConfig {
             plan: DeliveryPlan::Coalesce { batch_max: 100 },
             outbox_capacity: 100,

@@ -13,9 +13,10 @@ mod oracle;
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityError};
 use ogsa_sim::{CostModel, VirtualClock};
 use ogsa_soap::{Envelope, SecurityHeader};
-use ogsa_xml::{canonicalize, canonicalize_into, ns, ByteCount, Element, QName, Sink};
+use ogsa_xml::{canonicalize, canonicalize_into, ns, ByteCount, Element, Node, QName, Sink};
 use oracle::corpus::{self, arb_parts, arb_text, between, edit, Caught};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---- arbitrary envelopes × identities -----------------------------------
 
@@ -110,6 +111,39 @@ proptest! {
         let verdict = w.verify(&fast);
         prop_assert_eq!(&verdict, &w.verify(&tree));
         prop_assert_eq!(verdict.is_ok(), signed);
+    }
+
+    /// A body whose members are shared subtrees (one event under many
+    /// subscribers' `wsnt:Notify`) is signed, written, priced, read and
+    /// verified as its all-owned twin: the oracle copies every shared node
+    /// out before it writes, and reads back a tree that never had one.
+    #[test]
+    fn shared_body_members_are_their_owned_twins(
+        (first, members) in arb_parts(),
+        issuer in arb_text(),
+    ) {
+        let w = World::new();
+        let members: Vec<Arc<Element>> =
+            std::iter::once(first).chain(members).map(Arc::new).collect();
+        let mut notify = Element::new(QName::new(ns::WSNT, "Notify"));
+        notify.children.extend(members.iter().cloned().map(Node::Shared));
+        let twin = oracle::owned(&notify);
+        prop_assert_eq!(&notify, &twin);
+        prop_assert_eq!(canonicalize(&notify), canonicalize(&twin));
+
+        let mut env = Envelope::new(notify);
+        w.sign(&mut env, &w.identity(&issuer, "CN=producer"));
+        let wire = env.to_wire();
+        prop_assert_eq!(&wire, &oracle::to_wire(&env));
+        prop_assert_eq!(env.wire_size(), wire.len());
+        let fast = Envelope::from_wire(&wire).unwrap();
+        prop_assert_eq!(&fast, &oracle::from_wire(&wire).unwrap());
+        prop_assert_eq!(&fast.security, &env.security);
+        prop_assert!(w.verify(&fast).is_ok());
+        prop_assert!(w.verify(&env).is_ok());
+        // Sent and dropped, the envelope let go of every member.
+        drop(env);
+        prop_assert!(members.iter().all(|m| Arc::strong_count(m) == 1));
     }
 
     /// A sink is handed fragments, and where it puts them is its own

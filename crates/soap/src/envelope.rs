@@ -272,14 +272,10 @@ fn security_tree(security: &SecurityHeader) -> Element {
     );
     security.write_into(&mut doc);
     doc.push_str("</x>");
-    let wrapper = parse(&doc).expect("the block's template is well-formed");
-    wrapper
-        .children
-        .into_iter()
-        .find_map(|n| match n {
-            ogsa_xml::Node::Element(e) => Some(e),
-            _ => None,
-        })
+    let mut wrapper = parse(&doc).expect("the block's template is well-formed");
+    let block = wrapper.child_elements_mut().next();
+    block
+        .map(std::mem::take)
         .expect("the wrapper holds the block")
 }
 

@@ -64,21 +64,35 @@ pub fn security_element(security: &SecurityHeader) -> Element {
         .with_child(signature)
 }
 
+/// `e` as it was before a subtree could be shared: every `Node::Shared`
+/// copied out into an owned element, all the way down.
+pub fn owned(e: &Element) -> Element {
+    let children = e.children.iter().map(|n| match n.as_element() {
+        Some(child) => Node::Element(owned(child)),
+        None => n.clone(),
+    });
+    Element {
+        name: e.name.clone(),
+        attrs: e.attrs.clone(),
+        children: children.collect(),
+    }
+}
+
 /// The full `<soap:Envelope>` tree, the security block last among the
-/// headers (where signing pushed it).
+/// headers (where signing pushed it), nothing in it shared.
 pub fn envelope_element(env: &Envelope) -> Element {
     let mut root = Element::new(q(ns::SOAP, "Envelope"));
     if !env.headers.is_empty() || env.security.is_some() {
         let mut header = Element::new(q(ns::SOAP, "Header"));
         for h in &env.headers {
-            header.add_child(h.clone());
+            header.add_child(owned(h));
         }
         if let Some(security) = &env.security {
             header.add_child(security_element(security));
         }
         root.add_child(header);
     }
-    root.add_child(Element::new(q(ns::SOAP, "Body")).with_child(env.body.clone()));
+    root.add_child(Element::new(q(ns::SOAP, "Body")).with_child(owned(&env.body)));
     root
 }
 
@@ -146,6 +160,7 @@ pub fn envelope_from_document(root: Element) -> XmlResult<Envelope> {
 fn into_element(node: Node) -> Option<Element> {
     match node {
         Node::Element(e) => Some(e),
+        Node::Shared(e) => Some(Arc::unwrap_or_clone(e)),
         _ => None,
     }
 }
@@ -182,6 +197,7 @@ fn branch<'e>(
     for child in &e.children {
         match child {
             Node::Element(k) => kids.push(k),
+            Node::Shared(k) => kids.push(k),
             Node::Comment(_) => {}
             Node::Text(_) => return Err(format!("text in {name:?}")),
         }
@@ -203,6 +219,7 @@ fn leaf(e: &Element, name: QName) -> Result<String, String> {
             Node::Text(t) => text.push_str(t),
             Node::Comment(_) => {}
             Node::Element(k) => return Err(format!("{:?} inside {name:?}", k.name)),
+            Node::Shared(k) => return Err(format!("{:?} inside {name:?}", k.name)),
         }
     }
     Ok(text)

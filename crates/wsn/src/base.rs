@@ -1,8 +1,10 @@
 //! WS-BaseNotification message formats and the subscription model.
 
+use std::sync::Arc;
+
 use ogsa_addressing::EndpointReference;
 use ogsa_sim::SimInstant;
-use ogsa_xml::{ns, Element, QName, XPath, XPathContext};
+use ogsa_xml::{ns, Element, Node, QName, XPath, XPathContext};
 
 use crate::topics::{TopicDialect, TopicExpression, TopicPath};
 
@@ -216,8 +218,14 @@ impl NotificationMessage {
     /// `<wsnt:NotificationMessage>` subtrees — WS-BaseNotification allows
     /// multiple NotificationMessage children, which is exactly what makes
     /// batch coalescing legal for this stack (and not for WS-Eventing).
-    pub fn wrap_all(messages: Vec<Element>) -> Element {
-        Element::new(q("Notify")).with_children(messages)
+    /// The members hang under it shared, not copied: one event's subtree
+    /// sits in every subscriber's envelope at once.
+    pub fn wrap_all<M: Into<Arc<Element>>>(messages: impl IntoIterator<Item = M>) -> Element {
+        let mut notify = Element::new(q("Notify"));
+        notify
+            .children
+            .extend(messages.into_iter().map(|m| Node::Shared(m.into())));
+        notify
     }
 
     fn from_nm_element(nm: &Element) -> Option<Self> {
@@ -346,8 +354,7 @@ mod tests {
             message: Element::text_element("NewValue", v),
         };
         let batch = vec![mk("1"), mk("2"), mk("3")];
-        let envelope =
-            NotificationMessage::wrap_all(batch.iter().map(|n| n.to_element()).collect());
+        let envelope = NotificationMessage::wrap_all(batch.iter().map(|n| n.to_element()));
         let back = NotificationMessage::all_from_notify_element(&envelope);
         assert_eq!(back, batch);
         // The single-message parser still reads the first member.

@@ -22,7 +22,7 @@
 //! the property tests compare the index against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use ogsa_addressing::EndpointReference;
 use ogsa_container::{Container, Operation, OperationContext};
@@ -30,7 +30,7 @@ use ogsa_fanout::{FanoutCosts, ShardedTable};
 use ogsa_soap::Fault;
 use ogsa_wsrf::service_base::{PortType, ServiceBase, WsrfService, WsrfServiceHost};
 use ogsa_wsrf::{ResourceDocument, TerminationTime};
-use ogsa_xml::Element;
+use ogsa_xml::{Element, XPath, XPathContext, XmlResult};
 use parking_lot::Mutex;
 
 use crate::base::{actions, SubscribeRequest, Subscription};
@@ -52,6 +52,16 @@ pub struct SubscriptionStore {
     seq: Arc<AtomicU64>,
     index: Arc<ShardedTable<Subscription>>,
     evict_hooks: Arc<Mutex<Vec<EvictHook>>>,
+}
+
+/// Every subscription document in the database, in key order — one charged
+/// query. Nothing, should the query fail.
+fn stored_subscriptions(base: &ServiceBase) -> Vec<(String, Element)> {
+    static ALL: LazyLock<XmlResult<XPath>> =
+        LazyLock::new(|| XPath::compile("/SubscriptionResource"));
+    let query = |all| base.store().collection().query(all, &XPathContext::new());
+    let docs = ALL.as_ref().ok().and_then(|all| query(all).ok());
+    docs.unwrap_or_default()
 }
 
 impl SubscriptionStore {
@@ -134,12 +144,8 @@ impl SubscriptionStore {
     /// subscriptions imply. Retained as the differential oracle for
     /// [`SubscriptionStore::active_matching`].
     pub fn active_matching_naive(&self, topic: &TopicPath, message: &Element) -> Vec<Subscription> {
-        let collection = self.base.store().collection();
-        let xp = ogsa_xml::XPath::compile("/SubscriptionResource").expect("static xpath");
-        let Ok(docs) = collection.query(&xp, &ogsa_xml::XPathContext::new()) else {
-            return Vec::new();
-        };
-        docs.iter()
+        stored_subscriptions(&self.base)
+            .iter()
             .filter_map(|(id, doc)| Subscription::from_document(id, doc))
             .filter(|s| s.accepts(topic, message))
             .collect()
@@ -209,19 +215,14 @@ impl SubscriptionManagerService {
         // Container restart: re-index subscription documents that survived
         // in the database, and keep fresh ids clear of the old ones.
         let mut max_seq = 0;
-        if let Ok(docs) = base.store().collection().query(
-            &ogsa_xml::XPath::compile("/SubscriptionResource").expect("static xpath"),
-            &ogsa_xml::XPathContext::new(),
-        ) {
-            for (id, doc) in docs.iter() {
-                let Some(sub) = Subscription::from_document(id, doc) else {
-                    continue;
-                };
-                if let Some(n) = id.strip_prefix("sub-").and_then(|n| n.parse::<u64>().ok()) {
-                    max_seq = max_seq.max(n + 1);
-                }
-                SubscriptionStore::index_subscription(&index, sub);
+        for (id, doc) in stored_subscriptions(&base).iter() {
+            let Some(sub) = Subscription::from_document(id, doc) else {
+                continue;
+            };
+            if let Some(n) = id.strip_prefix("sub-").and_then(|n| n.parse::<u64>().ok()) {
+                max_seq = max_seq.max(n + 1);
             }
+            SubscriptionStore::index_subscription(&index, sub);
         }
         let store = SubscriptionStore {
             base,

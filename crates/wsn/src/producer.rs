@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
 use ogsa_container::ClientAgent;
-use ogsa_fanout::{Deliverer, DelivererConfig, Sink};
+use ogsa_fanout::{Deliverer, DelivererConfig};
 use ogsa_xml::Element;
 use parking_lot::Mutex;
 
@@ -59,7 +59,7 @@ impl NotificationProducer {
     fn build_deliverer(store: &SubscriptionStore, agent: &ClientAgent) -> Deliverer<Subscription> {
         let sender = agent.clone();
         let metrics_net = agent.network().clone();
-        let sink: Sink<Subscription> = Arc::new(move |sub: &Subscription, bodies: Vec<Element>| {
+        let sink = Arc::new(move |sub: &Subscription, bodies: Vec<Arc<Element>>| {
             let mut sent = 0u64;
             if sub.use_notify {
                 sender.send_oneway(
@@ -69,8 +69,10 @@ impl NotificationProducer {
                 );
                 sent += 1;
             } else {
+                // The bare message is the envelope's root, which owns its
+                // tree: copied only while another outbox still holds it.
                 for body in bodies {
-                    sender.send_oneway(&sub.consumer, actions::NOTIFY, body);
+                    sender.send_oneway(&sub.consumer, actions::NOTIFY, Arc::unwrap_or_clone(body));
                     sent += 1;
                 }
             }
@@ -148,30 +150,24 @@ impl NotificationProducer {
         };
 
         let matching = self.store.active_matching(topic, &notification.message);
-        // Build the `NotificationMessage` tree once; each delivery clones
-        // the finished tree instead of re-wrapping (and re-cloning) the
-        // payload per subscriber.
-        let nm = matching
-            .iter()
-            .any(|s| s.use_notify)
-            .then(|| notification.to_element());
+        // One tree per event and delivery form, built when the first
+        // subscriber wants it; every match's outbox holds a pointer to it.
+        let (mut wrapped, mut raw) = (None, None);
         let shard = self.store.index().shard_of(topic.root());
-        let mut delivered = 0;
         for sub in &matching {
-            let body = if sub.use_notify {
-                nm.clone().expect("built when any subscriber uses Notify")
+            let body: &Arc<Element> = if sub.use_notify {
+                wrapped.get_or_insert_with(|| Arc::new(notification.to_element()))
             } else {
                 // Raw delivery: the bare message, schema known only by
                 // out-of-band agreement (the interop hazard of §3.1).
-                notification.message.clone()
+                raw.get_or_insert_with(|| Arc::new(notification.message.clone()))
             };
-            self.deliverer.enqueue(sub, shard, body);
-            delivered += 1;
+            self.deliverer.enqueue(sub, shard, body.clone());
         }
         self.last_messages
             .lock()
             .insert(topic.to_string(), notification);
-        delivered
+        matching.len()
     }
 
     /// WS-BaseNotification `GetCurrentMessage`: the last message emitted on

@@ -257,6 +257,73 @@ fn multiple_subscribers_fan_out() {
     }
 }
 
+/// One event fanned out to N coalescing subscribers is one tree, parked N
+/// times by pointer and let go of by the flush; and the `wsnt:Notify` each
+/// subscriber receives is, byte for byte, the one built from owned copies.
+#[test]
+fn a_coalesced_event_is_one_tree_under_every_subscribers_notify() {
+    const N: usize = 5;
+    let tb = Testbed::free();
+    let container = tb.container("host-a", SecurityPolicy::X509Sign);
+    let (_mgr, store) = SubscriptionManagerService::deploy(&container, "/services/Pub/manager");
+    let producer = NotificationProducer::new(store, container.service_agent()).with_delivery(
+        ogsa_fanout::DelivererConfig {
+            plan: ogsa_fanout::DeliveryPlan::Coalesce { batch_max: 16 },
+            outbox_capacity: 64,
+        },
+    );
+    let publisher = container.deploy(
+        "/services/Pub",
+        Arc::new(PublisherService {
+            producer: producer.clone(),
+        }),
+    );
+    let client = tb.client("client-1", "CN=alice", SecurityPolicy::X509Sign);
+    let bodies: Arc<parking_lot::Mutex<Vec<Element>>> = Arc::default();
+    for i in 0..N {
+        let seen = bodies.clone();
+        let inbox = client.listen_oneway(
+            "http",
+            &format!("/inbox{i}"),
+            Arc::new(move |env: ogsa_soap::Envelope| seen.lock().push(env.body)),
+        );
+        let req = SubscribeRequest::new(inbox, TopicExpression::simple("jobs"));
+        client
+            .invoke(&publisher, actions::SUBSCRIBE, req.to_element())
+            .unwrap();
+    }
+
+    let topic = TopicPath::parse("jobs/done").unwrap();
+    let event = |v: &str| Element::text_element("ExitCode", v).with_attr("q", "a<b");
+    assert_eq!(producer.notify(&topic, event("0")), N);
+    assert_eq!(producer.notify(&topic, event("1")), N);
+    let parked = producer.deliverer().parked("sub-0");
+    assert_eq!(parked.len(), 2);
+    for body in &parked {
+        assert_eq!(Arc::strong_count(body), N + 1, "N outboxes and this test");
+    }
+    assert_eq!(producer.deliverer().flush(), 2 * N);
+    assert!(tb.network().quiesce(WAIT));
+    assert!(parked.iter().all(|body| Arc::strong_count(body) == 1));
+
+    // Each subscriber verified the signature over the shared members; what
+    // it read is what owned copies under `wrap_all` write.
+    let owned = ogsa_wsn::NotificationMessage::wrap_all(["0", "1"].map(|v| {
+        ogsa_wsn::NotificationMessage {
+            topic: topic.clone(),
+            producer: None,
+            message: event(v),
+        }
+        .to_element()
+    }));
+    let bodies = bodies.lock();
+    assert_eq!(bodies.len(), N, "one envelope per subscriber");
+    for body in bodies.iter() {
+        assert_eq!(body, &owned);
+        assert_eq!(body.to_xml_string(), owned.to_xml_string());
+    }
+}
+
 #[test]
 fn demand_based_broker_pauses_and_resumes_upstream() {
     let tb = Testbed::free();

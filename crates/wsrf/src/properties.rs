@@ -130,15 +130,15 @@ pub fn apply_set(doc: &mut Element, components: &[SetComponent]) {
                     // name, preserving Update semantics for multi-valued
                     // properties.
                     let name = e.name.clone();
-                    doc.children.retain(|n| {
-                        !matches!(n, ogsa_xml::Node::Element(el) if el.name.local == name.local)
-                    });
+                    doc.children
+                        .retain(|n| n.as_element().is_none_or(|el| el.name.local != name.local));
                     doc.add_child(e.clone());
                 }
             }
             SetComponent::Delete(name) => {
                 doc.children.retain(|n| {
-                    !matches!(n, ogsa_xml::Node::Element(el) if &*el.name.local == name.as_str())
+                    n.as_element()
+                        .is_none_or(|el| &*el.name.local != name.as_str())
                 });
             }
         }

@@ -46,6 +46,7 @@ pub fn canonicalize_into<S: Sink>(e: &Element, sink: &mut S) {
     for c in &e.children {
         match c {
             Node::Element(child) => canonicalize_into(child, sink),
+            Node::Shared(child) => canonicalize_into(child, sink),
             Node::Text(t) => escape_runs(t, false, sink),
             Node::Comment(_) => {} // comments never participate in digests
         }

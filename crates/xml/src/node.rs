@@ -1,6 +1,8 @@
 //! The element tree: [`Element`], [`Node`], [`Attribute`], and the accessor
 //! and builder API used by every layer above.
 
+use std::sync::Arc;
+
 use crate::name::QName;
 use crate::writer;
 
@@ -12,11 +14,15 @@ pub struct Attribute {
 }
 
 /// A child node of an element.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Node {
     Element(Element),
     Text(String),
     Comment(String),
+    /// An element several trees hold at once (one event under every
+    /// subscriber's `wsnt:Notify`). Read through, copied on write, equal by
+    /// content, never parsed: match on `as_element()`, not `Node::Element`.
+    Shared(Arc<Element>),
 }
 
 impl Node {
@@ -24,18 +30,33 @@ impl Node {
     pub fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
+            Node::Shared(e) => Some(e),
             _ => None,
         }
     }
 
-    /// Mutable variant of [`Node::as_element`].
+    /// Mutable variant of [`Node::as_element`]; a shared element is copied
+    /// first, unless this is its only holder.
     pub fn as_element_mut(&mut self) -> Option<&mut Element> {
         match self {
             Node::Element(e) => Some(e),
+            Node::Shared(e) => Some(Arc::make_mut(e)),
             _ => None,
         }
     }
 }
+
+/// By content: `Shared(x) == Element(x)`.
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        match (self, other) {
+            (Node::Text(a), Node::Text(b)) | (Node::Comment(a), Node::Comment(b)) => a == b,
+            _ => matches!((self.as_element(), other.as_element()), (Some(a), Some(b)) if a == b),
+        }
+    }
+}
+
+impl Eq for Node {}
 
 /// An XML element: name, attributes, ordered children.
 ///
@@ -130,7 +151,7 @@ impl Element {
     pub fn remove_children(&mut self, name: &QName) -> usize {
         let before = self.children.len();
         self.children
-            .retain(|n| !matches!(n, Node::Element(e) if e.name == *name));
+            .retain(|n| n.as_element().is_none_or(|e| e.name != *name));
         before - self.children.len()
     }
 

@@ -106,7 +106,7 @@ pub fn document_len(root: &Element) -> usize {
 /// URIs are held in sorted order so generated prefixes do not depend on
 /// traversal order; lookups compare `Arc` pointers first (all URIs produced
 /// by the parser and `QName::new` are interned) and fall back to content.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Prefixes {
     /// `(uri, prefix)` in URI-sorted order — also the declaration order.
     /// Shared with the per-thread memo an assignment is remembered in.
@@ -222,6 +222,11 @@ impl PrefixesBuilder {
         }
     }
 
+    /// The URIs collected so far, each once, in collection order.
+    pub fn uris(&self) -> &[Arc<str>] {
+        &self.uris
+    }
+
     /// Collect a single URI (for elements the caller writes by hand).
     pub fn add_uri(&mut self, uri: &Arc<str>) {
         if !self
@@ -300,6 +305,7 @@ fn write_elem<S: Sink>(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mu
     for child in &e.children {
         match child {
             Node::Element(c) => write_elem(c, prefixes, false, out),
+            Node::Shared(c) => write_elem(c, prefixes, false, out),
             Node::Text(t) => escape_runs(t, false, out),
             Node::Comment(c) => {
                 out.push_str("<!--");

@@ -2,8 +2,9 @@
 //! parses back to an infoset-equal tree, and canonicalisation is stable
 //! under re-serialisation.
 
-use ogsa_xml::{canonicalize, parse, Element, Node, QName};
+use ogsa_xml::{canonicalize, document_len, element_len, parse, Element, Node, Prefixes, QName};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Text over printable ASCII, a couple of multibyte characters, and the
 /// XML whitespace set (`\t`/`\n`/`\r`) — the whitespace characters are the
@@ -82,6 +83,7 @@ fn normalise(e: &Element) -> Element {
                 }
                 out.children.push(Node::Element(normalise(c)));
             }
+            Node::Shared(_) => unreachable!("the parser and `arb_element` own every node"),
             Node::Comment(c) => {
                 if !pending.is_empty() {
                     out.add_text(std::mem::take(&mut pending));
@@ -96,8 +98,75 @@ fn normalise(e: &Element) -> Element {
     out
 }
 
+/// `e` with the child elements `picks` says swapped for `Node::Shared`, at
+/// every depth (a shared subtree may hold shared subtrees). Returns the
+/// twin and each `Arc` handed out.
+fn share(e: &Element, picks: &mut u64, held: &mut Vec<Arc<Element>>) -> Element {
+    let mut out = Element::new(e.name.clone());
+    out.attrs = e.attrs.clone();
+    for n in &e.children {
+        out.children.push(match n {
+            Node::Element(c) => {
+                let c = share(c, picks, held);
+                *picks = picks.rotate_right(1);
+                if *picks & 1 == 1 {
+                    held.push(Arc::new(c));
+                    Node::Shared(held[held.len() - 1].clone())
+                } else {
+                    Node::Element(c)
+                }
+            }
+            other => other.clone(),
+        });
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The four rules of `Node::Shared`, on a random tree with random
+    /// subtrees shared: it writes, prices, canonicalises, collects prefixes
+    /// and answers reads as its all-owned twin and compares equal to it;
+    /// and writing through it copies, leaving every other holder untouched.
+    #[test]
+    fn a_tree_with_shared_subtrees_is_its_owned_twin(e in arb_element(), picks in any::<u64>()) {
+        let (mut picks, mut held) = (picks, Vec::new());
+        let mut shared = share(&e, &mut picks, &mut held);
+        prop_assert_eq!(&shared, &e);
+        prop_assert_eq!(shared.into_document_string(), e.into_document_string());
+        prop_assert_eq!(document_len(&shared), document_len(&e));
+        prop_assert_eq!(element_len(&shared), e.to_xml_string().len());
+        prop_assert_eq!(canonicalize(&shared), canonicalize(&e));
+        let mut decls = (String::new(), String::new());
+        Prefixes::for_tree(&shared).write_declarations(&mut decls.0);
+        Prefixes::for_tree(&e).write_declarations(&mut decls.1);
+        prop_assert_eq!(decls.0, decls.1);
+        prop_assert_eq!(shared.subtree_size(), e.subtree_size());
+        prop_assert_eq!(shared.child_elements().count(), e.child_elements().count());
+        let everything = ogsa_xml::XPath::compile("//*").unwrap();
+        let ctx = ogsa_xml::XPathContext::new();
+        prop_assert_eq!(everything.select(&shared, &ctx).unwrap(), everything.select(&e, &ctx).unwrap());
+
+        // Copy on write: mark every child through the mutable iterator.
+        let before: Vec<Element> = held.iter().map(|a| (**a).clone()).collect();
+        for c in shared.child_elements_mut() {
+            c.set_attr("touched", "yes");
+        }
+        prop_assert!(shared.child_elements().all(|c| c.attr_local("touched") == Some("yes")));
+        prop_assert_eq!(shared.child_elements().count(), e.child_elements().count());
+        for (arc, was) in held.iter().zip(&before) {
+            prop_assert_eq!(&**arc, was);
+        }
+        // And removal by name reaches shared children too.
+        let first = e.child_elements().next().map(|c| c.name.clone());
+        if let Some(name) = first {
+            let mut pruned = share(&e, &mut picks, &mut Vec::new());
+            let expected = e.children_named(&name).count();
+            prop_assert_eq!(pruned.remove_children(&name), expected);
+            prop_assert!(pruned.child(&name).is_none());
+        }
+    }
 
     #[test]
     fn serialise_parse_roundtrip(e in arb_element()) {
