@@ -8,9 +8,9 @@
 //! 1. **Sustain** — `SUSTAIN_CONNECTIONS` concurrent keep-alive
 //!    connections, closed loop. Gate: every connection establishes and no
 //!    request errors.
-//! 2. **Closed 32** — the acceptance comparison point. Gate: sustained rps
-//!    within [`MAX_RPS_RATIO`]x of the in-process multi-client harness at
-//!    the same client count, p99 under [`P99_MAX_US`].
+//! 2. **Closed 32** — the comparison point: sustained rps beside the
+//!    in-process multi-client harness at the same client count, and p99.
+//!    Reported, not judged: wall-clock speed has one judge, `benchmark/`.
 //! 3. **Open loop** — arrivals at a fixed fraction of the measured closed
 //!    capacity, so the tail figures include queueing delay rather than
 //!    just service time.
@@ -36,15 +36,6 @@ const SUSTAIN_CONNECTIONS: usize = 1024;
 /// Client count for the in-process comparison (matches the acceptance
 /// figure in BENCH_throughput.json).
 const COMPARE_CLIENTS: usize = 32;
-
-/// The socket path may cost at most this factor versus the in-process
-/// harness (i.e. serve rps must be at least in-process rps / 2).
-const MAX_RPS_RATIO: f64 = 2.0;
-
-/// p99 ceiling for the 32-connection closed loop. Generous: CI hosts can
-/// be single-core and heavily shared, and 32 concurrent signed requests
-/// queue behind one another there.
-const P99_MAX_US: u64 = 1_000_000;
 
 /// Fraction of measured closed-loop capacity to offer in the open-loop
 /// run — below saturation, so the tail reflects queueing, not collapse.
@@ -133,22 +124,17 @@ pub fn run() -> Outcome {
     let gates = vec![
         ("connections_sustained", sustained),
         ("zero_request_errors", errors == 0),
-        (
-            "socket_rps_within_2x_of_in_process",
-            rps_ratio <= MAX_RPS_RATIO,
-        ),
-        ("closed_32_p99_under_1s", closed32.p99_us <= P99_MAX_US),
         ("zero_dispatch_panics", stats.dispatch_panics() == 0),
     ];
     println!(
-        "  {} of {SUSTAIN_CONNECTIONS} conns sustained, {errors} errors, socket rps within {rps_ratio:.2}x of in-process (max {MAX_RPS_RATIO}x), p99 {}us (max {P99_MAX_US}us), {} panics",
+        "  {} of {SUSTAIN_CONNECTIONS} conns sustained, {errors} errors, {} panics; in-process/socket rps {rps_ratio:.2}x, p99 {}us (reported, not judged)",
         sustain.connections_established,
-        closed32.p99_us,
         stats.dispatch_panics(),
+        closed32.p99_us,
     );
 
     let json = format!(
-        "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}},\"gate\":{{\"sustain_connections\":{},\"sustained\":{},\"errors\":{},\"max_rps_ratio\":{},\"rps_ratio\":{:.3},\"p99_max_us\":{},\"p99_us\":{},\"pass\":{}}}",
+        "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}},\"gate\":{{\"sustain_connections\":{},\"sustained\":{},\"errors\":{},\"rps_ratio\":{:.3},\"p99_us\":{},\"pass\":{}}}",
         load_report_json("sustain", &sustain),
         load_report_json("closed_32", &closed32),
         load_report_json("open_loop", &open),
@@ -164,9 +150,7 @@ pub fn run() -> Outcome {
         SUSTAIN_CONNECTIONS,
         sustained,
         errors,
-        MAX_RPS_RATIO,
         rps_ratio,
-        P99_MAX_US,
         closed32.p99_us,
         gates.iter().all(|g| g.1),
     );

@@ -7,7 +7,7 @@
 //! the corresponding XML document in Xindice with newly received value.
 //! Finally, Delete() remove the XML document from Xindice."
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ogsa_addressing::EndpointReference;
@@ -22,7 +22,7 @@ use ogsa_xmldb::Collection;
 /// The counter's transfer logic: default CRUD semantics, plus a
 /// WS-Eventing trigger after every Put.
 pub struct CounterTransferLogic {
-    notifier: OnceLock<NotificationManager>,
+    notifier: NotificationManager,
 }
 
 impl TransferLogic for CounterTransferLogic {
@@ -42,14 +42,12 @@ impl TransferLogic for CounterTransferLogic {
         let _ = (&old, op, ctx);
         store.upsert(id, replacement.clone());
 
-        if let Some(notifier) = self.notifier.get() {
-            let value = replacement.child_text("value").unwrap_or("0").to_owned();
-            notifier.trigger(
-                Element::new("CounterValueChanged")
-                    .with_attr("counter", id.to_owned())
-                    .with_child(Element::text_element("newValue", value)),
-            );
-        }
+        let value = replacement.child_text("value").unwrap_or("0").to_owned();
+        self.notifier.trigger(
+            Element::new("CounterValueChanged")
+                .with_attr("counter", id.to_owned())
+                .with_child(Element::text_element("newValue", value)),
+        );
         Ok(None)
     }
 }
@@ -65,18 +63,10 @@ impl TransferCounter {
     /// Deploy at `/services/Counter` with the event source at
     /// `/services/CounterEvents`.
     pub fn deploy(container: &Container) -> TransferCounter {
-        let logic = Arc::new(CounterTransferLogic {
-            notifier: OnceLock::new(),
-        });
-        let (factory_epr, _store) =
-            TransferService::deploy(container, "/services/Counter", logic.clone());
         let (source_epr, notifier) =
             EventSourceService::deploy(container, "/services/CounterEvents");
-        logic
-            .notifier
-            .set(notifier)
-            .ok()
-            .expect("notifier wired once");
+        let logic = Arc::new(CounterTransferLogic { notifier });
+        let (factory_epr, _store) = TransferService::deploy(container, "/services/Counter", logic);
         TransferCounter {
             factory_epr,
             source_epr,

@@ -6,7 +6,7 @@
 //! counter value and for destroying a resource) from the WSRF.NET base
 //! libraries."
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
 use ogsa_addressing::EndpointReference;
@@ -24,9 +24,13 @@ use ogsa_xml::Element;
 /// The topic raised when a counter's value changes.
 pub const VALUE_CHANGED_TOPIC: &str = "counter/valueChanged";
 
+/// [`VALUE_CHANGED_TOPIC`] as the concrete path it is.
+static VALUE_CHANGED: LazyLock<Option<TopicPath>> =
+    LazyLock::new(|| TopicPath::parse(VALUE_CHANGED_TOPIC));
+
 /// The deployable WSRF counter service.
 pub struct CounterService {
-    producer: OnceLock<NotificationProducer>,
+    producer: NotificationProducer,
 }
 
 impl WsrfService for CounterService {
@@ -68,11 +72,7 @@ impl WsrfService for CounterService {
             "Subscribe" => {
                 let req = SubscribeRequest::from_element(&op.body)
                     .ok_or_else(|| Fault::client("malformed Subscribe"))?;
-                let producer = self
-                    .producer
-                    .get()
-                    .ok_or_else(|| Fault::server("producer not wired"))?;
-                let sub_epr = producer.store().subscribe(ctx, &req)?;
+                let sub_epr = self.producer.store().subscribe(ctx, &req)?;
                 Ok(SubscribeRequest::response(&sub_epr))
             }
             other => Err(Fault::client(format!("no such WebMethod `{other}`"))),
@@ -81,15 +81,15 @@ impl WsrfService for CounterService {
 
     /// SetResourceProperties committed → raise CounterValueChanged.
     fn on_properties_changed(&self, res: &ResourceDocument, ctx: &OperationContext) {
-        let Some(producer) = self.producer.get() else {
+        let Some(topic) = VALUE_CHANGED.as_ref() else {
             return;
         };
         let value = res.member_parse::<i64>("cv").unwrap_or_default();
-        let topic = TopicPath::parse(VALUE_CHANGED_TOPIC).expect("static topic");
         let message = Element::new("CounterValueChanged")
             .with_attr("counter", res.id.clone())
             .with_child(Element::text_element("newValue", value.to_string()));
-        producer.notify_from(&topic, message, Some(ctx.own_resource_epr(&res.id)));
+        self.producer
+            .notify_from(topic, message, Some(ctx.own_resource_epr(&res.id)));
     }
 }
 
@@ -110,22 +110,10 @@ impl WsrfCounter {
         let path = "/services/CounterService";
         let (manager_epr, store) =
             SubscriptionManagerService::deploy(container, "/services/CounterService/subscriptions");
-        let service = Arc::new(CounterService {
-            producer: OnceLock::new(),
-        });
-        let (service_epr, _base) = WsrfServiceHost::deploy(
-            container,
-            path,
-            service.clone(),
-            PortType::all(),
-            cache_enabled,
-        );
         let producer = NotificationProducer::new(store, container.service_agent());
-        service
-            .producer
-            .set(producer)
-            .ok()
-            .expect("producer wired once");
+        let service = Arc::new(CounterService { producer });
+        let (service_epr, _base) =
+            WsrfServiceHost::deploy(container, path, service, PortType::all(), cache_enabled);
         WsrfCounter {
             service_epr,
             manager_epr,

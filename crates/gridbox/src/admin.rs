@@ -8,18 +8,33 @@ use ogsa_transfer::TransferProxy;
 use ogsa_xml::Element;
 
 use crate::transfer_gib::TransferGrid;
+use crate::vo::wrap_epr;
 use crate::wsrf_gib::WsrfGrid;
 
 /// Admin operations against the WSRF VO (plain WebMethods on the Account
 /// and ResourceAllocation services — not CRUD, per §4.2.1).
-pub struct WsrfAdminClient<'g> {
-    grid: &'g WsrfGrid,
-    agent: ClientAgent,
+pub struct WsrfAdminClient {
+    account_epr: EndpointReference,
+    allocation_epr: EndpointReference,
+    pub(crate) agent: ClientAgent,
 }
 
-impl<'g> WsrfAdminClient<'g> {
-    pub fn new(grid: &'g WsrfGrid, agent: ClientAgent) -> Self {
-        WsrfAdminClient { grid, agent }
+impl WsrfAdminClient {
+    pub fn new(grid: &WsrfGrid, agent: ClientAgent) -> Self {
+        Self::over(&grid.account_epr, &grid.allocation_epr, agent)
+    }
+
+    /// The client of a VO whose grid is still being deployed.
+    pub(crate) fn over(
+        account_epr: &EndpointReference,
+        allocation_epr: &EndpointReference,
+        agent: ClientAgent,
+    ) -> Self {
+        WsrfAdminClient {
+            account_epr: account_epr.clone(),
+            allocation_epr: allocation_epr.clone(),
+            agent,
+        }
     }
 
     /// `addAccount(dn, privileges)`.
@@ -29,14 +44,14 @@ impl<'g> WsrfAdminClient<'g> {
             body.add_child(Element::text_element("privilege", *p));
         }
         self.agent
-            .invoke(&self.grid.account_epr, "urn:gib/addAccount", body)?;
+            .invoke(&self.account_epr, "urn:gib/addAccount", body)?;
         Ok(())
     }
 
     /// `accountExists(dn)`.
     pub fn account_exists(&self, dn: &str) -> Result<bool, InvokeError> {
         let resp = self.agent.invoke(
-            &self.grid.account_epr,
+            &self.account_epr,
             "urn:gib/accountExists",
             Element::new("accountExists").with_child(Element::text_element("dn", dn)),
         )?;
@@ -46,7 +61,7 @@ impl<'g> WsrfAdminClient<'g> {
     /// `removeAccount(dn)`.
     pub fn remove_account(&self, dn: &str) -> Result<(), InvokeError> {
         self.agent.invoke(
-            &self.grid.account_epr,
+            &self.account_epr,
             "urn:gib/removeAccount",
             Element::new("removeAccount").with_child(Element::text_element("dn", dn)),
         )?;
@@ -68,10 +83,10 @@ impl<'g> WsrfAdminClient<'g> {
         for app in applications {
             body.add_child(Element::text_element("application", *app));
         }
-        body.add_child(Element::new("execEPR").with_child(exec.to_element()));
-        body.add_child(Element::new("dataEPR").with_child(data.to_element()));
+        body.add_child(wrap_epr("execEPR", exec));
+        body.add_child(wrap_epr("dataEPR", data));
         self.agent
-            .invoke(&self.grid.allocation_epr, "urn:gib/registerSite", body)?;
+            .invoke(&self.allocation_epr, "urn:gib/registerSite", body)?;
         Ok(())
     }
 }
@@ -80,14 +95,28 @@ impl<'g> WsrfAdminClient<'g> {
 /// accounts and sites are Created and Deleted like any other resource
 /// (§4.2.2: "Create() and Delete() are administrative functions and can be
 /// called only from the administrative client").
-pub struct TransferAdminClient<'g> {
-    grid: &'g TransferGrid,
-    agent: ClientAgent,
+pub struct TransferAdminClient {
+    account_epr: EndpointReference,
+    allocation_epr: EndpointReference,
+    pub(crate) agent: ClientAgent,
 }
 
-impl<'g> TransferAdminClient<'g> {
-    pub fn new(grid: &'g TransferGrid, agent: ClientAgent) -> Self {
-        TransferAdminClient { grid, agent }
+impl TransferAdminClient {
+    pub fn new(grid: &TransferGrid, agent: ClientAgent) -> Self {
+        Self::over(&grid.account_epr, &grid.allocation_epr, agent)
+    }
+
+    /// The client of a VO whose grid is still being deployed.
+    pub(crate) fn over(
+        account_epr: &EndpointReference,
+        allocation_epr: &EndpointReference,
+        agent: ClientAgent,
+    ) -> Self {
+        TransferAdminClient {
+            account_epr: account_epr.clone(),
+            allocation_epr: allocation_epr.clone(),
+            agent,
+        }
     }
 
     /// Create an account resource (id = the user's DN).
@@ -96,26 +125,25 @@ impl<'g> TransferAdminClient<'g> {
         dn: &str,
         privileges: &[&str],
     ) -> Result<EndpointReference, InvokeError> {
-        let mut rep = Element::new("account")
-            .with_child(Element::text_element("dn", dn))
-            .with_child(Element::text_element("owner", self.agent.dn()));
+        let mut rep = Element::new("account").with_child(Element::text_element("dn", dn));
         for p in privileges {
             rep.add_child(Element::text_element("privilege", *p));
         }
-        let (epr, _) = TransferProxy::new(&self.agent).create(&self.grid.account_epr, rep)?;
+        rep.add_child(Element::text_element("owner", self.agent.dn()));
+        let (epr, _) = TransferProxy::new(&self.agent).create(&self.account_epr, rep)?;
         Ok(epr)
     }
 
     /// Does an account exist (Get on the DN-keyed EPR)?
     pub fn account_exists(&self, dn: &str) -> bool {
-        let epr = EndpointReference::resource(self.grid.account_epr.address.clone(), dn);
+        let epr = EndpointReference::resource(self.account_epr.address.clone(), dn);
         TransferProxy::new(&self.agent).get(&epr).is_ok()
     }
 
     /// Privileges of an account — the Get mode that "queries the account
     /// service whether a particular user can perform a certain action".
     pub fn privileges(&self, dn: &str) -> Result<Vec<String>, InvokeError> {
-        let epr = EndpointReference::resource(self.grid.account_epr.address.clone(), dn);
+        let epr = EndpointReference::resource(self.account_epr.address.clone(), dn);
         let rep = TransferProxy::new(&self.agent).get(&epr)?;
         Ok(rep
             .child_elements()
@@ -129,7 +157,7 @@ impl<'g> TransferAdminClient<'g> {
     /// on the EPR as a reference property (signed deployments authenticate
     /// the signature instead).
     pub fn remove_account(&self, dn: &str) -> Result<(), InvokeError> {
-        let epr = EndpointReference::resource(self.grid.account_epr.address.clone(), dn)
+        let epr = EndpointReference::resource(self.account_epr.address.clone(), dn)
             .with_ref_property(Element::text_element("RequesterDN", self.agent.dn()));
         TransferProxy::new(&self.agent).delete(&epr)
     }
@@ -152,13 +180,13 @@ impl<'g> TransferAdminClient<'g> {
         for app in applications {
             rep.add_child(Element::text_element("application", *app));
         }
-        let (epr, _) = TransferProxy::new(&self.agent).create(&self.grid.allocation_epr, rep)?;
+        let (epr, _) = TransferProxy::new(&self.agent).create(&self.allocation_epr, rep)?;
         Ok(epr)
     }
 
     /// Permanently remove a computing site (Delete).
     pub fn unregister_site(&self, name: &str) -> Result<(), InvokeError> {
-        let epr = EndpointReference::resource(self.grid.allocation_epr.address.clone(), name)
+        let epr = EndpointReference::resource(self.allocation_epr.address.clone(), name)
             .with_ref_property(Element::text_element("RequesterDN", self.agent.dn()));
         TransferProxy::new(&self.agent).delete(&epr)
     }

@@ -1,28 +1,33 @@
-//! The WS-Transfer/WS-Eventing Grid-in-a-Box (§4.2.2): four services,
-//! everything a resource, every interaction CRUD — with the EPR-structure
-//! conventions the paper describes verbatim:
+//! The WS-Transfer/WS-Eventing Grid-in-a-Box (§4.2.2). The application is
+//! in `crate::vo`; this file holds what the paper says differs on this
+//! stack — everything a resource, every interaction CRUD, and the
+//! EPR-structure conventions the paper describes verbatim:
 //!
+//! * **Four services**: WS-Transfer allows many resource types per service,
+//!   so sites and reservations share a *unified* ResourceAllocation.
 //! * **Account** — Create makes an account whose EPR carries the user's
 //!   X.509 DN; Get answers privilege questions; Create/Delete are
 //!   admin-only.
-//! * **Data** — the resource id is `DN/filename`; the storage directory is
-//!   a hash of the DN; a Get whose EPR ends with `/` returns a directory
-//!   listing, otherwise a download; Put overwrites; Delete removes the file
-//!   permanently.
-//! * **ResourceAllocation** — *unified* sites + reservations (WS-Transfer
-//!   allows many resource types per service). Get on an id starting `1` is
-//!   the available-resources query; any other id asks which user holds the
+//! * **Data** — the client constructs the resource id, `DN/filename`; the
+//!   storage directory is a hash of the DN; a Get whose EPR ends with `/`
+//!   returns a directory listing, otherwise a download; Put overwrites;
+//!   Delete removes the file permanently.
+//! * **ResourceAllocation** — Get on an id starting `1` is the
+//!   available-resources query; any other id asks which user holds the
 //!   reservation for that site. Put has three modes selected by the id's
 //!   initial symbol: `R` make, `U` remove, `T` change reservation time.
-//! * **Execution** — Create instantiates a job (after verifying the
-//!   reservation through the allocation service); Get returns the
+//!   Un-reserving is the client's manual `U`-mode Put.
+//! * **Execution** — Create instantiates a job after **one outcall** (the
+//!   reservation holder, through the allocation service); Get returns the
 //!   representation, which outlives the process; Delete both kills a
 //!   running process and removes the representation (one resolution of the
-//!   spec's resource-vs-representation ambiguity — the other is tested);
-//!   exits push WS-Eventing messages over TCP.
+//!   spec's resource-vs-representation ambiguity).
+//! * **WS-Eventing**: exits push events over TCP, filtered by owner.
+//! * **Identity** is the signer's DN, else the body's `owner`, else — for
+//!   body-less Deletes — the `RequesterDN` reference property.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ogsa_addressing::EndpointReference;
@@ -36,10 +41,12 @@ use ogsa_transfer::{CreateOutcome, TransferLogic, TransferProxy, TransferService
 use ogsa_xml::Element;
 use ogsa_xmldb::Collection;
 
+use crate::admin::TransferAdminClient;
 use crate::api::{GridScenario, ScenarioError};
 use crate::hostfs::HostFs;
 use crate::job::JobSpec;
-use crate::procsim::{ProcStatus, ProcessTable};
+use crate::procsim::ProcessTable;
+use crate::vo::{self, need, required, server_fault};
 
 fn requester_of(op: &Operation) -> Result<String, Fault> {
     // The authenticated signature always wins; unsigned deployments fall
@@ -60,8 +67,53 @@ fn requester_of(op: &Operation) -> Result<String, Fault> {
         .ok_or_else(|| Fault::client("request carries no identity"))
 }
 
-fn is_admin(dn: &str) -> bool {
-    dn.starts_with("CN=admin")
+/// "Create() and Delete() are administrative functions and can be called
+/// only from the administrative client": a client fault naming what only it
+/// `may` do, unless the requester is that client.
+fn admin_only(op: &Operation, may: &str) -> Result<(), Fault> {
+    if requester_of(op)?.starts_with("CN=admin") {
+        return Ok(());
+    }
+    Err(Fault::client(format!(
+        "only the administrative client may {may}"
+    )))
+}
+
+/// RA Get, second mode: "used by the Data service and the Execution service
+/// to make sure that the user who wants to use them has a reservation."
+fn verify_reservation(
+    ctx: &OperationContext,
+    allocation_epr: &EndpointReference,
+    site_name: &str,
+    dn: &str,
+) -> Result<(), Fault> {
+    let site_epr = EndpointReference::resource(allocation_epr.address.clone(), site_name);
+    let holder = TransferProxy::new(ctx.agent())
+        .get(&site_epr)
+        .map_err(|e| Fault::client(format!("reservation check failed: {e}")))?;
+    if holder.text() != dn {
+        return Err(Fault::client(format!("`{dn}` holds no reservation here")));
+    }
+    Ok(())
+}
+
+/// The host directory and file name behind a `DN/filename` id.
+fn file_of(id: &str) -> Result<(String, &str), Fault> {
+    let (dn, name) = id
+        .rsplit_once('/')
+        .ok_or_else(|| Fault::client("malformed file id"))?;
+    Ok((HostFs::dn_directory(dn), name))
+}
+
+/// The last step of every Create here: `stored` goes into the collection
+/// under the `id` the service chose and is returned to the client as sent.
+fn keep(store: &Collection, id: String, stored: Element) -> Result<CreateOutcome, Fault> {
+    store.insert(&id, stored.clone()).map_err(server_fault)?;
+    Ok(CreateOutcome {
+        id,
+        stored,
+        modified: None,
+    })
 }
 
 // ============================================================ Account ====
@@ -78,26 +130,11 @@ impl TransferLogic for AccountLogic {
         store: &Arc<Collection>,
         _rng: &DetRng,
     ) -> Result<CreateOutcome, Fault> {
-        let requester = requester_of(op)?;
-        if !is_admin(&requester) {
-            return Err(Fault::client(
-                "only the administrative client may create accounts",
-            ));
-        }
+        admin_only(op, "create accounts")?;
         // "the EPR containing the X509 DN of the user" — the account's own
         // DN becomes the resource id.
-        let dn = representation
-            .child_text("dn")
-            .ok_or_else(|| Fault::client("account without dn"))?
-            .to_owned();
-        store
-            .insert(&dn, representation.clone())
-            .map_err(|e| Fault::server(e.to_string()))?;
-        Ok(CreateOutcome {
-            id: dn,
-            stored: representation,
-            modified: None,
-        })
+        let dn = required(&representation, "account", "dn")?.to_owned();
+        keep(store, dn, representation)
     }
 
     fn delete(
@@ -107,12 +144,7 @@ impl TransferLogic for AccountLogic {
         _ctx: &OperationContext,
         store: &Arc<Collection>,
     ) -> Result<(), Fault> {
-        let requester = requester_of(op)?;
-        if !is_admin(&requester) {
-            return Err(Fault::client(
-                "only the administrative client may remove accounts",
-            ));
-        }
+        admin_only(op, "remove accounts")?;
         store
             .remove(id)
             .map(|_| ())
@@ -125,28 +157,8 @@ impl TransferLogic for AccountLogic {
 /// Files keyed by `DN/filename`; listing via trailing-`/` EPRs.
 struct DataLogic {
     fs: HostFs,
-    allocation_epr: OnceLock<EndpointReference>,
+    allocation_epr: EndpointReference,
     site_name: String,
-}
-
-impl DataLogic {
-    fn verify_reservation(&self, dn: &str, ctx: &OperationContext) -> Result<(), Fault> {
-        // RA Get, second mode: "used by the Data service and the Execution
-        // service to make sure that the user who wants to use them has a
-        // reservation."
-        let ra = self
-            .allocation_epr
-            .get()
-            .ok_or_else(|| Fault::server("allocation service not wired"))?;
-        let site_epr = EndpointReference::resource(ra.address.clone(), self.site_name.clone());
-        let holder = TransferProxy::new(ctx.agent())
-            .get(&site_epr)
-            .map_err(|e| Fault::client(format!("reservation check failed: {e}")))?;
-        if holder.text() != dn {
-            return Err(Fault::client(format!("`{dn}` holds no reservation here")));
-        }
-        Ok(())
-    }
 }
 
 impl TransferLogic for DataLogic {
@@ -159,7 +171,7 @@ impl TransferLogic for DataLogic {
         _rng: &DetRng,
     ) -> Result<CreateOutcome, Fault> {
         let dn = requester_of(op)?;
-        self.verify_reservation(&dn, ctx)?;
+        verify_reservation(ctx, &self.allocation_epr, &self.site_name, &dn)?;
         let name = representation
             .attr_local("name")
             .ok_or_else(|| Fault::client("file without name"))?
@@ -174,14 +186,7 @@ impl TransferLogic for DataLogic {
         let meta = Element::new("file")
             .with_attr("name", name)
             .with_attr("owner", dn);
-        store
-            .insert(&id, meta.clone())
-            .map_err(|e| Fault::server(e.to_string()))?;
-        Ok(CreateOutcome {
-            id,
-            stored: meta,
-            modified: None,
-        })
+        keep(store, id, meta)
     }
 
     fn get(
@@ -196,17 +201,13 @@ impl TransferLogic for DataLogic {
         if let Some(dn) = id.strip_suffix('/') {
             let dir = HostFs::dn_directory(dn);
             let files = self.fs.list_dir(&dir).unwrap_or_default();
-            let mut out = Element::new("listing").with_attr("owner", dn);
-            for f in files {
-                out.add_child(Element::text_element("file", f));
-            }
-            return Ok(out);
+            let files = files.into_iter().map(|f| Element::text_element("file", f));
+            return Ok(Element::new("listing")
+                .with_attr("owner", dn)
+                .with_children(files));
         }
         // "Otherwise Get() interprets the request as a download."
-        let (dn, name) = id
-            .rsplit_once('/')
-            .ok_or_else(|| Fault::client("malformed file id"))?;
-        let dir = HostFs::dn_directory(dn);
+        let (dir, name) = file_of(id)?;
         let contents = self
             .fs
             .read_file(&dir, name)
@@ -225,10 +226,7 @@ impl TransferLogic for DataLogic {
         _store: &Arc<Collection>,
     ) -> Result<Option<Element>, Fault> {
         // "Put() overrides an existing file with a newer version."
-        let (dn, name) = id
-            .rsplit_once('/')
-            .ok_or_else(|| Fault::client("malformed file id"))?;
-        let dir = HostFs::dn_directory(dn);
+        let (dir, name) = file_of(id)?;
         if self.fs.read_file(&dir, name).is_none() {
             return Err(Fault::client(format!("no file `{id}` to override")));
         }
@@ -244,10 +242,7 @@ impl TransferLogic for DataLogic {
         _ctx: &OperationContext,
         store: &Arc<Collection>,
     ) -> Result<(), Fault> {
-        let (dn, name) = id
-            .rsplit_once('/')
-            .ok_or_else(|| Fault::client("malformed file id"))?;
-        let dir = HostFs::dn_directory(dn);
+        let (dir, name) = file_of(id)?;
         if !self.fs.delete_file(&dir, name) {
             return Err(Fault::client(format!("no file `{id}`")));
         }
@@ -260,13 +255,12 @@ impl TransferLogic for DataLogic {
 
 /// Unified sites + reservations.
 struct AllocationLogic {
-    account_epr: OnceLock<EndpointReference>,
+    account_epr: EndpointReference,
 }
 
-impl AllocationLogic {
-    fn reservation_key(site: &str) -> String {
-        format!("rsv:{site}")
-    }
+/// Where the unified service keeps the reservation of `site`, beside it.
+fn reservation_key(site: &str) -> String {
+    format!("rsv:{site}")
 }
 
 impl TransferLogic for AllocationLogic {
@@ -279,24 +273,12 @@ impl TransferLogic for AllocationLogic {
         store: &Arc<Collection>,
         _rng: &DetRng,
     ) -> Result<CreateOutcome, Fault> {
-        let requester = requester_of(op)?;
-        if !is_admin(&requester) {
-            return Err(Fault::client(
-                "only the administrative client may register sites",
-            ));
-        }
+        admin_only(op, "register sites")?;
         let name = representation
             .attr_local("name")
             .ok_or_else(|| Fault::client("site without name"))?
             .to_owned();
-        store
-            .insert(&name, representation.clone())
-            .map_err(|e| Fault::server(e.to_string()))?;
-        Ok(CreateOutcome {
-            id: name,
-            stored: representation,
-            modified: None,
-        })
+        keep(store, name, representation)
     }
 
     fn get(
@@ -310,33 +292,20 @@ impl TransferLogic for AllocationLogic {
         // available resources query" — the rest of the id names the
         // application.
         if let Some(app) = id.strip_prefix('1') {
-            let xp = ogsa_xml::XPath::compile("/site").expect("static");
-            let docs = store
-                .query(&xp, &ogsa_xml::XPathContext::new())
-                .map_err(|e| Fault::server(e.to_string()))?;
+            let sites = vo::matching(store, &vo::TRANSFER_SITES)?;
             let reserved: Vec<String> = store
                 .keys()
                 .iter()
                 .filter_map(|k| k.strip_prefix("rsv:").map(str::to_owned))
                 .collect();
-            let mut out = Element::new("availableResources").with_attr("application", app);
-            for (name, doc) in docs {
-                if reserved.contains(&name) {
-                    continue;
-                }
-                if doc
-                    .child_elements()
-                    .any(|e| &*e.name.local == "application" && e.text() == app)
-                {
-                    out.add_child(doc);
-                }
-            }
-            return Ok(out);
+            return Ok(Element::new("availableResources")
+                .with_attr("application", app)
+                .with_children(vo::available_sites(sites, &reserved, app)));
         }
         // "Otherwise, the Get() is a request to check which user has a
         // reservation to a particular computing site."
         let rsv = store
-            .get(&Self::reservation_key(id))
+            .get(&reservation_key(id))
             .ok_or_else(|| Fault::client(format!("site `{id}` is not reserved")))?;
         Ok(Element::text_element(
             "reservationHolder",
@@ -353,18 +322,13 @@ impl TransferLogic for AllocationLogic {
         _ctx: &OperationContext,
         store: &Arc<Collection>,
     ) -> Result<(), Fault> {
-        let requester = requester_of(op)?;
-        if !is_admin(&requester) {
-            return Err(Fault::client(
-                "only the administrative client may remove computing sites",
-            ));
-        }
+        admin_only(op, "remove computing sites")?;
         store
             .remove(id)
             .map(|_| ())
             .ok_or_else(|| Fault::client(format!("no such site `{id}`")))?;
         // A removed site takes its reservation with it.
-        store.remove(&Self::reservation_key(id));
+        store.remove(&reservation_key(id));
         Ok(())
     }
 
@@ -383,11 +347,8 @@ impl TransferLogic for AllocationLogic {
             "R" => {
                 let owner = requester_of(op)?;
                 // Account check via the Account service's Get.
-                let account_epr = self
-                    .account_epr
-                    .get()
-                    .ok_or_else(|| Fault::server("account service not wired"))?;
-                let acct = EndpointReference::resource(account_epr.address.clone(), owner.clone());
+                let acct =
+                    EndpointReference::resource(self.account_epr.address.clone(), owner.clone());
                 TransferProxy::new(ctx.agent())
                     .get(&acct)
                     .map_err(|e| Fault::client(format!("no VO account for `{owner}`: {e}")))?;
@@ -395,7 +356,7 @@ impl TransferLogic for AllocationLogic {
                 if !store.contains(site) {
                     return Err(Fault::client(format!("no such site `{site}`")));
                 }
-                let key = Self::reservation_key(site);
+                let key = reservation_key(site);
                 if store.contains(&key) {
                     return Err(Fault::client(format!("site `{site}` already reserved")));
                 }
@@ -406,9 +367,7 @@ impl TransferLogic for AllocationLogic {
                         "until",
                         replacement.child_text("until").unwrap_or("0").to_owned(),
                     ));
-                store
-                    .insert(&key, doc)
-                    .map_err(|e| Fault::server(e.to_string()))?;
+                store.insert(&key, doc).map_err(server_fault)?;
                 Ok(None)
             }
             // Remove a reservation — "A failure to destroy a reservation
@@ -416,24 +375,19 @@ impl TransferLogic for AllocationLogic {
             // that execution resource" (§4.2.3): this is the manual step
             // WSRF gets for free.
             "U" => store
-                .remove(&Self::reservation_key(site))
+                .remove(&reservation_key(site))
                 .map(|_| None)
                 .ok_or_else(|| Fault::client(format!("site `{site}` is not reserved"))),
             // Change the time to which a site is reserved.
             "T" => {
-                let key = Self::reservation_key(site);
+                let key = reservation_key(site);
                 let mut doc = store
                     .get(&key)
                     .ok_or_else(|| Fault::client(format!("site `{site}` is not reserved")))?;
-                let until = replacement
-                    .child_text("until")
-                    .ok_or_else(|| Fault::client("T-mode Put without until"))?
-                    .to_owned();
+                let until = required(&replacement, "T-mode Put", "until")?;
                 doc.remove_children(&"until".into());
                 doc.add_child(Element::text_element("until", until));
-                store
-                    .update(&key, doc)
-                    .map_err(|e| Fault::server(e.to_string()))?;
+                store.update(&key, doc).map_err(server_fault)?;
                 Ok(None)
             }
             _ => Err(Fault::client(format!(
@@ -446,56 +400,30 @@ impl TransferLogic for AllocationLogic {
 // ========================================================== Execution ====
 
 /// Jobs; Create verifies the reservation through the allocation service.
-pub struct ExecutionLogic {
+struct ExecutionLogic {
     procs: ProcessTable,
     site_name: String,
-    allocation_epr: OnceLock<EndpointReference>,
-    notifier: OnceLock<NotificationManager>,
+    allocation_epr: EndpointReference,
+    notifier: NotificationManager,
     job_seq: AtomicU64,
-    store: OnceLock<Arc<Collection>>,
-    /// §3.2's Delete ambiguity, made explicit: does deleting the
-    /// representation also terminate the process?
-    pub delete_kills_process: bool,
 }
 
 impl ExecutionLogic {
-    fn status_fields(&self, doc: &Element) -> (String, Option<i32>) {
-        let pid: u64 = doc.child_parse("pid").unwrap_or(0);
-        match self.procs.status(pid) {
-            Some(ProcStatus::Running) => ("running".into(), None),
-            Some(ProcStatus::Exited { code }) => ("exited".into(), Some(code)),
-            Some(ProcStatus::Killed) => ("killed".into(), None),
-            None => ("unknown".into(), None),
-        }
-    }
-
-    /// The completion monitor: push events for exited, un-notified jobs.
-    pub fn pump_completions(&self) -> usize {
-        let (Some(store), Some(notifier)) = (self.store.get(), self.notifier.get()) else {
-            return 0;
-        };
-        let xp = ogsa_xml::XPath::compile("/job[notified='false']").expect("static");
-        let Ok(pending) = store.query(&xp, &ogsa_xml::XPathContext::new()) else {
+    /// The completion monitor: push events for the exited, un-notified jobs
+    /// in `store` (this service's collection).
+    fn pump_completions(&self, store: &Collection) -> usize {
+        let Ok(pending) = vo::matching(store, &vo::TRANSFER_PENDING_JOBS) else {
             return 0;
         };
         let mut fired = 0;
         for (id, mut doc) in pending {
-            let (status, exit) = self.status_fields(&doc);
+            let (status, exit) = vo::job_status(&self.procs, doc.child_parse("pid"));
             if status != "exited" {
                 continue;
             }
-            notifier.trigger(
-                Element::new("JobEnded")
-                    .with_attr("job", id.clone())
-                    .with_attr(
-                        "owner",
-                        doc.child_text("owner").unwrap_or_default().to_owned(),
-                    )
-                    .with_child(Element::text_element(
-                        "exitCode",
-                        exit.unwrap_or_default().to_string(),
-                    )),
-            );
+            let owner = doc.child_text("owner").unwrap_or_default();
+            self.notifier
+                .trigger(vo::job_ended(&id, exit).with_attr("owner", owner));
             doc.remove_children(&"notified".into());
             doc.add_child(Element::text_element("notified", "true"));
             let _ = store.update(&id, doc);
@@ -518,37 +446,17 @@ impl TransferLogic for ExecutionLogic {
         let spec = JobSpec::from_element(&representation)
             .ok_or_else(|| Fault::client("malformed job representation"))?;
 
-        // Outcall: verify the reservation (RA Get, second mode).
-        let ra = self
-            .allocation_epr
-            .get()
-            .ok_or_else(|| Fault::server("allocation service not wired"))?;
-        let site_epr = EndpointReference::resource(ra.address.clone(), self.site_name.clone());
-        let holder = TransferProxy::new(ctx.agent())
-            .get(&site_epr)
-            .map_err(|e| Fault::client(format!("reservation check failed: {e}")))?;
-        if holder.text() != owner {
-            return Err(Fault::client(format!(
-                "`{owner}` holds no reservation here"
-            )));
-        }
+        // The one outcall: the reservation holder.
+        verify_reservation(ctx, &self.allocation_epr, &self.site_name, &owner)?;
 
         let pid = self.procs.spawn(spec.runtime, spec.exit_code);
         let id = format!("job-{}", self.job_seq.fetch_add(1, Ordering::Relaxed));
         // The stored representation: the client's spec plus server fields.
         let stored = representation
-            .clone()
             .with_child(Element::text_element("owner", owner))
             .with_child(Element::text_element("pid", pid.to_string()))
             .with_child(Element::text_element("notified", "false"));
-        store
-            .insert(&id, stored.clone())
-            .map_err(|e| Fault::server(e.to_string()))?;
-        Ok(CreateOutcome {
-            id,
-            stored,
-            modified: None,
-        })
+        keep(store, id, stored)
     }
 
     /// "The representation of the resource may remain even when the
@@ -564,7 +472,7 @@ impl TransferLogic for ExecutionLogic {
         let doc = store
             .get(id)
             .ok_or_else(|| Fault::client(format!("no job `{id}`")))?;
-        let (status, exit) = self.status_fields(&doc);
+        let (status, exit) = vo::job_status(&self.procs, doc.child_parse("pid"));
         let mut out = doc;
         out.add_child(Element::text_element("status", status));
         if let Some(code) = exit {
@@ -584,10 +492,8 @@ impl TransferLogic for ExecutionLogic {
         let doc = store
             .get(id)
             .ok_or_else(|| Fault::client(format!("no job `{id}`")))?;
-        if self.delete_kills_process {
-            if let Some(pid) = doc.child_parse::<u64>("pid") {
-                self.procs.kill(pid);
-            }
+        if let Some(pid) = doc.child_parse::<u64>("pid") {
+            self.procs.kill(pid);
         }
         store.remove(id);
         Ok(())
@@ -603,7 +509,8 @@ pub struct TransferSite {
     pub data_epr: EndpointReference,
     pub exec_epr: EndpointReference,
     pub events_epr: EndpointReference,
-    pub exec_logic: Arc<ExecutionLogic>,
+    exec_logic: Arc<ExecutionLogic>,
+    exec_store: Arc<Collection>,
 }
 
 /// The deployed WS-Transfer VO.
@@ -611,7 +518,7 @@ pub struct TransferGrid {
     pub account_epr: EndpointReference,
     pub allocation_epr: EndpointReference,
     pub sites: Vec<TransferSite>,
-    admin: ClientAgent,
+    admin: TransferAdminClient,
     /// Names each scenario's event consumer endpoint; per grid, so that a
     /// run does not depend on what the process ran before it.
     consumer_seq: AtomicU64,
@@ -627,119 +534,62 @@ impl TransferGrid {
         applications: &[&str],
         users: &[&str],
     ) -> TransferGrid {
-        let vo = tb.container("vo-host", policy);
-        // VO services call site services (and vice versa) on the user's
-        // behalf; give those server-to-server invokes a retry budget so a
-        // lossy wire doesn't surface as an unretryable fault at the client.
-        vo.set_call_retry(Some(ogsa_transport::RetryPolicy::default_call(
-            tb.rng().fork("gib-call-retry").seed(),
-        )));
-
+        let vo = vo::vo_container(tb, policy);
         let (account_epr, _) =
             TransferService::deploy(&vo, "/services/Account", Arc::new(AccountLogic));
-
-        let allocation_logic = Arc::new(AllocationLogic {
-            account_epr: OnceLock::new(),
-        });
+        let allocation_logic = AllocationLogic {
+            account_epr: account_epr.clone(),
+        };
         let (allocation_epr, _) = TransferService::deploy(
             &vo,
             "/services/ResourceAllocation",
-            allocation_logic.clone(),
+            Arc::new(allocation_logic),
         );
-        allocation_logic
-            .account_epr
-            .set(account_epr.clone())
-            .expect("wired once");
 
         let admin = tb.client("vo-host", "CN=admin,O=VO", policy);
-        let admin_proxy = TransferProxy::new(&admin);
+        let admin = TransferAdminClient::over(&account_epr, &allocation_epr, admin);
         for user in users {
-            admin_proxy
-                .create(
-                    &account_epr,
-                    Element::new("account")
-                        .with_child(Element::text_element("dn", *user))
-                        .with_child(Element::text_element("privilege", "submit"))
-                        .with_child(Element::text_element("owner", admin.dn())),
-                )
-                .expect("create account");
+            admin.add_account(user, &["submit"]).expect("add account");
         }
 
-        let mut sites = Vec::new();
-        for (i, host) in site_hosts.iter().enumerate() {
-            let site_name = format!("site-{i}");
-            let container = tb.container(host, policy);
-            // Job-exited events are the VO's one must-arrive message:
-            // redeliver them when the simulated wire loses them. Seeded off
-            // the testbed RNG so runs replay bit-identically.
-            container.set_redelivery(Some(ogsa_transport::RetryPolicy::default_redelivery(
-                tb.rng().fork("gib-redelivery").seed(),
-            )));
-            container.set_call_retry(vo.call_retry());
-            let fs = HostFs::new(tb.clock().clone(), Arc::new(tb.model().clone()));
-            let procs = ProcessTable::new(tb.clock().clone(), Arc::new(tb.model().clone()));
+        let sites = vo::site_hosts(tb, policy, &vo, site_hosts)
+            .map(|site| {
+                let host = &site.container;
+                let data_logic = DataLogic {
+                    fs: site.fs,
+                    allocation_epr: allocation_epr.clone(),
+                    site_name: site.name.clone(),
+                };
+                let (data_epr, _) =
+                    TransferService::deploy(host, "/services/Data", Arc::new(data_logic));
 
-            let data_logic = Arc::new(DataLogic {
-                fs,
-                allocation_epr: OnceLock::new(),
-                site_name: site_name.clone(),
-            });
-            let (data_epr, _) =
-                TransferService::deploy(&container, "/services/Data", data_logic.clone());
-            data_logic
-                .allocation_epr
-                .set(allocation_epr.clone())
-                .expect("wired once");
+                let (events_epr, notifier) =
+                    EventSourceService::deploy(host, "/services/ExecutionEvents");
+                let exec_logic = Arc::new(ExecutionLogic {
+                    procs: site.procs,
+                    site_name: site.name.clone(),
+                    allocation_epr: allocation_epr.clone(),
+                    notifier,
+                    job_seq: AtomicU64::new(0),
+                });
+                let (exec_epr, exec_store) =
+                    TransferService::deploy(host, "/services/Execution", exec_logic.clone());
 
-            let exec_logic = Arc::new(ExecutionLogic {
-                procs,
-                site_name: site_name.clone(),
-                allocation_epr: OnceLock::new(),
-                notifier: OnceLock::new(),
-                job_seq: AtomicU64::new(0),
-                store: OnceLock::new(),
-                delete_kills_process: true,
-            });
-            let (exec_epr, exec_store) =
-                TransferService::deploy(&container, "/services/Execution", exec_logic.clone());
-            let (events_epr, notifier) =
-                EventSourceService::deploy(&container, "/services/ExecutionEvents");
-            exec_logic
-                .allocation_epr
-                .set(allocation_epr.clone())
-                .expect("wired once");
-            exec_logic.notifier.set(notifier).ok().expect("wired once");
-            exec_logic.store.set(exec_store).expect("wired once");
-
-            // Register the computing site.
-            let mut site = Element::new("site")
-                .with_attr("name", site_name.clone())
-                .with_child(Element::text_element("host", *host))
-                .with_child(Element::text_element(
-                    "execAddress",
-                    exec_epr.address.clone(),
-                ))
-                .with_child(Element::text_element(
-                    "dataAddress",
-                    data_epr.address.clone(),
-                ))
-                .with_child(Element::text_element("owner", admin.dn()));
-            for app in applications {
-                site.add_child(Element::text_element("application", *app));
-            }
-            admin_proxy
-                .create(&allocation_epr, site)
-                .expect("register site");
-
-            sites.push(TransferSite {
-                name: site_name,
-                host: host.to_string(),
-                data_epr,
-                exec_epr,
-                events_epr,
-                exec_logic,
-            });
-        }
+                let (exec, data) = (&exec_epr.address, &data_epr.address);
+                admin
+                    .register_site(&site.name, &site.host, applications, exec, data)
+                    .expect("register site");
+                TransferSite {
+                    name: site.name,
+                    host: site.host,
+                    data_epr,
+                    exec_epr,
+                    events_epr,
+                    exec_logic,
+                    exec_store,
+                }
+            })
+            .collect();
 
         TransferGrid {
             account_epr,
@@ -751,14 +601,14 @@ impl TransferGrid {
     }
 
     pub fn admin(&self) -> &ClientAgent {
-        &self.admin
+        &self.admin.agent
     }
 
     /// Tick every site's completion monitor.
     pub fn pump_completions(&self) -> usize {
         self.sites
             .iter()
-            .map(|s| s.exec_logic.pump_completions())
+            .map(|s| s.exec_logic.pump_completions(&s.exec_store))
             .sum()
     }
 
@@ -796,9 +646,14 @@ pub struct TransferGridScenario<'g> {
 
 impl TransferGridScenario<'_> {
     fn chosen(&self) -> Result<&ChosenSite, ScenarioError> {
-        self.chosen
-            .as_ref()
-            .ok_or_else(|| ScenarioError::State("no site chosen yet".into()))
+        need(self.chosen.as_ref(), "no site chosen yet")
+    }
+
+    /// The allocation service's resource `{mode}{rest}`: the id's initial
+    /// symbol selects what a Get or Put of it means.
+    fn allocation(&self, mode: char, rest: &str) -> EndpointReference {
+        let address = self.grid.allocation_epr.address.clone();
+        EndpointReference::resource(address, format!("{mode}{rest}"))
     }
 
     /// EPR of a staged file: `DN/filename` (client-constructed — the EPR
@@ -818,10 +673,7 @@ impl TransferGridScenario<'_> {
 
     /// Poll job status via Get.
     pub fn job_status(&self) -> Result<String, ScenarioError> {
-        let job = self
-            .job
-            .as_ref()
-            .ok_or_else(|| ScenarioError::State("no job".into()))?;
+        let job = need(self.job.as_ref(), "no job")?;
         let rep = TransferProxy::new(&self.agent).get(job)?;
         Ok(rep.child_text("status").unwrap_or("unknown").to_owned())
     }
@@ -834,43 +686,23 @@ impl GridScenario for TransferGridScenario<'_> {
 
     fn get_available_resource(&mut self, application: &str) -> Result<(), ScenarioError> {
         // Get with a "1"-prefixed id: the available-resources query mode.
-        let query_epr = EndpointReference::resource(
-            self.grid.allocation_epr.address.clone(),
-            format!("1{application}"),
-        );
-        let resp = TransferProxy::new(&self.agent).get(&query_epr)?;
-        let site = resp
-            .child_elements()
-            .next()
-            .ok_or_else(|| ScenarioError::State(format!("no site offers `{application}`")))?;
-        let name = site.attr_local("name").unwrap_or_default().to_owned();
-        let exec_address = site
-            .child_text("execAddress")
-            .unwrap_or_default()
-            .to_owned();
-        let data_address = site
-            .child_text("dataAddress")
-            .unwrap_or_default()
-            .to_owned();
-        let events_address = format!("{exec_address}Events");
+        let resp = TransferProxy::new(&self.agent).get(&self.allocation('1', application))?;
+        let site = vo::first_offer(&resp, application)?;
+        let address = |of: &str| site.child_text(of).unwrap_or_default().to_owned();
+        let exec_address = address("execAddress");
         self.chosen = Some(ChosenSite {
-            name,
+            name: site.attr_local("name").unwrap_or_default().to_owned(),
+            events_address: format!("{exec_address}Events"),
             exec_address,
-            data_address,
-            events_address,
+            data_address: address("dataAddress"),
         });
         Ok(())
     }
 
     fn make_reservation(&mut self) -> Result<(), ScenarioError> {
-        let site = self.chosen()?.name.clone();
         // Put, R-mode.
-        let epr = EndpointReference::resource(
-            self.grid.allocation_epr.address.clone(),
-            format!("R{site}"),
-        );
         TransferProxy::new(&self.agent).put(
-            &epr,
+            &self.allocation('R', &self.chosen()?.name),
             Element::new("reservation")
                 .with_child(Element::text_element("owner", self.agent.dn()))
                 .with_child(Element::text_element("until", "0")),
@@ -897,13 +729,8 @@ impl GridScenario for TransferGridScenario<'_> {
         let exec = EndpointReference::service(site.exec_address.clone());
 
         // Client call 1: subscribe (filtered to this user's jobs).
-        let consumer = EventConsumer::listen(
-            &self.agent,
-            &format!(
-                "/gib-events/{}",
-                self.grid.consumer_seq.fetch_add(1, Ordering::Relaxed)
-            ),
-        );
+        let seq = self.grid.consumer_seq.fetch_add(1, Ordering::Relaxed);
+        let consumer = EventConsumer::listen(&self.agent, &format!("/gib-events/{seq}"));
         let req = SubscribeRequest::new(consumer.epr().clone())
             .with_filter(&format!("/JobEnded[@owner='{}']", self.agent.dn()));
         self.agent
@@ -929,11 +756,7 @@ impl GridScenario for TransferGridScenario<'_> {
 
     fn unreserve_resource(&mut self) -> Result<(), ScenarioError> {
         // Put, U-mode: manual, client-paid — the Figure 6 asymmetry.
-        let site = self.chosen()?.name.clone();
-        let epr = EndpointReference::resource(
-            self.grid.allocation_epr.address.clone(),
-            format!("U{site}"),
-        );
+        let epr = self.allocation('U', &self.chosen()?.name);
         TransferProxy::new(&self.agent).put(&epr, Element::new("unreserve"))?;
         Ok(())
     }
@@ -947,27 +770,8 @@ impl GridScenario for TransferGridScenario<'_> {
             .clock()
             .advance(self.job_runtime + SimDuration::from_micros(1));
         self.grid.pump_completions();
-        let consumer = self
-            .consumer
-            .as_ref()
-            .ok_or_else(|| ScenarioError::State("no subscription".into()))?;
-        let own_job = self
-            .job
-            .as_ref()
-            .and_then(|j| j.resource_id())
-            .unwrap_or_default()
-            .to_owned();
-        let deadline = std::time::Instant::now() + wait;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let Some(body) = consumer.recv_timeout(remaining) else {
-                return Err(ScenarioError::State(
-                    "job-exited event never arrived".into(),
-                ));
-            };
-            if body.attr_local("job") == Some(&own_job) {
-                return Ok(body.child_parse("exitCode").unwrap_or(-1));
-            }
-        }
+        let consumer = need(self.consumer.as_ref(), "no subscription")?;
+        let exit = vo::await_job_ended(self.job.as_ref(), wait, |t| consumer.recv_timeout(t));
+        need(exit, "job-exited event never arrived")
     }
 }

@@ -1,30 +1,35 @@
-//! The WSRF/WS-Notification Grid-in-a-Box (§4.2.1): five services.
+//! The WSRF/WS-Notification Grid-in-a-Box (§4.2.1). The application is in
+//! `crate::vo`; this file holds what the paper says differs on this stack:
 //!
-//! * **AccountService** — *not* resource-based: "interactions with the
-//!   Account and ResourceAllocation services are not mapped to the CRUD
+//! * **Five services, one resource type each.** AccountService and
+//!   ResourceAllocationService are *not* resource-based: "interactions with
+//!   the Account and ResourceAllocation services are not mapped to the CRUD
 //!   operations (instead opting for operations like addAccount,
-//!   accountExists, etc.)".
-//! * **ResourceAllocationService** — also not resource-based; answers
-//!   "what resources are available for my application?" in concert with
-//!   the ReservationService.
-//! * **ReservationService** — WS-Resources are reservations; created with
-//!   `now + administrator delta` scheduled termination; *claimed* by the
-//!   ExecService lengthening the termination time to infinity; destroyed
-//!   automatically when the job completes (Figure 6's free "unreserve").
-//! * **DataService** — WS-Resources are directories; the file list is a
-//!   dynamically-computed resource property; `Destroy` removes the
-//!   directory from the host filesystem.
-//! * **ExecService** — WS-Resources are jobs; `start` verifies and claims
-//!   the reservation and checks the data directory (the outcalls that
-//!   dominate Figure 6's InstantiateJob); job exit raises a
-//!   WS-Notification carrying the job EPR.
+//!   accountExists, etc.)". Reservation, Data and Exec hold WS-Resources
+//!   (reservations, directories, jobs) and add WebMethods to the imported
+//!   port types.
+//! * **Opaque, factory-returned EPRs.** `makeReservation`, `createDirectory`
+//!   and `start` hand out the names; clients "do not name" resources.
+//! * **Lifetime does the unreserving.** A reservation is created with
+//!   `now + administrator delta` scheduled termination, *claimed* by the
+//!   ExecService lengthening that to infinity, and destroyed by it when the
+//!   job completes (Figure 6's free "unreserve").
+//! * **Four outcalls in `start`** — account, reservation, claim, data
+//!   directory: they dominate Figure 6's InstantiateJob.
+//! * **Directory and job state are dynamic resource properties**; `Destroy`
+//!   removes the directory from the host, kills and reaps the process.
+//! * **WS-Notification**: job exit raises a topic, delivered over HTTP
+//!   one-way, carrying the job EPR.
+//! * **Identity** is the signer's DN, else the body's `owner` — nothing else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
 use ogsa_addressing::EndpointReference;
-use ogsa_container::{ClientAgent, InvokeError, Operation, OperationContext, Testbed, WebService};
+use ogsa_container::{
+    ClientAgent, Container, InvokeError, Operation, OperationContext, Testbed, WebService,
+};
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::SimDuration;
 use ogsa_soap::Fault;
@@ -34,15 +39,19 @@ use ogsa_wsn::manager::SubscriptionManagerService;
 use ogsa_wsn::{NotificationConsumer, NotificationProducer, TopicExpression, TopicPath};
 use ogsa_wsrf::service_base::{PortType, ServiceBase, WsrfService, WsrfServiceHost};
 use ogsa_wsrf::{ResourceDocument, TerminationTime, WsrfProxy};
-use ogsa_xml::Element;
+use ogsa_xml::{Element, XPathContext};
 
+use crate::admin::WsrfAdminClient;
 use crate::api::{GridScenario, ScenarioError};
 use crate::hostfs::HostFs;
 use crate::job::JobSpec;
-use crate::procsim::{ProcStatus, ProcessTable};
+use crate::procsim::ProcessTable;
+use crate::vo::{self, need, required, server_fault, unwrap_epr, wrap_epr};
 
 /// Topic raised when a job exits.
 pub const JOB_EXITED_TOPIC: &str = "jobs/exited";
+static JOB_EXITED: LazyLock<Option<TopicPath>> =
+    LazyLock::new(|| TopicPath::parse(JOB_EXITED_TOPIC));
 
 /// Administrator-configured initial reservation lifetime ("e.g. 4 hours").
 pub const RESERVATION_DELTA: SimDuration = SimDuration(4 * 3600 * 1_000_000);
@@ -58,6 +67,26 @@ fn owner_of(op: &Operation) -> Result<String, Fault> {
         .ok_or_else(|| Fault::client("request carries no identity"))
 }
 
+/// "Does this user have an account in this VO?" — an outcall.
+fn check_account(
+    ctx: &OperationContext,
+    account_epr: &EndpointReference,
+    owner: &str,
+) -> Result<(), Fault> {
+    let resp = ctx
+        .agent()
+        .invoke(
+            account_epr,
+            "urn:gib/accountExists",
+            Element::new("accountExists").with_child(Element::text_element("dn", owner)),
+        )
+        .map_err(|e| Fault::server(format!("account check failed: {e}")))?;
+    if resp.text() != "true" {
+        return Err(Fault::client(format!("no VO account for `{owner}`")));
+    }
+    Ok(())
+}
+
 // ===================================================== AccountService ====
 
 /// addAccount / accountExists / removeAccount over a plain collection.
@@ -68,10 +97,7 @@ impl WebService for AccountService {
         let accounts = ctx.db().collection("gib:accounts");
         match op.action_name() {
             "addAccount" => {
-                let dn = op
-                    .body
-                    .child_text("dn")
-                    .ok_or_else(|| Fault::client("addAccount without dn"))?;
+                let dn = required(&op.body, "addAccount", "dn")?;
                 let mut doc = Element::new("account").with_attr("dn", dn);
                 for p in op
                     .body
@@ -84,22 +110,14 @@ impl WebService for AccountService {
                 Ok(Element::new("addAccountResponse"))
             }
             "accountExists" => {
-                let dn = op
-                    .body
-                    .child_text("dn")
-                    .ok_or_else(|| Fault::client("accountExists without dn"))?;
-                let exists = accounts.contains(dn);
+                let exists = accounts.contains(required(&op.body, "accountExists", "dn")?);
                 Ok(Element::text_element(
                     "accountExistsResponse",
                     exists.to_string(),
                 ))
             }
             "removeAccount" => {
-                let dn = op
-                    .body
-                    .child_text("dn")
-                    .ok_or_else(|| Fault::client("removeAccount without dn"))?;
-                accounts.remove(dn);
+                accounts.remove(required(&op.body, "removeAccount", "dn")?);
                 Ok(Element::new("removeAccountResponse"))
             }
             other => Err(Fault::client(format!("AccountService has no `{other}`"))),
@@ -111,7 +129,7 @@ impl WebService for AccountService {
 
 /// registerSite / getAvailableResources; consults the ReservationService.
 struct ResourceAllocationService {
-    reservation_epr: OnceLock<EndpointReference>,
+    reservation_epr: EndpointReference,
 }
 
 impl WebService for ResourceAllocationService {
@@ -119,52 +137,25 @@ impl WebService for ResourceAllocationService {
         let sites = ctx.db().collection("gib:sites");
         match op.action_name() {
             "registerSite" => {
-                let name = op
-                    .body
-                    .child_text("name")
-                    .ok_or_else(|| Fault::client("registerSite without name"))?;
-                sites.upsert(name, op.body.clone());
+                sites.upsert(required(&op.body, "registerSite", "name")?, op.body.clone());
                 Ok(Element::new("registerSiteResponse"))
             }
             "getAvailableResources" => {
-                let app = op
-                    .body
-                    .child_text("application")
-                    .ok_or_else(|| Fault::client("getAvailableResources without application"))?
-                    .to_owned();
+                let app = required(&op.body, "getAvailableResources", "application")?;
                 // In concert with the ReservationService: which sites are
                 // currently reserved?
-                let reservation_epr = self
-                    .reservation_epr
-                    .get()
-                    .ok_or_else(|| Fault::server("ReservationService not wired"))?;
                 let resp = ctx
                     .agent()
                     .invoke(
-                        reservation_epr,
+                        &self.reservation_epr,
                         "urn:gib/listReservedSites",
                         Element::new("listReservedSites"),
                     )
                     .map_err(|e| Fault::server(format!("reservation lookup failed: {e}")))?;
                 let reserved: Vec<String> = resp.child_elements().map(|e| e.text()).collect();
-
-                let xp = ogsa_xml::XPath::compile("/registerSite").expect("static");
-                let docs = sites
-                    .query(&xp, &ogsa_xml::XPathContext::new())
-                    .map_err(|e| Fault::server(e.to_string()))?;
-                let mut out = Element::new("getAvailableResourcesResponse");
-                for (name, doc) in docs {
-                    if reserved.contains(&name) {
-                        continue;
-                    }
-                    let offers_app = doc
-                        .child_elements()
-                        .any(|e| &*e.name.local == "application" && e.text() == app);
-                    if offers_app {
-                        out.add_child(doc);
-                    }
-                }
-                Ok(out)
+                let registered = vo::matching(&sites, &vo::WSRF_SITES)?;
+                Ok(Element::new("getAvailableResourcesResponse")
+                    .with_children(vo::available_sites(registered, &reserved, app)))
             }
             other => Err(Fault::client(format!(
                 "ResourceAllocationService has no `{other}`"
@@ -177,7 +168,7 @@ impl WebService for ResourceAllocationService {
 
 /// WS-Resources are reservations {site, owner}.
 struct ReservationService {
-    account_epr: OnceLock<EndpointReference>,
+    account_epr: EndpointReference,
 }
 
 impl WsrfService for ReservationService {
@@ -189,30 +180,9 @@ impl WsrfService for ReservationService {
     ) -> Result<Element, Fault> {
         match op.action_name() {
             "makeReservation" => {
-                let site = op
-                    .body
-                    .child_text("site")
-                    .ok_or_else(|| Fault::client("makeReservation without site"))?
-                    .to_owned();
+                let site = required(&op.body, "makeReservation", "site")?;
                 let owner = owner_of(op)?;
-                // "Does this user have an account in this VO?" — outcall.
-                let account_epr = self
-                    .account_epr
-                    .get()
-                    .ok_or_else(|| Fault::server("AccountService not wired"))?;
-                let resp = ctx
-                    .agent()
-                    .invoke(
-                        account_epr,
-                        "urn:gib/accountExists",
-                        Element::new("accountExists")
-                            .with_child(Element::text_element("dn", owner.clone())),
-                    )
-                    .map_err(|e| Fault::server(format!("account check failed: {e}")))?;
-                if resp.text() != "true" {
-                    return Err(Fault::client(format!("no VO account for `{owner}`")));
-                }
-
+                check_account(ctx, &self.account_epr, &owner)?;
                 let doc = Element::new("ReservationResource")
                     .with_child(Element::text_element("site", site))
                     .with_child(Element::text_element("owner", owner));
@@ -224,15 +194,15 @@ impl WsrfService for ReservationService {
                     TerminationTime::At(ctx.clock().now().plus(RESERVATION_DELTA)),
                 );
                 let epr = base.resource_epr(ctx, &res.id);
-                Ok(Element::new("makeReservationResponse").with_child(epr.to_element()))
+                Ok(wrap_epr("makeReservationResponse", &epr))
             }
             "listReservedSites" => {
-                let xp = ogsa_xml::XPath::compile("/ReservationResource/site").expect("static");
+                let reserved = vo::compiled(&vo::WSRF_RESERVED_SITES)?;
                 let sites = base
                     .store()
                     .collection()
-                    .select(&xp, &ogsa_xml::XPathContext::new())
-                    .map_err(|e| Fault::server(e.to_string()))?;
+                    .select(reserved, &XPathContext::new())
+                    .map_err(server_fault)?;
                 Ok(Element::new("listReservedSitesResponse").with_children(sites))
             }
             other => Err(Fault::client(format!(
@@ -265,32 +235,20 @@ impl WsrfService for DataService {
                 self.fs.create_dir(&res.id);
                 base.schedule_termination(ctx, &res.id, TerminationTime::Never);
                 let epr = base.resource_epr(ctx, &res.id);
-                Ok(Element::new("createDirectoryResponse").with_child(epr.to_element()))
+                Ok(wrap_epr("createDirectoryResponse", &epr))
             }
             "upload" => {
                 let id = op.require_resource_id()?;
                 let _res = base.load(ctx, id)?;
-                let name = op
-                    .body
-                    .child_text("fileName")
-                    .ok_or_else(|| Fault::client("upload without fileName"))?
-                    .to_owned();
-                let content = op
-                    .body
-                    .child_text("content")
-                    .unwrap_or("")
-                    .as_bytes()
-                    .to_vec();
-                self.fs.write_file(id, &name, content);
+                let name = required(&op.body, "upload", "fileName")?;
+                let content = op.body.child_text("content").unwrap_or("");
+                self.fs.write_file(id, name, content.as_bytes().to_vec());
                 Ok(Element::new("uploadResponse"))
             }
             "deleteFile" => {
                 let id = op.require_resource_id()?;
                 let _res = base.load(ctx, id)?;
-                let name = op
-                    .body
-                    .child_text("fileName")
-                    .ok_or_else(|| Fault::client("deleteFile without fileName"))?;
+                let name = required(&op.body, "deleteFile", "fileName")?;
                 if !self.fs.delete_file(id, name) {
                     return Err(Fault::client(format!("no file `{name}`")));
                 }
@@ -304,13 +262,9 @@ impl WsrfService for DataService {
     /// resources, instead these resource properties are generated
     /// dynamically by examining the contents directory" (§4.2.3).
     fn resource_properties(&self, res: &ResourceDocument, _ctx: &OperationContext) -> Element {
-        let mut doc = res.doc.clone();
-        if let Some(files) = self.fs.list_dir(&res.id) {
-            for f in files {
-                doc.add_child(Element::text_element("file", f));
-            }
-        }
-        doc
+        let files = self.fs.list_dir(&res.id).unwrap_or_default();
+        let files = files.into_iter().map(|f| Element::text_element("file", f));
+        res.doc.clone().with_children(files)
     }
 
     /// Destroy removes the directory and its contents from the filesystem.
@@ -325,20 +279,8 @@ impl WsrfService for DataService {
 struct ExecService {
     procs: ProcessTable,
     site_name: String,
-    producer: OnceLock<NotificationProducer>,
-    account_epr: OnceLock<EndpointReference>,
-}
-
-impl ExecService {
-    fn job_status(&self, res: &ResourceDocument) -> (String, Option<i32>) {
-        let pid = res.member_parse::<u64>("pid").unwrap_or(0);
-        match self.procs.status(pid) {
-            Some(ProcStatus::Running) => ("running".into(), None),
-            Some(ProcStatus::Exited { code }) => ("exited".into(), Some(code)),
-            Some(ProcStatus::Killed) => ("killed".into(), None),
-            None => ("unknown".into(), None),
-        }
-    }
+    producer: NotificationProducer,
+    account_epr: EndpointReference,
 }
 
 impl WsrfService for ExecService {
@@ -351,47 +293,29 @@ impl WsrfService for ExecService {
         match op.action_name() {
             "start" => {
                 let owner = owner_of(op)?;
-                let spec_elem = op
+                let spec = op
                     .body
                     .child_local("job")
                     .ok_or_else(|| Fault::client("start without job spec"))?;
-                let spec = JobSpec::from_element(spec_elem)
+                let spec = JobSpec::from_element(spec)
                     .ok_or_else(|| Fault::client("malformed job spec"))?;
-                let reservation = EndpointReference::from_element(
-                    op.body
-                        .child_local("reservation")
-                        .and_then(|r| r.child_elements().next())
-                        .ok_or_else(|| Fault::client("start without reservation EPR"))?,
-                )
-                .map_err(|e| Fault::client(format!("bad reservation EPR: {e}")))?;
-                let data = EndpointReference::from_element(
-                    op.body
-                        .child_local("data")
-                        .and_then(|d| d.child_elements().next())
-                        .ok_or_else(|| Fault::client("start without data EPR"))?,
-                )
-                .map_err(|e| Fault::client(format!("bad data EPR: {e}")))?;
+                let epr_in = |wrapper: &str| {
+                    let epr = op
+                        .body
+                        .child_local(wrapper)
+                        .and_then(|w| w.child_elements().next())
+                        .ok_or_else(|| Fault::client(format!("start without {wrapper} EPR")))?;
+                    EndpointReference::from_element(epr)
+                        .map_err(|e| Fault::client(format!("bad {wrapper} EPR: {e}")))
+                };
+                let reservation = epr_in("reservation")?;
+                let data = epr_in("data")?;
 
                 let proxy = WsrfProxy::new(ctx.agent());
 
                 // Outcall 1: re-verify VO membership with the
                 // AccountService before consuming site resources.
-                let account_epr = self
-                    .account_epr
-                    .get()
-                    .ok_or_else(|| Fault::server("AccountService not wired"))?;
-                let acct = ctx
-                    .agent()
-                    .invoke(
-                        account_epr,
-                        "urn:gib/accountExists",
-                        Element::new("accountExists")
-                            .with_child(Element::text_element("dn", owner.clone())),
-                    )
-                    .map_err(|e| Fault::server(format!("account check failed: {e}")))?;
-                if acct.text() != "true" {
-                    return Err(Fault::client(format!("no VO account for `{owner}`")));
-                }
+                check_account(ctx, &self.account_epr, &owner)?;
 
                 // Outcall 2: verify the reservation covers this site and
                 // this user ("An ExecService uses the reservation EPR to
@@ -400,13 +324,11 @@ impl WsrfService for ExecService {
                 let rsv_props = proxy
                     .get_properties(&reservation, &["site", "owner"])
                     .map_err(|e| Fault::client(format!("reservation invalid: {e}")))?;
-                let site_ok = rsv_props
-                    .iter()
-                    .any(|p| &*p.name.local == "site" && p.text() == self.site_name);
-                let owner_ok = rsv_props
-                    .iter()
-                    .any(|p| &*p.name.local == "owner" && p.text() == owner);
-                if !site_ok || !owner_ok {
+                let covers = |property: &str, value: &str| {
+                    let is = |p: &Element| &*p.name.local == property && p.text() == value;
+                    rsv_props.iter().any(is)
+                };
+                if !covers("site", &self.site_name) || !covers("owner", &owner) {
                     return Err(Fault::client("reservation does not cover this request"));
                 }
 
@@ -428,74 +350,46 @@ impl WsrfService for ExecService {
                 // Spawn and persist the job resource.
                 let pid = self.procs.spawn(spec.runtime, spec.exit_code);
                 let doc = Element::new("JobResource")
-                    .with_child(Element::text_element(
-                        "application",
-                        spec.application.clone(),
-                    ))
+                    .with_child(Element::text_element("application", spec.application))
                     .with_child(Element::text_element("owner", owner))
                     .with_child(Element::text_element("pid", pid.to_string()))
                     .with_child(Element::text_element("notified", "false"))
-                    .with_child(Element::new("reservation").with_child(reservation.to_element()))
-                    .with_child(Element::new("data").with_child(data.to_element()));
+                    .with_child(wrap_epr("reservation", &reservation))
+                    .with_child(wrap_epr("data", &data));
                 let res = base.create(ctx, doc)?;
                 base.schedule_termination(ctx, &res.id, TerminationTime::Never);
                 let epr = base.resource_epr(ctx, &res.id);
-                Ok(Element::new("startResponse").with_child(epr.to_element()))
+                Ok(wrap_epr("startResponse", &epr))
             }
             "Subscribe" => {
                 let req = SubscribeRequest::from_element(&op.body)
                     .ok_or_else(|| Fault::client("malformed Subscribe"))?;
-                let producer = self
-                    .producer
-                    .get()
-                    .ok_or_else(|| Fault::server("producer not wired"))?;
-                let epr = producer.store().subscribe(ctx, &req)?;
+                let epr = self.producer.store().subscribe(ctx, &req)?;
                 Ok(SubscribeRequest::response(&epr))
             }
             // The completion monitor tick (the "Proc Spawn Win Service"):
             // fire notifications for exited jobs and auto-destroy their
             // reservations.
             "pumpCompletions" => {
-                let producer = self
-                    .producer
-                    .get()
-                    .ok_or_else(|| Fault::server("producer not wired"))?;
-                let xp =
-                    ogsa_xml::XPath::compile("/JobResource[notified='false']").expect("static");
-                let pending = base
-                    .store()
-                    .collection()
-                    .query(&xp, &ogsa_xml::XPathContext::new())
-                    .map_err(|e| Fault::server(e.to_string()))?;
+                let topic = JOB_EXITED
+                    .as_ref()
+                    .ok_or_else(|| Fault::server("job-exited topic is not a concrete path"))?;
+                let pending = vo::matching(base.store().collection(), &vo::WSRF_PENDING_JOBS)?;
                 let mut fired = 0;
                 for (id, doc) in pending {
-                    let mut res = ResourceDocument::new(id.clone(), doc);
-                    let (status, exit) = self.job_status(&res);
+                    let mut res = ResourceDocument::new(id, doc);
+                    let (status, exit) = vo::job_status(&self.procs, res.member_parse("pid"));
                     if status != "exited" {
                         continue;
                     }
-                    let job_epr = base.resource_epr(ctx, &id);
+                    let job_epr = base.resource_epr(ctx, &res.id);
                     // "This notification message will contain the job's EPR
                     // so that the client knows which ... has ended."
-                    let message = Element::new("JobEnded")
-                        .with_attr("job", id.clone())
-                        .with_child(Element::text_element(
-                            "exitCode",
-                            exit.unwrap_or_default().to_string(),
-                        ))
-                        .with_child(Element::new("jobEPR").with_child(job_epr.to_element()));
-                    producer.notify_from(
-                        &TopicPath::parse(JOB_EXITED_TOPIC).expect("static"),
-                        message,
-                        Some(job_epr),
-                    );
+                    let message =
+                        vo::job_ended(&res.id, exit).with_child(wrap_epr("jobEPR", &job_epr));
+                    self.producer.notify_from(topic, message, Some(job_epr));
                     // Automatic unreserve: destroy the claimed reservation.
-                    if let Some(rsv) = res
-                        .doc
-                        .child_local("reservation")
-                        .and_then(|r| r.child_elements().next())
-                        .and_then(|e| EndpointReference::from_element(e).ok())
-                    {
+                    if let Some(rsv) = res.doc.child_local("reservation").and_then(unwrap_epr) {
                         let _ = WsrfProxy::new(ctx.agent()).destroy(&rsv);
                     }
                     res.set_member("notified", "true");
@@ -516,7 +410,7 @@ impl WsrfService for ExecService {
     /// running, when it exited and the exit code").
     fn resource_properties(&self, res: &ResourceDocument, _ctx: &OperationContext) -> Element {
         let mut doc = res.doc.clone();
-        let (status, exit) = self.job_status(res);
+        let (status, exit) = vo::job_status(&self.procs, res.member_parse("pid"));
         doc.add_child(Element::text_element("status", status));
         if let Some(code) = exit {
             doc.add_child(Element::text_element("exitCode", code.to_string()));
@@ -559,12 +453,17 @@ pub struct WsrfGrid {
     pub allocation_epr: EndpointReference,
     pub reservation_epr: EndpointReference,
     pub sites: Vec<WsrfSite>,
-    admin: ClientAgent,
+    admin: WsrfAdminClient,
     /// Names each scenario's notification consumer endpoint. Per grid, not
     /// per process: the endpoint's address travels in signed messages, so
     /// its length is charged for, and a run must not depend on what the
     /// process ran before it.
     consumer_seq: AtomicU64,
+}
+
+/// A WSRF service with every port type imported and the resource cache on.
+fn deploy_wsrf(container: &Container, path: &str, s: impl WsrfService) -> EndpointReference {
+    WsrfServiceHost::deploy(container, path, Arc::new(s), PortType::all(), true).0
 }
 
 impl WsrfGrid {
@@ -578,120 +477,47 @@ impl WsrfGrid {
         applications: &[&str],
         users: &[&str],
     ) -> WsrfGrid {
-        let vo = tb.container("vo-host", policy);
-        // VO services call site services (and vice versa) on the user's
-        // behalf; give those server-to-server invokes a retry budget so a
-        // lossy wire doesn't surface as an unretryable fault at the client.
-        vo.set_call_retry(Some(ogsa_transport::RetryPolicy::default_call(
-            tb.rng().fork("gib-call-retry").seed(),
-        )));
-
+        let vo = vo::vo_container(tb, policy);
         let account_epr = vo.deploy("/services/Account", Arc::new(AccountService));
-
-        let reservation_service = Arc::new(ReservationService {
-            account_epr: OnceLock::new(),
-        });
-        let (reservation_epr, _rsv_base) = WsrfServiceHost::deploy(
-            &vo,
-            "/services/Reservation",
-            reservation_service.clone(),
-            PortType::all(),
-            true,
-        );
-        reservation_service
-            .account_epr
-            .set(account_epr.clone())
-            .expect("wired once");
-
-        let allocation_service = Arc::new(ResourceAllocationService {
-            reservation_epr: OnceLock::new(),
-        });
-        let allocation_epr = vo.deploy("/services/ResourceAllocation", allocation_service.clone());
-        allocation_service
-            .reservation_epr
-            .set(reservation_epr.clone())
-            .expect("wired once");
+        let reservation = ReservationService {
+            account_epr: account_epr.clone(),
+        };
+        let reservation_epr = deploy_wsrf(&vo, "/services/Reservation", reservation);
+        let allocation = ResourceAllocationService {
+            reservation_epr: reservation_epr.clone(),
+        };
+        let allocation_epr = vo.deploy("/services/ResourceAllocation", Arc::new(allocation));
 
         let admin = tb.client("vo-host", "CN=admin,O=VO", policy);
+        let admin = WsrfAdminClient::over(&account_epr, &allocation_epr, admin);
         for user in users {
-            admin
-                .invoke(
-                    &account_epr,
-                    "urn:gib/addAccount",
-                    Element::new("addAccount")
-                        .with_child(Element::text_element("dn", *user))
-                        .with_child(Element::text_element("privilege", "submit")),
-                )
-                .expect("add account");
+            admin.add_account(user, &["submit"]).expect("add account");
         }
 
-        let mut sites = Vec::new();
-        for (i, host) in site_hosts.iter().enumerate() {
-            let site_name = format!("site-{i}");
-            let container = tb.container(host, policy);
-            // Job-exited notifications are the VO's one must-arrive message:
-            // redeliver them when the simulated wire loses them. Seeded off
-            // the testbed RNG so runs replay bit-identically.
-            container.set_redelivery(Some(ogsa_transport::RetryPolicy::default_redelivery(
-                tb.rng().fork("gib-redelivery").seed(),
-            )));
-            container.set_call_retry(vo.call_retry());
-            let fs = HostFs::new(tb.clock().clone(), Arc::new(tb.model().clone()));
-            let procs = ProcessTable::new(tb.clock().clone(), Arc::new(tb.model().clone()));
-
-            let (data_epr, _data_base) = WsrfServiceHost::deploy(
-                &container,
-                "/services/Data",
-                Arc::new(DataService { fs }),
-                PortType::all(),
-                true,
-            );
-
-            let (_mgr, store) =
-                SubscriptionManagerService::deploy(&container, "/services/Exec/subscriptions");
-            let exec_service = Arc::new(ExecService {
-                procs,
-                site_name: site_name.clone(),
-                producer: OnceLock::new(),
-                account_epr: OnceLock::new(),
-            });
-            let (exec_epr, _exec_base) = WsrfServiceHost::deploy(
-                &container,
-                "/services/Exec",
-                exec_service.clone(),
-                PortType::all(),
-                true,
-            );
-            exec_service
-                .producer
-                .set(NotificationProducer::new(store, container.service_agent()))
-                .ok()
-                .expect("wired once");
-            exec_service
-                .account_epr
-                .set(account_epr.clone())
-                .expect("wired once");
-
-            // Register the site with the allocation service.
-            let mut reg = Element::new("registerSite")
-                .with_child(Element::text_element("name", site_name.clone()))
-                .with_child(Element::text_element("host", *host));
-            for app in applications {
-                reg.add_child(Element::text_element("application", *app));
-            }
-            reg.add_child(Element::new("execEPR").with_child(exec_epr.to_element()));
-            reg.add_child(Element::new("dataEPR").with_child(data_epr.to_element()));
-            admin
-                .invoke(&allocation_epr, "urn:gib/registerSite", reg)
-                .expect("register site");
-
-            sites.push(WsrfSite {
-                name: site_name,
-                host: host.to_string(),
-                exec_epr,
-                data_epr,
-            });
-        }
+        let sites = vo::site_hosts(tb, policy, &vo, site_hosts)
+            .map(|site| {
+                let host = &site.container;
+                let data_epr = deploy_wsrf(host, "/services/Data", DataService { fs: site.fs });
+                let (_, subscriptions) =
+                    SubscriptionManagerService::deploy(host, "/services/Exec/subscriptions");
+                let exec = ExecService {
+                    procs: site.procs,
+                    site_name: site.name.clone(),
+                    producer: NotificationProducer::new(subscriptions, host.service_agent()),
+                    account_epr: account_epr.clone(),
+                };
+                let exec_epr = deploy_wsrf(host, "/services/Exec", exec);
+                admin
+                    .register_site(&site.name, &site.host, applications, &exec_epr, &data_epr)
+                    .expect("register site");
+                WsrfSite {
+                    name: site.name,
+                    host: site.host,
+                    exec_epr,
+                    data_epr,
+                }
+            })
+            .collect();
 
         WsrfGrid {
             account_epr,
@@ -705,7 +531,7 @@ impl WsrfGrid {
 
     /// The admin agent (tests use it for account management).
     pub fn admin(&self) -> &ClientAgent {
-        &self.admin
+        &self.admin.agent
     }
 
     /// Start a user scenario session.
@@ -745,9 +571,7 @@ pub struct WsrfGridScenario<'g> {
 
 impl WsrfGridScenario<'_> {
     fn chosen(&self) -> Result<&ChosenSite, ScenarioError> {
-        self.chosen
-            .as_ref()
-            .ok_or_else(|| ScenarioError::State("no site chosen yet".into()))
+        need(self.chosen.as_ref(), "no site chosen yet")
     }
 
     /// The job EPR, once instantiated.
@@ -757,10 +581,7 @@ impl WsrfGridScenario<'_> {
 
     /// Poll the job's status resource property.
     pub fn job_status(&self) -> Result<String, ScenarioError> {
-        let job = self
-            .job
-            .as_ref()
-            .ok_or_else(|| ScenarioError::State("no job".into()))?;
+        let job = need(self.job.as_ref(), "no job")?;
         Ok(WsrfProxy::new(&self.agent).get_property_text(job, "status")?)
     }
 }
@@ -777,67 +598,42 @@ impl GridScenario for WsrfGridScenario<'_> {
             Element::new("getAvailableResources")
                 .with_child(Element::text_element("application", application)),
         )?;
-        let site = resp
-            .child_elements()
-            .next()
-            .ok_or_else(|| ScenarioError::State(format!("no site offers `{application}`")))?;
-        let name = site.child_text("name").unwrap_or_default().to_owned();
-        let exec_epr = site
-            .child_local("execEPR")
-            .and_then(|e| e.child_elements().next())
-            .and_then(|e| EndpointReference::from_element(e).ok())
-            .ok_or_else(|| ScenarioError::State("site without exec EPR".into()))?;
-        let data_epr = site
-            .child_local("dataEPR")
-            .and_then(|e| e.child_elements().next())
-            .and_then(|e| EndpointReference::from_element(e).ok())
-            .ok_or_else(|| ScenarioError::State("site without data EPR".into()))?;
+        let site = vo::first_offer(&resp, application)?;
+        let exec_epr = site.child_local("execEPR").and_then(unwrap_epr);
+        let data_epr = site.child_local("dataEPR").and_then(unwrap_epr);
         self.chosen = Some(ChosenSite {
-            name,
-            exec_epr,
-            data_epr,
+            name: site.child_text("name").unwrap_or_default().to_owned(),
+            exec_epr: need(exec_epr, "site without exec EPR")?,
+            data_epr: need(data_epr, "site without data EPR")?,
         });
         Ok(())
     }
 
     fn make_reservation(&mut self) -> Result<(), ScenarioError> {
-        let site = self.chosen()?.name.clone();
         let resp = self.agent.invoke(
             &self.grid.reservation_epr,
             "urn:gib/makeReservation",
             Element::new("makeReservation")
-                .with_child(Element::text_element("site", site))
+                .with_child(Element::text_element("site", &self.chosen()?.name))
                 .with_child(Element::text_element("owner", self.agent.dn())),
         )?;
-        let epr = resp
-            .child_elements()
-            .next()
-            .and_then(|e| EndpointReference::from_element(e).ok())
-            .ok_or_else(|| ScenarioError::State("makeReservation returned no EPR".into()))?;
-        self.reservation = Some(epr);
+        self.reservation = Some(need(unwrap_epr(&resp), "makeReservation returned no EPR")?);
         Ok(())
     }
 
     fn upload_file(&mut self, name: &str, size_bytes: usize) -> Result<(), ScenarioError> {
-        let data_epr = self.chosen()?.data_epr.clone();
         // First upload creates the directory resource (Figure 5 step 5),
         // later uploads reuse it — "a pair of calls".
         if self.data_dir.is_none() {
             let resp = self.agent.invoke(
-                &data_epr,
+                &self.chosen()?.data_epr,
                 "urn:gib/createDirectory",
                 Element::new("createDirectory"),
             )?;
-            let dir = resp
-                .child_elements()
-                .next()
-                .and_then(|e| EndpointReference::from_element(e).ok())
-                .ok_or_else(|| ScenarioError::State("no directory EPR".into()))?;
-            self.data_dir = Some(dir);
+            self.data_dir = unwrap_epr(&resp);
         }
-        let dir = self.data_dir.clone().expect("just set");
         self.agent.invoke(
-            &dir,
+            need(self.data_dir.as_ref(), "no directory EPR")?,
             "urn:gib/upload",
             Element::new("upload")
                 .with_child(Element::text_element("fileName", name))
@@ -848,23 +644,12 @@ impl GridScenario for WsrfGridScenario<'_> {
 
     fn instantiate_job(&mut self, runtime: SimDuration) -> Result<(), ScenarioError> {
         let chosen_exec = self.chosen()?.exec_epr.clone();
-        let reservation = self
-            .reservation
-            .clone()
-            .ok_or_else(|| ScenarioError::State("no reservation".into()))?;
-        let data = self
-            .data_dir
-            .clone()
-            .ok_or_else(|| ScenarioError::State("no data directory".into()))?;
+        let reservation = need(self.reservation.as_ref(), "no reservation")?;
+        let data = need(self.data_dir.as_ref(), "no data directory")?;
 
         // Client call 1: subscribe to the job-exited topic.
-        let consumer = NotificationConsumer::listen(
-            &self.agent,
-            &format!(
-                "/gib-notify/{}",
-                self.grid.consumer_seq.fetch_add(1, Ordering::Relaxed)
-            ),
-        );
+        let seq = self.grid.consumer_seq.fetch_add(1, Ordering::Relaxed);
+        let consumer = NotificationConsumer::listen(&self.agent, &format!("/gib-notify/{seq}"));
         let req = SubscribeRequest::new(
             consumer.epr().clone(),
             TopicExpression::concrete(JOB_EXITED_TOPIC),
@@ -873,7 +658,8 @@ impl GridScenario for WsrfGridScenario<'_> {
             .invoke(&chosen_exec, wsn_actions::SUBSCRIBE, req.to_element())?;
         self.waiter = Some(consumer);
 
-        // Client call 2: start (server fans out to Reservation ×2 + Data).
+        // Client call 2: start (server fans out to Account, Reservation ×2
+        // and Data).
         let spec = JobSpec::new("blast", runtime);
         let resp = self.agent.invoke(
             &chosen_exec,
@@ -881,26 +667,18 @@ impl GridScenario for WsrfGridScenario<'_> {
             Element::new("start")
                 .with_child(Element::text_element("owner", self.agent.dn()))
                 .with_child(spec.to_element())
-                .with_child(Element::new("reservation").with_child(reservation.to_element()))
-                .with_child(Element::new("data").with_child(data.to_element())),
+                .with_child(wrap_epr("reservation", reservation))
+                .with_child(wrap_epr("data", data)),
         )?;
-        let job = resp
-            .child_elements()
-            .next()
-            .and_then(|e| EndpointReference::from_element(e).ok())
-            .ok_or_else(|| ScenarioError::State("start returned no job EPR".into()))?;
-        self.job = Some(job);
+        self.job = Some(need(unwrap_epr(&resp), "start returned no job EPR")?);
         self.job_runtime = runtime;
         Ok(())
     }
 
     fn delete_file(&mut self, name: &str) -> Result<(), ScenarioError> {
-        let dir = self
-            .data_dir
-            .clone()
-            .ok_or_else(|| ScenarioError::State("no data directory".into()))?;
+        let dir = need(self.data_dir.as_ref(), "no data directory")?;
         self.agent.invoke(
-            &dir,
+            dir,
             "urn:gib/deleteFile",
             Element::new("deleteFile").with_child(Element::text_element("fileName", name)),
         )?;
@@ -919,45 +697,27 @@ impl GridScenario for WsrfGridScenario<'_> {
     }
 
     fn finish_job(&mut self, wait: Duration) -> Result<i32, ScenarioError> {
-        let chosen_exec = self.chosen()?.exec_epr.clone();
+        let chosen_exec = &self.chosen()?.exec_epr;
         // Let the job's virtual runtime elapse, then tick the completion
         // monitor.
         self.agent
             .clock()
             .advance(self.job_runtime + SimDuration::from_micros(1));
         self.agent.invoke(
-            &chosen_exec,
+            chosen_exec,
             "urn:gib/pumpCompletions",
             Element::new("pumpCompletions"),
         )?;
-        let waiter = self
-            .waiter
-            .as_ref()
-            .ok_or_else(|| ScenarioError::State("no subscription".into()))?;
-        let own_job = self
-            .job
-            .as_ref()
-            .and_then(|j| j.resource_id())
-            .unwrap_or_default()
-            .to_owned();
+        let waiter = need(self.waiter.as_ref(), "no subscription")?;
         // The notification carries the job EPR "so that the client knows
         // which of the potentially many jobs they are currently running,
         // has ended" — filter to ours.
-        let deadline = std::time::Instant::now() + wait;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let body = match waiter.recv_timeout(remaining) {
-                Some(Delivery::Wrapped(n)) => n.message,
-                Some(Delivery::Raw(body)) => body,
-                None => {
-                    return Err(ScenarioError::State(
-                        "job-exited notification never arrived".into(),
-                    ))
-                }
-            };
-            if body.attr_local("job") == Some(&own_job) {
-                return Ok(body.child_parse("exitCode").unwrap_or(-1));
-            }
-        }
+        let exit = vo::await_job_ended(self.job.as_ref(), wait, |remaining| {
+            Some(match waiter.recv_timeout(remaining)? {
+                Delivery::Wrapped(n) => n.message,
+                Delivery::Raw(body) => body,
+            })
+        });
+        need(exit, "job-exited notification never arrived")
     }
 }

@@ -302,3 +302,72 @@ fn fresh_testbeds_hand_their_first_scenario_the_same_consumer_epr() {
         assert_eq!(first, second);
     }
 }
+
+/// The message manifest: what each step of one job puts on the wire
+/// (requests + responses + one-ways), signed. A refactor that adds or drops
+/// an outcall fails here by step name, not as a drift in a figure.
+#[test]
+fn messages_per_step_are_pinned_on_both_stacks() {
+    fn check(stack: &str, tb: &Testbed, s: &mut dyn GridScenario, rows: [(&str, u64); 7]) {
+        let plan = JobPlan {
+            file_bytes: 1024,
+            runtime: SimDuration::from_millis(5.0),
+        };
+        let stats = tb.network().stats();
+        let mut before = stats.messages();
+        let mut per_step = Vec::new();
+        run_job(s, &plan, |_| {
+            let now = stats.messages();
+            per_step.push(now - before);
+            before = now;
+        })
+        .expect("the whole flow");
+        assert_eq!(per_step.len(), rows.len());
+        for ((step, want), got) in rows.iter().zip(&per_step) {
+            assert_eq!(got, want, "{stack} `{step}`: {per_step:?}");
+        }
+    }
+    let policy = SecurityPolicy::X509Sign;
+
+    let tb = Testbed::free();
+    let grid = WsrfGrid::deploy(&tb, policy, HOSTS, APPS, &[ALICE]);
+    let mut s = grid.scenario(tb.client("client-1", ALICE, policy));
+    let rows = [
+        // getAvailableResources; outcall: listReservedSites
+        ("discover", 4),
+        // makeReservation; outcall: accountExists
+        ("reserve", 4),
+        // createDirectory, upload
+        ("upload", 4),
+        // Subscribe, start; outcalls: accountExists, GetMultipleResourceProperties, SetTerminationTime, GetResourceProperty
+        ("instantiate", 12),
+        // pumpCompletions; one-way Notify; outcall: Destroy (the reservation)
+        ("finish", 5),
+        // deleteFile
+        ("delete", 2),
+        // automatic: nothing on the wire
+        ("unreserve", 0),
+    ];
+    check("WSRF", &tb, &mut s, rows);
+
+    let tb = Testbed::free();
+    let grid = TransferGrid::deploy(&tb, policy, HOSTS, APPS, &[ALICE]);
+    let mut s = grid.scenario(tb.client("client-1", ALICE, policy));
+    let rows = [
+        // Get `1blast`
+        ("discover", 2),
+        // Put `Rsite-0`; outcall: Get (the account)
+        ("reserve", 4),
+        // Create (the file); outcall: Get (the reservation holder)
+        ("upload", 4),
+        // Subscribe, Create (the job); outcall: Get (the reservation holder)
+        ("instantiate", 6),
+        // one-way event over TCP; the completion monitor is in-process
+        ("finish", 1),
+        // Delete `DN/input.dat`
+        ("delete", 2),
+        // Put `Usite-0`
+        ("unreserve", 2),
+    ];
+    check("WS-Transfer", &tb, &mut s, rows);
+}

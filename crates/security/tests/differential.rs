@@ -9,6 +9,8 @@
 
 #[path = "../../soap/tests/oracle/mod.rs"]
 mod oracle;
+#[path = "../../xml/tests/reference/mod.rs"]
+mod reference;
 
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityError};
 use ogsa_sim::{CostModel, VirtualClock};
@@ -327,7 +329,7 @@ fn a_duplicate_attribute_in_the_signed_payload_is_not_a_message() {
             Err(ogsa_xml::XmlError::Parse { .. })
         ));
         assert!(oracle::from_wire(&hostile).is_err());
-        assert!(ogsa_xml::reference::parse(&hostile).is_err());
+        assert!(reference::parse(&hostile).is_err());
     }
     // One of each is only an edit under the signature.
     let single = edit(&wire, "<value>", "<value unit=\"a\">");

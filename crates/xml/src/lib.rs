@@ -32,8 +32,6 @@ pub mod node;
 pub mod parser;
 pub mod pool;
 pub mod reader;
-#[doc(hidden)]
-pub mod reference;
 mod scan;
 pub mod writer;
 pub mod xpath;

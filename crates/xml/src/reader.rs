@@ -572,7 +572,7 @@ impl<'a> Reader<'a> {
 /// server's body limit would hold a worker for seconds.
 pub const MAX_TAG_ATTRS: usize = 256;
 
-pub(crate) fn too_many_attrs(offset: usize) -> XmlError {
+fn too_many_attrs(offset: usize) -> XmlError {
     XmlError::parse(
         offset,
         format!("more than {MAX_TAG_ATTRS} attributes on one start tag"),

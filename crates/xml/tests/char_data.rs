@@ -3,8 +3,8 @@
 //! (buffering, byte, counting, fragment-recording), and the reader's text
 //! and attribute-value decoding. The oracles scan a
 //! byte (or a `char`) at a time — the loops the search replaced live on
-//! here, and [`ogsa_xml::reference`] keeps its own — because an oracle that
-//! shared the kernel would prove nothing.
+//! here, and the reference parser (`tests/reference/`) keeps its own —
+//! because an oracle that shared the kernel would prove nothing.
 //!
 //! The existing suites draw text of at most 24 ASCII characters, which never
 //! leaves the kernel's bytewise tail; these inputs are long enough to cross
@@ -12,7 +12,10 @@
 //! multi-byte UTF-8 right beside them (a slice taken off a `char` boundary
 //! panics, so every comparison below is also a boundary check).
 
-use ogsa_xml::{escape_runs, parse, reference, ByteCount, Event, Reader, Sink};
+#[path = "reference/mod.rs"]
+mod reference;
+
+use ogsa_xml::{escape_runs, parse, ByteCount, Event, Reader, Sink};
 use proptest::prelude::*;
 
 /// Escaping as it was written before the block search: one `match` per

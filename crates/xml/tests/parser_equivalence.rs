@@ -1,13 +1,16 @@
 //! Differential property tests: the fast-path parser must accept and
 //! reject exactly the same inputs as the pre-optimisation reference parser
-//! ([`ogsa_xml::reference`]), and produce identical trees on acceptance.
+//! (`tests/reference/`, no part of the library), and produce identical trees on acceptance.
 //!
 //! Three input classes: well-formed documents generated as trees and
 //! serialised, hand-picked corner cases (entities, character references,
 //! EOL/whitespace normalisation), and raw near-XML soup that exercises the
 //! error paths.
 
-use ogsa_xml::{parse, reference, Element, QName, XmlError, MAX_TAG_ATTRS};
+#[path = "reference/mod.rs"]
+mod reference;
+
+use ogsa_xml::{parse, Element, QName, XmlError, MAX_TAG_ATTRS};
 use proptest::prelude::*;
 
 fn arb_name() -> impl Strategy<Value = String> {

@@ -1,21 +1,27 @@
 //! The pre-fast-path parser, kept verbatim as a differential-testing oracle.
 //!
-//! [`crate::parser::parse`] was rewritten to decode text in a single pass
+//! [`ogsa_xml::parse`] was rewritten to decode text in a single pass
 //! (entity resolution fused with end-of-line normalisation, `Cow` until a
 //! node is stored). This module preserves the original two-pass
 //! implementation — normalise, then unescape, each potentially allocating —
 //! so the equivalence proptest corpus can prove the two parsers accept and
-//! reject the same inputs and produce identical trees. It is not used on any
-//! hot path.
+//! reject the same inputs and produce identical trees. It is no part of the
+//! library: the tests that compare against it include this file by `#[path]`
+//! and it sees `ogsa_xml` from outside, as they do.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::error::{XmlError, XmlResult};
-use crate::escape::unescape;
-use crate::name::{intern, QName};
-use crate::node::{Attribute, Element, Node};
-use crate::reader::{too_many_attrs, MAX_TAG_ATTRS};
+use ogsa_xml::{
+    intern, unescape, Attribute, Element, Node, QName, XmlError, XmlResult, MAX_TAG_ATTRS,
+};
+
+fn parse_error(offset: usize, message: impl Into<String>) -> XmlError {
+    XmlError::Parse {
+        offset,
+        message: message.into(),
+    }
+}
 
 /// Parse a complete document (or bare element) into its root [`Element`],
 /// using the original two-pass text decoding.
@@ -30,10 +36,7 @@ pub fn parse(input: &str) -> XmlResult<Element> {
     let root = p.parse_element(&mut scope)?;
     p.skip_misc();
     if p.pos != p.bytes.len() {
-        return Err(XmlError::parse(
-            p.pos,
-            "trailing content after root element",
-        ));
+        return Err(parse_error(p.pos, "trailing content after root element"));
     }
     Ok(root)
 }
@@ -87,7 +90,7 @@ impl<'a> Parser<'a> {
             self.pos += s.len();
             Ok(())
         } else {
-            Err(XmlError::parse(self.pos, format!("expected `{s}`")))
+            Err(parse_error(self.pos, format!("expected `{s}`")))
         }
     }
 
@@ -95,14 +98,14 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<?") {
-                let end = self.input[self.pos..].find("?>").ok_or_else(|| {
-                    XmlError::parse(self.pos, "unterminated processing instruction")
-                })?;
+                let end = self.input[self.pos..]
+                    .find("?>")
+                    .ok_or_else(|| parse_error(self.pos, "unterminated processing instruction"))?;
                 self.pos += end + 2;
             } else if self.starts_with("<!--") {
                 self.skip_comment()?;
             } else if self.starts_with("<!DOCTYPE") {
-                return Err(XmlError::parse(self.pos, "DTDs are not accepted"));
+                return Err(parse_error(self.pos, "DTDs are not accepted"));
             } else {
                 return Ok(());
             }
@@ -126,7 +129,7 @@ impl<'a> Parser<'a> {
         debug_assert!(self.starts_with("<!--"));
         let end = self.input[self.pos + 4..]
             .find("-->")
-            .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
+            .ok_or_else(|| parse_error(self.pos, "unterminated comment"))?;
         self.pos += 4 + end + 3;
         Ok(())
     }
@@ -142,7 +145,7 @@ impl<'a> Parser<'a> {
             }
         }
         if self.pos == start {
-            return Err(XmlError::parse(start, "expected a name"));
+            return Err(parse_error(start, "expected a name"));
         }
         Ok(&self.input[start..self.pos])
     }
@@ -173,7 +176,10 @@ impl<'a> Parser<'a> {
                 Some(_) => {
                     carried += 1;
                     if carried > MAX_TAG_ATTRS {
-                        return Err(too_many_attrs(open_pos));
+                        return Err(parse_error(
+                            open_pos,
+                            format!("more than {MAX_TAG_ATTRS} attributes on one start tag"),
+                        ));
                     }
                     let attr_name = self.read_name()?;
                     self.skip_ws();
@@ -196,7 +202,7 @@ impl<'a> Parser<'a> {
                         raw_attrs.push((attr_name, value));
                     }
                 }
-                None => return Err(XmlError::parse(self.pos, "unterminated start tag")),
+                None => return Err(parse_error(self.pos, "unterminated start tag")),
             }
         }
 
@@ -221,20 +227,20 @@ impl<'a> Parser<'a> {
                 let start = self.pos + 4;
                 let end = self.input[start..]
                     .find("-->")
-                    .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
+                    .ok_or_else(|| parse_error(self.pos, "unterminated comment"))?;
                 children.push(Node::Comment(self.input[start..start + end].to_owned()));
                 self.pos = start + end + 3;
             } else if self.starts_with("<![CDATA[") {
                 let start = self.pos + 9;
                 let end = self.input[start..]
                     .find("]]>")
-                    .ok_or_else(|| XmlError::parse(self.pos, "unterminated CDATA"))?;
+                    .ok_or_else(|| parse_error(self.pos, "unterminated CDATA"))?;
                 children.push(Node::Text(self.input[start..start + end].to_owned()));
                 self.pos = start + end + 3;
             } else if self.starts_with("<?") {
                 let end = self.input[self.pos..]
                     .find("?>")
-                    .ok_or_else(|| XmlError::parse(self.pos, "unterminated PI"))?;
+                    .ok_or_else(|| parse_error(self.pos, "unterminated PI"))?;
                 self.pos += end + 2;
             } else if self.peek() == Some(b'<') {
                 children.push(Node::Element(self.parse_element(scope)?));
@@ -253,7 +259,7 @@ impl<'a> Parser<'a> {
                 };
                 children.push(Node::Text(text));
             } else {
-                return Err(XmlError::parse(
+                return Err(parse_error(
                     self.pos,
                     "unexpected end of input in element content",
                 ));
@@ -281,7 +287,7 @@ impl<'a> Parser<'a> {
         for (raw, value) in raw_attrs {
             let name = self.resolve(raw, scope, false, open_pos)?;
             if attrs.iter().any(|a: &Attribute| a.name == name) {
-                return Err(XmlError::parse(
+                return Err(parse_error(
                     open_pos,
                     format!("duplicate attribute `{raw}`"),
                 ));
@@ -329,7 +335,7 @@ impl<'a> Parser<'a> {
     fn read_quoted(&mut self) -> XmlResult<String> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(XmlError::parse(self.pos, "expected quoted attribute value")),
+            _ => return Err(parse_error(self.pos, "expected quoted attribute value")),
         };
         self.pos += 1;
         let start = self.pos;
@@ -344,7 +350,7 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
         }
-        Err(XmlError::parse(start, "unterminated attribute value"))
+        Err(parse_error(start, "unterminated attribute value"))
     }
 }
 

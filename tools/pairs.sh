@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Parent against change, by the rule of choosing-metrics section 8.
 #
-#   tools/pairs.sh <parent-dir> <change-dir> <workload> <pairs> [seconds] [first-seed]
+#   tools/pairs.sh <parent-dir> <change-dir> <workload> <pairs> [seconds] [first-seed] [pr]
 #
 # Builds the benchmark of both checkouts, then runs <pairs> pairs of (parent,
 # change) on <workload>, alternating which side goes first. Pair i runs both
@@ -11,11 +11,13 @@
 # it prints both sides' median and quartiles, the pairs the change won, and
 # whether that is a gain by the rule (ten pairs or more, nine tenths of them
 # won, medians apart by more than the parent's own interquartile distance).
+# With <pr>, the same figures are appended to BENCH_trajectory.json as that
+# PR's rows, one per metric, their source the kept file.
 # Judges nothing else and exits non-zero only when a run failed.
 set -euo pipefail
 [ $# -ge 4 ] || { sed -n '2,4p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
-workload=$3 pairs=$4 first_seed=${6:-1000}
+workload=$3 pairs=$4 first_seed=${6:-1000} pr=${7:-}
 here=$(cd "$(dirname "$0")/.." && pwd)
 seconds=${5:-$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$here/BENCHMARK.json")}
 out="$here/bench-artifacts/pairs-$workload-$(date +%Y%m%dT%H%M%S).jsonl"
@@ -42,14 +44,16 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$here/BENCHMARK.json" "$out" <<'PY'
-import json, statistics, sys
+python3 - "$here/BENCHMARK.json" "$out" "$here" "$workload" "$pr" <<'PY'
+import json, os, statistics, sys
 
 spec = json.load(open(sys.argv[1]))
 runs = [json.loads(line) for line in open(sys.argv[2])]
 bad = [r for r in runs if r["result"]["failed"] or not r["result"]["correct"]]
 sides = {s: sorted((r for r in runs if r["side"] == s), key=lambda r: r["pair"]) for s in ("parent", "change")}
 print(f"{sys.argv[2]}: {len(sides['parent'])} pairs")
+here, workload, pr, rows = sys.argv[3], sys.argv[4], int(sys.argv[5] or 0), []
+seeds = [r["seed"] for r in sides["parent"]]
 for metric in spec["end_to_end"]:
     name, higher = metric["name"], metric["better"] == "higher"
     p, c = ([r["result"]["metrics"][name]["value"] for r in sides[s]] for s in ("parent", "change"))
@@ -65,6 +69,15 @@ for metric in spec["end_to_end"]:
     gain = len(p) >= 10 and won * 10 >= 9 * len(p) and apart > p3 - p1
     print(f"  {name:<18} parent {pm:>12.3f} [{p1:.3f}, {p3:.3f}]  change {cm:>12.3f} [{c1:.3f}, {c3:.3f}]"
           f"  {(cm - pm) / pm:+7.2%}  won {won}/{len(p)} ties {ties}  {'GAIN' if gain else '-'}")
+    rows.append({"pr": pr, "workload": workload, "metric": name, "unit": metric["unit"],
+                 "parent": pm, "change": cm, "q1": p1, "q3": p3, "change_q1": c1, "change_q3": c3,
+                 "pairs_won": won, "pairs": len(p), "seeds": f"{min(seeds)}-{max(seeds)}",
+                 "source": os.path.relpath(sys.argv[2], here)})
+if pr:
+    path = os.path.join(here, "BENCH_trajectory.json")
+    rows = json.load(open(path)) + rows
+    open(path, "w").write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+    print(f"  appended PR {pr}'s {len(spec['end_to_end'])} rows to {path}")
 for r in bad:
     print(f"  FAILED: {r['side']} pair {r['pair']}: {r['result']['failed']} of {r['result']['attempted']} operations")
 sys.exit(1 if bad else 0)
