@@ -9,6 +9,7 @@
 //! | `report fig6` | Figure 6 (Grid-in-a-Box) |
 //! | `report broker` | §3.1 demand-based message estimate |
 //! | `report ablations` | §4.1.3 mechanism claims |
+//! | `report trajectory` | `BENCH_trajectory.json` per workload × metric across PRs, a regression against any earlier PR marked (not part of plain `report`) |
 //! | `counter [out-dir]` | traced component breakdowns → `BENCH_counter/_gridbox/_trace.json`; the paper's ordinal claims |
 //! | `throughput [out-dir]` | client × shard sweep → `BENCH_throughput.json`; the scaling invariant |
 //! | `durability [out-dir]` | WAL crash sweep, recovery time, fsync policies → `BENCH_durability.json` |
@@ -45,6 +46,7 @@ pub mod replication;
 pub mod report;
 pub mod serve;
 pub mod throughput;
+pub mod trajectory;
 
 /// What a gated subcommand hands [`run`].
 pub struct Outcome {

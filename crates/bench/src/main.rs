@@ -13,7 +13,7 @@ fn names<T>(table: &[(&str, T)]) -> String {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ogsa-bench report [{}]\n       ogsa-bench {}|all [out-dir]",
+        "usage: ogsa-bench report [{}|trajectory]\n       ogsa-bench {}|all [out-dir]",
         names(SECTIONS),
         names(GATED),
     );
@@ -27,6 +27,10 @@ fn main() -> ExitCode {
         return usage();
     };
 
+    if (subcommand, arg) == ("report", Some("trajectory")) {
+        ogsa_bench::trajectory::print();
+        return ExitCode::SUCCESS;
+    }
     if subcommand == "report" {
         let sections: Vec<_> = SECTIONS
             .iter()

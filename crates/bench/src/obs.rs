@@ -19,7 +19,8 @@
 //!
 //! Rounds are *paired* (stripped then instrumented, back to back) and each
 //! pair's instrumented/stripped rps ratio is reported, not judged: wall-clock
-//! speed has one judge, and the plane's cost is `trace.overhead_pct` there.
+//! speed has one judge, where the plane's cost shows in the serving
+//! workloads' end-to-end figures and `serve.loop_residual_us`.
 
 use std::time::Duration;
 

@@ -61,7 +61,10 @@ pub enum Advance {
 
 pub struct Conn {
     stream: TcpStream,
+    /// Received bytes in `rbuf[..rlen]`; the rest is initialised room the
+    /// next read lands in, so a read never zero-fills its chunk again.
     rbuf: Vec<u8>,
+    rlen: usize,
     wbuf: Vec<u8>,
     /// How much of `wbuf` has already been written to the socket.
     wpos: usize,
@@ -83,6 +86,7 @@ impl Conn {
         Ok(Conn {
             stream,
             rbuf: Vec::new(),
+            rlen: 0,
             wbuf: Vec::new(),
             wpos: 0,
             closing: false,
@@ -137,32 +141,23 @@ impl Conn {
     /// Read until WouldBlock or EOF. Returns whether EOF was seen.
     fn fill(&mut self) -> io::Result<bool> {
         loop {
-            let old_len = self.rbuf.len();
-            self.rbuf.resize(old_len + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old_len..]) {
-                Ok(0) => {
-                    self.rbuf.truncate(old_len);
-                    return Ok(true);
-                }
+            let end = self.rlen + READ_CHUNK;
+            if self.rbuf.len() < end {
+                self.rbuf.resize(end, 0);
+            }
+            match self.stream.read(&mut self.rbuf[self.rlen..end]) {
+                Ok(0) => return Ok(true),
                 Ok(n) => {
-                    self.rbuf.truncate(old_len + n);
+                    self.rlen += n;
                     // A short read usually means the socket is drained;
                     // loop once more to be sure only if it was full.
                     if n < READ_CHUNK {
                         return Ok(false);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old_len);
-                    return Ok(false);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old_len);
-                }
-                Err(e) => {
-                    self.rbuf.truncate(old_len);
-                    return Err(e);
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -171,12 +166,12 @@ impl Conn {
     fn process(&mut self, dispatch: &mut impl Dispatch) {
         let mut consumed = 0;
         while !self.closing {
-            match http::parse_head(&self.rbuf[consumed..]) {
+            match http::parse_head(&self.rbuf[consumed..self.rlen]) {
                 HeadParse::Incomplete => break,
                 HeadParse::Parsed(head) => {
                     let body_start = consumed + head.head_len;
                     let body_end = body_start + head.content_length;
-                    if self.rbuf.len() < body_end {
+                    if self.rlen < body_end {
                         break; // body still in flight
                     }
                     let first = !self.handshaken;
@@ -204,7 +199,8 @@ impl Conn {
             }
         }
         if consumed > 0 {
-            self.rbuf.drain(..consumed);
+            self.rbuf.copy_within(consumed..self.rlen, 0);
+            self.rlen -= consumed;
         }
     }
 

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ogsa_soap::Envelope;
-use ogsa_telemetry::{wall_now_us, SpanKind, WallHistogram};
+use ogsa_telemetry::{SpanKind, WallHistogram};
 use ogsa_transport::Network;
 
 use crate::admin::{AdminDispatcher, AdminPlane, ObsConfig, ReadyState};
@@ -104,9 +104,6 @@ impl ServeStats {
 struct WorkerObs {
     plane: AdminPlane,
     shard: Arc<WallHistogram>,
-    /// Scratch copy of the request target, taken before dispatch borrows
-    /// the read buffer, so a retained flight trace can own it.
-    target_buf: String,
 }
 
 /// Turns parsed requests into HTTP responses by calling the container
@@ -169,35 +166,30 @@ fn status_label(status: u16) -> &'static str {
 impl Dispatch for Dispatcher {
     fn dispatch(&mut self, req: Request<'_>, keep_alive: bool, out: &mut Vec<u8>) {
         // The stripped path: exactly the pre-observability dispatch.
-        let Some(mut obs) = self.obs.take() else {
+        let Some(obs) = self.obs.take() else {
             return self.handle(req, keep_alive, out);
         };
-        // The instrumented path brackets the handler with a wall-clock
-        // read on each side and a span capture; all sinks are per-worker
-        // shards or lock-on-retention rings, so nothing here serialises
-        // workers against each other.
-        obs.target_buf.clear();
-        obs.target_buf
-            .push_str(std::str::from_utf8(req.target).unwrap_or("?"));
-        let tel = self.net.telemetry().clone();
-        tel.begin_capture();
-        let t0 = wall_now_us();
+        // The instrumented path captures the handler's spans, reads the
+        // latency off `serve:request`'s wall stamps and copies target and
+        // spans only for a kept trace; every sink is a per-worker shard or
+        // a lock-on-retention ring, so no worker waits on another here.
+        let target = req.target;
+        self.net.telemetry().begin_capture();
         self.handle(req, keep_alive, out);
-        let latency_us = wall_now_us().saturating_sub(t0);
-        let spans = tel.end_capture();
-        obs.shard.record(latency_us);
-        let slow = latency_us >= obs.plane.recorder().threshold_us();
-        if let Some(seq) = obs
-            .plane
-            .recorder()
-            .offer(latency_us, &obs.target_buf, spans)
-        {
-            // Only threshold-crossing traces become bucket exemplars;
-            // reservoir picks stay reachable via /debug/trace.
-            if slow {
-                obs.plane.exemplars().note(latency_us, seq);
+        self.net.telemetry().end_capture_with(|capture| {
+            let latency_us = capture.root_wall_us().unwrap_or(0);
+            obs.shard.record(latency_us);
+            let recorder = obs.plane.recorder();
+            let slow = latency_us >= recorder.threshold_us();
+            let target = std::str::from_utf8(target).unwrap_or("?");
+            if let Some(seq) = recorder.offer_with(latency_us, target, || capture.records()) {
+                // Only threshold-crossing traces become bucket exemplars;
+                // reservoir picks stay reachable via /debug/trace.
+                if slow {
+                    obs.plane.exemplars().note(latency_us, seq);
+                }
             }
-        }
+        });
         self.obs = Some(obs);
     }
 }
@@ -448,7 +440,6 @@ mod platform {
             let obs = plane.as_ref().map(|p| WorkerObs {
                 plane: p.clone(),
                 shard: p.shard(i),
-                target_buf: String::with_capacity(64),
             });
             let dispatcher = Dispatcher::new(net.clone(), config, stats.clone(), obs);
             let admin_dispatcher = plane.as_ref().map(|p| AdminDispatcher::new(p.clone()));
@@ -674,8 +665,9 @@ mod platform {
                     continue;
                 };
                 if bits & (EPOLLERR | EPOLLHUP) != 0 {
-                    let entry = conns.remove(&token).unwrap();
-                    ep.delete(entry.conn.stream().as_raw_fd());
+                    if let Some(entry) = conns.remove(&token) {
+                        ep.delete(entry.conn.stream().as_raw_fd());
+                    }
                     if let Some(g) = gauges {
                         g.connections.store(conns.len() as u64, Ordering::Relaxed);
                     }
@@ -687,8 +679,9 @@ mod platform {
                 };
                 match advance {
                     crate::conn::Advance::Closed => {
-                        let entry = conns.remove(&token).unwrap();
-                        ep.delete(entry.conn.stream().as_raw_fd());
+                        if let Some(entry) = conns.remove(&token) {
+                            ep.delete(entry.conn.stream().as_raw_fd());
+                        }
                         if let Some(g) = gauges {
                             g.connections.store(conns.len() as u64, Ordering::Relaxed);
                         }
@@ -792,7 +785,6 @@ mod platform {
                         let obs = plane.as_ref().map(|p| WorkerObs {
                             plane: p.clone(),
                             shard: p.shard(0),
-                            target_buf: String::with_capacity(64),
                         });
                         let mut dispatcher =
                             Dispatcher::new(net.clone(), &config, stats.clone(), obs);

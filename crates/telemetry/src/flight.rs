@@ -11,7 +11,8 @@
 //!   picture of normal traffic to contrast an outlier against.
 //!
 //! The hot path for a fast, unsampled request is one atomic increment and
-//! one xorshift draw; mutexes are touched only when a trace is actually
+//! one xorshift draw; mutexes are touched, and span records built
+//! ([`FlightRecorder::offer_with`]), only when a trace is actually
 //! retained. Dumps render as JSON for `GET /debug/trace`.
 
 use std::collections::VecDeque;
@@ -125,50 +126,57 @@ impl FlightRecorder {
     /// when the trace was kept (always, for a slow request), `None` when
     /// it was sampled away.
     pub fn offer(&self, latency_us: u64, target: &str, spans: Vec<SpanRecord>) -> Option<u64> {
-        if latency_us >= self.threshold_us() {
-            let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-            let mut ring = self.inner.slow.lock();
-            if ring.len() == self.inner.slow_capacity {
-                ring.pop_front();
-            }
-            ring.push_back(FlightTrace {
-                seq,
-                latency_us,
-                slow: true,
-                target: target.to_owned(),
-                at_wall_us: wall_now_us(),
-                spans,
-            });
-            return Some(seq);
-        }
+        self.offer_with(latency_us, target, || spans)
+    }
+
+    /// [`FlightRecorder::offer`], deciding retention first: `spans` runs
+    /// (and the target is copied) only for a trace that is kept.
+    pub fn offer_with(
+        &self,
+        latency_us: u64,
+        target: &str,
+        spans: impl FnOnce() -> Vec<SpanRecord>,
+    ) -> Option<u64> {
+        let slow = latency_us >= self.threshold_us();
         // Algorithm R over fast offers: the k-th offer (1-based) fills the
         // reservoir while it has room, then replaces a uniformly random
         // slot with probability capacity/k.
-        let k = self.inner.fast_seen.fetch_add(1, Ordering::Relaxed) + 1;
-        let cap = self.inner.reservoir_capacity as u64;
-        let slot = if k <= cap {
-            (k - 1) as usize
+        let slot = if slow {
+            None
         } else {
-            let j = self.next_rand() % k;
+            let k = self.inner.fast_seen.fetch_add(1, Ordering::Relaxed) + 1;
+            let cap = self.inner.reservoir_capacity as u64;
+            let j = if k > cap { self.next_rand() % k } else { k - 1 };
             if j >= cap {
                 return None;
             }
-            j as usize
+            Some(j as usize)
         };
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let trace = FlightTrace {
             seq,
             latency_us,
-            slow: false,
+            slow,
             target: target.to_owned(),
             at_wall_us: wall_now_us(),
-            spans,
+            spans: spans(),
         };
-        let mut res = self.inner.reservoir.lock();
-        if slot < res.len() {
-            res[slot] = trace;
-        } else {
-            res.push(trace);
+        match slot {
+            None => {
+                let mut ring = self.inner.slow.lock();
+                if ring.len() == self.inner.slow_capacity {
+                    ring.pop_front();
+                }
+                ring.push_back(trace);
+            }
+            Some(slot) => {
+                let mut res = self.inner.reservoir.lock();
+                if slot < res.len() {
+                    res[slot] = trace;
+                } else {
+                    res.push(trace);
+                }
+            }
         }
         Some(seq)
     }

@@ -22,6 +22,7 @@
 //!   folds a span forest into per-kind self-time — the db/security/wire
 //!   component breakdowns of `BENCH_counter.json` and `BENCH_gridbox.json`.
 
+mod capture;
 mod metrics;
 mod span;
 
@@ -32,6 +33,7 @@ pub mod prometheus;
 pub mod wallclock;
 pub mod wire;
 
+pub use capture::Capture;
 pub use flight::{FlightRecorder, FlightTrace};
 pub use metrics::{series_key, Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_US};
 pub use span::{SpanEvent, SpanId, SpanKind, SpanRecord, TraceId};
@@ -39,30 +41,12 @@ pub use wallclock::{
     wall_now_us, Exemplar, ExemplarStore, ShardedWallHistogram, WallHistogram, WallSnapshot,
 };
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ogsa_sim::{SimInstant, VirtualClock};
+use capture::{Stamp, LOCAL};
+use ogsa_sim::VirtualClock;
 use parking_lot::Mutex;
-
-thread_local! {
-    /// Per-thread stack of open spans, keyed by Telemetry instance (the
-    /// `Arc` pointer). Thread-local instead of a shared
-    /// `Mutex<HashMap<ThreadId, ...>>`: span open/close is the serving
-    /// tier's hot path, and a global lock there is exactly the kind of
-    /// cross-worker synchronisation the observability plane must not add.
-    static CTX: RefCell<HashMap<usize, Vec<(TraceId, SpanId)>>> =
-        RefCell::new(HashMap::new());
-    /// Per-thread capture buffers, keyed the same way. While a capture is
-    /// active, this thread's finished spans are copied here — even on a
-    /// globally disabled instance — so a serving worker can collect one
-    /// request's span tree for the flight recorder without turning on
-    /// unbounded global span accumulation.
-    static CAPTURE: RefCell<HashMap<usize, Vec<SpanRecord>>> =
-        RefCell::new(HashMap::new());
-}
 
 /// The tracing handle: shared by everything wired to one virtual clock
 /// (cloning shares the store). A disabled instance ([`Telemetry::disabled`])
@@ -89,27 +73,26 @@ struct TelemetryInner {
 impl Telemetry {
     /// An enabled instance recording against `clock`.
     pub fn new(clock: VirtualClock) -> Self {
+        Telemetry::with(clock, true)
+    }
+
+    /// An instance that records nothing (for components constructed without
+    /// a testbed).
+    pub fn disabled() -> Self {
+        Telemetry::with(VirtualClock::new(), false)
+    }
+
+    fn with(clock: VirtualClock, enabled: bool) -> Self {
         Telemetry {
             inner: Arc::new(TelemetryInner {
                 clock,
-                enabled: true,
+                enabled,
                 next_id: AtomicU64::new(1),
                 spans: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::new(),
                 wall: AtomicBool::new(false),
             }),
         }
-    }
-
-    /// An instance that records nothing (for components constructed without
-    /// a testbed).
-    pub fn disabled() -> Self {
-        let mut t = Telemetry::new(VirtualClock::new());
-        // Safe: we are the only holder right after construction.
-        Arc::get_mut(&mut t.inner)
-            .expect("freshly constructed")
-            .enabled = false;
-        t
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -125,7 +108,7 @@ impl Telemetry {
     }
 
     /// The key identifying this instance (shared by clones) in the
-    /// thread-local context/capture maps.
+    /// thread-local context/capture tables.
     fn instance_key(&self) -> usize {
         Arc::as_ptr(&self.inner) as *const () as usize
     }
@@ -141,60 +124,54 @@ impl Telemetry {
         self.inner.wall.load(Ordering::Relaxed)
     }
 
-    /// Start capturing this thread's finished spans into a private buffer.
-    /// Works even on a disabled instance — the global store stays empty (or,
-    /// on an enabled instance, is fed exactly as without the capture), so
-    /// deterministic dumps are unaffected. The serving tier brackets each
-    /// request with this to feed the flight recorder.
+    /// Start capturing this thread's finished spans into this thread's
+    /// capture buffer (reused from the last capture). Works even on a
+    /// disabled instance — the global store stays empty (or, on an enabled
+    /// instance, is fed exactly as without the capture), so deterministic
+    /// dumps are unaffected. The serving tier brackets each request with
+    /// this to feed the flight recorder.
     pub fn begin_capture(&self) {
         let key = self.instance_key();
-        CAPTURE.with(|c| {
-            c.borrow_mut().insert(key, Vec::new());
-        });
+        LOCAL.with(|l| l.borrow_mut().begin_capture(key));
     }
 
     /// Stop the capture started by [`Telemetry::begin_capture`] and return
     /// the spans this thread finished since. Empty if no capture was active.
     pub fn end_capture(&self) -> Vec<SpanRecord> {
+        self.end_capture_with(Capture::records)
+    }
+
+    /// Stop the capture and let `f` read it before its buffers go back to
+    /// this thread for the next one: a caller that keeps few captures
+    /// builds [`SpanRecord`]s ([`Capture::records`]) only for those.
+    pub fn end_capture_with<R>(&self, f: impl FnOnce(&Capture) -> R) -> R {
         let key = self.instance_key();
-        CAPTURE
-            .with(|c| c.borrow_mut().remove(&key))
-            .unwrap_or_default()
+        let capture = LOCAL.with(|l| l.borrow_mut().end_capture(key));
+        let out = f(&capture);
+        LOCAL.with(|l| l.borrow_mut().recycle(capture));
+        out
     }
 
     /// Is a capture active on this thread for this instance?
     pub fn is_capturing(&self) -> bool {
         let key = self.instance_key();
-        CAPTURE.with(|c| c.borrow().contains_key(&key))
-    }
-
-    /// Should spans opened on this thread record right now?
-    fn recording_here(&self) -> bool {
-        self.inner.enabled || self.is_capturing()
+        LOCAL.with(|l| l.borrow().recording(key, false))
     }
 
     /// The innermost open span on this thread, if any.
     pub fn current(&self) -> Option<(TraceId, SpanId)> {
-        if !self.recording_here() {
-            return None;
-        }
         let key = self.instance_key();
-        CTX.with(|c| c.borrow().get(&key).and_then(|stack| stack.last().copied()))
+        LOCAL.with(|l| {
+            let l = l.borrow();
+            l.current(key)
+                .filter(|_| l.recording(key, self.inner.enabled))
+        })
     }
 
     /// Open a span under the thread's current context; with no context open,
     /// this starts a **new trace** rooted here.
     pub fn span(&self, kind: SpanKind, name: &'static str) -> Span {
-        if !self.recording_here() {
-            return Span { state: None };
-        }
-        match self.current() {
-            Some((trace, parent)) => self.open(kind, name, trace, Some(parent)),
-            None => {
-                let id = self.next_id();
-                self.open_with_id(kind, name, TraceId(id.0), None, id)
-            }
-        }
+        self.open(kind, name, None)
     }
 
     /// Open a span with explicit parentage — how a delivery worker thread
@@ -206,91 +183,50 @@ impl Telemetry {
         trace: TraceId,
         parent: Option<SpanId>,
     ) -> Span {
-        if !self.recording_here() {
-            return Span { state: None };
-        }
-        self.open(kind, name, trace, parent)
+        self.open(kind, name, Some((trace, parent)))
     }
 
-    fn next_id(&self) -> SpanId {
-        SpanId(self.inner.next_id.fetch_add(1, Ordering::Relaxed))
-    }
-
+    /// One thread-local access: decide whether to record, find the parent,
+    /// and push the new span as this thread's innermost.
     fn open(
         &self,
         kind: SpanKind,
         name: &'static str,
-        trace: TraceId,
-        parent: Option<SpanId>,
+        joined: Option<(TraceId, Option<SpanId>)>,
     ) -> Span {
-        let id = self.next_id();
-        self.open_with_id(kind, name, trace, parent, id)
-    }
-
-    fn open_with_id(
-        &self,
-        kind: SpanKind,
-        name: &'static str,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        id: SpanId,
-    ) -> Span {
-        let key = self.instance_key();
-        CTX.with(|c| c.borrow_mut().entry(key).or_default().push((trace, id)));
-        let wall_start = if self.inner.wall.load(Ordering::Relaxed) {
-            Some(wallclock::wall_now_us())
-        } else {
-            None
-        };
-        Span {
-            state: Some(SpanState {
-                tel: self.clone(),
+        let (key, inner) = (self.instance_key(), &self.inner);
+        let stamp = LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            if !l.recording(key, inner.enabled) {
+                return None;
+            }
+            let id = SpanId(inner.next_id.fetch_add(1, Ordering::Relaxed));
+            let (trace, parent) = joined.unwrap_or_else(|| match l.current(key) {
+                Some((trace, parent)) => (trace, Some(parent)),
+                None => (TraceId(id.0), None),
+            });
+            l.ctx.push((key, trace, id));
+            let wall_start_us = self.wall_clock_enabled().then(wallclock::wall_now_us);
+            let start = inner.clock.now();
+            Some(Stamp {
                 trace,
                 id,
                 parent,
                 name,
                 kind,
-                start: self.inner.clock.now(),
-                wall_start,
-                attrs: Vec::new(),
-                events: Vec::new(),
-            }),
-        }
-    }
-
-    fn record(&self, record: SpanRecord) {
-        let key = self.instance_key();
-        CAPTURE.with(|c| match c.borrow_mut().get_mut(&key) {
-            Some(buf) => {
-                // A capture observes; it never diverts. The global store is
-                // fed exactly as it would be without the capture, so
-                // deterministic dumps are unchanged by live observation.
-                if self.inner.enabled {
-                    self.inner.spans.lock().push(record.clone());
-                }
-                buf.push(record);
-            }
-            None => {
-                if self.inner.enabled {
-                    self.inner.spans.lock().push(record);
-                }
-            }
+                start,
+                end: start,
+                wall_start_us,
+                wall_end_us: None,
+            })
         });
-    }
-
-    fn pop_ctx(&self, trace: TraceId, id: SpanId) {
-        let key = self.instance_key();
-        CTX.with(|c| {
-            let mut ctx = c.borrow_mut();
-            if let Some(stack) = ctx.get_mut(&key) {
-                if let Some(pos) = stack.iter().rposition(|&e| e == (trace, id)) {
-                    stack.remove(pos);
-                }
-                if stack.is_empty() {
-                    ctx.remove(&key);
-                }
-            }
+        let state = stamp.map(|stamp| SpanState {
+            tel: self.clone(),
+            stamp,
+            attrs: Vec::new(),
+            events: Vec::new(),
         });
+        Span { state }
     }
 
     /// Copies of every finished span, in finish order.
@@ -324,13 +260,10 @@ impl std::fmt::Debug for Telemetry {
 
 struct SpanState {
     tel: Telemetry,
-    trace: TraceId,
-    id: SpanId,
-    parent: Option<SpanId>,
-    name: &'static str,
-    kind: SpanKind,
-    start: SimInstant,
-    wall_start: Option<u64>,
+    /// Its end stamps are filled in when the span drops.
+    stamp: Stamp,
+    /// Kept by an enabled instance only, for its store; a capture keeps
+    /// the values in its own arena.
     attrs: Vec<(&'static str, String)>,
     events: Vec<SpanEvent>,
 }
@@ -353,18 +286,26 @@ impl Span {
     }
 
     pub fn trace_id(&self) -> Option<TraceId> {
-        self.state.as_ref().map(|s| s.trace)
+        self.state.as_ref().map(|s| s.stamp.trace)
     }
 
     pub fn id(&self) -> Option<SpanId> {
-        self.state.as_ref().map(|s| s.id)
+        self.state.as_ref().map(|s| s.stamp.id)
     }
 
     /// Attach a key/value attribute.
     pub fn set_attr(&mut self, key: &'static str, value: impl AsRef<str>) {
-        if let Some(s) = &mut self.state {
-            s.attrs.push((key, value.as_ref().to_owned()));
+        let Some(s) = &mut self.state else { return };
+        let value = value.as_ref();
+        if s.tel.inner.enabled {
+            s.attrs.push((key, value.to_owned()));
         }
+        let instance = s.tel.instance_key();
+        LOCAL.with(|l| {
+            if let Some(capture) = l.borrow_mut().capture(instance) {
+                capture.push_attr(s.stamp.id, key, value);
+            }
+        });
     }
 
     /// Record a point event at the current virtual time.
@@ -391,30 +332,38 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(s) = self.state.take() else { return };
-        let end = s.tel.inner.clock.now();
-        let wall_end = s.wall_start.map(|_| wallclock::wall_now_us());
-        s.tel.pop_ctx(s.trace, s.id);
-        s.tel.record(SpanRecord {
-            trace: s.trace,
-            id: s.id,
-            parent: s.parent,
-            name: s.name,
-            kind: s.kind,
-            start: s.start,
-            end,
-            wall_start_us: s.wall_start,
-            wall_end_us: wall_end,
-            attrs: s.attrs,
-            events: s.events,
+        let Some(mut s) = self.state.take() else {
+            return;
+        };
+        let inner = &s.tel.inner;
+        s.stamp.end = inner.clock.now();
+        s.stamp.wall_end_us = s.stamp.wall_start_us.map(|_| wallclock::wall_now_us());
+        let key = s.tel.instance_key();
+        LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            l.pop(key, s.stamp.trace, s.stamp.id);
+            // A capture observes; it never diverts. The global store is
+            // fed below exactly as it would be without the capture, so
+            // deterministic dumps are unchanged by live observation.
+            if let Some(capture) = l.capture(key) {
+                let events = if inner.enabled {
+                    s.events.clone()
+                } else {
+                    std::mem::take(&mut s.events)
+                };
+                capture.push(s.stamp, events);
+            }
         });
+        if inner.enabled {
+            inner.spans.lock().push(s.stamp.record(s.attrs, s.events));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ogsa_sim::SimDuration;
+    use ogsa_sim::{SimDuration, SimInstant};
 
     #[test]
     fn nested_spans_share_a_trace_and_parent_correctly() {
