@@ -3,7 +3,7 @@
 use std::process::ExitCode;
 
 use ogsa_bench::report::SECTIONS;
-use ogsa_bench::{run, GATED};
+use ogsa_bench::{run, SUBCOMMANDS};
 
 /// `a|b|c` from a subcommand table.
 fn names<T>(table: &[(&str, T)]) -> String {
@@ -15,7 +15,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: ogsa-bench report [{}|trajectory]\n       ogsa-bench {}|all [out-dir]",
         names(SECTIONS),
-        names(GATED),
+        names(SUBCOMMANDS),
     );
     ExitCode::from(2)
 }
@@ -48,13 +48,20 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let gated: Vec<_> = GATED
+    let chosen: Vec<_> = SUBCOMMANDS
         .iter()
         .filter(|s| subcommand == "all" || subcommand == s.0)
         .copied()
         .collect();
-    if gated.is_empty() {
+    if chosen.is_empty() {
         return usage();
     }
-    run(arg.unwrap_or("."), &gated, &mut std::io::stderr())
+    let out_dir = arg.unwrap_or(".");
+    match run(out_dir, &chosen) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("ogsa-bench: writing {out_dir}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

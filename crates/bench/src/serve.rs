@@ -3,14 +3,12 @@
 //!
 //! Binds the real keep-alive TCP listener (`ogsa_serve::Server`) over a
 //! span-quiet testbed, deploys the signed WS-Transfer counter, and drives
-//! it with the built-in load generator in three shapes:
+//! it with the [`loadgen`] in three shapes:
 //!
 //! 1. **Sustain** — `SUSTAIN_CONNECTIONS` concurrent keep-alive
-//!    connections, closed loop. Gate: every connection establishes and no
-//!    request errors.
+//!    connections, closed loop.
 //! 2. **Closed 32** — the comparison point: sustained rps beside the
 //!    in-process multi-client harness at the same client count, and p99.
-//!    Reported, not judged: wall-clock speed has one judge, `benchmark/`.
 //! 3. **Open loop** — arrivals at a fixed fraction of the measured closed
 //!    capacity, so the tail figures include queueing delay rather than
 //!    just service time.
@@ -19,19 +17,22 @@
 //! server still verifies and re-signs per request, so the per-op crypto
 //! cost matches the in-process harness's server side. Virtual-time
 //! figures are untouched: the serving tier charges no simulated cost.
+//! Wall-clock speed has one judge, `benchmark/`; that every connection
+//! establishes and no request errors or panics is asserted by
+//! `tests/serving_tier.rs`.
 
 use std::time::{Duration, Instant};
 
 use ogsa_core::security::SecurityPolicy;
-use ogsa_core::serve::{loadgen, LoadConfig, LoadMode, LoadReport, ServeConfig, Server};
+use ogsa_core::serve::{ServeConfig, Server};
 use ogsa_core::throughput::{self, ThroughputConfig};
 
-use crate::fixture::{load_report_json, run_load, SignedGet};
-use crate::{Gates, Outcome};
+use crate::fixture::SignedGet;
+use crate::loadgen::{self, LoadConfig, LoadMode, LoadReport};
 
-/// The headline concurrency claim: this many keep-alive connections held
-/// open at once, all completing requests, none erroring.
-const SUSTAIN_CONNECTIONS: usize = 1024;
+/// The headline concurrency figure: this many keep-alive connections held
+/// open at once.
+pub const SUSTAIN_CONNECTIONS: usize = 1024;
 
 /// Client count for the in-process comparison (matches the acceptance
 /// figure in BENCH_throughput.json).
@@ -40,6 +41,10 @@ const COMPARE_CLIENTS: usize = 32;
 /// Fraction of measured closed-loop capacity to offer in the open-loop
 /// run — below saturation, so the tail reflects queueing, not collapse.
 const OPEN_LOAD_FACTOR: f64 = 0.6;
+
+fn run_load(config: &LoadConfig) -> LoadReport {
+    loadgen::run(config).unwrap_or_else(|e| panic!("loadgen run failed: {e}"))
+}
 
 fn print_report(name: &str, r: &LoadReport) {
     println!(
@@ -55,15 +60,26 @@ fn print_report(name: &str, r: &LoadReport) {
     );
 }
 
-pub fn run() -> Outcome {
+/// `"name":{…}` for one load run.
+fn load_report_json(name: &str, r: &LoadReport) -> String {
+    format!(
+        "\"{name}\":{{\"connections\":{},\"established\":{},\"requests\":{},\"errors\":{},\"elapsed_ms\":{:.1},\"rps\":{:.1},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
+        r.connections_requested,
+        r.connections_established,
+        r.requests,
+        r.errors,
+        r.elapsed.as_secs_f64() * 1_000.0,
+        r.rps,
+        r.mean_us,
+        r.p50_us,
+        r.p99_us,
+        r.p999_us,
+        r.max_us,
+    )
+}
+
+pub fn run() -> Vec<(&'static str, String)> {
     let fixture = SignedGet::deploy();
-
-    let granted = loadgen::raise_nofile_limit((SUSTAIN_CONNECTIONS as u64) * 2 + 64);
-    assert!(
-        granted >= (SUSTAIN_CONNECTIONS as u64) + 32,
-        "fd limit {granted} too low for {SUSTAIN_CONNECTIONS} connections"
-    );
-
     let mut server =
         Server::bind(fixture.tb.network(), ServeConfig::default()).expect("bind serving tier");
     let addr = server.addr();
@@ -85,7 +101,7 @@ pub fn run() -> Outcome {
     let sustain = run_load(&load(SUSTAIN_CONNECTIONS));
     print_report("sustain", &sustain);
 
-    // Shape 2: the acceptance comparison point.
+    // Shape 2: the comparison point.
     let closed32 = run_load(&load(COMPARE_CLIENTS));
     print_report("closed-32", &closed32);
 
@@ -97,8 +113,8 @@ pub fn run() -> Outcome {
     });
     print_report("open-loop", &open);
 
-    // In-process comparison figure: the PR-4 multi-client harness at the
-    // same client count, measured on the host clock in this process.
+    // In-process comparison figure: the multi-client harness at the same
+    // client count, measured on the host clock in this process.
     let config = ThroughputConfig {
         policy: SecurityPolicy::X509Sign,
         clients: vec![COMPARE_CLIENTS],
@@ -112,29 +128,15 @@ pub fn run() -> Outcome {
     let wall = wall_start.elapsed();
     let in_process_requests: u64 = rows.iter().map(|r| r.requests).sum();
     let in_process_rps = in_process_requests as f64 / wall.as_secs_f64();
+    let rps_ratio = in_process_rps / closed32.rps.max(1e-9);
     println!(
-        "  in-process {COMPARE_CLIENTS} clients: {in_process_requests} reqs in {:.0}ms = {in_process_rps:.0} rps",
+        "  in-process {COMPARE_CLIENTS} clients: {in_process_requests} reqs in {:.0}ms = {in_process_rps:.0} rps ({rps_ratio:.2}x the socket)",
         wall.as_secs_f64() * 1_000.0
     );
 
-    let rps_ratio = in_process_rps / closed32.rps.max(1e-9);
-    let sustained = sustain.connections_established == SUSTAIN_CONNECTIONS;
-    let errors = sustain.errors + closed32.errors + open.errors;
     let stats = server.stats();
-    let gates = vec![
-        ("connections_sustained", sustained),
-        ("zero_request_errors", errors == 0),
-        ("zero_dispatch_panics", stats.dispatch_panics() == 0),
-    ];
-    println!(
-        "  {} of {SUSTAIN_CONNECTIONS} conns sustained, {errors} errors, {} panics; in-process/socket rps {rps_ratio:.2}x, p99 {}us (reported, not judged)",
-        sustain.connections_established,
-        stats.dispatch_panics(),
-        closed32.p99_us,
-    );
-
     let json = format!(
-        "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}},\"gate\":{{\"sustain_connections\":{},\"sustained\":{},\"errors\":{},\"rps_ratio\":{:.3},\"p99_us\":{},\"pass\":{}}}",
+        "{{\"benchmark\":\"serve\",\"workload\":\"signed transfer get\",\"policy\":\"x509\",{},{},{},\"open_loop_offered_rps\":{:.1},\"in_process\":{{\"clients\":{},\"requests\":{},\"real_elapsed_ms\":{:.1},\"real_rps\":{:.1},\"rps_ratio\":{:.3}}},\"server\":{{\"accepted\":{},\"requests\":{},\"http_errors\":{},\"dispatch_panics\":{}}}}}\n",
         load_report_json("sustain", &sustain),
         load_report_json("closed_32", &closed32),
         load_report_json("open_loop", &open),
@@ -143,22 +145,12 @@ pub fn run() -> Outcome {
         in_process_requests,
         wall.as_secs_f64() * 1_000.0,
         in_process_rps,
+        rps_ratio,
         stats.accepted(),
         stats.requests(),
         stats.http_errors(),
         stats.dispatch_panics(),
-        SUSTAIN_CONNECTIONS,
-        sustained,
-        errors,
-        rps_ratio,
-        closed32.p99_us,
-        gates.iter().all(|g| g.1),
     );
     server.shutdown();
-
-    Outcome {
-        artifact: ("BENCH_serve.json", json),
-        extra: Vec::new(),
-        gates: Gates::Named(gates),
-    }
+    vec![("BENCH_serve.json", json)]
 }

@@ -18,8 +18,9 @@
 //! what an operation *costs* — it only changes which lock it takes and
 //! which shard's busy time the cost is attributed to. The `fanout` bench's
 //! makespan model (notifications/sec = work / max per-shard busy) therefore
-//! scales with shard count by construction, and the gate catches any
-//! routing regression that piles work onto one shard.
+//! scales with shard count by construction, and `comparison::fanout`'s
+//! shard-sweep test catches any routing regression that piles work onto
+//! one shard.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -17,9 +17,6 @@
 //! * [`admin`] — the live observability plane: `/metrics`, `/healthz`,
 //!   `/readyz`, `/vars`, and the `/debug/trace` flight-recorder dump,
 //!   served on a dedicated admin port by the same worker loops.
-//! * [`loadgen`] — closed/open-loop keep-alive load generator with a
-//!   log-bucket latency histogram and an optional mid-run `/metrics`
-//!   scrape for server-vs-client cross-checks.
 //!
 //! The serving tier deliberately charges **no virtual time**: the
 //! simulation twin stays the paper-invariant instrument, and nothing here
@@ -31,11 +28,9 @@ pub mod epoll;
 pub mod admin;
 pub mod conn;
 pub mod http;
-pub mod loadgen;
 pub mod server;
 
 pub use admin::{AdminPlane, ObsConfig, ReadyState};
 pub use conn::{Advance, Conn, Dispatch, Request};
 pub use http::{Head, HeadParse, HttpError, Method};
-pub use loadgen::{LoadConfig, LoadMode, LoadReport, ScrapeCheck};
 pub use server::{ServeConfig, ServeStats, Server};

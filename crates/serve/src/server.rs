@@ -1003,7 +1003,9 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
 
         let trace = raw_request(admin, &get_request("/debug/trace"));
+        assert!(trace.starts_with("HTTP/1.1 200 OK\r\n"), "got: {trace}");
         let body = trace.split("\r\n\r\n").nth(1).unwrap();
+        assert!(body.contains("\"traces\":["), "got: {body}");
         assert!(body.contains("\"slow\":true"), "got: {body}");
         assert!(body.contains("/services/echo"), "got: {body}");
         assert!(body.contains("serve:request"), "got: {body}");

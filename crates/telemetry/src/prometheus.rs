@@ -1,5 +1,6 @@
 //! Prometheus text exposition (version 0.0.4) of a metrics snapshot, plus
-//! a strict parser used by the bench gates and the loadgen cross-check.
+//! a strict parser used by the serving-tier tests and the load generator's
+//! cross-check.
 //!
 //! The registry stores series under rendered `name{k=v,...}` keys; this
 //! module splits those keys back into name + labels, sanitises metric

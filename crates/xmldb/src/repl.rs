@@ -51,7 +51,7 @@ use parking_lot::Mutex;
 use crate::durable::WalObserver;
 use crate::snapshot::{apply_op, decode_store, encode_store, StoreImage};
 use crate::wal::{
-    crc32, frame_record, FsyncPolicy, SimMedium, TornReason, Wal, WalMedium, WalOp, RECORD_HEADER,
+    frame_record, scan_frames, FsyncPolicy, SimMedium, TornReason, Wal, WalMedium, WalOp,
 };
 
 /// Bytes of `[term|seq]` header inside every replication record payload.
@@ -104,32 +104,7 @@ pub fn encode_repl_stream(records: &[ReplRecord]) -> Vec<u8> {
 /// Same torn-tail semantics as the WAL scanner: everything past the first
 /// damaged record is discarded.
 pub fn decode_repl_stream(bytes: &[u8]) -> (Vec<ReplRecord>, usize, Option<TornReason>) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return (records, pos, None);
-        }
-        if remaining < RECORD_HEADER {
-            return (records, pos, Some(TornReason::TruncatedHeader));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let start = pos + RECORD_HEADER;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-            return (records, pos, Some(TornReason::TruncatedPayload));
-        };
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return (records, pos, Some(TornReason::CrcMismatch));
-        }
-        match ReplRecord::decode(payload) {
-            Some(rec) => records.push(rec),
-            None => return (records, pos, Some(TornReason::MalformedPayload)),
-        }
-        pos = end;
-    }
+    scan_frames(bytes, ReplRecord::decode)
 }
 
 // ---------------------------------------------------------------------------

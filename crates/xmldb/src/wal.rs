@@ -233,31 +233,39 @@ pub enum TornReason {
 /// Everything past the first torn record is discarded — a torn tail can
 /// only ever lose *suffix* records, never reorder or half-apply one.
 pub fn decode_records(bytes: &[u8]) -> (Vec<WalOp>, usize, Option<TornReason>) {
-    let mut ops = Vec::new();
+    scan_frames(bytes, WalOp::decode)
+}
+
+/// The one scanner over [`frame_record`]'s framing, shared by the WAL and
+/// the replication stream: `decode` turns each CRC-checked payload into a
+/// record, and the scan stops at the first frame that is short, fails its
+/// CRC or does not decode.
+pub(crate) fn scan_frames<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> (Vec<T>, usize, Option<TornReason>) {
+    let mut records = Vec::new();
     let mut pos = 0usize;
     loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return (ops, pos, None);
+        let rest = &bytes[pos..];
+        if rest.is_empty() {
+            return (records, pos, None);
         }
-        if remaining < RECORD_HEADER {
-            return (ops, pos, Some(TornReason::TruncatedHeader));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let start = pos + RECORD_HEADER;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-            return (ops, pos, Some(TornReason::TruncatedPayload));
+        let [l0, l1, l2, l3, c0, c1, c2, c3, ref tail @ ..] = *rest else {
+            return (records, pos, Some(TornReason::TruncatedHeader));
         };
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return (ops, pos, Some(TornReason::CrcMismatch));
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let Some(payload) = tail.get(..len) else {
+            return (records, pos, Some(TornReason::TruncatedPayload));
+        };
+        if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+            return (records, pos, Some(TornReason::CrcMismatch));
         }
-        match WalOp::decode(payload) {
-            Some(op) => ops.push(op),
-            None => return (ops, pos, Some(TornReason::MalformedPayload)),
+        match decode(payload) {
+            Some(record) => records.push(record),
+            None => return (records, pos, Some(TornReason::MalformedPayload)),
         }
-        pos = end;
+        pos += RECORD_HEADER + len;
     }
 }
 

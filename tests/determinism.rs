@@ -98,6 +98,44 @@ fn same_seed_span_dumps_are_byte_identical() {
     assert_eq!(a, b, "same seed must replay byte-identically");
 }
 
+/// The calibrated signed counter scenario's span dump. With `observe`, wall
+/// clocks are on and the whole scenario is captured into a flight recorder,
+/// as the serving tier does per request.
+fn signed_counter_dump(observe: bool) -> String {
+    use ogsa_grid::container::Testbed;
+    use ogsa_grid::counter::{CounterApi, WsrfCounter};
+    use ogsa_grid::telemetry::export::spans_to_jsonl;
+    use ogsa_grid::telemetry::FlightRecorder;
+
+    let tb = Testbed::calibrated();
+    tb.network().set_synchronous_oneways(true);
+    let tel = tb.telemetry();
+    if observe {
+        tel.set_wall_clock(true);
+        tel.begin_capture();
+    }
+    let container = tb.container("host-a", SecurityPolicy::X509Sign);
+    let agent = tb.client("host-b", "CN=alice,O=UVA-VO", SecurityPolicy::X509Sign);
+    let api = WsrfCounter::deploy(&container).client(agent);
+    let c = api.create().expect("create");
+    api.set(&c, 42).expect("set");
+    api.get(&c).expect("get");
+    api.destroy(&c).expect("destroy");
+    if observe {
+        let recorder = FlightRecorder::default();
+        recorder.offer(u64::MAX, "virtual-scenario", tel.end_capture());
+        assert_eq!(recorder.len(), 1, "scenario trace retained");
+    }
+    spans_to_jsonl(&tel.take_spans())
+}
+
+#[test]
+fn observing_a_run_leaves_its_span_dump_byte_identical() {
+    let plain = signed_counter_dump(false);
+    assert!(!plain.is_empty());
+    assert_eq!(plain, signed_counter_dump(true));
+}
+
 #[test]
 fn different_seeds_produce_different_span_dumps() {
     assert_ne!(
