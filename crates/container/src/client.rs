@@ -115,10 +115,6 @@ impl ClientAgent {
         self
     }
 
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     pub fn redelivery_policy(&self) -> Option<&RetryPolicy> {
         self.redelivery.as_ref()
     }
@@ -268,7 +264,6 @@ impl ClientAgent {
                     let backoff_us = backoff.as_micros().to_string();
                     span.event_with("retry:backoff", &[("backoff_us", &backoff_us)]);
                     self.clock.advance(backoff);
-                    self.network().stats().record_retry();
                     tel.metrics().inc("invoke.retries", &[("action", action)]);
                     attempt += 1;
                 }

@@ -178,13 +178,12 @@ impl Testbed {
     /// The database on `host` (one Xindice instance per machine; containers
     /// on the same host share it).
     ///
-    /// The first build for a host registers a scrape-time collector on the
-    /// shared [`MetricsRegistry`](ogsa_telemetry::MetricsRegistry): every
-    /// `gather()` — and therefore every `/metrics` scrape of a serving tier
-    /// sharing this telemetry — reports the host's live [`ogsa_xmldb::DbStats`]
-    /// scalars (`db.reads`, `db.lock_contentions`, ...) and per-shard busy
-    /// time (`db.shard_busy_us{host,shard}`) without the store pushing
-    /// anything on its hot path.
+    /// The database counts into the shared
+    /// [`MetricsRegistry`](ogsa_telemetry::MetricsRegistry) as
+    /// `db.<op>{host}` (`db.reads`, ...), and its scrape-time gauges
+    /// ([`ogsa_xmldb::DbStats::register_gauges`]) ride every `gather()` — and
+    /// therefore every `/metrics` scrape of a serving tier sharing this
+    /// telemetry.
     pub fn db(&self, host: &str) -> Database {
         self.dbs
             .lock()
@@ -206,31 +205,14 @@ impl Testbed {
                     None => self.backend.clone(),
                 };
                 let db = Database::with_config(
+                    host,
                     self.clock.clone(),
                     self.model.clone(),
                     backend,
                     self.network.telemetry().clone(),
                     self.db_config,
                 );
-                let stats_db = db.clone();
-                let stats_host = host.to_owned();
-                let shards = db.config().shards;
-                self.network
-                    .telemetry()
-                    .metrics()
-                    .register_collector(move |snap| {
-                        let stats = stats_db.stats();
-                        for (name, value) in stats.snapshot() {
-                            snap.set_gauge(&format!("db.{name}"), &[("host", &stats_host)], value);
-                        }
-                        for (i, busy) in stats.shard_busy_snapshot(shards).into_iter().enumerate() {
-                            snap.set_gauge(
-                                "db.shard_busy_us",
-                                &[("host", &stats_host), ("shard", &i.to_string())],
-                                busy,
-                            );
-                        }
-                    });
+                db.stats().register_gauges(db.config().shards);
                 db
             })
             .clone()
@@ -420,10 +402,13 @@ mod tests {
         c.get("k");
 
         let snap = tb.telemetry().metrics().gather();
-        assert!(snap.gauge("db.inserts{host=host-a}") >= 1);
-        assert!(snap.gauge("db.reads{host=host-a}") >= 1);
+        assert!(snap.counter("db.inserts{host=host-a}") >= 1);
+        assert!(snap.counter("db.reads{host=host-a}") >= 1);
         // Contention scalar is present even when never contended.
-        assert_eq!(snap.gauge("db.lock_contentions{host=host-a}"), 0);
+        assert!(snap
+            .counters
+            .contains_key("db.lock_contentions{host=host-a}"));
+        assert_eq!(snap.counter("db.lock_contentions{host=host-a}"), 0);
 
         // Per-shard busy gauges partition the store's total busy time.
         let per_shard: u64 = (0..db.config().shards)
@@ -434,7 +419,9 @@ mod tests {
 
         // The deterministic snapshot stays gauge-free: collectors run only
         // on gather(), so figure regeneration is unaffected.
-        assert!(tb.telemetry().metrics().snapshot().gauges.is_empty());
+        let det = tb.telemetry().metrics().snapshot();
+        assert!(det.gauges.is_empty());
+        assert_eq!(det.counter("db.reads{host=host-a}"), db.stats().reads());
     }
 
     #[test]

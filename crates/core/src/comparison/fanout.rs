@@ -329,7 +329,7 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
         e.fetch_add(if wsn { 1 } else { bodies.len() as u64 }, Ordering::Relaxed);
     });
     let net = Network::new(clock.clone(), Arc::new(model));
-    let deliverer = Deliverer::new(net, "producer", table.stats().clone(), stack, sink);
+    let deliverer = Deliverer::new(net, "producer", table.stats().clone(), sink);
     deliverer.set_config(DelivererConfig {
         plan: DeliveryPlan::Coalesce { batch_max: 16 },
         outbox_capacity: 1 << 20,

@@ -48,7 +48,7 @@ impl EventIndex {
             tel.clone(),
             "eventing",
         );
-        table.stats().register_gauges(tel, "eventing");
+        table.stats().register_gauges();
         EventIndex {
             table: Arc::new(table),
             evict_hooks: Arc::default(),

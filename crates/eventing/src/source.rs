@@ -173,7 +173,6 @@ impl NotificationManager {
             agent.network().clone(),
             agent.port().host().to_owned(),
             index.stats().clone(),
-            "eventing",
             sink,
         );
         // Expired/unsubscribed subscribers lose their parked events and

@@ -32,7 +32,7 @@ use ogsa_transport::{DeadLetter, FaultKind, Network};
 use ogsa_xml::Element;
 use parking_lot::Mutex;
 
-use crate::table::{FanoutStats, Subscriber};
+use crate::table::{FanoutStats, Subscriber, DEPTH};
 
 /// How the deliverer moves notifications to the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +122,6 @@ struct DelivererInner<T: Subscriber> {
     net: Network,
     from_host: String,
     stats: FanoutStats,
-    stack: &'static str,
 }
 
 /// Drains per-subscriber outboxes into the stack's sink.
@@ -172,7 +171,6 @@ impl<T: Subscriber> Deliverer<T> {
         net: Network,
         from_host: impl Into<String>,
         stats: FanoutStats,
-        stack: &'static str,
         sink: Sink<T>,
     ) -> Self {
         Deliverer {
@@ -183,7 +181,6 @@ impl<T: Subscriber> Deliverer<T> {
                 net,
                 from_host: from_host.into(),
                 stats,
-                stack,
             }),
         }
     }
@@ -250,7 +247,7 @@ impl<T: Subscriber> Deliverer<T> {
                     // not return while a batch is queued.
                     self.inner.net.begin_external_work();
                     slot.queue.push_back(body);
-                    self.inner.stats.add_depth(shard, 1);
+                    self.inner.stats.add(shard, DEPTH, 1);
                     if slot.queue.len() > config.outbox_capacity {
                         if let Some(evicted) = slot.queue.pop_front() {
                             self.overflow(slot, shard, &evicted);
@@ -270,14 +267,9 @@ impl<T: Subscriber> Deliverer<T> {
     }
 
     fn overflow(&self, slot: &mut Slot<T>, shard: usize, evicted: &Element) {
-        self.inner.stats.sub_depth(shard, 1);
-        self.inner.stats.bump_drop();
+        self.inner.stats.sub(shard, DEPTH, 1);
+        self.inner.stats.count("wsn.backpressure_drops", 1);
         slot.row.dropped += 1;
-        self.inner
-            .net
-            .telemetry()
-            .metrics()
-            .inc("wsn.backpressure_drops", &[("stack", self.inner.stack)]);
         let wire_bytes = ogsa_xml::writer::document_len(evicted);
         self.inner.net.record_dead_letter(DeadLetter {
             to: slot.sub.endpoint().address.clone(),
@@ -307,7 +299,7 @@ impl<T: Subscriber> Deliverer<T> {
     fn send_batch(&self, batch: Batch<T>) -> usize {
         let k = batch.bodies.len();
         self.send(&batch.sub, batch.bodies);
-        self.inner.stats.sub_depth(batch.shard, k as u64);
+        self.inner.stats.sub(batch.shard, DEPTH, k as u64);
         // Resolve external work only after the sink put the messages on the
         // wire (which registers its own pending one-ways), so the network
         // never looks momentarily idle mid-hand-off.
@@ -315,15 +307,6 @@ impl<T: Subscriber> Deliverer<T> {
             self.inner.net.end_external_work();
         }
         k
-    }
-
-    /// Drain one subscriber's outbox; returns how many notifications left.
-    pub fn drain_subscriber(&self, sub_id: &str) -> usize {
-        let batch = {
-            let mut slots = self.inner.slots.lock();
-            slots.get_mut(sub_id).and_then(Slot::take_batch)
-        };
-        batch.map_or(0, |b| self.send_batch(b))
     }
 
     /// Drain every outbox, subscribers in id order; returns notifications
@@ -392,7 +375,6 @@ mod tests {
             crate::table::ShardedTable::<Sub>::free(4, "wsn")
                 .stats()
                 .clone(),
-            "wsn",
             sink,
         )
     }

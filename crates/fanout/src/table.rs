@@ -29,7 +29,7 @@ use std::sync::Arc;
 use ogsa_addressing::EndpointReference;
 use ogsa_sim::rng::hash_str;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
-use ogsa_telemetry::{series_key, Telemetry};
+use ogsa_telemetry::{MetricsRegistry, Telemetry};
 use ogsa_xml::{Element, XmlResult};
 use parking_lot::{Mutex, RwLock};
 
@@ -83,151 +83,130 @@ impl FanoutCosts {
     }
 }
 
-/// Shared, lock-free counters behind the table and the deliverer: per-shard
-/// busy time (the makespan model), per-shard subscriber counts and outbox
-/// depths (scrape-time gauges), plus contention and backpressure totals.
+/// One shard's cells: busy microseconds (the makespan model's input),
+/// subscribers and outbox depth (scrape-time gauges).
+const BUSY: usize = 0;
+const SUBSCRIBERS: usize = 1;
+pub(crate) const DEPTH: usize = 2;
+
+/// The per-stack counters, registered at zero so a scrape shows them.
+const COUNTERS: [&str; 3] = [
+    "wsn.backpressure_drops",
+    "wsn.filter_compilations",
+    "wsn.filter_evaluations",
+];
+
+/// What the table and the deliverer share: the per-shard cells, wildcard
+/// shard last, and a read view over the stack's counters in the table's
+/// registry — `wsn.shard_contention{stack,shard}` and the [`COUNTERS`],
+/// labelled `{stack}` (the `wsn.` prefix names the shared fan-out core; the
+/// `stack` label says which stack's table this is). A counter reads what
+/// every table of the stack on that registry counted.
 #[derive(Clone)]
 pub struct FanoutStats {
-    inner: Arc<StatsInner>,
-}
-
-struct StatsInner {
-    busy_us: Vec<AtomicU64>,
-    subscribers: Vec<AtomicU64>,
-    outbox_depth: Vec<AtomicU64>,
-    contentions: AtomicU64,
-    backpressure_drops: AtomicU64,
-    filter_compilations: AtomicU64,
-    filter_evaluations: AtomicU64,
+    cells: Arc<[[AtomicU64; 3]]>,
+    metrics: MetricsRegistry,
+    stack: &'static str,
 }
 
 impl FanoutStats {
-    fn new(shards: usize) -> Self {
-        let cell = |_| AtomicU64::new(0);
+    fn new(shards: usize, metrics: MetricsRegistry, stack: &'static str) -> Self {
+        metrics.add_all(&[("stack", stack)], &COUNTERS.map(|name| (name, 0)));
+        let cells = (0..shards).map(|_| Default::default()).collect();
         FanoutStats {
-            inner: Arc::new(StatsInner {
-                busy_us: (0..shards).map(cell).collect(),
-                subscribers: (0..shards).map(cell).collect(),
-                outbox_depth: (0..shards).map(cell).collect(),
-                contentions: AtomicU64::new(0),
-                backpressure_drops: AtomicU64::new(0),
-                filter_compilations: AtomicU64::new(0),
-                filter_evaluations: AtomicU64::new(0),
-            }),
+            cells,
+            metrics,
+            stack,
         }
     }
 
     /// Shard count including the wildcard shard (the last slot).
     pub fn shards(&self) -> usize {
-        self.inner.busy_us.len()
+        self.cells.len()
     }
 
-    pub fn add_busy(&self, shard: usize, cost: SimDuration) {
-        self.inner.busy_us[shard].fetch_add(cost.as_micros(), Ordering::Relaxed);
+    /// The shard label of slot `shard`: its index, or `wild` for the last.
+    fn shard_label(&self, shard: usize) -> String {
+        if shard + 1 == self.shards() {
+            "wild".to_owned()
+        } else {
+            shard.to_string()
+        }
+    }
+
+    fn column(&self, cell: usize) -> Vec<u64> {
+        let read = |shard: &[AtomicU64; 3]| shard[cell].load(Ordering::Relaxed);
+        self.cells.iter().map(read).collect()
+    }
+
+    pub(crate) fn add(&self, shard: usize, cell: usize, n: u64) {
+        self.cells[shard][cell].fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn sub(&self, shard: usize, cell: usize, n: u64) {
+        self.cells[shard][cell].fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Per-shard busy microseconds (wildcard shard last).
     pub fn busy_us(&self) -> Vec<u64> {
-        self.inner
-            .busy_us
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The makespan of the charged work: the busiest shard's total.
-    pub fn max_busy_us(&self) -> u64 {
-        self.busy_us().into_iter().max().unwrap_or(0)
+        self.column(BUSY)
     }
 
     pub fn subscribers(&self) -> Vec<u64> {
-        self.inner
-            .subscribers
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.column(SUBSCRIBERS)
     }
 
-    pub fn outbox_depths(&self) -> Vec<u64> {
-        self.inner
-            .outbox_depth
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+    /// Add `n` to this stack's `name{stack}` counter.
+    pub(crate) fn count(&self, name: &str, n: u64) {
+        self.metrics.add(name, &[("stack", self.stack)], n);
     }
 
+    fn counter(&self, name: &str) -> u64 {
+        self.metrics.counter(name, &[("stack", self.stack)])
+    }
+
+    /// Contended shard-lock acquisitions, over every shard.
     pub fn contentions(&self) -> u64 {
-        self.inner.contentions.load(Ordering::Relaxed)
+        (0..self.shards())
+            .map(|i| {
+                let shard = self.shard_label(i);
+                let labels = [("shard", shard.as_str()), ("stack", self.stack)];
+                self.metrics.counter("wsn.shard_contention", &labels)
+            })
+            .sum()
     }
 
     pub fn backpressure_drops(&self) -> u64 {
-        self.inner.backpressure_drops.load(Ordering::Relaxed)
+        self.counter("wsn.backpressure_drops")
     }
 
-    /// Content filters compiled for this table (one per filtered insert;
-    /// never on the notify path).
+    /// Content filters compiled (one per filtered insert; never on the
+    /// notify path).
     pub fn filter_compilations(&self) -> u64 {
-        self.inner.filter_compilations.load(Ordering::Relaxed)
+        self.counter("wsn.filter_compilations")
     }
 
     /// Content-filter evaluations: one per distinct filter among an
     /// event's candidates.
     pub fn filter_evaluations(&self) -> u64 {
-        self.inner.filter_evaluations.load(Ordering::Relaxed)
+        self.counter("wsn.filter_evaluations")
     }
 
-    pub(crate) fn add_depth(&self, shard: usize, n: u64) {
-        self.inner.outbox_depth[shard].fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn sub_depth(&self, shard: usize, n: u64) {
-        self.inner.outbox_depth[shard].fetch_sub(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_drop(&self) {
-        self.inner
-            .backpressure_drops
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publish the scrape-time series on a metrics registry: the gauges
-    /// `wsn.subscribers{stack,shard}` and `wsn.outbox_depth{stack,shard}`
-    /// and the counters `wsn.filter_compilations{stack}` and
-    /// `wsn.filter_evaluations{stack}` (the `wsn.` prefix names the shared
-    /// fan-out core; the `stack` label says which stack's table this is).
-    /// They ride `gather()` only, so deterministic `snapshot()` comparisons
-    /// are unaffected.
-    pub fn register_gauges(&self, tel: &Telemetry, stack: &'static str) {
-        let stats = self.clone();
-        tel.metrics().register_collector(move |snap| {
-            let label = |i: usize, last: usize| {
-                if i == last {
-                    "wild".to_owned()
-                } else {
-                    i.to_string()
-                }
-            };
-            let last = stats.shards() - 1;
-            for (i, n) in stats.subscribers().into_iter().enumerate() {
-                snap.set_gauge(
-                    "wsn.subscribers",
-                    &[("stack", stack), ("shard", &label(i, last))],
-                    n,
-                );
-            }
-            for (i, n) in stats.outbox_depths().into_iter().enumerate() {
-                snap.set_gauge(
-                    "wsn.outbox_depth",
-                    &[("stack", stack), ("shard", &label(i, last))],
-                    n,
-                );
-            }
-            for (name, n) in [
-                ("wsn.filter_compilations", stats.filter_compilations()),
-                ("wsn.filter_evaluations", stats.filter_evaluations()),
+    /// Publish the gauges `wsn.subscribers{stack,shard}` and
+    /// `wsn.outbox_depth{stack,shard}` on every `gather()` of the registry,
+    /// so deterministic `snapshot()` comparisons are unaffected.
+    pub fn register_gauges(&self) {
+        let (cells, stack) = (self.cells.clone(), self.stack);
+        let labels: Vec<String> = (0..self.shards()).map(|i| self.shard_label(i)).collect();
+        self.metrics.register_collector(move |snap| {
+            for (name, cell) in [
+                ("wsn.subscribers", SUBSCRIBERS),
+                ("wsn.outbox_depth", DEPTH),
             ] {
-                snap.counters
-                    .insert(series_key(name, &[("stack", stack)]), n);
+                for (shard, cells) in labels.iter().zip(cells.iter()) {
+                    let value = cells[cell].load(Ordering::Relaxed);
+                    snap.set_gauge(name, &[("stack", stack), ("shard", shard)], value);
+                }
             }
         });
     }
@@ -271,12 +250,11 @@ pub struct ShardedTable<T: Subscriber> {
     clock: VirtualClock,
     costs: FanoutCosts,
     stats: FanoutStats,
-    tel: Telemetry,
-    stack: &'static str,
 }
 
 impl<T: Subscriber> ShardedTable<T> {
-    /// `shards` routed shards (clamped to ≥ 1) plus the wildcard shard.
+    /// `shards` routed shards (clamped to ≥ 1) plus the wildcard shard,
+    /// counting into `tel`'s registry under `stack`.
     pub fn new(
         shards: usize,
         clock: VirtualClock,
@@ -293,9 +271,7 @@ impl<T: Subscriber> ShardedTable<T> {
             next_reg: AtomicU64::new(0),
             clock,
             costs,
-            stats: FanoutStats::new(shards + 1),
-            tel,
-            stack,
+            stats: FanoutStats::new(shards + 1, tel.metrics().clone(), stack),
         }
     }
 
@@ -337,7 +313,7 @@ impl<T: Subscriber> ShardedTable<T> {
 
     fn charge(&self, shard: usize, cost: SimDuration) {
         self.clock.advance(cost);
-        self.stats.add_busy(shard, cost);
+        self.stats.add(shard, BUSY, cost.as_micros());
     }
 
     /// Shard write lock, counting contended acquisitions in
@@ -359,26 +335,16 @@ impl<T: Subscriber> ShardedTable<T> {
     }
 
     fn note_contention(&self, shard: usize) {
-        self.stats.inner.contentions.fetch_add(1, Ordering::Relaxed);
-        let label = if shard == self.wild() {
-            "wild".to_owned()
-        } else {
-            shard.to_string()
-        };
-        self.tel.metrics().inc(
-            "wsn.shard_contention",
-            &[("stack", self.stack), ("shard", &label)],
-        );
+        let label = self.stats.shard_label(shard);
+        let labels = [("shard", label.as_str()), ("stack", self.stats.stack)];
+        self.stats.metrics.inc("wsn.shard_contention", &labels);
     }
 
     /// Compile a content filter for a subscription about to enter this
     /// table — the only compilation the filter ever gets (counted in
     /// `wsn.filter_compilations`). Errors are the caller's to fault on.
     pub fn compile_filter(&self, text: &str) -> XmlResult<ContentFilter> {
-        self.stats
-            .inner
-            .filter_compilations
-            .fetch_add(1, Ordering::Relaxed);
+        self.stats.count("wsn.filter_compilations", 1);
         ContentFilter::compile(text)
     }
 
@@ -420,7 +386,7 @@ impl<T: Subscriber> ShardedTable<T> {
             );
         }
         self.locations.lock().insert(id, Location { shard, reg });
-        self.stats.inner.subscribers[shard].fetch_add(1, Ordering::Relaxed);
+        self.stats.add(shard, SUBSCRIBERS, 1);
     }
 
     /// Evict a subscription by id, returning it; `None` if unknown. This
@@ -439,7 +405,7 @@ impl<T: Subscriber> ShardedTable<T> {
             }
             entry
         };
-        self.stats.inner.subscribers[loc.shard].fetch_sub(1, Ordering::Relaxed);
+        self.stats.sub(loc.shard, SUBSCRIBERS, 1);
         entry.map(|e| e.sub)
     }
 
@@ -514,9 +480,7 @@ impl<T: Subscriber> ShardedTable<T> {
         }
         if verdicts.evaluations > 0 {
             self.stats
-                .inner
-                .filter_evaluations
-                .fetch_add(verdicts.evaluations, Ordering::Relaxed);
+                .count("wsn.filter_evaluations", verdicts.evaluations);
         }
         n
     }
@@ -801,7 +765,7 @@ mod tests {
         let loaded = busy.iter().filter(|&&b| b > 0).count();
         assert!(loaded >= 4, "expected spread, got {busy:?}");
         assert!(
-            t.stats().max_busy_us() < 640,
+            busy.iter().max() < Some(&640),
             "no shard absorbed everything"
         );
     }

@@ -241,10 +241,6 @@ impl TopicTrie {
         self.registrations.is_empty()
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Resolve a concrete path to every matching registration id, in one
     /// walk. Appends to `out` (sorted, deduplicated).
     pub fn resolve(&self, path: &[&str], out: &mut Vec<u64>) {

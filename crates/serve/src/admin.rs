@@ -149,11 +149,6 @@ impl AdminPlane {
         self.inner.hist.shard(i)
     }
 
-    /// The merged (all-shards) latency snapshot, as `/metrics` sees it.
-    pub fn merged_latency(&self) -> ogsa_telemetry::WallSnapshot {
-        self.inner.hist.merged()
-    }
-
     pub fn recorder(&self) -> &FlightRecorder {
         &self.inner.recorder
     }

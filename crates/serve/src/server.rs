@@ -22,12 +22,12 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ogsa_soap::Envelope;
-use ogsa_telemetry::{SpanKind, WallHistogram};
+use ogsa_telemetry::{MetricsRegistry, SpanKind, WallHistogram};
 use ogsa_transport::Network;
 
 use crate::admin::{AdminDispatcher, AdminPlane, ObsConfig, ReadyState};
@@ -67,34 +67,41 @@ impl Default for ServeConfig {
     }
 }
 
-/// Wall-clock serving counters, shared across workers.
-#[derive(Debug, Default)]
+/// Wall-clock serving counters: a read view over the `serve.*` series the
+/// workers count into the network's metrics registry.
+#[derive(Debug, Clone)]
 pub struct ServeStats {
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    http_errors: AtomicU64,
-    dispatch_panics: AtomicU64,
+    metrics: MetricsRegistry,
 }
 
 impl ServeStats {
-    /// Connections accepted since bind.
+    /// Connections accepted (service and admin port).
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.metrics.counter("serve.accepted", &[])
     }
 
     /// Requests that reached dispatch (including ones answered 4xx/5xx).
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.metrics.counter("serve.requests", &[])
     }
 
     /// Requests answered with an error status.
     pub fn http_errors(&self) -> u64 {
-        self.http_errors.load(Ordering::Relaxed)
+        STATUS_LABELS
+            .iter()
+            .map(|&status| self.errors(status))
+            .sum()
     }
 
-    /// Handler panics converted into 500s.
+    /// Handler panics converted into 500s — the only 500 the dispatcher
+    /// answers.
     pub fn dispatch_panics(&self) -> u64 {
-        self.dispatch_panics.load(Ordering::Relaxed)
+        self.errors("500")
+    }
+
+    fn errors(&self, status: &str) -> u64 {
+        self.metrics
+            .counter("serve.http_errors", &[("status", status)])
     }
 }
 
@@ -113,7 +120,6 @@ struct Dispatcher {
     net: Network,
     scheme: String,
     force_close: bool,
-    stats: Arc<ServeStats>,
     obs: Option<WorkerObs>,
     /// Scratch for the reconstructed bound address.
     addr_buf: String,
@@ -122,17 +128,11 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
-    fn new(
-        net: Network,
-        config: &ServeConfig,
-        stats: Arc<ServeStats>,
-        obs: Option<WorkerObs>,
-    ) -> Dispatcher {
+    fn new(net: Network, config: &ServeConfig, obs: Option<WorkerObs>) -> Dispatcher {
         Dispatcher {
             net,
             scheme: config.scheme.clone(),
             force_close: !config.keep_alive,
-            stats,
             obs,
             addr_buf: String::with_capacity(64),
             body_buf: String::with_capacity(4096),
@@ -141,7 +141,6 @@ impl Dispatcher {
 
     fn answer_error(&self, error: http::HttpError, keep_alive: bool, out: &mut Vec<u8>) {
         let status = error.status();
-        self.stats.http_errors.fetch_add(1, Ordering::Relaxed);
         self.net
             .telemetry()
             .metrics()
@@ -150,17 +149,14 @@ impl Dispatcher {
     }
 }
 
+/// Every `status` label of `serve.http_errors`.
+const STATUS_LABELS: [&str; 8] = ["400", "404", "405", "411", "413", "431", "500", "other"];
+
 fn status_label(status: u16) -> &'static str {
-    match status {
-        400 => "400",
-        404 => "404",
-        405 => "405",
-        411 => "411",
-        413 => "413",
-        431 => "431",
-        500 => "500",
-        _ => "other",
-    }
+    STATUS_LABELS
+        .iter()
+        .find(|label| label.parse() == Ok(status))
+        .unwrap_or(&"other")
 }
 
 impl Dispatch for Dispatcher {
@@ -199,7 +195,6 @@ impl Dispatcher {
         let tel = self.net.telemetry().clone();
         let mut span = tel.span(SpanKind::Server, "serve:request");
         let metrics = tel.metrics();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
         metrics.inc("serve.requests", &[]);
         // Connection-reuse ledger, mirroring the TLS session cache: the
         // first request on a connection is the "handshake", every
@@ -232,7 +227,6 @@ impl Dispatcher {
 
         let Some(handler) = self.net.handler_for(&self.addr_buf) else {
             span.set_attr("outcome", "not-found");
-            self.stats.http_errors.fetch_add(1, Ordering::Relaxed);
             metrics.inc("serve.http_errors", &[("status", "404")]);
             http::write_response(out, 404, "Not Found", keep_alive, "");
             return;
@@ -261,8 +255,6 @@ impl Dispatcher {
             }
             Err(_) => {
                 span.set_attr("outcome", "panic");
-                self.stats.dispatch_panics.fetch_add(1, Ordering::Relaxed);
-                self.stats.http_errors.fetch_add(1, Ordering::Relaxed);
                 metrics.inc("serve.http_errors", &[("status", "500")]);
                 http::write_response(out, 500, "Internal Server Error", false, "");
             }
@@ -276,7 +268,7 @@ pub struct Server {
     addr: SocketAddr,
     admin_addr: Option<SocketAddr>,
     plane: Option<AdminPlane>,
-    stats: Arc<ServeStats>,
+    stats: ServeStats,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     platform: platform::Shutdown,
@@ -289,7 +281,9 @@ impl Server {
     pub fn bind(net: &Network, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(ServeStats::default());
+        let stats = ServeStats {
+            metrics: net.telemetry().metrics().clone(),
+        };
         let shutdown = Arc::new(AtomicBool::new(false));
         let admin = if config.observe.enabled {
             let admin_listener = TcpListener::bind(&config.observe.admin_addr)?;
@@ -313,7 +307,6 @@ impl Server {
             &config,
             listener,
             admin.map(|(l, _, p)| (l, p)),
-            stats.clone(),
             shutdown.clone(),
         )?;
         if let Some(p) = &plane {
@@ -415,7 +408,6 @@ mod platform {
         config: &ServeConfig,
         listener: TcpListener,
         admin: Option<(TcpListener, AdminPlane)>,
-        stats: Arc<ServeStats>,
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<(Vec<JoinHandle<()>>, Shutdown)> {
         listener.set_nonblocking(true)?;
@@ -441,7 +433,7 @@ mod platform {
                 plane: p.clone(),
                 shard: p.shard(i),
             });
-            let dispatcher = Dispatcher::new(net.clone(), config, stats.clone(), obs);
+            let dispatcher = Dispatcher::new(net.clone(), config, obs);
             let admin_dispatcher = plane.as_ref().map(|p| AdminDispatcher::new(p.clone()));
             let worker_plane = plane.clone();
             let shutdown = shutdown.clone();
@@ -466,7 +458,6 @@ mod platform {
         let accept_wake = Arc::new(EventFd::new()?);
         wakes.push(accept_wake.clone());
         {
-            let stats = stats.clone();
             let shutdown = shutdown.clone();
             let metrics = net.telemetry().metrics().clone();
             threads.push(
@@ -479,7 +470,6 @@ mod platform {
                             plane,
                             shared,
                             accept_wake,
-                            stats,
                             shutdown,
                             metrics,
                         )
@@ -497,14 +487,12 @@ mod platform {
         is_admin: bool,
         workers: &[Arc<WorkerShared>],
         plane: &Option<AdminPlane>,
-        stats: &ServeStats,
-        metrics: &ogsa_telemetry::MetricsRegistry,
+        metrics: &MetricsRegistry,
         mut next: usize,
     ) -> usize {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stats.accepted.fetch_add(1, Ordering::Relaxed);
                     metrics.inc("serve.accepted", &[]);
                     let idx = next % workers.len();
                     let w = &workers[idx];
@@ -538,9 +526,8 @@ mod platform {
         plane: Option<AdminPlane>,
         workers: Vec<Arc<WorkerShared>>,
         wake: Arc<EventFd>,
-        stats: Arc<ServeStats>,
         shutdown: Arc<AtomicBool>,
-        metrics: ogsa_telemetry::MetricsRegistry,
+        metrics: MetricsRegistry,
     ) {
         let Ok(ep) = Epoll::new() else { return };
         if ep
@@ -571,14 +558,11 @@ mod platform {
                     }
                     ADMIN_LISTENER => {
                         if let Some(al) = &admin_listener {
-                            next =
-                                drain_accepts(al, true, &workers, &plane, &stats, &metrics, next);
+                            next = drain_accepts(al, true, &workers, &plane, &metrics, next);
                         }
                     }
                     _ => {
-                        next = drain_accepts(
-                            &listener, false, &workers, &plane, &stats, &metrics, next,
-                        );
+                        next = drain_accepts(&listener, false, &workers, &plane, &metrics, next);
                     }
                 }
             }
@@ -599,7 +583,7 @@ mod platform {
         mut admin_dispatcher: Option<AdminDispatcher>,
         plane: Option<AdminPlane>,
         shutdown: Arc<AtomicBool>,
-        metrics: ogsa_telemetry::MetricsRegistry,
+        metrics: MetricsRegistry,
     ) {
         let Ok(ep) = Epoll::new() else { return };
         if ep.add(shared.wake.raw(), EPOLLIN, WAKE).is_err() {
@@ -743,7 +727,6 @@ mod platform {
         config: &ServeConfig,
         listener: TcpListener,
         admin: Option<(TcpListener, AdminPlane)>,
-        stats: Arc<ServeStats>,
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<(Vec<JoinHandle<()>>, Shutdown)> {
         let mut threads = Vec::new();
@@ -780,14 +763,12 @@ mod platform {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        stats.accepted.fetch_add(1, Ordering::Relaxed);
                         net.telemetry().metrics().inc("serve.accepted", &[]);
                         let obs = plane.as_ref().map(|p| WorkerObs {
                             plane: p.clone(),
                             shard: p.shard(0),
                         });
-                        let mut dispatcher =
-                            Dispatcher::new(net.clone(), &config, stats.clone(), obs);
+                        let mut dispatcher = Dispatcher::new(net.clone(), &config, obs);
                         let _ = std::thread::Builder::new()
                             .name("ogsa-serve-conn".into())
                             .spawn(move || serve_blocking(stream, &mut dispatcher));

@@ -67,8 +67,8 @@ impl Histogram {
 
 /// A point-in-time copy of every counter and histogram.
 ///
-/// `gauges` is populated only by [`MetricsRegistry::gather`] (set gauges +
-/// registered collectors): the deterministic [`MetricsRegistry::snapshot`]
+/// `gauges` is populated only by [`MetricsRegistry::gather`] (registered
+/// collectors): the deterministic [`MetricsRegistry::snapshot`]
 /// path never touches live-observability state, so same-seed metric dumps
 /// stay byte-identical whether or not an admin plane is scraping.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -124,8 +124,6 @@ pub struct MetricsRegistry {
 struct MetricsInner {
     counters: Mutex<BTreeMap<String, u64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    /// Last-write-wins point-in-time values; only surfaced by `gather`.
-    gauges: Mutex<BTreeMap<String, u64>>,
     /// Scrape-time contributors; only run by `gather`.
     collectors: Mutex<Vec<Collector>>,
 }
@@ -135,7 +133,6 @@ impl std::fmt::Debug for MetricsInner {
         f.debug_struct("MetricsInner")
             .field("counters", &self.counters)
             .field("histograms", &self.histograms)
-            .field("gauges", &self.gauges)
             .field("collectors", &self.collectors.lock().len())
             .finish()
     }
@@ -193,14 +190,18 @@ impl MetricsRegistry {
     /// Add `delta` to a counter series.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         with_key(name, labels, |key| {
-            let mut counters = self.inner.counters.lock();
-            match counters.get_mut(key) {
-                Some(value) => *value += delta,
-                None => {
-                    counters.insert(key.to_owned(), delta);
-                }
-            }
+            bump(&mut self.inner.counters.lock(), key, delta)
         })
+    }
+
+    /// Add each `(name, delta)` to its series under `labels`, all under one
+    /// lock: a [`MetricsRegistry::snapshot`] sees every delta or none (a
+    /// message's count and its bytes land together).
+    pub fn add_all(&self, labels: &[(&str, &str)], deltas: &[(&str, u64)]) {
+        let mut counters = self.inner.counters.lock();
+        for &(name, delta) in deltas {
+            with_key(name, labels, |key| bump(&mut counters, key, delta));
+        }
     }
 
     /// Current value of a counter series.
@@ -231,17 +232,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// Set a gauge series to a point-in-time value (last write wins).
-    /// Gauges are live-observability state: they appear only on
-    /// [`MetricsRegistry::gather`] snapshots, never on deterministic
-    /// [`MetricsRegistry::snapshot`]s.
-    pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.inner
-            .gauges
-            .lock()
-            .insert(series_key(name, labels), value);
-    }
-
     /// Register a scrape-time collector run by every
     /// [`MetricsRegistry::gather`] call.
     pub fn register_collector(&self, f: impl Fn(&mut MetricsSnapshot) + Send + Sync + 'static) {
@@ -261,27 +251,28 @@ impl MetricsRegistry {
         }
     }
 
-    /// The scrape view: [`MetricsRegistry::snapshot`] plus set gauges plus
-    /// every registered collector's contribution. This is what `/metrics`
+    /// The scrape view: [`MetricsRegistry::snapshot`] plus every registered
+    /// collector's contribution. This is what `/metrics`
     /// renders; the deterministic snapshot path is untouched by it.
     pub fn gather(&self) -> MetricsSnapshot {
         let mut snap = self.snapshot();
-        snap.gauges = self.inner.gauges.lock().clone();
         // Collectors run outside the data locks: they may read other
-        // subsystems (db stats, worker state) and re-enter set_gauge.
+        // subsystems (db stats, worker state) and the registry itself.
         let collectors = self.inner.collectors.lock();
         for f in collectors.iter() {
             f(&mut snap);
         }
         snap
     }
+}
 
-    /// Drop every series (a fresh measurement window).
-    pub fn clear(&self) {
-        let mut counters = self.inner.counters.lock();
-        let mut histograms = self.inner.histograms.lock();
-        counters.clear();
-        histograms.clear();
+/// Add `delta` to the series at `key`; a series that exists allocates nothing.
+fn bump(counters: &mut BTreeMap<String, u64>, key: &str, delta: u64) {
+    match counters.get_mut(key) {
+        Some(value) => *value += delta,
+        None => {
+            counters.insert(key.to_owned(), delta);
+        }
     }
 }
 
@@ -350,14 +341,34 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_deterministic_and_clear_resets() {
+    fn snapshot_is_deterministic() {
         let m = MetricsRegistry::new();
         m.inc("b", &[]);
         m.inc("a", &[("x", "1")]);
         let keys: Vec<_> = m.snapshot().counters.keys().cloned().collect();
         assert_eq!(keys, ["a{x=1}", "b"]);
-        m.clear();
-        assert!(m.snapshot().counters.is_empty());
+    }
+
+    #[test]
+    fn add_all_lands_every_delta_in_one_cut() {
+        let m = MetricsRegistry::new();
+        let writer = {
+            let m = m.clone();
+            std::thread::spawn(move || {
+                for _ in 0..1_000 {
+                    m.add_all(&[("host", "a")], &[("msgs", 1), ("bytes", 7)]);
+                }
+            })
+        };
+        for _ in 0..200 {
+            let snap = m.snapshot();
+            assert_eq!(
+                snap.counter("bytes{host=a}"),
+                snap.counter("msgs{host=a}") * 7
+            );
+        }
+        writer.join().unwrap();
+        assert_eq!(m.counter("msgs", &[("host", "a")]), 1_000);
     }
 
     #[test]
@@ -371,7 +382,6 @@ mod tests {
     fn gauges_and_collectors_appear_only_on_gather() {
         let m = MetricsRegistry::new();
         m.inc("hits", &[]);
-        m.set_gauge("queue.depth", &[("worker", "0")], 7);
         m.register_collector(|snap| snap.set_gauge("db.shards", &[], 4));
 
         let det = m.snapshot();
@@ -381,11 +391,7 @@ mod tests {
         );
 
         let live = m.gather();
-        assert_eq!(live.gauge("queue.depth{worker=0}"), 7);
         assert_eq!(live.gauge("db.shards"), 4);
         assert_eq!(live.counter("hits"), 1, "counters ride along");
-        // Last write wins.
-        m.set_gauge("queue.depth", &[("worker", "0")], 2);
-        assert_eq!(m.gather().gauge("queue.depth{worker=0}"), 2);
     }
 }

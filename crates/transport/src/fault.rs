@@ -10,7 +10,7 @@
 //! counters.
 
 use ogsa_sim::rng::{hash_str, mix64};
-use ogsa_sim::{DetRng, SimDuration, SimInstant};
+use ogsa_sim::{SimDuration, SimInstant};
 
 /// The kinds of injected fault, for stats and dead-letter records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +56,7 @@ impl Partition {
     }
 }
 
-/// What the plan decided for one message attempt.
+/// What the plan decided for one message attempt; the default injects nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultDecision {
     /// The hosts cannot reach each other right now (wins over everything).
@@ -69,35 +69,6 @@ pub struct FaultDecision {
     pub duplicate: bool,
     /// The bytes are corrupted in flight.
     pub garble: bool,
-}
-
-impl FaultDecision {
-    /// A decision that injects nothing.
-    pub const CLEAN: FaultDecision = FaultDecision {
-        partitioned: false,
-        drop: false,
-        delay: None,
-        duplicate: false,
-        garble: false,
-    };
-
-    /// Does the message fail to arrive intact?
-    pub fn is_lost(&self) -> bool {
-        self.partitioned || self.drop || self.garble
-    }
-
-    /// The fault kind that lost the message, for dead-letter records.
-    pub fn loss_kind(&self) -> Option<FaultKind> {
-        if self.partitioned {
-            Some(FaultKind::Partition)
-        } else if self.drop {
-            Some(FaultKind::Drop)
-        } else if self.garble {
-            Some(FaultKind::Garble)
-        } else {
-            None
-        }
-    }
 }
 
 /// A seeded, replayable schedule of network faults.
@@ -125,12 +96,6 @@ impl FaultPlan {
             garble_p: 0.0,
             partitions: Vec::new(),
         }
-    }
-
-    /// Seed the plan from a testbed RNG (a stable fork, so consuming the
-    /// testbed stream elsewhere does not shift the fault schedule).
-    pub fn from_rng(rng: &DetRng) -> Self {
-        FaultPlan::seeded(rng.fork("fault-plan").seed())
     }
 
     pub fn seed(&self) -> u64 {
@@ -196,10 +161,12 @@ impl FaultPlan {
     /// simulated time `at`.
     pub fn decide(&self, from: &str, to: &str, seq: u64, at: SimInstant) -> FaultDecision {
         if self.is_benign() {
-            return FaultDecision::CLEAN;
+            return FaultDecision::default();
         }
-        let mut d = FaultDecision::CLEAN;
-        d.partitioned = self.partitions.iter().any(|p| p.covers(from, to, at));
+        let mut d = FaultDecision {
+            partitioned: self.partitions.iter().any(|p| p.covers(from, to, at)),
+            ..FaultDecision::default()
+        };
         if d.partitioned {
             return d;
         }
@@ -267,7 +234,7 @@ mod tests {
         for seq in 0..100 {
             assert_eq!(
                 plan.decide("a", "b", seq, SimInstant(0)),
-                FaultDecision::CLEAN
+                FaultDecision::default()
             );
         }
     }

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, SendError, Sender};
 use ogsa_sim::rng::mix64;
 use ogsa_sim::{CostModel, SimDuration, SimInstant, VirtualClock};
 use ogsa_soap::Envelope;
@@ -16,7 +16,6 @@ use crate::error::TransportError;
 use crate::fault::{DeadLetter, FaultDecision, FaultKind, FaultPlan};
 use crate::retry::RetryPolicy;
 use crate::stats::NetStats;
-use crate::Deployment;
 
 /// A service-side message handler. Receives the parsed request envelope and
 /// produces the response envelope (which may carry a SOAP fault).
@@ -98,31 +97,25 @@ impl PendingOneways {
         *self.count()
     }
 
-    /// Wait for the count to drain to zero, or `timeout`.
-    fn wait_idle(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+    /// Wait for the count to drain to zero, or `timeout` (`None`: however
+    /// long that takes).
+    fn wait_idle(&self, timeout: Option<std::time::Duration>) -> bool {
+        let deadline = timeout.map(|t| std::time::Instant::now() + t);
         let mut count = self.count();
         while *count > 0 {
-            let Some(remaining) = deadline.checked_duration_since(std::time::Instant::now()) else {
-                return false;
-            };
-            count = match self.idle.wait_timeout(count, remaining) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
+            count = match deadline {
+                None => self.idle.wait(count).unwrap_or_else(|p| p.into_inner()),
+                Some(deadline) => {
+                    let now = std::time::Instant::now();
+                    let Some(remaining) = deadline.checked_duration_since(now) else {
+                        return false;
+                    };
+                    let waited = self.idle.wait_timeout(count, remaining);
+                    waited.unwrap_or_else(|p| p.into_inner()).0
+                }
             };
         }
         true
-    }
-
-    /// Wait for the count to drain to zero, without a timeout.
-    fn wait_idle_forever(&self) {
-        let mut count = self.count();
-        while *count > 0 {
-            count = match self.idle.wait(count) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
     }
 }
 
@@ -137,6 +130,8 @@ struct NetInner {
     /// Toggle for the HTTPS socket/session cache (ablation).
     tls_session_cache: RwLock<bool>,
     stats: NetStats,
+    /// The delivery worker's queue; `None` when no worker could be
+    /// started, and one-ways then deliver inline on the sender's thread.
     oneway_tx: Mutex<Option<Sender<OnewayJob>>>,
     /// Armed fault schedule, if any.
     fault_plan: RwLock<Option<FaultPlan>>,
@@ -181,7 +176,7 @@ impl Network {
             tls_sessions: Mutex::new(HashSet::new()),
             connections: Mutex::new(HashSet::new()),
             tls_session_cache: RwLock::new(true),
-            stats: NetStats::new(),
+            stats: NetStats::new(tel.metrics().clone()),
             oneway_tx: Mutex::new(None),
             fault_plan: RwLock::new(None),
             edge_seqs: Mutex::new(HashMap::new()),
@@ -200,12 +195,14 @@ impl Network {
         Network::new(VirtualClock::new(), Arc::new(CostModel::free()))
     }
 
+    /// Start the one-way delivery worker. If the thread cannot be spawned
+    /// the network still works: without a worker queue every one-way is
+    /// delivered inline, as under [`Network::set_synchronous_oneways`].
     fn start_oneway_worker(&self) {
         let (tx, rx) = unbounded::<OnewayJob>();
-        *self.inner.oneway_tx.lock() = Some(tx);
         // Weak reference: the worker must not keep the network alive.
         let weak = Arc::downgrade(&self.inner);
-        std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("ogsa-oneway-delivery".into())
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
@@ -229,8 +226,10 @@ impl Network {
                         }
                     }
                 }
-            })
-            .expect("spawn one-way delivery worker");
+            });
+        if spawned.is_ok() {
+            *self.inner.oneway_tx.lock() = Some(tx);
+        }
     }
 
     /// Bind a request/response handler at `address`
@@ -300,11 +299,6 @@ impl Network {
         self.inner.sync_oneways.store(on, Ordering::SeqCst);
     }
 
-    /// Is inline (synchronous) one-way delivery active?
-    pub fn synchronous_oneways(&self) -> bool {
-        self.inner.sync_oneways.load(Ordering::SeqCst)
-    }
-
     /// Enable/disable the HTTPS session cache (the paper's "socket caching").
     /// Turning it off evicts cached sessions *and* zeroes the connection
     /// counters, so an ablation measured after a warm run starts from a
@@ -362,13 +356,13 @@ impl Network {
     /// is purely a liveness backstop against a wedged worker. After a `true`
     /// return, delivery counts, dead letters, and stats are final.
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
-        self.inner.pending_oneways.wait_idle(timeout)
+        self.inner.pending_oneways.wait_idle(Some(timeout))
     }
 
     /// [`Network::quiesce`] without the backstop: wait on the worker-idle
     /// signal however long the drain takes.
     pub fn drain(&self) {
-        self.inner.pending_oneways.wait_idle_forever();
+        self.inner.pending_oneways.wait_idle(None);
     }
 
     // ---- external in-flight work -------------------------------------------
@@ -392,11 +386,9 @@ impl Network {
 
     /// Record a dead letter decided *outside* the wire retry machinery —
     /// e.g. a notification evicted from a bounded fan-out outbox by
-    /// backpressure. Counted in the stats, the `oneway.dead_letters` metric,
-    /// and the [`Network::dead_letters`] record like any wire-level dead
-    /// letter.
+    /// backpressure. Counted in the `oneway.dead_letters` metric and the
+    /// [`Network::dead_letters`] record like any wire-level dead letter.
     pub fn record_dead_letter(&self, letter: DeadLetter) {
-        self.inner.stats.record_dead_letter();
         self.inner
             .tel
             .metrics()
@@ -413,15 +405,30 @@ impl Network {
     /// virtual-time figures stay byte-identical with replication enabled —
     /// and the SOAP fault schedule never shifts underneath existing tests.
     pub fn judge_raw(&self, from: &str, to_host: &str) -> FaultDecision {
-        let plan = self.inner.fault_plan.read().clone();
-        match &plan {
-            Some(p) if !p.is_benign() => {
-                let edge = format!("repl://{to_host}");
-                let seq = self.next_edge_seq(from, &edge);
-                p.decide(from, to_host, seq, self.inner.clock.now())
-            }
-            _ => FaultDecision::CLEAN,
-        }
+        self.armed_plan().map_or(FaultDecision::default(), |p| {
+            let seq = self.next_edge_seq(from, &format!("repl://{to_host}"));
+            p.decide(from, to_host, seq, self.inner.clock.now())
+        })
+    }
+
+    /// The armed fault plan, unless it is benign. Bound once per message:
+    /// only a decision drawn from it can garble, and it does the garbling.
+    fn armed_plan(&self) -> Option<FaultPlan> {
+        self.inner
+            .fault_plan
+            .read()
+            .clone()
+            .filter(|p| !p.is_benign())
+    }
+
+    fn count(&self, name: &str) {
+        self.inner.tel.metrics().inc(name, &[]);
+    }
+
+    /// One more `kind` message and its bytes, landing together.
+    fn count_message(&self, kind: &str, bytes: usize) {
+        let deltas = [(kind, 1), ("net.bytes", bytes as u64)];
+        self.inner.tel.metrics().add_all(&[], &deltas);
     }
 
     /// Next per-edge sequence number for a message from `from` to the
@@ -458,7 +465,7 @@ impl Network {
             self.inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            self.inner.stats.record_connect();
+            self.count("net.connects");
         }
         if scheme == "https" {
             let cache_enabled = *self.inner.tls_session_cache.read();
@@ -471,13 +478,13 @@ impl Network {
                 self.inner
                     .clock
                     .advance(SimDuration::from_micros(m.tls_resume_us));
-                self.inner.stats.record_tls_resumption();
+                self.count("net.tls_resumptions");
             } else {
                 let _s = self.inner.tel.span(SpanKind::Security, "tls:handshake");
                 self.inner
                     .clock
                     .advance(SimDuration::from_micros(m.tls_handshake_us));
-                self.inner.stats.record_tls_handshake();
+                self.count("net.tls_handshakes");
             }
         }
     }
@@ -490,6 +497,14 @@ impl Network {
         self.inner.clock.advance(m.wire_time(bytes, distributed));
         if scheme == "https" {
             self.inner.clock.advance(m.tls_record_time(bytes));
+        }
+    }
+
+    /// Inline delivery: the attempt (and any redeliveries) resolve before
+    /// this returns, on the caller's thread and clock.
+    fn deliver_inline(&self, mut job: OnewayJob) {
+        while let OnewayOutcome::Retry(next) = self.deliver_oneway(job) {
+            job = next;
         }
     }
 
@@ -521,21 +536,18 @@ impl Network {
         // sequence so each redelivery is judged independently, and salts
         // the mix so one-way traffic decorrelates from request traffic on
         // the same host pair.
-        let plan = self.inner.fault_plan.read().clone();
-        let decision = match &plan {
-            Some(p) if !p.is_benign() => {
-                let seq = mix64(&[job.seq, u64::from(job.attempt), ONEWAY_SALT]);
-                p.decide(&job.from_host, &to_host, seq, job.logical_at)
-            }
-            _ => FaultDecision::CLEAN,
-        };
+        let plan = self.armed_plan();
+        let decision = plan.as_ref().map_or(FaultDecision::default(), |p| {
+            let seq = mix64(&[job.seq, u64::from(job.attempt), ONEWAY_SALT]);
+            p.decide(&job.from_host, &to_host, seq, job.logical_at)
+        });
 
         if decision.partitioned {
             // Connect refused; nothing reaches the wire.
             self.inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            self.inner.stats.record_partition_refusal();
+            self.count("net.partition_refusals");
             span.event("fault:partition");
             return self.fail_oneway_attempt(job, FaultKind::Partition, &mut span);
         }
@@ -551,7 +563,7 @@ impl Network {
             self.inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            self.inner.stats.record_connect();
+            self.count("net.connects");
         }
         let overhead = if scheme == "tcp" {
             m.tcp_send_overhead_us
@@ -561,30 +573,27 @@ impl Network {
         self.inner.clock.advance(SimDuration::from_micros(overhead));
         if let Some(extra) = decision.delay {
             self.inner.clock.advance(extra);
-            self.inner.stats.record_injected_delay();
+            self.count("net.injected_delays");
             let extra_us = extra.as_micros().to_string();
             span.event_with("fault:delay", &[("extra_us", &extra_us)]);
         }
         self.charge_wire(job.wire.len(), &job.from_host, &to_host, &scheme);
-        self.inner.stats.record_oneway(job.wire.len());
+        self.count_message("net.oneways", job.wire.len());
 
         if decision.drop {
-            self.inner.stats.record_injected_drop();
+            self.count("net.injected_drops");
             span.event("fault:drop");
             return self.fail_oneway_attempt(job, FaultKind::Drop, &mut span);
         }
 
         // Receiver-side parse (of corrupted bytes, if garbled in flight).
-        let parsed = if decision.garble {
-            self.inner.stats.record_injected_garble();
-            span.event("fault:garble");
-            let bad = plan
-                .as_ref()
-                .expect("garble implies an armed plan")
-                .garble_wire(&job.wire, job.seq);
-            Envelope::from_wire(&bad)
-        } else {
-            Envelope::from_wire(&job.wire)
+        let parsed = match (&plan, decision.garble) {
+            (Some(plan), true) => {
+                self.count("net.injected_garbles");
+                span.event("fault:garble");
+                Envelope::from_wire(&plan.garble_wire(&job.wire, job.seq))
+            }
+            _ => Envelope::from_wire(&job.wire),
         };
         let env = match parsed {
             Ok(env) => env,
@@ -611,8 +620,8 @@ impl Network {
             // A second copy of the same bytes arrives back-to-back.
             self.inner.clock.advance(SimDuration::from_micros(overhead));
             self.charge_wire(job.wire.len(), &job.from_host, &to_host, &scheme);
-            self.inner.stats.record_oneway(job.wire.len());
-            self.inner.stats.record_injected_duplicate();
+            self.count_message("net.oneways", job.wire.len());
+            self.count("net.injected_duplicates");
             self.inner.clock.advance(m.soap_time(job.wire.len()));
             span.event("fault:duplicate");
             tel.metrics()
@@ -642,7 +651,6 @@ impl Network {
             return OnewayOutcome::Terminal;
         };
         if job.attempt >= policy.max_attempts {
-            self.inner.stats.record_dead_letter();
             let attempts = job.attempt.to_string();
             span.event_with(
                 "dead_letter",
@@ -666,7 +674,6 @@ impl Network {
             &[("reason", reason.label()), ("backoff_us", &backoff_us)],
         );
         self.inner.clock.advance(backoff);
-        self.inner.stats.record_retry();
         metrics.inc("oneway.redeliveries", &[("reason", reason.label())]);
         job.logical_at = job.logical_at.plus(backoff);
         job.attempt += 1;
@@ -692,16 +699,6 @@ impl Port {
 
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// Deployment relative to the service at `address`.
-    pub fn deployment_to(&self, address: &str) -> Deployment {
-        let (_, to_host) = Network::scheme_and_host(address);
-        if to_host == self.host {
-            Deployment::Colocated
-        } else {
-            Deployment::Distributed
-        }
     }
 
     /// Synchronous request/response call: serialise, charge the wire both
@@ -748,13 +745,13 @@ impl Port {
         }
 
         // Judge this attempt before anything crosses the wire.
-        let plan = inner.fault_plan.read().clone();
+        let plan = self.net.armed_plan();
         let (decision, seq) = match &plan {
-            Some(p) if !p.is_benign() => {
+            Some(p) => {
                 let seq = self.net.next_edge_seq(&self.host, address);
                 (p.decide(&self.host, &to_host, seq, inner.clock.now()), seq)
             }
-            _ => (FaultDecision::CLEAN, 0),
+            None => (FaultDecision::default(), 0),
         };
 
         if decision.partitioned {
@@ -762,7 +759,7 @@ impl Port {
             inner
                 .clock
                 .advance(SimDuration::from_micros(m.tcp_connect_us));
-            inner.stats.record_partition_refusal();
+            self.net.count("net.partition_refusals");
             span.event("fault:partition");
             return self.lost_request(address, deadline, &mut span);
         }
@@ -776,25 +773,24 @@ impl Port {
         // Request over the wire.
         self.net
             .charge_wire(wire.len(), &self.host, &to_host, &scheme);
-        inner.stats.record_request(wire.len());
+        self.net.count_message("net.requests", wire.len());
 
         if decision.drop {
             // The request vanished in flight; the client waits in vain.
-            inner.stats.record_injected_drop();
+            self.net.count("net.injected_drops");
             span.event("fault:drop");
             return self.lost_request(address, deadline, &mut span);
         }
         if let Some(extra) = decision.delay {
-            inner.stats.record_injected_delay();
+            self.net.count("net.injected_delays");
             let extra_us = extra.as_micros().to_string();
             span.event_with("fault:delay", &[("extra_us", &extra_us)]);
             if let Some(d) = deadline {
                 if extra >= d {
                     // The reply would land after the caller gave up.
                     inner.clock.advance(d);
-                    inner.stats.record_timeout();
                     span.event("timeout");
-                    inner.tel.metrics().inc("net.timeouts", &[]);
+                    self.net.count("net.timeouts");
                     return Err(TransportError::Timeout {
                         address: address.to_owned(),
                         after: d,
@@ -803,14 +799,10 @@ impl Port {
             }
             inner.clock.advance(extra);
         }
-        if decision.garble {
-            inner.stats.record_injected_garble();
+        if let (Some(plan), true) = (&plan, decision.garble) {
+            self.net.count("net.injected_garbles");
             span.event("fault:garble");
-            let garbled = plan
-                .as_ref()
-                .expect("garble implies an armed plan")
-                .garble_wire(&wire, seq);
-            *wire = garbled;
+            *wire = plan.garble_wire(&wire, seq);
         }
 
         // Server-side parse.
@@ -847,7 +839,7 @@ impl Port {
         }
         self.net
             .charge_wire(resp_wire.len(), &to_host, &self.host, &scheme);
-        inner.stats.record_response(resp_wire.len());
+        self.net.count_message("net.responses", resp_wire.len());
         let _s = inner.tel.span(SpanKind::Soap, "soap:decode");
         let resp = Envelope::from_wire(&resp_wire).map_err(|e| TransportError::WireGarbage {
             detail: e.to_string(),
@@ -868,9 +860,8 @@ impl Port {
         match deadline {
             Some(d) => {
                 self.net.inner.clock.advance(d);
-                self.net.inner.stats.record_timeout();
                 span.event("timeout");
-                self.net.inner.tel.metrics().inc("net.timeouts", &[]);
+                self.net.count("net.timeouts");
                 Err(TransportError::Timeout {
                     address: address.to_owned(),
                     after: d,
@@ -934,21 +925,20 @@ impl Port {
             trace,
         };
         if inner.sync_oneways.load(Ordering::SeqCst) {
-            // Inline delivery: the attempt (and any redeliveries) resolve
-            // before this send returns, on the caller's thread and clock.
-            loop {
-                match self.net.deliver_oneway(job) {
-                    OnewayOutcome::Terminal => return,
-                    OnewayOutcome::Retry(next) => job = next,
+            return self.net.deliver_inline(job);
+        }
+        if let Some(tx) = inner.oneway_tx.lock().as_ref() {
+            inner.pending_oneways.accept();
+            match tx.send(job) {
+                Ok(()) => return,
+                Err(SendError(back)) => {
+                    inner.pending_oneways.resolve();
+                    job = back;
                 }
             }
         }
-        inner.pending_oneways.accept();
-        if let Some(tx) = inner.oneway_tx.lock().as_ref() {
-            let _ = tx.send(job);
-        } else {
-            inner.pending_oneways.resolve();
-        }
+        // No worker to hand the job to: deliver it here.
+        self.net.deliver_inline(job);
     }
 }
 
@@ -1265,6 +1255,30 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 2);
         assert_eq!(net.stats().injected_duplicates(), 1);
         assert_eq!(net.stats().oneways(), 2);
+    }
+
+    #[test]
+    fn without_a_delivery_worker_oneways_deliver_inline() {
+        // What a network whose worker thread could not be spawned does.
+        let net = Network::free();
+        drop(net.inner.oneway_tx.lock().take());
+        let hits = Arc::new(AtomicU64::new(0));
+        let seen = hits.clone();
+        net.bind_oneway(
+            "tcp://c/notify",
+            Arc::new(move |_| {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
+        net.port("h")
+            .send_oneway("tcp://c/notify", Envelope::new(Element::new("N")));
+        assert_eq!(
+            hits.load(Ordering::SeqCst),
+            1,
+            "delivered before the send returned"
+        );
+        assert_eq!(net.pending_oneways(), 0);
+        assert_eq!(net.stats().oneways(), 1);
     }
 
     #[test]

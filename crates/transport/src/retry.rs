@@ -74,11 +74,6 @@ impl RetryPolicy {
         self
     }
 
-    pub fn with_attempt_timeout(mut self, t: SimDuration) -> Self {
-        self.attempt_timeout = t;
-        self
-    }
-
     pub fn with_backoff(mut self, base: SimDuration, max: SimDuration) -> Self {
         self.base_backoff = base;
         self.max_backoff = max;

@@ -2,22 +2,32 @@
 //! demand-based brokered publishing generates "an order of magnitude" more
 //! messages than any other interaction.
 //!
-//! The counters live behind a single mutex rather than per-field atomics so
-//! [`NetStats::snapshot`] is a *consistent cut*: no snapshot can observe a
-//! request whose bytes have not landed yet, which the chaos and determinism
-//! tests compare snapshots across runs rely on.
+//! The counts live in the network's [`MetricsRegistry`], bumped where each
+//! fact happens; [`NetStats`] reads them. A message's count and its bytes
+//! land under one registry lock, so [`NetStats::snapshot`], read from one
+//! registry snapshot, is a *consistent cut* — which the chaos and
+//! determinism tests, comparing snapshots across runs, rely on.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Shared counters for everything that crosses the simulated wire.
-#[derive(Debug, Clone, Default)]
+use ogsa_telemetry::MetricsRegistry;
+use parking_lot::Mutex;
+
+/// The series [`NetStats::reset_connection_counters`] zeroes in the view.
+const CONNECTION_SERIES: [&str; 3] = ["net.connects", "net.tls_handshakes", "net.tls_resumptions"];
+
+/// A typed read view over the network's counters.
+#[derive(Debug, Clone)]
 pub struct NetStats {
-    inner: Arc<Mutex<NetStatsSnapshot>>,
+    metrics: MetricsRegistry,
+    /// [`CONNECTION_SERIES`] at the last reset, subtracted by the view so
+    /// the registry series stay monotonic.
+    reset_at: Arc<Mutex<[u64; 3]>>,
 }
 
-/// A plain-data copy of every counter, for equality assertions in
-/// determinism and chaos tests.
+/// A plain-data copy of every counter: the series `net.<field>`, except
+/// `retries` (`invoke.retries` plus `oneway.redeliveries`) and
+/// `dead_letters` (`oneway.dead_letters`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetStatsSnapshot {
     pub requests: u64,
@@ -48,161 +58,71 @@ impl NetStatsSnapshot {
     }
 }
 
+/// Accessors reading one field of [`NetStats::snapshot`].
+macro_rules! from_snapshot {
+    ($($field:ident),*) => {
+        $(pub fn $field(&self) -> u64 {
+            self.snapshot().$field
+        })*
+    };
+}
+
 impl NetStats {
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new(metrics: MetricsRegistry) -> Self {
+        let reset_at = Arc::default();
+        NetStats { metrics, reset_at }
     }
 
-    pub(crate) fn record_request(&self, bytes: usize) {
-        let mut s = self.inner.lock();
-        s.requests += 1;
-        s.bytes += bytes as u64;
-    }
-
-    pub(crate) fn record_response(&self, bytes: usize) {
-        let mut s = self.inner.lock();
-        s.responses += 1;
-        s.bytes += bytes as u64;
-    }
-
-    pub(crate) fn record_oneway(&self, bytes: usize) {
-        let mut s = self.inner.lock();
-        s.oneways += 1;
-        s.bytes += bytes as u64;
-    }
-
-    pub(crate) fn record_tls_handshake(&self) {
-        self.inner.lock().tls_handshakes += 1;
-    }
-
-    pub(crate) fn record_tls_resumption(&self) {
-        self.inner.lock().tls_resumptions += 1;
-    }
-
-    pub(crate) fn record_connect(&self) {
-        self.inner.lock().connects += 1;
-    }
-
-    pub fn requests(&self) -> u64 {
-        self.inner.lock().requests
-    }
-
-    pub fn responses(&self) -> u64 {
-        self.inner.lock().responses
-    }
-
-    pub fn oneways(&self) -> u64 {
-        self.inner.lock().oneways
+    from_snapshot! {
+        requests, responses, oneways, connects, tls_handshakes, tls_resumptions,
+        injected_drops, injected_duplicates, injected_garbles, partition_refusals,
+        timeouts, retries, dead_letters
     }
 
     /// Total SOAP messages on the wire (requests + responses + one-ways).
     pub fn messages(&self) -> u64 {
-        let s = self.inner.lock();
-        s.requests + s.responses + s.oneways
+        ["net.requests", "net.responses", "net.oneways"]
+            .iter()
+            .map(|series| self.metrics.counter(series, &[]))
+            .sum()
     }
 
     pub fn bytes(&self) -> u64 {
-        self.inner.lock().bytes
+        self.metrics.counter("net.bytes", &[])
     }
 
-    pub fn tls_handshakes(&self) -> u64 {
-        self.inner.lock().tls_handshakes
+    /// Zero `connects`, `tls_handshakes` and `tls_resumptions` as seen
+    /// through this view, leaving the message ledger and the registry
+    /// series intact: evicting the pooled connections / TLS sessions calls
+    /// this, so a cold-start ablation doesn't report stale warm-run counts.
+    pub(crate) fn reset_connection_counters(&self) {
+        *self.reset_at.lock() = CONNECTION_SERIES.map(|series| self.metrics.counter(series, &[]));
     }
 
-    pub fn tls_resumptions(&self) -> u64 {
-        self.inner.lock().tls_resumptions
-    }
-
-    pub fn connects(&self) -> u64 {
-        self.inner.lock().connects
-    }
-
-    pub(crate) fn record_injected_drop(&self) {
-        self.inner.lock().injected_drops += 1;
-    }
-
-    pub(crate) fn record_injected_delay(&self) {
-        self.inner.lock().injected_delays += 1;
-    }
-
-    pub(crate) fn record_injected_duplicate(&self) {
-        self.inner.lock().injected_duplicates += 1;
-    }
-
-    pub(crate) fn record_injected_garble(&self) {
-        self.inner.lock().injected_garbles += 1;
-    }
-
-    pub(crate) fn record_partition_refusal(&self) {
-        self.inner.lock().partition_refusals += 1;
-    }
-
-    pub(crate) fn record_timeout(&self) {
-        self.inner.lock().timeouts += 1;
-    }
-
-    /// Public: the retry layer lives above the transport (`ClientAgent`),
-    /// but its attempts belong in the same wire-level ledger.
-    pub fn record_retry(&self) {
-        self.inner.lock().retries += 1;
-    }
-
-    pub(crate) fn record_dead_letter(&self) {
-        self.inner.lock().dead_letters += 1;
-    }
-
-    pub fn injected_drops(&self) -> u64 {
-        self.inner.lock().injected_drops
-    }
-
-    pub fn injected_delays(&self) -> u64 {
-        self.inner.lock().injected_delays
-    }
-
-    pub fn injected_duplicates(&self) -> u64 {
-        self.inner.lock().injected_duplicates
-    }
-
-    pub fn injected_garbles(&self) -> u64 {
-        self.inner.lock().injected_garbles
-    }
-
-    pub fn partition_refusals(&self) -> u64 {
-        self.inner.lock().partition_refusals
-    }
-
-    pub fn timeouts(&self) -> u64 {
-        self.inner.lock().timeouts
-    }
-
-    pub fn retries(&self) -> u64 {
-        self.inner.lock().retries
-    }
-
-    pub fn dead_letters(&self) -> u64 {
-        self.inner.lock().dead_letters
-    }
-
-    /// Total injected faults of every kind.
-    pub fn faults_injected(&self) -> u64 {
-        self.snapshot().faults_injected()
-    }
-
-    /// Zero the connection-lifecycle counters (`connects`,
-    /// `tls_handshakes`, `tls_resumptions`) while leaving the message
-    /// ledger intact. Called when the pooled connections / TLS sessions
-    /// are evicted so a cold-start ablation doesn't report stale warm-run
-    /// counts.
-    pub fn reset_connection_counters(&self) {
-        let mut s = self.inner.lock();
-        s.connects = 0;
-        s.tls_handshakes = 0;
-        s.tls_resumptions = 0;
-    }
-
-    /// An atomically-consistent plain-data copy of every counter.
+    /// A consistent plain-data copy of every counter.
     pub fn snapshot(&self) -> NetStatsSnapshot {
-        *self.inner.lock()
+        let reset_at = *self.reset_at.lock();
+        let snap = self.metrics.snapshot();
+        let net = |field: &str| snap.counter(&format!("net.{field}"));
+        let since_reset = |i: usize| snap.counter(CONNECTION_SERIES[i]) - reset_at[i];
+        NetStatsSnapshot {
+            requests: net("requests"),
+            responses: net("responses"),
+            oneways: net("oneways"),
+            bytes: net("bytes"),
+            connects: since_reset(0),
+            tls_handshakes: since_reset(1),
+            tls_resumptions: since_reset(2),
+            injected_drops: net("injected_drops"),
+            injected_delays: net("injected_delays"),
+            injected_duplicates: net("injected_duplicates"),
+            injected_garbles: net("injected_garbles"),
+            partition_refusals: net("partition_refusals"),
+            timeouts: net("timeouts"),
+            retries: snap.counter_total("invoke.retries")
+                + snap.counter_total("oneway.redeliveries"),
+            dead_letters: snap.counter_total("oneway.dead_letters"),
+        }
     }
 }
 
@@ -210,91 +130,71 @@ impl NetStats {
 mod tests {
     use super::*;
 
+    fn message(m: &MetricsRegistry, kind: &str, bytes: u64) {
+        m.add_all(&[], &[(kind, 1), ("net.bytes", bytes)]);
+    }
+
     #[test]
     fn messages_is_the_sum() {
-        let s = NetStats::new();
-        s.record_request(10);
-        s.record_response(20);
-        s.record_oneway(5);
-        s.record_oneway(5);
+        let m = MetricsRegistry::new();
+        let s = NetStats::new(m.clone());
+        message(&m, "net.requests", 10);
+        message(&m, "net.responses", 20);
+        message(&m, "net.oneways", 5);
+        message(&m, "net.oneways", 5);
         assert_eq!(s.messages(), 4);
         assert_eq!(s.bytes(), 40);
     }
 
     #[test]
-    fn clones_share() {
-        let s = NetStats::new();
-        s.clone().record_tls_handshake();
-        s.clone().record_tls_resumption();
-        s.clone().record_connect();
-        assert_eq!(s.tls_handshakes(), 1);
-        assert_eq!(s.tls_resumptions(), 1);
-        assert_eq!(s.connects(), 1);
-    }
-
-    #[test]
-    fn fault_counters_roll_up() {
-        let s = NetStats::new();
-        s.record_injected_drop();
-        s.record_injected_delay();
-        s.record_injected_duplicate();
-        s.record_injected_garble();
-        s.record_partition_refusal();
-        s.record_timeout();
-        s.record_retry();
-        s.record_retry();
-        s.record_dead_letter();
+    fn retries_and_dead_letters_read_the_series_that_name_them() {
+        let m = MetricsRegistry::new();
+        let s = NetStats::new(m.clone());
+        m.inc("invoke.retries", &[("action", "Get")]);
+        m.inc("oneway.redeliveries", &[("reason", "drop")]);
+        m.inc("oneway.dead_letters", &[("reason", "partition")]);
+        m.inc("net.partition_refusals", &[]);
+        m.inc("net.injected_delays", &[]);
         let snap = s.snapshot();
-        assert_eq!(snap.faults_injected(), 5);
-        assert_eq!(snap.timeouts, 1);
         assert_eq!(snap.retries, 2);
-        assert_eq!(snap.dead_letters, 1);
+        assert_eq!(s.retries(), 2);
+        assert_eq!(s.dead_letters(), 1);
+        assert_eq!(snap.faults_injected(), 2);
     }
 
     #[test]
-    fn reset_connection_counters_leaves_message_ledger() {
-        let s = NetStats::new();
-        s.record_request(10);
-        s.record_response(20);
-        s.record_connect();
-        s.record_tls_handshake();
-        s.record_tls_resumption();
-        s.record_retry();
+    fn reset_connection_counters_leaves_message_ledger_and_series() {
+        let m = MetricsRegistry::new();
+        let s = NetStats::new(m.clone());
+        message(&m, "net.requests", 10);
+        for name in CONNECTION_SERIES {
+            m.inc(name, &[]);
+        }
         s.reset_connection_counters();
         let snap = s.snapshot();
-        assert_eq!(snap.connects, 0);
-        assert_eq!(snap.tls_handshakes, 0);
-        assert_eq!(snap.tls_resumptions, 0);
-        assert_eq!(snap.requests, 1);
-        assert_eq!(snap.responses, 1);
-        assert_eq!(snap.bytes, 30);
-        assert_eq!(snap.retries, 1);
-    }
-
-    #[test]
-    fn snapshots_compare_by_value() {
-        let a = NetStats::new();
-        let b = NetStats::new();
-        a.record_request(10);
-        b.record_request(10);
-        assert_eq!(a.snapshot(), b.snapshot());
-        b.record_retry();
-        assert_ne!(a.snapshot(), b.snapshot());
+        assert_eq!(
+            (snap.connects, snap.tls_handshakes, snap.tls_resumptions),
+            (0, 0, 0)
+        );
+        assert_eq!((snap.requests, snap.bytes), (1, 10));
+        // The registry series stay monotonic, as Prometheus counters must.
+        assert_eq!(m.counter("net.connects", &[]), 1);
+        m.inc("net.connects", &[]);
+        assert_eq!(s.connects(), 1);
+        assert_eq!(s.clone().snapshot().connects, 1, "clones share the reset");
     }
 
     #[test]
     fn snapshot_is_a_consistent_cut() {
         // A request's count and bytes land together: concurrent snapshots
         // never see requests advanced without the matching bytes.
-        let s = NetStats::new();
-        let writer = {
-            let s = s.clone();
-            std::thread::spawn(move || {
-                for _ in 0..1_000 {
-                    s.record_request(7);
-                }
-            })
-        };
+        let m = MetricsRegistry::new();
+        let s = NetStats::new(m.clone());
+        let writer = std::thread::spawn(move || {
+            for _ in 0..1_000 {
+                message(&m, "net.requests", 7);
+            }
+        });
         for _ in 0..200 {
             let snap = s.snapshot();
             assert_eq!(snap.bytes, snap.requests * 7);

@@ -200,7 +200,7 @@ impl SubscriptionManagerService {
             container.telemetry().clone(),
             "wsn",
         ));
-        index.stats().register_gauges(container.telemetry(), "wsn");
+        index.stats().register_gauges();
         let evict_hooks: Arc<Mutex<Vec<EvictHook>>> = Arc::new(Mutex::new(Vec::new()));
         let (epr, base) = WsrfServiceHost::deploy(
             container,

@@ -87,7 +87,6 @@ impl NotificationProducer {
             agent.network().clone(),
             agent.port().host().to_owned(),
             store.index().stats().clone(),
-            "wsn",
             sink,
         );
         // Destroyed/expired subscribers lose their parked batches and their

@@ -220,10 +220,12 @@ fn a_stored_selector_that_does_not_compile_matches_nothing_after_restart() {
     rig.subscribe(0, Some("/M[@k='1']"), None);
     rig.subscribe(0, None, None);
 
+    // The stack's counter also holds what the first manager compiled.
+    let compiled = rig.producer.store().index().stats().filter_compilations();
     let (_m, restarted) = SubscriptionManagerService::deploy(&rig.container, MANAGER);
     let stats = restarted.index().stats().clone();
     assert_eq!(
-        stats.filter_compilations(),
+        stats.filter_compilations() - compiled,
         2,
         "attempted once each, at re-index"
     );
@@ -239,7 +241,11 @@ fn a_stored_selector_that_does_not_compile_matches_nothing_after_restart() {
     assert_eq!(ids(&message(1)), ["sub-1", "sub-2"]);
     assert_eq!(ids(&message(0)), ["sub-2"]);
     assert!(sweep_disagreement(&restarted).is_none());
-    assert_eq!(stats.filter_compilations(), 2, "none on the notify path");
+    assert_eq!(
+        stats.filter_compilations() - compiled,
+        2,
+        "none on the notify path"
+    );
 
     // Fresh ids stay clear of the re-indexed ones.
     let producer = NotificationProducer::new(restarted, rig.container.service_agent());

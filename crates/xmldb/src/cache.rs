@@ -103,7 +103,7 @@ impl ResourceCache {
             .span(SpanKind::Db, "db:cache_hit");
         s.set_attr("collection", self.collection.name());
         self.collection.clock().advance(self.hit_cost);
-        self.collection.stats().bump_cache_hits();
+        self.collection.count("db.cache_hits");
     }
 
     /// Read through the cache.
@@ -113,7 +113,7 @@ impl ResourceCache {
                 self.note_hit();
                 return Some(entry.doc.clone());
             }
-            self.collection.stats().bump_cache_misses();
+            self.collection.count("db.cache_misses");
         }
         let doc = self.collection.get(key)?;
         if self.enabled {
@@ -134,7 +134,7 @@ impl ResourceCache {
                 self.note_hit();
                 return Some(entry.wire());
             }
-            self.collection.stats().bump_cache_misses();
+            self.collection.count("db.cache_misses");
             let (doc, wire) = self.collection.get_stored(key)?;
             self.cache
                 .lock()

@@ -48,6 +48,9 @@ pub type InvalidationHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// A database: a set of named collections sharing a clock, cost model and
 /// stats. Cloning shares the underlying store.
+///
+/// A database belongs to a host, whose name labels its `db.*{host}` series
+/// in the telemetry's registry — an identity, like a collection's name.
 #[derive(Debug, Clone)]
 pub struct Database {
     inner: Arc<DbInner>,
@@ -66,24 +69,24 @@ struct DbInner {
 
 impl Database {
     /// A database with the given clock/model and default backend for new
-    /// collections. Not traced — see [`Database::with_telemetry`].
+    /// collections, on host `local`. Not traced — see
+    /// [`Database::with_config`].
     pub fn new(clock: VirtualClock, model: Arc<CostModel>, default_backend: BackendKind) -> Self {
-        Database::with_telemetry(clock, model, default_backend, Telemetry::disabled())
+        Database::with_config(
+            "local",
+            clock,
+            model,
+            default_backend,
+            Telemetry::disabled(),
+            DbConfig::default(),
+        )
     }
 
-    /// A database whose operations open `db` spans in `tel` (which should
-    /// share `clock`, so span durations line up with charged costs).
-    pub fn with_telemetry(
-        clock: VirtualClock,
-        model: Arc<CostModel>,
-        default_backend: BackendKind,
-        tel: Telemetry,
-    ) -> Self {
-        Database::with_config(clock, model, default_backend, tel, DbConfig::default())
-    }
-
-    /// Full-control constructor: telemetry plus structural configuration.
+    /// Full-control constructor: the database of `host`, opening `db` spans
+    /// and counting into `tel` (which should share `clock`, so span
+    /// durations line up with charged costs), with structural configuration.
     pub fn with_config(
+        host: &str,
         clock: VirtualClock,
         model: Arc<CostModel>,
         default_backend: BackendKind,
@@ -100,7 +103,7 @@ impl Database {
                 model,
                 default_backend,
                 config,
-                stats: DbStats::new(),
+                stats: DbStats::new(tel.metrics().clone(), host),
                 tel,
             }),
         }
@@ -172,16 +175,6 @@ impl Database {
     /// Shared operation counters.
     pub fn stats(&self) -> &DbStats {
         &self.inner.stats
-    }
-
-    /// Zero every operation counter, the cache hit/miss ledger, the
-    /// contention count, and the per-shard busy accounting — parity with
-    /// `NetStats::reset_connection_counters`. The harnesses call this when
-    /// they swap a backend or start a fresh measured phase over a warmed
-    /// store, so a cold-start figure doesn't report warm-run counts.
-    /// Documents are untouched; only the accounting resets.
-    pub fn reset_stats(&self) {
-        self.inner.stats.reset();
     }
 
     /// The structural configuration collections are created with.
@@ -306,10 +299,15 @@ impl Collection {
     }
 
     fn note_contention(&self) {
-        self.stats.bump_lock_contentions();
+        let labels = [("collection", &*self.name), ("host", self.stats.host())];
+        self.tel.metrics().inc("db.shard_contention", &labels);
+    }
+
+    /// One more on this database's `series{host}` counter.
+    pub(crate) fn count(&self, series: &str) {
         self.tel
             .metrics()
-            .inc("db.shard_contention", &[("collection", &self.name)]);
+            .inc(series, &[("host", self.stats.host())]);
     }
 
     /// Insert a new document; fails on duplicate key.
@@ -317,7 +315,7 @@ impl Collection {
         let _s = self.op_span("db:insert");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.insert);
-        self.stats.bump_inserts();
+        self.count("db.inserts");
         let mut docs = self.write_shard(shard);
         if docs.contains_key(key) {
             return Err(DbError::DuplicateKey {
@@ -365,7 +363,7 @@ impl Collection {
                 };
                 first = false;
                 self.charge(shard, cost);
-                self.stats.bump_inserts();
+                self.count("db.inserts");
             }
         }
         // Lock the touched shards in ascending order (deadlock-free against
@@ -406,7 +404,7 @@ impl Collection {
         let _s = self.op_span("db:read");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.read);
-        self.stats.bump_reads();
+        self.count("db.reads");
         self.read_shard(shard).get(key).map(|s| s.doc.clone())
     }
 
@@ -419,7 +417,7 @@ impl Collection {
         let _s = self.op_span("db:read");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.read);
-        self.stats.bump_reads();
+        self.count("db.reads");
         self.read_shard(shard).get(key).map(Stored::wire)
     }
 
@@ -428,7 +426,7 @@ impl Collection {
         let _s = self.op_span("db:update");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.update);
-        self.stats.bump_updates();
+        self.count("db.updates");
         {
             let mut docs = self.write_shard(shard);
             match docs.get_mut(key) {
@@ -457,10 +455,10 @@ impl Collection {
         let _s = self.op_span(if existed { "db:update" } else { "db:insert" });
         if existed {
             self.charge(shard, self.profile.update);
-            self.stats.bump_updates();
+            self.count("db.updates");
         } else {
             self.charge(shard, self.profile.insert);
-            self.stats.bump_inserts();
+            self.count("db.inserts");
         }
         self.backend.on_write(&self.name, key, Some(&doc));
         docs.insert(key.to_owned(), Stored::new(doc));
@@ -475,7 +473,7 @@ impl Collection {
         let _s = self.op_span("db:delete");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.delete);
-        self.stats.bump_deletes();
+        self.count("db.deletes");
         let removed = self.write_shard(shard).remove(key).map(|s| s.doc);
         if removed.is_some() {
             self.backend.on_write(&self.name, key, None);
@@ -489,7 +487,7 @@ impl Collection {
         let _s = self.op_span("db:read");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.read);
-        self.stats.bump_reads();
+        self.count("db.reads");
         self.read_shard(shard).contains_key(key)
     }
 
@@ -572,7 +570,7 @@ impl Collection {
         let _s = self.op_span("db:read");
         let shard = self.shard_of(key);
         self.charge(shard, self.profile.read);
-        self.stats.bump_reads();
+        self.count("db.reads");
         self.read_shard(shard)
             .get(key)
             .map(|s| (s.doc.clone(), s.wire()))
@@ -584,7 +582,7 @@ impl Collection {
         let _s = self.op_span("db:query");
         let total = self.profile.query_fixed + self.profile.query_per_doc * ndocs as u64;
         self.clock.advance(total);
-        self.stats.bump_queries();
+        self.count("db.queries");
         let shards = self.shards.len() as u64;
         let share = total.as_micros() / shards;
         let remainder = total.as_micros() % shards;
@@ -592,10 +590,6 @@ impl Collection {
             let extra = u64::from((s as u64) < remainder);
             self.stats.add_shard_busy(s, share + extra);
         }
-    }
-
-    pub(crate) fn stats(&self) -> &DbStats {
-        &self.stats
     }
 
     pub(crate) fn telemetry(&self) -> &Telemetry {
@@ -721,6 +715,7 @@ mod tests {
     fn costs_do_not_depend_on_shard_count() {
         let cost_with_shards = |shards: usize| {
             let db = Database::with_config(
+                "local",
                 VirtualClock::new(),
                 Arc::new(CostModel::calibrated_2005()),
                 BackendKind::SimDisk,
@@ -763,6 +758,7 @@ mod tests {
     fn shard_count_is_clamped() {
         let mk = |shards| {
             Database::with_config(
+                "local",
                 VirtualClock::new(),
                 Arc::new(CostModel::free()),
                 BackendKind::Memory,
@@ -836,37 +832,23 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes_counters_and_survives_a_backend_swap() {
-        // Regression (PR-7): the stats object is shared by every collection
+    fn collections_on_any_backend_count_into_one_ledger() {
+        // Regression (PR-7): the stats are shared by every collection
         // regardless of backend, so swapping a collection's backend must
-        // neither lose nor duplicate counters, and a reset must reach the
-        // collections built before it.
+        // neither lose nor duplicate counters.
         let db = xindice();
         let disk = db.collection_with_backend("disk", BackendKind::SimDisk);
         disk.insert("a", doc(1)).unwrap();
-        disk.get("a");
-        assert_eq!(db.stats().inserts(), 1);
-        assert!(db.stats().total_busy_us() > 0);
-
-        db.reset_stats();
-        assert!(db.stats().snapshot().iter().all(|(_, v)| *v == 0));
-        assert_eq!(db.stats().total_busy_us(), 0);
-
-        // A collection on a different backend accumulates into the same,
-        // freshly zeroed counters — and so does the pre-reset collection.
         let mem = db.collection_with_backend("mem", BackendKind::Memory);
         mem.insert("b", doc(2)).unwrap();
         disk.get("a");
-        assert_eq!(db.stats().inserts(), 1);
+        assert_eq!(db.stats().inserts(), 2);
         assert_eq!(db.stats().reads(), 1);
+        let model = CostModel::calibrated_2005();
         assert_eq!(
             db.stats().total_busy_us(),
-            CostModel::calibrated_2005().db_insert_us / 16
-                + CostModel::calibrated_2005().db_read_us,
-            "busy accounting restarts cleanly from zero"
+            model.db_insert_us + model.db_insert_us / 16 + model.db_read_us
         );
-        // The documents themselves survive the reset untouched.
-        assert!(disk.get_uncharged("a").is_some());
     }
 
     #[test]

@@ -2,86 +2,93 @@
 //! is faster (e.g. counting the extra read WS-Transfer's Put performs), and
 //! per-shard accounting used by the throughput harness to model how far the
 //! store can be parallelised.
+//!
+//! The counters are the series `db.<op>{host}` in the database's metrics
+//! registry, bumped by the collection where each operation happens;
+//! [`DbStats`] reads them. The per-shard busy time is the one state of its
+//! own: the virtual makespan model's input.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use ogsa_telemetry::{series_key, MetricsRegistry, MetricsSnapshot};
 
 /// Upper bound on the shard count of any collection; the per-shard busy
 /// accounting below is statically sized to it.
 pub const MAX_SHARDS: usize = 64;
 
-/// Shared, lock-free operation counters for a database.
-#[derive(Debug, Clone, Default)]
+/// A typed read view over one database's counters, plus its shard busy time.
+#[derive(Debug, Clone)]
 pub struct DbStats {
-    inner: Arc<Counters>,
-}
-
-#[derive(Debug)]
-struct Counters {
-    reads: AtomicU64,
-    inserts: AtomicU64,
-    updates: AtomicU64,
-    deletes: AtomicU64,
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    /// Times a shard lock was found held and the caller had to wait.
-    lock_contentions: AtomicU64,
+    metrics: MetricsRegistry,
+    host: Arc<str>,
     /// Virtual microseconds of database work attributed to each shard.
     /// Independent shards could serve this work in parallel, so
     /// `max(shard_busy)` lower-bounds the store's contribution to makespan.
-    shard_busy_us: [AtomicU64; MAX_SHARDS],
+    shard_busy_us: Arc<[AtomicU64; MAX_SHARDS]>,
 }
 
-impl Default for Counters {
-    fn default() -> Self {
-        Counters {
-            reads: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            lock_contentions: AtomicU64::new(0),
-            shard_busy_us: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+/// Times a shard lock of `host`'s database was found held: the sum of its
+/// `db.shard_contention{collection,host}` series in `snap`.
+fn lock_contentions_in(snap: &MetricsSnapshot, host: &str) -> u64 {
+    let suffix = format!(",host={host}}}");
+    snap.counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("db.shard_contention{") && k.ends_with(&suffix))
+        .map(|(_, v)| v)
+        .sum()
 }
 
-macro_rules! counter {
-    ($bump:ident, $get:ident, $field:ident) => {
-        pub fn $bump(&self) {
-            self.inner.$field.fetch_add(1, Ordering::Relaxed);
-        }
-        pub fn $get(&self) -> u64 {
-            self.inner.$field.load(Ordering::Relaxed)
+/// The operation counters: the series `db.<op>{host}`, listed in `OPS`,
+/// and an accessor reading each.
+macro_rules! ops {
+    ($($op:ident),*) => {
+        const OPS: &[&str] = &[$(concat!("db.", stringify!($op))),*];
+
+        impl DbStats {
+            $(pub fn $op(&self) -> u64 {
+                let series = concat!("db.", stringify!($op));
+                self.metrics.counter(series, &[("host", &self.host)])
+            })*
         }
     };
 }
 
+ops! { reads, inserts, updates, deletes, queries, cache_hits, cache_misses }
+
 impl DbStats {
-    pub fn new() -> Self {
-        Self::default()
+    /// A view over `host`'s series in `metrics`, registering each at zero so
+    /// a scrape shows them before the first operation.
+    pub(crate) fn new(metrics: MetricsRegistry, host: &str) -> Self {
+        let zeros: Vec<_> = OPS.iter().map(|&series| (series, 0)).collect();
+        metrics.add_all(&[("host", host)], &zeros);
+        let shard_busy_us = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+        let host = host.into();
+        DbStats {
+            metrics,
+            host,
+            shard_busy_us,
+        }
     }
 
-    counter!(bump_reads, reads, reads);
-    counter!(bump_inserts, inserts, inserts);
-    counter!(bump_updates, updates, updates);
-    counter!(bump_deletes, deletes, deletes);
-    counter!(bump_queries, queries, queries);
-    counter!(bump_cache_hits, cache_hits, cache_hits);
-    counter!(bump_cache_misses, cache_misses, cache_misses);
-    counter!(bump_lock_contentions, lock_contentions, lock_contentions);
+    /// The host label of this database's series.
+    pub(crate) fn host(&self) -> &str {
+        &self.host
+    }
+
+    /// Times a shard lock was found held and the caller had to wait.
+    pub fn lock_contentions(&self) -> u64 {
+        lock_contentions_in(&self.metrics.snapshot(), &self.host)
+    }
 
     /// Attribute `us` virtual microseconds of store work to `shard`.
-    pub fn add_shard_busy(&self, shard: usize, us: u64) {
-        self.inner.shard_busy_us[shard % MAX_SHARDS].fetch_add(us, Ordering::Relaxed);
+    pub(crate) fn add_shard_busy(&self, shard: usize, us: u64) {
+        self.shard_busy_us[shard % MAX_SHARDS].fetch_add(us, Ordering::Relaxed);
     }
 
     /// Busy time attributed to one shard so far.
     pub fn shard_busy_us(&self, shard: usize) -> u64 {
-        self.inner.shard_busy_us[shard % MAX_SHARDS].load(Ordering::Relaxed)
+        self.shard_busy_us[shard % MAX_SHARDS].load(Ordering::Relaxed)
     }
 
     /// Busy time per shard for the first `shards` shards.
@@ -93,43 +100,33 @@ impl DbStats {
 
     /// Total store busy time across all shards.
     pub fn total_busy_us(&self) -> u64 {
-        self.inner
-            .shard_busy_us
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
+        self.shard_busy_snapshot(MAX_SHARDS).into_iter().sum()
     }
 
-    /// Zero every counter, including the per-shard busy accounting. The
-    /// clones-share-state property means one reset is visible to every
-    /// holder — collections created before the reset keep accumulating
-    /// into the freshly zeroed counters.
-    pub fn reset(&self) {
-        self.inner.reads.store(0, Ordering::Relaxed);
-        self.inner.inserts.store(0, Ordering::Relaxed);
-        self.inner.updates.store(0, Ordering::Relaxed);
-        self.inner.deletes.store(0, Ordering::Relaxed);
-        self.inner.queries.store(0, Ordering::Relaxed);
-        self.inner.cache_hits.store(0, Ordering::Relaxed);
-        self.inner.cache_misses.store(0, Ordering::Relaxed);
-        self.inner.lock_contentions.store(0, Ordering::Relaxed);
-        for b in &self.inner.shard_busy_us {
-            b.store(0, Ordering::Relaxed);
-        }
+    /// Publish on every `gather()` of the registry the gauges
+    /// `db.shard_busy_us{host,shard}` of the first `shards` shards and
+    /// `db.lock_contentions{host}`, the sum of the contention series.
+    pub fn register_gauges(&self, shards: usize) {
+        let (busy, host) = (self.shard_busy_us.clone(), self.host.clone());
+        self.metrics.register_collector(move |snap| {
+            let contentions = lock_contentions_in(snap, &host);
+            let key = series_key("db.lock_contentions", &[("host", &host)]);
+            snap.counters.insert(key, contentions);
+            for (shard, busy) in busy[..shards.min(MAX_SHARDS)].iter().enumerate() {
+                let labels = [("host", &*host), ("shard", &shard.to_string())];
+                snap.set_gauge("db.shard_busy_us", &labels, busy.load(Ordering::Relaxed));
+            }
+        });
     }
 
-    /// Snapshot all scalar counters as (name, value) pairs.
+    /// Every counter as (name, value) pairs, read in one cut.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("reads", self.reads()),
-            ("inserts", self.inserts()),
-            ("updates", self.updates()),
-            ("deletes", self.deletes()),
-            ("queries", self.queries()),
-            ("cache_hits", self.cache_hits()),
-            ("cache_misses", self.cache_misses()),
-            ("lock_contentions", self.lock_contentions()),
-        ]
+        let snap = self.metrics.snapshot();
+        let host = [("host", &*self.host)];
+        let count = |series: &'static str| (&series[3..], snap.counter(&series_key(series, &host)));
+        let mut pairs: Vec<_> = OPS.iter().copied().map(count).collect();
+        pairs.push(("lock_contentions", lock_contentions_in(&snap, &self.host)));
+        pairs
     }
 }
 
@@ -138,37 +135,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let s = DbStats::new();
-        s.bump_reads();
-        s.bump_reads();
-        s.bump_inserts();
-        assert_eq!(s.reads(), 2);
-        assert_eq!(s.inserts(), 1);
-        assert_eq!(s.updates(), 0);
-    }
-
-    #[test]
-    fn clones_share_counters() {
-        let s = DbStats::new();
-        let t = s.clone();
-        t.bump_queries();
-        assert_eq!(s.queries(), 1);
+    fn counters_read_the_host_series() {
+        let m = MetricsRegistry::new();
+        let s = DbStats::new(m.clone(), "a");
+        m.inc("db.reads", &[("host", "a")]);
+        m.inc("db.reads", &[("host", "b")]);
+        assert_eq!(s.reads(), 1);
+        assert_eq!(s.clone().reads(), 1, "clones read the same series");
+        assert_eq!(m.counter("db.updates", &[("host", "a")]), 0);
+        assert!(m.snapshot().counters.contains_key("db.updates{host=a}"));
     }
 
     #[test]
     fn snapshot_covers_everything() {
-        let s = DbStats::new();
-        s.bump_cache_hits();
+        let m = MetricsRegistry::new();
+        let s = DbStats::new(m.clone(), "a");
+        m.inc("db.cache_hits", &[("host", "a")]);
+        for host in ["a", "a", "b"] {
+            m.inc(
+                "db.shard_contention",
+                &[("collection", "c"), ("host", host)],
+            );
+        }
         let snap = s.snapshot();
         assert_eq!(snap.len(), 8);
         assert!(snap.contains(&("cache_hits", 1)));
-        assert!(snap.contains(&("lock_contentions", 0)));
+        assert!(snap.contains(&("lock_contentions", 2)));
+        assert_eq!(s.lock_contentions(), 2);
     }
 
     #[test]
     fn shard_busy_accumulates_per_shard() {
-        let s = DbStats::new();
+        let s = DbStats::new(MetricsRegistry::new(), "a");
         s.add_shard_busy(0, 100);
         s.add_shard_busy(3, 40);
         s.add_shard_busy(3, 2);
@@ -179,24 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_every_counter_for_every_holder() {
-        let s = DbStats::new();
-        let clone = s.clone();
-        s.bump_reads();
-        s.bump_cache_hits();
-        s.bump_lock_contentions();
-        s.add_shard_busy(2, 99);
-        clone.reset();
-        assert!(s.snapshot().iter().all(|(_, v)| *v == 0));
-        assert_eq!(s.total_busy_us(), 0);
-        // The shared counters keep working after the reset.
-        s.bump_reads();
-        assert_eq!(clone.reads(), 1);
-    }
-
-    #[test]
     fn shard_index_wraps_at_max() {
-        let s = DbStats::new();
+        let s = DbStats::new(MetricsRegistry::new(), "a");
         s.add_shard_busy(MAX_SHARDS + 1, 7);
         assert_eq!(s.shard_busy_us(1), 7);
     }

@@ -14,6 +14,7 @@ use ogsa_xmldb::{BackendKind, CostProfile, CustomBackend, Database, DbConfig};
 
 fn sharded(shards: usize, backend: BackendKind) -> Database {
     Database::with_config(
+        "local",
         VirtualClock::new(),
         Arc::new(CostModel::free()),
         backend,
@@ -188,6 +189,7 @@ fn stats_stay_consistent_under_barrier_interleaving() {
     // model total busy is zero; re-run one charged op under a real model to
     // check attribution plumbing end-to-end.
     let charged = Database::with_config(
+        "local",
         VirtualClock::new(),
         Arc::new(CostModel::calibrated_2005()),
         BackendKind::SimDisk,

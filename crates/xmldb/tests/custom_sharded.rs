@@ -50,6 +50,7 @@ impl CustomBackend for Recorder {
 fn sharded_db(shards: usize, backend: BackendKind, model: CostModel) -> (Database, VirtualClock) {
     let clock = VirtualClock::new();
     let db = Database::with_config(
+        "local",
         clock.clone(),
         Arc::new(model),
         backend,
@@ -186,6 +187,7 @@ fn durable_backend_composes_with_sharding() {
     }));
     let make_db = |b: Arc<DurableBackend>| {
         Database::with_config(
+            "local",
             VirtualClock::new(),
             Arc::new(CostModel::free()),
             BackendKind::Custom(b),
