@@ -41,7 +41,7 @@ fn sustains_every_connection_without_errors_or_panics() {
 }
 
 /// The observability plane under load. The slow threshold is the p99 one
-/// client sees against a stripped server — the server times its own
+/// client sees against a default server — the server times its own
 /// service, not the queueing more clients would add — and the slow ring is
 /// large enough never to evict, so:
 /// every round's mid-run `/metrics` scrape parses with consistent
@@ -54,15 +54,9 @@ fn observed_server_scrapes_consistently_and_every_exemplar_resolves() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let fixture = SignedGet::deploy();
     let window = Duration::from_millis(800);
-    let stripped = Server::bind(
-        fixture.tb.network(),
-        ServeConfig {
-            observe: ObsConfig::disabled(),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind stripped server");
-    let calibration = run_load(&fixture.load(stripped.addr(), 1, window, WARMUP));
+    let calibrating =
+        Server::bind(fixture.tb.network(), ServeConfig::default()).expect("bind server");
+    let calibration = run_load(&fixture.load(calibrating.addr(), 1, window, WARMUP));
     assert_eq!(calibration.errors, 0, "{calibration:?}");
     let slow_threshold_us = calibration.p99_us.max(1);
 
@@ -78,11 +72,11 @@ fn observed_server_scrapes_consistently_and_every_exemplar_resolves() {
         },
     )
     .expect("bind observed server");
-    let plane = observed.plane().expect("plane");
+    let plane = observed.plane();
     let mut exemplars = Vec::new();
     for _ in 0..3 {
         let report = run_load(&LoadConfig {
-            scrape_admin: observed.admin_addr(),
+            scrape_admin: Some(observed.admin_addr()),
             ..fixture.load(observed.addr(), 16, window, WARMUP)
         });
         assert_eq!(report.errors, 0, "{report:?}");

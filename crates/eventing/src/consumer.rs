@@ -1,10 +1,10 @@
 //! The client-side event consumer: the WSE `SoapReceiver` analogue,
 //! listening on raw TCP.
 
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
 use ogsa_addressing::EndpointReference;
 use ogsa_container::ClientAgent;
 use ogsa_xml::Element;
@@ -19,7 +19,7 @@ impl EventConsumer {
     /// Start listening on `path` over raw TCP ("Plumbwork Orange uses a WSE
     /// SoapReceiver to handle notifications via TCP", §4.1.3).
     pub fn listen(agent: &ClientAgent, path: &str) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let epr = agent.listen_oneway(
             "tcp",
             path,

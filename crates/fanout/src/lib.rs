@@ -9,7 +9,7 @@
 //! per-message costs:
 //!
 //! * [`table::ShardedTable`] — subscription tables sharded by topic-root
-//!   key via the shared FNV-1a router, per-shard `RwLock`s with contention
+//!   key on the shared `ogsa_sim::shard::Shards`, per-shard `RwLock`s with contention
 //!   telemetry (`wsn.shard_contention`) and per-shard busy attribution so
 //!   the PR-3 makespan model (`rps = work / max-shard-busy`) applies to
 //!   fan-out exactly as it does to the database.

@@ -1,11 +1,13 @@
 //! The sharded subscription table.
 //!
 //! Subscriptions are routed to shards by the FNV-1a hash of their
-//! expression's literal root segment (`ogsa_sim::rng::hash_str`, the same
-//! router the xmldb collections use), so concurrent Subscribe/Unsubscribe/Notify on
-//! different topic roots take different locks. Expressions whose head is a
-//! wildcard (`*`, `//`, or a match-everything filter) cannot be routed and
-//! live in a dedicated *wildcard shard* that every resolve also consults.
+//! expression's literal root segment (`ogsa_sim::shard::Shards`, the same
+//! sharded-lock table the xmldb collections use), so concurrent
+//! Subscribe/Unsubscribe/Notify on different topic roots take different
+//! locks. Expressions whose head is a wildcard (`*`, `//`, or a
+//! match-everything filter) cannot be routed and live in a dedicated
+//! *wildcard shard*, the table's one unrouted shard, that every resolve
+//! also consults.
 //!
 //! Entries are `Arc<T>`: a resolve, [`ShardedTable::all`] and the deliverer's
 //! per-subscriber slots hand out the `Arc`, so no subscription (EPR, topic
@@ -27,11 +29,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
-use ogsa_sim::rng::hash_str;
+use ogsa_sim::shard::Shards;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_telemetry::{MetricsRegistry, Telemetry};
 use ogsa_xml::{Element, XmlResult};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::filter::{ContentFilter, FilterGroups};
 use crate::trie::{CompiledTopic, TopicTrie};
@@ -165,6 +167,13 @@ impl FanoutStats {
         self.metrics.counter(name, &[("stack", self.stack)])
     }
 
+    /// One more contended acquire of `shard`'s lock.
+    fn note_contention(&self, shard: usize) {
+        let label = self.shard_label(shard);
+        let labels = [("shard", label.as_str()), ("stack", self.stack)];
+        self.metrics.inc("wsn.shard_contention", &labels);
+    }
+
     /// Contended shard-lock acquisitions, over every shard.
     pub fn contentions(&self) -> u64 {
         (0..self.shards())
@@ -242,9 +251,9 @@ struct Location {
 
 /// The sharded subscription table: `shards` routed shards plus one wildcard
 /// shard (index `shards`), each holding a trie + entry map behind its own
-/// `RwLock`.
+/// `RwLock`; a contended acquire counts in `wsn.shard_contention{stack,shard}`.
 pub struct ShardedTable<T: Subscriber> {
-    shards: Vec<RwLock<Shard<T>>>,
+    shards: Shards<Shard<T>>,
     locations: Mutex<HashMap<String, Location>>,
     next_reg: AtomicU64,
     clock: VirtualClock,
@@ -263,15 +272,17 @@ impl<T: Subscriber> ShardedTable<T> {
         stack: &'static str,
     ) -> Self {
         let shards = shards.max(1);
+        let stats = FanoutStats::new(shards + 1, tel.metrics().clone(), stack);
+        let counting = stats.clone();
         ShardedTable {
-            shards: (0..=shards)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
+            shards: Shards::new(shards, 1, Shard::default, move |shard| {
+                counting.note_contention(shard)
+            }),
             locations: Mutex::new(HashMap::new()),
             next_reg: AtomicU64::new(0),
             clock,
             costs,
-            stats: FanoutStats::new(shards + 1, tel.metrics().clone(), stack),
+            stats,
         }
     }
 
@@ -288,16 +299,16 @@ impl<T: Subscriber> ShardedTable<T> {
 
     /// Routed shard count (excluding the wildcard shard).
     pub fn shard_count(&self) -> usize {
-        self.shards.len() - 1
+        self.shards.routed()
     }
 
     fn wild(&self) -> usize {
-        self.shards.len() - 1
+        self.shards.routed()
     }
 
     /// The shard a literal root name routes to.
     pub fn shard_of(&self, root: &str) -> usize {
-        (hash_str(root) % (self.shards.len() as u64 - 1)) as usize
+        self.shards.route(root)
     }
 
     fn shard_for_topic(&self, topic: &CompiledTopic) -> usize {
@@ -314,30 +325,6 @@ impl<T: Subscriber> ShardedTable<T> {
     fn charge(&self, shard: usize, cost: SimDuration) {
         self.clock.advance(cost);
         self.stats.add(shard, BUSY, cost.as_micros());
-    }
-
-    /// Shard write lock, counting contended acquisitions in
-    /// `wsn.shard_contention{stack,shard}` (the xmldb idiom).
-    fn write_shard(&self, shard: usize) -> std::sync::RwLockWriteGuard<'_, Shard<T>> {
-        if let Some(g) = self.shards[shard].try_write() {
-            return g;
-        }
-        self.note_contention(shard);
-        self.shards[shard].write()
-    }
-
-    fn read_shard(&self, shard: usize) -> std::sync::RwLockReadGuard<'_, Shard<T>> {
-        if let Some(g) = self.shards[shard].try_read() {
-            return g;
-        }
-        self.note_contention(shard);
-        self.shards[shard].read()
-    }
-
-    fn note_contention(&self, shard: usize) {
-        let label = self.stats.shard_label(shard);
-        let labels = [("shard", label.as_str()), ("stack", self.stats.stack)];
-        self.stats.metrics.inc("wsn.shard_contention", &labels);
     }
 
     /// Compile a content filter for a subscription about to enter this
@@ -372,7 +359,7 @@ impl<T: Subscriber> ShardedTable<T> {
         let id = sub.sub_id().to_owned();
         self.charge(shard, self.costs.mutate);
         {
-            let mut s = self.write_shard(shard);
+            let mut s = self.shards.write(shard);
             s.trie.insert(reg, &topic);
             let filter = filter.map(|f| s.filters.join(f));
             let sub = Arc::new(sub);
@@ -397,7 +384,7 @@ impl<T: Subscriber> ShardedTable<T> {
         let loc = self.locations.lock().remove(sub_id)?;
         self.charge(loc.shard, self.costs.mutate);
         let entry = {
-            let mut s = self.write_shard(loc.shard);
+            let mut s = self.shards.write(loc.shard);
             s.trie.remove(loc.reg);
             let entry = s.entries.remove(&loc.reg);
             if let Some(slot) = entry.as_ref().and_then(|e| e.filter) {
@@ -416,7 +403,7 @@ impl<T: Subscriber> ShardedTable<T> {
             return false;
         };
         self.charge(loc.shard, self.costs.mutate);
-        let mut s = self.write_shard(loc.shard);
+        let mut s = self.shards.write(loc.shard);
         match s.entries.get_mut(&loc.reg) {
             Some(e) => {
                 e.paused = paused;
@@ -433,7 +420,7 @@ impl<T: Subscriber> ShardedTable<T> {
         let locations = self.locations.lock();
         let loc = locations.get(sub.sub_id())?;
         self.charge(loc.shard, self.costs.mutate);
-        let mut s = self.write_shard(loc.shard);
+        let mut s = self.shards.write(loc.shard);
         let e = s.entries.get_mut(&loc.reg)?;
         Some(std::mem::replace(&mut e.sub, Arc::new(sub)))
     }
@@ -457,7 +444,7 @@ impl<T: Subscriber> ShardedTable<T> {
         message: Option<&Element>,
         out: &mut Vec<Arc<T>>,
     ) -> usize {
-        let s = self.read_shard(shard);
+        let s = self.shards.read(shard);
         let mut ids = Vec::new();
         s.trie.resolve(path, &mut ids);
         let mut verdicts = s.filters.verdicts();
@@ -526,11 +513,9 @@ impl<T: Subscriber> ShardedTable<T> {
     /// Every indexed subscription (paused included), sorted by id — the
     /// broker's demand bookkeeping and restart rebuilds use this.
     pub fn all(&self) -> Vec<(Arc<T>, bool)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let s = shard.read();
-            out.extend(s.entries.values().map(|e| (e.sub.clone(), e.paused)));
-        }
+        let shards = self.shards.read_all();
+        let entries = shards.iter().flat_map(|s| s.entries.values());
+        let mut out: Vec<_> = entries.map(|e| (e.sub.clone(), e.paused)).collect();
         out.sort_by(|a, b| a.0.sub_id().cmp(b.0.sub_id()));
         out
     }

@@ -21,14 +21,14 @@
 //! atomic counters and clones ring buffers, and the flight recorder's
 //! span capture copies records that still flow (unchanged) into the
 //! deterministic telemetry store, so virtual-time dumps stay
-//! byte-identical whether or not the plane is enabled.
+//! byte-identical whether or not a server is observing the run.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use ogsa_telemetry::prometheus::{render, render_wall_histogram};
 use ogsa_telemetry::{
-    ExemplarStore, FlightRecorder, MetricsSnapshot, ShardedWallHistogram, Telemetry,
+    ExemplarStore, FlightRecorder, MetricsSnapshot, Telemetry, WallHistogram, WallSnapshot,
 };
 use parking_lot::Mutex;
 
@@ -38,10 +38,6 @@ use crate::http::{self, Method};
 /// Observability knobs for [`crate::ServeConfig`].
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Master switch. When false no admin listener is bound, no wall
-    /// clocks are read, and dispatch runs exactly as before this plane
-    /// existed (the "instrumentation-stripped" arm of the obs bench).
-    pub enabled: bool,
     /// Admin listener address; port 0 picks a free port.
     pub admin_addr: String,
     /// Requests at or above this wall latency are always retained in
@@ -56,21 +52,10 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            enabled: true,
             admin_addr: "127.0.0.1:0".to_owned(),
             slow_threshold_us: ogsa_telemetry::flight::DEFAULT_SLOW_THRESHOLD_US,
             slow_capacity: ogsa_telemetry::flight::DEFAULT_SLOW_CAPACITY,
             reservoir_capacity: ogsa_telemetry::flight::DEFAULT_RESERVOIR_CAPACITY,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// The stripped configuration: no admin port, no instrumentation.
-    pub fn disabled() -> Self {
-        ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
         }
     }
 }
@@ -92,10 +77,13 @@ pub enum ReadyState {
 /// disk; anything else the embedding process cares about can join.
 pub type ReadyProbe = Box<dyn Fn() -> Result<(), String> + Send + Sync>;
 
-/// Per-worker liveness gauges, updated with relaxed stores from the
-/// worker's own loop and read only at scrape time.
+/// Per-worker state: the request-latency shard the worker records into
+/// and its liveness gauges, updated with relaxed stores from the worker's
+/// own loop and read only at scrape time.
 #[derive(Debug, Default)]
 pub struct WorkerGauges {
+    /// This worker's shard of `serve.request_wall_us`.
+    pub latency: WallHistogram,
     /// Epoll wakeups (returns from `epoll_wait`) in this worker.
     pub wakeups: AtomicU64,
     /// Connections currently registered with this worker.
@@ -107,6 +95,20 @@ pub struct WorkerGauges {
     pub pending_handoffs: AtomicU64,
 }
 
+impl WorkerGauges {
+    /// Each gauge by name: `/vars`' fields and the `serve.worker_<name>`
+    /// series.
+    fn values(&self) -> [(&'static str, u64); 4] {
+        let load = |gauge: &AtomicU64| gauge.load(Ordering::Relaxed);
+        [
+            ("wakeups", load(&self.wakeups)),
+            ("connections", load(&self.connections)),
+            ("queue_depth", load(&self.queue_depth)),
+            ("pending_handoffs", load(&self.pending_handoffs)),
+        ]
+    }
+}
+
 /// Shared state of the admin plane: latency shards, exemplars, the
 /// flight recorder, readiness, and per-worker gauges. Cloning shares.
 #[derive(Clone)]
@@ -116,7 +118,6 @@ pub struct AdminPlane {
 
 struct PlaneInner {
     telemetry: Telemetry,
-    hist: ShardedWallHistogram,
     exemplars: ExemplarStore,
     recorder: FlightRecorder,
     state: AtomicU8,
@@ -130,7 +131,6 @@ impl AdminPlane {
         AdminPlane {
             inner: Arc::new(PlaneInner {
                 telemetry,
-                hist: ShardedWallHistogram::new(workers),
                 exemplars: ExemplarStore::new(),
                 recorder: FlightRecorder::new(
                     config.slow_threshold_us,
@@ -145,8 +145,17 @@ impl AdminPlane {
     }
 
     /// The latency histogram shard worker `i` records into.
-    pub fn shard(&self, i: usize) -> Arc<ogsa_telemetry::WallHistogram> {
-        self.inner.hist.shard(i)
+    pub fn shard(&self, i: usize) -> &WallHistogram {
+        &self.worker(i).latency
+    }
+
+    /// Every worker's latency shard folded into one snapshot.
+    fn merged_latency(&self) -> WallSnapshot {
+        let mut out = WallSnapshot::empty();
+        for w in &self.inner.workers {
+            out.merge(&w.latency.snapshot());
+        }
+        out
     }
 
     pub fn recorder(&self) -> &FlightRecorder {
@@ -198,27 +207,9 @@ impl AdminPlane {
         snap.set_gauge("serve.flight_traces", &[], self.inner.recorder.len() as u64);
         for (i, w) in self.inner.workers.iter().enumerate() {
             let idx = i.to_string();
-            let labels: &[(&str, &str)] = &[("worker", idx.as_str())];
-            snap.set_gauge(
-                "serve.worker_wakeups",
-                labels,
-                w.wakeups.load(Ordering::Relaxed),
-            );
-            snap.set_gauge(
-                "serve.worker_connections",
-                labels,
-                w.connections.load(Ordering::Relaxed),
-            );
-            snap.set_gauge(
-                "serve.worker_queue_depth",
-                labels,
-                w.queue_depth.load(Ordering::Relaxed),
-            );
-            snap.set_gauge(
-                "serve.worker_pending_handoffs",
-                labels,
-                w.pending_handoffs.load(Ordering::Relaxed),
-            );
+            for (name, value) in w.values() {
+                snap.set_gauge(&format!("serve.worker_{name}"), &[("worker", &idx)], value);
+            }
         }
     }
 
@@ -231,7 +222,7 @@ impl AdminPlane {
         out.push_str(&render_wall_histogram(
             "serve.request_wall_us",
             &[],
-            &self.inner.hist.merged(),
+            &self.merged_latency(),
             Some(&self.inner.exemplars.snapshot()),
         ));
         out
@@ -239,43 +230,33 @@ impl AdminPlane {
 
     /// The `/vars` body: a JSON snapshot of the live serving gauges.
     pub fn vars_json(&self) -> String {
-        let merged = self.inner.hist.merged();
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"state\":\"");
-        out.push_str(match self.state() {
+        let state = match self.state() {
             ReadyState::Starting => "starting",
             ReadyState::Ready => "ready",
             ReadyState::Draining => "draining",
-        });
-        out.push_str("\",\"ready\":");
-        out.push_str(if self.ready().is_ok() {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str(",\"requests\":");
-        out.push_str(&merged.count.to_string());
-        out.push_str(",\"flight_traces\":");
-        out.push_str(&self.inner.recorder.len().to_string());
-        out.push_str(",\"slow_threshold_us\":");
-        out.push_str(&self.inner.recorder.threshold_us().to_string());
-        out.push_str(",\"workers\":[");
-        for (i, w) in self.inner.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"wakeups\":");
-            out.push_str(&w.wakeups.load(Ordering::Relaxed).to_string());
-            out.push_str(",\"connections\":");
-            out.push_str(&w.connections.load(Ordering::Relaxed).to_string());
-            out.push_str(",\"queue_depth\":");
-            out.push_str(&w.queue_depth.load(Ordering::Relaxed).to_string());
-            out.push_str(",\"pending_handoffs\":");
-            out.push_str(&w.pending_handoffs.load(Ordering::Relaxed).to_string());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        };
+        let workers: Vec<String> = self
+            .inner
+            .workers
+            .iter()
+            .map(|w| {
+                let fields: Vec<String> = w
+                    .values()
+                    .iter()
+                    .map(|(name, value)| format!("\"{name}\":{value}"))
+                    .collect();
+                format!("{{{}}}", fields.join(","))
+            })
+            .collect();
+        format!(
+            "{{\"state\":\"{state}\",\"ready\":{},\"requests\":{},\"flight_traces\":{},\
+             \"slow_threshold_us\":{},\"workers\":[{}]}}",
+            self.ready().is_ok(),
+            self.merged_latency().count,
+            self.inner.recorder.len(),
+            self.inner.recorder.threshold_us(),
+            workers.join(","),
+        )
     }
 }
 
@@ -292,13 +273,7 @@ impl std::fmt::Debug for AdminPlane {
 /// admin plane never mutates, so POST gets the mirror-image 405 of the
 /// service port's GET refusal.
 pub(crate) struct AdminDispatcher {
-    plane: AdminPlane,
-}
-
-impl AdminDispatcher {
-    pub(crate) fn new(plane: AdminPlane) -> AdminDispatcher {
-        AdminDispatcher { plane }
-    }
+    pub(crate) plane: AdminPlane,
 }
 
 impl Dispatch for AdminDispatcher {

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ogsa_soap::Envelope;
-use ogsa_telemetry::{MetricsRegistry, SpanKind, WallHistogram};
+use ogsa_telemetry::{MetricsRegistry, SpanKind};
 use ogsa_transport::Network;
 
 use crate::admin::{AdminDispatcher, AdminPlane, ObsConfig, ReadyState};
@@ -50,8 +50,7 @@ pub struct ServeConfig {
     /// container was deployed with a TLS policy).
     pub scheme: String,
     /// Live observability plane (admin port, wall-clock latency shards,
-    /// flight recorder). On by default; [`ObsConfig::disabled`] is the
-    /// instrumentation-stripped ablation.
+    /// flight recorder); it is always on.
     pub observe: ObsConfig,
 }
 
@@ -105,14 +104,6 @@ impl ServeStats {
     }
 }
 
-/// Per-worker observability hooks: the latency shard this worker records
-/// into plus shared plane handles. `None` when the plane is disabled —
-/// the stripped dispatch path then touches no wall clocks at all.
-struct WorkerObs {
-    plane: AdminPlane,
-    shard: Arc<WallHistogram>,
-}
-
 /// Turns parsed requests into HTTP responses by calling the container
 /// handler bound on the [`Network`]. One per worker: the scratch buffers
 /// make the happy path allocation-free once warmed.
@@ -120,7 +111,9 @@ struct Dispatcher {
     net: Network,
     scheme: String,
     force_close: bool,
-    obs: Option<WorkerObs>,
+    plane: AdminPlane,
+    /// This worker's index: its latency shard in `plane`.
+    worker: usize,
     /// Scratch for the reconstructed bound address.
     addr_buf: String,
     /// Pooled response-serialisation buffer (`Envelope::to_wire_into`).
@@ -128,12 +121,13 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
-    fn new(net: Network, config: &ServeConfig, obs: Option<WorkerObs>) -> Dispatcher {
+    fn new(net: Network, config: &ServeConfig, plane: AdminPlane, worker: usize) -> Dispatcher {
         Dispatcher {
             net,
             scheme: config.scheme.clone(),
             force_close: !config.keep_alive,
-            obs,
+            plane,
+            worker,
             addr_buf: String::with_capacity(64),
             body_buf: String::with_capacity(4096),
         }
@@ -161,32 +155,28 @@ fn status_label(status: u16) -> &'static str {
 
 impl Dispatch for Dispatcher {
     fn dispatch(&mut self, req: Request<'_>, keep_alive: bool, out: &mut Vec<u8>) {
-        // The stripped path: exactly the pre-observability dispatch.
-        let Some(obs) = self.obs.take() else {
-            return self.handle(req, keep_alive, out);
-        };
-        // The instrumented path captures the handler's spans, reads the
-        // latency off `serve:request`'s wall stamps and copies target and
-        // spans only for a kept trace; every sink is a per-worker shard or
-        // a lock-on-retention ring, so no worker waits on another here.
+        // Capture the handler's spans, read the latency off
+        // `serve:request`'s wall stamps and copy target and spans only for
+        // a kept trace; every sink is a per-worker shard or a
+        // lock-on-retention ring, so no worker waits on another here.
         let target = req.target;
         self.net.telemetry().begin_capture();
         self.handle(req, keep_alive, out);
+        let plane = &self.plane;
         self.net.telemetry().end_capture_with(|capture| {
             let latency_us = capture.root_wall_us().unwrap_or(0);
-            obs.shard.record(latency_us);
-            let recorder = obs.plane.recorder();
+            plane.shard(self.worker).record(latency_us);
+            let recorder = plane.recorder();
             let slow = latency_us >= recorder.threshold_us();
             let target = std::str::from_utf8(target).unwrap_or("?");
             if let Some(seq) = recorder.offer_with(latency_us, target, || capture.records()) {
                 // Only threshold-crossing traces become bucket exemplars;
                 // reservoir picks stay reachable via /debug/trace.
                 if slow {
-                    obs.plane.exemplars().note(latency_us, seq);
+                    plane.exemplars().note(latency_us, seq);
                 }
             }
         });
-        self.obs = Some(obs);
     }
 }
 
@@ -266,8 +256,8 @@ impl Dispatcher {
 /// stops the acceptor, drains the workers, and closes every connection.
 pub struct Server {
     addr: SocketAddr,
-    admin_addr: Option<SocketAddr>,
-    plane: Option<AdminPlane>,
+    admin_addr: SocketAddr,
+    plane: AdminPlane,
     stats: ServeStats,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -284,34 +274,22 @@ impl Server {
         let stats = ServeStats {
             metrics: net.telemetry().metrics().clone(),
         };
+        let admin_listener = TcpListener::bind(&config.observe.admin_addr)?;
+        let admin_addr = admin_listener.local_addr()?;
+        let plane = AdminPlane::new(config.workers, &config.observe, net.telemetry().clone());
+        // Spans opened while serving carry wall timestamps from here on;
+        // the deterministic exporters never render them.
+        net.telemetry().set_wall_clock(true);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let admin = if config.observe.enabled {
-            let admin_listener = TcpListener::bind(&config.observe.admin_addr)?;
-            let admin_addr = admin_listener.local_addr()?;
-            let plane = AdminPlane::new(
-                config.workers.max(1),
-                &config.observe,
-                net.telemetry().clone(),
-            );
-            // Spans opened while serving carry wall timestamps from here
-            // on; the deterministic exporters never render them.
-            net.telemetry().set_wall_clock(true);
-            Some((admin_listener, admin_addr, plane))
-        } else {
-            None
-        };
-        let plane = admin.as_ref().map(|(_, _, p)| p.clone());
-        let admin_addr = admin.as_ref().map(|(_, a, _)| *a);
         let (threads, platform) = platform::start(
             net,
             &config,
             listener,
-            admin.map(|(l, _, p)| (l, p)),
+            admin_listener,
+            &plane,
             shutdown.clone(),
         )?;
-        if let Some(p) = &plane {
-            p.set_state(ReadyState::Ready);
-        }
+        plane.set_state(ReadyState::Ready);
         Ok(Server {
             addr,
             admin_addr,
@@ -328,15 +306,15 @@ impl Server {
         self.addr
     }
 
-    /// The admin-plane address, when observability is enabled.
-    pub fn admin_addr(&self) -> Option<SocketAddr> {
+    /// The admin-plane address.
+    pub fn admin_addr(&self) -> SocketAddr {
         self.admin_addr
     }
 
-    /// The live observability plane, when enabled — for registering
-    /// readiness probes or inspecting the flight recorder in-process.
-    pub fn plane(&self) -> Option<&AdminPlane> {
-        self.plane.as_ref()
+    /// The live observability plane — for registering readiness probes or
+    /// inspecting the flight recorder in-process.
+    pub fn plane(&self) -> &AdminPlane {
+        &self.plane
     }
 
     /// Wall-clock serving counters.
@@ -349,9 +327,7 @@ impl Server {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Some(p) = &self.plane {
-            p.set_state(ReadyState::Draining);
-        }
+        self.plane.set_state(ReadyState::Draining);
         self.platform.wake_all(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -371,7 +347,6 @@ mod platform {
 
     use super::*;
     use crate::epoll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
-    use ogsa_sim::SimDuration;
     use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::net::SocketAddr;
@@ -407,17 +382,12 @@ mod platform {
         net: &Network,
         config: &ServeConfig,
         listener: TcpListener,
-        admin: Option<(TcpListener, AdminPlane)>,
+        admin_listener: TcpListener,
+        plane: &AdminPlane,
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<(Vec<JoinHandle<()>>, Shutdown)> {
         listener.set_nonblocking(true)?;
-        let (admin_listener, plane) = match admin {
-            Some((l, p)) => {
-                l.set_nonblocking(true)?;
-                (Some(l), Some(p))
-            }
-            None => (None, None),
-        };
+        admin_listener.set_nonblocking(true)?;
         let workers = config.workers.max(1);
         let mut threads = Vec::with_capacity(workers + 1);
         let mut shared = Vec::with_capacity(workers);
@@ -429,28 +399,17 @@ mod platform {
             });
             wakes.push(ws.wake.clone());
             shared.push(ws.clone());
-            let obs = plane.as_ref().map(|p| WorkerObs {
-                plane: p.clone(),
-                shard: p.shard(i),
-            });
-            let dispatcher = Dispatcher::new(net.clone(), config, obs);
-            let admin_dispatcher = plane.as_ref().map(|p| AdminDispatcher::new(p.clone()));
-            let worker_plane = plane.clone();
+            let dispatcher = Dispatcher::new(net.clone(), config, plane.clone(), i);
+            let admin_dispatcher = AdminDispatcher {
+                plane: plane.clone(),
+            };
+            let plane = plane.clone();
             let shutdown = shutdown.clone();
-            let metrics = net.telemetry().metrics().clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ogsa-serve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(
-                            ws,
-                            i,
-                            dispatcher,
-                            admin_dispatcher,
-                            worker_plane,
-                            shutdown,
-                            metrics,
-                        )
+                        worker_loop(ws, i, dispatcher, admin_dispatcher, plane, shutdown)
                     })?,
             );
         }
@@ -458,7 +417,7 @@ mod platform {
         let accept_wake = Arc::new(EventFd::new()?);
         wakes.push(accept_wake.clone());
         {
-            let shutdown = shutdown.clone();
+            let plane = plane.clone();
             let metrics = net.telemetry().metrics().clone();
             threads.push(
                 std::thread::Builder::new()
@@ -481,12 +440,11 @@ mod platform {
 
     /// Drain one listener's accept backlog, handing connections to the
     /// workers round-robin. Returns the advanced round-robin cursor.
-    #[allow(clippy::too_many_arguments)]
     fn drain_accepts(
         listener: &TcpListener,
         is_admin: bool,
         workers: &[Arc<WorkerShared>],
-        plane: &Option<AdminPlane>,
+        plane: &AdminPlane,
         metrics: &MetricsRegistry,
         mut next: usize,
     ) -> usize {
@@ -502,11 +460,10 @@ mod platform {
                         inbox.push((stream, is_admin));
                         inbox.len() as u64
                     };
-                    if let Some(p) = plane {
-                        p.worker(idx)
-                            .pending_handoffs
-                            .store(depth, Ordering::Relaxed);
-                    }
+                    plane
+                        .worker(idx)
+                        .pending_handoffs
+                        .store(depth, Ordering::Relaxed);
                     w.wake.wake();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -519,30 +476,24 @@ mod platform {
         next
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn accept_loop(
         listener: TcpListener,
-        admin_listener: Option<TcpListener>,
-        plane: Option<AdminPlane>,
+        admin_listener: TcpListener,
+        plane: AdminPlane,
         workers: Vec<Arc<WorkerShared>>,
         wake: Arc<EventFd>,
         shutdown: Arc<AtomicBool>,
         metrics: MetricsRegistry,
     ) {
         let Ok(ep) = Epoll::new() else { return };
-        if ep
-            .add(listener.as_raw_fd(), EPOLLIN, SERVICE_LISTENER)
-            .is_err()
-        {
-            return;
-        }
-        if let Some(al) = &admin_listener {
-            if ep.add(al.as_raw_fd(), EPOLLIN, ADMIN_LISTENER).is_err() {
+        for (fd, token) in [
+            (listener.as_raw_fd(), SERVICE_LISTENER),
+            (admin_listener.as_raw_fd(), ADMIN_LISTENER),
+            (wake.raw(), WAKE),
+        ] {
+            if ep.add(fd, EPOLLIN, token).is_err() {
                 return;
             }
-        }
-        if ep.add(wake.raw(), EPOLLIN, WAKE).is_err() {
-            return;
         }
         let mut events = [EpollEvent::zeroed(); 16];
         let mut next = 0usize;
@@ -552,19 +503,15 @@ mod platform {
                 Err(_) => break,
             };
             for ev in &events[..n] {
-                match ev.parts().0 {
+                let (listener, is_admin) = match ev.parts().0 {
                     WAKE => {
                         wake.drain();
+                        continue;
                     }
-                    ADMIN_LISTENER => {
-                        if let Some(al) = &admin_listener {
-                            next = drain_accepts(al, true, &workers, &plane, &metrics, next);
-                        }
-                    }
-                    _ => {
-                        next = drain_accepts(&listener, false, &workers, &plane, &metrics, next);
-                    }
-                }
+                    ADMIN_LISTENER => (&admin_listener, true),
+                    _ => (&listener, false),
+                };
+                next = drain_accepts(listener, is_admin, &workers, &plane, &metrics, next);
             }
         }
     }
@@ -575,21 +522,19 @@ mod platform {
         admin: bool,
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         shared: Arc<WorkerShared>,
         index: usize,
         mut dispatcher: Dispatcher,
-        mut admin_dispatcher: Option<AdminDispatcher>,
-        plane: Option<AdminPlane>,
+        mut admin_dispatcher: AdminDispatcher,
+        plane: AdminPlane,
         shutdown: Arc<AtomicBool>,
-        metrics: MetricsRegistry,
     ) {
         let Ok(ep) = Epoll::new() else { return };
         if ep.add(shared.wake.raw(), EPOLLIN, WAKE).is_err() {
             return;
         }
-        let gauges = plane.as_ref().map(|p| p.worker(index));
+        let gauges = plane.worker(index);
         let mut conns: HashMap<u64, Entry> = HashMap::new();
         let mut next_token: u64 = 1;
         let mut events = [EpollEvent::zeroed(); 256];
@@ -598,9 +543,7 @@ mod platform {
                 Ok(n) => n,
                 Err(_) => return,
             };
-            if let Some(g) = gauges {
-                g.wakeups.fetch_add(1, Ordering::Relaxed);
-            }
+            gauges.wakeups.fetch_add(1, Ordering::Relaxed);
             for ev in &events[..n] {
                 let (token, bits) = ev.parts();
                 if token == WAKE {
@@ -611,15 +554,10 @@ mod platform {
                     let fresh = std::mem::take(&mut *shared.inbox.lock());
                     // Depth of the hand-off queue at wake: how far the
                     // acceptor ran ahead of this worker.
-                    metrics.observe(
-                        "serve.queue_depth",
-                        &[],
-                        SimDuration::from_micros(fresh.len() as u64),
-                    );
-                    if let Some(g) = gauges {
-                        g.queue_depth.store(fresh.len() as u64, Ordering::Relaxed);
-                        g.pending_handoffs.store(0, Ordering::Relaxed);
-                    }
+                    gauges
+                        .queue_depth
+                        .store(fresh.len() as u64, Ordering::Relaxed);
+                    gauges.pending_handoffs.store(0, Ordering::Relaxed);
                     for (stream, admin) in fresh {
                         let Ok(conn) = Conn::new(stream) else {
                             continue;
@@ -640,35 +578,29 @@ mod platform {
                             );
                         }
                     }
-                    if let Some(g) = gauges {
-                        g.connections.store(conns.len() as u64, Ordering::Relaxed);
-                    }
+                    gauges
+                        .connections
+                        .store(conns.len() as u64, Ordering::Relaxed);
                     continue;
                 }
                 let Some(entry) = conns.get_mut(&token) else {
                     continue;
                 };
-                if bits & (EPOLLERR | EPOLLHUP) != 0 {
-                    if let Some(entry) = conns.remove(&token) {
-                        ep.delete(entry.conn.stream().as_raw_fd());
-                    }
-                    if let Some(g) = gauges {
-                        g.connections.store(conns.len() as u64, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-                let advance = match (&mut admin_dispatcher, entry.admin) {
-                    (Some(ad), true) => entry.conn.advance(ad),
-                    _ => entry.conn.advance(&mut dispatcher),
+                let advance = if bits & (EPOLLERR | EPOLLHUP) != 0 {
+                    crate::conn::Advance::Closed
+                } else if entry.admin {
+                    entry.conn.advance(&mut admin_dispatcher)
+                } else {
+                    entry.conn.advance(&mut dispatcher)
                 };
                 match advance {
                     crate::conn::Advance::Closed => {
                         if let Some(entry) = conns.remove(&token) {
                             ep.delete(entry.conn.stream().as_raw_fd());
                         }
-                        if let Some(g) = gauges {
-                            g.connections.store(conns.len() as u64, Ordering::Relaxed);
-                        }
+                        gauges
+                            .connections
+                            .store(conns.len() as u64, Ordering::Relaxed);
                     }
                     crate::conn::Advance::Open { wants_write } => {
                         if wants_write != entry.wants_write {
@@ -694,16 +626,14 @@ mod platform {
     use std::net::SocketAddr;
 
     pub(super) struct Shutdown {
-        admin_addr: Option<SocketAddr>,
+        admin_addr: SocketAddr,
     }
 
     impl Shutdown {
         pub(super) fn wake_all(&self, addr: SocketAddr) {
             // Unblock the acceptors with throwaway connections.
             let _ = TcpStream::connect(addr);
-            if let Some(a) = self.admin_addr {
-                let _ = TcpStream::connect(a);
-            }
+            let _ = TcpStream::connect(self.admin_addr);
         }
     }
 
@@ -722,60 +652,54 @@ mod platform {
         }
     }
 
+    /// Accept on `listener` until shutdown, serving each connection on a
+    /// thread of its own with a fresh `dispatcher()`.
+    fn acceptor<D: Dispatch + Send + 'static>(
+        name: &'static str,
+        listener: TcpListener,
+        shutdown: Arc<AtomicBool>,
+        mut dispatcher: impl FnMut() -> D + Send + 'static,
+    ) -> io::Result<JoinHandle<()>> {
+        std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    let mut dispatcher = dispatcher();
+                    let _ = std::thread::Builder::new()
+                        .name(format!("{name}-conn"))
+                        .spawn(move || serve_blocking(stream, &mut dispatcher));
+                }
+            })
+    }
+
     pub(super) fn start(
         net: &Network,
         config: &ServeConfig,
         listener: TcpListener,
-        admin: Option<(TcpListener, AdminPlane)>,
+        admin_listener: TcpListener,
+        plane: &AdminPlane,
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<(Vec<JoinHandle<()>>, Shutdown)> {
-        let mut threads = Vec::new();
-        let mut admin_addr = None;
-        let plane = admin.as_ref().map(|(_, p)| p.clone());
-        if let Some((admin_listener, plane)) = admin {
-            admin_addr = admin_listener.local_addr().ok();
-            let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ogsa-serve-admin-accept".into())
-                    .spawn(move || {
-                        for stream in admin_listener.incoming() {
-                            if shutdown.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            let mut dispatcher = AdminDispatcher::new(plane.clone());
-                            let _ = std::thread::Builder::new()
-                                .name("ogsa-serve-admin-conn".into())
-                                .spawn(move || serve_blocking(stream, &mut dispatcher));
-                        }
-                    })?,
-            );
-        }
-        let net = net.clone();
-        let config = config.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("ogsa-serve-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        net.telemetry().metrics().inc("serve.accepted", &[]);
-                        let obs = plane.as_ref().map(|p| WorkerObs {
-                            plane: p.clone(),
-                            shard: p.shard(0),
-                        });
-                        let mut dispatcher = Dispatcher::new(net.clone(), &config, obs);
-                        let _ = std::thread::Builder::new()
-                            .name("ogsa-serve-conn".into())
-                            .spawn(move || serve_blocking(stream, &mut dispatcher));
-                    }
-                })?,
-        );
-        Ok((threads, Shutdown { admin_addr }))
+        let admin_addr = admin_listener.local_addr()?;
+        let admin_plane = plane.clone();
+        let admin = acceptor(
+            "ogsa-serve-admin",
+            admin_listener,
+            shutdown.clone(),
+            move || AdminDispatcher {
+                plane: admin_plane.clone(),
+            },
+        )?;
+        let (net, config, plane) = (net.clone(), config.clone(), plane.clone());
+        let service = acceptor("ogsa-serve", listener, shutdown, move || {
+            net.telemetry().metrics().inc("serve.accepted", &[]);
+            Dispatcher::new(net.clone(), &config, plane.clone(), 0)
+        })?;
+        Ok((vec![admin, service], Shutdown { admin_addr }))
     }
 }
 
@@ -923,7 +847,7 @@ mod tests {
     fn admin_endpoints_answer_over_the_shared_workers() {
         let net = echo_net();
         let server = Server::bind(&net, ServeConfig::default()).unwrap();
-        let admin = server.admin_addr().expect("observability on by default");
+        let admin = server.admin_addr();
 
         // Generate some traffic so /metrics has latency observations.
         for _ in 0..3 {
@@ -979,7 +903,7 @@ mod tests {
             },
         )
         .unwrap();
-        let admin = server.admin_addr().unwrap();
+        let admin = server.admin_addr();
         let text = raw_request(server.addr(), &soap_request("/services/echo", false));
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
 
@@ -995,36 +919,19 @@ mod tests {
         let body = metrics.split("\r\n\r\n").nth(1).unwrap();
         assert!(body.contains("# {seq=\""), "no exemplar in: {body}");
 
-        let plane = server.plane().unwrap();
+        let plane = server.plane();
         assert!(!plane.recorder().is_empty());
         assert!(plane.recorder().dump().iter().all(|t| t.slow));
-    }
-
-    #[test]
-    fn disabled_observability_binds_no_admin_port() {
-        let net = echo_net();
-        let server = Server::bind(
-            &net,
-            ServeConfig {
-                observe: ObsConfig::disabled(),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(server.admin_addr().is_none());
-        assert!(server.plane().is_none());
-        let text = raw_request(server.addr(), &soap_request("/services/echo", false));
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
     }
 
     #[test]
     fn readiness_probe_failure_turns_readyz_503() {
         let net = echo_net();
         let server = Server::bind(&net, ServeConfig::default()).unwrap();
-        let admin = server.admin_addr().unwrap();
+        let admin = server.admin_addr();
         let healthy = StdArc::new(AtomicBool::new(true));
         let h = healthy.clone();
-        server.plane().unwrap().add_ready_probe(Box::new(move || {
+        server.plane().add_ready_probe(Box::new(move || {
             if h.load(Ordering::SeqCst) {
                 Ok(())
             } else {
@@ -1050,7 +957,7 @@ mod tests {
 
         let net = echo_net();
         let server = Server::bind(&net, ServeConfig::default()).unwrap();
-        let admin = server.admin_addr().unwrap();
+        let admin = server.admin_addr();
 
         let fabric = LoopbackFabric::new();
         fabric.register("r1", ReplicaNode::new(FsyncPolicy::PerWrite));
@@ -1066,7 +973,6 @@ mod tests {
         let probe_repl = repl.clone();
         server
             .plane()
-            .unwrap()
             .add_ready_probe(Box::new(move || probe_repl.lag_check(1)));
 
         let put = |key: &str| WalOp::Put {

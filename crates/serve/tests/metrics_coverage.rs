@@ -44,10 +44,7 @@ fn one_scrape_reaches_every_crate_through_one_registry() {
     assert_eq!(&head[9..12], b"404");
     assert!(tb.network().quiesce(std::time::Duration::from_secs(10)));
 
-    let text = server
-        .plane()
-        .expect("observability is on")
-        .render_metrics();
+    let text = server.plane().render_metrics();
     let exp = parse_exposition(&text).expect("strict exposition parse");
     let present = |name: &str, label: Option<(&str, &str)>| {
         exp.samples

@@ -30,6 +30,7 @@
 pub mod clock;
 pub mod cost;
 pub mod rng;
+pub mod shard;
 
 pub use clock::{SimDuration, SimInstant, VirtualClock};
 pub use cost::CostModel;

@@ -37,9 +37,7 @@ pub use capture::Capture;
 pub use flight::{FlightRecorder, FlightTrace};
 pub use metrics::{series_key, Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_US};
 pub use span::{SpanEvent, SpanId, SpanKind, SpanRecord, TraceId};
-pub use wallclock::{
-    wall_now_us, Exemplar, ExemplarStore, ShardedWallHistogram, WallHistogram, WallSnapshot,
-};
+pub use wallclock::{wall_now_us, Exemplar, ExemplarStore, WallHistogram, WallSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -104,48 +104,34 @@ fn grouped<V>(map: &BTreeMap<String, V>) -> BTreeMap<String, Vec<(&str, &V)>> {
 /// bounds.
 pub fn render(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    for (name, series) in grouped(&snap.counters) {
-        out.push_str(&format!("# TYPE {name} counter\n"));
-        for (key, value) in series {
-            let (_, labels) = split_series_key(key);
-            out.push_str(&name);
-            render_labels(&mut out, &labels, None);
-            out.push_str(&format!(" {value}\n"));
-        }
-    }
-    for (name, series) in grouped(&snap.gauges) {
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        for (key, value) in series {
-            let (_, labels) = split_series_key(key);
-            out.push_str(&name);
-            render_labels(&mut out, &labels, None);
-            out.push_str(&format!(" {value}\n"));
+    for (kind, values) in [("counter", &snap.counters), ("gauge", &snap.gauges)] {
+        for (name, series) in grouped(values) {
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+            for (key, &value) in series {
+                let (_, labels) = split_series_key(key);
+                out.push_str(&name);
+                render_labels(&mut out, &labels, None);
+                out.push_str(&format!(" {value}\n"));
+            }
         }
     }
     for (name, series) in grouped(&snap.histograms) {
         out.push_str(&format!("# TYPE {name} histogram\n"));
         for (key, h) in series {
             let (_, labels) = split_series_key(key);
-            let mut acc = 0u64;
-            for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-                acc += h.buckets[i];
-                out.push_str(&name);
-                out.push_str("_bucket");
-                render_labels(&mut out, &labels, Some(("le", &bound.to_string())));
-                out.push_str(&format!(" {acc}\n"));
-            }
-            out.push_str(&name);
-            out.push_str("_bucket");
-            render_labels(&mut out, &labels, Some(("le", "+Inf")));
-            out.push_str(&format!(" {}\n", h.count));
-            out.push_str(&name);
-            out.push_str("_sum");
-            render_labels(&mut out, &labels, None);
-            out.push_str(&format!(" {}\n", h.sum_us));
-            out.push_str(&name);
-            out.push_str("_count");
-            render_labels(&mut out, &labels, None);
-            out.push_str(&format!(" {}\n", h.count));
+            let mut acc = 0;
+            let cumulative = LATENCY_BUCKETS_US.iter().zip(h.buckets).map(|(&bound, n)| {
+                acc += n;
+                (bound, acc)
+            });
+            write_histogram(
+                &mut out,
+                &name,
+                &labels,
+                cumulative,
+                (h.sum_us, h.count),
+                None,
+            );
         }
     }
     out
@@ -164,35 +150,44 @@ pub fn render_wall_histogram(
     exemplars: Option<&[Option<Exemplar>]>,
 ) -> String {
     let name = sanitize_name(name);
-    let mut out = String::new();
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let cum = snap.prom_cumulative();
-    let bound_label = |i: usize| -> String {
-        if i < WALL_PROM_BUCKETS_US.len() {
-            WALL_PROM_BUCKETS_US[i].to_string()
-        } else {
-            "+Inf".to_owned()
-        }
-    };
-    for (i, &count) in cum.iter().enumerate() {
-        out.push_str(&name);
+    let mut out = format!("# TYPE {name} histogram\n");
+    let cumulative = WALL_PROM_BUCKETS_US.into_iter().zip(snap.prom_cumulative());
+    let totals = (snap.sum_us, snap.count);
+    write_histogram(&mut out, &name, labels, cumulative, totals, exemplars);
+    out
+}
+
+/// The one histogram series writer: a `_bucket` line per cumulative
+/// `(bound, count)` pair, then `+Inf`, `_sum` and `_count` from the
+/// `(sum, count)` totals. Exemplar slot `i` annotates bucket `i`, `+Inf`
+/// last.
+fn write_histogram(
+    out: &mut String,
+    name: &str,
+    labels: &[(&str, &str)],
+    cumulative: impl Iterator<Item = (u64, u64)>,
+    (sum, count): (u64, u64),
+    exemplars: Option<&[Option<Exemplar>]>,
+) {
+    let buckets = cumulative
+        .map(|(bound, n)| (bound.to_string(), n))
+        .chain([("+Inf".to_owned(), count)]);
+    for (i, (le, n)) in buckets.enumerate() {
+        out.push_str(name);
         out.push_str("_bucket");
-        render_labels(&mut out, labels, Some(("le", &bound_label(i))));
-        out.push_str(&format!(" {count}"));
+        render_labels(out, labels, Some(("le", &le)));
+        out.push_str(&format!(" {n}"));
         if let Some(ex) = exemplars.and_then(|slots| slots.get(i)).and_then(|e| *e) {
             out.push_str(&format!(" # {{seq=\"{}\"}} {}", ex.seq, ex.latency_us));
         }
         out.push('\n');
     }
-    out.push_str(&name);
-    out.push_str("_sum");
-    render_labels(&mut out, labels, None);
-    out.push_str(&format!(" {}\n", snap.sum_us));
-    out.push_str(&name);
-    out.push_str("_count");
-    render_labels(&mut out, labels, None);
-    out.push_str(&format!(" {}\n", snap.count));
-    out
+    for (suffix, value) in [("_sum", sum), ("_count", count)] {
+        out.push_str(name);
+        out.push_str(suffix);
+        render_labels(out, labels, None);
+        out.push_str(&format!(" {value}\n"));
+    }
 }
 
 /// One parsed sample line.

@@ -13,17 +13,17 @@
 //!   atomics, no locks, no allocation after construction. Each serving
 //!   worker owns one shard and records into it without ever synchronising
 //!   with its siblings; shards are merged only at scrape time.
-//! * [`ShardedWallHistogram`] — the per-worker shard set plus the
-//!   scrape-time merge. Merging N shards is equivalent to having recorded
-//!   every observation into a single global histogram (the counts are
-//!   per-bucket sums), a property the test suite checks for arbitrary
+//! * [`WallSnapshot`] — a copy of one shard, and [`WallSnapshot::merge`]
+//!   the scrape-time fold. Merging N shards is equivalent to having
+//!   recorded every observation into a single global histogram (the counts
+//!   are per-bucket sums), a property the test suite checks for arbitrary
 //!   interleavings.
 //! * [`ExemplarStore`] — latest slow-request exemplar per coarse
 //!   Prometheus bucket, linking a histogram bucket to a flight-recorder
 //!   trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -100,7 +100,7 @@ pub fn wall_now_us() -> u64 {
 
 /// One lock-free wall-clock histogram shard. `record` is the hot path:
 /// four relaxed atomic RMWs, no locks, no branches beyond the bucket
-/// math. Cloning shares the shard.
+/// math.
 #[derive(Debug)]
 pub struct WallHistogram {
     counts: Box<[AtomicU64]>,
@@ -133,10 +133,6 @@ impl WallHistogram {
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Copy the current state out (scrape time only — never on the
     /// request path).
     pub fn snapshot(&self) -> WallSnapshot {
@@ -150,44 +146,6 @@ impl WallHistogram {
             sum_us: self.sum_us.load(Ordering::Relaxed),
             max_us: self.max_us.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Per-worker shard set: worker `i` records into `shard(i)` with zero
-/// cross-worker synchronisation; [`ShardedWallHistogram::merged`] folds
-/// every shard into one snapshot at scrape time.
-#[derive(Debug, Clone)]
-pub struct ShardedWallHistogram {
-    shards: Vec<Arc<WallHistogram>>,
-}
-
-impl ShardedWallHistogram {
-    pub fn new(shards: usize) -> Self {
-        ShardedWallHistogram {
-            shards: (0..shards.max(1))
-                .map(|_| Arc::new(WallHistogram::new()))
-                .collect(),
-        }
-    }
-
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard worker `i` should record into (wraps past the end).
-    pub fn shard(&self, i: usize) -> Arc<WallHistogram> {
-        self.shards[i % self.shards.len()].clone()
-    }
-
-    /// Merge every shard into one snapshot. Bucket counts, totals, sums
-    /// and maxima are all order-independent, so this equals a single
-    /// global histogram fed the same observations in any interleaving.
-    pub fn merged(&self) -> WallSnapshot {
-        let mut out = WallSnapshot::empty();
-        for s in &self.shards {
-            out.merge(&s.snapshot());
-        }
-        out
     }
 }
 
@@ -364,9 +322,18 @@ mod tests {
         assert!(bucket_floor(1919) < u64::MAX);
     }
 
+    /// Folds per-shard snapshots the way the admin plane's scrape does.
+    fn merged(shards: &[WallHistogram]) -> WallSnapshot {
+        let mut out = WallSnapshot::empty();
+        for shard in shards {
+            out.merge(&shard.snapshot());
+        }
+        out
+    }
+
     #[test]
     fn shard_merge_equals_global() {
-        let sharded = ShardedWallHistogram::new(4);
+        let shards: Vec<WallHistogram> = (0..4).map(|_| WallHistogram::new()).collect();
         let global = WallHistogram::new();
         // A spread of values round-robined across shards.
         for (i, us) in [3u64, 50, 999, 1_000, 12_345, 1 << 22, 7, 7, 7, 250_001]
@@ -375,19 +342,19 @@ mod tests {
             .take(1000)
             .enumerate()
         {
-            sharded.shard(i).record(*us);
+            shards[i % 4].record(*us);
             global.record(*us);
         }
-        assert_eq!(sharded.merged(), global.snapshot());
+        assert_eq!(merged(&shards), global.snapshot());
     }
 
     #[test]
     fn merged_quantiles_match_single_histogram() {
-        let sharded = ShardedWallHistogram::new(3);
+        let shards: Vec<WallHistogram> = (0..3).map(|_| WallHistogram::new()).collect();
         for i in 0..300u64 {
-            sharded.shard(i as usize).record(100 + i);
+            shards[i as usize % 3].record(100 + i);
         }
-        let m = sharded.merged();
+        let m = merged(&shards);
         assert_eq!(m.count, 300);
         assert!(m.quantile_us(0.5) >= 200 && m.quantile_us(0.5) <= 250);
         assert_eq!(m.max_us, 399);

@@ -1,12 +1,26 @@
-//! Property tests for the lock-free wall-clock histogram shards: merging
-//! per-worker shards must equal one global histogram fed the same
-//! observations, for **any** assignment of observations to shards and any
-//! interleaving — the correctness claim that lets `/metrics` merge lazily
-//! at scrape time instead of synchronising workers on the hot path.
+//! Property tests for the lock-free wall-clock histogram shards: folding
+//! per-worker shard snapshots with [`WallSnapshot::merge`] must equal one
+//! global histogram fed the same observations, for **any** assignment of
+//! observations to shards and any interleaving — the correctness claim
+//! that lets `/metrics` merge lazily at scrape time instead of
+//! synchronising workers on the hot path.
 
 use ogsa_telemetry::prometheus::{parse_exposition, render_wall_histogram};
-use ogsa_telemetry::{ShardedWallHistogram, WallHistogram};
+use ogsa_telemetry::{WallHistogram, WallSnapshot};
 use proptest::prelude::*;
+
+fn shard_set(n: usize) -> Vec<WallHistogram> {
+    (0..n).map(|_| WallHistogram::new()).collect()
+}
+
+/// The admin plane's scrape-time fold.
+fn merged(shards: &[WallHistogram]) -> WallSnapshot {
+    let mut out = WallSnapshot::empty();
+    for shard in shards {
+        out.merge(&shard.snapshot());
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -20,13 +34,13 @@ proptest! {
         obs in proptest::collection::vec((0usize..8, any::<u64>()), 0..400),
         shards in 1usize..8,
     ) {
-        let sharded = ShardedWallHistogram::new(shards);
+        let sharded = shard_set(shards);
         let global = WallHistogram::new();
         for (worker, us) in &obs {
-            sharded.shard(*worker).record(*us);
+            sharded[worker % shards].record(*us);
             global.record(*us);
         }
-        prop_assert_eq!(sharded.merged(), global.snapshot());
+        prop_assert_eq!(merged(&sharded), global.snapshot());
     }
 
     #[test]
@@ -35,26 +49,26 @@ proptest! {
     ) {
         // Forward vs reverse feed order, different shard assignment: the
         // merged snapshot must be identical (counts are pure sums).
-        let a = ShardedWallHistogram::new(4);
+        let a = shard_set(4);
         for (i, us) in obs.iter().enumerate() {
-            a.shard(i).record(*us);
+            a[i % 4].record(*us);
         }
-        let b = ShardedWallHistogram::new(3);
+        let b = shard_set(3);
         for (i, us) in obs.iter().rev().enumerate() {
-            b.shard(i * 7 + 1).record(*us);
+            b[(i * 7 + 1) % 3].record(*us);
         }
-        prop_assert_eq!(a.merged(), b.merged());
+        prop_assert_eq!(merged(&a), merged(&b));
     }
 
     #[test]
     fn merged_snapshot_renders_a_consistent_exposition(
         obs in proptest::collection::vec(0u64..5_000_000, 0..200),
     ) {
-        let sharded = ShardedWallHistogram::new(4);
+        let sharded = shard_set(4);
         for (i, us) in obs.iter().enumerate() {
-            sharded.shard(i).record(*us);
+            sharded[i % 4].record(*us);
         }
-        let text = render_wall_histogram("wall_us", &[], &sharded.merged(), None);
+        let text = render_wall_histogram("wall_us", &[], &merged(&sharded), None);
         let exp = parse_exposition(&text).expect("exposition parses");
         exp.check_histograms().expect("cumulative + consistent");
         let count = exp.get("wall_us_count", &[]).expect("count sample");

@@ -2,9 +2,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, SendError, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, SendError, Sender};
 use ogsa_sim::rng::mix64;
 use ogsa_sim::{CostModel, SimDuration, SimInstant, VirtualClock};
 use ogsa_soap::Envelope;
@@ -199,7 +199,7 @@ impl Network {
     /// the network still works: without a worker queue every one-way is
     /// delivered inline, as under [`Network::set_synchronous_oneways`].
     fn start_oneway_worker(&self) {
-        let (tx, rx) = unbounded::<OnewayJob>();
+        let (tx, rx) = mpsc::channel::<OnewayJob>();
         // Weak reference: the worker must not keep the network alive.
         let weak = Arc::downgrade(&self.inner);
         let spawned = std::thread::Builder::new()

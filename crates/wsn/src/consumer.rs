@@ -1,10 +1,10 @@
 //! The client-side notification consumer: WSRF.NET's "custom HTTP server
 //! that clients include" (§4.1.3).
 
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
 use ogsa_addressing::EndpointReference;
 use ogsa_container::ClientAgent;
 use ogsa_xml::Element;
@@ -28,7 +28,7 @@ pub struct NotificationConsumer {
 impl NotificationConsumer {
     /// Start listening on `path` on the client's host over HTTP.
     pub fn listen(agent: &ClientAgent, path: &str) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let epr = agent.listen_oneway(
             "http",
             path,

@@ -8,10 +8,10 @@
 //! at any shard count — it only changes which lock an operation takes and
 //! which shard its cost is attributed to in [`DbStats`].
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-use ogsa_sim::rng::hash_str;
+use ogsa_sim::shard::Shards;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_telemetry::{SpanKind, Telemetry};
 use ogsa_xml::{write_document, Element, XPath, XPathContext};
@@ -132,11 +132,15 @@ impl Database {
         colls
             .entry(name.to_owned())
             .or_insert_with(|| {
+                let metrics = self.inner.tel.metrics().clone();
+                let (collection, host) = (name.to_owned(), self.inner.stats.host().to_owned());
+                let on_contention = move |_| {
+                    let labels = [("collection", &*collection), ("host", &*host)];
+                    metrics.inc("db.shard_contention", &labels);
+                };
                 Arc::new(Collection {
                     name: name.to_owned(),
-                    shards: (0..self.inner.config.shards)
-                        .map(|_| RwLock::new(BTreeMap::new()))
-                        .collect(),
+                    shards: Shards::new(self.inner.config.shards, 0, BTreeMap::new, on_contention),
                     clock: self.inner.clock.clone(),
                     profile: backend.cost_profile(&self.inner.model),
                     backend,
@@ -220,7 +224,7 @@ impl Stored {
 /// independently locked shards.
 pub struct Collection {
     name: String,
-    shards: Vec<RwLock<BTreeMap<String, Stored>>>,
+    shards: Shards<BTreeMap<String, Stored>>,
     clock: VirtualClock,
     profile: CostProfile,
     backend: BackendKind,
@@ -233,7 +237,7 @@ impl std::fmt::Debug for Collection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collection")
             .field("name", &self.name)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shards.count())
             .field("len", &self.len())
             .finish_non_exhaustive()
     }
@@ -246,12 +250,12 @@ impl Collection {
 
     /// Number of independently locked shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards.count()
     }
 
     /// The shard a key routes to (stable across runs).
     pub fn shard_of(&self, key: &str) -> usize {
-        (hash_str(key) % self.shards.len() as u64) as usize
+        self.shards.route(key)
     }
 
     /// Register an observer for updates/removals; see [`InvalidationHook`].
@@ -272,35 +276,26 @@ impl Collection {
         span
     }
 
+    /// A keyed operation's prologue: open its `span`, charge `cost` to
+    /// `key`'s shard and count one `series`. Returns the span and shard.
+    fn keyed_op(
+        &self,
+        span: &'static str,
+        series: &str,
+        cost: SimDuration,
+        key: &str,
+    ) -> (ogsa_telemetry::Span, usize) {
+        let span = self.op_span(span);
+        let shard = self.shard_of(key);
+        self.charge(shard, cost);
+        self.count(series);
+        (span, shard)
+    }
+
     /// Advance the clock and attribute the cost to `shard`'s busy time.
     fn charge(&self, shard: usize, cost: SimDuration) {
         self.clock.advance(cost);
         self.stats.add_shard_busy(shard, cost.as_micros());
-    }
-
-    /// Shard read lock, counting contended acquisitions.
-    fn read_shard(&self, shard: usize) -> RwLockReadGuard<'_, BTreeMap<String, Stored>> {
-        let lock = &self.shards[shard];
-        if let Some(g) = lock.try_read() {
-            return g;
-        }
-        self.note_contention();
-        lock.read()
-    }
-
-    /// Shard write lock, counting contended acquisitions.
-    fn write_shard(&self, shard: usize) -> RwLockWriteGuard<'_, BTreeMap<String, Stored>> {
-        let lock = &self.shards[shard];
-        if let Some(g) = lock.try_write() {
-            return g;
-        }
-        self.note_contention();
-        lock.write()
-    }
-
-    fn note_contention(&self) {
-        let labels = [("collection", &*self.name), ("host", self.stats.host())];
-        self.tel.metrics().inc("db.shard_contention", &labels);
     }
 
     /// One more on this database's `series{host}` counter.
@@ -312,11 +307,8 @@ impl Collection {
 
     /// Insert a new document; fails on duplicate key.
     pub fn insert(&self, key: &str, doc: Element) -> Result<(), DbError> {
-        let _s = self.op_span("db:insert");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.insert);
-        self.count("db.inserts");
-        let mut docs = self.write_shard(shard);
+        let (_s, shard) = self.keyed_op("db:insert", "db.inserts", self.profile.insert, key);
+        let mut docs = self.shards.write(shard);
         if docs.contains_key(key) {
             return Err(DbError::DuplicateKey {
                 collection: self.name.clone(),
@@ -336,76 +328,64 @@ impl Collection {
             return Ok(());
         }
         let _s = self.op_span("db:insert");
-        // Group by shard; reject duplicates within the batch up front.
-        let mut groups: BTreeMap<usize, Vec<(String, Element)>> = BTreeMap::new();
-        let mut seen = std::collections::HashSet::new();
-        for (key, doc) in entries {
-            if !seen.insert(key.clone()) {
-                return Err(DbError::DuplicateKey {
-                    collection: self.name.clone(),
-                    key,
-                });
-            }
-            groups
-                .entry(self.shard_of(&key))
-                .or_default()
-                .push((key, doc));
+        // Reject duplicates within the batch up front.
+        let mut seen = HashSet::new();
+        if let Some((key, _)) = entries.iter().find(|(key, _)| !seen.insert(key.as_str())) {
+            return Err(DbError::DuplicateKey {
+                collection: self.name.clone(),
+                key: key.clone(),
+            });
         }
+        // Group by shard, ascending; the sort is stable, so each shard's
+        // documents keep their batch order.
+        let mut routed: Vec<(usize, (String, Element))> = entries
+            .into_iter()
+            .map(|entry| (self.shard_of(&entry.0), entry))
+            .collect();
+        routed.sort_by_key(|(shard, _)| *shard);
+        let (route, batch): (Vec<usize>, Vec<(String, Element)>) = routed.into_iter().unzip();
         // Charge up front (a failed insert still costs), attributing each
         // document's share to its own shard.
-        let mut first = true;
-        for (&shard, items) in &groups {
-            for _ in items {
-                let cost = if first {
-                    self.profile.insert
-                } else {
-                    self.profile.batch_insert
-                };
-                first = false;
-                self.charge(shard, cost);
-                self.count("db.inserts");
-            }
+        let costs = std::iter::once(self.profile.insert)
+            .chain(std::iter::repeat(self.profile.batch_insert));
+        for (&shard, cost) in route.iter().zip(costs) {
+            self.charge(shard, cost);
+            self.count("db.inserts");
         }
-        // Lock the touched shards in ascending order (deadlock-free against
-        // any other insert_many), verify, then mutate.
-        let shard_order: Vec<usize> = groups.keys().copied().collect();
-        let mut guards: Vec<RwLockWriteGuard<'_, BTreeMap<String, Stored>>> =
-            shard_order.iter().map(|&s| self.write_shard(s)).collect();
-        for (gi, &shard) in shard_order.iter().enumerate() {
-            for (key, _) in &groups[&shard] {
-                if guards[gi].contains_key(key) {
-                    return Err(DbError::DuplicateKey {
-                        collection: self.name.clone(),
-                        key: key.clone(),
-                    });
-                }
+        // Lock each touched shard once, in ascending order (deadlock-free
+        // against any other insert_many), paired with its run of
+        // documents; verify, then mutate.
+        let mut locked: Vec<_> = route
+            .chunk_by(|a, b| a == b)
+            .map(|run| (self.shards.write(run[0]), run.len()))
+            .collect();
+        let mut docs = batch.iter();
+        for (guard, n) in &locked {
+            if let Some((key, _)) = docs.by_ref().take(*n).find(|(k, _)| guard.contains_key(k)) {
+                return Err(DbError::DuplicateKey {
+                    collection: self.name.clone(),
+                    key: key.clone(),
+                });
             }
         }
         // Notify the backend of the whole batch as one unit — a durable
         // backend logs exactly one WAL record, so a crash can never
         // half-apply the batch. Every touched shard lock is still held, so
         // the batch is observed atomically with respect to other writers.
-        let flat: Vec<(String, Element)> = shard_order
-            .iter()
-            .flat_map(|s| groups.remove(s).expect("grouped above"))
-            .collect();
-        self.backend.on_write_many(&self.name, &flat);
-        for (key, doc) in flat {
-            let gi = shard_order
-                .binary_search(&self.shard_of(&key))
-                .expect("key grouped above");
-            guards[gi].insert(key, Stored::new(doc));
+        self.backend.on_write_many(&self.name, &batch);
+        let mut docs = batch.into_iter();
+        for (guard, n) in &mut locked {
+            for (key, doc) in docs.by_ref().take(*n) {
+                guard.insert(key, Stored::new(doc));
+            }
         }
         Ok(())
     }
 
     /// Read a document by key.
     pub fn get(&self, key: &str) -> Option<Element> {
-        let _s = self.op_span("db:read");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.read);
-        self.count("db.reads");
-        self.read_shard(shard).get(key).map(|s| s.doc.clone())
+        let (_s, shard) = self.keyed_op("db:read", "db.reads", self.profile.read, key);
+        self.shards.read(shard).get(key).map(|s| s.doc.clone())
     }
 
     /// Serialized document bytes by key (full document string, including
@@ -414,21 +394,15 @@ impl Collection {
     /// shared out, so serving a hot document repeatedly does no
     /// serialisation work at all.
     pub fn get_serialized(&self, key: &str) -> Option<Arc<str>> {
-        let _s = self.op_span("db:read");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.read);
-        self.count("db.reads");
-        self.read_shard(shard).get(key).map(Stored::wire)
+        let (_s, shard) = self.keyed_op("db:read", "db.reads", self.profile.read, key);
+        self.shards.read(shard).get(key).map(Stored::wire)
     }
 
     /// Replace an existing document; fails if the key is absent.
     pub fn update(&self, key: &str, doc: Element) -> Result<(), DbError> {
-        let _s = self.op_span("db:update");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.update);
-        self.count("db.updates");
+        let (_s, shard) = self.keyed_op("db:update", "db.updates", self.profile.update, key);
         {
-            let mut docs = self.write_shard(shard);
+            let mut docs = self.shards.write(shard);
             match docs.get_mut(key) {
                 Some(slot) => {
                     self.backend.on_write(&self.name, key, Some(&doc));
@@ -450,7 +424,7 @@ impl Collection {
     /// concurrent upserts of a fresh key cannot race into a lost write).
     pub fn upsert(&self, key: &str, doc: Element) {
         let shard = self.shard_of(key);
-        let mut docs = self.write_shard(shard);
+        let mut docs = self.shards.write(shard);
         let existed = docs.contains_key(key);
         let _s = self.op_span(if existed { "db:update" } else { "db:insert" });
         if existed {
@@ -470,11 +444,8 @@ impl Collection {
 
     /// Delete a document, returning it if present.
     pub fn remove(&self, key: &str) -> Option<Element> {
-        let _s = self.op_span("db:delete");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.delete);
-        self.count("db.deletes");
-        let removed = self.write_shard(shard).remove(key).map(|s| s.doc);
+        let (_s, shard) = self.keyed_op("db:delete", "db.deletes", self.profile.delete, key);
+        let removed = self.shards.write(shard).remove(key).map(|s| s.doc);
         if removed.is_some() {
             self.backend.on_write(&self.name, key, None);
             self.notify_invalidated(key);
@@ -484,17 +455,14 @@ impl Collection {
 
     /// True if the key exists (charged as a read).
     pub fn contains(&self, key: &str) -> bool {
-        let _s = self.op_span("db:read");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.read);
-        self.count("db.reads");
-        self.read_shard(shard).contains_key(key)
+        let (_s, shard) = self.keyed_op("db:read", "db.reads", self.profile.read, key);
+        self.shards.read(shard).contains_key(key)
     }
 
     /// Number of documents (not charged — metadata).
     pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.read_shard(s).len())
+        (0..self.shards.count())
+            .map(|s| self.shards.read(s).len())
             .sum()
     }
 
@@ -504,35 +472,26 @@ impl Collection {
 
     /// All keys, sorted (charged as a query).
     pub fn keys(&self) -> Vec<String> {
-        let guards: Vec<_> = (0..self.shards.len()).map(|s| self.read_shard(s)).collect();
-        let ndocs = guards.iter().map(|g| g.len()).sum();
-        self.charge_query(ndocs);
-        let mut keys: Vec<String> = guards.iter().flat_map(|g| g.keys().cloned()).collect();
-        keys.sort();
-        keys
+        self.scan(|docs| docs.into_iter().map(|(k, _)| k.clone()).collect())
     }
 
     /// Documents whose root matches the XPath expression — "rich queries
     /// over the state of multiple resources" (§3.1). Returns (key, document)
-    /// pairs in key order. Holds every shard's read lock for the duration,
-    /// so the result is a consistent snapshot.
+    /// pairs in key order.
     pub fn query(
         &self,
         xpath: &XPath,
         ctx: &XPathContext,
     ) -> Result<Vec<(String, Element)>, ogsa_xml::XmlError> {
-        let guards: Vec<_> = (0..self.shards.len()).map(|s| self.read_shard(s)).collect();
-        let ndocs = guards.iter().map(|g| g.len()).sum();
-        self.charge_query(ndocs);
-        let mut pairs: Vec<(&String, &Stored)> = guards.iter().flat_map(|g| g.iter()).collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0));
-        let mut out = Vec::new();
-        for (k, stored) in pairs {
-            if xpath.matches(&stored.doc, ctx)? {
-                out.push((k.clone(), stored.doc.clone()));
+        self.scan(|docs| {
+            let mut out = Vec::new();
+            for (k, stored) in docs {
+                if xpath.matches(&stored.doc, ctx)? {
+                    out.push((k.clone(), stored.doc.clone()));
+                }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// Nodes selected by the XPath expression across all documents, cloned,
@@ -542,23 +501,30 @@ impl Collection {
         xpath: &XPath,
         ctx: &XPathContext,
     ) -> Result<Vec<Element>, ogsa_xml::XmlError> {
-        let guards: Vec<_> = (0..self.shards.len()).map(|s| self.read_shard(s)).collect();
-        let ndocs = guards.iter().map(|g| g.len()).sum();
-        self.charge_query(ndocs);
-        let mut pairs: Vec<(&String, &Stored)> = guards.iter().flat_map(|g| g.iter()).collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0));
-        let mut out = Vec::new();
-        for (_, stored) in pairs {
-            for node in xpath.select(&stored.doc, ctx)? {
-                out.push(node.clone());
+        self.scan(|docs| {
+            let mut out = Vec::new();
+            for (_, stored) in docs {
+                out.extend(xpath.select(&stored.doc, ctx)?.into_iter().cloned());
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
+    }
+
+    /// Hand `visit` every document in key order, charged as one query.
+    /// Every shard's read lock is held for the duration, so the documents
+    /// are a consistent snapshot.
+    fn scan<R>(&self, visit: impl FnOnce(Vec<(&String, &Stored)>) -> R) -> R {
+        let guards = self.shards.read_all();
+        self.charge_query(guards.iter().map(|g| g.len()).sum());
+        let mut docs: Vec<(&String, &Stored)> = guards.iter().flat_map(|g| g.iter()).collect();
+        docs.sort_by(|a, b| a.0.cmp(b.0));
+        visit(docs)
     }
 
     /// Read without charging (used by the write-through cache to fill).
     pub(crate) fn get_uncharged(&self, key: &str) -> Option<Element> {
-        self.read_shard(self.shard_of(key))
+        self.shards
+            .read(self.shard_of(key))
             .get(key)
             .map(|s| s.doc.clone())
     }
@@ -567,11 +533,9 @@ impl Collection {
     /// one shard lock (the cache's miss-fill path: one read charge, both
     /// representations, no torn version between them).
     pub(crate) fn get_stored(&self, key: &str) -> Option<(Element, Arc<str>)> {
-        let _s = self.op_span("db:read");
-        let shard = self.shard_of(key);
-        self.charge(shard, self.profile.read);
-        self.count("db.reads");
-        self.read_shard(shard)
+        let (_s, shard) = self.keyed_op("db:read", "db.reads", self.profile.read, key);
+        self.shards
+            .read(shard)
             .get(key)
             .map(|s| (s.doc.clone(), s.wire()))
     }
@@ -583,10 +547,10 @@ impl Collection {
         let total = self.profile.query_fixed + self.profile.query_per_doc * ndocs as u64;
         self.clock.advance(total);
         self.count("db.queries");
-        let shards = self.shards.len() as u64;
+        let shards = self.shards.count() as u64;
         let share = total.as_micros() / shards;
         let remainder = total.as_micros() % shards;
-        for s in 0..self.shards.len() {
+        for s in 0..self.shards.count() {
             let extra = u64::from((s as u64) < remainder);
             self.stats.add_shard_busy(s, share + extra);
         }
