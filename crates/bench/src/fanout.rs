@@ -49,13 +49,13 @@ pub fn run() -> Vec<(&'static str, String)> {
 
     let stack_rows = stack_fanout(&[1_000, 10_000], 256);
     println!(
-        "\n{:>9} {:>10} {:>8} {:>11} {:>10} {:>12} {:>10}",
-        "stack", "subs", "events", "deliveries", "envelopes", "virtual µs", "wall ms"
+        "\n{:>9} {:>10} {:>8} {:>11} {:>10} {:>12}",
+        "stack", "subs", "events", "deliveries", "envelopes", "virtual µs"
     );
     for r in &stack_rows {
         println!(
-            "{:>9} {:>10} {:>8} {:>11} {:>10} {:>12} {:>10.1}",
-            r.stack, r.subscribers, r.events, r.deliveries, r.envelopes, r.virtual_us, r.wall_ms
+            "{:>9} {:>10} {:>8} {:>11} {:>10} {:>12}",
+            r.stack, r.subscribers, r.events, r.deliveries, r.envelopes, r.virtual_us
         );
     }
 
@@ -99,9 +99,9 @@ pub fn run() -> Vec<(&'static str, String)> {
         format!(
             concat!(
                 "{{\"stack\":\"{}\",\"subscribers\":{},\"events\":{},\"deliveries\":{},",
-                "\"envelopes\":{},\"virtual_us\":{},\"wall_ms\":{:.3}}}"
+                "\"envelopes\":{},\"virtual_us\":{}}}"
             ),
-            r.stack, r.subscribers, r.events, r.deliveries, r.envelopes, r.virtual_us, r.wall_ms
+            r.stack, r.subscribers, r.events, r.deliveries, r.envelopes, r.virtual_us
         )
     }));
     vec![(

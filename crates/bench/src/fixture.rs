@@ -1,5 +1,4 @@
-//! Workloads shared by more than one subcommand, and by the serving-tier
-//! tests.
+//! The workload the serving-tier tests drive over sockets.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -9,17 +8,9 @@ use ogsa_core::counter::{CounterApi, TransferCounter};
 use ogsa_core::security::SecurityPolicy;
 use ogsa_core::sim::CostModel;
 use ogsa_core::transfer::messages;
-use ogsa_core::xml::Element;
 use ogsa_core::xmldb::BackendKind;
 
-use crate::loadgen::{LoadConfig, LoadMode};
-
-/// The collection the storage subcommands write to.
-pub const COLL: &str = "resources";
-
-pub fn doc(v: i64) -> Element {
-    Element::new("counter").with_child(Element::text_element("value", v.to_string()))
-}
+use crate::loadgen::LoadConfig;
 
 /// A span-quiet testbed serving one signed WS-Transfer counter, and the
 /// pre-signed Get every load connection replays against it. The server
@@ -70,7 +61,6 @@ impl SignedGet {
             connections,
             duration,
             warmup,
-            mode: LoadMode::Closed,
             target: self.target.clone(),
             host: self.host.clone(),
             body: self.wire.clone(),

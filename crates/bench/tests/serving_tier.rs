@@ -1,14 +1,16 @@
-//! The serving tier under socket load, driven through `ogsa-bench`'s load
-//! generator against the signed WS-Transfer Get fixture: what holds while
-//! `ogsa-bench serve` measures it.
+//! The serving tier under socket load, driven through `ogsa-bench`'s socket
+//! load client against the signed WS-Transfer Get fixture.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
 use ogsa_bench::fixture::SignedGet;
 use ogsa_bench::loadgen::{self, LoadConfig, LoadReport};
-use ogsa_bench::serve::SUSTAIN_CONNECTIONS;
 use ogsa_core::serve::{ObsConfig, ServeConfig, Server};
+
+/// The headline concurrency figure: this many keep-alive connections held
+/// open at once.
+const SUSTAIN_CONNECTIONS: usize = 1024;
 
 const WARMUP: Duration = Duration::from_millis(200);
 

@@ -157,8 +157,11 @@ impl LifetimeManager {
         let due: Vec<(String, Destructor)> = {
             let mut state = self.inner.state.lock();
             let mut due = Vec::new();
-            while state.index.first().is_some_and(|(t, _)| *t <= now) {
-                let (_, key) = state.index.pop_first().expect("first row was just seen");
+            while let Some((t, key)) = state.index.pop_first() {
+                if t > now {
+                    state.index.insert((t, key));
+                    break;
+                }
                 let entry = state
                     .entries
                     .remove(&key)

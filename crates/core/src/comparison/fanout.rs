@@ -1,12 +1,12 @@
-//! The fan-out experiments backing `BENCH_fanout.json` — this PR's perf
-//! claims, measured instead of asserted:
+//! The fan-out experiments backing `BENCH_fanout.json`:
 //!
 //! * **Trie vs naive** — resolving a topic path through the precompiled
 //!   [`ogsa_fanout::TopicTrie`] versus the retained naive matcher (one
 //!   [`CompiledTopic::matches`] scan per subscription), wall-clock, across
 //!   subscriber counts (1k → 1M) and topic shapes. The two must agree on
 //!   every probe; the trie must be ≥ 10× at 100k subscribers and above.
-//! * **Shard scaling** — the makespan model from the PR-3 xmldb sharding:
+//!   The only wall-clock figures `BENCH_fanout.json` holds.
+//! * **Shard scaling** — the makespan model of the xmldb sharding:
 //!   notifications/sec = delivered notes ÷ the busiest shard's charged
 //!   time. The per-operation *cost* is shard-count invariant; only the
 //!   attribution spreads, so throughput must scale with the shard count.
@@ -16,7 +16,7 @@
 //!   subscription on the wildcard shard) and no batch container (one
 //!   envelope per event).
 //! * **Batched determinism** — a chaotic batched WSN run must replay
-//!   byte-identically under the same seed, and the PR-2 broker
+//!   byte-identically under the same seed, and the broker
 //!   amplification ordinals must survive the recosted delivery path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,7 +285,6 @@ pub struct StackRow {
     pub envelopes: u64,
     /// Virtual time the delivery core charged.
     pub virtual_us: u64,
-    pub wall_ms: f64,
 }
 
 /// Run both stacks' delivery cores over the same event load, each under
@@ -336,7 +335,6 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
     });
 
     let start_virtual = clock.now();
-    let wall = Instant::now();
     // Events cycle a smaller root set than the subscriptions do, so each
     // subscriber sees repeated events and coalescing has something to fold.
     let event_roots = (events / 4).clamp(1, ROOTS / 8);
@@ -365,7 +363,6 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
         deliveries: deliveries.load(Ordering::Relaxed),
         envelopes: envelopes.load(Ordering::Relaxed),
         virtual_us: clock.now().since(start_virtual).as_micros(),
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
     }
 }
 

@@ -7,10 +7,11 @@
 //! serving tier needs is implemented: POST with `Content-Length` framing
 //! (the SOAP path), bodyless GET (the admin plane), `Host`, `Connection`,
 //! and tolerant skipping of everything else. No chunked encoding — the
-//! grid clients (and `ogsa-bench`'s load generator) never send it, and a `Transfer-Encoding`
-//! header is rejected up front rather than mis-framed. Whether a given
-//! listener *accepts* a method is the dispatcher's decision, not the
-//! parser's: the service port answers 405 to GET, the admin port to POST.
+//! grid clients (and the serving-tier tests' load client) never send it,
+//! and a `Transfer-Encoding` header is rejected up front rather than
+//! mis-framed. Whether a given listener *accepts* a method is the
+//! dispatcher's decision, not the parser's: the service port answers 405
+//! to GET, the admin port to POST.
 
 /// Hard cap on the request head (start line + headers + blank line).
 pub const DEFAULT_MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -302,8 +303,8 @@ pub fn write_response_typed(
     out.extend_from_slice(body.as_bytes());
 }
 
-/// Append a minimal request (what `ogsa-bench`'s load generator replays)
-/// to `out`.
+/// Append a minimal request (what the serving-tier tests' load client
+/// replays) to `out`.
 pub fn write_request(out: &mut Vec<u8>, target: &str, host: &str, keep_alive: bool, body: &str) {
     out.extend_from_slice(b"POST ");
     out.extend_from_slice(target.as_bytes());

@@ -1,6 +1,5 @@
 //! Prometheus text exposition (version 0.0.4) of a metrics snapshot, plus
-//! a strict parser used by the serving-tier tests and the load generator's
-//! cross-check.
+//! a strict parser the serving-tier tests read their mid-run scrapes with.
 //!
 //! The registry stores series under rendered `name{k=v,...}` keys; this
 //! module splits those keys back into name + labels, sanitises metric

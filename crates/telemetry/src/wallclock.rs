@@ -6,9 +6,9 @@
 //! virtual-time state, so a run observed through this module is
 //! byte-identical to one that is not.
 //!
-//! * [`bucket_of`]/[`bucket_floor`] — the log-bucket scheme shared with
-//!   the load generator (power-of-two groups split into 32 sub-buckets,
-//!   ≤ ~3% relative error, 2048 fixed buckets).
+//! * [`bucket_of`]/[`bucket_floor`] — the log-bucket scheme
+//!   (power-of-two groups split into 32 sub-buckets, ≤ ~3% relative
+//!   error, 2048 fixed buckets).
 //! * [`WallHistogram`] — one **lock-free** histogram shard: plain relaxed
 //!   atomics, no locks, no allocation after construction. Each serving
 //!   worker owns one shard and records into it without ever synchronising
@@ -377,6 +377,71 @@ mod tests {
         assert_eq!(cum[0], 1);
         assert_eq!(cum[1], 2);
         assert_eq!(cum[WALL_PROM_BUCKETS_US.len() - 1], 6);
+    }
+
+    fn snapshot_of(values: &[u64]) -> WallSnapshot {
+        let h = WallHistogram::new();
+        for &us in values {
+            h.record(us);
+        }
+        h.snapshot()
+    }
+
+    /// (p50, p99, p999, mean, max) of a snapshot.
+    fn figures(s: &WallSnapshot) -> (u64, u64, u64, u64, u64) {
+        let q = |q| s.quantile_us(q);
+        (q(0.50), q(0.99), q(0.999), s.mean_us(), s.max_us)
+    }
+
+    /// The figures below are what a private copy of this log-bucket scheme
+    /// once reported for the same sequences.
+    #[test]
+    fn snapshot_reports_the_pinned_figures() {
+        const SEQ: [u64; 14] = [
+            0, 1, 63, 64, 100, 100, 100, 250, 999, 1_000, 4_096, 65_535, 1_000_000, 1_000_000,
+        ];
+        let s = snapshot_of(&SEQ);
+        assert_eq!(s.count, 14);
+        assert_eq!(figures(&s), (100, 999_424, 999_424, 148_022, 1_000_000));
+
+        // `u64::MAX` alone was the one extreme the old copy could take: any
+        // second observation overflowed its checked sum.
+        let top = 63u64 << 58;
+        let s = snapshot_of(&[u64::MAX]);
+        assert_eq!(figures(&s), (top, top, top, u64::MAX, u64::MAX));
+        // Mixed with ordinary values the modular sum keeps the run alive;
+        // quantiles and max are what the bucket scheme always gave.
+        let mut mixed = SEQ.to_vec();
+        mixed.push(u64::MAX);
+        let (p50, p99, p999, _, max) = figures(&snapshot_of(&mixed));
+        assert_eq!((p50, p99, p999, max), (248, top, top, u64::MAX));
+
+        // Quantiles come from the right tail.
+        let mut tail = vec![100u64; 99];
+        tail.push(100_000);
+        let s = snapshot_of(&tail);
+        let (p50, p99, p999, _, max) = figures(&s);
+        assert_eq!((s.count, p50, max), (100, 100, 100_000));
+        assert!(p99 <= 100_000);
+        assert!(p999 > 90_000, "p999 {p999} missed the outlier");
+
+        // An empty run is zeroes.
+        let s = snapshot_of(&[]);
+        assert_eq!((s.count, figures(&s)), (0, (0, 0, 0, 0, 0)));
+
+        // A reported quantile is its bucket's floor: never above the value,
+        // at most 1/32 (five sub-bucket bits) below it, monotone in it.
+        let mut last = 0;
+        for v in [1u64, 2, 31, 32, 63, 64, 100, 1000, 65_535, 1 << 20, 1 << 40] {
+            let floor = snapshot_of(&[v]).quantile_us(0.50);
+            assert!(floor >= last, "quantile not monotone at {v}");
+            last = floor;
+            assert!(floor <= v, "floor {floor} above value {v}");
+            assert!(
+                (v - floor) as f64 <= v as f64 / 32.0 + 1.0,
+                "floor {floor} too far below {v}"
+            );
+        }
     }
 
     #[test]
