@@ -12,6 +12,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::sha256::{hex, sha256};
+use crate::sig::mac_key;
 
 /// A simulated X.509 certificate: the fields the token on the wire carries,
 /// so the SOAP layer's typed security block holds one as is.
@@ -23,7 +24,8 @@ pub use ogsa_soap::security::Certificate;
 pub struct Identity {
     /// Shared, not copied, into every block this identity signs.
     pub cert: Arc<Certificate>,
-    pub(crate) secret: [u8; 32],
+    /// The secret as the keyed-MAC midstate signing resumes from.
+    pub(crate) secret: [u32; 8],
 }
 
 impl Identity {
@@ -33,7 +35,7 @@ impl Identity {
         &self.cert.subject_dn
     }
 
-    pub(crate) fn secret(&self) -> &[u8; 32] {
+    pub(crate) fn secret(&self) -> &[u32; 8] {
         &self.secret
     }
 }
@@ -61,6 +63,7 @@ impl CertAuthority {
             serial,
             key_id: key_id.clone(),
         });
+        let secret = mac_key(&secret);
         inner.keys.insert(key_id, secret);
         Identity { cert, secret }
     }
@@ -70,7 +73,7 @@ impl CertAuthority {
 struct StoreInner {
     trusted_issuers: HashSet<String>,
     /// key id → verification secret (the simulated public-key oracle).
-    keys: HashMap<String, [u8; 32]>,
+    keys: HashMap<String, [u32; 8]>,
     next_serial: u64,
 }
 
@@ -103,7 +106,7 @@ impl CertStore {
     }
 
     /// Look up verification material for a key id (simulated public key).
-    pub(crate) fn verification_secret(&self, key_id: &str) -> Option<[u8; 32]> {
+    pub(crate) fn verification_secret(&self, key_id: &str) -> Option<[u32; 8]> {
         self.inner.read().keys.get(key_id).copied()
     }
 }

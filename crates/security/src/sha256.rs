@@ -96,34 +96,41 @@ impl Sha256 {
         }
     }
 
+    /// The chaining state after compressing `blocks` from the initial value,
+    /// for [`Sha256::resume`]: a prefix many messages share is hashed once.
+    pub(crate) fn midstate(blocks: &[[u8; 64]]) -> [u32; 8] {
+        let mut h = Sha256::new();
+        for block in blocks {
+            h.compress_blocks(block);
+        }
+        h.state
+    }
+
+    /// Continue a hash whose first `blocks` 64-byte blocks are already
+    /// compressed into `state` (see [`Sha256::midstate`]).
+    pub(crate) fn resume(state: [u32; 8], blocks: u64) -> Self {
+        Sha256 {
+            state,
+            length_bits: blocks.wrapping_mul(512),
+            ..Sha256::default()
+        }
+    }
+
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let len_bits = self.length_bits;
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&len_bits.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        // 0x80, zeros, the big-endian bit length: one block, or two if < 9 B left.
+        let n = self.buffered;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.length_bits.to_be_bytes());
+        self.compress_blocks(&tail[..end]);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
-    }
-
-    /// Like `update` but without counting toward the message length.
-    fn update_padding(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffered] = byte;
-            self.buffered += 1;
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress_blocks(&block);
-                self.buffered = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -274,13 +281,12 @@ pub fn sha256_hex(data: &[u8]) -> String {
 /// formatting machinery of `write!` costs more than the digest prints.
 pub fn hex(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = Vec::with_capacity(bytes.len() * 2);
+    let mut s = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
-        s.push(DIGITS[(b >> 4) as usize]);
-        s.push(DIGITS[(b & 0x0f) as usize]);
+        s.push(char::from(DIGITS[(b >> 4) as usize]));
+        s.push(char::from(DIGITS[(b & 0x0f) as usize]));
     }
-    // Hex digits only, so the bytes are valid UTF-8 by construction.
-    String::from_utf8(s).expect("hex output is ASCII")
+    s
 }
 
 #[cfg(test)]
@@ -385,6 +391,23 @@ mod tests {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
+    }
+
+    /// Every length across the one- and two-block padding edges (55/56,
+    /// 63/64, 119/120 ...), fed whole and split at several points.
+    #[test]
+    fn every_length_and_split_matches_scalar() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        for len in 0..=300 {
+            let want = scalar_digest(&data[..len]);
+            for split in [0, 1, 55, 56, 63, 64, 65, 128, len / 2, len] {
+                let split = split.min(len);
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..len]);
+                assert_eq!(h.finalize(), want, "length {len} split {split}");
+            }
+        }
     }
 
     /// The dispatched path (hardware on CPUs with the SHA extensions) must

@@ -173,18 +173,29 @@ const SIGNED_INFO: [&str; 3] = [
      </{http://www.w3.org/2000/09/xmldsig#}SignedInfo>",
 ];
 
+/// Bytes of `SIGNED_INFO[0]` that, behind the 32-byte secret, fill the keyed
+/// MAC's first two blocks: the part of every MAC input a key fixes.
+const KEYED_HEAD: usize = 2 * 64 - 32;
+const _: () = assert!(SIGNED_INFO[0].len() >= KEYED_HEAD);
+
+/// The MAC key: the midstate of `secret ‖ SIGNED_INFO[0][..KEYED_HEAD]`,
+/// compressed once per identity, at the secret's own 32 bytes.
+pub(crate) fn mac_key(secret: &[u8; 32]) -> [u32; 8] {
+    let head = SIGNED_INFO[0].as_bytes();
+    let mut blocks = [[0u8; 64]; 2];
+    blocks[0][..32].copy_from_slice(secret);
+    blocks[0][32..].copy_from_slice(&head[..32]);
+    blocks[1].copy_from_slice(&head[32..KEYED_HEAD]);
+    Sha256::midstate(&blocks)
+}
+
 /// Simulated RSA signature over the canonical `ds:SignedInfo` holding these
-/// two digests: a keyed hash (see crate docs). Simple prefix-MAC is fine
-/// here — the key is fixed-length, so no length extension concern for this
-/// simulation.
-fn mac_signed_info(
-    secret: &[u8; 32],
-    body_digest: &[u8; 32],
-    headers_digest: &[u8; 32],
-) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(secret);
-    h.update(SIGNED_INFO[0].as_bytes());
+/// two digests: a keyed hash (see crate docs), resumed from [`mac_key`].
+/// Simple prefix-MAC is fine here — the key is fixed-length, so no length
+/// extension concern for this simulation.
+fn mac_signed_info(key: &[u32; 8], body_digest: &[u8; 32], headers_digest: &[u8; 32]) -> [u8; 32] {
+    let mut h = Sha256::resume(*key, 2);
+    h.update(&SIGNED_INFO[0].as_bytes()[KEYED_HEAD..]);
     h.update(&hex32(body_digest));
     h.update(SIGNED_INFO[1].as_bytes());
     h.update(&hex32(headers_digest));
@@ -202,8 +213,7 @@ pub fn sign_envelope(
     model: &CostModel,
 ) {
     env.security = None;
-    let size = env.wire_size();
-    clock.advance(model.sign_time(size));
+    clock.advance(model.sign_time(|| env.wire_size()));
 
     let (body_digest, headers_digest) = digest_body_and_headers(env);
     env.security = Some(SecurityHeader::Signed(SignedBlock {
@@ -225,8 +235,7 @@ pub fn verify_envelope(
     clock: &VirtualClock,
     model: &CostModel,
 ) -> Result<SignerInfo, SecurityError> {
-    let size = env.wire_size();
-    clock.advance(model.verify_time(size));
+    clock.advance(model.verify_time(|| env.wire_size()));
 
     let block = match &env.security {
         None => return Err(SecurityError::NotSigned),
@@ -262,11 +271,10 @@ pub fn verify_envelope(
     }
 
     // Verify the signature over SignedInfo with the oracle's key material.
-    let secret = store
+    let key = store
         .verification_secret(&cert.key_id)
         .ok_or(SecurityError::UnknownSigner)?;
-    if mac_signed_info(&secret, &block.body_digest, &block.headers_digest) != block.signature_value
-    {
+    if mac_signed_info(&key, &block.body_digest, &block.headers_digest) != block.signature_value {
         return Err(SecurityError::BadSignature);
     }
 
@@ -365,7 +373,7 @@ mod tests {
         // Charged for the unsigned message, not for alice's block on top.
         assert_eq!(
             clock.now().since(before),
-            model.sign_time(sample_env().wire_size())
+            model.sign_time(|| sample_env().wire_size())
         );
         let signer = verify_envelope(&twice, &store, &clock, &model).unwrap();
         assert_eq!(signer.dn(), "CN=bob,O=UVA-VO");
@@ -445,9 +453,66 @@ mod tests {
         buffered.update(&secret);
         buffered.update(&canonicalize(&tree));
         assert_eq!(
-            mac_signed_info(&secret, &body_digest, &headers_digest),
+            mac_signed_info(&mac_key(&secret), &body_digest, &headers_digest),
             buffered.finalize()
         );
+    }
+
+    /// `sample_env` with its body text padded so its unsigned wire is
+    /// `bytes` long.
+    fn env_of_wire_size(bytes: usize) -> Envelope {
+        let mut env = sample_env();
+        let text_len = bytes - env.wire_size() + "41".len();
+        env.body.set_text("4".repeat(text_len));
+        assert_eq!(env.wire_size(), bytes);
+        env
+    }
+
+    /// Sign charges the unsigned message, verify the signed one, each at
+    /// exactly the model's price for that size — on both sides of a KB
+    /// boundary and at a Grid-in-a-Box upload's size — and nothing under
+    /// the free model.
+    #[test]
+    fn sign_and_verify_charge_the_priced_wire_sizes() {
+        let (store, alice, clock, calibrated) = setup();
+        for bytes in [1023, 1024, 1025, 26 * 1024] {
+            let mut env = env_of_wire_size(bytes);
+            let t0 = clock.now();
+            sign_envelope(&mut env, &alice, &clock, &calibrated);
+            let signed = clock.now();
+            assert_eq!(signed.since(t0), calibrated.sign_time(|| bytes));
+            verify_envelope(&env, &store, &clock, &calibrated).unwrap();
+            let charged = calibrated.verify_time(|| env.wire_size());
+            assert_eq!(clock.now().since(signed), charged);
+
+            let mut env = env_of_wire_size(bytes);
+            let t0 = clock.now();
+            sign_envelope(&mut env, &alice, &clock, &CostModel::free());
+            verify_envelope(&env, &store, &clock, &CostModel::free()).unwrap();
+            assert_eq!(clock.now(), t0);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn midstate_mac_is_the_keyed_hash_from_scratch(
+            secret in proptest::collection::vec(proptest::prelude::any::<u8>(), 32..33),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 32..33),
+            headers in proptest::collection::vec(proptest::prelude::any::<u8>(), 32..33),
+        ) {
+            let [secret, body, headers]: [[u8; 32]; 3] =
+                [secret, body, headers].map(|v| v.try_into().unwrap());
+            let mut whole = secret.to_vec();
+            whole.extend_from_slice(SIGNED_INFO[0].as_bytes());
+            whole.extend_from_slice(hex(&body).as_bytes());
+            whole.extend_from_slice(SIGNED_INFO[1].as_bytes());
+            whole.extend_from_slice(hex(&headers).as_bytes());
+            whole.extend_from_slice(SIGNED_INFO[2].as_bytes());
+            proptest::prop_assert_eq!(
+                mac_signed_info(&mac_key(&secret), &body, &headers),
+                crate::sha256::sha256(&whole)
+            );
+        }
     }
 
     #[test]

@@ -199,16 +199,22 @@ impl CostModel {
         SimDuration::from_micros(self.soap_fixed_us + self.soap_per_kb_us * kb)
     }
 
-    /// X.509 signing cost for `bytes` of signed content.
-    pub fn sign_time(&self, bytes: usize) -> SimDuration {
-        let kb = bytes.div_ceil(1024) as u64;
-        SimDuration::from_micros(self.x509_sign_us + self.x509_per_kb_us * kb)
+    /// X.509 signing cost for `bytes()` of signed content, sized only when
+    /// the model charges per KB: sizing a message is a whole writer pass.
+    pub fn sign_time(&self, bytes: impl FnOnce() -> usize) -> SimDuration {
+        SimDuration::from_micros(self.x509_sign_us + self.x509_kb_us(bytes))
     }
 
-    /// X.509 verification cost for `bytes` of signed content.
-    pub fn verify_time(&self, bytes: usize) -> SimDuration {
-        let kb = bytes.div_ceil(1024) as u64;
-        SimDuration::from_micros(self.x509_verify_us + self.x509_per_kb_us * kb)
+    /// X.509 verification cost, sized as for [`CostModel::sign_time`].
+    pub fn verify_time(&self, bytes: impl FnOnce() -> usize) -> SimDuration {
+        SimDuration::from_micros(self.x509_verify_us + self.x509_kb_us(bytes))
+    }
+
+    fn x509_kb_us(&self, bytes: impl FnOnce() -> usize) -> u64 {
+        match self.x509_per_kb_us {
+            0 => 0,
+            rate => rate * bytes().div_ceil(1024) as u64,
+        }
     }
 
     /// TLS record-layer cost for `bytes`.
@@ -267,9 +273,39 @@ mod tests {
     fn free_model_is_actually_free() {
         let m = CostModel::free();
         assert_eq!(m.wire_time(1 << 20, true), SimDuration::ZERO);
-        assert_eq!(m.sign_time(4096), SimDuration::ZERO);
+        assert_eq!(m.sign_time(|| 4096), SimDuration::ZERO);
         assert_eq!(m.soap_time(4096), SimDuration::ZERO);
         assert_eq!(m.file_time(4096), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn x509_charges_size_the_message_only_when_priced_per_kb() {
+        let free = CostModel::free();
+        let never = || -> usize { panic!("a model with no per-KB rate sized the message") };
+        assert_eq!(free.sign_time(never), SimDuration::ZERO);
+        assert_eq!(free.verify_time(never), SimDuration::ZERO);
+
+        let m = CostModel::calibrated_2005();
+        assert_ne!(m.x509_per_kb_us, 0);
+        for (bytes, kb) in [
+            (0usize, 0u64),
+            (1, 1),
+            (1024, 1),
+            (1025, 2),
+            (26 * 1024, 26),
+        ] {
+            let calls = std::cell::Cell::new(0);
+            let sized = || {
+                calls.set(calls.get() + 1);
+                bytes
+            };
+            let sign = SimDuration::from_micros(m.x509_sign_us + m.x509_per_kb_us * kb);
+            assert_eq!(m.sign_time(sized), sign);
+            assert_eq!(calls.get(), 1);
+            let verify = SimDuration::from_micros(m.x509_verify_us + m.x509_per_kb_us * kb);
+            assert_eq!(m.verify_time(sized), verify);
+            assert_eq!(calls.get(), 2);
+        }
     }
 
     #[test]
