@@ -56,16 +56,7 @@ impl EndpointReference {
 
     /// Text of the first reference property with the given local name.
     pub fn ref_property(&self, local: &str) -> Option<&str> {
-        self.reference_properties
-            .iter()
-            .find(|p| &*p.name.local == local)
-            .map(|p| {
-                p.children.iter().find_map(|n| match n {
-                    ogsa_xml::Node::Text(t) => Some(t.as_str()),
-                    _ => None,
-                })
-            })?
-            .or(Some(""))
+        property(&self.reference_properties, local)
     }
 
     // ---- address decomposition -----------------------------------------
@@ -103,24 +94,16 @@ impl EndpointReference {
     /// Serialise under the given element name (EPRs appear under many names:
     /// `wsa:EndpointReference`, `wsnt:ConsumerReference`, `wse:NotifyTo`...).
     pub fn to_element_named(&self, name: QName) -> Element {
-        let mut e = Element::new(name);
-        e.add_child(Element::text_element(
-            QName::new(ns::WSA, "Address"),
-            self.address.clone(),
-        ));
-        if !self.reference_properties.is_empty() {
-            let mut props = Element::new(QName::new(ns::WSA, "ReferenceProperties"));
-            for p in &self.reference_properties {
-                props.add_child(p.clone());
+        let address = Element::text_element(QName::new(ns::WSA, "Address"), self.address.clone());
+        let mut e = Element::new(name).with_child(address);
+        for (local, list) in [
+            ("ReferenceProperties", &self.reference_properties),
+            ("ReferenceParameters", &self.reference_parameters),
+        ] {
+            if !list.is_empty() {
+                let list = list.iter().cloned();
+                e.add_child(Element::new(QName::new(ns::WSA, local)).with_children(list));
             }
-            e.add_child(props);
-        }
-        if !self.reference_parameters.is_empty() {
-            let mut params = Element::new(QName::new(ns::WSA, "ReferenceParameters"));
-            for p in &self.reference_parameters {
-                params.add_child(p.clone());
-            }
-            e.add_child(params);
         }
         e
     }
@@ -132,27 +115,35 @@ impl EndpointReference {
 
     /// Parse an EPR from any element with the WS-Addressing shape.
     pub fn from_element(e: &Element) -> XmlResult<Self> {
-        let address = e
-            .child(&QName::new(ns::WSA, "Address"))
-            .or_else(|| e.child_local("Address"))
+        let child = |local| {
+            e.child(&QName::new(ns::WSA, local))
+                .or_else(|| e.child_local(local))
+        };
+        let list = |local| child(local).map(|p| p.child_elements().cloned().collect());
+        let address = child("Address")
             .ok_or_else(|| XmlError::Schema("EPR missing wsa:Address".into()))?
             .text();
-        let reference_properties = e
-            .child(&QName::new(ns::WSA, "ReferenceProperties"))
-            .or_else(|| e.child_local("ReferenceProperties"))
-            .map(|p| p.child_elements().cloned().collect())
-            .unwrap_or_default();
-        let reference_parameters = e
-            .child(&QName::new(ns::WSA, "ReferenceParameters"))
-            .or_else(|| e.child_local("ReferenceParameters"))
-            .map(|p| p.child_elements().cloned().collect())
-            .unwrap_or_default();
         Ok(EndpointReference {
             address,
-            reference_properties,
-            reference_parameters,
+            reference_properties: list("ReferenceProperties").unwrap_or_default(),
+            reference_parameters: list("ReferenceParameters").unwrap_or_default(),
         })
     }
+}
+
+/// Text of the first of `props` with the given local name (`""` if it has
+/// none).
+pub(crate) fn property<'p>(props: &'p [Element], local: &str) -> Option<&'p str> {
+    let p = props.iter().find(|p| &*p.name.local == local)?;
+    Some(
+        p.children
+            .iter()
+            .find_map(|n| match n {
+                ogsa_xml::Node::Text(t) => Some(t.as_str()),
+                _ => None,
+            })
+            .unwrap_or(""),
+    )
 }
 
 #[cfg(test)]

@@ -1,30 +1,9 @@
 //! WS-Addressing message information headers.
 
-use ogsa_soap::Envelope;
+use ogsa_soap::{AddressingHeader, Envelope};
 use ogsa_xml::{ns, Element, QName, XmlError, XmlResult};
 
 use crate::epr::EndpointReference;
-
-/// The WS-Addressing header names, built once: every message reuses these
-/// instead of paying two interner lookups per name.
-struct Names {
-    to: QName,
-    action: QName,
-    message_id: QName,
-    reply_to: QName,
-    relates_to: QName,
-}
-
-fn names() -> &'static Names {
-    static NAMES: std::sync::OnceLock<Names> = std::sync::OnceLock::new();
-    NAMES.get_or_init(|| Names {
-        to: QName::new(ns::WSA, "To"),
-        action: QName::new(ns::WSA, "Action"),
-        message_id: QName::new(ns::WSA, "MessageID"),
-        reply_to: QName::new(ns::WSA, "ReplyTo"),
-        relates_to: QName::new(ns::WSA, "RelatesTo"),
-    })
-}
 
 /// The anonymous reply address: "respond on the connection".
 pub const ANONYMOUS: &str = "http://schemas.xmlsoap.org/ws/2004/08/addressing/role/anonymous";
@@ -83,88 +62,68 @@ impl MessageHeaders {
         }
     }
 
-    /// Set the reply-to EPR (builder style) — used by asynchronous
-    /// notification subscriptions.
-    pub fn with_reply_to(mut self, epr: EndpointReference) -> Self {
-        self.reply_to = Some(epr);
-        self
+    /// Stamp copies of these headers onto an envelope.
+    pub fn apply(&self, env: Envelope) -> Envelope {
+        self.clone().stamp(env)
     }
 
-    /// Stamp these headers onto an envelope.
-    pub fn apply(&self, mut env: Envelope) -> Envelope {
-        let n = names();
-        env.headers
-            .push(Element::text_element(n.to.clone(), self.to.clone()));
-        env.headers
-            .push(Element::text_element(n.action.clone(), self.action.clone()));
-        env.headers.push(Element::text_element(
-            n.message_id.clone(),
-            self.message_id.clone(),
-        ));
-        if let Some(r) = &self.reply_to {
-            env.headers.push(r.to_element_named(n.reply_to.clone()));
-        }
-        if let Some(r) = &self.relates_to {
-            env.headers
-                .push(Element::text_element(n.relates_to.clone(), r.clone()));
-        }
-        for p in &self.reference_properties {
-            env.headers.push(p.clone());
-        }
+    /// Move these headers onto an envelope: the message-information headers
+    /// as its typed block, then the reference properties.
+    pub fn stamp(self, env: Envelope) -> Envelope {
+        let reply_to = self
+            .reply_to
+            .map(|r| r.to_element_named(QName::new(ns::WSA, "ReplyTo")));
+        let mut env = env.with_addressing(AddressingHeader {
+            to: self.to,
+            action: self.action,
+            message_id: self.message_id,
+            reply_to,
+            relates_to: self.relates_to,
+        });
+        env.headers.extend(self.reference_properties);
         env
     }
 
-    /// Extract the addressing headers from an envelope. The leftover headers
-    /// (anything not in the wsa namespace) are treated as echoed reference
-    /// properties, per the 2004/08 binding.
+    /// Extract the addressing headers from an envelope: from its typed
+    /// block, and from the first `wsa:` tree of each name for any the block
+    /// does not hold. The leftover headers (anything not in the wsa
+    /// namespace) are treated as echoed reference properties, per the
+    /// 2004/08 binding.
     pub fn extract(env: &Envelope) -> XmlResult<Self> {
-        let n = names();
-        let text = |name: &QName| env.header(name).map(|h| h.text());
-        let to = text(&n.to).ok_or_else(|| XmlError::Schema("missing wsa:To".into()))?;
-        let action =
-            text(&n.action).ok_or_else(|| XmlError::Schema("missing wsa:Action".into()))?;
-        let message_id = text(&n.message_id).unwrap_or_default();
-        let reply_to = env
-            .header(&n.reply_to)
-            .map(EndpointReference::from_element)
-            .transpose()?;
-        let relates_to = text(&n.relates_to);
-        let reference_properties = env
-            .headers
-            .iter()
-            .filter(|h| {
-                !h.name.in_ns(ns::WSA)
-                    && !h.name.in_ns(ns::WSSE)
-                    && !h.name.in_ns(ns::WSU)
-                    && !h.name.in_ns(ns::TEL)
-            })
-            .cloned()
-            .collect();
+        let b = env.addressing.as_ref();
+        let tree = |local: &str| {
+            let named = |h: &&Element| h.name.in_ns(ns::WSA) && *h.name.local == *local;
+            env.headers.iter().find(named)
+        };
+        let text =
+            |local, held: Option<&String>| held.cloned().or_else(|| Some(tree(local)?.text()));
+        let missing = |local| move || XmlError::Schema(format!("missing wsa:{local}"));
+        let reply_to = b
+            .and_then(|b| b.reply_to.as_ref())
+            .or_else(|| tree("ReplyTo"));
         Ok(MessageHeaders {
-            to,
-            action,
-            message_id,
-            reply_to,
-            relates_to,
-            reference_properties,
+            to: text("To", b.map(|b| &b.to)).ok_or_else(missing("To"))?,
+            action: text("Action", b.map(|b| &b.action)).ok_or_else(missing("Action"))?,
+            message_id: text("MessageID", b.map(|b| &b.message_id)).unwrap_or_default(),
+            reply_to: reply_to.map(EndpointReference::from_element).transpose()?,
+            relates_to: text("RelatesTo", b.and_then(|b| b.relates_to.as_ref())),
+            reference_properties: env
+                .headers
+                .iter()
+                .filter(|h| {
+                    ![ns::WSA, ns::WSSE, ns::WSU, ns::TEL]
+                        .iter()
+                        .any(|u| h.name.in_ns(u))
+                })
+                .cloned()
+                .collect(),
         })
     }
 
     /// The echoed `ResourceID` reference property, if any — how a service
     /// locates the WS-Resource (or WS-Transfer resource) a request targets.
     pub fn resource_id(&self) -> Option<&str> {
-        self.reference_properties
-            .iter()
-            .find(|p| &*p.name.local == crate::epr::RESOURCE_ID)
-            .map(|p| {
-                p.children
-                    .iter()
-                    .find_map(|n| match n {
-                        ogsa_xml::Node::Text(t) => Some(t.as_str()),
-                        _ => None,
-                    })
-                    .unwrap_or("")
-            })
+        crate::epr::property(&self.reference_properties, crate::epr::RESOURCE_ID)
     }
 }
 
@@ -185,8 +144,10 @@ mod tests {
 
     #[test]
     fn apply_extract_roundtrip() {
-        let h = MessageHeaders::request(&target(), "urn:get", "msg-1")
-            .with_reply_to(EndpointReference::service("http://client/notify"));
+        let h = MessageHeaders {
+            reply_to: Some(EndpointReference::service("http://client/notify")),
+            ..MessageHeaders::request(&target(), "urn:get", "msg-1")
+        };
         let env = h.apply(Envelope::new(Element::new("Get")));
         let back = MessageHeaders::extract(&env).unwrap();
         assert_eq!(back.to, h.to);
@@ -207,8 +168,10 @@ mod tests {
 
     #[test]
     fn response_targets_reply_to_when_present() {
-        let req = MessageHeaders::request(&target(), "urn:a", "m")
-            .with_reply_to(EndpointReference::service("http://client/cb"));
+        let req = MessageHeaders {
+            reply_to: Some(EndpointReference::service("http://client/cb")),
+            ..MessageHeaders::request(&target(), "urn:a", "m")
+        };
         let resp = MessageHeaders::response(&req, "m2");
         assert_eq!(resp.to, "http://client/cb");
     }

@@ -60,6 +60,20 @@ impl From<SecurityError> for InvokeError {
     }
 }
 
+/// One signature step under its span, `x509:sign` or `x509:verify`, its
+/// canonicalisation passes counted as `sec.c14n_passes{stage="sign"}` (or
+/// `"verify"`).
+pub(crate) fn security_step<T>(tel: &Telemetry, name: &'static str, step: impl FnOnce() -> T) -> T {
+    let stage = name.trim_start_matches("x509:");
+    let _s = tel.span(SpanKind::Security, name);
+    let before = ogsa_security::c14n_passes();
+    let done = step();
+    let passes = ogsa_security::c14n_passes() - before;
+    tel.metrics()
+        .add("sec.c14n_passes", &[("stage", stage)], passes);
+    done
+}
+
 /// A client (or a service making outcalls): identity + policy + port.
 #[derive(Clone)]
 pub struct ClientAgent {
@@ -224,35 +238,23 @@ impl ClientAgent {
                     .expect("request body present until final attempt")
             };
             let headers = MessageHeaders::request(target, action, self.next_message_id());
-            let mut env = headers.apply(Envelope::new(attempt_body));
+            let mut env = headers.stamp(Envelope::new(attempt_body));
             // Trace context rides the wire next to the addressing headers,
             // under the signature like everything else.
             if let (Some(trace), Some(id)) = (span.trace_id(), span.id()) {
                 env = ogsa_telemetry::wire::inject(env, trace, id);
             }
             if self.policy.signs_messages() {
-                let _s = tel.span(SpanKind::Security, "x509:sign");
-                let before = ogsa_security::c14n_passes();
-                sign_envelope(&mut env, &self.identity, &self.clock, &self.model);
-                tel.metrics().add(
-                    "sec.c14n_passes",
-                    &[("stage", "sign")],
-                    ogsa_security::c14n_passes() - before,
-                );
+                security_step(tel, "x509:sign", || {
+                    sign_envelope(&mut env, &self.identity, &self.clock, &self.model)
+                });
             }
             match self.port.call_with_deadline(&target.address, env, deadline) {
                 Ok(resp) => {
                     if self.policy.signs_messages() {
-                        let _s = tel.span(SpanKind::Security, "x509:verify");
-                        let before = ogsa_security::c14n_passes();
-                        let verified =
-                            verify_envelope(&resp, &self.cert_store, &self.clock, &self.model);
-                        tel.metrics().add(
-                            "sec.c14n_passes",
-                            &[("stage", "verify")],
-                            ogsa_security::c14n_passes() - before,
-                        );
-                        verified?;
+                        security_step(tel, "x509:verify", || {
+                            verify_envelope(&resp, &self.cert_store, &self.clock, &self.model)
+                        })?;
                     }
                     if let Some(fault) = resp.fault() {
                         return Err(InvokeError::Fault(fault));
@@ -286,7 +288,7 @@ impl ClientAgent {
         body: Element,
     ) -> (String, String) {
         let headers = MessageHeaders::request(target, action, self.next_message_id());
-        let mut env = headers.apply(Envelope::new(body));
+        let mut env = headers.stamp(Envelope::new(body));
         if self.policy.signs_messages() {
             sign_envelope(&mut env, &self.identity, &self.clock, &self.model);
         }
@@ -322,19 +324,14 @@ impl ClientAgent {
         span.set_attr("action", action);
         span.set_attr("to", &to.address);
         let headers = MessageHeaders::request(to, action, self.next_message_id());
-        let mut env = headers.apply(Envelope::new(body));
+        let mut env = headers.stamp(Envelope::new(body));
         if let (Some(trace), Some(id)) = (span.trace_id(), span.id()) {
             env = ogsa_telemetry::wire::inject(env, trace, id);
         }
         if self.policy.signs_messages() {
-            let _s = tel.span(SpanKind::Security, "x509:sign");
-            let before = ogsa_security::c14n_passes();
-            sign_envelope(&mut env, &self.identity, &self.clock, &self.model);
-            tel.metrics().add(
-                "sec.c14n_passes",
-                &[("stage", "sign")],
-                ogsa_security::c14n_passes() - before,
-            );
+            security_step(&tel, "x509:sign", || {
+                sign_envelope(&mut env, &self.identity, &self.clock, &self.model)
+            });
         }
         self.port
             .send_oneway_with_policy(&to.address, env, self.redelivery.clone());

@@ -14,6 +14,7 @@ use ogsa_transport::{Network, RetryPolicy};
 use ogsa_xmldb::Database;
 use parking_lot::RwLock;
 
+use crate::client::security_step;
 use crate::lifetime::LifetimeManager;
 use crate::service::{Operation, OperationContext, WebService};
 use crate::ClientAgent;
@@ -261,18 +262,13 @@ impl Container {
             inner.msg_seq.fetch_add(1, Ordering::Relaxed)
         );
         let mut resp = match &request_headers {
-            Some(h) => MessageHeaders::response(h, msg_id).apply(Envelope::new(body)),
+            Some(h) => MessageHeaders::response(h, msg_id).stamp(Envelope::new(body)),
             None => Envelope::new(body),
         };
         if inner.policy.signs_messages() {
-            let _s = tel.span(SpanKind::Security, "x509:sign");
-            let before = ogsa_security::c14n_passes();
-            sign_envelope(&mut resp, &inner.identity, &inner.clock, &inner.model);
-            tel.metrics().add(
-                "sec.c14n_passes",
-                &[("stage", "sign")],
-                ogsa_security::c14n_passes() - before,
-            );
+            security_step(&tel, "x509:sign", || {
+                sign_envelope(&mut resp, &inner.identity, &inner.clock, &inner.model)
+            });
         }
         resp
     }
@@ -291,14 +287,9 @@ impl Container {
 
         // Security/policy handler: authenticate the client.
         let signer_dn = if inner.policy.signs_messages() {
-            let _s = tel.span(SpanKind::Security, "x509:verify");
-            let before = ogsa_security::c14n_passes();
-            let verified = verify_envelope(&req, &inner.cert_store, &inner.clock, &inner.model);
-            tel.metrics().add(
-                "sec.c14n_passes",
-                &[("stage", "verify")],
-                ogsa_security::c14n_passes() - before,
-            );
+            let verified = security_step(tel, "x509:verify", || {
+                verify_envelope(&req, &inner.cert_store, &inner.clock, &inner.model)
+            });
             let signer =
                 verified.map_err(|e| Fault::client(format!("security check failed: {e}")))?;
             Some(signer.dn().to_owned())

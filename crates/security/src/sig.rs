@@ -146,8 +146,12 @@ fn digest_body_and_headers(env: &Envelope) -> ([u8; 32], [u8; 32]) {
     let mut body = ShaSink::new();
     canonicalize_into(&env.body, &mut body);
     // Every non-security header participates in the headers digest, in
-    // order (addressing headers, echoed reference properties, ...).
+    // order: the typed addressing block (which leads), then the trees
+    // (echoed reference properties, ...).
     let mut h = ShaSink::new();
+    if let Some(addressing) = &env.addressing {
+        addressing.canonicalize_into(&mut h);
+    }
     for header in &env.headers {
         if header.name.in_ns(ns::WSSE) || header.name.in_ns(ns::WSU) {
             continue;
@@ -355,9 +359,7 @@ mod tests {
         let (store, alice, clock, model) = setup();
         let mut env = sample_env();
         sign_envelope(&mut env, &alice, &clock, &model);
-        env.header_mut(&QName::new(ns::WSA, "To"))
-            .unwrap()
-            .set_text("http://evil/s");
+        env.headers[1].set_text("http://evil/s");
         let err = verify_envelope(&env, &store, &clock, &model).unwrap_err();
         assert!(matches!(err, SecurityError::DigestMismatch { .. }));
     }

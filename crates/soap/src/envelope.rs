@@ -6,6 +6,7 @@ use ogsa_xml::{
     QName, Reader, Sink, XmlError, XmlResult, XML_DECL,
 };
 
+use crate::addressing::{self, AddressingHeader};
 use crate::fault::Fault;
 use crate::security::{read_security, SecurityHeader};
 use crate::vocab::vocab;
@@ -16,7 +17,10 @@ use crate::vocab::vocab;
 /// convention uses an empty element named by the operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Every header block except `wsse:Security`.
+    /// The WS-Addressing headers, typed ([`crate::addressing`]): not among
+    /// `headers`, and first on the wire.
+    pub addressing: Option<AddressingHeader>,
+    /// Every other header block except `wsse:Security`.
     pub headers: Vec<Element>,
     pub body: Element,
     /// The `wsse:Security` header, carried typed instead of as a tree: it
@@ -29,10 +33,22 @@ impl Envelope {
     /// An envelope wrapping `body` with no headers.
     pub fn new(body: Element) -> Self {
         Envelope {
+            addressing: None,
             headers: Vec::new(),
             body,
             security: None,
         }
+    }
+
+    /// Add the addressing headers after any already present (builder style):
+    /// typed when they come first, else as trees, to keep their wire place.
+    pub fn with_addressing(mut self, block: AddressingHeader) -> Self {
+        if self.addressing.is_none() && self.headers.is_empty() {
+            self.addressing = Some(block);
+        } else {
+            self.headers.extend(block.into_trees());
+        }
+        self
     }
 
     /// Add a header block (builder style).
@@ -41,14 +57,9 @@ impl Envelope {
         self
     }
 
-    /// First header with the given qualified name.
+    /// First header among `headers` with the given qualified name.
     pub fn header(&self, name: &QName) -> Option<&Element> {
         self.headers.iter().find(|h| h.name == *name)
-    }
-
-    /// Mutable access to the first header with the given name.
-    pub fn header_mut(&mut self, name: &QName) -> Option<&mut Element> {
-        self.headers.iter_mut().find(|h| h.name == *name)
     }
 
     /// Remove the first header with the given name, returning it. Asked for
@@ -56,7 +67,7 @@ impl Envelope {
     /// block reads as.
     pub fn take_header(&mut self, name: &QName) -> Option<Element> {
         if *name == vocab().security {
-            return self.security.take().map(|s| security_tree(&s));
+            return self.security.take().and_then(|s| security_tree(&s));
         }
         let idx = self.headers.iter().position(|h| h.name == *name)?;
         Some(self.headers.remove(idx))
@@ -114,6 +125,9 @@ impl Envelope {
         out.push_str(">");
         if self.has_header_element() {
             tag(out, "<", ":Header>");
+            if let Some(addressing) = &self.addressing {
+                addressing.write_into(&p, out);
+            }
             for h in &self.headers {
                 write_subtree_into(h, &p, out);
             }
@@ -129,17 +143,21 @@ impl Envelope {
     }
 
     fn has_header_element(&self) -> bool {
-        !self.headers.is_empty() || self.security.is_some()
+        self.addressing.is_some() || !self.headers.is_empty() || self.security.is_some()
     }
 
     /// The deterministic prefix assignment for this envelope's wire form:
-    /// the SOAP namespace (for the wrappers), every URI in the headers and
-    /// body, and the security block's three — the set the whole message
-    /// has as one tree.
+    /// the SOAP namespace (for the wrappers), the addressing block's, every
+    /// URI in the headers and body, and the security block's three — the set
+    /// the whole message has as one tree.
     fn wire_prefixes(&self) -> Prefixes {
         let v = vocab();
         let mut b = PrefixesBuilder::new();
         b.add_uri(&v.soap);
+        if let Some(addressing) = &self.addressing {
+            b.add_uri(&v.wsa);
+            addressing.reply_to.iter().for_each(|r| b.add_tree(r));
+        }
         for h in &self.headers {
             b.add_tree(h);
         }
@@ -154,9 +172,10 @@ impl Envelope {
         }
         b.add_tree(&self.body);
         let p = b.build();
-        // The block's template spells its prefixes out.
+        // The blocks' templates spell their prefixes out.
         debug_assert!(
-            self.security.is_none() || p.prefix_for(&v.wsse) == "wsse",
+            (self.security.is_none() || p.prefix_for(&v.wsse) == "wsse")
+                && (self.addressing.is_none() || p.prefix_for(&v.wsa) == "wsa"),
             "a preferred prefix was displaced"
         );
         p
@@ -164,7 +183,7 @@ impl Envelope {
 
     /// Parse an envelope off the wire, straight from the reader's events:
     /// trees are built for the ordinary header blocks and the Body payload
-    /// only, and a `wsse:Security` block is read into its typed form.
+    /// only; the addressing and `wsse:Security` blocks are read typed.
     ///
     /// `soap:Header`, `soap:Body` and the element inside the Body must each
     /// appear at most once — a second one would ride along outside the
@@ -183,6 +202,7 @@ impl Envelope {
             )));
         }
         let mut headers = Vec::new();
+        let mut addressing = None;
         let mut security = None;
         let mut saw_header = false;
         let mut body = None;
@@ -192,7 +212,7 @@ impl Envelope {
                     if std::mem::replace(&mut saw_header, true) {
                         return Err(XmlError::Schema("more than one soap:Header".into()));
                     }
-                    read_header_blocks(&mut reader, &mut headers, &mut security)?;
+                    read_header_blocks(&mut reader, &mut headers, &mut addressing, &mut security)?;
                 }
                 Event::Start if reader.is_named(Some(soap), "Body") => {
                     if body.is_some() {
@@ -209,6 +229,7 @@ impl Envelope {
         reader.next()?;
         let body = body.ok_or_else(|| XmlError::Schema("envelope has no soap:Body".into()))?;
         Ok(Envelope {
+            addressing,
             headers,
             body,
             security,
@@ -220,6 +241,7 @@ impl Envelope {
 fn read_header_blocks(
     reader: &mut Reader<'_>,
     headers: &mut Vec<Element>,
+    addressing: &mut Option<AddressingHeader>,
     security: &mut Option<SecurityHeader>,
 ) -> XmlResult<()> {
     let wsse = &vocab().wsse;
@@ -234,8 +256,13 @@ fn read_header_blocks(
                     }
                 });
             }
+            Event::Start if headers.is_empty() && addressing::read_template(reader, addressing) => {
+            }
             Event::Start => headers.push(build_subtree(reader)?),
-            Event::End => return Ok(()),
+            Event::End => {
+                addressing::fold(headers, addressing);
+                return Ok(());
+            }
             _ => {}
         }
     }
@@ -263,8 +290,9 @@ fn read_body_payload(reader: &mut Reader<'_>) -> XmlResult<Element> {
 }
 
 /// The tree a security block reads as: its own wire form, parsed. Only
-/// [`Envelope::take_header`] wants one.
-fn security_tree(security: &SecurityHeader) -> Element {
+/// [`Envelope::take_header`] wants one. Always `Some`, as the differential
+/// suite checks: the template is well-formed under the three declarations.
+fn security_tree(security: &SecurityHeader) -> Option<Element> {
     let v = vocab();
     let mut doc = format!(
         "<x xmlns:wsse=\"{}\" xmlns:wsu=\"{}\" xmlns:ds=\"{}\">",
@@ -272,11 +300,9 @@ fn security_tree(security: &SecurityHeader) -> Element {
     );
     security.write_into(&mut doc);
     doc.push_str("</x>");
-    let mut wrapper = parse(&doc).expect("the block's template is well-formed");
+    let mut wrapper = parse(&doc).ok()?;
     let block = wrapper.child_elements_mut().next();
-    block
-        .map(std::mem::take)
-        .expect("the wrapper holds the block")
+    block.map(std::mem::take)
 }
 
 #[cfg(test)]
@@ -295,6 +321,32 @@ mod tests {
         let env = sample();
         let back = Envelope::from_wire(&env.to_wire()).unwrap();
         assert_eq!(env, back);
+    }
+
+    /// Equality is structural: the typed block and its tree spelling write
+    /// the same bytes but are different values. Off the wire both read as
+    /// the block; stamped behind another header, the block is trees.
+    #[test]
+    fn a_block_and_its_tree_spelling_write_alike_but_are_not_equal() {
+        let block = AddressingHeader {
+            to: "http://host/svc".into(),
+            action: "urn:ping".into(),
+            message_id: "m-1".into(),
+            reply_to: None,
+            relates_to: Some("m-0".into()),
+        };
+        let typed = Envelope::new(Element::new("Ping")).with_addressing(block.clone());
+        let mut trees = Envelope::new(Element::new("Ping"));
+        trees.headers = block.clone().into_trees();
+        assert_eq!(typed.to_wire(), trees.to_wire());
+        assert_ne!(typed, trees);
+        assert_eq!(Envelope::from_wire(&trees.to_wire()).unwrap(), typed);
+
+        let behind = Envelope::new(Element::new("Ping"))
+            .with_header(Element::new("Other"))
+            .with_addressing(block.clone());
+        assert_eq!(behind.addressing, None);
+        assert_eq!(behind.headers[1..], block.into_trees()[..]);
     }
 
     #[test]

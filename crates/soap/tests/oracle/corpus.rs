@@ -70,13 +70,44 @@ fn arb_element() -> impl Strategy<Value = Element> {
     })
 }
 
-/// An arbitrary envelope's Body payload and header blocks (`wsse:`/`wsu:`
-/// names are the security layer's own, so none is generated).
+/// A complete run of addressing headers as trees, as `MessageHeaders::apply`
+/// used to stamp them: `To`, `Action`, `MessageID`, then maybe a `ReplyTo`
+/// and a `RelatesTo`.
+fn arb_addressing_run() -> impl Strategy<Value = Vec<Element>> {
+    (
+        (arb_text(), arb_text(), arb_text()),
+        proptest::option::of(arb_element()),
+        proptest::option::of(arb_text()),
+    )
+        .prop_map(|((to, action, id), reply_to, relates_to)| {
+            let mut run = vec![
+                wsa("To", &to),
+                wsa("Action", &action),
+                wsa("MessageID", &id),
+            ];
+            run.extend(reply_to.map(|r| Element {
+                name: QName::new(ns::WSA, "ReplyTo"),
+                ..r
+            }));
+            run.extend(relates_to.map(|r| wsa("RelatesTo", &r)));
+            run
+        })
+}
+
+fn wsa(local: &str, text: &str) -> Element {
+    Element::text_element(QName::new(ns::WSA, local), text)
+}
+
+/// An arbitrary envelope's Body payload and header blocks, led by an
+/// addressing run or not (`wsse:`/`wsu:` names are the security layer's
+/// own, so none is generated).
 pub fn arb_parts() -> impl Strategy<Value = (Element, Vec<Element>)> {
     (
         arb_element(),
+        proptest::option::of(arb_addressing_run()),
         proptest::collection::vec(arb_element(), 0..4),
     )
+        .prop_map(|(body, run, rest)| (body, run.into_iter().flatten().chain(rest).collect()))
 }
 
 // ---- the sample message and edits of its wire ---------------------------------
@@ -86,8 +117,10 @@ pub fn sample_parts(value: &str) -> (Element, Vec<Element>) {
     let body = Element::new(QName::new(ns::COUNTER, "SetCounter"))
         .with_child(Element::text_element("value", value));
     let headers = vec![
-        Element::text_element(QName::new(ns::WSA, "To"), "http://h/s"),
-        Element::text_element(QName::new(ns::WSA, "Action"), "urn:set"),
+        wsa("To", "http://h/s"),
+        wsa("Action", "urn:set"),
+        wsa("MessageID", "uuid:m-2"),
+        wsa("RelatesTo", "uuid:m-1"),
     ];
     (body, headers)
 }

@@ -1,9 +1,9 @@
-//! The tree oracle: the message path as it was before the security block
-//! became typed — one `Element` tree per envelope, the `wsse:Security`
-//! block built node by node, serialised by the generic writer, parsed by
+//! The tree oracle: the message path as it was before the security and
+//! addressing blocks became typed — one `Element` tree per envelope, both
+//! blocks built node by node, serialised by the generic writer, parsed by
 //! the generic parser and read back by walking the tree. Test code only;
 //! the differential suites (here and in `crates/security/tests`) hold the
-//! template writer and the event reader to it, byte for byte.
+//! template writers and the event reader to it, byte for byte.
 
 #![allow(dead_code)] // each test binary uses its own part
 
@@ -11,7 +11,7 @@ pub mod corpus;
 
 use std::sync::Arc;
 
-use ogsa_soap::{Certificate, Envelope, SecurityHeader, SignedBlock};
+use ogsa_soap::{AddressingHeader, Certificate, Envelope, SecurityHeader, SignedBlock};
 use ogsa_xml::{ns, parse, Element, Node, QName, XmlError, XmlResult};
 
 fn q(uri: &str, local: &str) -> QName {
@@ -64,6 +64,57 @@ pub fn security_element(security: &SecurityHeader) -> Element {
         .with_child(signature)
 }
 
+/// The addressing block as `MessageHeaders::apply` used to build it.
+pub fn addressing_elements(block: &AddressingHeader) -> Vec<Element> {
+    let leaf = |local: &str, text: &str| Element::text_element(q(ns::WSA, local), text);
+    let mut trees = vec![
+        leaf("To", &block.to),
+        leaf("Action", &block.action),
+        leaf("MessageID", &block.message_id),
+    ];
+    trees.extend(block.reply_to.clone());
+    trees.extend(block.relates_to.as_deref().map(|r| leaf("RelatesTo", r)));
+    trees
+}
+
+/// The block's filling rule, on the trees read: the leading `To`, `Action`
+/// and `MessageID`, then a `ReplyTo`, then a `RelatesTo`, each in its place
+/// and each leaf bare and holding one non-empty text — taken out of
+/// `headers` into the block. Nothing is taken unless the three lead.
+pub fn addressing_from_headers(headers: &mut Vec<Element>) -> Option<AddressingHeader> {
+    let text = |at: usize, local: &str| -> Option<String> {
+        let e = headers.get(at)?;
+        if e.name != q(ns::WSA, local) || !e.attrs.is_empty() {
+            return None;
+        }
+        match e.children.as_slice() {
+            [Node::Text(t)] if !t.is_empty() => Some(t.clone()),
+            _ => None,
+        }
+    };
+    let mut block = AddressingHeader {
+        to: text(0, "To")?,
+        action: text(1, "Action")?,
+        message_id: text(2, "MessageID")?,
+        reply_to: None,
+        relates_to: None,
+    };
+    let mut taken = 3;
+    if headers
+        .get(taken)
+        .is_some_and(|h| h.name == q(ns::WSA, "ReplyTo"))
+    {
+        block.reply_to = Some(headers[taken].clone());
+        taken += 1;
+    }
+    if let Some(r) = text(taken, "RelatesTo") {
+        block.relates_to = Some(r);
+        taken += 1;
+    }
+    headers.drain(..taken);
+    Some(block)
+}
+
 /// `e` as it was before a subtree could be shared: every `Node::Shared`
 /// copied out into an owned element, all the way down.
 pub fn owned(e: &Element) -> Element {
@@ -78,12 +129,16 @@ pub fn owned(e: &Element) -> Element {
     }
 }
 
-/// The full `<soap:Envelope>` tree, the security block last among the
-/// headers (where signing pushed it), nothing in it shared.
+/// The full `<soap:Envelope>` tree, the addressing block first among the
+/// headers (where stamping pushed it), the security block last (where
+/// signing pushed it), nothing in it shared.
 pub fn envelope_element(env: &Envelope) -> Element {
     let mut root = Element::new(q(ns::SOAP, "Envelope"));
-    if !env.headers.is_empty() || env.security.is_some() {
+    if env.addressing.is_some() || !env.headers.is_empty() || env.security.is_some() {
         let mut header = Element::new(q(ns::SOAP, "Header"));
+        for h in env.addressing.iter().flat_map(addressing_elements) {
+            header.add_child(h);
+        }
         for h in &env.headers {
             header.add_child(owned(h));
         }
@@ -101,8 +156,16 @@ pub fn to_wire(env: &Envelope) -> String {
     envelope_element(env).into_document_string()
 }
 
-/// Parse-then-extract: the generic parser's tree, taken apart.
+/// Parse-then-extract: the generic parser's tree, taken apart, the
+/// addressing block filled from the headers it can hold.
 pub fn from_wire(wire: &str) -> XmlResult<Envelope> {
+    let mut env = trees_from_wire(wire)?;
+    env.addressing = addressing_from_headers(&mut env.headers);
+    Ok(env)
+}
+
+/// Every header but `wsse:Security` a tree, as the parent read them.
+pub fn trees_from_wire(wire: &str) -> XmlResult<Envelope> {
     envelope_from_document(parse(wire)?)
 }
 
@@ -150,6 +213,7 @@ pub fn envelope_from_document(root: Element) -> XmlResult<Envelope> {
         None => schema("no Body"),
         Some(None) => schema("empty Body"),
         Some(Some(body)) => Ok(Envelope {
+            addressing: None,
             headers,
             body,
             security,

@@ -270,8 +270,9 @@ impl<'a> Reader<'a> {
 
     /// Read the element whose start tag was just returned against the text
     /// that wrote it: `seams[0]`, a value, `seams[1]`, … a last value,
-    /// `seams[N]`, from the start tag through the end tag. A value is clean
-    /// character data — no `<`, `&` or `\r`, so its bytes are what the events
+    /// `seams[N]`, from the start tag through the end tag (or a later
+    /// sibling's, the seams going on through siblings that declare nothing).
+    /// A value is clean character data — no `<`, `&` or `\r`, so its bytes are what the events
     /// would decode. Matching bytes name the same elements only where the
     /// seams' prefixes are bound as the writer bound them: the caller lists
     /// every prefix the seams spell with its URI in `prefixes`, and no default
