@@ -25,8 +25,8 @@ use std::time::Instant;
 
 use ogsa_container::{Container, Operation, OperationContext, Testbed, WebService};
 use ogsa_fanout::{
-    CompiledTopic, Deliverer, DelivererConfig, DeliveryPlan, FanoutCosts, ShardedTable, Sink,
-    Subscriber, TopicTrie,
+    CompiledTopic, Deliverer, DelivererConfig, DeliveryPlan, ShardedTable, Sink, Subscriber,
+    TopicTrie,
 };
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
@@ -239,7 +239,7 @@ fn shard_cell(subscribers: usize, shards: usize, events: usize) -> ShardRow {
     let table = ShardedTable::new(
         shards,
         VirtualClock::new(),
-        FanoutCosts::from_model(&CostModel::calibrated_2005()),
+        &CostModel::calibrated_2005(),
         Telemetry::disabled(),
         "wsn",
     );
@@ -305,7 +305,7 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
     let table: ShardedTable<BenchSub> = ShardedTable::new(
         if wsn { 8 } else { 1 },
         clock.clone(),
-        FanoutCosts::from_model(&model),
+        &model,
         Telemetry::disabled(),
         stack,
     );
@@ -328,7 +328,7 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
         e.fetch_add(if wsn { 1 } else { bodies.len() as u64 }, Ordering::Relaxed);
     });
     let net = Network::new(clock.clone(), Arc::new(model));
-    let deliverer = Deliverer::new(net, "producer", table.stats().clone(), sink);
+    let deliverer = Deliverer::new(net, "producer", &table, sink);
     deliverer.set_config(DelivererConfig {
         plan: DeliveryPlan::Coalesce { batch_max: 16 },
         outbox_capacity: 1 << 20,
@@ -409,13 +409,14 @@ pub fn batched_span_dump(seed: u64) -> String {
     let tb = Testbed::calibrated();
     tb.network().set_synchronous_oneways(true);
     let container = tb.container("host-a", SecurityPolicy::None);
+    container.set_redelivery(Some(
+        RetryPolicy::default_redelivery(seed).with_max_attempts(6),
+    ));
     let (publisher, producer) = deploy_publisher(&container);
-    let producer = producer
-        .with_redelivery(RetryPolicy::default_redelivery(seed).with_max_attempts(6))
-        .with_delivery(DelivererConfig {
-            plan: DeliveryPlan::Coalesce { batch_max: 3 },
-            outbox_capacity: 64,
-        });
+    let producer = producer.with_delivery(DelivererConfig {
+        plan: DeliveryPlan::Coalesce { batch_max: 3 },
+        outbox_capacity: 64,
+    });
     let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
     let consumer = ogsa_wsn::NotificationConsumer::listen(&client, "/c");
     client

@@ -19,44 +19,31 @@
 
 use std::sync::Arc;
 
-use ogsa_fanout::{CompiledTopic, ContentFilter, FanoutCosts, FanoutStats, ShardedTable};
+use ogsa_fanout::{CompiledTopic, ContentFilter, FanoutStats, ShardedTable};
 use ogsa_sim::{CostModel, VirtualClock};
 use ogsa_telemetry::Telemetry;
 use ogsa_xml::{Element, XmlResult};
-use parking_lot::Mutex;
 
 use crate::store::EventSubscription;
-
-/// Notified when a subscription leaves the index for good (expiry or
-/// `Unsubscribe`): the notification manager's deliverer discards parked
-/// batches, etc.
-pub type EvictHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// The in-memory fan-out index kept in lock-step with the flat XML file.
 #[derive(Clone)]
 pub struct EventIndex {
     table: Arc<ShardedTable<EventSubscription>>,
-    evict_hooks: Arc<Mutex<Vec<EvictHook>>>,
 }
 
 impl EventIndex {
     pub fn new(clock: VirtualClock, model: &CostModel, tel: &Telemetry) -> Self {
-        let table = ShardedTable::new(
-            1,
-            clock,
-            FanoutCosts::from_model(model),
-            tel.clone(),
-            "eventing",
-        );
+        let table = ShardedTable::new(1, clock, model, tel.clone(), "eventing");
         table.stats().register_gauges();
         EventIndex {
             table: Arc::new(table),
-            evict_hooks: Arc::default(),
         }
     }
 
-    pub fn on_evict(&self, hook: EvictHook) {
-        self.evict_hooks.lock().push(hook);
+    /// The shared table the notification manager's deliverer is built over.
+    pub(crate) fn table(&self) -> &ShardedTable<EventSubscription> {
+        &self.table
     }
 
     /// Compile a `Filter` for a subscription about to be inserted; the
@@ -77,15 +64,10 @@ impl EventIndex {
         self.table.update(sub).is_some()
     }
 
-    /// Evict a subscription and notify hooks (expiry and `Unsubscribe`).
+    /// Evict a subscription (expiry and `Unsubscribe`), parked events and
+    /// ledger row included; false if unknown.
     pub fn evict(&self, id: &str) -> bool {
-        let removed = self.table.remove(id).is_some();
-        if removed {
-            for hook in self.evict_hooks.lock().iter() {
-                hook(id);
-            }
-        }
-        removed
+        self.table.remove(id).is_some()
     }
 
     /// Every live subscription, sorted by id — one wildcard-shard trie walk
@@ -131,7 +113,7 @@ mod tests {
         EventSubscription {
             id: id.into(),
             notify_to: EndpointReference::service("tcp://c/events"),
-            mode: crate::delivery::PUSH_MODE.into(),
+            mode: crate::messages::PUSH_MODE.into(),
             filter: None,
             expires: None,
             end_to: None,
@@ -145,18 +127,8 @@ mod tests {
         idx.insert(sub("b"), None);
         let ids: Vec<String> = idx.all_active().iter().map(|s| s.id.clone()).collect();
         assert_eq!(ids, ["a", "b"]);
-    }
-
-    #[test]
-    fn evict_runs_hooks() {
-        let idx = index();
-        let hits = Arc::new(Mutex::new(Vec::new()));
-        let seen = hits.clone();
-        idx.on_evict(Arc::new(move |id| seen.lock().push(id.to_owned())));
-        idx.insert(sub("a"), None);
         assert!(idx.evict("a"));
         assert!(!idx.evict("a"), "second evict is a no-op");
-        assert_eq!(&*hits.lock(), &["a".to_owned()]);
-        assert!(idx.all_active().is_empty());
+        assert_eq!(idx.all_active().len(), 1);
     }
 }

@@ -14,9 +14,10 @@
 //!   tool for an event source to trigger notifications";
 //! * **push** delivery over raw TCP (WSE `SoapReceiver`) — the transport
 //!   that makes WS-Eventing's Notify faster than WS-Notification's HTTP
-//!   path in Figures 2-4. Delivery modes are an extension point
-//!   ([`delivery::DeliveryMode`]), with push the only spec-defined mode.
-
+//!   path in Figures 2-4. The spec calls delivery modes an extension point
+//!   but defines only push ([`PUSH_MODE`]); so does this stack, and
+//!   `Subscribe` answers any other mode with
+//!   `DeliveryModeRequestedUnavailable`.
 //!
 //! Fan-out rides the shared `ogsa_fanout` core through [`fanout::EventIndex`]
 //! — with honest per-stack accounting: WS-Eventing has no topics, so every
@@ -24,7 +25,6 @@
 //! container, so coalescing never folds events into one envelope.
 
 pub mod consumer;
-pub mod delivery;
 pub mod fanout;
 pub mod manager;
 pub mod messages;
@@ -32,9 +32,8 @@ pub mod source;
 pub mod store;
 
 pub use consumer::EventConsumer;
-pub use delivery::{DeliveryMode, PushDelivery, PUSH_MODE};
 pub use fanout::EventIndex;
 pub use manager::EventingSubscriptionManager;
-pub use messages::{actions, SubscribeRequest, SubscriptionStatus};
+pub use messages::{actions, SubscribeRequest, SubscriptionStatus, PUSH_MODE};
 pub use source::{EventSourceService, NotificationManager};
 pub use store::{EventSubscription, FlatXmlStore};

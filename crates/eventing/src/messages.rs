@@ -8,6 +8,14 @@ fn q(local: &str) -> QName {
     QName::new(ns::WSE, local)
 }
 
+/// The spec-defined push delivery mode URI — the only mode this stack (like
+/// the specification) offers; `Subscribe` faults on any other.
+pub const PUSH_MODE: &str = "http://schemas.xmlsoap.org/ws/2004/08/eventing/DeliveryModes/Push";
+
+/// Action stamped on pushed event messages (application-level; WS-Eventing
+/// does not define one).
+pub const EVENT_ACTION: &str = "http://virginia.edu/ogsa/eventing/Event";
+
 /// WS-Addressing actions for the WS-Eventing operations.
 pub mod actions {
     pub const SUBSCRIBE: &str = "http://schemas.xmlsoap.org/ws/2004/08/eventing/Subscribe";
@@ -37,7 +45,7 @@ impl SubscribeRequest {
     pub fn new(notify_to: EndpointReference) -> Self {
         SubscribeRequest {
             notify_to,
-            mode: crate::delivery::PUSH_MODE.to_owned(),
+            mode: PUSH_MODE.to_owned(),
             filter: None,
             expires: None,
             end_to: None,
@@ -88,10 +96,7 @@ impl SubscribeRequest {
     pub fn from_element(e: &Element) -> Option<Self> {
         let delivery = e.child_local("Delivery")?;
         let notify_to = EndpointReference::from_element(delivery.child_local("NotifyTo")?).ok()?;
-        let mode = delivery
-            .attr_local("Mode")
-            .unwrap_or(crate::delivery::PUSH_MODE)
-            .to_owned();
+        let mode = delivery.attr_local("Mode").unwrap_or(PUSH_MODE).to_owned();
         Some(SubscribeRequest {
             notify_to,
             mode,
@@ -188,7 +193,7 @@ mod tests {
     fn subscribe_roundtrip_minimal() {
         let req = SubscribeRequest::new(notify_to());
         let back = SubscribeRequest::from_element(&req.to_element()).unwrap();
-        assert_eq!(back.mode, crate::delivery::PUSH_MODE);
+        assert_eq!(back.mode, PUSH_MODE);
         assert!(back.filter.is_none());
         assert!(back.expires.is_none());
     }

@@ -1,6 +1,5 @@
 //! The Event Source Service and the Notification Manager.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -10,10 +9,9 @@ use ogsa_fanout::{Deliverer, DelivererConfig, Sink};
 use ogsa_soap::Fault;
 use ogsa_xml::Element;
 
-use crate::delivery::{DeliveryMode, PushDelivery};
 use crate::fanout::EventIndex;
-use crate::manager::EventingSubscriptionManager;
-use crate::messages::SubscribeRequest;
+use crate::manager::{purge_expired, EventingSubscriptionManager};
+use crate::messages::{SubscribeRequest, EVENT_ACTION, PUSH_MODE};
 use crate::store::{EventSubscription, FlatXmlStore};
 
 /// The event source: accepts `Subscribe`, hands back the subscription
@@ -22,7 +20,6 @@ pub struct EventSourceService {
     store: FlatXmlStore,
     index: EventIndex,
     manager_address: String,
-    modes: Arc<HashMap<String, Arc<dyn DeliveryMode>>>,
     seq: AtomicU64,
 }
 
@@ -30,15 +27,6 @@ impl EventSourceService {
     /// Deploy an event source at `path` and its subscription manager at
     /// `{path}/manager`. Returns (source EPR, notification manager).
     pub fn deploy(container: &Container, path: &str) -> (EndpointReference, NotificationManager) {
-        Self::deploy_with_modes(container, path, vec![Arc::new(PushDelivery)])
-    }
-
-    /// Deploy with extra delivery modes (the WS-Eventing extension point).
-    pub fn deploy_with_modes(
-        container: &Container,
-        path: &str,
-        modes: Vec<Arc<dyn DeliveryMode>>,
-    ) -> (EndpointReference, NotificationManager) {
         let store = FlatXmlStore::new(
             container.clock().clone(),
             Arc::new(container.model().clone()),
@@ -48,28 +36,26 @@ impl EventSourceService {
             container.model(),
             container.telemetry(),
         );
+        let agent = container.service_agent();
         let manager_path = format!("{path}/manager");
         let manager_epr = container.deploy(
             &manager_path,
             Arc::new(EventingSubscriptionManager::new(
                 store.clone(),
                 index.clone(),
+                agent.clone(),
             )),
         );
-
-        let mode_map: Arc<HashMap<String, Arc<dyn DeliveryMode>>> =
-            Arc::new(modes.into_iter().map(|m| (m.uri().to_owned(), m)).collect());
 
         let source = EventSourceService {
             store: store.clone(),
             index: index.clone(),
             manager_address: manager_epr.address.clone(),
-            modes: mode_map.clone(),
             seq: AtomicU64::new(0),
         };
         let source_epr = container.deploy(path, Arc::new(source));
 
-        let notifier = NotificationManager::new(store, index, container.service_agent(), mode_map);
+        let notifier = NotificationManager::new(store, index, agent);
         (source_epr, notifier)
     }
 }
@@ -80,7 +66,7 @@ impl WebService for EventSourceService {
             "Subscribe" => {
                 let req = SubscribeRequest::from_element(&op.body)
                     .ok_or_else(|| Fault::client("malformed Subscribe"))?;
-                if !self.modes.contains_key(&req.mode) {
+                if req.mode != PUSH_MODE {
                     // Spec fault: DeliveryModeRequestedUnavailable.
                     return Err(Fault::client(format!(
                         "DeliveryModeRequestedUnavailable: {}",
@@ -121,78 +107,51 @@ impl WebService for EventSourceService {
 
 /// "Additionally the implementation includes Notification Manager, which
 /// can be used to trigger a notification to subscribers" (§3.2). Owned by
-/// the service code that produces events.
+/// the service code that produces events. Pushes inherit the deploying
+/// container's redelivery policy (`Container::set_redelivery`).
 #[derive(Clone)]
 pub struct NotificationManager {
     store: FlatXmlStore,
     index: EventIndex,
     agent: ClientAgent,
-    modes: Arc<HashMap<String, Arc<dyn DeliveryMode>>>,
     deliverer: Deliverer<EventSubscription>,
 }
 
 impl NotificationManager {
-    fn new(
-        store: FlatXmlStore,
-        index: EventIndex,
-        agent: ClientAgent,
-        modes: Arc<HashMap<String, Arc<dyn DeliveryMode>>>,
-    ) -> Self {
-        let deliverer = Self::build_deliverer(&index, &agent, &modes);
-        NotificationManager {
-            store,
-            index,
-            agent,
-            modes,
-            deliverer,
-        }
-    }
-
-    /// The WS-Eventing sink. Honest accounting: the spec has no batch
-    /// container, so even a coalesced drain sends **one wire message per
-    /// event** — batching only amortises the queueing, never the wire.
-    fn build_deliverer(
-        index: &EventIndex,
-        agent: &ClientAgent,
-        modes: &Arc<HashMap<String, Arc<dyn DeliveryMode>>>,
-    ) -> Deliverer<EventSubscription> {
+    /// The WS-Eventing sink pushes each event as a one-way SOAP message
+    /// straight at `NotifyTo`. Plumbwork Orange "uses a WSE SoapReceiver to
+    /// handle notifications via TCP" — the `NotifyTo` EPRs this stack hands
+    /// out are `tcp://` addresses, so pushes ride the cheap raw-TCP binding
+    /// (the Figure 2 Notify advantage). Honest accounting: the spec has no
+    /// batch container, so even a coalesced drain sends **one wire message
+    /// per event** — batching only amortises the queueing, never the wire.
+    fn new(store: FlatXmlStore, index: EventIndex, agent: ClientAgent) -> Self {
         let sender = agent.clone();
-        let sink_modes = modes.clone();
         let sink: Sink<EventSubscription> =
             Arc::new(move |sub: &EventSubscription, bodies: Vec<Arc<Element>>| {
-                let Some(mode) = sink_modes.get(&sub.mode) else {
-                    return;
-                };
                 // The event is the envelope's root, which owns its tree:
                 // copied only while another outbox still holds it.
                 for body in bodies {
-                    mode.deliver(&sender, sub, Arc::unwrap_or_clone(body));
+                    sender.send_oneway(&sub.notify_to, EVENT_ACTION, Arc::unwrap_or_clone(body));
+                    sender
+                        .network()
+                        .telemetry()
+                        .metrics()
+                        .inc("notify.sent", &[("stack", "eventing")]);
                 }
             });
         let deliverer = Deliverer::new(
             agent.network().clone(),
             agent.port().host().to_owned(),
-            index.stats().clone(),
+            index.table(),
             sink,
         );
-        // Expired/unsubscribed subscribers lose their parked events and
-        // their ledger row too — nothing in the fan-out plane outlives them.
-        let evictor = deliverer.clone();
-        index.on_evict(Arc::new(move |id| evictor.ledger().forget(id)));
-        deliverer
-    }
-
-    /// Redeliver lost pushes under `policy`: each matching subscriber's
-    /// event is retried with backoff when the wire loses it, and
-    /// dead-lettered in the network's record when the budget runs out.
-    /// (Without this, pushes inherit the deploying container's redelivery
-    /// setting — fire-and-forget by default.)
-    pub fn with_redelivery(mut self, policy: ogsa_transport::RetryPolicy) -> Self {
-        self.agent = self.agent.with_redelivery(policy);
-        let config = self.deliverer.config();
-        self.deliverer = Self::build_deliverer(&self.index, &self.agent, &self.modes);
-        self.deliverer.set_config(config);
-        self
+        NotificationManager {
+            store,
+            index,
+            agent,
+            deliverer,
+        }
     }
 
     /// Switch the delivery plan (builder style) — queueing only; see the
@@ -207,29 +166,13 @@ impl NotificationManager {
         &self.deliverer
     }
 
-    /// Trigger an event: purge expired subscriptions only when the store
-    /// says one is actually due (notifying their `EndTo`), ask
-    /// the index which subscriptions' filters accept the event, and deliver
-    /// through each one's mode. Returns the number of deliveries.
+    /// Trigger an event: purge whatever has expired (see
+    /// [`purge_expired`]), ask the index which subscriptions' filters
+    /// accept the event, and push it to each. Returns the number of
+    /// deliveries.
     pub fn trigger(&self, event: Element) -> usize {
-        let now = self.agent.clock().now();
-        if self.store.expiry_due(now) {
-            // Something is due: the purge runs against the flat file (the
-            // charged store of record) and evicts eagerly — an expired
-            // subscriber is never charged a delivery attempt.
-            for dead in self.store.purge_expired(now) {
-                self.index.evict(&dead.id);
-                if let Some(end_to) = &dead.end_to {
-                    self.agent.send_oneway(
-                        end_to,
-                        crate::messages::actions::SUBSCRIPTION_END,
-                        crate::messages::subscription_end("expired"),
-                    );
-                }
-            }
-        }
-        let mut matching = self.index.matching(&event);
-        matching.retain(|sub| self.modes.contains_key(&sub.mode));
+        purge_expired(&self.store, &self.index, &self.agent);
+        let matching = self.index.matching(&event);
         // Every match's outbox holds a pointer to the one event; the last
         // is handed this function's own, so a single-subscriber trigger
         // sends the tree it was given.

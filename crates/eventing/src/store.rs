@@ -491,7 +491,7 @@ mod tests {
         EventSubscription {
             id: id.into(),
             notify_to: EndpointReference::service("tcp://c/events"),
-            mode: crate::delivery::PUSH_MODE.into(),
+            mode: crate::messages::PUSH_MODE.into(),
             filter: Some("/E[v>1]".into()),
             expires: expires.map(SimInstant),
             end_to: None,

@@ -190,6 +190,47 @@ fn expiration_purges_and_notifies_end_to() {
     assert_eq!(end.child_text("Reason"), Some("expired"));
 }
 
+/// An expired subscription is gone for the manager as it is for a trigger:
+/// `GetStatus`, `Renew` and `Unsubscribe` fault on it as unknown, so a
+/// renewal cannot bring it back, and its `EndTo` hears `SubscriptionEnd`.
+#[test]
+fn an_expired_subscription_is_no_longer_managed() {
+    let (tb, source, notifier) = setup();
+    let client = tb.client("client-1", "CN=alice", SecurityPolicy::None);
+    let consumer = EventConsumer::listen(&client, "/events");
+    let end_consumer = EventConsumer::listen(&client, "/end");
+
+    let soon = tb.clock().now().plus(SimDuration::from_millis(1.0));
+    let resp = client
+        .invoke(
+            &source,
+            actions::SUBSCRIBE,
+            SubscribeRequest::new(consumer.epr().clone())
+                .with_expires(soon)
+                .with_end_to(end_consumer.epr().clone())
+                .to_element(),
+        )
+        .unwrap();
+    let (mgr, _) = SubscribeRequest::parse_response(&resp).unwrap();
+    tb.clock().advance(SimDuration::from_millis(5.0));
+
+    let unknown = |err: InvokeError| matches!(err, InvokeError::Fault(f) if f.reason.contains("unknown subscription"));
+    let later = tb.clock().now().plus(SimDuration::from_millis(1_000.0));
+    for (action, body) in [
+        (actions::GET_STATUS, messages::get_status_request()),
+        (actions::RENEW, messages::renew_request(later)),
+        (actions::UNSUBSCRIBE, messages::unsubscribe_request()),
+    ] {
+        let err = client.invoke(&mgr, action, body).unwrap_err();
+        assert!(unknown(err), "{action}");
+    }
+    assert_eq!(notifier.trigger(event(9)), 0, "nothing renewed it");
+    assert!(notifier.index().is_empty());
+    let end = end_consumer.recv_timeout(WAIT).expect("SubscriptionEnd");
+    assert_eq!(end.child_text("Reason"), Some("expired"));
+    assert!(consumer.recv_timeout(Duration::from_millis(100)).is_none());
+}
+
 #[test]
 fn fan_out_to_many_subscribers() {
     let (tb, source, notifier) = setup();

@@ -51,8 +51,8 @@ fn subscribe(
 fn pushes_redeliver_through_a_partition_window() {
     let tb = Testbed::free();
     let container = tb.container("host-a", SecurityPolicy::None);
+    container.set_redelivery(Some(policy()));
     let (source, notifier) = EventSourceService::deploy(&container, "/services/Events");
-    let notifier = notifier.with_redelivery(policy());
     let (_client, consumer) = subscribe(&tb, &source);
 
     // The subscriber's host is unreachable for the first two logical
@@ -80,8 +80,8 @@ fn pushes_redeliver_through_a_partition_window() {
 fn exhausted_redelivery_dead_letters_the_event() {
     let tb = Testbed::free();
     let container = tb.container("host-a", SecurityPolicy::None);
+    container.set_redelivery(Some(policy()));
     let (source, notifier) = EventSourceService::deploy(&container, "/services/Events");
-    let notifier = notifier.with_redelivery(policy());
     let (_client, consumer) = subscribe(&tb, &source);
 
     // Partition that never lifts within the redelivery budget.

@@ -30,7 +30,10 @@
 //!   [`outbox::RedeliveryLedger`] — one slot per subscriber holding both.
 //!   Parked batches count as external work on the
 //!   [`ogsa_transport::Network`], so `quiesce()`/`drain()` cannot return
-//!   while notifications are still queued.
+//!   while notifications are still queued. A deliverer is built over its
+//!   table, and [`table::ShardedTable::remove`] is the one eviction path:
+//!   whichever way a subscription ends, its parked batch is discarded and
+//!   its ledger row forgotten there.
 //!
 //! Honest accounting: WS-Eventing has no topic space, so its entries all
 //! use [`trie::CompiledTopic::match_all`] and land on the wildcard shard —
@@ -45,5 +48,5 @@ pub mod trie;
 
 pub use filter::ContentFilter;
 pub use outbox::{Deliverer, DelivererConfig, DeliveryPlan, LedgerEntry, RedeliveryLedger, Sink};
-pub use table::{FanoutCosts, FanoutStats, ShardedTable, Subscriber};
+pub use table::{FanoutStats, ShardedTable, Subscriber};
 pub use trie::{CompiledTopic, Seg, TopicTrie};

@@ -32,7 +32,7 @@ use ogsa_transport::{DeadLetter, FaultKind, Network};
 use ogsa_xml::Element;
 use parking_lot::Mutex;
 
-use crate::table::{FanoutStats, Subscriber, DEPTH};
+use crate::table::{FanoutStats, ShardedTable, Subscriber, DEPTH};
 
 /// How the deliverer moves notifications to the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,33 +156,29 @@ impl<T: Subscriber> RedeliveryLedger<'_, T> {
             .map(|(id, s)| (id.clone(), s.row.clone()))
             .collect()
     }
-
-    /// Drop a subscriber's slot (eviction at expiry keeps the ledger from
-    /// leaking alongside the table); anything still parked in it is
-    /// discarded as [`Deliverer::evict`] does.
-    pub fn forget(&self, id: &str) {
-        self.deliverer.evict(id);
-        self.deliverer.inner.slots.lock().remove(id);
-    }
 }
 
 impl<T: Subscriber> Deliverer<T> {
+    /// A deliverer for `table`'s subscribers: removing one from the table
+    /// discards its slot here too.
     pub fn new(
         net: Network,
         from_host: impl Into<String>,
-        stats: FanoutStats,
+        table: &ShardedTable<T>,
         sink: Sink<T>,
     ) -> Self {
-        Deliverer {
+        let deliverer = Deliverer {
             inner: Arc::new(DelivererInner {
                 config: Mutex::new(DelivererConfig::default()),
                 slots: Mutex::new(HashMap::new()),
                 sink,
                 net,
                 from_host: from_host.into(),
-                stats,
+                stats: table.stats().clone(),
             }),
-        }
+        };
+        table.attach(deliverer.clone());
+        deliverer
     }
 
     pub fn set_config(&self, config: DelivererConfig) {
@@ -320,19 +316,18 @@ impl<T: Subscriber> Deliverer<T> {
         batches.into_iter().map(|b| self.send_batch(b)).sum()
     }
 
-    /// Discard (without delivering) anything parked for `sub_id` — eviction
-    /// support for subscribers destroyed while batches were queued. The
-    /// discarded messages are accounted as backpressure drops.
-    pub fn evict(&self, sub_id: &str) -> usize {
+    /// Drop `sub_id`'s slot, discarding (without delivering) anything
+    /// parked in it as backpressure drops — [`ShardedTable::remove`] calls
+    /// this, so a removed subscriber leaves no batch or ledger row behind.
+    pub(crate) fn forget(&self, sub_id: &str) {
         let mut slots = self.inner.slots.lock();
-        let Some(slot) = slots.get_mut(sub_id) else {
-            return 0;
+        let Some(mut slot) = slots.remove(sub_id) else {
+            return;
         };
-        let queue = std::mem::take(&mut slot.queue);
-        for body in &queue {
-            self.overflow(slot, slot.shard, body);
+        let shard = slot.shard;
+        for body in std::mem::take(&mut slot.queue) {
+            self.overflow(&mut slot, shard, &body);
         }
-        queue.len()
     }
 }
 
@@ -369,14 +364,11 @@ mod tests {
     }
 
     fn deliverer(net: &Network, sink: Sink<Sub>) -> Deliverer<Sub> {
-        Deliverer::new(
-            net.clone(),
-            "producer-host",
-            crate::table::ShardedTable::<Sub>::free(4, "wsn")
-                .stats()
-                .clone(),
-            sink,
-        )
+        Deliverer::new(net.clone(), "producer-host", &table(), sink)
+    }
+
+    fn table() -> ShardedTable<Sub> {
+        ShardedTable::free(4, "wsn")
     }
 
     #[test]
@@ -512,12 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn evict_discards_parked_batches() {
+    fn removing_a_subscriber_drops_its_row_and_whatever_is_parked() {
         let n = net();
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = calls.clone();
-        let d = deliverer(
-            &n,
+        let t = table();
+        let d = Deliverer::new(
+            n.clone(),
+            "producer-host",
+            &t,
             Arc::new(move |_s: &Sub, _b: Vec<Arc<Element>>| {
                 seen.fetch_add(1, Ordering::SeqCst);
             }),
@@ -526,34 +521,26 @@ mod tests {
             plan: DeliveryPlan::Coalesce { batch_max: 100 },
             outbox_capacity: 100,
         });
+        for id in ["a", "b"] {
+            let to = EndpointReference::service("http://c/inbox");
+            let topic = crate::trie::CompiledTopic::simple("t");
+            t.insert(Sub { id: id.into(), to }, topic, None, false);
+        }
         d.enqueue(&sub("a"), 0, Element::new("E"));
-        d.enqueue(&sub("a"), 0, Element::new("E"));
-        assert_eq!(d.evict("a"), 2);
-        assert_eq!(n.pending_oneways(), 0);
-        d.flush();
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "nothing delivered");
-    }
-
-    #[test]
-    fn forgetting_a_subscriber_drops_its_row_and_whatever_is_parked() {
-        let n = net();
-        let d = deliverer(&n, Arc::new(|_s: &Sub, _b: Vec<Arc<Element>>| {}));
-        d.set_config(DelivererConfig {
-            plan: DeliveryPlan::Coalesce { batch_max: 100 },
-            outbox_capacity: 100,
-        });
         d.enqueue(&sub("a"), 0, Element::new("E"));
         d.enqueue(&sub("b"), 1, Element::new("E"));
-        d.ledger().forget("a");
+        assert!(t.remove("a").is_some());
         assert!(d.ledger().entry("a").is_none());
         assert_eq!(d.pending(), 1, "b's notification is still parked");
-        assert_eq!(n.pending_oneways(), 1, "a's external-work slot resolved");
-        assert_eq!(n.dead_letters().len(), 1);
+        assert_eq!(n.pending_oneways(), 1, "a's external-work slots resolved");
+        assert_eq!(n.dead_letters().len(), 2);
+        assert_eq!(d.inner.stats.backpressure_drops(), 2);
         assert_eq!(
             d.ledger().snapshot().keys().collect::<Vec<_>>(),
             ["b"],
             "one slot per live subscriber"
         );
         assert_eq!(d.flush(), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "only b's batch went out");
     }
 }

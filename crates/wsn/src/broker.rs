@@ -26,7 +26,6 @@ use ogsa_xml::{ns, Element, QName};
 use parking_lot::Mutex;
 
 use crate::base::{actions, SubscribeRequest};
-use crate::consumer::Delivery;
 use crate::manager::{SubscriptionManagerService, SubscriptionProxy, SubscriptionStore};
 use crate::producer::NotificationProducer;
 use crate::topics::{TopicExpression, TopicPath};
@@ -243,6 +242,3 @@ impl WebService for BrokerWebService {
         }
     }
 }
-
-/// Convenience re-export: what arrived at a consumer.
-pub type BrokeredDelivery = Delivery;

@@ -3,8 +3,8 @@
 //! WS-Notification, the asynchronous half of the WSRF stack (§2.1, §3.1):
 //!
 //! * [`topics`] — **WS-Topics**: the three topic-expression dialects
-//!   (Simple, Concrete, Full with `*` and `//` wildcards) and topic
-//!   namespaces.
+//!   (Simple, Concrete, Full with `*` and `//` wildcards), compiled into
+//!   and interpreted by the fan-out core's `CompiledTopic`.
 //! * [`base`] — **WS-BaseNotification**: `Subscribe`/`Notify` messages,
 //!   subscription resources, message selectors, wrapped vs "raw" delivery.
 //! * [`manager`] — the Subscription Manager Service: subscriptions are
@@ -27,8 +27,9 @@
 //!   order of magnitude at a minimum" more messages than anything else.
 //!
 //! Omitted as out of scope (and called "optional" complexity by the paper):
-//! subscription preconditions over producer resource properties, and topic
-//! set hierarchies beyond namespace validation.
+//! subscription preconditions over producer resource properties, topic
+//! namespaces and topic set hierarchies, and `GetCurrentMessage` (no
+//! producer here retains the last message per topic).
 
 pub mod base;
 pub mod broker;
@@ -42,4 +43,4 @@ pub use broker::BrokerService;
 pub use consumer::NotificationConsumer;
 pub use manager::{SubscriptionManagerService, SubscriptionStore};
 pub use producer::NotificationProducer;
-pub use topics::{TopicDialect, TopicExpression, TopicNamespace, TopicPath};
+pub use topics::{TopicDialect, TopicExpression, TopicPath};

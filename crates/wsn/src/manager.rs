@@ -26,22 +26,17 @@ use std::sync::{Arc, LazyLock};
 
 use ogsa_addressing::EndpointReference;
 use ogsa_container::{Container, Operation, OperationContext};
-use ogsa_fanout::{FanoutCosts, ShardedTable};
+use ogsa_fanout::ShardedTable;
 use ogsa_soap::Fault;
 use ogsa_wsrf::service_base::{PortType, ServiceBase, WsrfService, WsrfServiceHost};
 use ogsa_wsrf::{ResourceDocument, TerminationTime};
 use ogsa_xml::{Element, XPath, XPathContext, XmlResult};
-use parking_lot::Mutex;
 
 use crate::base::{actions, SubscribeRequest, Subscription};
 use crate::topics::TopicPath;
 
 /// Routed fan-out shards per subscription table (plus the wildcard shard).
 pub const DEFAULT_FANOUT_SHARDS: usize = 8;
-
-/// Notified when a subscription leaves the store for good (expiry or
-/// `Destroy`): the producer's deliverer discards parked batches, etc.
-pub type EvictHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// Shared, database-backed subscription state: used by the producer (to
 /// match and deliver) and by the manager service (to manipulate).
@@ -51,7 +46,6 @@ pub struct SubscriptionStore {
     manager_address: String,
     seq: Arc<AtomicU64>,
     index: Arc<ShardedTable<Subscription>>,
-    evict_hooks: Arc<Mutex<Vec<EvictHook>>>,
 }
 
 /// Every subscription document in the database, in key order — one charged
@@ -74,18 +68,6 @@ impl SubscriptionStore {
             .map(|s| index.compile_filter_lenient(s));
         let paused = sub.paused;
         index.insert(sub, topic, selector, paused);
-    }
-
-    fn evict(&self, id: &str) {
-        self.index.remove(id);
-        for hook in self.evict_hooks.lock().iter() {
-            hook(id);
-        }
-    }
-
-    /// Run `hook` whenever a subscription is destroyed or expires.
-    pub fn on_evict(&self, hook: EvictHook) {
-        self.evict_hooks.lock().push(hook);
     }
 
     /// Create a subscription from a parsed request; returns its EPR (on the
@@ -111,7 +93,7 @@ impl SubscriptionStore {
         // *at expiry*, not lazily on the next notify — an expired
         // subscriber is never charged a delivery attempt.
         let cache = self.base.store().clone();
-        let store = self.clone();
+        let index = self.index.clone();
         let rid = id.clone();
         ctx.lifetime().register(
             &self.base.lifetime_key(&id),
@@ -122,7 +104,7 @@ impl SubscriptionStore {
             .as_option(),
             Arc::new(move |_key| {
                 cache.remove(&rid);
-                store.evict(&rid);
+                index.remove(&rid);
             }),
         );
         Ok(EndpointReference::resource(
@@ -177,37 +159,25 @@ impl SubscriptionStore {
 /// The deployable Subscription Manager Service.
 pub struct SubscriptionManagerService {
     index: Arc<ShardedTable<Subscription>>,
-    evict_hooks: Arc<Mutex<Vec<EvictHook>>>,
 }
 
 impl SubscriptionManagerService {
     /// Deploy at `path` with [`DEFAULT_FANOUT_SHARDS`] routed shards;
     /// returns (manager service EPR, shared store).
     pub fn deploy(container: &Container, path: &str) -> (EndpointReference, SubscriptionStore) {
-        Self::deploy_sharded(container, path, DEFAULT_FANOUT_SHARDS)
-    }
-
-    /// Deploy with an explicit shard count (the `fanout` bench sweeps it).
-    pub fn deploy_sharded(
-        container: &Container,
-        path: &str,
-        shards: usize,
-    ) -> (EndpointReference, SubscriptionStore) {
         let index = Arc::new(ShardedTable::new(
-            shards,
+            DEFAULT_FANOUT_SHARDS,
             container.clock().clone(),
-            FanoutCosts::from_model(container.model()),
+            container.model(),
             container.telemetry().clone(),
             "wsn",
         ));
         index.stats().register_gauges();
-        let evict_hooks: Arc<Mutex<Vec<EvictHook>>> = Arc::new(Mutex::new(Vec::new()));
         let (epr, base) = WsrfServiceHost::deploy(
             container,
             path,
             Arc::new(SubscriptionManagerService {
                 index: index.clone(),
-                evict_hooks: evict_hooks.clone(),
             }),
             PortType::all(),
             true,
@@ -229,7 +199,6 @@ impl SubscriptionManagerService {
             manager_address: epr.address.clone(),
             seq: Arc::new(AtomicU64::new(max_seq)),
             index,
-            evict_hooks,
         };
         (epr, store)
     }
@@ -267,9 +236,6 @@ impl WsrfService for SubscriptionManagerService {
     /// same eager eviction as the expiry destructor.
     fn on_destroy(&self, res: &ResourceDocument, _ctx: &OperationContext) {
         self.index.remove(&res.id);
-        for hook in self.evict_hooks.lock().iter() {
-            hook(&res.id);
-        }
     }
 }
 

@@ -2,14 +2,12 @@
 //! "Notification/Eventing Producer/Consumer ... an independent activity
 //! within the container").
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ogsa_addressing::EndpointReference;
 use ogsa_container::ClientAgent;
 use ogsa_fanout::{Deliverer, DelivererConfig};
 use ogsa_xml::Element;
-use parking_lot::Mutex;
 
 use crate::base::{actions, NotificationMessage, Subscription};
 use crate::manager::SubscriptionStore;
@@ -19,7 +17,9 @@ use crate::topics::TopicPath;
 /// delivers them. Deliveries go over HTTP one-ways (the consumer side is
 /// WSRF.NET's "custom HTTP server that clients include") — the very
 /// transport choice that makes WSN Notify slower than WS-Eventing's TCP
-/// path in Figure 2.
+/// path in Figure 2. A lost one-way is redelivered under the deploying
+/// container's redelivery policy (`Container::set_redelivery`), which the
+/// agent handed to [`NotificationProducer::new`] carries.
 ///
 /// Delivery runs through the fan-out core's [`Deliverer`]: the default
 /// immediate plan sends one wire message per subscriber per event exactly
@@ -27,38 +27,19 @@ use crate::topics::TopicPath;
 /// per-subscriber outboxes and folds a drain into a single `<wsnt:Notify>`
 /// envelope (WS-BaseNotification permits several NotificationMessage
 /// children, so batching is spec-legal for this stack).
-///
-/// Also retains the last message per topic, backing WS-BaseNotification's
-/// optional `GetCurrentMessage` operation (a late subscriber can ask for
-/// the most recent message on a topic instead of waiting for the next one).
 #[derive(Clone)]
 pub struct NotificationProducer {
     store: SubscriptionStore,
-    producer: Option<EndpointReference>,
-    agent: ClientAgent,
-    last_messages: Arc<Mutex<HashMap<String, NotificationMessage>>>,
     deliverer: Deliverer<Subscription>,
 }
 
 impl NotificationProducer {
-    pub fn new(store: SubscriptionStore, agent: ClientAgent) -> Self {
-        let deliverer = Self::build_deliverer(&store, &agent);
-        NotificationProducer {
-            store,
-            producer: None,
-            agent,
-            last_messages: Arc::new(Mutex::new(HashMap::new())),
-            deliverer,
-        }
-    }
-
     /// The WSN sink: wrapped subscribers get everything queued for them in
     /// ONE `<wsnt:Notify>` envelope (one wire send, one `notify.sent`);
     /// raw-delivery subscribers get one bare message per notification —
     /// there is no legal batch container for out-of-band-schema payloads.
-    fn build_deliverer(store: &SubscriptionStore, agent: &ClientAgent) -> Deliverer<Subscription> {
+    pub fn new(store: SubscriptionStore, agent: ClientAgent) -> Self {
         let sender = agent.clone();
-        let metrics_net = agent.network().clone();
         let sink = Arc::new(move |sub: &Subscription, bodies: Vec<Arc<Element>>| {
             let mut sent = 0u64;
             if sub.use_notify {
@@ -77,7 +58,8 @@ impl NotificationProducer {
                 }
             }
             for _ in 0..sent {
-                metrics_net
+                sender
+                    .network()
                     .telemetry()
                     .metrics()
                     .inc("notify.sent", &[("stack", "wsn")]);
@@ -86,35 +68,10 @@ impl NotificationProducer {
         let deliverer = Deliverer::new(
             agent.network().clone(),
             agent.port().host().to_owned(),
-            store.index().stats().clone(),
+            store.index(),
             sink,
         );
-        // Destroyed/expired subscribers lose their parked batches and their
-        // ledger row too — nothing in the fan-out plane outlives them.
-        let evictor = deliverer.clone();
-        store.on_evict(Arc::new(move |id| evictor.ledger().forget(id)));
-        deliverer
-    }
-
-    /// Stamp a producer EPR into outgoing notifications (builder style) —
-    /// Grid-in-a-Box puts the job EPR here so clients know *which* job ended.
-    pub fn with_producer(mut self, epr: EndpointReference) -> Self {
-        self.producer = Some(epr);
-        self
-    }
-
-    /// Redeliver lost notifications under `policy`: bounded backoff-spaced
-    /// attempts per subscriber, then the network's dead-letter record.
-    /// (Without this, deliveries inherit the deploying container's
-    /// redelivery setting — fire-and-forget by default.)
-    pub fn with_redelivery(mut self, policy: ogsa_transport::RetryPolicy) -> Self {
-        self.agent = self.agent.with_redelivery(policy);
-        // The sink captured the old agent; rebuild around the new one,
-        // carrying the delivery plan over.
-        let config = self.deliverer.config();
-        self.deliverer = Self::build_deliverer(&self.store, &self.agent);
-        self.deliverer.set_config(config);
-        self
+        NotificationProducer { store, deliverer }
     }
 
     /// Switch the delivery plan (builder style) — e.g. coalesced batches.
@@ -132,10 +89,12 @@ impl NotificationProducer {
     /// message was fanned out to (with coalescing enabled, wire sends can
     /// be fewer — `notify.sent` counts the wire).
     pub fn notify(&self, topic: &TopicPath, message: Element) -> usize {
-        self.notify_from(topic, message, self.producer.clone())
+        self.notify_from(topic, message, None)
     }
 
-    /// Emit with an explicit per-message producer reference.
+    /// Emit with a producer reference stamped into the notification —
+    /// Grid-in-a-Box puts the job EPR here so clients know *which* job
+    /// ended.
     pub fn notify_from(
         &self,
         topic: &TopicPath,
@@ -163,17 +122,7 @@ impl NotificationProducer {
             };
             self.deliverer.enqueue(sub, shard, body.clone());
         }
-        self.last_messages
-            .lock()
-            .insert(topic.to_string(), notification);
         matching.len()
-    }
-
-    /// WS-BaseNotification `GetCurrentMessage`: the last message emitted on
-    /// exactly this topic, if any. Producer services expose this as an
-    /// operation; here is the component-level implementation.
-    pub fn current_message(&self, topic: &TopicPath) -> Option<NotificationMessage> {
-        self.last_messages.lock().get(&topic.to_string()).cloned()
     }
 
     pub fn store(&self) -> &SubscriptionStore {

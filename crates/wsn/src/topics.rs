@@ -1,5 +1,4 @@
-//! WS-Topics: topic paths, the three expression dialects, and topic
-//! namespaces.
+//! WS-Topics: topic paths and the three expression dialects.
 //!
 //! "The most common filter specifies a message topic using one of the topic
 //! expression dialects defined in WS-Topics (e.g., topic names can be
@@ -113,97 +112,11 @@ impl TopicExpression {
         }
     }
 
-    /// Does a concrete topic match this expression?
+    /// Does a concrete topic match this expression? Interpreted by the
+    /// fan-out core's matcher, the one the trie is held to.
     pub fn matches(&self, topic: &TopicPath) -> bool {
-        match self.dialect {
-            // Simple: matches the root topic (and, per the common reading,
-            // everything beneath it).
-            TopicDialect::Simple => topic.root() == self.expr,
-            TopicDialect::Concrete => {
-                let want: Vec<&str> = self.expr.split('/').collect();
-                want.len() == topic.segments().len()
-                    && want
-                        .iter()
-                        .zip(topic.segments())
-                        .all(|(w, s)| *w == s.as_str())
-            }
-            TopicDialect::Full => {
-                let pattern = parse_full(&self.expr);
-                match_full(&pattern, topic.segments())
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum FullSeg {
-    Name(String),
-    /// `*` — exactly one segment.
-    One,
-    /// `//` — zero or more segments.
-    Any,
-}
-
-fn parse_full(expr: &str) -> Vec<FullSeg> {
-    let mut out = Vec::new();
-    for raw in expr.split('/') {
-        match raw {
-            // An empty segment arises from `//`.
-            "" => {
-                if out.last() != Some(&FullSeg::Any) {
-                    out.push(FullSeg::Any);
-                }
-            }
-            "*" => out.push(FullSeg::One),
-            name => out.push(FullSeg::Name(name.to_owned())),
-        }
-    }
-    out
-}
-
-fn match_full(pattern: &[FullSeg], topic: &[String]) -> bool {
-    match (pattern.first(), topic.first()) {
-        (None, None) => true,
-        (None, Some(_)) => false,
-        (Some(FullSeg::Any), _) => {
-            // `//` absorbs zero or more segments.
-            match_full(&pattern[1..], topic)
-                || (!topic.is_empty() && match_full(pattern, &topic[1..]))
-        }
-        (Some(_), None) => false,
-        (Some(FullSeg::One), Some(_)) => match_full(&pattern[1..], &topic[1..]),
-        (Some(FullSeg::Name(n)), Some(s)) => n == s && match_full(&pattern[1..], &topic[1..]),
-    }
-}
-
-/// A topic namespace: the set of topic trees a producer supports. Subscribe
-/// requests against topics outside the namespace are rejected.
-#[derive(Debug, Clone, Default)]
-pub struct TopicNamespace {
-    roots: Vec<TopicPath>,
-}
-
-impl TopicNamespace {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declare a supported topic (builder style).
-    pub fn with_topic(mut self, path: &str) -> Self {
-        if let Some(p) = TopicPath::parse(path) {
-            self.roots.push(p);
-        }
-        self
-    }
-
-    /// All declared topics.
-    pub fn topics(&self) -> &[TopicPath] {
-        &self.roots
-    }
-
-    /// Does the expression cover at least one declared topic?
-    pub fn supports(&self, expr: &TopicExpression) -> bool {
-        self.roots.iter().any(|t| expr.matches(t))
+        let segs: Vec<&str> = topic.segments().iter().map(String::as_str).collect();
+        self.compile().matches(&segs)
     }
 }
 
@@ -280,47 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn namespace_validation() {
-        let ns = TopicNamespace::new()
-            .with_topic("counter/valueChanged")
-            .with_topic("counter/destroyed");
-        assert!(ns.supports(&TopicExpression::concrete("counter/valueChanged")));
-        assert!(ns.supports(&TopicExpression::simple("counter")));
-        assert!(ns.supports(&TopicExpression::full("counter/*")));
-        assert!(!ns.supports(&TopicExpression::concrete("jobs/exited")));
-        assert_eq!(ns.topics().len(), 2);
-    }
-
-    #[test]
     fn display_roundtrip() {
         assert_eq!(p("a/b").to_string(), "a/b");
-    }
-
-    #[test]
-    fn compiled_form_agrees_with_dialect_matcher() {
-        let exprs = [
-            TopicExpression::simple("jobs"),
-            TopicExpression::concrete("jobs/status"),
-            TopicExpression::full("jobs/*/exited"),
-            TopicExpression::full("jobs//exited"),
-        ];
-        let paths = [
-            "jobs",
-            "jobs/status",
-            "jobs/j1/exited",
-            "jobs/a/b/exited",
-            "data/x",
-        ];
-        for expr in &exprs {
-            for path in paths {
-                let tp = p(path);
-                let segs: Vec<&str> = tp.segments().iter().map(String::as_str).collect();
-                assert_eq!(
-                    expr.compile().matches(&segs),
-                    expr.matches(&tp),
-                    "{expr:?} on {path}"
-                );
-            }
-        }
     }
 }

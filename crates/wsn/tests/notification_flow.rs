@@ -447,36 +447,3 @@ fn demand_based_registration_message_amplification() {
         "demand-based path should amplify messages: direct={direct_messages}, brokered={brokered_messages}"
     );
 }
-
-#[test]
-fn get_current_message_serves_late_subscribers() {
-    // WS-BaseNotification's optional GetCurrentMessage: a producer retains
-    // the last message per topic so late arrivals need not wait for the
-    // next state change.
-    let tb = Testbed::free();
-    let container = tb.container("host-a", SecurityPolicy::None);
-    let (_mgr_epr, store) =
-        ogsa_wsn::manager::SubscriptionManagerService::deploy(&container, "/services/Cur/manager");
-    let producer = ogsa_wsn::NotificationProducer::new(store, container.service_agent());
-
-    let topic = TopicPath::parse("counter/valueChanged").unwrap();
-    assert!(producer.current_message(&topic).is_none());
-
-    producer.notify(&topic, Element::text_element("NewValue", "41"));
-    producer.notify(&topic, Element::text_element("NewValue", "42"));
-
-    // The retained message is the most recent, per topic.
-    let current = producer.current_message(&topic).unwrap();
-    assert_eq!(current.message.text(), "42");
-    assert_eq!(current.topic, topic);
-
-    // Other topics are independent.
-    let other = TopicPath::parse("counter/destroyed").unwrap();
-    assert!(producer.current_message(&other).is_none());
-    producer.notify(&other, Element::new("Gone"));
-    assert_eq!(producer.current_message(&other).unwrap().message.text(), "");
-    assert_eq!(
-        producer.current_message(&topic).unwrap().message.text(),
-        "42"
-    );
-}

@@ -33,12 +33,13 @@ pub struct ServiceGroupService {
 
 impl ServiceGroupService {
     /// Deploy a service group at `path` with the given membership content
-    /// rules. Returns (service EPR, group resource EPR).
+    /// rules. Returns (service EPR, group resource EPR), or the fault that
+    /// kept the group resource from being created.
     pub fn deploy(
         container: &Container,
         path: &str,
         content_rules: Vec<String>,
-    ) -> (EndpointReference, EndpointReference) {
+    ) -> Result<(EndpointReference, EndpointReference), Fault> {
         let service = Arc::new(ServiceGroupService {
             content_rules,
             seq: AtomicU64::new(0),
@@ -47,10 +48,9 @@ impl ServiceGroupService {
             WsrfServiceHost::deploy(container, path, service, PortType::all(), true);
         // The singleton group resource.
         let ctx = container.context_for(path);
-        base.create_with_id(&ctx, GROUP_RESOURCE_ID, Element::new(q("ServiceGroupRP")))
-            .expect("create group resource");
+        base.create_with_id(&ctx, GROUP_RESOURCE_ID, Element::new(q("ServiceGroupRP")))?;
         let group_epr = EndpointReference::resource(service_epr.address.clone(), GROUP_RESOURCE_ID);
-        (service_epr, group_epr)
+        Ok((service_epr, group_epr))
     }
 
     /// Build an `Add` request body.
@@ -162,7 +162,8 @@ mod tests {
         let tb = Testbed::free();
         let c = tb.container("host-a", SecurityPolicy::None);
         let (svc, group) =
-            ServiceGroupService::deploy(&c, "/services/Registry", vec!["AppName".into()]);
+            ServiceGroupService::deploy(&c, "/services/Registry", vec!["AppName".into()])
+                .expect("deploy");
         (tb, svc, group)
     }
 

@@ -12,9 +12,11 @@
 //!    to every subscriber, reproducibly.
 //!
 //! Plus the scrape contract: the fan-out gauges and counters are on
-//! `/metrics` and survive a strict exposition parse — and the count behind
-//! the filter index's scaling claim: an event costs one evaluation per
-//! distinct filter and no compilation, however many subscribers share it.
+//! `/metrics` and survive a strict exposition parse; eviction: whichever
+//! way a subscriber leaves, its parked batch and ledger row go with it —
+//! and the count behind the filter index's scaling claim: an event costs
+//! one evaluation per distinct filter and no compilation, however many
+//! subscribers share it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,6 +25,7 @@ use std::time::Duration;
 
 use ogsa_grid::container::{Container, Operation, OperationContext, Testbed, WebService};
 use ogsa_grid::eventing::messages::actions as ev_actions;
+use ogsa_grid::eventing::messages::unsubscribe_request;
 use ogsa_grid::eventing::messages::SubscribeRequest as EvSubscribeRequest;
 use ogsa_grid::eventing::{EventConsumer, EventSourceService};
 use ogsa_grid::fanout::{DelivererConfig, DeliveryPlan, LedgerEntry};
@@ -37,6 +40,7 @@ use ogsa_grid::wsn::base::{actions, SubscribeRequest};
 use ogsa_grid::wsn::consumer::Delivery;
 use ogsa_grid::wsn::manager::SubscriptionManagerService;
 use ogsa_grid::wsn::{NotificationConsumer, NotificationProducer, TopicExpression, TopicPath};
+use ogsa_grid::wsrf::WsrfProxy;
 use ogsa_grid::xml::Element;
 
 const DRAIN: Duration = Duration::from_secs(10);
@@ -73,7 +77,8 @@ impl WebService for Publisher {
 }
 
 /// Deploy a WSN publisher whose producer already carries `config` (and an
-/// optional redelivery policy — set before the service clones the producer).
+/// optional redelivery policy, set on the container before the producer
+/// takes its agent).
 fn deploy_wsn(
     container: &Container,
     config: DelivererConfig,
@@ -82,12 +87,10 @@ fn deploy_wsn(
     ogsa_grid::addressing::EndpointReference,
     NotificationProducer,
 ) {
+    container.set_redelivery(redelivery);
     let (_m, store) = SubscriptionManagerService::deploy(container, "/services/Pub/manager");
-    let mut producer = NotificationProducer::new(store, container.service_agent());
-    if let Some(policy) = redelivery {
-        producer = producer.with_redelivery(policy);
-    }
-    let producer = producer.with_delivery(config);
+    let producer =
+        NotificationProducer::new(store, container.service_agent()).with_delivery(config);
     let epr = container.deploy(
         "/services/Pub",
         Arc::new(Publisher {
@@ -288,10 +291,11 @@ fn run_wsn_batched(seed: u64) -> FanoutOutcome {
 fn run_eventing_batched(seed: u64) -> FanoutOutcome {
     let tb = Testbed::free();
     let container = tb.container("host-a", SecurityPolicy::None);
+    container.set_redelivery(Some(
+        RetryPolicy::default_redelivery(seed).with_max_attempts(6),
+    ));
     let (source, notifier) = EventSourceService::deploy(&container, "/services/Events");
-    let notifier = notifier
-        .with_redelivery(RetryPolicy::default_redelivery(seed).with_max_attempts(6))
-        .with_delivery(coalesce(3, 64));
+    let notifier = notifier.with_delivery(coalesce(3, 64));
 
     let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
     let consumers = [
@@ -427,6 +431,129 @@ fn metrics_exposition_exposes_the_fanout_series() {
 
     producer.deliverer().flush();
     assert!(tb.network().quiesce(DRAIN));
+}
+
+/// How a subscription leaves the fan-out plane.
+#[derive(Debug, Clone, Copy)]
+enum Eviction {
+    WsnDestroy,
+    WsnExpiry,
+    EventingUnsubscribe,
+    EventingExpiry,
+}
+
+/// What one stack's deliverer shows once its only subscriber, holding a
+/// parked batch, was evicted.
+struct AfterEviction {
+    stack: &'static str,
+    row: Option<LedgerEntry>,
+    pending: usize,
+}
+
+const PARKED: i64 = 3;
+
+fn evict_wsn(tb: &Testbed, container: &Container, expiry: bool) -> AfterEviction {
+    let (publisher, producer) = deploy_wsn(container, coalesce(100, 100), None);
+    let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
+    let consumer = NotificationConsumer::listen(&client, "/c");
+    let expires = tb.clock().now().plus(SimDuration::from_millis(5.0));
+    let req = SubscribeRequest::new(consumer.epr().clone(), TopicExpression::simple("t"))
+        .with_initial_termination(expires);
+    let resp = client
+        .invoke(&publisher, actions::SUBSCRIBE, req.to_element())
+        .expect("subscribe");
+    let sub = SubscribeRequest::parse_response(&resp).expect("subscription EPR");
+    let topic = TopicPath::parse("t/x").unwrap();
+    for v in 0..PARKED {
+        assert_eq!(producer.notify(&topic, event(v)), 1);
+    }
+    assert_eq!(producer.deliverer().pending(), PARKED as usize);
+    let proxy = WsrfProxy::new(&client);
+    if expiry {
+        // Any dispatch runs the container's WS-RL sweep.
+        tb.clock().advance(SimDuration::from_millis(10.0));
+        let _ = proxy.get_property(&sub, "Paused");
+    } else {
+        proxy.destroy(&sub).expect("destroy");
+    }
+    AfterEviction {
+        stack: "wsn",
+        row: producer
+            .deliverer()
+            .ledger()
+            .entry(sub.resource_id().unwrap()),
+        pending: producer.deliverer().pending(),
+    }
+}
+
+fn evict_eventing(tb: &Testbed, container: &Container, expiry: bool) -> AfterEviction {
+    let (source, notifier) = EventSourceService::deploy(container, "/services/Events");
+    let notifier = notifier.with_delivery(coalesce(100, 100));
+    let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
+    let consumer = EventConsumer::listen(&client, "/e");
+    let expires = tb.clock().now().plus(SimDuration::from_millis(5.0));
+    let req = EvSubscribeRequest::new(consumer.epr().clone()).with_expires(expires);
+    let resp = client
+        .invoke(&source, ev_actions::SUBSCRIBE, req.to_element())
+        .expect("subscribe");
+    let (manager, _) = EvSubscribeRequest::parse_response(&resp).expect("manager EPR");
+    for v in 0..PARKED {
+        assert_eq!(notifier.trigger(event(v)), 1);
+    }
+    assert_eq!(notifier.deliverer().pending(), PARKED as usize);
+    if expiry {
+        tb.clock().advance(SimDuration::from_millis(10.0));
+        assert_eq!(notifier.trigger(event(PARKED)), 0);
+    } else {
+        client
+            .invoke(&manager, ev_actions::UNSUBSCRIBE, unsubscribe_request())
+            .expect("unsubscribe");
+    }
+    AfterEviction {
+        stack: "eventing",
+        row: notifier
+            .deliverer()
+            .ledger()
+            .entry(manager.resource_id().unwrap()),
+        pending: notifier.deliverer().pending(),
+    }
+}
+
+/// Whichever way a subscriber with a parked batch leaves — `Destroy` or
+/// WS-RL expiry on WSN, `Unsubscribe` or expiry on WS-Eventing — the batch
+/// is discarded as backpressure drops and dead letters, its ledger row
+/// goes, and nothing holds the network open.
+#[test]
+fn an_evicted_subscriber_takes_its_parked_batch_and_ledger_row_with_it() {
+    for route in [
+        Eviction::WsnDestroy,
+        Eviction::WsnExpiry,
+        Eviction::EventingUnsubscribe,
+        Eviction::EventingExpiry,
+    ] {
+        let tb = Testbed::free();
+        let container = tb.container("host-a", SecurityPolicy::None);
+        let after = match route {
+            Eviction::WsnDestroy => evict_wsn(&tb, &container, false),
+            Eviction::WsnExpiry => evict_wsn(&tb, &container, true),
+            Eviction::EventingUnsubscribe => evict_eventing(&tb, &container, false),
+            Eviction::EventingExpiry => evict_eventing(&tb, &container, true),
+        };
+        let drops = tb
+            .telemetry()
+            .metrics()
+            .gather()
+            .counter(&format!("wsn.backpressure_drops{{stack={}}}", after.stack));
+        assert_eq!(drops, PARKED as u64, "{route:?}: parked notes dropped");
+        assert_eq!(
+            tb.network().dead_letters().len(),
+            PARKED as usize,
+            "{route:?}: and dead-lettered"
+        );
+        assert_eq!(after.row, None, "{route:?}: ledger row gone");
+        assert_eq!(after.pending, 0, "{route:?}: nothing parked");
+        assert!(tb.network().quiesce(DRAIN), "{route:?}: network drains");
+    }
 }
 
 /// N events over S subscriptions sharing F distinct filters cost exactly
