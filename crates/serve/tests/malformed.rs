@@ -141,6 +141,39 @@ fn garbled_envelope_corpus_yields_400s_not_panics() {
     assert_still_serving(&server);
 }
 
+/// A well-formed envelope under the body limit whose Body nests 140 000
+/// elements deep. Unbounded, its tree overflowed the worker's stack when it
+/// was dropped and aborted the whole process; the reader now refuses it.
+#[test]
+fn a_deeply_nested_body_is_refused_not_fatal() {
+    let net = echo_network();
+    // One worker, so the follow-up request lands on the worker that read it.
+    let server = Server::bind(
+        &net,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let depth = 140_000;
+    let abyss = format!(">{}{}<", "<a>".repeat(depth), "</a>".repeat(depth));
+    let deep = Envelope::new(Element::text_element("Ping", "ok"))
+        .to_wire()
+        .replacen(">ok<", &abyss, 1);
+    assert!(deep.len() > 980_000 && deep.len() < 1 << 20);
+    let mut wire = Vec::new();
+    ogsa_serve::http::write_request(&mut wire, "/services/echo", "host-a", false, &deep);
+    let text = exchange(&server, &wire, false);
+    assert!(
+        text.starts_with("HTTP/1.1 4") || text.contains("Fault>"),
+        "expected a fault or a 4xx: {}",
+        &text[..text.len().min(200)]
+    );
+    assert_eq!(server.stats().dispatch_panics(), 0);
+    assert_still_serving(&server);
+}
+
 #[test]
 fn duplicate_content_length_is_400_on_the_wire() {
     let net = echo_network();

@@ -6,7 +6,7 @@
 //! the block's template read to its grammar read) include this file beside
 //! the suites in `crates/soap/tests` and `crates/security/tests`.
 
-use ogsa_xml::{ns, Element, QName};
+use ogsa_xml::{ns, Element, QName, MAX_DEPTH};
 use proptest::prelude::*;
 
 // ---- arbitrary message parts ------------------------------------------------
@@ -569,13 +569,17 @@ pub fn departures(wire: &str) -> Vec<(&'static str, String)> {
                 &token,
                 &format!(
                     "<wsse:BinarySecurityToken>{}</wsse:BinarySecurityToken>",
-                    nest(2_000)
+                    nest(MAX_DEPTH / 2)
                 ),
             ),
         ),
         (
             "deep nesting in a leaf",
-            edit(wire, "<Subject>", &format!("<Subject>{}", nest(2_000))),
+            edit(
+                wire,
+                "<Subject>",
+                &format!("<Subject>{}", nest(MAX_DEPTH / 2)),
+            ),
         ),
     ]
 }

@@ -43,7 +43,7 @@ pub use name::{intern, interned_len, ns, QName, INTERN_CAPACITY};
 pub use node::{Attribute, Element, Node};
 pub use parser::{build_subtree, parse};
 pub use pool::{collect_pooled, pooled_string, PooledString};
-pub use reader::{Event, RawAttr, Reader, MAX_TAG_ATTRS};
+pub use reader::{Event, RawAttr, Reader, MAX_DEPTH, MAX_TAG_ATTRS};
 /// The name the canonicaliser's consumers know [`Sink`] by.
 pub use writer::Sink as CanonSink;
 pub use writer::{

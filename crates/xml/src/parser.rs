@@ -87,6 +87,7 @@ fn started_element(reader: &mut Reader<'_>) -> Element {
 mod tests {
     use super::*;
     use crate::name::ns;
+    use crate::reader::MAX_DEPTH;
     use crate::writer::write_element;
     use std::sync::Arc;
 
@@ -245,5 +246,32 @@ mod tests {
         }
         let e = parse(&src).unwrap();
         assert_eq!(e.subtree_size(), 200);
+    }
+
+    /// Nesting is bounded at the reader: a million levels is a parse error,
+    /// not a stack overflow once the tree is dropped, and a tree at the
+    /// bound survives every recursive walk on a default-sized thread.
+    #[test]
+    fn nesting_is_bounded_at_the_reader() {
+        let nest = |depth: usize| format!("{}x{}", "<d>".repeat(depth), "</d>".repeat(depth));
+        std::thread::spawn(move || {
+            let refused = parse(&nest(1_000_000));
+            assert!(
+                matches!(refused, Err(XmlError::Parse { offset, .. }) if offset == 3 * MAX_DEPTH),
+                "{refused:?}"
+            );
+            assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+
+            let deepest = parse(&nest(MAX_DEPTH)).unwrap();
+            let copy = deepest.clone();
+            assert_eq!(copy, deepest);
+            assert_eq!(write_element(&deepest), nest(MAX_DEPTH));
+            assert!(!crate::canonicalize(&deepest).is_empty());
+            let all = crate::XPath::compile("//d").unwrap();
+            let found = all.select(&deepest, &crate::XPathContext::new()).unwrap();
+            assert_eq!(found.len(), MAX_DEPTH);
+        })
+        .join()
+        .unwrap();
     }
 }

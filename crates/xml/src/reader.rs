@@ -401,6 +401,12 @@ impl<'a> Reader<'a> {
                 None => return Err(XmlError::parse(self.pos, "unterminated start tag")),
             }
         };
+        if self.open.len() == MAX_DEPTH {
+            return Err(XmlError::parse(
+                open_pos,
+                format!("elements nested more than {MAX_DEPTH} deep"),
+            ));
+        }
         self.open.push(Open {
             raw_name,
             bindings_mark,
@@ -572,6 +578,17 @@ impl<'a> Reader<'a> {
 /// compare a tag's attributes and bindings pairwise, so an unbounded tag at a
 /// server's body limit would hold a worker for seconds.
 pub const MAX_TAG_ATTRS: usize = 256;
+
+/// Deepest element nesting a document may have. A WS-* envelope nests a
+/// dozen or two. The reader keeps no stack frame per level, but the trees
+/// built from it are walked recursively: `Drop`, `Clone`, `PartialEq`, the
+/// writer, canonicalisation and XPath. Bounding depth here, at the one place
+/// every tree builder passes through, keeps all six within a default 2 MiB
+/// thread stack (a debug build's `Clone` spends ~1.2 KB a level) instead of
+/// rewriting each as a stack-free walk. Unbounded, one 1 MB request nesting
+/// 140 000 levels overflowed a server worker's stack while its tree was
+/// dropped: an abort no panic containment catches.
+pub const MAX_DEPTH: usize = 512;
 
 fn too_many_attrs(offset: usize) -> XmlError {
     XmlError::parse(

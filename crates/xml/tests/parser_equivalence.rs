@@ -10,7 +10,7 @@
 #[path = "reference/mod.rs"]
 mod reference;
 
-use ogsa_xml::{parse, Element, QName, XmlError, MAX_TAG_ATTRS};
+use ogsa_xml::{parse, Element, QName, XmlError, MAX_DEPTH, MAX_TAG_ATTRS};
 use proptest::prelude::*;
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -188,4 +188,35 @@ fn the_attribute_cap_is_the_same_in_both_parsers() {
             assert!(matches!(refused, Err(XmlError::Parse { offset: 0, .. })));
         }
     }
+}
+
+/// Both parsers refuse the same nesting: `MAX_DEPTH` levels parse, one more
+/// is an error at the start tag that crossed the bound, an empty one too.
+/// The reference recurses once per level with a debug build's frames, so it
+/// runs on a thread with room for them.
+#[test]
+fn the_depth_cap_is_the_same_in_both_parsers() {
+    let nest =
+        |depth: usize, leaf: &str| format!("{}{leaf}{}", "<d>".repeat(depth), "</d>".repeat(depth));
+    let check = move || {
+        for doc in [nest(MAX_DEPTH, "x"), nest(MAX_DEPTH - 1, "<e/>")] {
+            assert_equivalent(&doc);
+            assert!(parse(&doc).is_ok());
+        }
+        for doc in [nest(MAX_DEPTH + 1, "x"), nest(MAX_DEPTH, "<e/>")] {
+            assert_equivalent(&doc);
+            for refused in [parse(&doc), reference::parse(&doc)] {
+                assert!(
+                    matches!(refused, Err(XmlError::Parse { offset, .. }) if offset == 3 * MAX_DEPTH),
+                    "{refused:?}"
+                );
+            }
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap();
 }

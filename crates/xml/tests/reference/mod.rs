@@ -13,7 +13,8 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use ogsa_xml::{
-    intern, unescape, Attribute, Element, Node, QName, XmlError, XmlResult, MAX_TAG_ATTRS,
+    intern, unescape, Attribute, Element, Node, QName, XmlError, XmlResult, MAX_DEPTH,
+    MAX_TAG_ATTRS,
 };
 
 fn parse_error(offset: usize, message: impl Into<String>) -> XmlError {
@@ -33,7 +34,7 @@ pub fn parse(input: &str) -> XmlResult<Element> {
     };
     p.skip_prolog()?;
     let mut scope = NsScope::default();
-    let root = p.parse_element(&mut scope)?;
+    let root = p.parse_element(&mut scope, 1)?;
     p.skip_misc();
     if p.pos != p.bytes.len() {
         return Err(parse_error(p.pos, "trailing content after root element"));
@@ -150,8 +151,16 @@ impl<'a> Parser<'a> {
         Ok(&self.input[start..self.pos])
     }
 
-    fn parse_element(&mut self, scope: &mut NsScope) -> XmlResult<Element> {
+    /// Parse the element at `depth` (the root is at 1), as deep as
+    /// `MAX_DEPTH` allows.
+    fn parse_element(&mut self, scope: &mut NsScope, depth: usize) -> XmlResult<Element> {
         let open_pos = self.pos;
+        if depth > MAX_DEPTH {
+            return Err(parse_error(
+                open_pos,
+                format!("elements nested more than {MAX_DEPTH} deep"),
+            ));
+        }
         self.expect("<")?;
         let raw_name = self.read_name()?;
 
@@ -243,7 +252,7 @@ impl<'a> Parser<'a> {
                     .ok_or_else(|| parse_error(self.pos, "unterminated PI"))?;
                 self.pos += end + 2;
             } else if self.peek() == Some(b'<') {
-                children.push(Node::Element(self.parse_element(scope)?));
+                children.push(Node::Element(self.parse_element(scope, depth + 1)?));
             } else if self.peek().is_some() {
                 let start = self.pos;
                 while let Some(b) = self.peek() {
