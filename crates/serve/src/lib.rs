@@ -8,7 +8,8 @@
 //! under real connection concurrency instead of an in-process loop.
 //!
 //! Layout:
-//! * [`epoll`] (Linux) — raw `epoll`/`eventfd` FFI shim; no external deps.
+//! * [`epoll`] — raw `epoll`/`eventfd` FFI shim; no external deps. The
+//!   crate builds on Linux only.
 //! * [`http`] — zero-copy request-head parser and response writers.
 //! * [`conn`] — per-connection state machine (buffered nonblocking I/O,
 //!   pipelined dispatch, precise error answers).
@@ -22,11 +23,12 @@
 //! simulation twin stays the paper-invariant instrument, and nothing here
 //! can perturb its figures.
 
-#[cfg(target_os = "linux")]
-pub mod epoll;
+#[cfg(not(target_os = "linux"))]
+compile_error!("ogsa-serve runs on Linux only: its event loops are built on epoll");
 
 pub mod admin;
 pub mod conn;
+pub mod epoll;
 pub mod http;
 pub mod server;
 

@@ -341,9 +341,8 @@ impl Drop for Server {
     }
 }
 
-#[cfg(target_os = "linux")]
 mod platform {
-    //! Linux: nonblocking acceptor + per-worker epoll event loops.
+    //! The nonblocking acceptor and the per-worker epoll event loops.
 
     use super::*;
     use crate::epoll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
@@ -615,91 +614,6 @@ mod platform {
                 }
             }
         }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod platform {
-    //! Portable fallback: blocking accept, one thread per connection.
-
-    use super::*;
-    use std::net::SocketAddr;
-
-    pub(super) struct Shutdown {
-        admin_addr: SocketAddr,
-    }
-
-    impl Shutdown {
-        pub(super) fn wake_all(&self, addr: SocketAddr) {
-            // Unblock the acceptors with throwaway connections.
-            let _ = TcpStream::connect(addr);
-            let _ = TcpStream::connect(self.admin_addr);
-        }
-    }
-
-    fn serve_blocking(stream: TcpStream, dispatch: &mut impl Dispatch) {
-        // A blocking stream makes Conn::advance a read-dispatch-write
-        // cycle per call.
-        let Ok(mut conn) = Conn::new(stream) else {
-            return;
-        };
-        let _ = conn.stream().set_nonblocking(false);
-        loop {
-            match conn.advance(dispatch) {
-                crate::conn::Advance::Closed => break,
-                crate::conn::Advance::Open { .. } => {}
-            }
-        }
-    }
-
-    /// Accept on `listener` until shutdown, serving each connection on a
-    /// thread of its own with a fresh `dispatcher()`.
-    fn acceptor<D: Dispatch + Send + 'static>(
-        name: &'static str,
-        listener: TcpListener,
-        shutdown: Arc<AtomicBool>,
-        mut dispatcher: impl FnMut() -> D + Send + 'static,
-    ) -> io::Result<JoinHandle<()>> {
-        std::thread::Builder::new()
-            .name(format!("{name}-accept"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let mut dispatcher = dispatcher();
-                    let _ = std::thread::Builder::new()
-                        .name(format!("{name}-conn"))
-                        .spawn(move || serve_blocking(stream, &mut dispatcher));
-                }
-            })
-    }
-
-    pub(super) fn start(
-        net: &Network,
-        config: &ServeConfig,
-        listener: TcpListener,
-        admin_listener: TcpListener,
-        plane: &AdminPlane,
-        shutdown: Arc<AtomicBool>,
-    ) -> io::Result<(Vec<JoinHandle<()>>, Shutdown)> {
-        let admin_addr = admin_listener.local_addr()?;
-        let admin_plane = plane.clone();
-        let admin = acceptor(
-            "ogsa-serve-admin",
-            admin_listener,
-            shutdown.clone(),
-            move || AdminDispatcher {
-                plane: admin_plane.clone(),
-            },
-        )?;
-        let (net, config, plane) = (net.clone(), config.clone(), plane.clone());
-        let service = acceptor("ogsa-serve", listener, shutdown, move || {
-            net.telemetry().metrics().inc("serve.accepted", &[]);
-            Dispatcher::new(net.clone(), &config, plane.clone(), 0)
-        })?;
-        Ok((vec![admin, service], Shutdown { admin_addr }))
     }
 }
 
