@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ogsa_addressing::EndpointReference;
-use ogsa_container::{Container, Testbed};
+use ogsa_container::{ClientAgent, Container, Operation, OperationContext, Testbed, WebService};
 use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
 use ogsa_security::SecurityPolicy;
 use ogsa_wsn::base::{actions, SubscribeRequest};
@@ -126,17 +126,13 @@ pub fn notify_transport(iterations: usize) -> Ablation {
 }
 
 /// A minimal publisher service — a notification producer plus a Subscribe
-/// operation — shared by the broker experiments.
+/// operation — shared by the broker and fan-out experiments.
 struct Publisher {
     producer: NotificationProducer,
 }
 
-impl ogsa_container::WebService for Publisher {
-    fn handle(
-        &self,
-        op: &ogsa_container::Operation,
-        ctx: &ogsa_container::OperationContext,
-    ) -> Result<Element, ogsa_soap::Fault> {
+impl WebService for Publisher {
+    fn handle(&self, op: &Operation, ctx: &OperationContext) -> Result<Element, ogsa_soap::Fault> {
         match op.action_name() {
             "Subscribe" => {
                 let req = SubscribeRequest::from_element(&op.body)
@@ -149,7 +145,9 @@ impl ogsa_container::WebService for Publisher {
     }
 }
 
-fn deploy_publisher(container: &Container) -> (EndpointReference, NotificationProducer) {
+/// Deploy a [`Publisher`] at `/services/Pub`, its subscription manager
+/// beside it.
+pub(super) fn deploy_publisher(container: &Container) -> (EndpointReference, NotificationProducer) {
     let (_m, store) = SubscriptionManagerService::deploy(container, "/services/Pub/manager");
     let producer = NotificationProducer::new(store, container.service_agent());
     let epr = container.deploy(
@@ -161,80 +159,122 @@ fn deploy_publisher(container: &Container) -> (EndpointReference, NotificationPr
     (epr, producer)
 }
 
+/// A consumer listening at `path` on `client`, subscribed to `topic` at
+/// `target` (a publisher or a broker), and its subscription.
+pub(super) fn subscribe(
+    client: &ClientAgent,
+    target: &EndpointReference,
+    path: &str,
+    topic: TopicExpression,
+) -> (NotificationConsumer, EndpointReference) {
+    let consumer = NotificationConsumer::listen(client, path);
+    let req = SubscribeRequest::new(consumer.epr().clone(), topic).to_element();
+    let resp = client.invoke(target, actions::SUBSCRIBE, req);
+    let sub = resp.ok().and_then(|r| SubscribeRequest::parse_response(&r));
+    (consumer, sub.expect("subscribe"))
+}
+
+/// The broker experiments' bed, on the free cost model (they count
+/// messages): a publisher on `host-a`, for the brokered arm a demand-based
+/// broker beside it that the publisher is registered with, and a client.
+struct BrokerBed {
+    tb: Testbed,
+    _container: Container,
+    publisher: EndpointReference,
+    producer: NotificationProducer,
+    broker: Option<BrokerService>,
+    client: ClientAgent,
+    topic: TopicPath,
+    /// Messages on the wire before the registration.
+    start: u64,
+}
+
+impl BrokerBed {
+    fn new(brokered: bool) -> Self {
+        let tb = Testbed::free();
+        let container = tb.container("host-a", SecurityPolicy::None);
+        let (publisher, producer) = deploy_publisher(&container);
+        let broker = brokered.then(|| BrokerService::deploy(&container, "/services/Broker"));
+        let client = tb.client("client-1", "CN=a", SecurityPolicy::None);
+        let topic = TopicPath::parse("counter/valueChanged").expect("static topic");
+        let start = tb.network().stats().messages();
+        if let Some(broker) = &broker {
+            let register = BrokerService::register_request(&publisher, &topic, true);
+            client
+                .invoke(broker.epr(), "urn:wsbn/RegisterPublisher", register)
+                .expect("register publisher");
+        }
+        BrokerBed {
+            tb,
+            _container: container,
+            publisher,
+            producer,
+            broker,
+            client,
+            topic,
+            start,
+        }
+    }
+
+    fn messages(&self) -> u64 {
+        self.tb.network().stats().messages()
+    }
+
+    fn recheck_demand(&self) {
+        if let Some(broker) = &self.broker {
+            broker.recheck_demand();
+        }
+    }
+
+    /// A consumer listening at `path`, subscribed through the broker if
+    /// there is one, else straight to the publisher.
+    fn subscribe(&self, path: &str) -> (NotificationConsumer, EndpointReference) {
+        let target = self.broker.as_ref().map_or(&self.publisher, |b| b.epr());
+        let topic = TopicExpression::concrete("counter/valueChanged");
+        subscribe(&self.client, target, path, topic)
+    }
+
+    /// Publish one event and wait until each of `consumers` has it.
+    fn publish<'a>(
+        &self,
+        value: usize,
+        consumers: impl IntoIterator<Item = &'a NotificationConsumer>,
+    ) {
+        let event = Element::text_element("NewValue", value.to_string());
+        self.producer.notify(&self.topic, event);
+        for c in consumers {
+            c.recv_timeout(WAIT).expect("delivery");
+        }
+    }
+
+    fn unsubscribe(&self, sub: &EndpointReference) {
+        let proxy = SubscriptionProxy::new(&self.client);
+        proxy.unsubscribe(sub).expect("unsubscribe");
+        self.recheck_demand();
+    }
+}
+
 /// Demand-based brokered publishing vs direct notification: messages on the
 /// wire for one registration + subscription + event + teardown. Reproduces
 /// the §3.1 estimate of "an order of magnitude at a minimum" with a handful
 /// of consumers.
 pub fn broker_amplification(consumers: usize) -> BrokerAmplification {
-    let topic = TopicPath::parse("counter/valueChanged").expect("static");
-
-    // Direct: N consumers subscribe straight to the publisher; one emit.
-    let tb = Testbed::free();
-    let container = tb.container("host-a", SecurityPolicy::None);
-    let (pub_epr, producer) = deploy_publisher(&container);
-    let client = tb.client("client-1", "CN=a", SecurityPolicy::None);
-    let before = tb.network().stats().messages();
-    let mut subs = Vec::new();
-    for i in 0..consumers {
-        let consumer = NotificationConsumer::listen(&client, &format!("/c{i}"));
-        let req = SubscribeRequest::new(
-            consumer.epr().clone(),
-            TopicExpression::concrete("counter/valueChanged"),
-        );
-        let resp = client
-            .invoke(&pub_epr, actions::SUBSCRIBE, req.to_element())
-            .unwrap();
-        subs.push((consumer, SubscribeRequest::parse_response(&resp).unwrap()));
-    }
-    producer.notify(&topic, Element::text_element("NewValue", "1"));
-    for (c, _) in &subs {
-        c.recv_timeout(WAIT).unwrap();
-    }
-    for (_, epr) in &subs {
-        SubscriptionProxy::new(&client).unsubscribe(epr).unwrap();
-    }
-    let direct = tb.network().stats().messages() - before;
-
-    // Brokered, demand-based: same consumers via a broker.
-    let tb = Testbed::free();
-    let container = tb.container("host-a", SecurityPolicy::None);
-    let (pub_epr, producer) = deploy_publisher(&container);
-    let broker = BrokerService::deploy(&container, "/services/Broker");
-    let client = tb.client("client-1", "CN=a", SecurityPolicy::None);
-    let before = tb.network().stats().messages();
-    client
-        .invoke(
-            broker.epr(),
-            "urn:wsbn/RegisterPublisher",
-            BrokerService::register_request(&pub_epr, &topic, true),
-        )
-        .unwrap();
-    let mut subs = Vec::new();
-    for i in 0..consumers {
-        let consumer = NotificationConsumer::listen(&client, &format!("/bc{i}"));
-        let req = SubscribeRequest::new(
-            consumer.epr().clone(),
-            TopicExpression::concrete("counter/valueChanged"),
-        );
-        let resp = client
-            .invoke(broker.epr(), actions::SUBSCRIBE, req.to_element())
-            .unwrap();
-        subs.push((consumer, SubscribeRequest::parse_response(&resp).unwrap()));
-    }
-    producer.notify(&topic, Element::text_element("NewValue", "1"));
-    for (c, _) in &subs {
-        c.recv_timeout(WAIT).unwrap();
-    }
-    for (_, epr) in &subs {
-        SubscriptionProxy::new(&client).unsubscribe(epr).unwrap();
-        broker.recheck_demand();
-    }
-    let brokered = tb.network().stats().messages() - before;
-
+    let count = |brokered: bool| {
+        let bed = BrokerBed::new(brokered);
+        let prefix = if brokered { "/bc" } else { "/c" };
+        let subs: Vec<_> = (0..consumers)
+            .map(|i| bed.subscribe(&format!("{prefix}{i}")))
+            .collect();
+        bed.publish(1, subs.iter().map(|(c, _)| c));
+        for (_, sub) in &subs {
+            bed.unsubscribe(sub);
+        }
+        bed.messages() - bed.start
+    };
     BrokerAmplification {
         consumers,
-        direct_messages: direct,
-        brokered_messages: brokered,
+        direct_messages: count(false),
+        brokered_messages: count(true),
     }
 }
 
@@ -261,63 +301,30 @@ impl BrokerAmplification {
 /// upstream subscription (a pause or resume outcall pair), so one
 /// delivered event costs ~10 messages instead of 1.
 pub fn demand_lifecycle(events: usize) -> DemandLifecycle {
-    let topic = TopicPath::parse("counter/valueChanged").expect("static");
     let events = events.max(1);
 
     // Direct baseline: one standing subscriber; each event is one one-way.
-    let tb = Testbed::free();
-    let container = tb.container("host-a", SecurityPolicy::None);
-    let (pub_epr, producer) = deploy_publisher(&container);
-    let client = tb.client("client-1", "CN=a", SecurityPolicy::None);
-    let consumer = NotificationConsumer::listen(&client, "/c0");
-    let req = SubscribeRequest::new(
-        consumer.epr().clone(),
-        TopicExpression::concrete("counter/valueChanged"),
-    );
-    client
-        .invoke(&pub_epr, actions::SUBSCRIBE, req.to_element())
-        .unwrap();
-    let before = tb.network().stats().messages();
+    let bed = BrokerBed::new(false);
+    let (consumer, _) = bed.subscribe("/c0");
+    let before = bed.messages();
     for i in 0..events {
-        producer.notify(&topic, Element::text_element("NewValue", i.to_string()));
-        consumer.recv_timeout(WAIT).unwrap();
+        bed.publish(i, [&consumer]);
     }
-    let direct = tb.network().stats().messages() - before;
+    let direct = bed.messages() - before;
 
     // Demand-based brokered lifecycle: interest appears and disappears
     // around every event, so the broker resumes and pauses its upstream
-    // subscription each time.
-    let tb = Testbed::free();
-    let container = tb.container("host-a", SecurityPolicy::None);
-    let (pub_epr, producer) = deploy_publisher(&container);
-    let broker = BrokerService::deploy(&container, "/services/Broker");
-    let client = tb.client("client-1", "CN=a", SecurityPolicy::None);
-    client
-        .invoke(
-            broker.epr(),
-            "urn:wsbn/RegisterPublisher",
-            BrokerService::register_request(&pub_epr, &topic, true),
-        )
-        .unwrap();
-    // Settle: no demand yet, so the upstream subscription starts paused.
-    broker.recheck_demand();
-    let before = tb.network().stats().messages();
+    // subscription each time. Settle first: with no demand yet, the
+    // upstream subscription starts paused.
+    let bed = BrokerBed::new(true);
+    bed.recheck_demand();
+    let before = bed.messages();
     for i in 0..events {
-        let consumer = NotificationConsumer::listen(&client, &format!("/bc{i}"));
-        let req = SubscribeRequest::new(
-            consumer.epr().clone(),
-            TopicExpression::concrete("counter/valueChanged"),
-        );
-        let resp = client
-            .invoke(broker.epr(), actions::SUBSCRIBE, req.to_element())
-            .unwrap();
-        let sub = SubscribeRequest::parse_response(&resp).unwrap();
-        producer.notify(&topic, Element::text_element("NewValue", i.to_string()));
-        consumer.recv_timeout(WAIT).unwrap();
-        SubscriptionProxy::new(&client).unsubscribe(&sub).unwrap();
-        broker.recheck_demand();
+        let (consumer, sub) = bed.subscribe(&format!("/bc{i}"));
+        bed.publish(i, [&consumer]);
+        bed.unsubscribe(&sub);
     }
-    let brokered = tb.network().stats().messages() - before;
+    let brokered = bed.messages() - before;
 
     DemandLifecycle {
         events,

@@ -7,30 +7,19 @@
 //! purely the TCP vs HTTP delivery path". Here those explanations become
 //! data: each measured operation is decomposed into per-kind *self time*
 //! (db / security / wire / soap / dispatch / ...) folded out of the span
-//! forest, alongside the wire-message count.
-//!
-//! Runs use the network's synchronous-delivery mode so one-way deliveries
-//! happen inline on the measuring thread: every span lands on the shared
-//! virtual clock in a serialized order and the whole run — spans included —
-//! is deterministic.
+//! forest, alongside the wire-message count. The rows and the spans are
+//! reads of the same [`cell`](super::cell) runs the figures read.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-use ogsa_container::Testbed;
-use ogsa_gridbox::{run_job, JobStep};
-use ogsa_telemetry::analysis::self_time_breakdown;
-use ogsa_telemetry::{SpanRecord, Telemetry};
+use ogsa_telemetry::SpanRecord;
+use ogsa_transport::Deployment;
 
 use super::ablation::DemandLifecycle;
+use super::cell::{self, CellRun, Scenario};
 use super::grid::GridConfig;
 use super::hello::HelloConfig;
 use super::Stack;
-
-/// Wall-clock safety net for notifications; in synchronous-delivery mode
-/// receipt has already happened by the time we wait.
-const WAIT: Duration = Duration::from_secs(5);
-const USER: &str = "CN=alice,O=UVA-VO";
 
 /// Counter iterations per operation in `BENCH_counter.json`, and the run
 /// the paper's ordinal claims are tested on.
@@ -82,169 +71,37 @@ impl BreakdownRun {
     }
 }
 
-/// Measure one window of `n` iterations: clear the span buffer, run `f`,
-/// fold the recorded forest into per-kind means.
-fn window(
-    tb: &Testbed,
-    tel: &Telemetry,
-    operation: &'static str,
-    stack: Stack,
-    n: usize,
-    f: impl FnOnce(),
-) -> (OpBreakdown, Vec<SpanRecord>) {
-    tel.clear_spans();
-    let m0 = tb.network().stats().messages();
-    let t0 = tb.clock().now();
-    f();
-    let total = tb.clock().now().since(t0);
-    let messages = (tb.network().stats().messages() - m0) as f64 / n as f64;
-    let spans = tel.take_spans();
-    let fold = self_time_breakdown(&spans);
-    let components_ms = fold
-        .self_time
-        .iter()
-        .map(|(k, v)| (*k, v.as_millis() / n as f64))
-        .collect();
-    (
-        OpBreakdown {
-            operation,
-            stack,
-            total_ms: total.as_millis() / n as f64,
-            components_ms,
-            messages,
-        },
-        spans,
-    )
-}
-
 /// Decompose the five counter operations on both stacks (distributed
 /// deployment — the configuration where wire and security costs show).
 pub fn counter_breakdown(config: HelloConfig) -> BreakdownRun {
-    let mut run = BreakdownRun::default();
-    for stack in Stack::all() {
-        counter_one(config, stack, &mut run);
-    }
-    run
-}
-
-fn counter_one(config: HelloConfig, stack: Stack, out: &mut BreakdownRun) {
-    let tb = Testbed::calibrated();
-    tb.network().set_synchronous_oneways(true);
-    let container = tb.container("host-a", config.policy);
-    let agent = tb.client("host-b", USER, config.policy);
-    let api = stack.deploy_counter(&container).client(agent);
-
-    // Warm-up: connections, TLS sessions, one trip down each path.
-    let warm = api.create().expect("warm create");
-    api.get(&warm).expect("warm get");
-    api.set(&warm, 1).expect("warm set");
-    let warm_waiter = api.subscribe(&warm).expect("warm subscribe");
-    api.set(&warm, 2).expect("warm notify set");
-    warm_waiter.wait(WAIT).expect("warm notification");
-    api.destroy(&warm).expect("warm destroy");
-
-    let tel = tb.telemetry().clone();
-    let n = config.iterations.max(1);
-    let mut push = |(row, spans): (OpBreakdown, Vec<SpanRecord>)| {
-        out.rows.push(row);
-        out.spans.extend(spans);
-    };
-
-    let counter = api.create().expect("create");
-    push(window(&tb, &tel, "Get", stack, n, || {
-        for _ in 0..n {
-            api.get(&counter).expect("get");
-        }
-    }));
-    push(window(&tb, &tel, "Set", stack, n, || {
-        for i in 0..n {
-            api.set(&counter, i as i64).expect("set");
-        }
-    }));
-
-    let waiter = api.subscribe(&counter).expect("subscribe");
-    push(window(&tb, &tel, "Notify", stack, n, || {
-        for i in 0..n {
-            api.set(&counter, 1000 + i as i64).expect("notify set");
-            waiter.wait(WAIT).expect("notification should arrive");
-        }
-    }));
-    api.destroy(&counter).expect("cleanup");
-
-    let mut made = Vec::new();
-    push(window(&tb, &tel, "Create", stack, n, || {
-        for _ in 0..n {
-            made.push(api.create().expect("create"));
-        }
-    }));
-    push(window(&tb, &tel, "Destroy", stack, n, || {
-        for c in &made {
-            api.destroy(c).expect("destroy");
-        }
-    }));
+    let scenario = Scenario::Counter(Deployment::Distributed);
+    read(cell::per_stack(config.policy, config.iterations, scenario))
 }
 
 /// Decompose the six Grid-in-a-Box operations on both stacks.
 pub fn grid_breakdown(config: GridConfig) -> BreakdownRun {
-    let mut run = BreakdownRun::default();
-    for stack in Stack::all() {
-        grid_one(config, stack, &mut run);
-    }
-    run
+    let scenario = Scenario::Job(config.plan);
+    read(cell::per_stack(config.policy, config.iterations, scenario))
 }
 
-fn grid_one(config: GridConfig, stack: Stack, out: &mut BreakdownRun) {
-    let tb = Testbed::calibrated();
-    tb.network().set_synchronous_oneways(true);
-    let grid = stack.deploy_grid(&tb, config.policy, &[USER]);
-
-    let tel = tb.telemetry().clone();
-    let n = config.iterations.max(1);
-    let mut totals = [0.0f64; 6];
-    let mut msgs = [0.0f64; 6];
-    let mut comps: Vec<BTreeMap<&'static str, f64>> = vec![BTreeMap::new(); 6];
-    let mut automatic_unreserve = false;
-
-    for iter in 0..n + 1 {
-        let mut scenario = grid.scenario(tb.client("client-1", USER, config.policy));
-        // Iteration 0 is warm-up (connection + TLS establishment).
-        let warmup = iter == 0;
-        tel.clear_spans();
-        let mut m0 = tb.network().stats().messages();
-        let mut t0 = tb.clock().now();
-        run_job(&mut *scenario, &config.plan, |step| {
-            let (m, t) = (tb.network().stats().messages(), tb.clock().now());
-            let spans = tel.take_spans();
-            // Driving the job to completion is not a measured operation.
-            if let (false, JobStep::Operation(slot)) = (warmup, step) {
-                totals[slot] += t.since(t0).as_millis();
-                msgs[slot] += (m - m0) as f64;
-                for (k, v) in self_time_breakdown(&spans).self_time {
-                    *comps[slot].entry(k).or_insert(0.0) += v.as_millis();
-                }
-                out.spans.extend(spans);
-            }
-            (m0, t0) = (m, t);
-        })
-        .expect("Figure 6 flow");
-        automatic_unreserve = scenario.unreserve_is_automatic();
+/// Every operation of each run as its per-iteration means.
+fn read(runs: Vec<CellRun>) -> BreakdownRun {
+    let mut out = BreakdownRun::default();
+    for run in runs {
+        let n = run.cell.iterations.max(1) as f64;
+        for op in &run.ops {
+            let components_ms = op.self_time.iter();
+            out.rows.push(OpBreakdown {
+                operation: op.operation,
+                stack: run.cell.stack,
+                total_ms: run.mean_ms(op.time),
+                components_ms: components_ms.map(|(k, t)| (*k, run.mean_ms(*t))).collect(),
+                messages: op.messages as f64 / n,
+            });
+        }
+        out.spans.extend(run.spans);
     }
-
-    if automatic_unreserve {
-        totals[5] = 0.0;
-        msgs[5] = 0.0;
-        comps[5].clear();
-    }
-
-    for (i, operation) in super::grid::OPERATIONS.iter().enumerate() {
-        out.rows.push(OpBreakdown {
-            operation,
-            stack,
-            total_ms: totals[i] / n as f64,
-            components_ms: comps[i].iter().map(|(k, v)| (*k, v / n as f64)).collect(),
-            messages: msgs[i] / n as f64,
-        });
-    }
+    out
 }
 
 /// The paper's ordinal claims, machine-checked over the breakdowns. An

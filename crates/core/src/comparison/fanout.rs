@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ogsa_container::{Container, Operation, OperationContext, Testbed, WebService};
+use ogsa_container::Testbed;
 use ogsa_fanout::{
     CompiledTopic, Deliverer, DelivererConfig, DeliveryPlan, ShardedTable, Sink, Subscriber,
     TopicTrie,
@@ -33,6 +33,8 @@ use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_telemetry::Telemetry;
 use ogsa_transport::{FaultPlan, Network, RetryPolicy};
 use ogsa_xml::Element;
+
+use super::ablation::{deploy_publisher, subscribe};
 
 /// Distinct topic roots the generators cycle through (also bounds how far
 /// shard routing can spread work).
@@ -366,43 +368,6 @@ fn stack_cell(stack: &'static str, subscribers: usize, events: usize) -> StackRo
     }
 }
 
-/// Minimal WSN publisher service: `Subscribe` goes to the producer's store.
-struct Publisher {
-    producer: ogsa_wsn::NotificationProducer,
-}
-
-impl WebService for Publisher {
-    fn handle(&self, op: &Operation, ctx: &OperationContext) -> Result<Element, ogsa_soap::Fault> {
-        match op.action_name() {
-            "Subscribe" => {
-                let req = ogsa_wsn::SubscribeRequest::from_element(&op.body)
-                    .ok_or_else(|| ogsa_soap::Fault::client("bad subscribe"))?;
-                let epr = self.producer.store().subscribe(ctx, &req)?;
-                Ok(ogsa_wsn::SubscribeRequest::response(&epr))
-            }
-            _ => Err(ogsa_soap::Fault::client("unknown")),
-        }
-    }
-}
-
-fn deploy_publisher(
-    container: &Container,
-) -> (
-    ogsa_addressing::EndpointReference,
-    ogsa_wsn::NotificationProducer,
-) {
-    let (_m, store) =
-        ogsa_wsn::SubscriptionManagerService::deploy(container, "/services/Pub/manager");
-    let producer = ogsa_wsn::NotificationProducer::new(store, container.service_agent());
-    let epr = container.deploy(
-        "/services/Pub",
-        Arc::new(Publisher {
-            producer: producer.clone(),
-        }),
-    );
-    (epr, producer)
-}
-
 /// A chaotic batched WSN notification run under full tracing — the span
 /// dump must be a pure function of the seed even with coalescing on.
 pub fn batched_span_dump(seed: u64) -> String {
@@ -418,18 +383,8 @@ pub fn batched_span_dump(seed: u64) -> String {
         outbox_capacity: 64,
     });
     let client = tb.client("host-b", "CN=alice", SecurityPolicy::None);
-    let consumer = ogsa_wsn::NotificationConsumer::listen(&client, "/c");
-    client
-        .invoke(
-            &publisher,
-            ogsa_wsn::base::actions::SUBSCRIBE,
-            ogsa_wsn::SubscribeRequest::new(
-                consumer.epr().clone(),
-                ogsa_wsn::TopicExpression::simple("t"),
-            )
-            .to_element(),
-        )
-        .expect("subscribe");
+    let topic = ogsa_wsn::TopicExpression::simple("t");
+    let (consumer, _) = subscribe(&client, &publisher, "/c", topic);
 
     // Arm the chaos only after the subscription round-trip: the faults are
     // aimed at the delivery plane, not at the control messages that set the

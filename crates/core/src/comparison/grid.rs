@@ -5,17 +5,15 @@
 //! influencing the performance of individual operations is the number of
 //! web service outcalls (and message signings) triggered on the server".
 
-use ogsa_container::Testbed;
-use ogsa_gridbox::{run_job, JobPlan, JobStep};
+use ogsa_gridbox::JobPlan;
 use ogsa_security::SecurityPolicy;
 use ogsa_sim::SimDuration;
 
+use super::cell::{self, Scenario};
 use super::Stack;
 
 /// The six measured operations, in the paper's order.
 pub use ogsa_gridbox::OPERATIONS;
-
-const USER: &str = "CN=alice,O=UVA-VO";
 
 /// One bar of Figure 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,54 +46,19 @@ impl Default for GridConfig {
     }
 }
 
-/// Run Figure 6 for both stacks.
+/// Run Figure 6 for both stacks: a job-flow cell per stack, each step's
+/// mean time a bar.
 pub fn run(config: GridConfig) -> Vec<GridRow> {
     let mut rows = Vec::new();
-    for stack in Stack::all() {
-        rows.extend(run_one(config, stack));
+    let scenario = Scenario::Job(config.plan);
+    for run in cell::per_stack(config.policy, config.iterations, scenario) {
+        rows.extend(run.ops.iter().map(|op| GridRow {
+            operation: op.operation,
+            stack: run.cell.stack,
+            ms: run.mean_ms(op.time),
+        }));
     }
     rows
-}
-
-fn run_one(config: GridConfig, stack: Stack) -> Vec<GridRow> {
-    let tb = Testbed::calibrated();
-    let grid = stack.deploy_grid(&tb, config.policy, &[USER]);
-
-    // Run the full user flow `iterations` times, timing each step against
-    // the virtual clock.
-    let clock = tb.clock().clone();
-    let n = config.iterations.max(1);
-    let mut totals = [0.0f64; 6];
-
-    for iter in 0..n + 1 {
-        let mut scenario = grid.scenario(tb.client("client-1", USER, config.policy));
-        // Iteration 0 is warm-up (connection + TLS establishment).
-        let warmup = iter == 0;
-        let mut t = clock.now();
-        run_job(&mut *scenario, &config.plan, |step| {
-            let now = clock.now();
-            // Driving the job to completion is not a Figure 6 operation.
-            if let (false, JobStep::Operation(slot)) = (warmup, step) {
-                totals[slot] += now.since(t).as_millis();
-            }
-            t = now;
-        })
-        .expect("Figure 6 flow");
-        // Unreserve: automatic (free) on WSRF, one Put on WS-Transfer.
-        if scenario.unreserve_is_automatic() {
-            totals[5] = 0.0;
-        }
-    }
-
-    OPERATIONS
-        .iter()
-        .enumerate()
-        .map(|(i, operation)| GridRow {
-            operation,
-            stack,
-            ms: totals[i] / n as f64,
-        })
-        .collect()
 }
 
 /// Fetch one cell.

@@ -5,19 +5,14 @@
 //! policies × {co-located, distributed}. One [`run`] call produces one
 //! figure's worth of rows (five operations × two stacks × two deployments).
 
-use std::time::Duration;
-
-use ogsa_container::Testbed;
 use ogsa_security::SecurityPolicy;
 use ogsa_transport::Deployment;
 
+use super::cell::{self, Scenario};
 use super::Stack;
 
 /// The five measured operations, in the paper's order.
 pub const OPERATIONS: [&str; 5] = ["Get", "Set", "Create", "Destroy", "Notify"];
-
-/// How long to wait (in real time) for an asynchronous notification.
-const NOTIFY_WAIT: Duration = Duration::from_secs(5);
 
 /// One bar of Figures 2-4.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,101 +41,22 @@ impl Default for HelloConfig {
     }
 }
 
-/// Run one figure's scenario sweep.
+/// Run one figure's scenario sweep: a counter cell per stack and
+/// deployment, each operation's mean time a bar.
 pub fn run(config: HelloConfig) -> Vec<HelloRow> {
     let mut rows = Vec::new();
     for deployment in Deployment::all() {
-        for stack in Stack::all() {
-            rows.extend(run_one(config, stack, deployment));
+        let scenario = Scenario::Counter(deployment);
+        for run in cell::per_stack(config.policy, config.iterations, scenario) {
+            rows.extend(run.ops.iter().map(|op| HelloRow {
+                operation: op.operation,
+                stack: run.cell.stack,
+                deployment,
+                ms: run.mean_ms(op.time),
+            }));
         }
     }
     rows
-}
-
-fn client_host(deployment: Deployment) -> &'static str {
-    match deployment {
-        Deployment::Colocated => "host-a",
-        Deployment::Distributed => "host-b",
-    }
-}
-
-fn run_one(config: HelloConfig, stack: Stack, deployment: Deployment) -> Vec<HelloRow> {
-    // A fresh testbed per cell keeps runs independent and deterministic.
-    let tb = Testbed::calibrated();
-    let container = tb.container("host-a", config.policy);
-    let agent = tb.client(client_host(deployment), "CN=alice,O=UVA-VO", config.policy);
-    let api = stack.deploy_counter(&container).client(agent);
-
-    // Warm-up: establish connections / TLS sessions, exercise each path
-    // once (the paper measures steady state; socket caching is the whole
-    // HTTPS story).
-    let warm = api.create().expect("warm create");
-    api.get(&warm).expect("warm get");
-    api.set(&warm, 1).expect("warm set");
-    let warm_waiter = api.subscribe(&warm).expect("warm subscribe");
-    api.set(&warm, 2).expect("warm notify set");
-    warm_waiter.wait(NOTIFY_WAIT).expect("warm notification");
-    api.destroy(&warm).expect("warm destroy");
-
-    let clock = tb.clock();
-    let n = config.iterations.max(1);
-    let mut get_ms = 0.0;
-    let mut set_ms = 0.0;
-    let mut create_ms = 0.0;
-    let mut destroy_ms = 0.0;
-    let mut notify_ms = 0.0;
-
-    // Get / Set against one long-lived counter.
-    let counter = api.create().expect("create");
-    for i in 0..n {
-        let t = clock.now();
-        api.get(&counter).expect("get");
-        get_ms += clock.now().since(t).as_millis();
-
-        let t = clock.now();
-        api.set(&counter, i as i64).expect("set");
-        set_ms += clock.now().since(t).as_millis();
-    }
-
-    // Notify: subscribe once, then measure set → receipt.
-    let waiter = api.subscribe(&counter).expect("subscribe");
-    for i in 0..n {
-        let t = clock.now();
-        api.set(&counter, 1000 + i as i64).expect("notify set");
-        waiter
-            .wait(NOTIFY_WAIT)
-            .expect("notification should arrive");
-        notify_ms += clock.now().since(t).as_millis();
-    }
-    api.destroy(&counter).expect("cleanup");
-
-    // Create / Destroy in pairs.
-    for _ in 0..n {
-        let t = clock.now();
-        let c = api.create().expect("create");
-        create_ms += clock.now().since(t).as_millis();
-
-        let t = clock.now();
-        api.destroy(&c).expect("destroy");
-        destroy_ms += clock.now().since(t).as_millis();
-    }
-
-    let n = n as f64;
-    [
-        ("Get", get_ms / n),
-        ("Set", set_ms / n),
-        ("Create", create_ms / n),
-        ("Destroy", destroy_ms / n),
-        ("Notify", notify_ms / n),
-    ]
-    .into_iter()
-    .map(|(operation, ms)| HelloRow {
-        operation,
-        stack,
-        deployment,
-        ms,
-    })
-    .collect()
 }
 
 /// Fetch one cell out of a row set.

@@ -2,6 +2,7 @@
 
 pub mod ablation;
 pub mod breakdown;
+pub mod cell;
 pub mod fanout;
 pub mod grid;
 pub mod hello;

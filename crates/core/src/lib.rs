@@ -4,19 +4,23 @@
 //! regenerates every quantitative result in *"Alternative Software Stacks
 //! for OGSA-based Grids"* (SC 2005):
 //!
-//! * [`comparison::hello`] — the "hello world" counter evaluation
-//!   (Figures 2, 3, 4): five operations × two stacks × two deployments,
-//!   under each of the three security policies.
-//! * [`comparison::grid`] — the Grid-in-a-Box evaluation (Figure 6): six
-//!   operations × two stacks on a full VO deployment.
+//! * [`comparison::cell`] — the one experiment runner: a stack × policy ×
+//!   iteration count × scenario (the counter in one deployment, or the
+//!   Figure 6 job flow) is deployed, warmed and driven once, and returns
+//!   each operation's exact virtual time, messages, per-kind self time and
+//!   spans. The figures, the breakdowns and the trace are reads of it:
+//!   * [`comparison::hello`] — the "hello world" counter evaluation
+//!     (Figures 2, 3, 4): five operations × two stacks × two deployments,
+//!     under each of the three security policies.
+//!   * [`comparison::grid`] — the Grid-in-a-Box evaluation (Figure 6): six
+//!     operations × two stacks on a full VO deployment.
+//!   * [`comparison::breakdown`] — every bar decomposed into db / security
+//!     / wire / soap self time plus message counts, with the spans behind
+//!     `BENCH_trace.json` and the paper's ordinal claims machine-checked.
 //! * [`comparison::ablation`] — the mechanism experiments behind the
 //!   paper's explanations: write-through cache, TLS session cache, TCP vs
 //!   HTTP notification delivery, and demand-based broker message
 //!   amplification.
-//! * [`comparison::breakdown`] — the same scenarios under full causal
-//!   tracing: every bar decomposed into db / security / wire / soap self
-//!   time plus message counts, with the paper's ordinal claims
-//!   machine-checked.
 //! * [`report`] — fixed-width tables shaped like the paper's figures, plus
 //!   machine-checkable "shape" assertions (who wins, by what factor).
 //!
