@@ -1,19 +1,19 @@
 //! The live observability plane for the serving tier.
 //!
-//! A second listener (the *admin port*) rides on the same acceptor and
-//! worker epoll loops as the service port, answering bodyless GETs:
+//! A second listener (the *admin port*) sits in the same worker epoll
+//! loops as the service port, answering bodyless GETs:
 //!
 //! * `GET /metrics` — Prometheus text exposition of the merged
-//!   [`MetricsRegistry`](ogsa_telemetry::MetricsRegistry) plus the
-//!   per-worker wall-clock latency histogram (merged lazily at scrape
-//!   time; workers never synchronise on the hot path) with tail-latency
-//!   exemplars linking buckets to flight-recorder traces.
+//!   [`MetricsRegistry`](ogsa_telemetry::MetricsRegistry), the serving
+//!   gauges (readiness, retained traces, each worker's epoll wakeups and
+//!   connections) and the per-worker wall-clock latency histogram (merged
+//!   lazily at scrape time; workers never synchronise on the hot path)
+//!   with tail-latency exemplars linking buckets to flight-recorder
+//!   traces.
 //! * `GET /healthz` — liveness: answers 200 while the process serves.
 //! * `GET /readyz` — readiness: 200 only after startup completes, until
 //!   shutdown begins, and while every registered probe (e.g. the WAL
 //!   backend's disk health) passes; 503 otherwise.
-//! * `GET /vars` — JSON snapshot of the serving gauges: per-worker queue
-//!   depth, connection count, epoll wakeups, and accept-backlog handoffs.
 //! * `GET /debug/trace` — JSON dump of the [`FlightRecorder`]: every
 //!   retained slow trace plus the fast-traffic reservoir.
 //!
@@ -45,8 +45,6 @@ pub struct ObsConfig {
     pub slow_threshold_us: u64,
     /// Capacity of the slow-trace ring.
     pub slow_capacity: usize,
-    /// Capacity of the fast-traffic reservoir.
-    pub reservoir_capacity: usize,
 }
 
 impl Default for ObsConfig {
@@ -55,7 +53,6 @@ impl Default for ObsConfig {
             admin_addr: "127.0.0.1:0".to_owned(),
             slow_threshold_us: ogsa_telemetry::flight::DEFAULT_SLOW_THRESHOLD_US,
             slow_capacity: ogsa_telemetry::flight::DEFAULT_SLOW_CAPACITY,
-            reservoir_capacity: ogsa_telemetry::flight::DEFAULT_RESERVOIR_CAPACITY,
         }
     }
 }
@@ -86,27 +83,8 @@ pub struct WorkerGauges {
     pub latency: WallHistogram,
     /// Epoll wakeups (returns from `epoll_wait`) in this worker.
     pub wakeups: AtomicU64,
-    /// Connections currently registered with this worker.
+    /// Connections this worker owns.
     pub connections: AtomicU64,
-    /// Handoff-queue depth observed at the last inbox drain.
-    pub queue_depth: AtomicU64,
-    /// Connections sitting in the inbox right now (accept backlog beyond
-    /// the kernel's): incremented by the acceptor, zeroed on drain.
-    pub pending_handoffs: AtomicU64,
-}
-
-impl WorkerGauges {
-    /// Each gauge by name: `/vars`' fields and the `serve.worker_<name>`
-    /// series.
-    fn values(&self) -> [(&'static str, u64); 4] {
-        let load = |gauge: &AtomicU64| gauge.load(Ordering::Relaxed);
-        [
-            ("wakeups", load(&self.wakeups)),
-            ("connections", load(&self.connections)),
-            ("queue_depth", load(&self.queue_depth)),
-            ("pending_handoffs", load(&self.pending_handoffs)),
-        ]
-    }
 }
 
 /// Shared state of the admin plane: latency shards, exemplars, the
@@ -135,7 +113,7 @@ impl AdminPlane {
                 recorder: FlightRecorder::new(
                     config.slow_threshold_us,
                     config.slow_capacity,
-                    config.reservoir_capacity,
+                    ogsa_telemetry::flight::DEFAULT_RESERVOIR_CAPACITY,
                 ),
                 state: AtomicU8::new(ReadyState::Starting as u8),
                 probes: Mutex::new(Vec::new()),
@@ -207,7 +185,8 @@ impl AdminPlane {
         snap.set_gauge("serve.flight_traces", &[], self.inner.recorder.len() as u64);
         for (i, w) in self.inner.workers.iter().enumerate() {
             let idx = i.to_string();
-            for (name, value) in w.values() {
+            for (name, gauge) in [("wakeups", &w.wakeups), ("connections", &w.connections)] {
+                let value = gauge.load(Ordering::Relaxed);
                 snap.set_gauge(&format!("serve.worker_{name}"), &[("worker", &idx)], value);
             }
         }
@@ -226,37 +205,6 @@ impl AdminPlane {
             Some(&self.inner.exemplars.snapshot()),
         ));
         out
-    }
-
-    /// The `/vars` body: a JSON snapshot of the live serving gauges.
-    pub fn vars_json(&self) -> String {
-        let state = match self.state() {
-            ReadyState::Starting => "starting",
-            ReadyState::Ready => "ready",
-            ReadyState::Draining => "draining",
-        };
-        let workers: Vec<String> = self
-            .inner
-            .workers
-            .iter()
-            .map(|w| {
-                let fields: Vec<String> = w
-                    .values()
-                    .iter()
-                    .map(|(name, value)| format!("\"{name}\":{value}"))
-                    .collect();
-                format!("{{{}}}", fields.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"state\":\"{state}\",\"ready\":{},\"requests\":{},\"flight_traces\":{},\
-             \"slow_threshold_us\":{},\"workers\":[{}]}}",
-            self.ready().is_ok(),
-            self.merged_latency().count,
-            self.inner.recorder.len(),
-            self.inner.recorder.threshold_us(),
-            workers.join(","),
-        )
     }
 }
 
@@ -324,14 +272,6 @@ impl Dispatch for AdminDispatcher {
                     &format!("not ready: {reason}\n"),
                 ),
             },
-            b"/vars" => http::write_response_typed(
-                out,
-                200,
-                "OK",
-                keep_alive,
-                "application/json",
-                &self.plane.vars_json(),
-            ),
             b"/debug/trace" => http::write_response_typed(
                 out,
                 200,
@@ -382,34 +322,28 @@ mod tests {
     }
 
     #[test]
-    fn vars_json_counts_recorded_requests() {
-        let plane = AdminPlane::new(2, &ObsConfig::default(), Telemetry::disabled());
-        plane.shard(0).record(100);
-        plane.shard(1).record(20_000);
-        plane.worker(1).connections.store(3, Ordering::Relaxed);
-        let vars = plane.vars_json();
-        assert!(vars.contains("\"requests\":2"), "got: {vars}");
-        assert!(vars.contains("\"connections\":3"), "got: {vars}");
-        assert!(vars.contains("\"state\":\"starting\""), "got: {vars}");
-    }
-
-    #[test]
     fn metrics_render_includes_latency_histogram_and_worker_gauges() {
         let plane = AdminPlane::new(2, &ObsConfig::default(), Telemetry::disabled());
         plane.set_state(ReadyState::Ready);
         plane.shard(0).record(150);
+        plane.shard(1).record(20_000);
         plane.worker(0).wakeups.store(7, Ordering::Relaxed);
+        plane.worker(1).connections.store(3, Ordering::Relaxed);
         let text = plane.render_metrics();
         assert!(
             text.contains("# TYPE serve_request_wall_us histogram"),
             "got: {text}"
         );
         assert!(
-            text.contains("serve_request_wall_us_count 1"),
+            text.contains("serve_request_wall_us_count 2"),
             "got: {text}"
         );
         assert!(
             text.contains("serve_worker_wakeups{worker=\"0\"} 7"),
+            "got: {text}"
+        );
+        assert!(
+            text.contains("serve_worker_connections{worker=\"1\"} 3"),
             "got: {text}"
         );
         assert!(text.contains("serve_ready 1"), "got: {text}");

@@ -5,8 +5,7 @@
 //! library already links. Only what the serving tier and the load
 //! generator need is bound: create/ctl/wait on an epoll instance and an
 //! eventfd used as a cross-thread wakeup. Everything here is
-//! Linux-specific and compiled in only on Linux; the portable fallback
-//! server path never touches it.
+//! Linux-specific, like the crate.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -16,6 +15,10 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Wake one of the epoll instances waiting on this fd, not all of them
+/// (Linux 4.5+): each worker's epoll holds both listeners, and one
+/// connection should wake one waiting worker.
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -54,7 +57,6 @@ extern "C" {
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
@@ -135,9 +137,9 @@ impl Drop for Epoll {
     }
 }
 
-/// A nonblocking eventfd used to wake a worker blocked in `epoll_wait`
-/// from another thread (the acceptor handing over a fresh connection, or
-/// shutdown).
+/// A nonblocking eventfd used to wake the workers blocked in `epoll_wait`
+/// from another thread. Nothing reads it, so one wakeup stays readable for
+/// every epoll that holds it: the serving tier's shutdown.
 pub struct EventFd {
     fd: RawFd,
 }
@@ -161,12 +163,6 @@ impl EventFd {
             let _ = write(self.fd, (&one as *const u64).cast(), 8);
         }
     }
-
-    /// Consume pending wakeups.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        unsafe { while read(self.fd, buf.as_mut_ptr(), 8) == 8 {} }
-    }
 }
 
 impl Drop for EventFd {
@@ -185,22 +181,26 @@ mod tests {
     use std::os::fd::AsRawFd;
 
     #[test]
-    fn eventfd_wakes_epoll() {
-        let ep = Epoll::new().unwrap();
+    fn one_eventfd_wake_reaches_every_epoll_holding_it() {
+        let eps = [Epoll::new().unwrap(), Epoll::new().unwrap()];
         let ev = EventFd::new().unwrap();
-        ep.add(ev.raw(), EPOLLIN, 7).unwrap();
+        for ep in &eps {
+            ep.add(ev.raw(), EPOLLIN, 7).unwrap();
+        }
         let mut events = [EpollEvent::zeroed(); 4];
         // Nothing pending: times out empty.
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(eps[0].wait(&mut events, 0).unwrap(), 0);
         ev.wake();
         ev.wake(); // coalesces
-        let n = ep.wait(&mut events, 1000).unwrap();
-        assert_eq!(n, 1);
-        let (token, bits) = events[0].parts();
-        assert_eq!(token, 7);
-        assert!(bits & EPOLLIN != 0);
-        ev.drain();
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
+        for ep in &eps {
+            // Unread, the wakeup stays level: every wait sees it.
+            for _ in 0..2 {
+                assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
+                let (token, bits) = events[0].parts();
+                assert_eq!(token, 7);
+                assert!(bits & EPOLLIN != 0);
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * [`http`] — zero-copy request-head parser and response writers.
 //! * [`conn`] — per-connection state machine (buffered nonblocking I/O,
 //!   pipelined dispatch, precise error answers).
-//! * [`server`] — acceptor + per-worker epoll loops dispatching into
-//!   [`ogsa_transport::Network`] handlers.
+//! * [`server`] — per-worker epoll loops, each accepting its own
+//!   connections and dispatching into [`ogsa_transport::Network`] handlers.
 //! * [`admin`] — the live observability plane: `/metrics`, `/healthz`,
-//!   `/readyz`, `/vars`, and the `/debug/trace` flight-recorder dump,
-//!   served on a dedicated admin port by the same worker loops.
+//!   `/readyz`, and the `/debug/trace` flight-recorder dump, served on a
+//!   dedicated admin port by the same worker loops.
 //!
 //! The serving tier deliberately charges **no virtual time**: the
 //! simulation twin stays the paper-invariant instrument, and nothing here

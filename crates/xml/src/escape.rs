@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
-use crate::scan::find_any;
+use crate::scan::find_any_or_non_char;
 use crate::writer::Sink;
 
 /// The bytes escaped in character data, and in attribute values: exactly
@@ -35,14 +35,10 @@ fn entity_for(b: u8) -> &'static str {
     }
 }
 
-/// Index of the first byte that needs escaping, if any.
-fn first_special(s: &str, attr: bool) -> Option<usize> {
-    if attr {
-        find_any(s.as_bytes(), ATTR_SPECIALS)
-    } else {
-        find_any(s.as_bytes(), TEXT_SPECIALS)
-    }
-}
+/// What every writer emits for a code point XML 1.0 does not allow in a
+/// document (a C0 control other than TAB, LF and CR, U+FFFE, U+FFFF): no
+/// reference can carry one, and the reader refuses it literally.
+const REPLACEMENT: &str = "\u{FFFD}";
 
 /// Push the escaped form of `s` into `out` as a sequence of slices — clean
 /// run, entity, clean run, … Character data (`attr` false) escapes `<`,
@@ -51,14 +47,40 @@ fn first_special(s: &str, attr: bool) -> Option<usize> {
 /// additionally escapes `"`/`'`, and `\t`/`\n` as character references — a
 /// conformant parser normalises literal whitespace in attribute values to
 /// spaces, so EPR reference properties containing newlines would otherwise
-/// fail to round-trip. Every special byte is ASCII, so slicing at those
-/// positions always lands on a char boundary.
+/// fail to round-trip. A code point outside XML 1.0 `Char` becomes
+/// U+FFFD, so every sink — wire, counter, canonical digest — writes a
+/// document that parses, and all of them write the same one.
 pub fn escape_runs<S: Sink>(s: &str, attr: bool, out: &mut S) {
+    if attr {
+        write_runs(s, ATTR_SPECIALS, out);
+    } else {
+        write_runs(s, TEXT_SPECIALS, out);
+    }
+}
+
+/// `s` into `out` with each member of `specials` replaced by its entity and
+/// each code point outside XML 1.0 `Char` by U+FFFD, clean runs passed on
+/// whole. Comment text is written with no specials. Both kinds of byte
+/// found begin a `char`, and the length skipped is that `char`'s, so every
+/// slice lands on a char boundary.
+pub(crate) fn write_runs<const N: usize, S: Sink>(s: &str, specials: &[u8; N], out: &mut S) {
     let mut rest = s;
-    while let Some(i) = first_special(rest, attr) {
+    while let Some(i) = find_any_or_non_char(rest.as_bytes(), specials) {
         out.push_str(&rest[..i]);
-        out.push_str(entity_for(rest.as_bytes()[i]));
-        rest = &rest[i + 1..];
+        let b = rest.as_bytes()[i];
+        let len = if specials.contains(&b) {
+            out.push_str(entity_for(b));
+            1
+        } else {
+            out.push_str(REPLACEMENT);
+            // A C0 control is one byte; U+FFFE and U+FFFF are three.
+            if b == 0xEF {
+                3
+            } else {
+                1
+            }
+        };
+        rest = &rest[i + len..];
     }
     out.push_str(rest);
 }

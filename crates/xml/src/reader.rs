@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::error::{XmlError, XmlResult};
 use crate::escape::resolve_entity;
 use crate::name::intern;
-use crate::scan::find_any;
+use crate::scan::{find_any, find_any_or_non_char};
 
 /// One step through a document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,6 +215,7 @@ impl<'a> Reader<'a> {
                     let end = self.input[start..]
                         .find("-->")
                         .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
+                    check_chars(&self.bytes[start..start + end], start)?;
                     self.pos = start + end + 3;
                     return Ok(Event::Comment(&self.input[start..start + end]));
                 }
@@ -223,6 +224,7 @@ impl<'a> Reader<'a> {
                     let end = self.input[start..]
                         .find("]]>")
                         .ok_or_else(|| XmlError::parse(self.pos, "unterminated CDATA"))?;
+                    check_chars(&self.bytes[start..start + end], start)?;
                     self.pos = start + end + 3;
                     return Ok(Event::Text(Cow::Borrowed(&self.input[start..start + end])));
                 }
@@ -272,8 +274,9 @@ impl<'a> Reader<'a> {
     /// that wrote it: `seams[0]`, a value, `seams[1]`, … a last value,
     /// `seams[N]`, from the start tag through the end tag (or a later
     /// sibling's, the seams going on through siblings that declare nothing).
-    /// A value is clean character data — no `<`, `&` or `\r`, so its bytes are what the events
-    /// would decode. Matching bytes name the same elements only where the
+    /// A value is clean character data — no `<`, `&` or `\r`, and no code
+    /// point XML 1.0 forbids, so its bytes are what the events would decode.
+    /// Matching bytes name the same elements only where the
     /// seams' prefixes are bound as the writer bound them: the caller lists
     /// every prefix the seams spell with its URI in `prefixes`, and no default
     /// namespace may be in scope for the names without one.
@@ -316,7 +319,7 @@ impl<'a> Reader<'a> {
         let mut values = [""; N];
         for (value, seam) in values.iter_mut().zip(&seams[1..]) {
             let rest = &self.bytes[at..];
-            let len = find_any(rest, b"<&\r").filter(|&i| rest[i] == b'<')?;
+            let len = find_any_or_non_char(rest, b"<&\r").filter(|&i| rest[i] == b'<')?;
             *value = &self.input[at..at + len];
             at = after(at + len, seam)?;
         }
@@ -329,16 +332,17 @@ impl<'a> Reader<'a> {
 
     /// Read character data up to the next `<`. One search finds the end of
     /// clean text; only text holding a `&` or `\r` is searched on for its
-    /// `<` and decoded.
+    /// `<` and decoded. Both searches refuse a code point XML 1.0 forbids.
     fn read_text(&mut self) -> XmlResult<Event<'a>> {
         let start = self.pos;
         let rest = &self.bytes[start..];
-        let first = find_any(rest, b"<&\r").unwrap_or(rest.len());
+        let first = find_checked(rest, b"<&\r", start)?.unwrap_or(rest.len());
         if matches!(rest.get(first), None | Some(b'<')) {
             self.pos = start + first;
             return Ok(Event::Text(Cow::Borrowed(&self.input[start..self.pos])));
         }
-        let len = find_any(&rest[first..], b"<").map_or(rest.len(), |i| first + i);
+        let len =
+            find_checked(&rest[first..], b"<", start + first)?.map_or(rest.len(), |i| first + i);
         self.pos = start + len;
         decode(&self.input[start..self.pos], start, false).map(Event::Text)
     }
@@ -532,6 +536,7 @@ impl<'a> Reader<'a> {
         let end = self.input[self.pos + 4..]
             .find("-->")
             .ok_or_else(|| XmlError::parse(self.pos, "unterminated comment"))?;
+        check_chars(&self.bytes[self.pos + 4..self.pos + 4 + end], self.pos + 4)?;
         self.pos += 4 + end + 3;
         Ok(())
     }
@@ -552,7 +557,8 @@ impl<'a> Reader<'a> {
 
     /// Read a quoted attribute value. One search finds the closing quote of
     /// a clean value; only a value holding a `&` or literal whitespace is
-    /// searched on for its quote and decoded.
+    /// searched on for its quote and decoded. Both searches refuse a code
+    /// point XML 1.0 forbids.
     fn read_quoted(&mut self) -> XmlResult<Cow<'a, str>> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
@@ -562,12 +568,14 @@ impl<'a> Reader<'a> {
         let start = self.pos;
         let rest = &self.bytes[start..];
         let unterminated = || XmlError::parse(start, "unterminated attribute value");
-        let first = find_any(rest, &[quote, b'&', b'\t', b'\n', b'\r']).ok_or_else(unterminated)?;
+        let first = find_checked(rest, &[quote, b'&', b'\t', b'\n', b'\r'], start)?
+            .ok_or_else(unterminated)?;
         if rest[first] == quote {
             self.pos = start + first + 1;
             return Ok(Cow::Borrowed(&self.input[start..start + first]));
         }
-        let len = first + find_any(&rest[first..], &[quote]).ok_or_else(unterminated)?;
+        let len = first
+            + find_checked(&rest[first..], &[quote], start + first)?.ok_or_else(unterminated)?;
         self.pos = start + len + 1;
         decode(&self.input[start..start + len], start, true)
     }
@@ -589,6 +597,30 @@ pub const MAX_TAG_ATTRS: usize = 256;
 /// 140 000 levels overflowed a server worker's stack while its tree was
 /// dropped: an abort no panic containment catches.
 pub const MAX_DEPTH: usize = 512;
+
+/// The first member of `set` in `bytes` (at `offset` in the document), or an
+/// error at a literal code point outside XML 1.0 `Char` before it: a C0
+/// control other than TAB, LF and CR, or U+FFFE / U+FFFF. A reference to one
+/// is refused by [`resolve_entity`]; the literal is refused here.
+fn find_checked<const N: usize>(
+    bytes: &[u8],
+    set: &[u8; N],
+    offset: usize,
+) -> XmlResult<Option<usize>> {
+    match find_any_or_non_char(bytes, set) {
+        Some(at) if !set.contains(&bytes[at]) => Err(XmlError::parse(
+            offset + at,
+            "character outside XML 1.0 `Char`",
+        )),
+        found => Ok(found),
+    }
+}
+
+/// Refuse `bytes` (at `offset`) if it holds a code point outside XML 1.0
+/// `Char`: comments and CDATA sections, which hold no markup to find.
+fn check_chars(bytes: &[u8], offset: usize) -> XmlResult<()> {
+    find_checked(bytes, &[], offset).map(drop)
+}
 
 fn too_many_attrs(offset: usize) -> XmlError {
     XmlError::parse(

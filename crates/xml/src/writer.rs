@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::escape::escape_runs;
+use crate::escape::{escape_runs, write_runs};
 use crate::name::{ns, QName};
 use crate::node::{Element, Node};
 use crate::pool::collect_pooled;
@@ -309,7 +309,7 @@ fn write_elem<S: Sink>(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mu
             Node::Text(t) => escape_runs(t, false, out),
             Node::Comment(c) => {
                 out.push_str("<!--");
-                out.push_str(c);
+                write_runs(c, &[], out);
                 out.push_str("-->");
             }
         }

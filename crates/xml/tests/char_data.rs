@@ -19,11 +19,14 @@ use ogsa_xml::{escape_runs, parse, ByteCount, Event, Reader, Sink};
 use proptest::prelude::*;
 
 /// Escaping as it was written before the block search: one `match` per
-/// character.
+/// character, and U+FFFD for a character outside XML 1.0 `Char`.
 fn oracle_escape(s: &str, attr: bool) -> String {
     let mut out = String::new();
     for c in s.chars() {
         out.push_str(match c {
+            '\0'..='\u{8}' | '\u{b}' | '\u{c}' | '\u{e}'..='\u{1f}' | '\u{FFFE}' | '\u{FFFF}' => {
+                "\u{FFFD}"
+            }
             '<' => "&lt;",
             '>' => "&gt;",
             '&' => "&amp;",
@@ -87,11 +90,13 @@ fn arb_runs(pieces: &'static [&'static str]) -> impl Strategy<Value = String> {
 }
 
 /// What the escapers meet: every special, multi-byte characters of two,
-/// three and four bytes, and the two glued together.
+/// three and four bytes, and the two glued together; code points outside
+/// XML 1.0 `Char`, and legal ones that share their first byte.
 #[rustfmt::skip]
 const DATA_PIECES: &[&str] = &[
     "<", ">", "&", "\r", "\"", "'", "\t", "\n", "é", "☃", "𝄞",
     "é<", "<é", "☃&☃", "\r\n", "𝄞\"𝄞", "<>&", "",
+    "\0", "\u{1}", "\u{b}", "\u{1f}", "\u{FFFE}", "\u{FFFF}", "\u{FFFD}", "\u{FEFF}", "\u{7f}",
 ];
 
 /// What the reader meets on the wire, minus `<` and the double quote (the
@@ -102,6 +107,7 @@ const WIRE_PIECES: &[&str] = &[
     "&amp;", "&lt;", "&#13;", "&#10;", "&#x2603;", "&#0;", "&bogus;", "&",
     "\r", "\r\n", "\n", "\t", "\r\r\n", ">", "'",
     "é", "☃", "𝄞", "é&amp;é", "☃\r☃", "𝄞\t𝄞", "",
+    "\0", "\u{b}", "\u{1f}", "\u{FFFE}", "\u{FFFF}", "\u{FFFD}", "\u{FEFF}", "\u{7f}",
 ];
 
 /// The reader's own view of `<a k="attr">text</a>`: the attribute value and
@@ -202,9 +208,13 @@ fn duplicate_attributes_and_non_character_references_are_rejected_by_both_parser
         "<a>&#x1;</a>",
         "<a>&#xFFFE;</a>",
         "<a b=\"&#xFFFF;\"/>",
+        "<a>x\0y</a>",
+        "<a>x\u{1}y</a>",
+        "<a b='x\u{b}y'/>",
+        "<a>x\u{FFFE}y</a>",
     ] {
-        assert!(parse(case).is_err(), "{case}");
-        assert!(reference::parse(case).is_err(), "{case}");
+        assert!(parse(case).is_err(), "{case:?}");
+        assert!(reference::parse(case).is_err(), "{case:?}");
     }
     // The same local part under different namespaces, and the whitespace
     // references the round-trip tests rest on, still parse.

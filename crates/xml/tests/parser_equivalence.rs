@@ -130,6 +130,20 @@ fn corner_case_corpus_is_equivalent() {
         "<a b=\"&#xFFFF;\"/>",
         // …its edges are not.
         "<a b=\"&#x20;&#xD7FF;\">&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>",
+        // The same code points written literally are rejected too, in text,
+        // attribute values and comments…
+        "<a>x\0y</a>",
+        "<a>x\u{1}y</a>",
+        "<a b='x\u{b}y'/>",
+        "<a>x\u{FFFE}y</a>",
+        "<a>x\u{FFFF}y</a>",
+        "<a><!-- x\u{1f}y --></a>",
+        "<!-- \u{0} --><a/>",
+        "<a><![CDATA[x\u{8}y]]></a>",
+        "<a>x&amp;\u{c}y</a>",
+        "<a b='x&amp;\u{FFFF}y'/>",
+        // …and the legal neighbours of each are not.
+        "<a b='x\u{7f}y\u{FFFD}'>x\u{FEFF}y\u{EFFF}z\u{F000}\u{1FFFE}</a>",
         // EOL normalisation in text, whitespace normalisation in attributes.
         "<a>line1\r\nline2\rline3\nline4</a>",
         "<a b=\"v1\r\nv2\rv3\nv4\tv5\"/>",

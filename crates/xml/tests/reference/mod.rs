@@ -131,6 +131,7 @@ impl<'a> Parser<'a> {
         let end = self.input[self.pos + 4..]
             .find("-->")
             .ok_or_else(|| parse_error(self.pos, "unterminated comment"))?;
+        check_chars(&self.input[self.pos + 4..self.pos + 4 + end], self.pos + 4)?;
         self.pos += 4 + end + 3;
         Ok(())
     }
@@ -237,6 +238,7 @@ impl<'a> Parser<'a> {
                 let end = self.input[start..]
                     .find("-->")
                     .ok_or_else(|| parse_error(self.pos, "unterminated comment"))?;
+                check_chars(&self.input[start..start + end], start)?;
                 children.push(Node::Comment(self.input[start..start + end].to_owned()));
                 self.pos = start + end + 3;
             } else if self.starts_with("<![CDATA[") {
@@ -244,6 +246,7 @@ impl<'a> Parser<'a> {
                 let end = self.input[start..]
                     .find("]]>")
                     .ok_or_else(|| parse_error(self.pos, "unterminated CDATA"))?;
+                check_chars(&self.input[start..start + end], start)?;
                 children.push(Node::Text(self.input[start..start + end].to_owned()));
                 self.pos = start + end + 3;
             } else if self.starts_with("<?") {
@@ -261,6 +264,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                check_chars(&self.input[start..self.pos], start)?;
                 let raw = normalize_eol(&self.input[start..self.pos]);
                 let text = match raw {
                     Cow::Borrowed(raw) => unescape(raw, start)?.into_owned(),
@@ -351,6 +355,7 @@ impl<'a> Parser<'a> {
         while let Some(b) = self.peek() {
             if b == quote {
                 let raw = &self.input[start..self.pos];
+                check_chars(raw, start)?;
                 self.pos += 1;
                 return Ok(match normalize_attr_ws(raw) {
                     Cow::Borrowed(raw) => unescape(raw, start)?.into_owned(),
@@ -360,6 +365,18 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         Err(parse_error(start, "unterminated attribute value"))
+    }
+}
+
+/// XML 1.0 §2.2: refuse a literal character outside `Char`, one `char` at
+/// a time.
+fn check_chars(raw: &str, offset: usize) -> XmlResult<()> {
+    let bad = raw.char_indices().find(|&(_, c)| {
+        !matches!(c, '\t' | '\n' | '\r' | ' '..='\u{D7FF}' | '\u{E000}'..='\u{FFFD}' | '\u{10000}'..)
+    });
+    match bad {
+        Some((at, _)) => Err(parse_error(offset + at, "character outside XML 1.0 `Char`")),
+        None => Ok(()),
     }
 }
 
