@@ -1,7 +1,11 @@
 //! WS-Addressing message information headers.
 
+use std::fmt::Write;
+use std::sync::Arc;
+
+use ogsa_soap::addressing::shared;
 use ogsa_soap::{AddressingHeader, Envelope};
-use ogsa_xml::{ns, Element, QName, XmlError, XmlResult};
+use ogsa_xml::{ns, pooled_string, Element, QName, XmlError, XmlResult};
 
 use crate::epr::EndpointReference;
 
@@ -15,11 +19,11 @@ pub const ANONYMOUS: &str = "http://schemas.xmlsoap.org/ws/2004/08/addressing/ro
 /// WS-Resource).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MessageHeaders {
-    pub to: String,
-    pub action: String,
-    pub message_id: String,
+    pub to: Arc<str>,
+    pub action: Arc<str>,
+    pub message_id: Arc<str>,
     pub reply_to: Option<EndpointReference>,
-    pub relates_to: Option<String>,
+    pub relates_to: Option<Arc<str>>,
     /// Reference properties echoed from the target EPR.
     pub reference_properties: Vec<Element>,
 }
@@ -28,12 +32,12 @@ impl MessageHeaders {
     /// Headers for a request to `target` with the given action URI.
     pub fn request(
         target: &EndpointReference,
-        action: impl Into<String>,
-        message_id: impl Into<String>,
+        action: impl AsRef<str>,
+        message_id: impl Into<Arc<str>>,
     ) -> Self {
         MessageHeaders {
-            to: target.address.clone(),
-            action: action.into(),
+            to: shared(&target.address),
+            action: shared(action.as_ref()),
             message_id: message_id.into(),
             reply_to: None,
             relates_to: None,
@@ -46,15 +50,11 @@ impl MessageHeaders {
         }
     }
 
-    /// Headers for the response to `request`.
-    pub fn response(request: &MessageHeaders, message_id: impl Into<String>) -> Self {
+    /// Headers for the response to `request`, relating to its `MessageID`.
+    pub fn response(request: &MessageHeaders, message_id: impl Into<Arc<str>>) -> Self {
         MessageHeaders {
-            to: request
-                .reply_to
-                .as_ref()
-                .map(|r| r.address.clone())
-                .unwrap_or_else(|| ANONYMOUS.to_owned()),
-            action: format!("{}Response", request.action),
+            to: shared(request.reply_to.as_ref().map_or(ANONYMOUS, |r| &r.address)),
+            action: response_action(&request.action),
             message_id: message_id.into(),
             reply_to: None,
             relates_to: Some(request.message_id.clone()),
@@ -95,8 +95,10 @@ impl MessageHeaders {
             let named = |h: &&Element| h.name.in_ns(ns::WSA) && *h.name.local == *local;
             env.headers.iter().find(named)
         };
-        let text =
-            |local, held: Option<&String>| held.cloned().or_else(|| Some(tree(local)?.text()));
+        let text = |local, held: Option<&Arc<str>>| {
+            held.cloned()
+                .or_else(|| Some(Arc::from(tree(local)?.text())))
+        };
         let missing = |local| move || XmlError::Schema(format!("missing wsa:{local}"));
         let reply_to = b
             .and_then(|b| b.reply_to.as_ref())
@@ -127,6 +129,21 @@ impl MessageHeaders {
     }
 }
 
+/// A message id, `uuid:{origin}-{seq}`, written once at its length
+/// (writing into a `String` cannot fail).
+pub fn message_id(origin: &str, seq: u64) -> Arc<str> {
+    let mut id = pooled_string();
+    let _ = write!(id, "uuid:{origin}-{seq}");
+    Arc::from(id.as_str())
+}
+
+/// `{action}Response`, written into a pooled buffer and shared.
+fn response_action(action: &str) -> Arc<str> {
+    let mut response = pooled_string();
+    let _ = write!(response, "{action}Response");
+    shared(&response)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +156,7 @@ mod tests {
     fn request_headers_echo_reference_properties() {
         let h = MessageHeaders::request(&target(), "urn:get", "msg-1");
         assert_eq!(h.resource_id(), Some("c-7"));
-        assert_eq!(h.to, "http://host-a/services/Counter");
+        assert_eq!(&*h.to, "http://host-a/services/Counter");
     }
 
     #[test]
@@ -151,8 +168,8 @@ mod tests {
         let env = h.apply(Envelope::new(Element::new("Get")));
         let back = MessageHeaders::extract(&env).unwrap();
         assert_eq!(back.to, h.to);
-        assert_eq!(back.action, "urn:get");
-        assert_eq!(back.message_id, "msg-1");
+        assert_eq!(&*back.action, "urn:get");
+        assert_eq!(&*back.message_id, "msg-1");
         assert_eq!(back.resource_id(), Some("c-7"));
         assert_eq!(back.reply_to.unwrap().address, "http://client/notify");
     }
@@ -162,8 +179,25 @@ mod tests {
         let req = MessageHeaders::request(&target(), "urn:get", "msg-9");
         let resp = MessageHeaders::response(&req, "msg-10");
         assert_eq!(resp.relates_to.as_deref(), Some("msg-9"));
-        assert_eq!(resp.action, "urn:getResponse");
-        assert_eq!(resp.to, ANONYMOUS);
+        assert_eq!(&*resp.action, "urn:getResponse");
+        assert_eq!(&*resp.to, ANONYMOUS);
+    }
+
+    /// A response shares its request's `MessageID` as its `RelatesTo`, and
+    /// responses to one action share one `…Response` string.
+    #[test]
+    fn responses_share_their_strings() {
+        let req = MessageHeaders::request(&target(), "urn:get", "msg-9");
+        let (one, two) = (
+            MessageHeaders::response(&req, "msg-10"),
+            MessageHeaders::response(&req, "msg-11"),
+        );
+        assert!(Arc::ptr_eq(
+            one.relates_to.as_ref().unwrap(),
+            &req.message_id
+        ));
+        assert!(Arc::ptr_eq(&one.action, &two.action));
+        assert_eq!(&*message_id("host-a", 42), "uuid:host-a-42");
     }
 
     #[test]
@@ -173,7 +207,7 @@ mod tests {
             ..MessageHeaders::request(&target(), "urn:a", "m")
         };
         let resp = MessageHeaders::response(&req, "m2");
-        assert_eq!(resp.to, "http://client/cb");
+        assert_eq!(&*resp.to, "http://client/cb");
     }
 
     #[test]

@@ -17,4 +17,4 @@ pub mod epr;
 pub mod headers;
 
 pub use epr::EndpointReference;
-pub use headers::{MessageHeaders, ANONYMOUS};
+pub use headers::{message_id, MessageHeaders, ANONYMOUS};

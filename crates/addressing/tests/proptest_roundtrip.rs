@@ -70,9 +70,9 @@ proptest! {
         let wire = Envelope::from_wire(&env.to_wire()).unwrap();
         let back = MessageHeaders::extract(&wire).unwrap();
         prop_assert_eq!(back.resource_id(), epr.resource_id());
-        prop_assert_eq!(back.action, action);
-        prop_assert_eq!(back.message_id, msg);
-        prop_assert_eq!(back.to, epr.address.clone());
+        prop_assert_eq!(&*back.action, action.as_str());
+        prop_assert_eq!(&*back.message_id, msg.as_str());
+        prop_assert_eq!(&*back.to, epr.address.as_str());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ogsa_addressing::{EndpointReference, MessageHeaders};
+use ogsa_addressing::{message_id, EndpointReference, MessageHeaders};
 use ogsa_security::{
     sign_envelope, verify_envelope, CertStore, Identity, SecurityError, SecurityPolicy,
 };
@@ -167,12 +167,9 @@ impl ClientAgent {
         &self.model
     }
 
-    fn next_message_id(&self) -> String {
-        format!(
-            "uuid:{}-{}",
-            self.identity.cert.key_id,
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        )
+    fn next_message_id(&self) -> Arc<str> {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        message_id(&self.identity.cert.key_id, seq)
     }
 
     /// Invoke `action` on the service/resource behind `target` with `body`;

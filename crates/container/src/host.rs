@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ogsa_addressing::{EndpointReference, MessageHeaders};
+use ogsa_addressing::{message_id, EndpointReference, MessageHeaders};
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityPolicy};
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
 use ogsa_soap::{Envelope, Fault};
@@ -256,11 +256,7 @@ impl Container {
                 (fault.to_element(), None)
             }
         };
-        let msg_id = format!(
-            "uuid:{}-{}",
-            inner.host,
-            inner.msg_seq.fetch_add(1, Ordering::Relaxed)
-        );
+        let msg_id = message_id(&inner.host, inner.msg_seq.fetch_add(1, Ordering::Relaxed));
         let mut resp = match &request_headers {
             Some(h) => MessageHeaders::response(h, msg_id).stamp(Envelope::new(body)),
             None => Envelope::new(body),

@@ -16,7 +16,7 @@ use crate::lifetime::LifetimeManager;
 /// the authenticated signer DN.
 #[derive(Debug, Clone)]
 pub struct Operation {
-    pub action: String,
+    pub action: Arc<str>,
     pub body: Element,
     pub headers: MessageHeaders,
     /// Authenticated client DN (X.509 policy only).

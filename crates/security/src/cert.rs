@@ -61,7 +61,7 @@ impl CertAuthority {
             subject_dn: subject_dn.to_owned(),
             issuer_dn: self.issuer_dn.clone(),
             serial,
-            key_id: key_id.clone(),
+            key_id: key_id.as_str().into(),
         });
         let secret = mac_key(&secret);
         inner.keys.insert(key_id, secret);

@@ -94,7 +94,7 @@ proptest! {
             message_id,
         );
         h.reply_to = reply_to.map(EndpointReference::service);
-        h.relates_to = relates_to;
+        h.relates_to = relates_to.map(Into::into);
 
         let mut typed = h.apply(Envelope::new(body()));
         let mut trees = stamped_as_trees(&h, body());
@@ -218,7 +218,7 @@ fn shapes_the_block_cannot_hold_are_the_trees_they_were() {
         (true, Ok("CN=alice,O=UVA-VO".to_owned()))
     );
     let extracted = MessageHeaders::extract(&Envelope::from_wire(&wire).unwrap()).unwrap();
-    assert_eq!(extracted.to, "http://h/s");
+    assert_eq!(&*extracted.to, "http://h/s");
 }
 
 /// Other spellings of the same headers: the template declines, the events
@@ -239,7 +239,7 @@ fn spellings_only_the_events_read_fill_the_block() {
     assert_ne!(rebound, wire);
     let escaped = wire.replacen("http://h/s", "http&#58;//h&#x2F;s", 1);
     let mut amp = request();
-    amp.to = "http://h/s?a=1&b=<2>".to_owned();
+    amp.to = "http://h/s?a=1&b=<2>".into();
     let ampersand = signed(&w, amp.apply(Envelope::new(body())));
     assert!(ampersand.contains("&amp;b=&lt;2&gt;"));
     for spelled in [&wire, &rebound, &escaped, &ampersand] {

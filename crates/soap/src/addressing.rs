@@ -11,20 +11,45 @@
 //! order. Equality is structural: the block is not equal to its tree
 //! spelling, though both write and digest alike.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use ogsa_xml::writer::write_subtree_into;
-use ogsa_xml::{canonicalize_into, escape_runs, ns, Element, Node, Prefixes, QName, Reader, Sink};
+use ogsa_xml::{
+    canonicalize_into, escape_runs, ns, Element, Memo, Node, Prefixes, QName, Reader, Sink,
+};
 
 use crate::vocab::vocab;
 
-/// The message-information headers of one envelope.
+/// The message-information headers of one envelope, their strings shared
+/// (a hop's `To` and `Action` repeat; `RelatesTo` is a request's `MessageID`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AddressingHeader {
-    pub to: String,
-    pub action: String,
-    pub message_id: String,
+    pub to: Arc<str>,
+    pub action: Arc<str>,
+    pub message_id: Arc<str>,
     /// The reply-to endpoint reference as its tree, named `wsa:ReplyTo`.
     pub reply_to: Option<Element>,
-    pub relates_to: Option<String>,
+    pub relates_to: Option<Arc<str>>,
+}
+
+/// Longest text a per-thread memo of the message path keeps as one value,
+/// so what peers send cannot pin more than its slots times this on a thread.
+pub(crate) const MEMO_MAX_LEN: usize = 512;
+
+/// Slots of the memo [`shared`] reads `wsa:To` and `wsa:Action` through.
+const ADDRESSING_MEMO_SLOTS: usize = 256;
+
+thread_local! {
+    static SHARED: RefCell<Memo<Arc<str>, ADDRESSING_MEMO_SLOTS>> =
+        const { RefCell::new(Memo::EMPTY) };
+}
+
+/// `s` as the string this thread made for it before, while its memo holds
+/// it: for values that repeat hop after hop (addresses, actions).
+pub fn shared(s: &str) -> Arc<str> {
+    let short = |_: &_| s.len() <= MEMO_MAX_LEN;
+    SHARED.with_borrow_mut(|m| m.get_or(s, |held| **held == *s, || Arc::from(s), short))
 }
 
 /// One spelling of the block: the fixed run split at its three values
@@ -82,7 +107,8 @@ impl AddressingHeader {
 
     /// The headers the block stands for, as trees.
     pub(crate) fn into_trees(self) -> Vec<Element> {
-        let leaf = |local, text| Element::text_element(QName::new(ns::WSA, local), text);
+        let leaf =
+            |local, text: Arc<str>| Element::text_element(QName::new(ns::WSA, local), &*text);
         let (to, action) = (leaf("To", self.to), leaf("Action", self.action));
         let mut trees = vec![to, action, leaf("MessageID", self.message_id)];
         trees.extend(self.reply_to);
@@ -97,7 +123,9 @@ impl AddressingHeader {
 /// Asked only while no header was read as a tree.
 pub(crate) fn read_template(reader: &mut Reader<'_>, block: &mut Option<AddressingHeader>) -> bool {
     let wsa = [("wsa", &vocab().wsa)];
-    let filled = |v: &str| (!v.is_empty()).then(|| v.to_owned());
+    fn filled(v: &str) -> Option<&str> {
+        (!v.is_empty()).then_some(v)
+    }
     match block {
         None => {
             let run = reader.read_template(&WIRE[..4], &wsa, |[to, action, id]: [&str; 3]| {
@@ -106,7 +134,8 @@ pub(crate) fn read_template(reader: &mut Reader<'_>, block: &mut Option<Addressi
             run.map(|run| *block = Some(run)).is_some()
         }
         Some(b) if b.relates_to.is_none() => {
-            b.relates_to = reader.read_template(&WIRE[4..], &wsa, |[r]: [&str; 1]| filled(r));
+            let read = reader.read_template(&WIRE[4..], &wsa, |[r]: [&str; 1]| filled(r));
+            b.relates_to = read.map(Arc::from);
             b.relates_to.is_some()
         }
         Some(_) => false,
@@ -131,16 +160,20 @@ pub(crate) fn fold(headers: &mut Vec<Element>, block: &mut Option<AddressingHead
         b.reply_to = Some(headers.remove(0));
     }
     if b.relates_to.is_none() {
-        b.relates_to = headers.first().and_then(|h| leaf(h, "RelatesTo"));
+        b.relates_to = headers
+            .first()
+            .and_then(|h| leaf(h, "RelatesTo"))
+            .map(Arc::from);
         if b.relates_to.is_some() {
             headers.remove(0);
         }
     }
 }
 
-/// The block of the fixed run, if all three values are there.
-fn run(to: Option<String>, action: Option<String>, id: Option<String>) -> Option<AddressingHeader> {
-    let (to, action, message_id) = (to?, action?, id?);
+/// The block of the fixed run, if all three values are there: `To` and
+/// `Action` through the memo, since they repeat hop after hop.
+fn run(to: Option<&str>, action: Option<&str>, id: Option<&str>) -> Option<AddressingHeader> {
+    let (to, action, message_id) = (shared(to?), shared(action?), Arc::from(id?));
     Some(AddressingHeader {
         to,
         action,
@@ -154,11 +187,9 @@ fn named(e: &Element, local: &str) -> bool {
 }
 
 /// The text of `e` if it is the leaf `wsa:local` as the block holds it.
-fn leaf(e: &Element, local: &str) -> Option<String> {
+fn leaf<'e>(e: &'e Element, local: &str) -> Option<&'e str> {
     match e.children.as_slice() {
-        [Node::Text(t)] if named(e, local) && e.attrs.is_empty() && !t.is_empty() => {
-            Some(t.clone())
-        }
+        [Node::Text(t)] if named(e, local) && e.attrs.is_empty() && !t.is_empty() => Some(t),
         _ => None,
     }
 }
@@ -177,6 +208,34 @@ mod tests {
             reply_to: None,
             relates_to: Some("uuid:m-1".into()),
         }
+    }
+
+    /// `To` and `Action` read off two wires are the same strings; a
+    /// `MessageID` is read afresh. One too long to keep is not kept, even
+    /// past ten thousand addresses.
+    #[test]
+    fn repeated_values_are_shared() {
+        let read = |id: &str| {
+            let block = AddressingHeader {
+                message_id: id.into(),
+                ..block()
+            };
+            let wire = Envelope::new(Element::new("Ping"))
+                .with_addressing(block)
+                .to_wire();
+            Envelope::from_wire(&wire).unwrap().addressing.unwrap()
+        };
+        let (one, two) = (read("uuid:m-1"), read("uuid:m-2"));
+        assert!(Arc::ptr_eq(&one.to, &two.to) && Arc::ptr_eq(&one.action, &two.action));
+        assert_eq!(
+            (&*one.message_id, &*two.message_id),
+            ("uuid:m-1", "uuid:m-2")
+        );
+        for host in 0..10_000 {
+            shared(&format!("http://h{host}/s"));
+        }
+        let long = "x".repeat(MEMO_MAX_LEN + 1);
+        assert!(!Arc::ptr_eq(&shared(&long), &shared(&long)));
     }
 
     /// A reader that has just returned `wire`'s first header start tag.

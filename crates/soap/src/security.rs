@@ -19,10 +19,12 @@
 //! reports; only a document that is not well-formed XML is an error here.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use ogsa_xml::{escape_runs, Event, Reader, Sink, XmlError, XmlResult};
+use ogsa_xml::{escape_runs, Event, Memo, Reader, Sink, XmlError, XmlResult};
 
+use crate::addressing::MEMO_MAX_LEN;
 use crate::vocab::vocab;
 
 /// The fields of the signer's X.509 certificate that travel in the
@@ -35,8 +37,9 @@ pub struct Certificate {
     pub issuer_dn: String,
     /// Serial number, unique per issuer.
     pub serial: u64,
-    /// Key identifier (hash of the simulated key material).
-    pub key_id: String,
+    /// Key identifier (hash of the simulated key material), shared by every
+    /// block's `ds:KeyName` that names it.
+    pub key_id: Arc<str>,
 }
 
 /// Everything a well-formed `wsse:Security` block says.
@@ -55,7 +58,7 @@ pub struct SignedBlock {
     /// The signature over the canonical `ds:SignedInfo`.
     pub signature_value: [u8; 32],
     /// `ds:KeyName`: which key signed.
-    pub key_name: String,
+    pub key_name: Arc<str>,
 }
 
 /// An envelope's `wsse:Security` header.
@@ -232,20 +235,50 @@ fn read_by_template(reader: &mut Reader<'_>) -> Option<SignedBlock> {
         let (created, serial) = (undecimal(created)?, undecimal(serial)?);
         let (body_digest, headers_digest) =
             (unhex32(body.as_bytes())?, unhex32(headers.as_bytes())?);
+        let (certificate, key_name) = signer([subject_dn, issuer_dn, key_id], serial, key_name);
         Some(SignedBlock {
             created,
-            certificate: Arc::new(Certificate {
-                subject_dn: subject_dn.to_owned(),
-                issuer_dn: issuer_dn.to_owned(),
-                serial,
-                key_id: key_id.to_owned(),
-            }),
+            certificate,
             body_digest,
             headers_digest,
             signature_value: unhex32(value.as_bytes())?,
-            key_name: key_name.to_owned(),
+            key_name,
         })
     })
+}
+
+/// Senders a thread tells apart without allocating.
+const CERTIFICATE_MEMO_SLOTS: usize = 64;
+
+thread_local! {
+    static CERTIFICATES: RefCell<Memo<Arc<Certificate>, CERTIFICATE_MEMO_SLOTS>> =
+        const { RefCell::new(Memo::EMPTY) };
+}
+
+/// The certificate and key name a block names, shared with the last block
+/// this thread read from the same sender: a sender's blocks all carry them.
+fn signer(texts: [&str; 3], serial: u64, key_name: &str) -> (Arc<Certificate>, Arc<str>) {
+    let [subject_dn, issuer_dn, key_id] = texts;
+    let same = |c: &Arc<Certificate>| {
+        c.serial == serial && [&*c.subject_dn, &c.issuer_dn, &c.key_id] == texts
+    };
+    let build = || {
+        let (subject_dn, issuer_dn) = (subject_dn.into(), issuer_dn.into());
+        Arc::new(Certificate {
+            subject_dn,
+            issuer_dn,
+            serial,
+            key_id: key_id.into(),
+        })
+    };
+    let short = |_: &_| texts.iter().map(|t| t.len()).sum::<usize>() <= MEMO_MAX_LEN;
+    let cert = CERTIFICATES.with_borrow_mut(|m| m.get_or(key_id, same, build, short));
+    let key_name = if *cert.key_id == *key_name {
+        cert.key_id.clone()
+    } else {
+        key_name.into()
+    };
+    (cert, key_name)
 }
 
 fn read_by_grammar(reader: &mut Reader<'_>) -> XmlResult<SecurityHeader> {
@@ -271,11 +304,11 @@ fn read_signed(b: &mut Block<'_, '_>) -> Result<SignedBlock, Stop> {
 
     b.open(Some(&v.wsse), "BinarySecurityToken")?;
     b.open(None, "X509Certificate")?;
-    let subject_dn = b.leaf(None, "Subject")?.into_owned();
-    let issuer_dn = b.leaf(None, "Issuer")?.into_owned();
+    let subject_dn = b.leaf(None, "Subject")?;
+    let issuer_dn = b.leaf(None, "Issuer")?;
     let serial = b.leaf(None, "Serial")?;
     let serial = undecimal(&serial).ok_or_else(|| bad_value("Serial", &serial))?;
-    let key_id = b.leaf(None, "KeyId")?.into_owned();
+    let key_id = b.leaf(None, "KeyId")?;
     b.close("X509Certificate")?;
     b.close("wsse:BinarySecurityToken")?;
 
@@ -286,19 +319,15 @@ fn read_signed(b: &mut Block<'_, '_>) -> Result<SignedBlock, Stop> {
     b.close("ds:SignedInfo")?;
     let signature_value = b.digest_leaf("SignatureValue")?;
     b.open(Some(&v.ds), "KeyInfo")?;
-    let key_name = b.leaf(Some(&v.ds), "KeyName")?.into_owned();
+    let key_name = b.leaf(Some(&v.ds), "KeyName")?;
     b.close("ds:KeyInfo")?;
     b.close("ds:Signature")?;
     b.close("wsse:Security")?;
 
+    let (certificate, key_name) = signer([&subject_dn, &issuer_dn, &key_id], serial, &key_name);
     Ok(SignedBlock {
         created,
-        certificate: Arc::new(Certificate {
-            subject_dn,
-            issuer_dn,
-            serial,
-            key_id,
-        }),
+        certificate,
         body_digest,
         headers_digest,
         signature_value,
@@ -522,12 +551,12 @@ mod tests {
                 subject_dn: subject.to_owned(),
                 issuer_dn: issuer.to_owned(),
                 serial: 1,
-                key_id: key.to_owned(),
+                key_id: key.into(),
             }),
             body_digest: [digests[0]; 32],
             headers_digest: [digests[1]; 32],
             signature_value: [digests[2]; 32],
-            key_name: key.to_owned(),
+            key_name: key.into(),
         }
     }
 
@@ -614,6 +643,44 @@ mod tests {
             prop_assert_eq!(matched, [&subject, &issuer, &key].into_iter().all(clean));
             prop_assert_eq!(read, Ok(SecurityHeader::Signed(written)));
         }
+    }
+
+    /// The signed block `wire` carries.
+    fn signed_block(wire: &str) -> SignedBlock {
+        match Envelope::from_wire(wire).unwrap().security {
+            Some(SecurityHeader::Signed(b)) => b,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// One sender's messages share one certificate and key name once read;
+    /// another sender's are its own, and so are those too long to keep. Past
+    /// ten thousand senders, a sender read twice is shared again.
+    #[test]
+    fn a_senders_certificate_is_built_once_per_thread() {
+        let sender = |subject: &str, key: &str| {
+            let block = block(subject, "CN=UVA-CA", key, [1, 2, 3]);
+            signed_block(&wire_of(corpus::sample_parts("41"), block))
+        };
+        let alice = signed_block(&signed_sample());
+        let again = signed_block(&sample_wire("42", "CN=alice,O=UVA-VO", [4, 5, 6]));
+        assert!(Arc::ptr_eq(&alice.certificate, &again.certificate));
+        assert!(Arc::ptr_eq(&alice.key_name, &again.key_name));
+        let bob = sender("CN=bob,O=UVA-VO", "00b0b00000b0b000");
+        assert!(!Arc::ptr_eq(&alice.certificate, &bob.certificate));
+        assert_eq!(*bob.key_name, *"00b0b00000b0b000");
+
+        let long = "CN=".to_owned() + &"x".repeat(MEMO_MAX_LEN);
+        let (one, two) = (sender(&long, "00aa"), sender(&long, "00aa"));
+        assert!(!Arc::ptr_eq(&one.certificate, &two.certificate));
+        for key in 0..10_000u32 {
+            sender("CN=mallory", &format!("{key:08x}"));
+        }
+        let (one, two) = (
+            signed_block(&signed_sample()),
+            signed_block(&signed_sample()),
+        );
+        assert!(Arc::ptr_eq(&one.certificate, &two.certificate));
     }
 
     #[test]

@@ -43,10 +43,8 @@ pub fn security_element(security: &SecurityHeader) -> Element {
             hex(&b.signature_value),
         ))
         .with_child(
-            Element::new(q(ns::DS, "KeyInfo")).with_child(Element::text_element(
-                q(ns::DS, "KeyName"),
-                b.key_name.clone(),
-            )),
+            Element::new(q(ns::DS, "KeyInfo"))
+                .with_child(Element::text_element(q(ns::DS, "KeyName"), &*b.key_name)),
         );
     let timestamp = Element::new(q(ns::WSU, "Timestamp")).with_child(Element::text_element(
         q(ns::WSU, "Created"),
@@ -57,7 +55,7 @@ pub fn security_element(security: &SecurityHeader) -> Element {
         .with_child(Element::text_element("Subject", c.subject_dn.clone()))
         .with_child(Element::text_element("Issuer", c.issuer_dn.clone()))
         .with_child(Element::text_element("Serial", c.serial.to_string()))
-        .with_child(Element::text_element("KeyId", c.key_id.clone()));
+        .with_child(Element::text_element("KeyId", &*c.key_id));
     Element::new(q(ns::WSSE, "Security"))
         .with_child(timestamp)
         .with_child(Element::new(q(ns::WSSE, "BinarySecurityToken")).with_child(certificate))
@@ -82,13 +80,13 @@ pub fn addressing_elements(block: &AddressingHeader) -> Vec<Element> {
 /// and each leaf bare and holding one non-empty text — taken out of
 /// `headers` into the block. Nothing is taken unless the three lead.
 pub fn addressing_from_headers(headers: &mut Vec<Element>) -> Option<AddressingHeader> {
-    let text = |at: usize, local: &str| -> Option<String> {
+    let text = |at: usize, local: &str| -> Option<std::sync::Arc<str>> {
         let e = headers.get(at)?;
         if e.name != q(ns::WSA, local) || !e.attrs.is_empty() {
             return None;
         }
         match e.children.as_slice() {
-            [Node::Text(t)] if !t.is_empty() => Some(t.clone()),
+            [Node::Text(t)] if !t.is_empty() => Some(t.as_str().into()),
             _ => None,
         }
     };
@@ -320,7 +318,7 @@ fn signed_from_element(e: &Element) -> Result<SignedBlock, String> {
         subject_dn: leaf(cert[0], QName::local("Subject"))?,
         issuer_dn: leaf(cert[1], QName::local("Issuer"))?,
         serial: decimal(&leaf(cert[2], QName::local("Serial"))?)?,
-        key_id: leaf(cert[3], QName::local("KeyId"))?,
+        key_id: leaf(cert[3], QName::local("KeyId"))?.into(),
     });
 
     let signature = branch(top[2], q(ns::DS, "Signature"), &[], 3)?;
@@ -341,6 +339,6 @@ fn signed_from_element(e: &Element) -> Result<SignedBlock, String> {
         body_digest,
         headers_digest,
         signature_value,
-        key_name,
+        key_name: key_name.into(),
     })
 }

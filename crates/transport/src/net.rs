@@ -1,6 +1,7 @@
 //! The network: endpoint registry, ports, and the three bindings.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SendError, Sender};
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use ogsa_sim::rng::mix64;
 use ogsa_sim::{CostModel, SimDuration, SimInstant, VirtualClock};
 use ogsa_soap::Envelope;
 use ogsa_telemetry::{Span, SpanId, SpanKind, Telemetry, TraceId};
-use ogsa_xml::pooled_string;
+use ogsa_xml::{pooled_string, PooledString};
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::TransportError;
@@ -123,10 +124,10 @@ struct NetInner {
     clock: VirtualClock,
     model: Arc<CostModel>,
     endpoints: RwLock<HashMap<String, Endpoint>>,
-    /// Established TLS sessions, keyed by (client host, server host).
-    tls_sessions: Mutex<HashSet<(String, String)>>,
-    /// Pooled transport connections, keyed by (client host, server host, scheme).
-    connections: Mutex<HashSet<(String, String, String)>>,
+    /// Established TLS sessions, by `edge_key` of (client, server host).
+    tls_sessions: Mutex<HashSet<String>>,
+    /// Pooled connections, by `edge_key` of (client, server host, scheme).
+    connections: Mutex<HashSet<String>>,
     /// Toggle for the HTTPS socket/session cache (ablation).
     tls_session_cache: RwLock<bool>,
     stats: NetStats,
@@ -136,8 +137,8 @@ struct NetInner {
     /// Armed fault schedule, if any.
     fault_plan: RwLock<Option<FaultPlan>>,
     /// Per-edge message sequence numbers feeding the fault plan's pure
-    /// decision function. Keyed by (sending host, destination address).
-    edge_seqs: Mutex<HashMap<(String, String), u64>>,
+    /// decision function, by `edge_key` of (sending host, destination).
+    edge_seqs: Mutex<HashMap<String, u64>>,
     /// Messages that exhausted their redelivery budget.
     dead_letters: Mutex<Vec<DeadLetter>>,
     /// One-way messages accepted but not yet terminally resolved
@@ -434,11 +435,14 @@ impl Network {
     /// Next per-edge sequence number for a message from `from` to the
     /// destination address `to`.
     fn next_edge_seq(&self, from: &str, to: &str) -> u64 {
+        let key = edge_key(&[from, to]);
         let mut seqs = self.inner.edge_seqs.lock();
-        let seq = seqs.entry((from.to_owned(), to.to_owned())).or_insert(0);
-        let current = *seq;
-        *seq += 1;
-        current
+        if let Some(seq) = seqs.get_mut(key.as_str()) {
+            *seq += 1;
+            return *seq - 1;
+        }
+        seqs.insert(key.as_str().to_owned(), 1);
+        0
     }
 
     // ---- internals ---------------------------------------------------------
@@ -453,14 +457,13 @@ impl Network {
     /// honouring the connection pool and the TLS session cache.
     fn charge_connection(&self, from: &str, to: &str, scheme: &str) {
         let m = &self.inner.model;
-        let key = (from.to_owned(), to.to_owned(), scheme.to_owned());
         // Decide under each lock, charge after releasing it: the pool and
         // session caches are network-global, and holding them across a
         // charged handshake would serialise unrelated clients' connection
         // setup (the lock-hold-across-charged-work pattern the container
         // dispatch path is audited for). Two clients racing the same fresh
         // edge each pay the full setup — exactly what a real pool does.
-        let fresh_connection = self.inner.connections.lock().insert(key);
+        let fresh_connection = first_sighting(&self.inner.connections, &[from, to, scheme]);
         if fresh_connection {
             self.inner
                 .clock
@@ -469,10 +472,7 @@ impl Network {
         }
         if scheme == "https" {
             let cache_enabled = *self.inner.tls_session_cache.read();
-            let resumed = cache_enabled && {
-                let session_key = (from.to_owned(), to.to_owned());
-                !self.inner.tls_sessions.lock().insert(session_key)
-            };
+            let resumed = cache_enabled && !first_sighting(&self.inner.tls_sessions, &[from, to]);
             if resumed {
                 let _s = self.inner.tel.span(SpanKind::Security, "tls:resume");
                 self.inner
@@ -681,6 +681,23 @@ impl Network {
     }
 }
 
+/// `parts` as one key in a pooled buffer, so looking an edge up allocates
+/// nothing; each part follows its length, so no two lists share a key.
+fn edge_key(parts: &[&str]) -> PooledString {
+    let mut key = pooled_string();
+    for part in parts {
+        let _ = write!(key, "{}:{part}", part.len());
+    }
+    key
+}
+
+/// Whether `set` had not held the edge `parts` yet; it does now.
+fn first_sighting(set: &Mutex<HashSet<String>>, parts: &[&str]) -> bool {
+    let key = edge_key(parts);
+    let mut set = set.lock();
+    !set.contains(key.as_str()) && set.insert(key.as_str().to_owned())
+}
+
 /// Salt decorrelating one-way fault draws from request/response draws on
 /// the same host pair.
 const ONEWAY_SALT: u64 = 0x6f6e_6577; // "onew"
@@ -722,17 +739,14 @@ impl Port {
     ) -> Result<Envelope, TransportError> {
         let inner = &self.net.inner;
         let m = inner.model.clone();
-        let (scheme, to_host) = {
-            let (s, h) = Network::scheme_and_host(address);
-            (s.to_owned(), h.to_owned())
-        };
+        let (scheme, to_host) = Network::scheme_and_host(address);
 
         // One Wire span per exchange: connection, overhead, both wire
         // crossings, and injected faults are its self time; SOAP codec work
         // and the server pipeline nest under it as children.
         let mut span = inner.tel.span(SpanKind::Wire, "net:call");
         span.set_attr("to", address);
-        span.set_attr("scheme", &scheme);
+        span.set_attr("scheme", scheme);
 
         // Client-side serialisation, into a pooled buffer reused across
         // calls on this thread (the virtual-time charge is unchanged: it is
@@ -749,7 +763,7 @@ impl Port {
         let (decision, seq) = match &plan {
             Some(p) => {
                 let seq = self.net.next_edge_seq(&self.host, address);
-                (p.decide(&self.host, &to_host, seq, inner.clock.now()), seq)
+                (p.decide(&self.host, to_host, seq, inner.clock.now()), seq)
             }
             None => (FaultDecision::default(), 0),
         };
@@ -765,14 +779,14 @@ impl Port {
         }
 
         // Connection + HTTP round-trip overhead.
-        self.net.charge_connection(&self.host, &to_host, &scheme);
+        self.net.charge_connection(&self.host, to_host, scheme);
         inner
             .clock
             .advance(SimDuration::from_micros(m.http_request_overhead_us));
 
         // Request over the wire.
         self.net
-            .charge_wire(wire.len(), &self.host, &to_host, &scheme);
+            .charge_wire(wire.len(), &self.host, to_host, scheme);
         self.net.count_message("net.requests", wire.len());
 
         if decision.drop {
@@ -838,7 +852,7 @@ impl Port {
             inner.clock.advance(m.soap_time(resp_wire.len()));
         }
         self.net
-            .charge_wire(resp_wire.len(), &to_host, &self.host, &scheme);
+            .charge_wire(resp_wire.len(), to_host, &self.host, scheme);
         self.net.count_message("net.responses", resp_wire.len());
         let _s = inner.tel.span(SpanKind::Soap, "soap:decode");
         let resp = Envelope::from_wire(&resp_wire).map_err(|e| TransportError::WireGarbage {

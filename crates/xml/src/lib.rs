@@ -39,7 +39,7 @@ pub mod xpath;
 pub use canonical::{canonicalize, canonicalize_into};
 pub use error::{XmlError, XmlResult};
 pub use escape::{escape_runs, unescape};
-pub use name::{intern, interned_len, ns, QName, INTERN_CAPACITY};
+pub use name::{intern, interned_len, ns, Memo, QName, INTERN_CAPACITY};
 pub use node::{Attribute, Element, Node};
 pub use parser::{build_subtree, parse};
 pub use pool::{collect_pooled, pooled_string, PooledString};

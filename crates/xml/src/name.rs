@@ -6,7 +6,9 @@
 //! allocation-discipline guidance in the perf book).
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Well-known namespace URIs for the specifications the paper compares.
@@ -238,16 +240,32 @@ fn intern_table() -> &'static parking_lot::RwLock<InternTable> {
     INTERNED.get_or_init(Default::default)
 }
 
+/// Slots of the per-thread memo of interned strings: only `Arc`s the table
+/// holds.
+const INTERN_MEMO_SLOTS: usize = 512;
+
+thread_local! {
+    static INTERN_MEMO: RefCell<Memo<Arc<str>, INTERN_MEMO_SLOTS>> =
+        const { RefCell::new(Memo::EMPTY) };
+}
+
 /// Intern a string (namespace URI or local name): repeated occurrences share
 /// a single allocation per process, so [`QName`] equality is usually a
 /// pointer comparison.
 ///
-/// The table is read-mostly once a workload warms up (the WS-* vocabulary is
-/// small and fixed), so lookups take a shared lock; only the first sighting
-/// of a string takes the write lock. It holds at most [`INTERN_CAPACITY`]
-/// strings: once full, an unseen string comes back as a fresh `Arc` that is
-/// not shared, which [`QName`] equality handles by comparing content.
+/// A per-thread memo answers for the strings a thread keeps meeting. The
+/// table behind it is read-mostly once a workload warms up (the WS-*
+/// vocabulary is small and fixed), so lookups take a shared lock; only the
+/// first sighting of a string takes the write lock. It holds at most
+/// [`INTERN_CAPACITY`] strings: once full, an unseen string comes back as a
+/// fresh `Arc` that is not shared (a count of one), which [`QName`]
+/// equality handles by comparing content.
 pub fn intern(s: &str) -> Arc<str> {
+    let table = || intern_in_table(s);
+    INTERN_MEMO.with_borrow_mut(|m| m.get_or(s, |h| **h == *s, table, |a| Arc::strong_count(a) > 1))
+}
+
+fn intern_in_table(s: &str) -> Arc<str> {
     let table = intern_table();
     {
         let guard = table.read();
@@ -267,6 +285,41 @@ pub fn intern(s: &str) -> Arc<str> {
         guard.insert(s.to_owned(), arc.clone());
     }
     arc
+}
+
+/// A memo of `N` slots, for a thread to keep the values it keeps meeting:
+/// a key's FNV-1a hash picks a set of two, the one used last first. It
+/// never holds more than `N` values, whatever keys it is shown.
+pub struct Memo<V, const N: usize>([Option<V>; N]);
+
+impl<V: Clone, const N: usize> Memo<V, N> {
+    pub const EMPTY: Self = Memo([const { None }; N]);
+
+    /// The value held for `key` (one `is_key` accepts), or else `make`'s,
+    /// held in place of the set's older value if `keep` takes it.
+    pub fn get_or(
+        &mut self,
+        key: &str,
+        is_key: impl Fn(&V) -> bool,
+        make: impl FnOnce() -> V,
+        keep: impl FnOnce(&V) -> bool,
+    ) -> V {
+        const { assert!(N >= 2 && N.is_multiple_of(2), "a memo is sets of two slots") };
+        let mut hash = Fnv1a::default();
+        hash.write(key.as_bytes());
+        let at = (hash.finish() % (N / 2) as u64) as usize * 2;
+        if self.0[at + 1].as_ref().is_some_and(&is_key) {
+            self.0.swap(at, at + 1);
+        }
+        if let Some(held) = self.0[at].as_ref().filter(|held| is_key(held)) {
+            return held.clone();
+        }
+        let made = make();
+        if keep(&made) {
+            self.0[at + 1] = self.0[at].replace(made.clone());
+        }
+        made
+    }
 }
 
 /// Number of strings the interner holds — never more than
@@ -316,6 +369,36 @@ mod tests {
         };
         assert_eq!(handmade, QName::new(ns::SOAP, "Envelope"));
         assert_ne!(handmade, QName::new(ns::SOAP, "Body"));
+    }
+
+    /// A second sighting on one thread is a memo hit, and the `Arc` it
+    /// returns is the table's: the one a thread with an empty memo gets.
+    #[test]
+    fn a_memo_hit_is_the_table_entry() {
+        let (first, hit) = (intern("urn:memo-probe"), intern("urn:memo-probe"));
+        let table = std::thread::spawn(|| intern("urn:memo-probe"))
+            .join()
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &hit) && Arc::ptr_eq(&hit, &table));
+    }
+
+    /// Ten thousand distinct keys leave a memo at its slots, the last one
+    /// held; a value `keep` refuses is returned but not held.
+    #[test]
+    fn a_memo_holds_at_most_its_slots() {
+        let mut memo = Memo::<Arc<str>, 8>::EMPTY;
+        let mut get =
+            |key: &str, keep: bool| memo.get_or(key, |h| **h == *key, || Arc::from(key), |_| keep);
+        for i in 0..10_000 {
+            get(&format!("urn:hostile:{i}"), true);
+        }
+        let last = get("urn:hostile:9999", true);
+        assert!(Arc::ptr_eq(&last, &get("urn:hostile:9999", true)));
+        assert!(!Arc::ptr_eq(
+            &get("urn:refused", false),
+            &get("urn:refused", false)
+        ));
+        assert_eq!(memo.0.iter().flatten().count(), 8);
     }
 
     #[test]

@@ -27,10 +27,10 @@ pub fn parse(input: &str) -> XmlResult<Element> {
 
 /// Build the tree of the element whose [`Event::Start`] the reader has just
 /// returned, consuming events through its matching end. The open elements
-/// are kept on an explicit stack, so nesting depth costs heap, not call
-/// stack.
+/// are kept on an explicit stack, the reader's pooled one, so nesting depth
+/// costs heap, not call stack.
 pub fn build_subtree(reader: &mut Reader<'_>) -> XmlResult<Element> {
-    let mut ancestors: Vec<Element> = Vec::new();
+    let mut ancestors = std::mem::take(&mut reader.ancestors);
     let mut current = started_element(reader);
     loop {
         match reader.next()? {
@@ -43,7 +43,10 @@ pub fn build_subtree(reader: &mut Reader<'_>) -> XmlResult<Element> {
                     parent.children.push(Node::Element(current));
                     current = parent;
                 }
-                None => return Ok(current),
+                None => {
+                    reader.ancestors = ancestors;
+                    return Ok(current);
+                }
             },
             Event::Text(text) => current.children.push(Node::Text(text.into_owned())),
             Event::Comment(comment) => current.children.push(Node::Comment(comment.to_owned())),

@@ -14,14 +14,17 @@
 //! namespace URI plus the local part as a slice of the input, so a consumer
 //! that knows the shape it expects (the SOAP layer reading a
 //! `wsse:Security` block) allocates nothing per element. [`crate::parser`]
-//! is the tree builder over it.
+//! is the tree builder over it. Its stacks come from a per-thread pool and
+//! go back when it drops: a thread's next document allocates none of them.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::resolve_entity;
 use crate::name::intern;
+use crate::node::Element;
 use crate::scan::{find_any, find_any_or_non_char};
 
 /// One step through a document.
@@ -55,7 +58,6 @@ pub struct RawAttr<'a> {
 /// In-scope namespace bindings, maintained as an undo stack so nested scopes
 /// never clone the whole map (the paper's messages nest 6-10 levels deep).
 /// Prefixes borrow from the input, so pushing a binding allocates nothing.
-#[derive(Default)]
 struct NsScope<'a> {
     /// (prefix, uri) pairs; later entries shadow earlier ones.
     bindings: Vec<(&'a str, Arc<str>)>,
@@ -112,20 +114,28 @@ pub struct Reader<'a> {
     /// Attributes of the current start tag; the buffer is reused from tag
     /// to tag.
     attrs: Vec<RawAttr<'a>>,
+    /// [`crate::build_subtree`]'s open elements, pooled with the rest.
+    pub(crate) ancestors: Vec<Element>,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(input: &'a str) -> Self {
+        let (bindings, default_ns, open, attrs, ancestors) =
+            SPARE.with_borrow_mut(Vec::pop).unwrap_or_default();
         Reader {
             bytes: input.as_bytes(),
             input,
             pos: 0,
             state: State::Prolog,
-            scope: NsScope::default(),
-            open: Vec::new(),
+            scope: NsScope {
+                bindings: relabel(bindings),
+                default_ns,
+            },
+            open: relabel(open),
             name_ns: None,
             name_local: "",
-            attrs: Vec::new(),
+            attrs: relabel(attrs),
+            ancestors,
         }
     }
 
@@ -228,12 +238,7 @@ impl<'a> Reader<'a> {
                     self.pos = start + end + 3;
                     return Ok(Event::Text(Cow::Borrowed(&self.input[start..start + end])));
                 }
-                [b'<', b'?', ..] => {
-                    let end = self.input[self.pos..]
-                        .find("?>")
-                        .ok_or_else(|| XmlError::parse(self.pos, "unterminated PI"))?;
-                    self.pos += end + 2;
-                }
+                [b'<', b'?', ..] => self.skip_pi()?,
                 [b'<', ..] => return self.read_start_tag(),
                 [_, ..] => return self.read_text(),
                 [] => {
@@ -504,10 +509,7 @@ impl<'a> Reader<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<?") {
-                let end = self.input[self.pos..].find("?>").ok_or_else(|| {
-                    XmlError::parse(self.pos, "unterminated processing instruction")
-                })?;
-                self.pos += end + 2;
+                self.skip_pi()?;
             } else if self.starts_with("<!--") {
                 self.skip_comment()?;
             } else if self.starts_with("<!DOCTYPE") {
@@ -541,13 +543,32 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Skip a processing instruction, checking its characters.
+    fn skip_pi(&mut self) -> XmlResult<()> {
+        let end = self.input[self.pos..]
+            .find("?>")
+            .ok_or_else(|| XmlError::parse(self.pos, "unterminated processing instruction"))?;
+        check_chars(&self.bytes[self.pos..self.pos + end], self.pos)?;
+        self.pos += end + 2;
+        Ok(())
+    }
+
+    /// Read a name, refusing U+FFFE and U+FFFF in it: looked for only when
+    /// the name holds a byte past ASCII, so ASCII names pay nothing.
     fn read_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
         let rest = &self.bytes[start..];
+        let mut seen = 0;
         let len = rest
             .iter()
-            .position(|&b| !NAME_BYTE[usize::from(b)])
+            .position(|&b| {
+                seen |= b;
+                !NAME_BYTE[usize::from(b)]
+            })
             .unwrap_or(rest.len());
+        if seen >= 0x80 && self.input[start..start + len].contains(['\u{FFFE}', '\u{FFFF}']) {
+            return Err(not_a_char(start));
+        }
         if len == 0 {
             return Err(XmlError::parse(start, "expected a name"));
         }
@@ -581,6 +602,46 @@ impl<'a> Reader<'a> {
     }
 }
 
+impl Drop for Reader<'_> {
+    /// Hand the stacks back to the pool, read to the end or not.
+    fn drop(&mut self) {
+        let spare = (
+            relabel(std::mem::take(&mut self.scope.bindings)),
+            relabel(std::mem::take(&mut self.scope.default_ns)),
+            relabel(std::mem::take(&mut self.open)),
+            relabel(std::mem::take(&mut self.attrs)),
+            relabel(std::mem::take(&mut self.ancestors)),
+        );
+        SPARE.with_borrow_mut(|pool| (pool.len() < MAX_SPARE).then(|| pool.push(spare)));
+    }
+}
+
+/// A finished reader's stacks, empty, their lifetimes forgotten.
+type Spare = (
+    Vec<(&'static str, Arc<str>)>,
+    Vec<Option<Arc<str>>>,
+    Vec<Open<'static>>,
+    Vec<RawAttr<'static>>,
+    Vec<Element>,
+);
+
+/// Readers' stacks a thread keeps (readers alive at once: the envelope's
+/// and a tree parse it starts), each cut back to `MAX_SPARE_LEN` entries.
+const MAX_SPARE: usize = 4;
+const MAX_SPARE_LEN: usize = 64;
+
+thread_local! {
+    static SPARE: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `v`, emptied, as a vector of `U`: the collect reuses the allocation (same
+/// layout, in place), so a buffer changes lifetime without `unsafe`.
+fn relabel<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.shrink_to(MAX_SPARE_LEN);
+    v.into_iter().filter_map(|_| None).collect()
+}
+
 /// Most attributes plus namespace declarations one start tag may carry. A
 /// WS-* message carries a dozen; duplicate detection and prefix lookup
 /// compare a tag's attributes and bindings pairwise, so an unbounded tag at a
@@ -608,12 +669,13 @@ fn find_checked<const N: usize>(
     offset: usize,
 ) -> XmlResult<Option<usize>> {
     match find_any_or_non_char(bytes, set) {
-        Some(at) if !set.contains(&bytes[at]) => Err(XmlError::parse(
-            offset + at,
-            "character outside XML 1.0 `Char`",
-        )),
+        Some(at) if !set.contains(&bytes[at]) => Err(not_a_char(offset + at)),
         found => Ok(found),
     }
+}
+
+fn not_a_char(offset: usize) -> XmlError {
+    XmlError::parse(offset, "character outside XML 1.0 `Char`")
 }
 
 /// Refuse `bytes` (at `offset`) if it holds a code point outside XML 1.0
@@ -843,6 +905,44 @@ mod tests {
         r.next().unwrap();
         r.next().unwrap();
         assert_eq!(r.read_template(&["<b>", "</b>"], &[], |[v]| Some(v)), None);
+    }
+
+    /// Two readers alive at once on one thread each get stacks of their
+    /// own, a reader dropped mid-document on an error hands back stacks
+    /// that read the next document right, and the pool holds at most
+    /// `MAX_SPARE` stacks of at most `MAX_SPARE_LEN` entries each.
+    #[test]
+    fn pooled_stacks_serve_readers_alive_together_and_after_an_error() {
+        let doc = "<p:a xmlns:p='urn:p' xmlns='urn:d' k='v'><b x='1'/>t</p:a>";
+        let expected = trace(doc).unwrap();
+        let (mut one, mut two) = (Reader::new(doc), Reader::new(doc));
+        for _ in 0..expected.len() {
+            assert_eq!(one.next(), two.next());
+        }
+        drop((one, two));
+        let mut broken = Reader::new("<q:x xmlns:q='urn:q' a='1'><y b='2'><z></y></q:x>");
+        while broken.next().is_ok() {}
+        drop(broken);
+        assert_eq!(trace(doc).unwrap(), expected);
+
+        let wide: String = (0..MAX_TAG_ATTRS)
+            .map(|i| format!(" xmlns:p{i}='urn:{i}'"))
+            .collect();
+        let deep = format!("<r{wide}>{}{}</r>", "<d>".repeat(300), "</d>".repeat(300));
+        let readers: Vec<_> = (0..2 * MAX_SPARE).map(|_| Reader::new(&deep)).collect();
+        for mut r in readers {
+            while r.next().unwrap() != Event::Eof {}
+            assert!(r.scope.bindings.capacity() > MAX_SPARE_LEN);
+        }
+        SPARE.with(|s| {
+            let pool = s.borrow();
+            assert_eq!(pool.len(), MAX_SPARE);
+            for spare in pool.iter() {
+                let caps = [spare.0.capacity(), spare.2.capacity()];
+                assert!(caps.iter().all(|&c| c <= MAX_SPARE_LEN), "{caps:?}");
+            }
+        });
+        assert_eq!(trace(doc).unwrap(), expected);
     }
 
     #[test]

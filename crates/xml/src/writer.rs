@@ -308,8 +308,15 @@ fn write_elem<S: Sink>(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mu
             Node::Shared(c) => write_elem(c, prefixes, false, out),
             Node::Text(t) => escape_runs(t, false, out),
             Node::Comment(c) => {
+                // A comment may hold no `--` and not end in `-`: a space
+                // parts each such `-` from what follows it.
                 out.push_str("<!--");
-                write_runs(c, &[], out);
+                for (n, piece) in c.split('-').enumerate() {
+                    if n > 0 {
+                        out.push_str(if piece.is_empty() { "- " } else { "-" });
+                    }
+                    write_runs(piece, &[], out);
+                }
                 out.push_str("-->");
             }
         }
@@ -369,6 +376,18 @@ mod tests {
         let mut e = Element::new("a");
         e.children.push(crate::Node::Comment(" hi ".into()));
         assert_eq!(write_element(&e), "<a><!-- hi --></a>");
+    }
+
+    /// A comment holding `-->` (or `--`, or ending in `-`) is written so it
+    /// reads back as one comment, not a comment and text.
+    #[test]
+    fn comment_dashes_are_parted() {
+        let mut e = Element::new("a");
+        e.children.push(crate::Node::Comment("x-->y--z-".into()));
+        let doc = write_element(&e);
+        assert_eq!(doc, "<a><!--x- ->y- -z- --></a>");
+        let back = crate::parse(&doc).unwrap();
+        assert_eq!(back.children, [crate::Node::Comment("x- ->y- -z- ".into())]);
     }
 
     #[test]

@@ -196,8 +196,9 @@ fn dense_specials_complete_and_equal_the_oracle() {
     assert_eq!(tree.attr_local("k"), Some(dense.as_str()));
 }
 
-/// The two inputs whose verdict changed with the block search's PR, stated
-/// as rejections: equivalence alone would also hold if both parsers still
+/// Inputs whose verdict changed (duplicate attributes, non-characters in
+/// character data, then in names and processing instructions), stated as
+/// rejections: equivalence alone would also hold if both parsers still
 /// accepted them.
 #[test]
 fn duplicate_attributes_and_non_character_references_are_rejected_by_both_parsers() {
@@ -212,6 +213,11 @@ fn duplicate_attributes_and_non_character_references_are_rejected_by_both_parser
         "<a>x\u{1}y</a>",
         "<a b='x\u{b}y'/>",
         "<a>x\u{FFFE}y</a>",
+        "<a\u{FFFE}/>",
+        "<a b\u{FFFF}='1'/>",
+        "<p:a\u{FFFF} xmlns:p='urn:x'/>",
+        "<a><?pi \0?></a>",
+        "<?pi \u{FFFE}?><a/>",
     ] {
         assert!(parse(case).is_err(), "{case:?}");
         assert!(reference::parse(case).is_err(), "{case:?}");
@@ -221,6 +227,7 @@ fn duplicate_attributes_and_non_character_references_are_rejected_by_both_parser
     for case in [
         "<a xmlns:p='urn:x' xmlns:q='urn:y' p:k='1' q:k='2' k='3'/>",
         "<a b=\"&#13;&#10;&#9;\">&#13;&#10;&#9;</a>",
+        "<a\u{F900}\u{FFFD} b\u{EFFF}='1'/>",
     ] {
         assert_eq!(parse(case).unwrap(), reference::parse(case).unwrap());
     }

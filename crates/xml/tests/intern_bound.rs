@@ -2,7 +2,9 @@
 //! process without limit. A test binary of its own, because it fills the
 //! process-wide table.
 
-use ogsa_xml::{interned_len, parse, INTERN_CAPACITY};
+use std::sync::Arc;
+
+use ogsa_xml::{intern, interned_len, parse, INTERN_CAPACITY};
 
 /// splitmix64 — distinct, unguessable-looking names without a dependency.
 fn next(state: &mut u64) -> u64 {
@@ -15,6 +17,7 @@ fn next(state: &mut u64) -> u64 {
 
 #[test]
 fn hostile_names_leave_the_table_at_its_bound_and_trees_still_compare_equal() {
+    let early = intern("urn:interned-early");
     let mut state = 7;
     for _ in 0..100_000 {
         let (e, a, u) = (next(&mut state), next(&mut state), next(&mut state));
@@ -27,4 +30,9 @@ fn hostile_names_leave_the_table_at_its_bound_and_trees_still_compare_equal() {
     let doc = "<never-seen-before k=\"v\"/>";
     assert_eq!(parse(doc).unwrap(), parse(doc).unwrap());
     assert_eq!(interned_len(), INTERN_CAPACITY);
+    // Past the bound a string is shared by nothing, this thread's memo in
+    // front of the table included; what the table held before still is.
+    let (a, b) = (intern("never-seen-before"), intern("never-seen-before"));
+    assert!(!Arc::ptr_eq(&a, &b));
+    assert!(Arc::ptr_eq(&early, &intern("urn:interned-early")));
 }

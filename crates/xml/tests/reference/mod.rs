@@ -99,10 +99,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<?") {
-                let end = self.input[self.pos..]
-                    .find("?>")
-                    .ok_or_else(|| parse_error(self.pos, "unterminated processing instruction"))?;
-                self.pos += end + 2;
+                self.skip_pi()?;
             } else if self.starts_with("<!--") {
                 self.skip_comment()?;
             } else if self.starts_with("<!DOCTYPE") {
@@ -136,6 +133,15 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    fn skip_pi(&mut self) -> XmlResult<()> {
+        let end = self.input[self.pos..]
+            .find("?>")
+            .ok_or_else(|| parse_error(self.pos, "unterminated processing instruction"))?;
+        check_chars(&self.input[self.pos..self.pos + end], self.pos)?;
+        self.pos += end + 2;
+        Ok(())
+    }
+
     fn read_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
         while let Some(b) = self.peek() {
@@ -149,6 +155,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(parse_error(start, "expected a name"));
         }
+        check_chars(&self.input[start..self.pos], start)?;
         Ok(&self.input[start..self.pos])
     }
 
@@ -250,10 +257,7 @@ impl<'a> Parser<'a> {
                 children.push(Node::Text(self.input[start..start + end].to_owned()));
                 self.pos = start + end + 3;
             } else if self.starts_with("<?") {
-                let end = self.input[self.pos..]
-                    .find("?>")
-                    .ok_or_else(|| parse_error(self.pos, "unterminated PI"))?;
-                self.pos += end + 2;
+                self.skip_pi()?;
             } else if self.peek() == Some(b'<') {
                 children.push(Node::Element(self.parse_element(scope, depth + 1)?));
             } else if self.peek().is_some() {

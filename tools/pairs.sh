@@ -13,7 +13,10 @@
 # won, medians apart by more than the parent's own interquartile distance).
 # PAST BOUND marks a metric whose change median is worse than the parent's by
 # more than the metric's BENCHMARK.json bound: the rule a change is rejected
-# by. The mark is informational; it does not change the exit code.
+# by. NOISY marks a metric whose parent runs spread wider than that bound
+# ((q3 - q1) / median): a PAST BOUND beside it is not resolved by these
+# pairs. Both marks are informational; neither changes the
+# exit code.
 # With <pr>, the same figures are appended to BENCH_trajectory.json as that
 # PR's rows, one per metric, their source the kept file.
 # Judges nothing else and exits non-zero only when a run failed.
@@ -71,9 +74,10 @@ for metric in spec["end_to_end"]:
     apart = (cm - pm) if higher else (pm - cm)
     gain = len(p) >= 10 and won * 10 >= 9 * len(p) and apart > p3 - p1
     past = -apart > metric["bound"] * abs(pm)
+    noisy = p3 - p1 > metric["bound"] * abs(pm)
     print(f"  {name:<18} parent {pm:>12.3f} [{p1:.3f}, {p3:.3f}]  change {cm:>12.3f} [{c1:.3f}, {c3:.3f}]"
           f"  {(cm - pm) / pm:+7.2%}  won {won}/{len(p)} ties {ties}  {'GAIN' if gain else '-'}"
-          f"{'  PAST BOUND' if past else ''}")
+          f"{'  PAST BOUND' if past else ''}{'  NOISY' if noisy else ''}")
     rows.append({"pr": pr, "workload": workload, "metric": name, "unit": metric["unit"],
                  "parent": pm, "change": cm, "q1": p1, "q3": p3, "change_q1": c1, "change_q3": c3,
                  "pairs_won": won, "pairs": len(p), "seeds": f"{min(seeds)}-{max(seeds)}",
