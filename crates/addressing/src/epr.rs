@@ -133,7 +133,7 @@ impl EndpointReference {
 
 /// Text of the first of `props` with the given local name (`""` if it has
 /// none).
-pub(crate) fn property<'p>(props: &'p [Element], local: &str) -> Option<&'p str> {
+pub fn property<'p>(props: &'p [Element], local: &str) -> Option<&'p str> {
     let p = props.iter().find(|p| &*p.name.local == local)?;
     Some(
         p.children

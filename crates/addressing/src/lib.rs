@@ -1,10 +1,10 @@
 //! # ogsa-addressing
 //!
 //! WS-Addressing (2004/08 member submission, as cited by the paper): the
-//! [`EndpointReference`] (EPR) construct both stacks use to name resources,
-//! and the message-information headers (`wsa:To`, `wsa:Action`,
-//! `wsa:MessageID`, `wsa:ReplyTo`, `wsa:RelatesTo`) stamped on every SOAP
-//! exchange.
+//! [`EndpointReference`] (EPR) construct both stacks use to name resources.
+//! The message-information headers (`wsa:To`, `wsa:Action`, `wsa:MessageID`,
+//! `wsa:ReplyTo`, `wsa:RelatesTo`) stamped on every SOAP exchange are the
+//! envelope's typed block, [`ogsa_soap::AddressingHeader`].
 //!
 //! The EPR is where the paper's qualitative comparison lives: WSRF treats
 //! reference properties as opaque, service-minted names (the WS-Resource
@@ -14,7 +14,8 @@
 //! here; the application crates exercise both.
 
 pub mod epr;
-pub mod headers;
 
 pub use epr::EndpointReference;
-pub use headers::{message_id, MessageHeaders, ANONYMOUS};
+/// The message-information headers are the envelope's own typed block,
+/// [`ogsa_soap::AddressingHeader`]; `MessageHeaders` is its older name.
+pub use ogsa_soap::AddressingHeader as MessageHeaders;

@@ -1,8 +1,9 @@
 //! Property tests: EPRs and message headers survive XML round trips with
 //! arbitrary addresses and reference properties.
 
-use ogsa_addressing::{EndpointReference, MessageHeaders};
-use ogsa_soap::Envelope;
+use ogsa_addressing::epr::{property, RESOURCE_ID};
+use ogsa_addressing::EndpointReference;
+use ogsa_soap::{AddressingHeader, Envelope};
 use ogsa_xml::Element;
 use proptest::prelude::*;
 
@@ -65,11 +66,12 @@ proptest! {
 
     #[test]
     fn headers_apply_extract_roundtrip(epr in arb_epr(), action in "[a-z:/]{1,30}", msg in "[a-z0-9-]{1,20}") {
-        let headers = MessageHeaders::request(&epr, action.clone(), msg.clone());
-        let env = headers.apply(Envelope::new(Element::new("B")));
+        let block = AddressingHeader::request(&epr.address, &action, msg.as_str().into());
+        let mut env = block.apply(Envelope::new(Element::new("B")));
+        env.headers.extend(epr.reference_properties.iter().cloned());
         let wire = Envelope::from_wire(&env.to_wire()).unwrap();
-        let back = MessageHeaders::extract(&wire).unwrap();
-        prop_assert_eq!(back.resource_id(), epr.resource_id());
+        let back = AddressingHeader::extract(&wire).unwrap();
+        prop_assert_eq!(property(&wire.headers, RESOURCE_ID), epr.resource_id());
         prop_assert_eq!(&*back.action, action.as_str());
         prop_assert_eq!(&*back.message_id, msg.as_str());
         prop_assert_eq!(&*back.to, epr.address.as_str());

@@ -9,12 +9,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ogsa_addressing::{message_id, EndpointReference, MessageHeaders};
+use ogsa_addressing::EndpointReference;
 use ogsa_security::{
     sign_envelope, verify_envelope, CertStore, Identity, SecurityError, SecurityPolicy,
 };
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
-use ogsa_soap::{Envelope, Fault};
+use ogsa_soap::addressing::message_id;
+use ogsa_soap::{AddressingHeader, Envelope, Fault};
 use ogsa_telemetry::{Span, SpanKind, Telemetry};
 use ogsa_transport::{Network, Port, RetryPolicy, TransportError};
 use ogsa_xml::Element;
@@ -167,9 +168,36 @@ impl ClientAgent {
         &self.model
     }
 
-    fn next_message_id(&self) -> Arc<str> {
+    /// A request for `action` on `target` as it goes on the wire: the
+    /// addressing block under a fresh message id, then the target EPR's
+    /// reference properties and parameters echoed as headers, then — under
+    /// a `span` — its trace context; signed under the policy, the signing
+    /// traced as an `x509:sign` step when there is a span.
+    fn request(
+        &self,
+        target: &EndpointReference,
+        action: &str,
+        body: Element,
+        span: Option<&Span>,
+    ) -> Envelope {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        message_id(&self.identity.cert.key_id, seq)
+        let id = message_id(&self.identity.cert.key_id, seq);
+        let block = AddressingHeader::request(&target.address, action, id);
+        let mut env = Envelope::new(body).with_addressing(block);
+        let echoed = target.reference_properties.iter();
+        env.headers
+            .extend(echoed.chain(&target.reference_parameters).cloned());
+        if let Some((trace, id)) = span.and_then(|s| Some((s.trace_id()?, s.id()?))) {
+            env = ogsa_telemetry::wire::inject(env, trace, id);
+        }
+        if self.policy.signs_messages() {
+            let mut sign = || sign_envelope(&mut env, &self.identity, &self.clock, &self.model);
+            match span {
+                Some(_) => security_step(self.network().telemetry(), "x509:sign", sign),
+                None => sign(),
+            }
+        }
+        env
     }
 
     /// Invoke `action` on the service/resource behind `target` with `body`;
@@ -234,18 +262,7 @@ impl ClientAgent {
                 body.take()
                     .expect("request body present until final attempt")
             };
-            let headers = MessageHeaders::request(target, action, self.next_message_id());
-            let mut env = headers.stamp(Envelope::new(attempt_body));
-            // Trace context rides the wire next to the addressing headers,
-            // under the signature like everything else.
-            if let (Some(trace), Some(id)) = (span.trace_id(), span.id()) {
-                env = ogsa_telemetry::wire::inject(env, trace, id);
-            }
-            if self.policy.signs_messages() {
-                security_step(tel, "x509:sign", || {
-                    sign_envelope(&mut env, &self.identity, &self.clock, &self.model)
-                });
-            }
+            let env = self.request(target, action, attempt_body, Some(span));
             match self.port.call_with_deadline(&target.address, env, deadline) {
                 Ok(resp) => {
                     if self.policy.signs_messages() {
@@ -284,11 +301,7 @@ impl ClientAgent {
         action: &str,
         body: Element,
     ) -> (String, String) {
-        let headers = MessageHeaders::request(target, action, self.next_message_id());
-        let mut env = headers.stamp(Envelope::new(body));
-        if self.policy.signs_messages() {
-            sign_envelope(&mut env, &self.identity, &self.clock, &self.model);
-        }
+        let env = self.request(target, action, body, None);
         (target.address.clone(), env.to_wire())
     }
 
@@ -320,16 +333,7 @@ impl ClientAgent {
         let mut span = tel.span(SpanKind::Client, "client:send_oneway");
         span.set_attr("action", action);
         span.set_attr("to", &to.address);
-        let headers = MessageHeaders::request(to, action, self.next_message_id());
-        let mut env = headers.stamp(Envelope::new(body));
-        if let (Some(trace), Some(id)) = (span.trace_id(), span.id()) {
-            env = ogsa_telemetry::wire::inject(env, trace, id);
-        }
-        if self.policy.signs_messages() {
-            security_step(&tel, "x509:sign", || {
-                sign_envelope(&mut env, &self.identity, &self.clock, &self.model)
-            });
-        }
+        let env = self.request(to, action, body, Some(&span));
         self.port
             .send_oneway_with_policy(&to.address, env, self.redelivery.clone());
     }

@@ -5,12 +5,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ogsa_addressing::{message_id, EndpointReference, MessageHeaders};
+use ogsa_addressing::EndpointReference;
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityPolicy};
 use ogsa_sim::{CostModel, SimDuration, VirtualClock};
-use ogsa_soap::{Envelope, Fault};
+use ogsa_soap::addressing::message_id;
+use ogsa_soap::{AddressingHeader, Envelope, Fault};
 use ogsa_telemetry::{SpanKind, Telemetry};
 use ogsa_transport::{Network, RetryPolicy};
+use ogsa_xml::ns;
 use ogsa_xmldb::Database;
 use parking_lot::RwLock;
 
@@ -249,17 +251,13 @@ impl Container {
         let result = self.run_service(ctx, service, req, &tel);
 
         // Build the response, passing back through the security handler.
-        let (body, request_headers) = match result {
-            Ok((body, headers)) => (body, Some(headers)),
+        let msg_id = message_id(&inner.host, inner.msg_seq.fetch_add(1, Ordering::Relaxed));
+        let mut resp = match result {
+            Ok((body, request)) => Envelope::new(body).with_addressing(request.response(msg_id)),
             Err(fault) => {
                 span.event("soap_fault");
-                (fault.to_element(), None)
+                Envelope::new(fault.to_element())
             }
-        };
-        let msg_id = message_id(&inner.host, inner.msg_seq.fetch_add(1, Ordering::Relaxed));
-        let mut resp = match &request_headers {
-            Some(h) => MessageHeaders::response(h, msg_id).stamp(Envelope::new(body)),
-            None => Envelope::new(body),
         };
         if inner.policy.signs_messages() {
             security_step(&tel, "x509:sign", || {
@@ -275,39 +273,42 @@ impl Container {
         service: &Arc<dyn WebService>,
         req: Envelope,
         tel: &Telemetry,
-    ) -> Result<(ogsa_xml::Element, MessageHeaders), Fault> {
+    ) -> Result<(ogsa_xml::Element, AddressingHeader), Fault> {
         let inner = &self.inner;
 
-        let headers = MessageHeaders::extract(&req)
+        let addressing = AddressingHeader::extract(&req)
             .map_err(|e| Fault::client(format!("bad addressing headers: {e}")))?;
 
         // Security/policy handler: authenticate the client.
-        let signer_dn = if inner.policy.signs_messages() {
+        let signer = if inner.policy.signs_messages() {
             let verified = security_step(tel, "x509:verify", || {
                 verify_envelope(&req, &inner.cert_store, &inner.clock, &inner.model)
             });
-            let signer =
-                verified.map_err(|e| Fault::client(format!("security check failed: {e}")))?;
-            Some(signer.dn().to_owned())
+            Some(verified.map_err(|e| Fault::client(format!("security check failed: {e}")))?)
         } else {
             None
         };
 
-        // The request is consumed here: its body moves into the Operation
-        // instead of being deep-cloned alongside a second copy of the
-        // headers.
+        // The request is consumed here: its body and its echoed reference
+        // properties move into the Operation; the other headers (`wsa`
+        // trees the block could not hold, `wsse`, `wsu`, trace context)
+        // are dropped.
+        let protocol = [ns::WSA, ns::WSSE, ns::WSU, ns::TEL];
+        let mut reference_properties = req.headers;
+        reference_properties.retain(|h| !protocol.iter().any(|u| h.name.in_ns(u)));
         let op = Operation {
-            action: headers.action.clone(),
+            action: addressing.action.clone(),
             body: req.body,
-            headers,
-            signer_dn,
+            addressing,
+            reference_properties,
+            signer,
         };
         let body = {
             let mut s = tel.span(SpanKind::Service, "service:handle");
             s.set_attr("action", &op.action);
             service.handle(&op, ctx)?
         };
-        Ok((body, op.headers))
+        Ok((body, op.addressing))
     }
 }
 
@@ -316,7 +317,8 @@ mod tests {
     use super::*;
     use crate::client::InvokeError;
     use crate::testbed::Testbed;
-    use ogsa_xml::Element;
+    use ogsa_telemetry::{SpanId, TraceId};
+    use ogsa_xml::{Element, QName};
 
     fn echo_service() -> Arc<dyn WebService> {
         Arc::new(
@@ -367,7 +369,7 @@ mod tests {
         let seen2 = seen.clone();
         let svc = Arc::new(
             move |op: &Operation, _ctx: &OperationContext| -> Result<Element, Fault> {
-                *seen2.lock() = op.signer_dn.clone();
+                *seen2.lock() = op.signer_dn().map(str::to_owned);
                 Ok(Element::new("Ok"))
             },
         );
@@ -436,6 +438,68 @@ mod tests {
             .invoke(&resource_epr, "urn:get", Element::new("G"))
             .unwrap();
         assert_eq!(resp.text(), "res-99");
+    }
+
+    /// A signed request carrying `wsa:ReplyTo` is answered at that address,
+    /// relating to its `MessageID`; and it is dispatched alike whether its
+    /// `wsa:To` is the block's or a tree the block cannot hold (it has an
+    /// attribute): same action, and its one reference property without the
+    /// `wsse` and `tel` headers. Without `wsa:To` and `wsa:Action` it is
+    /// refused before its signature is checked.
+    #[test]
+    fn a_reply_to_request_is_answered_where_it_asks_in_either_spelling() {
+        let tb = Testbed::free();
+        let c = tb.container("host-a", SecurityPolicy::X509Sign);
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        let svc = Arc::new(
+            move |op: &Operation, _ctx: &OperationContext| -> Result<Element, Fault> {
+                let rid = op.resource_id().map(str::to_owned);
+                let properties = op.reference_properties.len();
+                seen2.lock().push((op.action.clone(), rid, properties));
+                Ok(Element::new("Ok"))
+            },
+        );
+        let to = c.deploy("/services/R", svc).address;
+        let client = tb.client("host-b", "CN=alice,O=VO", SecurityPolicy::X509Sign);
+        let wsa = |local: &str, text: &str| Element::text_element(QName::new(ns::WSA, local), text);
+        let reply_to = EndpointReference::service("http://host-b/replies")
+            .to_element_named(QName::new(ns::WSA, "ReplyTo"));
+        let block = AddressingHeader {
+            reply_to: Some(reply_to.clone()),
+            ..AddressingHeader::request(&to, "urn:test/Get", "uuid:m-1".into())
+        };
+        let mut trees = Envelope::new(Element::new("G"));
+        trees.headers = vec![
+            wsa("To", &to).with_attr("Id", "to"),
+            wsa("Action", "urn:test/Get"),
+            wsa("MessageID", "uuid:m-1"),
+            reply_to,
+        ];
+        for env in [
+            Envelope::new(Element::new("G")).with_addressing(block),
+            trees,
+        ] {
+            let env = env.with_header(Element::text_element("ResourceID", "res-7"));
+            let mut env = ogsa_telemetry::wire::inject(env, TraceId(1), SpanId(2));
+            sign_envelope(&mut env, client.identity(), tb.clock(), tb.model());
+            let resp = client.port().call(&to, env).unwrap();
+            verify_envelope(&resp, tb.cert_store(), tb.clock(), tb.model()).unwrap();
+            let a = resp.addressing.expect("the response carries the block");
+            assert_eq!(&*a.to, "http://host-b/replies");
+            assert_eq!(a.relates_to.as_deref(), Some("uuid:m-1"));
+            assert_eq!(&*a.action, "urn:test/GetResponse");
+        }
+        let seen = seen.lock();
+        let dispatched = (Arc::from("urn:test/Get"), Some("res-7".to_owned()), 1);
+        assert_eq!(*seen, [dispatched.clone(), dispatched]);
+
+        let unaddressed = client.port().call(&to, Envelope::new(Element::new("G")));
+        let fault = unaddressed.unwrap().fault().expect("a fault");
+        assert!(
+            fault.reason.starts_with("bad addressing headers"),
+            "{fault:?}"
+        );
     }
 
     #[test]

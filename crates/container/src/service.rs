@@ -2,9 +2,11 @@
 
 use std::sync::Arc;
 
-use ogsa_addressing::{EndpointReference, MessageHeaders};
+use ogsa_addressing::epr::{property, RESOURCE_ID};
+use ogsa_addressing::EndpointReference;
+use ogsa_security::SignerInfo;
 use ogsa_sim::{CostModel, VirtualClock};
-use ogsa_soap::Fault;
+use ogsa_soap::{AddressingHeader, Fault};
 use ogsa_xml::Element;
 use ogsa_xmldb::Database;
 
@@ -12,22 +14,33 @@ use crate::client::ClientAgent;
 use crate::lifetime::LifetimeManager;
 
 /// One dispatched operation: the WS-Addressing action, the request body, the
-/// full addressing headers, and — when the security policy signs messages —
-/// the authenticated signer DN.
+/// addressing block, the reference properties the request echoed, and —
+/// when the security policy signs messages — the verified signer. All of it
+/// is moved or shared out of the request, not copied.
 #[derive(Debug, Clone)]
 pub struct Operation {
     pub action: Arc<str>,
     pub body: Element,
-    pub headers: MessageHeaders,
-    /// Authenticated client DN (X.509 policy only).
-    pub signer_dn: Option<String>,
+    pub addressing: AddressingHeader,
+    /// The request's headers outside the `wsa`, `wsse`, `wsu` and `tel`
+    /// namespaces: the target EPR's reference properties, echoed as headers
+    /// (the 2004/08 binding rule WSRF.NET's "wrapper service" relies on to
+    /// locate the WS-Resource).
+    pub reference_properties: Vec<Element>,
+    /// The verified signer (X.509 policy only).
+    pub signer: Option<SignerInfo>,
 }
 
 impl Operation {
     /// The `ResourceID` reference property echoed in the headers — how both
     /// stacks identify the resource a request targets.
     pub fn resource_id(&self) -> Option<&str> {
-        self.headers.resource_id()
+        property(&self.reference_properties, RESOURCE_ID)
+    }
+
+    /// The authenticated signer's DN (X.509 policy only).
+    pub fn signer_dn(&self) -> Option<&str> {
+        self.signer.as_ref().map(SignerInfo::dn)
     }
 
     /// The resource id, or a client fault naming the operation.
@@ -129,8 +142,9 @@ mod tests {
         Operation {
             action: action.into(),
             body: Element::new("X"),
-            headers: MessageHeaders::default(),
-            signer_dn: None,
+            addressing: AddressingHeader::default(),
+            reference_properties: Vec::new(),
+            signer: None,
         }
     }
 
@@ -149,10 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn resource_id_reads_headers() {
+    fn resource_id_reads_reference_properties() {
         let target = EndpointReference::resource("http://h/s", "r-1");
         let mut o = op("urn:Get");
-        o.headers = MessageHeaders::request(&target, "urn:Get", "m1");
+        o.reference_properties = target.reference_properties;
         assert_eq!(o.resource_id(), Some("r-1"));
         assert_eq!(o.require_resource_id().unwrap(), "r-1");
     }

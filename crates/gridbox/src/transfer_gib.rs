@@ -26,6 +26,7 @@
 //! * **Identity** is the signer's DN, else the body's `owner`, else — for
 //!   body-less Deletes — the `RequesterDN` reference property.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,22 +49,21 @@ use crate::job::JobSpec;
 use crate::procsim::ProcessTable;
 use crate::vo::{self, need, required, server_fault};
 
-fn requester_of(op: &Operation) -> Result<String, Fault> {
+fn requester_of(op: &Operation) -> Result<Cow<'_, str>, Fault> {
     // The authenticated signature always wins; unsigned deployments fall
     // back to an `owner` element in the body, and for body-less operations
     // (WS-Transfer Delete) to a `RequesterDN` reference property — the
     // client-constructed-EPR idiom this stack embraces (§2.3).
-    if let Some(dn) = &op.signer_dn {
-        return Ok(dn.clone());
+    if let Some(dn) = op.signer_dn() {
+        return Ok(Cow::Borrowed(dn));
     }
     if let Some(owner) = op.body.find_local("owner") {
-        return Ok(owner.text());
+        return Ok(owner.text_cow());
     }
-    op.headers
-        .reference_properties
+    op.reference_properties
         .iter()
         .find(|p| &*p.name.local == "RequesterDN")
-        .map(|p| p.text())
+        .map(Element::text_cow)
         .ok_or_else(|| Fault::client("request carries no identity"))
 }
 

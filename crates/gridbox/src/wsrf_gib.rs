@@ -56,14 +56,10 @@ static JOB_EXITED: LazyLock<Option<TopicPath>> =
 /// Administrator-configured initial reservation lifetime ("e.g. 4 hours").
 pub const RESERVATION_DELTA: SimDuration = SimDuration(4 * 3600 * 1_000_000);
 
-fn owner_of(op: &Operation) -> Result<String, Fault> {
+fn owner_of(op: &Operation) -> Result<&str, Fault> {
     // Signed deployments authenticate the DN; unsigned ones trust the body.
-    if let Some(dn) = &op.signer_dn {
-        return Ok(dn.clone());
-    }
-    op.body
-        .child_text("owner")
-        .map(str::to_owned)
+    op.signer_dn()
+        .or_else(|| op.body.child_text("owner"))
         .ok_or_else(|| Fault::client("request carries no identity"))
 }
 
@@ -182,7 +178,7 @@ impl WsrfService for ReservationService {
             "makeReservation" => {
                 let site = required(&op.body, "makeReservation", "site")?;
                 let owner = owner_of(op)?;
-                check_account(ctx, &self.account_epr, &owner)?;
+                check_account(ctx, &self.account_epr, owner)?;
                 let doc = Element::new("ReservationResource")
                     .with_child(Element::text_element("site", site))
                     .with_child(Element::text_element("owner", owner));
@@ -315,7 +311,7 @@ impl WsrfService for ExecService {
 
                 // Outcall 1: re-verify VO membership with the
                 // AccountService before consuming site resources.
-                check_account(ctx, &self.account_epr, &owner)?;
+                check_account(ctx, &self.account_epr, owner)?;
 
                 // Outcall 2: verify the reservation covers this site and
                 // this user ("An ExecService uses the reservation EPR to
@@ -328,7 +324,7 @@ impl WsrfService for ExecService {
                     let is = |p: &Element| &*p.name.local == property && p.text() == value;
                     rsv_props.iter().any(is)
                 };
-                if !covers("site", &self.site_name) || !covers("owner", &owner) {
+                if !covers("site", &self.site_name) || !covers("owner", owner) {
                     return Err(Fault::client("reservation does not cover this request"));
                 }
 

@@ -1,20 +1,20 @@
 //! The typed WS-Addressing block against the trees it stands for.
 //!
-//! `MessageHeaders::apply` used to stamp `wsa:To`, `Action`, `MessageID`,
-//! `ReplyTo` and `RelatesTo` as trees; the oracle's `trees_from_wire` reads
-//! every header as a tree, as the parser did then. Over arbitrary field
-//! text the block must write those trees' bytes, digest to their headers
-//! digest and read back to the same headers; and every header shape the
-//! block cannot hold must parse, verify and extract as it did as trees.
+//! Clients used to stamp `wsa:To`, `Action`, `MessageID`, `ReplyTo` and
+//! `RelatesTo` as trees; the oracle's `trees_from_wire` reads every header
+//! as a tree, as the parser did then. Over arbitrary field text the block
+//! must write those trees' bytes, digest to their headers digest and read
+//! back to the same headers; and every header shape the block cannot hold
+//! must parse, verify and extract as it did as trees.
 
 #[path = "../../soap/tests/oracle/mod.rs"]
 mod oracle;
 
-use ogsa_addressing::{EndpointReference, MessageHeaders};
+use ogsa_addressing::EndpointReference;
 use ogsa_security::{sign_envelope, verify_envelope, CertStore, Identity, SecurityError};
 use ogsa_sim::{CostModel, VirtualClock};
-use ogsa_soap::Envelope;
-use ogsa_xml::{ns, Element, QName};
+use ogsa_soap::{AddressingHeader, Envelope};
+use ogsa_xml::{ns, Element, QName, XmlResult};
 use proptest::prelude::*;
 
 struct World {
@@ -50,21 +50,17 @@ fn wsa(local: &str, text: &str) -> Element {
     Element::text_element(QName::new(ns::WSA, local), text)
 }
 
-/// `h` stamped as the parent's `apply` stamped it: one tree per header.
-fn stamped_as_trees(h: &MessageHeaders, body: Element) -> Envelope {
-    let mut env = Envelope::new(body)
-        .with_header(wsa("To", &h.to))
-        .with_header(wsa("Action", &h.action))
-        .with_header(wsa("MessageID", &h.message_id));
-    if let Some(r) = &h.reply_to {
-        env.headers
-            .push(r.to_element_named(QName::new(ns::WSA, "ReplyTo")));
-    }
-    if let Some(r) = &h.relates_to {
-        env.headers.push(wsa("RelatesTo", r));
-    }
-    env.headers.extend(h.reference_properties.iter().cloned());
+/// `h` stamped as a client stamped it before the block was typed: one tree
+/// per header.
+fn stamped_as_trees(h: &AddressingHeader, body: Element) -> Envelope {
+    let mut env = Envelope::new(body);
+    env.headers = oracle::addressing_elements(h);
     env
+}
+
+/// The echoed reference property every request here carries.
+fn resource_id(id: &str) -> Element {
+    Element::text_element("ResourceID", id)
 }
 
 fn body() -> Element {
@@ -88,16 +84,16 @@ proptest! {
         resource in "[a-z0-9-]{1,12}",
     ) {
         let w = World::new();
-        let mut h = MessageHeaders::request(
-            &EndpointReference::resource(to, resource),
-            action,
-            message_id,
-        );
-        h.reply_to = reply_to.map(EndpointReference::service);
-        h.relates_to = relates_to.map(Into::into);
+        let h = AddressingHeader {
+            reply_to: reply_to.map(|r| {
+                EndpointReference::service(r).to_element_named(QName::new(ns::WSA, "ReplyTo"))
+            }),
+            relates_to: relates_to.map(Into::into),
+            ..AddressingHeader::request(&to, &action, message_id.into())
+        };
 
-        let mut typed = h.apply(Envelope::new(body()));
-        let mut trees = stamped_as_trees(&h, body());
+        let mut typed = h.apply(Envelope::new(body())).with_header(resource_id(&resource));
+        let mut trees = stamped_as_trees(&h, body()).with_header(resource_id(&resource));
         prop_assert!(typed.addressing.is_some());
         prop_assert_eq!(typed.to_wire(), trees.to_wire());
         prop_assert_eq!(typed.wire_size(), trees.wire_size());
@@ -110,15 +106,28 @@ proptest! {
         prop_assert_eq!(&wire, &trees.to_wire());
 
         // Read back: verifies, and extracts to what was stamped — as the
-        // parent's trees extract.
+        // parent's trees extract. (A `ReplyTo` read back is the parsed
+        // tree, so it is held to its address.)
         let received = Envelope::from_wire(&wire).unwrap();
         prop_assert_eq!(w.verify(&received), Ok("CN=alice,O=UVA-VO".to_owned()));
-        let back = MessageHeaders::extract(&received).unwrap();
-        prop_assert_eq!(&back, &h);
+        let back = AddressingHeader::extract(&received).unwrap();
         let parent = oracle::trees_from_wire(&wire).unwrap();
-        prop_assert_eq!(&MessageHeaders::extract(&parent).unwrap(), &h);
+        prop_assert_eq!(&AddressingHeader::extract(&parent).unwrap(), &back);
+        prop_assert_eq!(
+            (&back.to, &back.action, &back.message_id, &back.relates_to),
+            (&h.to, &h.action, &h.message_id, &h.relates_to)
+        );
+        let reply = |h: &AddressingHeader| h.response("uuid:r".into()).to;
+        prop_assert_eq!(reply(&back), reply(&h));
         prop_assert_eq!(received.to_wire(), parent.to_wire());
     }
+}
+
+/// What a service is handed of `env`: its addressing, and the headers
+/// outside the `wsa` namespace (the echoed reference properties).
+fn extracted(env: &Envelope) -> (XmlResult<AddressingHeader>, Vec<&Element>) {
+    let others = env.headers.iter().filter(|h| !h.name.in_ns(ns::WSA));
+    (AddressingHeader::extract(env), others.collect())
 }
 
 /// `wire` read now and read as the parent read it: the same verdict, the
@@ -130,21 +139,19 @@ fn read_as_the_parent(w: &World, wire: &str) -> (bool, Result<String, SecurityEr
     assert_eq!(now, oracle::from_wire(wire).unwrap(), "{wire}");
     let verdict = w.verify(&now);
     assert_eq!(verdict, w.verify(&parent), "{wire}");
-    assert_eq!(
-        MessageHeaders::extract(&now),
-        MessageHeaders::extract(&parent),
-        "{wire}"
-    );
+    assert_eq!(extracted(&now), extracted(&parent), "{wire}");
     assert_eq!(now.to_wire(), parent.to_wire(), "{wire}");
     (now.addressing.is_some(), verdict)
 }
 
-fn request() -> MessageHeaders {
-    MessageHeaders::request(
-        &EndpointReference::resource("http://h/s", "c-7"),
-        "urn:set",
-        "uuid:m-2",
-    )
+fn request() -> AddressingHeader {
+    AddressingHeader::request("http://h/s", "urn:set", "uuid:m-2".into())
+}
+
+/// `h` stamped on a request for resource `c-7`.
+fn stamped(h: &AddressingHeader) -> Envelope {
+    h.apply(Envelope::new(body()))
+        .with_header(resource_id("c-7"))
 }
 
 fn signed(w: &World, mut env: Envelope) -> String {
@@ -217,7 +224,7 @@ fn shapes_the_block_cannot_hold_are_the_trees_they_were() {
         read_as_the_parent(&w, &wire),
         (true, Ok("CN=alice,O=UVA-VO".to_owned()))
     );
-    let extracted = MessageHeaders::extract(&Envelope::from_wire(&wire).unwrap()).unwrap();
+    let extracted = AddressingHeader::extract(&Envelope::from_wire(&wire).unwrap()).unwrap();
     assert_eq!(&*extracted.to, "http://h/s");
 }
 
@@ -226,7 +233,7 @@ fn shapes_the_block_cannot_hold_are_the_trees_they_were() {
 #[test]
 fn spellings_only_the_events_read_fill_the_block() {
     let w = World::new();
-    let wire = signed(&w, request().apply(Envelope::new(body())));
+    let wire = signed(&w, stamped(&request()));
     let rebound = {
         let mut header = wire.replace("<wsa:", "<a:").replace("</wsa:", "</a:");
         header = header.replacen(
@@ -240,7 +247,7 @@ fn spellings_only_the_events_read_fill_the_block() {
     let escaped = wire.replacen("http://h/s", "http&#58;//h&#x2F;s", 1);
     let mut amp = request();
     amp.to = "http://h/s?a=1&b=<2>".into();
-    let ampersand = signed(&w, amp.apply(Envelope::new(body())));
+    let ampersand = signed(&w, stamped(&amp));
     assert!(ampersand.contains("&amp;b=&lt;2&gt;"));
     for spelled in [&wire, &rebound, &escaped, &ampersand] {
         assert_eq!(
@@ -254,7 +261,7 @@ fn spellings_only_the_events_read_fill_the_block() {
 #[test]
 fn a_tampered_to_fails_verification_as_it_did() {
     let w = World::new();
-    let wire = signed(&w, request().apply(Envelope::new(body())));
+    let wire = signed(&w, stamped(&request()));
     let tampered = wire.replacen("http://h/s", "http://evil/s", 1);
     let mismatch = Err(SecurityError::DigestMismatch {
         reference: "#Headers".into(),

@@ -11,15 +11,22 @@
 //! order. Equality is structural: the block is not equal to its tree
 //! spelling, though both write and digest alike.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::fmt::Write;
 use std::sync::Arc;
 
 use ogsa_xml::writer::write_subtree_into;
 use ogsa_xml::{
-    canonicalize_into, escape_runs, ns, Element, Memo, Node, Prefixes, QName, Reader, Sink,
+    canonicalize_into, escape_runs, ns, pooled_string, Element, Memo, Node, Prefixes, QName,
+    Reader, Sink, XmlError, XmlResult,
 };
 
 use crate::vocab::vocab;
+use crate::Envelope;
+
+/// The anonymous reply address: "respond on the connection".
+pub const ANONYMOUS: &str = "http://schemas.xmlsoap.org/ws/2004/08/addressing/role/anonymous";
 
 /// The message-information headers of one envelope, their strings shared
 /// (a hop's `To` and `Action` repeat; `RelatesTo` is a request's `MessageID`).
@@ -47,7 +54,7 @@ thread_local! {
 
 /// `s` as the string this thread made for it before, while its memo holds
 /// it: for values that repeat hop after hop (addresses, actions).
-pub fn shared(s: &str) -> Arc<str> {
+fn shared(s: &str) -> Arc<str> {
     let short = |_: &_| s.len() <= MEMO_MAX_LEN;
     SHARED.with_borrow_mut(|m| m.get_or(s, |held| **held == *s, || Arc::from(s), short))
 }
@@ -73,6 +80,67 @@ const WIRE: [&str; 6] = seams!("wsa:");
 const CANONICAL: [&str; 6] = seams!("{http://schemas.xmlsoap.org/ws/2004/08/addressing}");
 
 impl AddressingHeader {
+    /// The block of a request to `to` for `action`.
+    pub fn request(to: &str, action: &str, message_id: Arc<str>) -> Self {
+        AddressingHeader {
+            to: shared(to),
+            action: shared(action),
+            message_id,
+            ..Default::default()
+        }
+    }
+
+    /// The block of the response to this request: to its `ReplyTo`'s
+    /// `wsa:Address` or anonymous, for `{action}Response`, relating to its
+    /// `MessageID` (the same string).
+    pub fn response(&self, message_id: Arc<str>) -> Self {
+        let reply_to = self.reply_to.as_ref().and_then(address);
+        let mut action = pooled_string();
+        let _ = write!(action, "{}Response", self.action);
+        AddressingHeader {
+            to: shared(reply_to.as_deref().unwrap_or(ANONYMOUS)),
+            action: shared(&action),
+            message_id,
+            reply_to: None,
+            relates_to: Some(self.message_id.clone()),
+        }
+    }
+
+    /// Stamp a copy of this block onto `env` ([`Envelope::with_addressing`]
+    /// moves one).
+    pub fn apply(&self, env: Envelope) -> Envelope {
+        env.with_addressing(self.clone())
+    }
+
+    /// The message-information headers of `env`: its block, and for each
+    /// field the block does not hold the first `wsa:` tree of that name (a
+    /// spelling the block cannot hold). `To` and `Action` are required, and
+    /// a `ReplyTo` must name a `wsa:Address`.
+    pub fn extract(env: &Envelope) -> XmlResult<Self> {
+        let b = env.addressing.as_ref();
+        let tree = |local: &str| env.headers.iter().find(|h| named(h, local));
+        let text = |local, held: Option<&Arc<str>>| {
+            held.cloned()
+                .or_else(|| Some(Arc::from(tree(local)?.text_cow().as_ref())))
+        };
+        let missing = |local| move || XmlError::Schema(format!("missing wsa:{local}"));
+        let to = text("To", b.map(|b| &b.to)).ok_or_else(missing("To"))?;
+        let action = text("Action", b.map(|b| &b.action)).ok_or_else(missing("Action"))?;
+        let reply_to = b
+            .and_then(|b| b.reply_to.as_ref())
+            .or_else(|| tree("ReplyTo"));
+        if reply_to.is_some_and(|r| address(r).is_none()) {
+            return Err(XmlError::Schema("EPR missing wsa:Address".into()));
+        }
+        Ok(AddressingHeader {
+            to,
+            action,
+            message_id: text("MessageID", b.map(|b| &b.message_id)).unwrap_or_default(),
+            reply_to: reply_to.cloned(),
+            relates_to: text("RelatesTo", b.and_then(|b| b.relates_to.as_ref())),
+        })
+    }
+
     /// Write the wire form; `prefixes` binds `wsa` and `reply_to`'s URIs.
     pub(crate) fn write_into<S: Sink>(&self, prefixes: &Prefixes, out: &mut S) {
         self.write_with(&WIRE, out, |r, out| write_subtree_into(r, prefixes, out));
@@ -170,6 +238,22 @@ pub(crate) fn fold(headers: &mut Vec<Element>, block: &mut Option<AddressingHead
     }
 }
 
+/// A message id, `uuid:{origin}-{seq}`, written once at its length
+/// (writing into a `String` cannot fail).
+pub fn message_id(origin: &str, seq: u64) -> Arc<str> {
+    let mut id = pooled_string();
+    let _ = write!(id, "uuid:{origin}-{seq}");
+    Arc::from(id.as_str())
+}
+
+/// The address of an endpoint reference tree: the text of its first
+/// `wsa:Address` child, else of its first child of that local name.
+fn address(epr: &Element) -> Option<Cow<'_, str>> {
+    let wsa = epr.child_elements().find(|c| named(c, "Address"));
+    wsa.or_else(|| epr.child_local("Address"))
+        .map(Element::text_cow)
+}
+
 /// The block of the fixed run, if all three values are there: `To` and
 /// `Action` through the memo, since they repeat hop after hop.
 fn run(to: Option<&str>, action: Option<&str>, id: Option<&str>) -> Option<AddressingHeader> {
@@ -197,7 +281,6 @@ fn leaf<'e>(e: &'e Element, local: &str) -> Option<&'e str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Envelope;
     use ogsa_xml::Event;
 
     fn block() -> AddressingHeader {
@@ -236,6 +319,24 @@ mod tests {
         }
         let long = "x".repeat(MEMO_MAX_LEN + 1);
         assert!(!Arc::ptr_eq(&shared(&long), &shared(&long)));
+    }
+
+    /// A response shares its request's `MessageID` as its `RelatesTo`, and
+    /// responses to one action share one `…Response` string.
+    #[test]
+    fn responses_share_their_strings() {
+        let request = block();
+        let (one, two) = (
+            request.response("m-10".into()),
+            request.response("m-11".into()),
+        );
+        assert!(Arc::ptr_eq(
+            one.relates_to.as_ref().unwrap(),
+            &request.message_id
+        ));
+        assert!(Arc::ptr_eq(&one.action, &two.action));
+        assert_eq!((&*one.to, &*one.action), (ANONYMOUS, "urn:setResponse"));
+        assert_eq!(&*message_id("host-a", 42), "uuid:host-a-42");
     }
 
     /// A reader that has just returned `wire`'s first header start tag.

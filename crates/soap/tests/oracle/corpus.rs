@@ -70,9 +70,9 @@ fn arb_element() -> impl Strategy<Value = Element> {
     })
 }
 
-/// A complete run of addressing headers as trees, as `MessageHeaders::apply`
-/// used to stamp them: `To`, `Action`, `MessageID`, then maybe a `ReplyTo`
-/// and a `RelatesTo`.
+/// A complete run of addressing headers as trees, as clients stamped them
+/// before the block was typed: `To`, `Action`, `MessageID`, then maybe a
+/// `ReplyTo` and a `RelatesTo`.
 fn arb_addressing_run() -> impl Strategy<Value = Vec<Element>> {
     (
         (arb_text(), arb_text(), arb_text()),

@@ -62,7 +62,7 @@ pub fn security_element(security: &SecurityHeader) -> Element {
         .with_child(signature)
 }
 
-/// The addressing block as `MessageHeaders::apply` used to build it.
+/// The addressing block as the trees clients stamped before it was typed.
 pub fn addressing_elements(block: &AddressingHeader) -> Vec<Element> {
     let leaf = |local: &str, text: &str| Element::text_element(q(ns::WSA, local), text);
     let mut trees = vec![

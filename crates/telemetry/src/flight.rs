@@ -59,7 +59,7 @@ pub struct FlightRecorder {
 
 #[derive(Debug)]
 struct FlightInner {
-    threshold_us: AtomicU64,
+    threshold_us: u64,
     /// Retention sequence counter (also stamps reservoir picks).
     seq: AtomicU64,
     /// Fast offers seen since the last [`FlightRecorder::drain`] — the `n`
@@ -88,7 +88,7 @@ impl FlightRecorder {
     pub fn new(threshold_us: u64, slow_capacity: usize, reservoir_capacity: usize) -> Self {
         FlightRecorder {
             inner: Arc::new(FlightInner {
-                threshold_us: AtomicU64::new(threshold_us),
+                threshold_us,
                 seq: AtomicU64::new(1),
                 fast_seen: AtomicU64::new(0),
                 rng: AtomicU64::new(0x9e37_79b9_7f4a_7c15),
@@ -100,14 +100,9 @@ impl FlightRecorder {
         }
     }
 
-    /// The current slow threshold in wall microseconds.
+    /// The slow threshold in wall microseconds, fixed at construction.
     pub fn threshold_us(&self) -> u64 {
-        self.inner.threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Reconfigure the slow threshold at runtime.
-    pub fn set_threshold_us(&self, us: u64) {
-        self.inner.threshold_us.store(us, Ordering::Relaxed);
+        self.inner.threshold_us
     }
 
     fn next_rand(&self) -> u64 {
@@ -312,10 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_is_runtime_configurable() {
-        let fr = FlightRecorder::new(1_000, 4, 4);
-        assert_eq!(fr.threshold_us(), 1_000);
-        fr.set_threshold_us(10);
+    fn the_constructed_threshold_decides_what_is_slow() {
+        let fr = FlightRecorder::new(10, 4, 4);
+        assert_eq!(fr.threshold_us(), 10);
         let seq = fr.offer(50, "/svc", rec(1)).unwrap();
         assert!(fr.dump().iter().any(|t| t.seq == seq && t.slow));
         assert!(fr.contains_seq(seq));

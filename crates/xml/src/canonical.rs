@@ -11,7 +11,7 @@
 //! feed the bytes straight into an incremental hash state without ever
 //! materialising the canonical `String` ([`canonicalize_into`]).
 
-use crate::escape::escape_runs;
+use crate::escape::{escape_runs, legal_name};
 use crate::node::{Attribute, Element, Node};
 use crate::writer::Sink;
 use crate::QName;
@@ -29,8 +29,9 @@ pub fn canonicalize(e: &Element) -> Vec<u8> {
 /// temporary, and text reaches the sink as borrowed slices — clean run,
 /// entity, clean run — so a text node holding one `&` costs no `String`.
 pub fn canonicalize_into<S: Sink>(e: &Element, sink: &mut S) {
+    let local = legal_name(&e.name.local);
     sink.push_str("<");
-    clark_name(&e.name, sink);
+    clark_name(&e.name, &local, sink);
     if e.attrs.len() > 1 {
         let mut attrs: Vec<_> = e.attrs.iter().collect();
         attrs.sort_by(|a, b| a.name.cmp(&b.name));
@@ -52,22 +53,24 @@ pub fn canonicalize_into<S: Sink>(e: &Element, sink: &mut S) {
         }
     }
     sink.push_str("</");
-    clark_name(&e.name, sink);
+    clark_name(&e.name, &local, sink);
     sink.push_str(">");
 }
 
-fn clark_name<S: Sink>(name: &QName, sink: &mut S) {
+/// `name` in Clark notation, its local part written as `local` (its
+/// [`legal_name`], found once per element).
+fn clark_name<S: Sink>(name: &QName, local: &str, sink: &mut S) {
     if let Some(uri) = &name.ns {
         sink.push_str("{");
         sink.push_str(uri);
         sink.push_str("}");
     }
-    sink.push_str(&name.local);
+    sink.push_str(local);
 }
 
 fn push_attr<S: Sink>(a: &Attribute, sink: &mut S) {
     sink.push_str(" ");
-    clark_name(&a.name, sink);
+    clark_name(&a.name, &legal_name(&a.name.local), sink);
     sink.push_str("=\"");
     escape_runs(&a.value, true, sink);
     sink.push_str("\"");

@@ -12,6 +12,7 @@
 use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
+use crate::pool::collect_pooled;
 use crate::scan::find_any_or_non_char;
 use crate::writer::Sink;
 
@@ -83,6 +84,42 @@ pub(crate) fn write_runs<const N: usize, S: Sink>(s: &str, specials: &[u8; N], o
         rest = &rest[i + len..];
     }
     out.push_str(rest);
+}
+
+/// `name` as every writer writes it: each code point outside XML 1.0
+/// `Char` as U+FFFD, as in character data. Borrowed unless it holds one,
+/// which a name almost never does.
+#[inline]
+pub(crate) fn legal_name(name: &str) -> Cow<'_, str> {
+    if may_hold_non_char(name.as_bytes()) {
+        Cow::Owned(replaced(name))
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+#[cold]
+fn replaced(name: &str) -> String {
+    collect_pooled(|legal| write_runs(name, &[], legal))
+}
+
+/// Whether `s` holds a byte below 0x20 or an 0xEF (the lead byte of U+FFFE
+/// and U+FFFF), a word at a time from eight bytes on: a word holds a byte
+/// below `n` iff `(w - n·ONES) & !w & HIGHS` is non-zero, and an 0xEF is a
+/// zero byte of `w ^ 0xEF·ONES`. The last word overlaps the one before it.
+#[inline]
+fn may_hold_non_char(s: &[u8]) -> bool {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let below = |w: u64, n: u64| w.wrapping_sub(n * ONES) & !w & HIGHS != 0;
+    let suspect = |w: &[u8; 8]| {
+        let w = u64::from_ne_bytes(*w);
+        below(w, 0x20) || below(w ^ (0xEF * ONES), 1)
+    };
+    match s.last_chunk::<8>() {
+        Some(last) => s.as_chunks::<8>().0.iter().chain([last]).any(suspect),
+        None => s.iter().any(|&b| b < 0x20 || b == 0xEF),
+    }
 }
 
 /// Resolve the five predefined entities plus decimal/hex character
@@ -242,6 +279,26 @@ mod tests {
         // from end-of-line normalisation.
         assert_eq!(escape_text("a\tb\nc"), "a\tb\nc");
         assert_eq!(escape_text("a\rb"), "a&#13;b");
+    }
+
+    /// The word test sees a C0 control, U+FFFE and U+FFFF at every place
+    /// in names of every length it splits differently, and passes clean
+    /// ones; `legal_name` borrows those and replaces the others.
+    #[test]
+    fn the_word_test_finds_a_non_char_at_every_place() {
+        for len in 0..20 {
+            let clean = "n".repeat(len);
+            assert!(!may_hold_non_char(clean.as_bytes()));
+            assert!(matches!(legal_name(&clean), Cow::Borrowed(_)));
+            for at in 0..len {
+                for c in ['\0', '\u{1F}', '\u{FFFE}', '\u{FFFF}'] {
+                    let mut name = clean.clone();
+                    name.replace_range(at..at + 1, c.encode_utf8(&mut [0; 4]));
+                    assert!(may_hold_non_char(name.as_bytes()), "{name:?}");
+                    assert_eq!(legal_name(&name), name.replace(c, "\u{FFFD}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::escape::{escape_runs, write_runs};
+use crate::escape::{escape_runs, legal_name, write_runs};
 use crate::name::{ns, QName};
 use crate::node::{Element, Node};
 use crate::pool::collect_pooled;
@@ -269,12 +269,12 @@ fn prefix_of<'p>(name: &QName, prefixes: &'p Prefixes) -> Option<&'p str> {
     name.ns.as_ref().map(|uri| prefixes.prefix_for(uri))
 }
 
-fn qname_str<S: Sink>(prefix: Option<&str>, name: &QName, out: &mut S) {
+fn qname_str<S: Sink>(prefix: Option<&str>, local: &str, out: &mut S) {
     if let Some(prefix) = prefix {
         out.push_str(prefix);
         out.push_str(":");
     }
-    out.push_str(&name.local);
+    out.push_str(local);
 }
 
 /// Serialise a subtree under an already-established prefix assignment —
@@ -285,14 +285,16 @@ pub fn write_subtree_into<S: Sink>(e: &Element, prefixes: &Prefixes, out: &mut S
 
 fn write_elem<S: Sink>(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mut S) {
     let prefix = prefix_of(&e.name, prefixes);
+    let local = legal_name(&e.name.local);
     out.push_str("<");
-    qname_str(prefix, &e.name, out);
+    qname_str(prefix, &local, out);
     if is_root {
         prefixes.write_declarations(out);
     }
     for a in &e.attrs {
         out.push_str(" ");
-        qname_str(prefix_of(&a.name, prefixes), &a.name, out);
+        let local = legal_name(&a.name.local);
+        qname_str(prefix_of(&a.name, prefixes), &local, out);
         out.push_str("=\"");
         escape_runs(&a.value, true, out);
         out.push_str("\"");
@@ -322,7 +324,7 @@ fn write_elem<S: Sink>(e: &Element, prefixes: &Prefixes, is_root: bool, out: &mu
         }
     }
     out.push_str("</");
-    qname_str(prefix, &e.name, out);
+    qname_str(prefix, &local, out);
     out.push_str(">");
 }
 
