@@ -84,7 +84,7 @@ impl ReplFabric for NetFabric {
 pub struct ReplicaSet {
     testbed: Testbed,
     fabric: Arc<NetFabric>,
-    quorum: usize,
+    cfg: ReplConfig,
     total: usize,
     fsync: FsyncPolicy,
     inner: Mutex<SetInner>,
@@ -112,7 +112,6 @@ impl ReplicaSet {
         }
         let total = replicas.len() + 1;
         let cfg = ReplConfig::majority(total);
-        let quorum = cfg.quorum;
         let replicator = Arc::new(Replicator::new(primary, replicas, fabric.clone(), cfg));
         let backend = testbed
             .durable(primary)
@@ -121,7 +120,7 @@ impl ReplicaSet {
         Arc::new(ReplicaSet {
             testbed,
             fabric,
-            quorum,
+            cfg,
             total,
             fsync,
             inner: Mutex::new(SetInner {
@@ -144,10 +143,6 @@ impl ReplicaSet {
     /// The replica node on `host`, if it is currently a replica.
     pub fn node(&self, host: &str) -> Option<Arc<ReplicaNode>> {
         self.fabric.node(host)
-    }
-
-    pub fn fabric(&self) -> &Arc<NetFabric> {
-        &self.fabric
     }
 
     /// Replica hosts (current primary excluded).
@@ -199,10 +194,7 @@ impl ReplicaSet {
             &inner.members,
             self.total,
             self.fabric.clone(),
-            ReplConfig {
-                quorum: self.quorum,
-                max_retries: 8,
-            },
+            self.cfg,
         )?);
 
         // The deposed primary stops tapping its WAL; its host keeps serving
@@ -365,6 +357,33 @@ mod tests {
         let converged = ogsa_xmldb::encode_store(&set.replicator().image());
         for host in set.member_hosts() {
             assert_eq!(set.node(&host).unwrap().encoded_image(), converged);
+        }
+    }
+
+    /// The fault plan's garble flips a byte mid-message. Every replication
+    /// message is one CRC-checked frame, so a flipped term or seq is resent,
+    /// never believed: with the primary partitioned away and half of all
+    /// deliveries garbled, neither the promotion nor the first write under
+    /// the new term deposes the new primary.
+    #[test]
+    fn garbled_failover_never_deposes_the_new_primary() {
+        for seed in 0..200 {
+            let tb = durable_free();
+            let set = tb.with_replicas(P, &[R1, R2]);
+            let c = tb.db(P).collection("c");
+            for i in 0..4 {
+                c.insert(&format!("k{i}"), doc(i)).unwrap();
+            }
+            tb.network().set_fault_plan(
+                FaultPlan::seeded(seed)
+                    .with_garbles(0.5)
+                    .with_partition(P, R1, SimInstant(0), SimInstant(u64::MAX))
+                    .with_partition(P, R2, SimInstant(0), SimInstant(u64::MAX)),
+            );
+            let new_primary = set.promote_longest_acked().unwrap();
+            let c = tb.db(&new_primary).collection("c");
+            c.insert("k4", doc(4)).unwrap();
+            assert!(!set.replicator().is_deposed(), "seed {seed}");
         }
     }
 

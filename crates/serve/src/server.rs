@@ -727,10 +727,7 @@ mod tests {
             "primary",
             &["r1"],
             fabric.clone(),
-            ReplConfig {
-                quorum: 1,
-                max_retries: 2,
-            },
+            ReplConfig { quorum: 1 },
         ));
         let probe_repl = repl.clone();
         server

@@ -53,8 +53,8 @@ pub use db::{Collection, Database, DbConfig, InvalidationHook, DEFAULT_SHARDS};
 pub use durable::{DurableBackend, DurableConfig, RecoveryReport, WalObserver};
 pub use error::DbError;
 pub use repl::{
-    promote, LoopbackFabric, PromoteError, ReplConfig, ReplFabric, ReplRecord, ReplicaNode,
-    Replicator, ShipError,
+    promote, History, LoopbackFabric, PromoteError, ReplConfig, ReplFabric, ReplRecord,
+    ReplicaNode, Replicator, ShipError,
 };
 pub use snapshot::{encode_store, StoreImage};
 pub use stats::{DbStats, MAX_SHARDS};

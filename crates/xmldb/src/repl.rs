@@ -7,7 +7,17 @@
 //! CRC-32 envelope as the WAL ([`frame_record`]). `seq` is a dense global
 //! log position; `term` bumps at every promotion, so a record is uniquely
 //! identified by `(term, seq)` and two histories agree on a prefix iff
-//! their `(term, seq)` pairs do.
+//! their `(term, seq)` pairs do. Both ends hold their copy as one
+//! [`History`]: a base image, its seq, and the log past it.
+//!
+//! **Protocol.** Three requests — `Append`, `InstallBase`, `TruncateTo`,
+//! each under the sender's term — and one answer, `Ack {term, last_seq,
+//! acked_seq}` (or `Malformed` / `Unavailable`). A gap in an `Append` is
+//! an ack whose `last_seq` says where to resume; a stale sender is an ack
+//! carrying the replica's higher term, which deposes it. Every message,
+//! either way, is exactly one CRC-checked [`frame_record`] frame: anything
+//! else decodes as `Malformed` and is resent, so a garbled byte can never
+//! forge a term or a seq.
 //!
 //! **Ack semantics.** Each [`ReplicaNode`] appends incoming records to its
 //! own WAL under its own [`FsyncPolicy`] and reports `acked_seq` — the
@@ -15,7 +25,9 @@
 //! installed base snapshot). A client write is **quorum-acked** once at
 //! least `quorum` members (the primary counts as one) have fsynced it:
 //! [`Replicator::quorum_acked_seq`] is the watermark the failover harness
-//! proves is never lost.
+//! proves is never lost. A WAL rewrite (base install, truncation) the
+//! medium does not finish is never acked: the node answers `Unavailable`
+//! until [`ReplicaNode::recover`].
 //!
 //! **Catch-up.** A replica that fell behind receives the missing log
 //! suffix; one that fell behind a primary-side compaction
@@ -39,9 +51,9 @@
 //! and returns response bytes. [`LoopbackFabric`] wires nodes directly
 //! (with deterministic sever/heal and cut-after-k controls for the
 //! exhaustive boundary sweep); the container crate provides a fabric over
-//! the simulated network that consults the PR-1 fault plan **without
-//! charging virtual time**, so enabling replication never perturbs the
-//! paper's virtual-time figures.
+//! the simulated network that consults the fault plan **without charging
+//! virtual time**, so enabling replication never perturbs the paper's
+//! virtual-time figures.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,10 +64,14 @@ use crate::durable::WalObserver;
 use crate::snapshot::{apply_op, decode_store, encode_store, StoreImage};
 use crate::wal::{
     frame_record, scan_frames, FsyncPolicy, SimMedium, TornReason, Wal, WalMedium, WalOp,
+    RECORD_HEADER,
 };
 
 /// Bytes of `[term|seq]` header inside every replication record payload.
 pub const REPL_HEADER: usize = 16;
+
+/// Resend budget per shipment for retryable failures (drops, garbles).
+const MAX_RETRIES: usize = 8;
 
 /// One replicated op: a WAL op stamped with its global log position.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,13 +96,11 @@ impl ReplRecord {
 
     /// Decode one record payload; `None` on any malformation.
     pub fn decode(payload: &[u8]) -> Option<ReplRecord> {
-        if payload.len() < REPL_HEADER {
-            return None;
-        }
-        let term = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-        let seq = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-        let op = WalOp::decode(&payload[REPL_HEADER..])?;
-        Some(ReplRecord { term, seq, op })
+        Some(ReplRecord {
+            term: u64_at(payload, 0)?,
+            seq: u64_at(payload, 8)?,
+            op: WalOp::decode(payload.get(REPL_HEADER..)?)?,
+        })
     }
 }
 
@@ -107,222 +121,25 @@ pub fn decode_repl_stream(bytes: &[u8]) -> (Vec<ReplRecord>, usize, Option<TornR
     scan_frames(bytes, ReplRecord::decode)
 }
 
-// ---------------------------------------------------------------------------
-// Wire protocol
-// ---------------------------------------------------------------------------
-
-const REQ_APPEND: u8 = 1;
-const REQ_INSTALL_BASE: u8 = 2;
-const REQ_STATUS: u8 = 3;
-const REQ_TRUNCATE_TO: u8 = 4;
-
-const RESP_ACK: u8 = 1;
-const RESP_GAP: u8 = 2;
-const RESP_STALE_TERM: u8 = 3;
-const RESP_MALFORMED: u8 = 4;
-const RESP_UNAVAILABLE: u8 = 5;
-
-/// A primary → replica message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplRequest {
-    /// Ship a contiguous run of records (CRC-framed stream) under the
-    /// sender's leadership `term`. The stale-primary check is on this term;
-    /// the per-record terms are history metadata (a new primary legally
-    /// ships records minted under older terms).
-    Append { term: u64, stream: Vec<u8> },
-    /// Install a base snapshot: history through `base_seq` as a
-    /// deterministic store image. Resets the replica's log.
-    InstallBase {
-        term: u64,
-        base_seq: u64,
-        image: Vec<u8>,
-    },
-    /// Ask for the replica's current position.
-    Status,
-    /// Adopt `term` and drop every record with a seq beyond `seq` (the new
-    /// primary's promotion point) — the divergent-tail eraser.
-    TruncateTo { term: u64, seq: u64 },
-}
-
-impl ReplRequest {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            ReplRequest::Append { term, stream } => {
-                out.push(REQ_APPEND);
-                out.extend_from_slice(&term.to_le_bytes());
-                out.extend_from_slice(stream);
-            }
-            ReplRequest::InstallBase {
-                term,
-                base_seq,
-                image,
-            } => {
-                out.push(REQ_INSTALL_BASE);
-                out.extend_from_slice(&term.to_le_bytes());
-                out.extend_from_slice(&base_seq.to_le_bytes());
-                out.extend_from_slice(&(image.len() as u32).to_le_bytes());
-                out.extend_from_slice(image);
-            }
-            ReplRequest::Status => out.push(REQ_STATUS),
-            ReplRequest::TruncateTo { term, seq } => {
-                out.push(REQ_TRUNCATE_TO);
-                out.extend_from_slice(&term.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    pub fn decode(bytes: &[u8]) -> Option<ReplRequest> {
-        let (&tag, rest) = bytes.split_first()?;
-        match tag {
-            REQ_APPEND => {
-                if rest.len() < 8 {
-                    return None;
-                }
-                Some(ReplRequest::Append {
-                    term: u64::from_le_bytes(rest[0..8].try_into().ok()?),
-                    stream: rest[8..].to_vec(),
-                })
-            }
-            REQ_INSTALL_BASE => {
-                if rest.len() < 20 {
-                    return None;
-                }
-                let term = u64::from_le_bytes(rest[0..8].try_into().ok()?);
-                let base_seq = u64::from_le_bytes(rest[8..16].try_into().ok()?);
-                let len = u32::from_le_bytes(rest[16..20].try_into().ok()?) as usize;
-                let image = rest.get(20..20 + len)?;
-                (rest.len() == 20 + len).then(|| ReplRequest::InstallBase {
-                    term,
-                    base_seq,
-                    image: image.to_vec(),
-                })
-            }
-            REQ_STATUS => rest.is_empty().then_some(ReplRequest::Status),
-            REQ_TRUNCATE_TO => {
-                if rest.len() != 16 {
-                    return None;
-                }
-                Some(ReplRequest::TruncateTo {
-                    term: u64::from_le_bytes(rest[0..8].try_into().ok()?),
-                    seq: u64::from_le_bytes(rest[8..16].try_into().ok()?),
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A replica → primary answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplResponse {
-    /// Position report: highest appended seq and highest fsynced seq under
-    /// `term`.
-    Ack {
-        term: u64,
-        last_seq: u64,
-        acked_seq: u64,
-    },
-    /// The stream skipped records: resend starting at `expected`.
-    Gap { expected: u64 },
-    /// The sender's term is older than the replica's: it was deposed.
-    StaleTerm { current: u64 },
-    /// The request (or its record stream) failed CRC/decoding — resend.
-    Malformed,
-    /// The replica's own WAL medium has crashed: nothing durable can
-    /// happen here until it recovers.
-    Unavailable,
-}
-
-impl ReplResponse {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            ReplResponse::Ack {
-                term,
-                last_seq,
-                acked_seq,
-            } => {
-                out.push(RESP_ACK);
-                out.extend_from_slice(&term.to_le_bytes());
-                out.extend_from_slice(&last_seq.to_le_bytes());
-                out.extend_from_slice(&acked_seq.to_le_bytes());
-            }
-            ReplResponse::Gap { expected } => {
-                out.push(RESP_GAP);
-                out.extend_from_slice(&expected.to_le_bytes());
-            }
-            ReplResponse::StaleTerm { current } => {
-                out.push(RESP_STALE_TERM);
-                out.extend_from_slice(&current.to_le_bytes());
-            }
-            ReplResponse::Malformed => out.push(RESP_MALFORMED),
-            ReplResponse::Unavailable => out.push(RESP_UNAVAILABLE),
-        }
-        out
-    }
-
-    pub fn decode(bytes: &[u8]) -> Option<ReplResponse> {
-        let (&tag, rest) = bytes.split_first()?;
-        match tag {
-            RESP_ACK => {
-                if rest.len() != 24 {
-                    return None;
-                }
-                Some(ReplResponse::Ack {
-                    term: u64::from_le_bytes(rest[0..8].try_into().ok()?),
-                    last_seq: u64::from_le_bytes(rest[8..16].try_into().ok()?),
-                    acked_seq: u64::from_le_bytes(rest[16..24].try_into().ok()?),
-                })
-            }
-            RESP_GAP => {
-                if rest.len() != 8 {
-                    return None;
-                }
-                Some(ReplResponse::Gap {
-                    expected: u64::from_le_bytes(rest.try_into().ok()?),
-                })
-            }
-            RESP_STALE_TERM => {
-                if rest.len() != 8 {
-                    return None;
-                }
-                Some(ReplResponse::StaleTerm {
-                    current: u64::from_le_bytes(rest.try_into().ok()?),
-                })
-            }
-            RESP_MALFORMED => rest.is_empty().then_some(ReplResponse::Malformed),
-            RESP_UNAVAILABLE => rest.is_empty().then_some(ReplResponse::Unavailable),
-            _ => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replica node
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct NodeInner {
-    term: u64,
-    base_image: StoreImage,
-    base_seq: u64,
+/// A replicated history: the base image through `base_seq` and the
+/// contiguous log of records past it, held under leadership `term`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct History {
+    pub term: u64,
+    pub base_image: StoreImage,
+    pub base_seq: u64,
     /// Records covering `(base_seq, last_seq]`, contiguous.
-    log: Vec<ReplRecord>,
-    /// Highest seq covered by a completed fsync or the installed base.
-    acked_seq: u64,
-    /// The WAL medium crashed: refuse appends until [`ReplicaNode::recover`].
-    crashed: bool,
+    pub log: Vec<ReplRecord>,
 }
 
-impl NodeInner {
-    fn last_seq(&self) -> u64 {
+impl History {
+    /// Highest seq in the history (`base_seq` when the log is empty).
+    pub fn last_seq(&self) -> u64 {
         self.log.last().map_or(self.base_seq, |r| r.seq)
     }
 
-    fn image(&self) -> StoreImage {
+    /// The materialized store: the base image with the log applied.
+    pub fn image(&self) -> StoreImage {
         let mut image = self.base_image.clone();
         for rec in &self.log {
             apply_op(&mut image, &rec.op);
@@ -331,10 +148,178 @@ impl NodeInner {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Wire protocol
+// ---------------------------------------------------------------------------
+
+const REQ_APPEND: u8 = 1;
+const REQ_INSTALL_BASE: u8 = 2;
+const REQ_TRUNCATE_TO: u8 = 3;
+
+const RESP_ACK: u8 = 1;
+const RESP_MALFORMED: u8 = 2;
+const RESP_UNAVAILABLE: u8 = 3;
+
+fn u64_at(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
+}
+
+/// One message on the wire: `[tag][words…][tail]`, as one CRC-32 frame.
+fn encode_message(tag: u8, words: &[u64], tail: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(1 + 8 * words.len() + tail.len());
+    payload.push(tag);
+    for word in words {
+        payload.extend_from_slice(&word.to_le_bytes());
+    }
+    payload.extend_from_slice(tail);
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+    frame_record(&payload, &mut out);
+    out
+}
+
+/// Read back exactly one intact frame and decode its `(tag, body)`; any
+/// other byte sequence — short, CRC-damaged, trailing bytes — is `None`.
+fn decode_message<T>(bytes: &[u8], decode: impl Fn(u8, &[u8]) -> Option<T>) -> Option<T> {
+    let (mut frames, valid, _) = scan_frames(bytes, |p| {
+        let (&tag, body) = p.split_first()?;
+        decode(tag, body)
+    });
+    frames
+        .pop()
+        .filter(|_| frames.is_empty() && valid == bytes.len())
+}
+
+/// A primary → replica message, sent under the sender's leadership `term`.
+/// A replica refuses any request under a term older than its own.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReplRequest {
+    /// Ship a contiguous run of records (CRC-framed stream). The per-record
+    /// terms are history metadata (a new primary legally ships records
+    /// minted under older terms).
+    Append { term: u64, stream: Vec<u8> },
+    /// Install a base snapshot: history through `base_seq` as a
+    /// deterministic store image. Resets the replica's log.
+    InstallBase {
+        term: u64,
+        base_seq: u64,
+        image: Vec<u8>,
+    },
+    /// Adopt `term` and drop every record with a seq beyond `seq` (the new
+    /// primary's promotion point) — the divergent-tail eraser.
+    TruncateTo { term: u64, seq: u64 },
+}
+
+impl ReplRequest {
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            ReplRequest::Append { term, stream } => encode_message(REQ_APPEND, &[*term], stream),
+            ReplRequest::InstallBase {
+                term,
+                base_seq,
+                image,
+            } => encode_message(REQ_INSTALL_BASE, &[*term, *base_seq], image),
+            ReplRequest::TruncateTo { term, seq } => {
+                encode_message(REQ_TRUNCATE_TO, &[*term, *seq], &[])
+            }
+        }
+    }
+
+    pub fn decode(bytes: &[u8]) -> Option<ReplRequest> {
+        decode_message(bytes, |tag, body| {
+            let term = u64_at(body, 0)?;
+            match tag {
+                REQ_APPEND => Some(ReplRequest::Append {
+                    term,
+                    stream: body[8..].to_vec(),
+                }),
+                REQ_INSTALL_BASE => Some(ReplRequest::InstallBase {
+                    term,
+                    base_seq: u64_at(body, 8)?,
+                    image: body.get(16..)?.to_vec(),
+                }),
+                REQ_TRUNCATE_TO if body.len() == 16 => Some(ReplRequest::TruncateTo {
+                    term,
+                    seq: u64_at(body, 8)?,
+                }),
+                _ => None,
+            }
+        })
+    }
+}
+
+/// A replica → primary answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplResponse {
+    /// Position report: highest contiguous appended seq and highest
+    /// fsynced seq, under the replica's `term`. After a gap `last_seq` is
+    /// where the primary resends from; a `term` above the sender's deposes
+    /// it.
+    Ack {
+        term: u64,
+        last_seq: u64,
+        acked_seq: u64,
+    },
+    /// The request failed its frame check or did not decode — resend.
+    Malformed,
+    /// The replica's own WAL medium has crashed: nothing durable can
+    /// happen here until it recovers.
+    Unavailable,
+}
+
+impl ReplResponse {
+    pub fn encode(&self) -> Vec<u8> {
+        match *self {
+            ReplResponse::Ack {
+                term,
+                last_seq,
+                acked_seq,
+            } => encode_message(RESP_ACK, &[term, last_seq, acked_seq], &[]),
+            ReplResponse::Malformed => encode_message(RESP_MALFORMED, &[], &[]),
+            ReplResponse::Unavailable => encode_message(RESP_UNAVAILABLE, &[], &[]),
+        }
+    }
+
+    pub fn decode(bytes: &[u8]) -> Option<ReplResponse> {
+        decode_message(bytes, |tag, body| match (tag, body.len()) {
+            (RESP_ACK, 24) => Some(ReplResponse::Ack {
+                term: u64_at(body, 0)?,
+                last_seq: u64_at(body, 8)?,
+                acked_seq: u64_at(body, 16)?,
+            }),
+            (RESP_MALFORMED, 0) => Some(ReplResponse::Malformed),
+            (RESP_UNAVAILABLE, 0) => Some(ReplResponse::Unavailable),
+            _ => None,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replica node
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Default)]
+struct NodeInner {
+    history: History,
+    /// Highest seq covered by a completed fsync or the installed base.
+    acked_seq: u64,
+    /// The WAL medium crashed: refuse requests until [`ReplicaNode::recover`].
+    crashed: bool,
+}
+
+impl NodeInner {
+    fn ack(&self) -> ReplResponse {
+        ReplResponse::Ack {
+            term: self.history.term,
+            last_seq: self.history.last_seq(),
+            acked_seq: self.acked_seq,
+        }
+    }
+}
+
 /// One replica host's replication engine: applies the primary's record
 /// stream to its own WAL (own fsync policy, own crash injection) and
-/// answers position/gap/stale-term per request. Pure protocol machine —
-/// no transport, no clock; the fabric feeds it raw request bytes.
+/// answers every request with its position. Pure protocol machine — no
+/// transport, no clock; the fabric feeds it raw request bytes.
 pub struct ReplicaNode {
     inner: Mutex<NodeInner>,
     wal: Wal,
@@ -345,8 +330,8 @@ impl std::fmt::Debug for ReplicaNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("ReplicaNode")
-            .field("term", &inner.term)
-            .field("last_seq", &inner.last_seq())
+            .field("term", &inner.history.term)
+            .field("last_seq", &inner.history.last_seq())
             .field("acked_seq", &inner.acked_seq)
             .finish_non_exhaustive()
     }
@@ -358,14 +343,7 @@ impl ReplicaNode {
     pub fn new(fsync: FsyncPolicy) -> Arc<ReplicaNode> {
         let sim = SimMedium::new();
         Arc::new(ReplicaNode {
-            inner: Mutex::new(NodeInner {
-                term: 0,
-                base_image: StoreImage::new(),
-                base_seq: 0,
-                log: Vec::new(),
-                acked_seq: 0,
-                crashed: false,
-            }),
+            inner: Mutex::new(NodeInner::default()),
             wal: Wal::new(sim.clone(), fsync),
             sim,
         })
@@ -375,25 +353,12 @@ impl ReplicaNode {
     /// itself up to rejoin the cluster as a replica). The whole history is
     /// written through the node's WAL and fsynced, so `acked_seq` starts at
     /// `last_seq`.
-    pub fn from_history(
-        term: u64,
-        base_image: StoreImage,
-        base_seq: u64,
-        log: Vec<ReplRecord>,
-        fsync: FsyncPolicy,
-    ) -> Arc<ReplicaNode> {
+    pub fn from_history(history: History, fsync: FsyncPolicy) -> Arc<ReplicaNode> {
         let node = ReplicaNode::new(fsync);
         {
             let mut inner = node.inner.lock();
-            for rec in &log {
-                node.wal.append_payload(&rec.encode());
-            }
-            node.wal.sync();
-            inner.term = term;
-            inner.base_image = base_image;
-            inner.base_seq = base_seq;
-            inner.acked_seq = log.last().map_or(base_seq, |r| r.seq);
-            inner.log = log;
+            inner.history = history;
+            node.rewrite(&mut inner);
         }
         node
     }
@@ -404,12 +369,12 @@ impl ReplicaNode {
     }
 
     pub fn term(&self) -> u64 {
-        self.inner.lock().term
+        self.inner.lock().history.term
     }
 
     /// Highest contiguous seq appended here.
     pub fn last_seq(&self) -> u64 {
-        self.inner.lock().last_seq()
+        self.inner.lock().history.last_seq()
     }
 
     /// Highest seq this node has made durable (fsync or installed base).
@@ -419,12 +384,12 @@ impl ReplicaNode {
 
     /// The node's current materialized store image.
     pub fn image(&self) -> StoreImage {
-        self.inner.lock().image()
+        self.inner.lock().history.image()
     }
 
     /// Deterministically encoded image (for convergence assertions).
     pub fn encoded_image(&self) -> Vec<u8> {
-        encode_store(&self.inner.lock().image())
+        encode_store(&self.image())
     }
 
     /// Reboot after a WAL crash: revive the medium and rebuild the log from
@@ -438,9 +403,8 @@ impl ReplicaNode {
         let (records, _, _) = decode_repl_stream(&image);
         // Everything that survived the crash is on the platter now — it is
         // all durable, so the ack watermark moves to the survived tip.
-        inner.log = records;
-        let last = inner.last_seq();
-        inner.acked_seq = last;
+        inner.history.log = records;
+        inner.acked_seq = inner.history.last_seq();
         inner.crashed = false;
         self.wal.sync();
     }
@@ -453,45 +417,48 @@ impl ReplicaNode {
             return ReplResponse::Malformed.encode();
         };
         let mut inner = self.inner.lock();
+        let (ReplRequest::Append { term, .. }
+        | ReplRequest::InstallBase { term, .. }
+        | ReplRequest::TruncateTo { term, .. }) = req;
         let resp = match req {
-            ReplRequest::Append { term, stream } => self.handle_append(&mut inner, term, &stream),
+            _ if inner.crashed => ReplResponse::Unavailable,
+            // A deposed sender: the ack's higher term tells it so.
+            _ if term < inner.history.term => inner.ack(),
+            ReplRequest::Append { stream, .. } => self.handle_append(&mut inner, term, &stream),
             ReplRequest::InstallBase {
-                term,
-                base_seq,
-                image,
-            } => self.handle_install(&mut inner, term, base_seq, &image),
-            ReplRequest::Status => self.ack(&inner),
-            ReplRequest::TruncateTo { term, seq } => self.handle_truncate(&mut inner, term, seq),
+                base_seq, image, ..
+            } => match decode_store(&image) {
+                Ok(base_image) => {
+                    inner.history = History {
+                        term,
+                        base_image,
+                        base_seq,
+                        log: Vec::new(),
+                    };
+                    self.rewrite(&mut inner)
+                }
+                Err(_) => ReplResponse::Malformed,
+            },
+            ReplRequest::TruncateTo { seq, .. } => {
+                inner.history.term = term;
+                inner.history.log.retain(|r| r.seq <= seq);
+                self.rewrite(&mut inner)
+            }
         };
         resp.encode()
     }
 
-    fn ack(&self, inner: &NodeInner) -> ReplResponse {
-        ReplResponse::Ack {
-            term: inner.term,
-            last_seq: inner.last_seq(),
-            acked_seq: inner.acked_seq,
-        }
-    }
-
     fn handle_append(&self, inner: &mut NodeInner, term: u64, stream: &[u8]) -> ReplResponse {
-        if inner.crashed {
-            return ReplResponse::Unavailable;
-        }
-        if term < inner.term {
-            return ReplResponse::StaleTerm {
-                current: inner.term,
-            };
-        }
-        inner.term = term;
-        let (records, valid, torn) = decode_repl_stream(stream);
-        if torn.is_some() || valid != stream.len() {
+        let (records, valid, _) = decode_repl_stream(stream);
+        if valid != stream.len() {
             return ReplResponse::Malformed;
         }
+        inner.history.term = term;
         for rec in records {
-            let expected = inner.last_seq() + 1;
+            let expected = inner.history.last_seq() + 1;
             if rec.seq > expected {
-                return ReplResponse::Gap { expected };
+                // A gap: the ack's `last_seq` says where to resend from.
+                break;
             }
             if rec.seq < expected {
                 // Duplicate resend of an already-appended record: skip.
@@ -502,64 +469,32 @@ impl ReplicaNode {
                 inner.crashed = true;
                 return ReplResponse::Unavailable;
             }
-            inner.log.push(rec);
+            inner.history.log.push(rec);
             if outcome.synced {
-                inner.acked_seq = inner.last_seq();
+                inner.acked_seq = inner.history.last_seq();
             }
         }
-        self.ack(inner)
+        inner.ack()
     }
 
-    fn handle_install(
-        &self,
-        inner: &mut NodeInner,
-        term: u64,
-        base_seq: u64,
-        image: &[u8],
-    ) -> ReplResponse {
-        if inner.crashed {
+    /// Make the WAL hold exactly the history's log, durably: truncate,
+    /// append, sync. The base image is installed atomically beside it. A
+    /// step the medium does not finish crashes the node, like a failed
+    /// append, and nothing is acked.
+    fn rewrite(&self, inner: &mut NodeInner) -> ReplResponse {
+        let done = self.wal.medium().truncate()
+            && inner
+                .history
+                .log
+                .iter()
+                .all(|rec| self.wal.append_payload(&rec.encode()).ok)
+            && self.wal.sync();
+        if !done {
+            inner.crashed = true;
             return ReplResponse::Unavailable;
         }
-        if term < inner.term {
-            return ReplResponse::StaleTerm {
-                current: inner.term,
-            };
-        }
-        let Ok(base) = decode_store(image) else {
-            return ReplResponse::Malformed;
-        };
-        inner.term = term;
-        inner.base_image = base;
-        inner.base_seq = base_seq;
-        inner.log.clear();
-        // The base install is atomic (snapshot semantics): durable at once.
-        self.wal.medium().truncate();
-        self.wal.sync();
-        inner.acked_seq = base_seq;
-        self.ack(inner)
-    }
-
-    fn handle_truncate(&self, inner: &mut NodeInner, term: u64, seq: u64) -> ReplResponse {
-        if inner.crashed {
-            return ReplResponse::Unavailable;
-        }
-        if term < inner.term {
-            return ReplResponse::StaleTerm {
-                current: inner.term,
-            };
-        }
-        inner.term = term;
-        inner.log.retain(|r| r.seq <= seq);
-        // Rewrite the WAL to match the truncated log so a crash after the
-        // truncation cannot resurrect the dropped tail. The rewrite ends in
-        // a sync, so the whole surviving log is durable again.
-        self.wal.medium().truncate();
-        for rec in &inner.log {
-            self.wal.append_payload(&rec.encode());
-        }
-        self.wal.sync();
-        inner.acked_seq = inner.last_seq();
-        self.ack(inner)
+        inner.acked_seq = inner.history.last_seq();
+        inner.ack()
     }
 }
 
@@ -712,8 +647,6 @@ pub struct ReplConfig {
     /// Members (primary + replicas) whose fsync a write needs before it is
     /// quorum-acked.
     pub quorum: usize,
-    /// Resend budget per shipment for retryable failures (drops, garbles).
-    pub max_retries: usize,
 }
 
 impl ReplConfig {
@@ -721,7 +654,6 @@ impl ReplConfig {
     pub fn majority(members: usize) -> ReplConfig {
         ReplConfig {
             quorum: members / 2 + 1,
-            max_retries: 8,
         }
     }
 }
@@ -752,13 +684,20 @@ struct MemberState {
     needs_truncate: bool,
 }
 
+impl MemberState {
+    fn new(id: &str, needs_truncate: bool) -> MemberState {
+        MemberState {
+            id: id.to_owned(),
+            matched_seq: 0,
+            acked_seq: 0,
+            reachable: true,
+            needs_truncate,
+        }
+    }
+}
+
 struct PrimaryState {
-    term: u64,
-    base_image: StoreImage,
-    base_seq: u64,
-    /// Records covering `(base_seq, next_seq)`, contiguous.
-    log: Vec<ReplRecord>,
-    next_seq: u64,
+    history: History,
     /// Highest seq fsynced on the primary itself.
     primary_acked: u64,
     /// Seq at which this primary's term began (members truncate to here).
@@ -766,20 +705,6 @@ struct PrimaryState {
     members: Vec<MemberState>,
     /// A member answered with a higher term: this primary was deposed.
     deposed: bool,
-}
-
-impl PrimaryState {
-    fn last_seq(&self) -> u64 {
-        self.next_seq - 1
-    }
-
-    fn image(&self) -> StoreImage {
-        let mut image = self.base_image.clone();
-        for rec in &self.log {
-            apply_op(&mut image, &rec.op);
-        }
-        image
-    }
 }
 
 /// The primary-side shipping engine. Observes the primary's WAL (in write
@@ -798,8 +723,8 @@ impl std::fmt::Debug for Replicator {
         let st = self.state.lock();
         f.debug_struct("Replicator")
             .field("self_id", &self.self_id)
-            .field("term", &st.term)
-            .field("last_seq", &st.last_seq())
+            .field("term", &st.history.term)
+            .field("last_seq", &st.history.last_seq())
             .field("quorum", &self.cfg.quorum)
             .finish_non_exhaustive()
     }
@@ -819,22 +744,15 @@ impl Replicator {
             fabric,
             cfg,
             state: Mutex::new(PrimaryState {
-                term: 1,
-                base_image: StoreImage::new(),
-                base_seq: 0,
-                log: Vec::new(),
-                next_seq: 1,
+                history: History {
+                    term: 1,
+                    ..History::default()
+                },
                 primary_acked: 0,
                 promotion_seq: 0,
                 members: member_ids
                     .iter()
-                    .map(|id| MemberState {
-                        id: (*id).to_owned(),
-                        matched_seq: 0,
-                        acked_seq: 0,
-                        reachable: true,
-                        needs_truncate: false,
-                    })
+                    .map(|id| MemberState::new(id, false))
                     .collect(),
                 deposed: false,
             }),
@@ -846,11 +764,11 @@ impl Replicator {
     }
 
     pub fn term(&self) -> u64 {
-        self.state.lock().term
+        self.state.lock().history.term
     }
 
     pub fn last_seq(&self) -> u64 {
-        self.state.lock().last_seq()
+        self.state.lock().history.last_seq()
     }
 
     /// Seq at which the current term began.
@@ -868,24 +786,14 @@ impl Replicator {
         self.state.lock().deposed
     }
 
-    pub fn member_ids(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .members
-            .iter()
-            .map(|m| m.id.clone())
-            .collect()
-    }
-
     /// The primary's materialized image (base + log).
     pub fn image(&self) -> StoreImage {
-        self.state.lock().image()
+        self.state.lock().history.image()
     }
 
     /// The full history this primary would ship to an empty member.
-    pub fn history(&self) -> (StoreImage, u64, Vec<ReplRecord>) {
-        let st = self.state.lock();
-        (st.base_image.clone(), st.base_seq, st.log.clone())
+    pub fn history(&self) -> History {
+        self.state.lock().history.clone()
     }
 
     /// The quorum-acked watermark: the highest seq that at least
@@ -905,29 +813,18 @@ impl Replicator {
     /// Records the member has not yet durably stored.
     pub fn lag_of(&self, id: &str) -> Option<u64> {
         let st = self.state.lock();
-        let last = st.last_seq();
+        let last = st.history.last_seq();
         st.members
             .iter()
             .find(|m| m.id == id)
             .map(|m| last.saturating_sub(m.acked_seq))
     }
 
-    /// The worst member lag.
-    pub fn max_lag(&self) -> u64 {
-        let st = self.state.lock();
-        let last = st.last_seq();
-        st.members
-            .iter()
-            .map(|m| last.saturating_sub(m.acked_seq))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Readiness probe: `Err` when any replica's durable lag exceeds
     /// `max_lag` records (wire into the admin plane's `/readyz`).
     pub fn lag_check(&self, max_lag: u64) -> Result<(), String> {
         let st = self.state.lock();
-        let last = st.last_seq();
+        let last = st.history.last_seq();
         for m in &st.members {
             let lag = last.saturating_sub(m.acked_seq);
             if lag > max_lag {
@@ -946,10 +843,11 @@ impl Replicator {
     pub fn compact(&self) {
         let watermark = self.quorum_acked_seq();
         let mut st = self.state.lock();
-        while st.log.first().is_some_and(|r| r.seq <= watermark) {
-            let rec = st.log.remove(0);
-            apply_op(&mut st.base_image, &rec.op);
-            st.base_seq = rec.seq;
+        let h = &mut st.history;
+        while h.log.first().is_some_and(|r| r.seq <= watermark) {
+            let rec = h.log.remove(0);
+            apply_op(&mut h.base_image, &rec.op);
+            h.base_seq = rec.seq;
         }
     }
 
@@ -963,7 +861,7 @@ impl Replicator {
             return false;
         };
         self.ship_to(&mut st, idx);
-        st.members[idx].reachable && st.members[idx].matched_seq == st.last_seq()
+        st.members[idx].reachable && st.members[idx].matched_seq == st.history.last_seq()
     }
 
     /// Re-ship to every member (group-commit flush point, heal sweep).
@@ -979,30 +877,16 @@ impl Replicator {
     /// divergent unacked tail, then normal catch-up.
     pub fn admit(&self, id: &str) {
         let mut st = self.state.lock();
-        if st.members.iter().any(|m| m.id == id) {
-            return;
+        if st.members.iter().all(|m| m.id != id) {
+            st.members.push(MemberState::new(id, true));
         }
-        st.members.push(MemberState {
-            id: id.to_owned(),
-            matched_seq: 0,
-            acked_seq: 0,
-            reachable: true,
-            needs_truncate: true,
-        });
     }
 
     /// Wrap this (deposed) primary's entire history as a [`ReplicaNode`]
     /// so it can rejoin the cluster as a replica: the new primary's
     /// `TruncateTo` then erases the unacked divergent tail.
     pub fn to_node(&self, fsync: FsyncPolicy) -> Arc<ReplicaNode> {
-        let st = self.state.lock();
-        ReplicaNode::from_history(
-            st.term,
-            st.base_image.clone(),
-            st.base_seq,
-            st.log.clone(),
-            fsync,
-        )
+        ReplicaNode::from_history(self.history(), fsync)
     }
 
     /// Per-member view for gauges: `(id, matched_seq, acked_seq, reachable)`.
@@ -1019,60 +903,43 @@ impl Replicator {
         if st.deposed {
             return;
         }
-        let term = st.term;
-        let promotion_seq = st.promotion_seq;
-        let mut retries = self.cfg.max_retries;
+        let term = st.history.term;
+        let mut retries = MAX_RETRIES;
         // Each healthy round trip strictly advances matched_seq or finishes,
         // and every retryable failure decrements the budget — but cap the
         // total rounds anyway so a misbehaving member can never wedge the
         // primary's write path.
-        let mut rounds = 2 * (self.cfg.max_retries + 4);
-        loop {
-            if rounds == 0 {
-                st.members[idx].reachable = false;
-                return;
-            }
-            rounds -= 1;
-            let (needs_truncate, from_seq) = {
-                let m = &st.members[idx];
-                (m.needs_truncate, m.matched_seq + 1)
-            };
-            let request = if needs_truncate {
+        for _ in 0..2 * (MAX_RETRIES + 4) {
+            let h = &st.history;
+            let from_seq = st.members[idx].matched_seq + 1;
+            let request = if st.members[idx].needs_truncate {
                 ReplRequest::TruncateTo {
                     term,
-                    seq: promotion_seq,
+                    seq: st.promotion_seq,
                 }
-            } else if from_seq <= st.base_seq {
+            } else if from_seq <= h.base_seq {
                 // Behind the compaction horizon: snapshot first.
                 ReplRequest::InstallBase {
                     term,
-                    base_seq: st.base_seq,
-                    image: encode_store(&st.base_image),
+                    base_seq: h.base_seq,
+                    image: encode_store(&h.base_image),
                 }
             } else {
-                let start = (from_seq - st.base_seq - 1) as usize;
-                if start >= st.log.len() {
+                let start = (from_seq - h.base_seq - 1) as usize;
+                if start >= h.log.len() {
                     st.members[idx].reachable = true;
                     return;
                 }
                 ReplRequest::Append {
                     term,
-                    stream: encode_repl_stream(&st.log[start..]),
+                    stream: encode_repl_stream(&h.log[start..]),
                 }
             };
-            let to = st.members[idx].id.clone();
-            match self.fabric.deliver(&self.self_id, &to, &request.encode()) {
-                Err(ShipError::Unreachable) => {
-                    st.members[idx].reachable = false;
-                    return;
-                }
-                Err(ShipError::Dropped) => {
-                    if retries == 0 {
-                        st.members[idx].reachable = false;
-                        return;
-                    }
-                    retries -= 1;
-                }
+            let member = &mut st.members[idx];
+            match self
+                .fabric
+                .deliver(&self.self_id, &member.id, &request.encode())
+            {
                 Ok(bytes) => match ReplResponse::decode(&bytes) {
                     Some(ReplResponse::Ack {
                         term: m_term,
@@ -1083,44 +950,27 @@ impl Replicator {
                             st.deposed = true;
                             return;
                         }
-                        let member = &mut st.members[idx];
                         member.reachable = true;
-                        if member.needs_truncate {
-                            member.needs_truncate = false;
-                            member.matched_seq = last_seq;
-                            member.acked_seq = acked_seq;
-                            // Fall through: next loop iteration appends the
-                            // suffix under the new term.
-                        } else {
-                            member.matched_seq = last_seq;
-                            member.acked_seq = acked_seq;
-                            if last_seq >= st.last_seq() {
-                                return;
-                            }
-                        }
-                    }
-                    Some(ReplResponse::Gap { expected }) => {
-                        st.members[idx].matched_seq = expected.saturating_sub(1);
-                    }
-                    Some(ReplResponse::StaleTerm { .. }) => {
-                        st.deposed = true;
-                        return;
-                    }
-                    Some(ReplResponse::Malformed) | None => {
-                        // Garbled in flight (either direction): resend.
-                        if retries == 0 {
-                            st.members[idx].reachable = false;
+                        member.matched_seq = last_seq;
+                        member.acked_seq = acked_seq;
+                        // After a truncation the next round appends the
+                        // suffix under the new term; otherwise a short
+                        // `last_seq` (a gap) resends from there.
+                        if !std::mem::take(&mut member.needs_truncate)
+                            && last_seq >= st.history.last_seq()
+                        {
                             return;
                         }
-                        retries -= 1;
                     }
-                    Some(ReplResponse::Unavailable) => {
-                        st.members[idx].reachable = false;
-                        return;
-                    }
+                    // Garbled in flight (either direction): resend.
+                    Some(ReplResponse::Malformed) | None if retries > 0 => retries -= 1,
+                    Some(ReplResponse::Malformed | ReplResponse::Unavailable) | None => break,
                 },
+                Err(ShipError::Dropped) if retries > 0 => retries -= 1,
+                Err(_) => break,
             }
         }
+        st.members[idx].reachable = false;
     }
 }
 
@@ -1132,17 +982,15 @@ impl WalObserver for Replicator {
         if st.deposed {
             return;
         }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let term = st.term;
-        st.log.push(ReplRecord {
-            term,
-            seq,
+        let rec = ReplRecord {
+            term: st.history.term,
+            seq: st.history.last_seq() + 1,
             op: op.clone(),
-        });
+        };
         if synced {
-            st.primary_acked = seq;
+            st.primary_acked = rec.seq;
         }
+        st.history.log.push(rec);
         for idx in 0..st.members.len() {
             // Skip known-unreachable members on the hot path; a heal sweep
             // (`catch_up`/`ship_all`) brings them back.
@@ -1197,36 +1045,24 @@ pub fn promote(
     // in-memory suffix is legitimate too — it is the longest surviving
     // history and nothing quorum-acked can extend past it on any survivor
     // we must honor.
-    let inner = promotee.inner.lock();
-    let term = inner.term + 1;
-    let promotion_seq = inner.last_seq();
-    let state = PrimaryState {
-        term,
-        base_image: inner.base_image.clone(),
-        base_seq: inner.base_seq,
-        log: inner.log.clone(),
-        next_seq: promotion_seq + 1,
-        primary_acked: promotion_seq,
-        promotion_seq,
-        members: survivors
-            .iter()
-            .filter(|(id, _)| id != promotee_id)
-            .map(|(id, _)| MemberState {
-                id: id.clone(),
-                matched_seq: 0,
-                acked_seq: 0,
-                reachable: true,
-                needs_truncate: true,
-            })
-            .collect(),
-        deposed: false,
-    };
-    drop(inner);
+    let mut history = promotee.inner.lock().history.clone();
+    history.term += 1;
+    let promotion_seq = history.last_seq();
     let repl = Replicator {
         self_id: promotee_id.to_owned(),
         fabric,
         cfg,
-        state: Mutex::new(state),
+        state: Mutex::new(PrimaryState {
+            history,
+            primary_acked: promotion_seq,
+            promotion_seq,
+            members: survivors
+                .iter()
+                .filter(|(id, _)| id != promotee_id)
+                .map(|(id, _)| MemberState::new(id, true))
+                .collect(),
+            deposed: false,
+        }),
     };
     // First contact: truncate every surviving member to the promotion
     // point and pull them up to the new primary's history.
@@ -1264,15 +1100,7 @@ mod tests {
             nodes.push(node);
         }
         let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-        let repl = Replicator::new(
-            "primary",
-            &id_refs,
-            fabric.clone(),
-            ReplConfig {
-                quorum,
-                max_retries: 8,
-            },
-        );
+        let repl = Replicator::new("primary", &id_refs, fabric.clone(), ReplConfig { quorum });
         (fabric, repl, nodes)
     }
 
@@ -1322,7 +1150,6 @@ mod tests {
                 base_seq: 9,
                 image: encode_store(&StoreImage::new()),
             },
-            ReplRequest::Status,
             ReplRequest::TruncateTo { term: 3, seq: 12 },
         ];
         for req in &reqs {
@@ -1334,8 +1161,6 @@ mod tests {
                 last_seq: 10,
                 acked_seq: 8,
             },
-            ReplResponse::Gap { expected: 4 },
-            ReplResponse::StaleTerm { current: 5 },
             ReplResponse::Malformed,
             ReplResponse::Unavailable,
         ];
@@ -1392,7 +1217,7 @@ mod tests {
         repl.compact();
         // The log prefix through the watermark is folded away: r1 is now
         // behind the compaction horizon.
-        assert_eq!(repl.history().2.len(), 0);
+        assert_eq!(repl.history().log.len(), 0);
         fabric.heal("primary", "r1");
         assert!(repl.catch_up("r1"));
         assert_eq!(nodes[0].last_seq(), 7);
@@ -1423,7 +1248,15 @@ mod tests {
         let resp =
             ReplResponse::decode(&node.handle(&ReplRequest::Append { term: 1, stream }.encode()))
                 .unwrap();
-        assert_eq!(resp, ReplResponse::Gap { expected: 1 });
+        // The ack's last_seq is where the primary resends from.
+        assert_eq!(
+            resp,
+            ReplResponse::Ack {
+                term: 1,
+                last_seq: 0,
+                acked_seq: 0
+            }
+        );
         assert_eq!(node.last_seq(), 0);
     }
 
@@ -1457,7 +1290,15 @@ mod tests {
             ),
         )
         .unwrap();
-        assert_eq!(resp, ReplResponse::StaleTerm { current: 3 });
+        // The ack carries the replica's higher term: the sender is deposed.
+        assert_eq!(
+            resp,
+            ReplResponse::Ack {
+                term: 3,
+                last_seq: 1,
+                acked_seq: 1
+            }
+        );
         // A new primary shipping records minted under an older term is
         // legal: the stale check is on the *sender's* term.
         let old_term_record = encode_repl_stream(&[ReplRecord {
@@ -1490,15 +1331,7 @@ mod tests {
         let fabric = LoopbackFabric::new();
         let node = ReplicaNode::new(FsyncPolicy::GroupCommit(3));
         fabric.register("r1", node.clone());
-        let repl = Replicator::new(
-            "primary",
-            &["r1"],
-            fabric.clone(),
-            ReplConfig {
-                quorum: 2,
-                max_retries: 8,
-            },
-        );
+        let repl = Replicator::new("primary", &["r1"], fabric.clone(), ReplConfig { quorum: 2 });
         repl.on_append(&put("a", 1), true);
         repl.on_append(&put("b", 2), true);
         assert_eq!(node.last_seq(), 2);
@@ -1515,15 +1348,7 @@ mod tests {
         let fabric = LoopbackFabric::new();
         let node = ReplicaNode::new(FsyncPolicy::GroupCommit(2));
         fabric.register("r1", node.clone());
-        let repl = Replicator::new(
-            "primary",
-            &["r1"],
-            fabric.clone(),
-            ReplConfig {
-                quorum: 1,
-                max_retries: 8,
-            },
-        );
+        let repl = Replicator::new("primary", &["r1"], fabric.clone(), ReplConfig { quorum: 1 });
         repl.on_append(&put("a", 1), true);
         repl.on_append(&put("b", 2), true); // sync #0 at the replica
         node.sim_medium().arm(crate::wal::CrashPoint::AtSync(1));
@@ -1597,7 +1422,7 @@ mod tests {
         // the history — the vestigial node object stops tracking.
         // The zombie write is gone from everyone's history; every write up
         // to the watermark survived.
-        let (_, _, log) = new_repl.history();
+        let log = new_repl.history().log;
         assert!(log
             .iter()
             .all(|r| { !matches!(&r.op, WalOp::Put { key, .. } if key == "zombie") }));
@@ -1627,5 +1452,111 @@ mod tests {
         assert!(repl.is_deposed());
         assert_eq!(nodes[0].last_seq(), 1, "stale-term append was refused");
         let _ = fabric;
+    }
+
+    /// `(term 1, seq)` records `1..=n`, as one `Append` a node accepts.
+    fn append_term_1(n: u64) -> Vec<u8> {
+        let log: Vec<ReplRecord> = (1..=n)
+            .map(|seq| ReplRecord {
+                term: 1,
+                seq,
+                op: put("k", seq as i64),
+            })
+            .collect();
+        ReplRequest::Append {
+            term: 1,
+            stream: encode_repl_stream(&log),
+        }
+        .encode()
+    }
+
+    /// Every copy of `wire` with exactly one bit flipped.
+    fn bit_flips(wire: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+        (0..wire.len() * 8).map(|bit| {
+            let mut flipped = wire.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            (bit, flipped)
+        })
+    }
+
+    /// A garbled header is not believed: wherever one bit flips — tag,
+    /// term, seq, length, CRC, record stream or image — the node answers
+    /// `Malformed` and its term and position stay put.
+    #[test]
+    fn every_flipped_bit_of_a_request_is_malformed_and_moves_nothing() {
+        let node = ReplicaNode::new(FsyncPolicy::PerWrite);
+        node.handle(&append_term_1(2));
+        let empty_store = encode_store(&StoreImage::new());
+        assert_eq!(empty_store.len(), 8);
+        let requests = [
+            ReplRequest::Append {
+                term: 2,
+                stream: encode_repl_stream(&[ReplRecord {
+                    term: 2,
+                    seq: 3,
+                    op: put("k", 3),
+                }]),
+            },
+            ReplRequest::InstallBase {
+                term: 2,
+                base_seq: 5,
+                image: empty_store,
+            },
+            ReplRequest::TruncateTo { term: 2, seq: 1 },
+        ];
+        for req in &requests {
+            for (bit, garbled) in bit_flips(&req.encode()) {
+                let resp = ReplResponse::decode(&node.handle(&garbled));
+                assert_eq!(resp, Some(ReplResponse::Malformed), "{req:?} bit {bit}");
+                assert_eq!((node.term(), node.last_seq()), (1, 2), "{req:?} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_flipped_bit_of_an_ack_fails_to_decode() {
+        let ack = ReplResponse::Ack {
+            term: 2,
+            last_seq: 10,
+            acked_seq: 8,
+        };
+        for (bit, garbled) in bit_flips(&ack.encode()) {
+            assert_eq!(ReplResponse::decode(&garbled), None, "bit {bit}");
+        }
+    }
+
+    /// A rewrite the disk does not finish is not acked: whatever the node
+    /// answers while its medium dies mid-truncation or mid-install, what
+    /// it acked is still there after `recover()`.
+    #[test]
+    fn an_unfinished_rewrite_is_not_acked() {
+        let requests = [
+            ReplRequest::TruncateTo { term: 2, seq: 3 },
+            ReplRequest::InstallBase {
+                term: 2,
+                base_seq: 4,
+                image: encode_store(&StoreImage::new()),
+            },
+        ];
+        for crash in [
+            crate::wal::CrashPoint::AtByte(10),
+            crate::wal::CrashPoint::AtSync(4),
+        ] {
+            for req in &requests {
+                let node = ReplicaNode::new(FsyncPolicy::PerWrite);
+                node.handle(&append_term_1(4));
+                assert_eq!(node.acked_seq(), 4);
+                node.sim_medium().arm(crash);
+                let resp = ReplResponse::decode(&node.handle(&req.encode()));
+                node.recover();
+                if let Some(ReplResponse::Ack { acked_seq, .. }) = resp {
+                    assert!(
+                        acked_seq <= node.acked_seq(),
+                        "{crash:?} {req:?}: acked {acked_seq}, holds {} after recovery",
+                        node.acked_seq()
+                    );
+                }
+            }
+        }
     }
 }
