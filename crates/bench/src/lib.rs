@@ -11,7 +11,6 @@
 //! | `report ablations` | §4.1.3 mechanism claims |
 //! | `report trajectory` | `BENCH_trajectory.json` per workload × metric across PRs, a regression against any earlier PR marked (not part of plain `report`) |
 //! | `counter [out-dir]` | traced component breakdowns → `BENCH_counter/_gridbox/_trace.json` |
-//! | `throughput [out-dir]` | client × shard sweep → `BENCH_throughput.json` |
 //! | `fanout [out-dir]` | trie vs naive, shard scaling, both stacks' batching → `BENCH_fanout.json` |
 //! | `all [out-dir]` | every subcommand above, in that order |
 //!
@@ -29,7 +28,6 @@ pub mod fanout;
 pub mod fixture;
 pub mod loadgen;
 pub mod report;
-pub mod throughput;
 pub mod trajectory;
 
 /// `[a,b,c]` from already-rendered JSON values.
@@ -42,11 +40,7 @@ pub(crate) fn json_array(items: impl Iterator<Item = String>) -> String {
 pub type Subcommand = (&'static str, fn() -> Vec<(&'static str, String)>);
 
 /// Every artifact subcommand, in the order `all` runs them.
-pub const SUBCOMMANDS: &[Subcommand] = &[
-    ("counter", counter::run),
-    ("throughput", throughput::run),
-    ("fanout", fanout::run),
-];
+pub const SUBCOMMANDS: &[Subcommand] = &[("counter", counter::run), ("fanout", fanout::run)];
 
 /// Run `subcommands` in order, writing each one's artifacts under `out_dir`.
 pub fn run(out_dir: &str, subcommands: &[Subcommand]) -> std::io::Result<()> {

@@ -25,7 +25,6 @@ pub struct Testbed {
     ca: CertAuthority,
     rng: DetRng,
     backend: BackendKind,
-    db_config: DbConfig,
     durable_cfg: Option<DurableConfig>,
     durables: Arc<Mutex<HashMap<String, Arc<DurableBackend>>>>,
     dbs: Arc<Mutex<HashMap<String, Database>>>,
@@ -67,25 +66,10 @@ impl Testbed {
             ca,
             rng: DetRng::default(),
             backend,
-            db_config: DbConfig::default(),
             durable_cfg: None,
             durables: Arc::new(Mutex::new(HashMap::new())),
             dbs: Arc::new(Mutex::new(HashMap::new())),
         }
-    }
-
-    /// Reconfigure the per-host databases to use `shards` key shards — the
-    /// knob the throughput harness sweeps. Must be set before the first call
-    /// to [`Testbed::db`] for a host; already-built databases keep their
-    /// shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.db_config = DbConfig { shards };
-        self
-    }
-
-    /// The shard count freshly-built per-host databases will use.
-    pub fn shards(&self) -> usize {
-        self.db_config.shards
     }
 
     /// Back every per-host database with a crash-injectable durable store
@@ -210,7 +194,7 @@ impl Testbed {
                     self.model.clone(),
                     backend,
                     self.network.telemetry().clone(),
-                    self.db_config,
+                    DbConfig::default(),
                 );
                 db.stats().register_gauges(db.config().shards);
                 db
@@ -320,6 +304,7 @@ mod tests {
             .unwrap();
         assert!(tb.db("host-a").collection("c").get("k").is_some());
         assert!(tb.db("host-b").collection("c").get("k").is_none());
+        assert_eq!(tb.db("host-a").config().shards, ogsa_xmldb::DEFAULT_SHARDS);
     }
 
     #[test]
@@ -329,18 +314,6 @@ mod tests {
         let b = tb.container("host-b", SecurityPolicy::None);
         tb.clock().advance(ogsa_sim::SimDuration::from_micros(5));
         assert_eq!(a.clock().now(), b.clock().now());
-    }
-
-    #[test]
-    fn shard_knob_reaches_the_per_host_database() {
-        let tb = Testbed::free().with_shards(2);
-        assert_eq!(tb.shards(), 2);
-        assert_eq!(tb.db("host-a").config().shards, 2);
-        // Default testbeds keep the default shard count.
-        assert_eq!(
-            Testbed::free().db("host-a").config().shards,
-            ogsa_xmldb::DEFAULT_SHARDS
-        );
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //!   subscriber counts (1k → 1M) and topic shapes. The two must agree on
 //!   every probe; the trie must be ≥ 10× at 100k subscribers and above.
 //!   The only wall-clock figures `BENCH_fanout.json` holds.
-//! * **Shard scaling** — the makespan model of the xmldb sharding:
-//!   notifications/sec = delivered notes ÷ the busiest shard's charged
-//!   time. The per-operation *cost* is shard-count invariant; only the
-//!   attribution spreads, so throughput must scale with the shard count.
+//! * **Shard scaling** — a makespan model of the subscription table's
+//!   sharding: notifications/sec = delivered notes ÷ the busiest shard's
+//!   charged time. The per-operation *cost* is shard-count invariant; only
+//!   the attribution spreads, so throughput must scale with the shard
+//!   count.
 //! * **Stack fan-out** — the delivery core configured per stack's honest
 //!   rules: WSN routes by topic root across 8 shards and coalesces batches
 //!   into `<wsnt:Notify>` envelopes; WS-Eventing has no topics (every

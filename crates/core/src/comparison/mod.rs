@@ -6,7 +6,6 @@ pub mod cell;
 pub mod fanout;
 pub mod grid;
 pub mod hello;
-pub mod throughput;
 
 use ogsa_container::{ClientAgent, Container, Testbed};
 use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};

@@ -52,4 +52,3 @@ pub use comparison::ablation;
 pub use comparison::breakdown;
 pub use comparison::grid;
 pub use comparison::hello;
-pub use comparison::throughput;

@@ -51,7 +51,7 @@ impl WsrfService for CounterService {
                 let epr = base.resource_epr(ctx, &res.id);
                 Ok(Element::new("createResponse").with_child(epr.to_element()))
             }
-            // The batch Create the throughput harness uses: one WebMethod
+            // The batch Create behind `CounterApi::create_many`: one WebMethod
             // round trip, one amortised store transaction, N new resources.
             "createBatch" => {
                 let count: usize = op

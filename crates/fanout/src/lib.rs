@@ -10,9 +10,9 @@
 //!
 //! * [`table::ShardedTable`] — subscription tables sharded by topic-root
 //!   key on the shared `ogsa_sim::shard::Shards`, per-shard `RwLock`s with contention
-//!   telemetry (`wsn.shard_contention`) and per-shard busy attribution so
-//!   the PR-3 makespan model (`rps = work / max-shard-busy`) applies to
-//!   fan-out exactly as it does to the database.
+//!   telemetry (`wsn.shard_contention`) and per-shard busy attribution,
+//!   from which `comparison::fanout`'s shard sweep models throughput
+//!   (`rps = work / max-shard-busy`).
 //! * [`trie::TopicTrie`] — a precompiled WS-Topics trie over interned path
 //!   segments, with `*` (one-segment) and `//` (any-depth) wildcard nodes;
 //!   resolves a concrete topic path to its subscriber set in one walk. The

@@ -4,8 +4,8 @@
 //! virtual-time simulation — deterministic, paper-faithful, and immune to
 //! host noise. This crate is the wall-clock complement: it puts the same
 //! container pipeline behind an actual TCP listener with HTTP/1.1
-//! keep-alive and pipelining, so the throughput claims can be checked
-//! under real connection concurrency instead of an in-process loop.
+//! keep-alive and pipelining, so throughput can be measured under real
+//! connection concurrency instead of an in-process loop.
 //!
 //! Layout:
 //! * [`epoll`] — raw `epoll`/`eventfd` FFI shim; no external deps. The

@@ -134,10 +134,9 @@ impl ServiceBase {
     }
 
     /// `ServiceBase.Create()` for a whole batch: mint `count` resources, each
-    /// initialised to `doc`, in one store transaction. The insert-heavy
-    /// `Create` path is what the throughput harness hammers, and Xindice-era
-    /// stores amortise the per-transaction overhead (connection, commit,
-    /// index flush) across the batch, so this is much cheaper than `count`
+    /// initialised to `doc`, in one store transaction. Xindice-era stores
+    /// amortise the per-transaction overhead (connection, commit, index
+    /// flush) across the batch, so this is much cheaper than `count`
     /// independent `create` calls.
     pub fn create_batch(
         &self,

@@ -25,9 +25,11 @@
 //! installed base snapshot). A client write is **quorum-acked** once at
 //! least `quorum` members (the primary counts as one) have fsynced it:
 //! [`Replicator::quorum_acked_seq`] is the watermark the failover harness
-//! proves is never lost. A WAL rewrite (base install, truncation) the
-//! medium does not finish is never acked: the node answers `Unavailable`
-//! until [`ReplicaNode::recover`].
+//! proves is never lost. A rewrite (base install, truncation) writes the
+//! whole new history beside the old one and switches to it in one atomic
+//! [`SnapshotMedium::install`]; an install the medium does not finish
+//! leaves the old history whole, and the node answers `Unavailable` until
+//! [`ReplicaNode::recover`].
 //!
 //! **Catch-up.** A replica that fell behind receives the missing log
 //! suffix; one that fell behind a primary-side compaction
@@ -61,10 +63,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::durable::WalObserver;
-use crate::snapshot::{apply_op, decode_store, encode_store, StoreImage};
+use crate::snapshot::{
+    apply_op, decode_store, encode_store, SimSnapshotMedium, SnapshotMedium, StoreImage,
+};
 use crate::wal::{
-    frame_record, scan_frames, FsyncPolicy, SimMedium, TornReason, Wal, WalMedium, WalOp,
-    RECORD_HEADER,
+    frame_record, scan_frames, FsyncPolicy, SimMedium, Wal, WalMedium, WalOp, RECORD_HEADER,
 };
 
 /// Bytes of `[term|seq]` header inside every replication record payload.
@@ -114,13 +117,6 @@ pub fn encode_repl_stream(records: &[ReplRecord]) -> Vec<u8> {
     out
 }
 
-/// Scan a replication stream front to back, CRC-checking every frame.
-/// Same torn-tail semantics as the WAL scanner: everything past the first
-/// damaged record is discarded.
-pub fn decode_repl_stream(bytes: &[u8]) -> (Vec<ReplRecord>, usize, Option<TornReason>) {
-    scan_frames(bytes, ReplRecord::decode)
-}
-
 /// A replicated history: the base image through `base_seq` and the
 /// contiguous log of records past it, held under leadership `term`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -145,6 +141,34 @@ impl History {
             apply_op(&mut image, &rec.op);
         }
         image
+    }
+
+    /// The history as a replica stores it: one frame of
+    /// `[base_seq][base image]`, then the log as a replication stream. The
+    /// term is the node's, not the log's.
+    fn encode_log(&self) -> Vec<u8> {
+        let base = [
+            &self.base_seq.to_le_bytes()[..],
+            &encode_store(&self.base_image),
+        ]
+        .concat();
+        let mut out = Vec::new();
+        frame_record(&base, &mut out);
+        out.extend(encode_repl_stream(&self.log));
+        out
+    }
+
+    /// Read back [`History::encode_log`]'s bytes and any records appended
+    /// past them, up to the first torn frame.
+    fn decode_log(bytes: &[u8]) -> Option<History> {
+        let (frames, _, _) = scan_frames(bytes, Some);
+        let (base, log) = frames.split_first()?;
+        Some(History {
+            term: 0,
+            base_image: decode_store(base.get(8..)?).ok()?,
+            base_seq: u64_at(base, 0)?,
+            log: log.iter().map_while(|p| ReplRecord::decode(p)).collect(),
+        })
     }
 }
 
@@ -319,11 +343,14 @@ impl NodeInner {
 /// One replica host's replication engine: applies the primary's record
 /// stream to its own WAL (own fsync policy, own crash injection) and
 /// answers every request with its position. Pure protocol machine — no
-/// transport, no clock; the fabric feeds it raw request bytes.
+/// transport, no clock; the fabric feeds it raw request bytes. Its durable
+/// log is the history its last rewrite installed plus the WAL records
+/// appended since.
 pub struct ReplicaNode {
     inner: Mutex<NodeInner>,
     wal: Wal,
     sim: Arc<SimMedium>,
+    snap: Arc<SimSnapshotMedium>,
 }
 
 impl std::fmt::Debug for ReplicaNode {
@@ -346,21 +373,8 @@ impl ReplicaNode {
             inner: Mutex::new(NodeInner::default()),
             wal: Wal::new(sim.clone(), fsync),
             sim,
+            snap: SimSnapshotMedium::new(),
         })
-    }
-
-    /// Build a node from an existing history (the deposed primary wrapping
-    /// itself up to rejoin the cluster as a replica). The whole history is
-    /// written through the node's WAL and fsynced, so `acked_seq` starts at
-    /// `last_seq`.
-    pub fn from_history(history: History, fsync: FsyncPolicy) -> Arc<ReplicaNode> {
-        let node = ReplicaNode::new(fsync);
-        {
-            let mut inner = node.inner.lock();
-            inner.history = history;
-            node.rewrite(&mut inner);
-        }
-        node
     }
 
     /// The crash-injectable medium under this node's WAL.
@@ -392,20 +406,27 @@ impl ReplicaNode {
         encode_store(&self.image())
     }
 
-    /// Reboot after a WAL crash: revive the medium and rebuild the log from
-    /// the bytes that survived (the acked prefix plus whatever unsynced
-    /// tail reached the platter). The installed base survives by
-    /// construction (installs are atomic).
+    /// Reboot after a crash: revive the medium, sweep a half-done install,
+    /// and rebuild the history from what is durable — the last installed
+    /// history, then the WAL records that survived past it (the acked
+    /// prefix plus whatever unsynced tail reached the platter). That
+    /// history is installed again, so no torn frame stays on the WAL in
+    /// front of what the node appends next.
     pub fn recover(&self) {
         let mut inner = self.inner.lock();
         self.sim.revive();
-        let image = self.sim.durable_image();
-        let (records, _, _) = decode_repl_stream(&image);
+        self.snap.discard_orphans();
+        let mut durable = self
+            .snap
+            .load()
+            .unwrap_or_else(|| History::default().encode_log());
+        durable.extend(self.sim.durable_image());
+        let mut history = History::decode_log(&durable).unwrap_or_default();
+        history.term = inner.history.term;
+        inner.crashed = false;
         // Everything that survived the crash is on the platter now — it is
         // all durable, so the ack watermark moves to the survived tip.
-        inner.history.log = records;
-        inner.acked_seq = inner.history.last_seq();
-        inner.crashed = false;
+        self.rewrite(&mut inner, history);
         self.wal.sync();
     }
 
@@ -429,32 +450,35 @@ impl ReplicaNode {
                 base_seq, image, ..
             } => match decode_store(&image) {
                 Ok(base_image) => {
-                    inner.history = History {
+                    let next = History {
                         term,
                         base_image,
                         base_seq,
                         log: Vec::new(),
                     };
-                    self.rewrite(&mut inner)
+                    self.rewrite(&mut inner, next)
                 }
                 Err(_) => ReplResponse::Malformed,
             },
             ReplRequest::TruncateTo { seq, .. } => {
-                inner.history.term = term;
-                inner.history.log.retain(|r| r.seq <= seq);
-                self.rewrite(&mut inner)
+                let mut next = inner.history.clone();
+                next.term = term;
+                next.log.retain(|r| r.seq <= seq);
+                self.rewrite(&mut inner, next)
             }
         };
         resp.encode()
     }
 
     fn handle_append(&self, inner: &mut NodeInner, term: u64, stream: &[u8]) -> ReplResponse {
-        let (records, valid, _) = decode_repl_stream(stream);
+        // Each record's CRC-checked payload is appended as it came; the
+        // decoded op is what the in-memory history applies.
+        let (records, valid, _) = scan_frames(stream, |p| Some((p, ReplRecord::decode(p)?)));
         if valid != stream.len() {
             return ReplResponse::Malformed;
         }
         inner.history.term = term;
-        for rec in records {
+        for (payload, rec) in records {
             let expected = inner.history.last_seq() + 1;
             if rec.seq > expected {
                 // A gap: the ack's `last_seq` says where to resend from.
@@ -464,7 +488,7 @@ impl ReplicaNode {
                 // Duplicate resend of an already-appended record: skip.
                 continue;
             }
-            let outcome = self.wal.append_payload(&rec.encode());
+            let outcome = self.wal.append_payload(payload);
             if !outcome.ok {
                 inner.crashed = true;
                 return ReplResponse::Unavailable;
@@ -477,22 +501,20 @@ impl ReplicaNode {
         inner.ack()
     }
 
-    /// Make the WAL hold exactly the history's log, durably: truncate,
-    /// append, sync. The base image is installed atomically beside it. A
-    /// step the medium does not finish crashes the node, like a failed
-    /// append, and nothing is acked.
-    fn rewrite(&self, inner: &mut NodeInner) -> ReplResponse {
-        let done = self.wal.medium().truncate()
-            && inner
-                .history
-                .log
-                .iter()
-                .all(|rec| self.wal.append_payload(&rec.encode()).ok)
-            && self.wal.sync();
-        if !done {
+    /// Switch the node to `next` in one step: the whole new history, base
+    /// and log, is installed beside the old one, and only then is the WAL
+    /// (the records past the old install) emptied and `next` adopted. An
+    /// install the medium does not finish leaves the old history whole and
+    /// crashes the node, like a failed append, and nothing is acked.
+    fn rewrite(&self, inner: &mut NodeInner, next: History) -> ReplResponse {
+        if !self.snap.install(next.encode_log()) {
             inner.crashed = true;
             return ReplResponse::Unavailable;
         }
+        // Cannot fail: the medium dies only inside an append or a sync, and
+        // a node whose medium died refuses every request until `recover`.
+        self.wal.medium().truncate();
+        inner.history = next;
         inner.acked_seq = inner.history.last_seq();
         inner.ack()
     }
@@ -561,8 +583,9 @@ impl LoopbackFabric {
 
     /// Cut both directions between `a` and `b` immediately.
     pub fn sever(&self, a: &str, b: &str) {
-        self.with_link(a, b, |l| l.severed = true);
-        self.with_link(b, a, |l| l.severed = true);
+        for (from, to) in [(a, b), (b, a)] {
+            self.with_link(from, to, |l| l.severed = true);
+        }
     }
 
     /// Cut `from → to` after exactly `k` more successful deliveries (the
@@ -574,14 +597,12 @@ impl LoopbackFabric {
 
     /// Restore both directions between `a` and `b`.
     pub fn heal(&self, a: &str, b: &str) {
-        self.with_link(a, b, |l| {
-            l.severed = false;
-            l.sever_after = None;
-        });
-        self.with_link(b, a, |l| {
-            l.severed = false;
-            l.sever_after = None;
-        });
+        for (from, to) in [(a, b), (b, a)] {
+            self.with_link(from, to, |l| {
+                l.severed = false;
+                l.sever_after = None;
+            });
+        }
     }
 
     /// Successful deliveries so far on `from → to`.
@@ -602,38 +623,28 @@ impl ReplFabric for LoopbackFabric {
             let mut links = self.links.lock();
             let link = links.entry((from.to_owned(), to.to_owned())).or_default();
             if link.sever_after.is_some_and(|at| link.delivered >= at) {
-                link.severed = true;
                 link.sever_after = None;
+                drop(links);
                 // A partition cuts both directions at once.
-                links
-                    .entry((to.to_owned(), from.to_owned()))
-                    .or_default()
-                    .severed = true;
+                self.sever(from, to);
                 return Err(ShipError::Unreachable);
             }
-            let link = links.entry((from.to_owned(), to.to_owned())).or_default();
             if link.severed {
                 return Err(ShipError::Unreachable);
             }
             link.delivered += 1;
             link.garble_bit.take()
         };
-        let node = self
-            .nodes
-            .lock()
-            .get(to)
-            .cloned()
-            .ok_or(ShipError::Unreachable)?;
-        let response = match garble {
+        let node = self.node(to).ok_or(ShipError::Unreachable)?;
+        match garble {
             Some(bit) if !request.is_empty() => {
                 let mut garbled = request.to_vec();
                 let idx = (bit / 8) as usize % garbled.len();
                 garbled[idx] ^= 1 << (bit % 8);
-                node.handle(&garbled)
+                Ok(node.handle(&garbled))
             }
-            _ => node.handle(request),
-        };
-        Ok(response)
+            _ => Ok(node.handle(request)),
+        }
     }
 }
 
@@ -739,21 +750,33 @@ impl Replicator {
         fabric: Arc<dyn ReplFabric>,
         cfg: ReplConfig,
     ) -> Replicator {
+        let history = History {
+            term: 1,
+            ..History::default()
+        };
+        let members = member_ids.iter().map(|id| MemberState::new(id, false));
+        Replicator::with_history(self_id, history, members.collect(), fabric, cfg)
+    }
+
+    /// A primary whose term begins at the end of `history`, which it holds
+    /// as fsynced.
+    fn with_history(
+        self_id: &str,
+        history: History,
+        members: Vec<MemberState>,
+        fabric: Arc<dyn ReplFabric>,
+        cfg: ReplConfig,
+    ) -> Replicator {
+        let promotion_seq = history.last_seq();
         Replicator {
             self_id: self_id.to_owned(),
             fabric,
             cfg,
             state: Mutex::new(PrimaryState {
-                history: History {
-                    term: 1,
-                    ..History::default()
-                },
-                primary_acked: 0,
-                promotion_seq: 0,
-                members: member_ids
-                    .iter()
-                    .map(|id| MemberState::new(id, false))
-                    .collect(),
+                history,
+                primary_acked: promotion_seq,
+                promotion_seq,
+                members,
                 deposed: false,
             }),
         }
@@ -884,9 +907,13 @@ impl Replicator {
 
     /// Wrap this (deposed) primary's entire history as a [`ReplicaNode`]
     /// so it can rejoin the cluster as a replica: the new primary's
-    /// `TruncateTo` then erases the unacked divergent tail.
+    /// `TruncateTo` then erases the unacked divergent tail. The whole
+    /// history is installed durably, so the node's `acked_seq` starts at
+    /// its `last_seq`.
     pub fn to_node(&self, fsync: FsyncPolicy) -> Arc<ReplicaNode> {
-        ReplicaNode::from_history(self.history(), fsync)
+        let node = ReplicaNode::new(fsync);
+        node.rewrite(&mut node.inner.lock(), self.history());
+        node
     }
 
     /// Per-member view for gauges: `(id, matched_seq, acked_seq, reachable)`.
@@ -1028,16 +1055,9 @@ pub fn promote(
         .map(|(_, n)| n.acked_seq())
         .max()
         .unwrap_or(0);
-    let Some((_, promotee)) = survivors
-        .iter()
-        .find(|(id, _)| id == promotee_id)
-        .filter(|(_, n)| n.acked_seq() == best)
-    else {
-        let chosen = survivors
-            .iter()
-            .find(|(id, _)| id == promotee_id)
-            .map(|(_, n)| n.acked_seq())
-            .unwrap_or(0);
+    let promotee = survivors.iter().find(|(id, _)| id == promotee_id);
+    let chosen = promotee.map_or(0, |(_, n)| n.acked_seq());
+    let Some((_, promotee)) = promotee.filter(|_| chosen == best) else {
         return Err(PromoteError::NotLongestAcked { best, chosen });
     };
     // The promotee's full appended history (acked prefix plus any synced
@@ -1047,23 +1067,11 @@ pub fn promote(
     // we must honor.
     let mut history = promotee.inner.lock().history.clone();
     history.term += 1;
-    let promotion_seq = history.last_seq();
-    let repl = Replicator {
-        self_id: promotee_id.to_owned(),
-        fabric,
-        cfg,
-        state: Mutex::new(PrimaryState {
-            history,
-            primary_acked: promotion_seq,
-            promotion_seq,
-            members: survivors
-                .iter()
-                .filter(|(id, _)| id != promotee_id)
-                .map(|(id, _)| MemberState::new(id, true))
-                .collect(),
-            deposed: false,
-        }),
-    };
+    let members = survivors
+        .iter()
+        .filter(|(id, _)| id != promotee_id)
+        .map(|(id, _)| MemberState::new(id, true));
+    let repl = Replicator::with_history(promotee_id, history, members.collect(), fabric, cfg);
     // First contact: truncate every surviving member to the promotion
     // point and pull them up to the new primary's history.
     repl.ship_all();
@@ -1073,6 +1081,7 @@ pub fn promote(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::TornReason;
     use ogsa_xml::Element;
 
     fn doc(v: i64) -> Element {
@@ -1113,7 +1122,7 @@ mod tests {
         };
         assert_eq!(ReplRecord::decode(&rec.encode()), Some(rec.clone()));
         let stream = encode_repl_stream(std::slice::from_ref(&rec));
-        let (records, valid, torn) = decode_repl_stream(&stream);
+        let (records, valid, torn) = scan_frames(&stream, ReplRecord::decode);
         assert_eq!(records, vec![rec]);
         assert_eq!(valid, stream.len());
         assert_eq!(torn, None);
@@ -1129,7 +1138,7 @@ mod tests {
         let mut bad = stream.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x10;
-        let (records, _, torn) = decode_repl_stream(&bad);
+        let (records, _, torn) = scan_frames(&bad, ReplRecord::decode);
         assert!(records.is_empty());
         assert_eq!(torn, Some(TornReason::CrcMismatch));
     }
@@ -1343,6 +1352,25 @@ mod tests {
         assert_eq!(repl.quorum_acked_seq(), 3);
     }
 
+    /// A torn append leaves part of a frame on the medium; recovery must
+    /// drop it, or what the node appends and acks afterwards sits behind
+    /// it and is lost to the next recovery.
+    #[test]
+    fn acks_after_a_torn_append_survive_the_next_recovery() {
+        let node = ReplicaNode::new(FsyncPolicy::PerWrite);
+        node.handle(&append_term_1(2));
+        let torn_at = node.sim_medium().len() + 7;
+        node.sim_medium()
+            .arm(crate::wal::CrashPoint::AtByte(torn_at));
+        node.handle(&append_term_1(3));
+        node.recover();
+        assert_eq!((node.last_seq(), node.acked_seq()), (2, 2));
+        node.handle(&append_term_1(4));
+        assert_eq!(node.acked_seq(), 4);
+        node.recover();
+        assert_eq!((node.last_seq(), node.acked_seq()), (4, 4));
+    }
+
     #[test]
     fn replica_crash_loses_only_unsynced_tail_and_recovers() {
         let fabric = LoopbackFabric::new();
@@ -1525,9 +1553,9 @@ mod tests {
         }
     }
 
-    /// A rewrite the disk does not finish is not acked: whatever the node
-    /// answers while its medium dies mid-truncation or mid-install, what
-    /// it acked is still there after `recover()`.
+    /// A rewrite whose install the medium does not finish is not acked and
+    /// changes nothing: after `recover()` the node holds its old history
+    /// whole, and the half-written install is swept.
     #[test]
     fn an_unfinished_rewrite_is_not_acked() {
         let requests = [
@@ -1538,25 +1566,18 @@ mod tests {
                 image: encode_store(&StoreImage::new()),
             },
         ];
-        for crash in [
-            crate::wal::CrashPoint::AtByte(10),
-            crate::wal::CrashPoint::AtSync(4),
-        ] {
-            for req in &requests {
-                let node = ReplicaNode::new(FsyncPolicy::PerWrite);
-                node.handle(&append_term_1(4));
-                assert_eq!(node.acked_seq(), 4);
-                node.sim_medium().arm(crash);
-                let resp = ReplResponse::decode(&node.handle(&req.encode()));
-                node.recover();
-                if let Some(ReplResponse::Ack { acked_seq, .. }) = resp {
-                    assert!(
-                        acked_seq <= node.acked_seq(),
-                        "{crash:?} {req:?}: acked {acked_seq}, holds {} after recovery",
-                        node.acked_seq()
-                    );
-                }
-            }
+        for req in &requests {
+            let node = ReplicaNode::new(FsyncPolicy::PerWrite);
+            node.handle(&append_term_1(4));
+            let before = node.encoded_image();
+            let snap = &node.snap;
+            snap.arm_install_crash(snap.installs());
+            let resp = ReplResponse::decode(&node.handle(&req.encode()));
+            assert_eq!(resp, Some(ReplResponse::Unavailable), "{req:?}");
+            node.recover();
+            assert!(!snap.has_orphan(), "{req:?}");
+            assert_eq!((node.last_seq(), node.acked_seq()), (4, 4), "{req:?}");
+            assert_eq!(node.encoded_image(), before, "{req:?}");
         }
     }
 }

@@ -130,11 +130,16 @@ pub trait SnapshotMedium: Send + Sync {
 /// the two and leave a simulated orphan tmp image behind.
 #[derive(Debug, Default)]
 pub struct SimSnapshotMedium {
-    slot: Mutex<Option<Vec<u8>>>,
+    state: Mutex<SimSnapshotState>,
+}
+
+#[derive(Debug, Default)]
+struct SimSnapshotState {
+    slot: Option<Vec<u8>>,
     /// Staged-but-not-published install (the `*.tmp` analogue).
-    staged: Mutex<Option<Vec<u8>>>,
-    installs: Mutex<u64>,
-    crash_install: Mutex<Option<u64>>,
+    staged: Option<Vec<u8>>,
+    installs: u64,
+    crash_install: Option<u64>,
 }
 
 impl SimSnapshotMedium {
@@ -142,49 +147,44 @@ impl SimSnapshotMedium {
         Arc::new(SimSnapshotMedium::default())
     }
 
-    /// Arm a crash at the `k`-th (0-based) install from now: the staged
-    /// bytes are written but never published — exactly a crash between the
-    /// tmp write and the rename.
+    /// Arm a crash at the `k`-th (0-based) install: the staged bytes are
+    /// written but never published — exactly a crash between the tmp
+    /// write and the rename.
     pub fn arm_install_crash(&self, k: u64) {
-        *self.crash_install.lock() = Some(k);
+        self.state.lock().crash_install = Some(k);
     }
 
     /// Is a staged-but-unpublished install lying around?
     pub fn has_orphan(&self) -> bool {
-        self.staged.lock().is_some()
+        self.state.lock().staged.is_some()
     }
 
     /// Completed `install` attempts (for arming sweep points).
     pub fn installs(&self) -> u64 {
-        *self.installs.lock()
+        self.state.lock().installs
     }
 }
 
 impl SnapshotMedium for SimSnapshotMedium {
     fn install(&self, bytes: Vec<u8>) -> bool {
-        let mut installs = self.installs.lock();
-        let at = *installs;
-        *installs += 1;
-        drop(installs);
-        *self.staged.lock() = Some(bytes);
-        let mut crash = self.crash_install.lock();
-        if *crash == Some(at) {
+        let mut s = self.state.lock();
+        s.staged = Some(bytes);
+        s.installs += 1;
+        if s.crash_install == Some(s.installs - 1) {
             // Power loss between staging and publish: the orphan stays.
-            *crash = None;
+            s.crash_install = None;
             return false;
         }
-        drop(crash);
-        let staged = self.staged.lock().take();
-        *self.slot.lock() = staged;
+        s.slot = s.staged.take();
         true
     }
 
     fn load(&self) -> Option<Vec<u8>> {
-        self.slot.lock().clone()
+        self.state.lock().slot.clone()
     }
 
     fn discard_orphans(&self) -> usize {
-        usize::from(self.staged.lock().take().is_some())
+        usize::from(self.state.lock().staged.take().is_some())
     }
 }
 

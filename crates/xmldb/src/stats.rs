@@ -1,12 +1,12 @@
 //! Operation counters, used by the ablation benches to show *why* one stack
 //! is faster (e.g. counting the extra read WS-Transfer's Put performs), and
-//! per-shard accounting used by the throughput harness to model how far the
-//! store can be parallelised.
+//! per-shard busy time, which shows how a host's storage work spreads over
+//! its key shards.
 //!
 //! The counters are the series `db.<op>{host}` in the database's metrics
 //! registry, bumped by the collection where each operation happens;
 //! [`DbStats`] reads them. The per-shard busy time is the one state of its
-//! own: the virtual makespan model's input.
+//! own, exported as the `db.shard_busy_us{host,shard}` gauges.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -240,9 +240,9 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<WalOp>, usize, Option<TornReason>) {
 /// the replication stream: `decode` turns each CRC-checked payload into a
 /// record, and the scan stops at the first frame that is short, fails its
 /// CRC or does not decode.
-pub(crate) fn scan_frames<T>(
-    bytes: &[u8],
-    decode: impl Fn(&[u8]) -> Option<T>,
+pub(crate) fn scan_frames<'a, T>(
+    bytes: &'a [u8],
+    decode: impl Fn(&'a [u8]) -> Option<T>,
 ) -> (Vec<T>, usize, Option<TornReason>) {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -506,7 +506,7 @@ impl std::fmt::Debug for Wal {
 }
 
 /// What happened to one append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// The record (and any policy-mandated sync) fully completed.
     pub ok: bool,
@@ -557,10 +557,7 @@ impl Wal {
         let mut record = Vec::with_capacity(RECORD_HEADER + payload.len());
         frame_record(payload, &mut record);
         if !self.medium.append(&record) {
-            return AppendOutcome {
-                ok: false,
-                synced: false,
-            };
+            return AppendOutcome::default();
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
         let pending = self.since_sync.fetch_add(1, Ordering::Relaxed) + 1;
@@ -569,21 +566,11 @@ impl Wal {
             FsyncPolicy::GroupCommit(n) => pending >= n.max(1) as u64,
             FsyncPolicy::Never => false,
         };
-        if !want_sync {
-            return AppendOutcome {
-                ok: true,
-                synced: false,
-            };
-        }
-        if !self.sync() {
-            return AppendOutcome {
-                ok: false,
-                synced: false,
-            };
-        }
+        // A policy-mandated sync that does not complete fails the append.
+        let synced = want_sync && self.sync();
         AppendOutcome {
-            ok: true,
-            synced: true,
+            ok: synced || !want_sync,
+            synced,
         }
     }
 

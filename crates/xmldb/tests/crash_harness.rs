@@ -14,6 +14,10 @@
 //!    record, so every recovered state contains either all of a batch's
 //!    documents or none of them.
 //!
+//! A replica's log rewrite is swept the same way: after a crash at any
+//! point inside a `TruncateTo` or an `InstallBase`, the node still holds
+//! what it acked, and a base install is either wholly done or not at all.
+//!
 //! The sweep is exhaustive (every WAL byte offset, every fsync boundary),
 //! the property suite generalises it over generated scripts and policies
 //! (the vendored proptest shim is fully deterministic — fixed per-case
@@ -29,13 +33,17 @@ use std::time::{Duration, Instant};
 use ogsa_sim::rng::mix64;
 use ogsa_sim::{CostModel, VirtualClock};
 use ogsa_transport::FaultPlan;
+use ogsa_xmldb::repl::{encode_repl_stream, ReplRequest};
 use ogsa_xmldb::snapshot::decode_store;
 use ogsa_xmldb::wal::{decode_records, WalMedium, RECORD_HEADER};
-use ogsa_xmldb::{BackendKind, CrashPoint, Database, DurableBackend, DurableConfig, FsyncPolicy};
+use ogsa_xmldb::{
+    encode_store, BackendKind, CrashPoint, Database, DurableBackend, DurableConfig, FsyncPolicy,
+    ReplRecord, ReplicaNode, StoreImage,
+};
 use proptest::prelude::*;
 
 mod script;
-use script::{derive_script, doc, prefix_images, run_script, ScriptOp, COLL};
+use script::{derive_script, doc, prefix_images, run_script, wal_op, ScriptOp, COLL};
 
 fn fresh(cfg: DurableConfig) -> (Database, Arc<DurableBackend>) {
     let backend = Arc::new(DurableBackend::sim(cfg));
@@ -402,6 +410,82 @@ fn crash_during_snapshot_install_sweeps_the_orphan_and_loses_nothing() {
         let j = assert_prefix_consistent(&backend, &images, acked, &ctx);
         assert_batches_atomic(&backend, &ops, &ctx);
         assert!(j as u64 >= acked, "{ctx}");
+    }
+}
+
+/// A replica that appended `ops` as `(term 1)` records `1..=n`, one
+/// `Append`, under `fsync`.
+fn replica_after(ops: &[ScriptOp], fsync: FsyncPolicy) -> Arc<ReplicaNode> {
+    let log: Vec<ReplRecord> = (1..)
+        .zip(ops)
+        .map(|(seq, op)| ReplRecord {
+            term: 1,
+            seq,
+            op: wal_op(op),
+        })
+        .collect();
+    let node = ReplicaNode::new(fsync);
+    let stream = encode_repl_stream(&log);
+    node.handle(&ReplRequest::Append { term: 1, stream }.encode());
+    assert_eq!(node.last_seq(), ops.len() as u64);
+    node
+}
+
+/// Crash a replica at every point of a `TruncateTo` and an `InstallBase`
+/// (each byte its medium could tear at, each fsync it could die in), then
+/// recover. A truncated node holds every record through min(what it had
+/// acked, the truncation seq) and none past that seq; a node given a new
+/// base holds its old history or the new one, whole.
+#[test]
+fn a_replica_rewrite_crashed_anywhere_keeps_what_it_acked() {
+    let ops: Vec<ScriptOp> = (1..=4)
+        .map(|i| ScriptOp::Insert(format!("k{i}"), i))
+        .collect();
+    let images = prefix_images(&ops);
+    let mut base = StoreImage::new();
+    base.entry(COLL.to_owned())
+        .or_default()
+        .insert("base".to_owned(), doc(99));
+    let install = ReplRequest::InstallBase {
+        term: 2,
+        base_seq: 6,
+        image: encode_store(&base),
+    };
+    for fsync in [FsyncPolicy::PerWrite, FsyncPolicy::GroupCommit(3)] {
+        let wal_len = replica_after(&ops, fsync).sim_medium().len();
+        let crashes = (0..=wal_len)
+            .map(CrashPoint::AtByte)
+            .chain((0..8).map(CrashPoint::AtSync));
+        for crash in crashes {
+            for seq in 0..=ops.len() as u64 {
+                let ctx = format!("{fsync:?}, TruncateTo {seq}, {crash:?}");
+                let node = replica_after(&ops, fsync);
+                let acked = node.acked_seq();
+                node.sim_medium().arm(crash);
+                node.handle(&ReplRequest::TruncateTo { term: 2, seq }.encode());
+                node.recover();
+                let held = images
+                    .iter()
+                    .rposition(|img| *img == node.encoded_image())
+                    .unwrap_or_else(|| panic!("{ctx}: holds no prefix of its log"));
+                assert!(held as u64 >= acked.min(seq), "{ctx}: holds {held}");
+                assert!(held as u64 <= seq, "{ctx}: holds {held}");
+                assert_eq!(node.last_seq(), held as u64, "{ctx}");
+            }
+
+            let ctx = format!("{fsync:?}, InstallBase, {crash:?}");
+            let node = replica_after(&ops, fsync);
+            node.sim_medium().arm(crash);
+            node.handle(&install.encode());
+            node.recover();
+            let held = (node.encoded_image(), node.last_seq());
+            assert!(
+                held == (images[ops.len()].clone(), ops.len() as u64)
+                    || held == (encode_store(&base), 6),
+                "{ctx}: holds neither history whole (last seq {})",
+                held.1
+            );
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Pins the outputs of the workspace's one string hash at its three
-//! routing call sites. Shard busy attribution (the throughput figures),
-//! span dumps and the §4.2.2 hash-of-DN directory names all depend on
+//! routing call sites. Shard busy attribution (the `db.shard_busy_us`
+//! gauges and `BENCH_fanout.json`'s shard sweep), span dumps and the §4.2.2 hash-of-DN directory names all depend on
 //! these exact values, so relocating or "improving" the hash must fail
 //! here rather than silently move them.
 
