@@ -1,4 +1,4 @@
-//! `ogsa-bench counter`: counter + Grid-in-a-Box on both stacks under full
+//! `ogsa-bench all`: counter + Grid-in-a-Box on both stacks under full
 //! causal tracing, written out as machine-readable artifacts:
 //!
 //! * `BENCH_counter.json` — the five counter operations, unsecured and

@@ -1,23 +1,27 @@
-//! The `ogsa-bench` command line; see the crate docs for the subcommands.
+//! The `ogsa-bench` command line; see the crate docs for the commands.
 
 use std::process::ExitCode;
 
 use ogsa_bench::report::SECTIONS;
-use ogsa_bench::{run, SUBCOMMANDS};
-
-/// `a|b|c` from a subcommand table.
-fn names<T>(table: &[(&str, T)]) -> String {
-    let names: Vec<_> = table.iter().map(|entry| entry.0).collect();
-    names.join("|")
-}
 
 fn usage() -> ExitCode {
+    let sections: Vec<_> = SECTIONS.iter().map(|s| s.0).collect();
     eprintln!(
-        "usage: ogsa-bench report [{}|trajectory]\n       ogsa-bench {}|all [out-dir]",
-        names(SECTIONS),
-        names(SUBCOMMANDS),
+        "usage: ogsa-bench report [{}|trajectory]\n       ogsa-bench all [out-dir]",
+        sections.join("|"),
     );
     ExitCode::from(2)
+}
+
+/// Write every artifact under `out_dir`.
+fn write_all(out_dir: &str) -> std::io::Result<()> {
+    std::fs::create_dir_all(out_dir)?;
+    for (file, contents) in ogsa_bench::counter::run() {
+        let path = format!("{out_dir}/{file}");
+        std::fs::write(&path, contents)?;
+        println!("wrote {path}");
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -48,16 +52,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let chosen: Vec<_> = SUBCOMMANDS
-        .iter()
-        .filter(|s| subcommand == "all" || subcommand == s.0)
-        .copied()
-        .collect();
-    if chosen.is_empty() {
+    if subcommand != "all" {
         return usage();
     }
     let out_dir = arg.unwrap_or(".");
-    match run(out_dir, &chosen) {
+    match write_all(out_dir) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("ogsa-bench: writing {out_dir}: {e}");

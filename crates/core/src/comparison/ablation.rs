@@ -147,7 +147,7 @@ impl WebService for Publisher {
 
 /// Deploy a [`Publisher`] at `/services/Pub`, its subscription manager
 /// beside it.
-pub(super) fn deploy_publisher(container: &Container) -> (EndpointReference, NotificationProducer) {
+fn deploy_publisher(container: &Container) -> (EndpointReference, NotificationProducer) {
     let (_m, store) = SubscriptionManagerService::deploy(container, "/services/Pub/manager");
     let producer = NotificationProducer::new(store, container.service_agent());
     let epr = container.deploy(
@@ -161,7 +161,7 @@ pub(super) fn deploy_publisher(container: &Container) -> (EndpointReference, Not
 
 /// A consumer listening at `path` on `client`, subscribed to `topic` at
 /// `target` (a publisher or a broker), and its subscription.
-pub(super) fn subscribe(
+fn subscribe(
     client: &ClientAgent,
     target: &EndpointReference,
     path: &str,

@@ -3,7 +3,6 @@
 pub mod ablation;
 pub mod breakdown;
 pub mod cell;
-pub mod fanout;
 pub mod grid;
 pub mod hello;
 

@@ -9,10 +9,10 @@
 //! per-message costs:
 //!
 //! * [`table::ShardedTable`] — subscription tables sharded by topic-root
-//!   key on the shared `ogsa_sim::shard::Shards`, per-shard `RwLock`s with contention
-//!   telemetry (`wsn.shard_contention`) and per-shard busy attribution,
-//!   from which `comparison::fanout`'s shard sweep models throughput
-//!   (`rps = work / max-shard-busy`).
+//!   key on the shared `ogsa_sim::shard::Shards`: per-shard `RwLock`s with
+//!   contention telemetry (`wsn.shard_contention`) and per-shard
+//!   subscriber and outbox-depth gauges. The shard count changes which
+//!   lock an operation takes, never what it returns or costs.
 //! * [`trie::TopicTrie`] — a precompiled WS-Topics trie over interned path
 //!   segments, with `*` (one-segment) and `//` (any-depth) wildcard nodes;
 //!   resolves a concrete topic path to its subscriber set in one walk. The
@@ -37,9 +37,9 @@
 //!
 //! Honest accounting: WS-Eventing has no topic space, so its entries all
 //! use [`trie::CompiledTopic::match_all`] and land on the wildcard shard —
-//! it gets none of the shard-scaling benefit, exactly as the real stack
-//! wouldn't. Its sink also never coalesces multiple events into one
-//! envelope, because WS-Eventing's spec has no batch container.
+//! its operations all take one lock, exactly as the real stack's would.
+//! Its sink also never coalesces multiple events into one envelope,
+//! because WS-Eventing's spec has no batch container.
 
 pub mod filter;
 pub mod outbox;

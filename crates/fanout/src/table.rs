@@ -16,13 +16,9 @@
 //! once at insert and grouped by text, so [`ShardedTable::resolve_matching`]
 //! evaluates each distinct filter among an event's candidates once.
 //!
-//! Exactly like the PR-3 xmldb collections, the shard count never changes
-//! what an operation *costs* — it only changes which lock it takes and
-//! which shard's busy time the cost is attributed to. The `fanout` bench's
-//! makespan model (notifications/sec = work / max per-shard busy) therefore
-//! scales with shard count by construction, and `comparison::fanout`'s
-//! shard-sweep test catches any routing regression that piles work onto
-//! one shard.
+//! As in the xmldb collections, the shard count never changes what an
+//! operation returns or what it *costs* — only which lock it takes:
+//! `cost_is_shard_count_invariant` below holds both.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,11 +43,9 @@ pub trait Subscriber: Send + Sync + 'static {
     fn endpoint(&self) -> &EndpointReference;
 }
 
-/// One shard's cells: busy microseconds (the makespan model's input),
-/// subscribers and outbox depth (scrape-time gauges).
-const BUSY: usize = 0;
-const SUBSCRIBERS: usize = 1;
-pub(crate) const DEPTH: usize = 2;
+/// One shard's cells: subscribers and outbox depth (scrape-time gauges).
+const SUBSCRIBERS: usize = 0;
+pub(crate) const DEPTH: usize = 1;
 
 /// The per-stack counters, registered at zero so a scrape shows them.
 const COUNTERS: [&str; 3] = [
@@ -68,7 +62,7 @@ const COUNTERS: [&str; 3] = [
 /// every table of the stack on that registry counted.
 #[derive(Clone)]
 pub struct FanoutStats {
-    cells: Arc<[[AtomicU64; 3]]>,
+    cells: Arc<[[AtomicU64; 2]]>,
     metrics: MetricsRegistry,
     stack: &'static str,
 }
@@ -99,7 +93,7 @@ impl FanoutStats {
     }
 
     fn column(&self, cell: usize) -> Vec<u64> {
-        let read = |shard: &[AtomicU64; 3]| shard[cell].load(Ordering::Relaxed);
+        let read = |shard: &[AtomicU64; 2]| shard[cell].load(Ordering::Relaxed);
         self.cells.iter().map(read).collect()
     }
 
@@ -109,11 +103,6 @@ impl FanoutStats {
 
     pub(crate) fn sub(&self, shard: usize, cell: usize, n: u64) {
         self.cells[shard][cell].fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Per-shard busy microseconds (wildcard shard last).
-    pub fn busy_us(&self) -> Vec<u64> {
-        self.column(BUSY)
     }
 
     pub fn subscribers(&self) -> Vec<u64> {
@@ -134,17 +123,6 @@ impl FanoutStats {
         let label = self.shard_label(shard);
         let labels = [("shard", label.as_str()), ("stack", self.stack)];
         self.metrics.inc("wsn.shard_contention", &labels);
-    }
-
-    /// Contended shard-lock acquisitions, over every shard.
-    pub fn contentions(&self) -> u64 {
-        (0..self.shards())
-            .map(|i| {
-                let shard = self.shard_label(i);
-                let labels = [("shard", shard.as_str()), ("stack", self.stack)];
-                self.metrics.counter("wsn.shard_contention", &labels)
-            })
-            .sum()
     }
 
     pub fn backpressure_drops(&self) -> u64 {
@@ -300,11 +278,6 @@ impl<T: Subscriber> ShardedTable<T> {
         &self.stats
     }
 
-    fn charge(&self, shard: usize, cost: SimDuration) {
-        self.clock.advance(cost);
-        self.stats.add(shard, BUSY, cost.as_micros());
-    }
-
     /// Compile a content filter for a subscription about to enter this
     /// table — the only compilation the filter ever gets (counted in
     /// `wsn.filter_compilations`). Errors are the caller's to fault on.
@@ -335,7 +308,7 @@ impl<T: Subscriber> ShardedTable<T> {
         let shard = self.shard_for_topic(&topic);
         let reg = self.next_reg.fetch_add(1, Ordering::Relaxed);
         let id = sub.sub_id().to_owned();
-        self.charge(shard, self.op);
+        self.clock.advance(self.op);
         {
             let mut s = self.shards.write(shard);
             s.trie.insert(reg, &topic);
@@ -371,7 +344,7 @@ impl<T: Subscriber> ShardedTable<T> {
     /// Take a subscription out of its shard, leaving the deliverers alone.
     fn unlink(&self, sub_id: &str) -> Option<Arc<T>> {
         let loc = self.locations.lock().remove(sub_id)?;
-        self.charge(loc.shard, self.op);
+        self.clock.advance(self.op);
         let entry = {
             let mut s = self.shards.write(loc.shard);
             s.trie.remove(loc.reg);
@@ -391,7 +364,7 @@ impl<T: Subscriber> ShardedTable<T> {
         let Some(loc) = locations.get(sub_id) else {
             return false;
         };
-        self.charge(loc.shard, self.op);
+        self.clock.advance(self.op);
         let mut s = self.shards.write(loc.shard);
         match s.entries.get_mut(&loc.reg) {
             Some(e) => {
@@ -408,7 +381,7 @@ impl<T: Subscriber> ShardedTable<T> {
     pub fn update(&self, sub: T) -> Option<Arc<T>> {
         let locations = self.locations.lock();
         let loc = locations.get(sub.sub_id())?;
-        self.charge(loc.shard, self.op);
+        self.clock.advance(self.op);
         let mut s = self.shards.write(loc.shard);
         let e = s.entries.get_mut(&loc.reg)?;
         Some(std::mem::replace(&mut e.sub, Arc::new(sub)))
@@ -468,11 +441,10 @@ impl<T: Subscriber> ShardedTable<T> {
         }
         let shard = self.shard_of(path[0]);
         let n = self.collect_shard(shard, path, message, &mut out);
-        self.charge(shard, self.op * (1 + n as u64));
-        let wild = self.wild();
-        let w = self.collect_shard(wild, path, message, &mut out);
+        self.clock.advance(self.op * (1 + n as u64));
+        let w = self.collect_shard(self.wild(), path, message, &mut out);
         if w > 0 {
-            self.charge(wild, self.op * w as u64);
+            self.clock.advance(self.op * w as u64);
         }
         out.sort_by(|a, b| a.sub_id().cmp(b.sub_id()));
         out
@@ -673,8 +645,20 @@ mod tests {
         assert_eq!(evaluated, 4, "2 groups x 2 events; none once empty");
     }
 
+    /// The ids a resolve of `path` returns, and what it charged.
+    fn resolved(
+        t: &ShardedTable<Sub>,
+        clock: &VirtualClock,
+        path: &[&str],
+    ) -> (Vec<String>, SimDuration) {
+        let before = clock.now();
+        let ids = t.resolve(path).iter().map(|s| s.id.clone()).collect();
+        (ids, clock.now().since(before))
+    }
+
     #[test]
     fn cost_is_shard_count_invariant() {
+        let mut one_shard = Vec::new();
         for shards in [1, 4, 16] {
             let clock = VirtualClock::new();
             let t = ShardedTable::new(
@@ -692,26 +676,40 @@ mod tests {
                     false,
                 );
             }
-            let before = clock.now();
-            assert_eq!(t.resolve(&["t", "x"]).len(), 10);
-            let cost = clock.now().since(before);
+            let (ids, cost) = resolved(&t, &clock, &["t", "x"]);
+            assert_eq!(ids.len(), 10);
             assert_eq!(
                 cost,
                 SimDuration::from_micros(3 * (1 + 10)),
                 "{shards} shards"
             );
+
+            // Many roots, and one expression no root can route.
+            for i in 0..40 {
+                let topic = CompiledTopic::simple(&format!("root{}", i % 20));
+                t.insert(Sub::new(&format!("r{i:02}")), topic, None, false);
+            }
+            t.insert(Sub::new("w"), CompiledTopic::full("//x"), None, false);
+            let paths: [&[&str]; 5] = [
+                &["t", "x"],
+                &["t"],
+                &["root3", "x"],
+                &["root19"],
+                &["none", "x"],
+            ];
+            let answers: Vec<_> = paths.iter().map(|p| resolved(&t, &clock, p)).collect();
+            assert_eq!(answers[0].0.len(), 11, "the wildcard entry joins every x");
+            if shards == 1 {
+                one_shard = answers;
+            } else {
+                assert_eq!(answers, one_shard, "{shards} shards resolve what 1 does");
+            }
         }
     }
 
     #[test]
-    fn busy_time_spreads_across_shards() {
-        let t = ShardedTable::new(
-            8,
-            VirtualClock::new(),
-            &priced(10),
-            Telemetry::disabled(),
-            "wsn",
-        );
+    fn subscribers_spread_across_shards() {
+        let t = table(8);
         for i in 0..64 {
             let root = format!("root{i}");
             t.insert(
@@ -720,14 +718,12 @@ mod tests {
                 None,
                 false,
             );
-            t.resolve(&[root.as_str()]);
         }
-        let busy = t.stats().busy_us();
-        let loaded = busy.iter().filter(|&&b| b > 0).count();
-        assert!(loaded >= 4, "expected spread, got {busy:?}");
-        let total: u64 = busy.iter().sum();
+        let subscribers = t.stats().subscribers();
+        let loaded = subscribers.iter().filter(|&&n| n > 0).count();
+        assert!(loaded >= 4, "expected spread, got {subscribers:?}");
         assert!(
-            busy.iter().max() < Some(&total),
+            subscribers.iter().max() < Some(&64),
             "no shard absorbed everything"
         );
     }

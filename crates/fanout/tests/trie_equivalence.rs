@@ -3,6 +3,10 @@
 //! registrations whose naive matcher ([`CompiledTopic::matches`]) accepts
 //! the path — across all three WS-Topics dialects, including the `*`
 //! (one-segment) and `//` (any-depth) wildcards, and under removal churn.
+//! And the reason the trie exists: at 100k subscriptions it resolves at
+//! least 10× faster than the naive scan, on every topic shape.
+
+use std::time::Instant;
 
 use ogsa_fanout::{CompiledTopic, TopicTrie};
 use proptest::prelude::*;
@@ -131,5 +135,77 @@ proptest! {
         trie.resolve(&path, &mut got);
         let want: Vec<u64> = if expr.matches(&path) { vec![1] } else { vec![] };
         prop_assert_eq!(got, want);
+    }
+}
+
+/// The `i`-th subscription expression and probe path of one topic shape:
+/// flat (Simple-dialect roots), deep (concrete four-segment paths) or
+/// wildcard (Full-dialect `*` and `//`). Probes come from the expressions'
+/// own name space, so they hit.
+fn shape_topic(shape: &str, i: usize) -> CompiledTopic {
+    let r = i % 256;
+    match (shape, i % 4) {
+        ("flat", _) => CompiledTopic::simple(&format!("root{r}")),
+        ("deep", _) => {
+            CompiledTopic::concrete(&format!("jobs{r}/vo{}/q{}/t{}", i % 7, i % 5, i % 11))
+        }
+        (_, 0) => CompiledTopic::full(&format!("jobs{r}/*/q{}/t{}", i % 5, i % 11)),
+        (_, 1) => CompiledTopic::full(&format!("jobs{r}//t{}", i % 11)),
+        (_, 2) => CompiledTopic::full(&format!("root{r}/*")),
+        _ => CompiledTopic::full(&format!("//exited{}", i % 13)),
+    }
+}
+
+fn shape_probe(shape: &str, j: usize) -> Vec<String> {
+    let r = j % 256;
+    match shape {
+        "flat" => vec![format!("root{r}"), format!("x{}", j % 9)],
+        _ => vec![
+            format!("jobs{r}"),
+            format!("vo{}", j % 7),
+            format!("q{}", j % 5),
+            format!("t{}", j % 11),
+        ],
+    }
+}
+
+#[test]
+fn trie_is_10x_naive_at_100k_subscribers() {
+    for shape in ["flat", "deep", "wildcard"] {
+        let exprs: Vec<_> = (0..100_000).map(|i| shape_topic(shape, i)).collect();
+        let mut trie = TopicTrie::new();
+        for (i, e) in exprs.iter().enumerate() {
+            trie.insert(i as u64, e);
+        }
+        let probes: Vec<_> = (0..20).map(|j| shape_probe(shape, j)).collect();
+        let probes: Vec<Vec<&str>> = probes
+            .iter()
+            .map(|p| p.iter().map(String::as_str).collect())
+            .collect();
+
+        let start = Instant::now();
+        let mut matches = 0;
+        for path in &probes {
+            let mut got = Vec::new();
+            trie.resolve(path, &mut got);
+            matches += got.len();
+        }
+        let trie_time = start.elapsed();
+
+        let start = Instant::now();
+        let naive: usize = probes
+            .iter()
+            .map(|p| exprs.iter().filter(|e| e.matches(p)).count())
+            .sum();
+        let naive_time = start.elapsed();
+
+        assert!(
+            matches > 0 && matches == naive,
+            "{shape}: {matches} vs {naive}"
+        );
+        assert!(
+            naive_time >= trie_time * 10,
+            "{shape}: trie {trie_time:?}, naive {naive_time:?}"
+        );
     }
 }

@@ -22,9 +22,8 @@ pub const MAX_SHARDS: usize = 64;
 pub struct DbStats {
     metrics: MetricsRegistry,
     host: Arc<str>,
-    /// Virtual microseconds of database work attributed to each shard.
-    /// Independent shards could serve this work in parallel, so
-    /// `max(shard_busy)` lower-bounds the store's contribution to makespan.
+    /// Virtual microseconds of database work attributed to each shard: how
+    /// the key routing spreads the store's work, not how long it took.
     shard_busy_us: Arc<[AtomicU64; MAX_SHARDS]>,
 }
 
