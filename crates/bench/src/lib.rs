@@ -22,7 +22,5 @@
 //! the parent commit (`BENCHMARK.json`).
 
 pub mod counter;
-pub mod fixture;
-pub mod loadgen;
 pub mod report;
 pub mod trajectory;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use ogsa_security::{CertAuthority, CertStore, SecurityPolicy};
 use ogsa_sim::{CostModel, DetRng, VirtualClock};
 use ogsa_transport::Network;
-use ogsa_xmldb::{BackendKind, Database, DbConfig, DurableBackend, DurableConfig, RecoveryReport};
+use ogsa_xmldb::{BackendKind, Database, DurableBackend, DurableConfig, RecoveryReport};
 use parking_lot::Mutex;
 
 use crate::client::ClientAgent;
@@ -188,15 +188,14 @@ impl Testbed {
                     ),
                     None => self.backend.clone(),
                 };
-                let db = Database::with_config(
+                let db = Database::traced(
                     host,
                     self.clock.clone(),
                     self.model.clone(),
                     backend,
                     self.network.telemetry().clone(),
-                    DbConfig::default(),
                 );
-                db.stats().register_gauges(db.config().shards);
+                db.stats().register_gauges();
                 db
             })
             .clone()
@@ -304,7 +303,6 @@ mod tests {
             .unwrap();
         assert!(tb.db("host-a").collection("c").get("k").is_some());
         assert!(tb.db("host-b").collection("c").get("k").is_none());
-        assert_eq!(tb.db("host-a").config().shards, ogsa_xmldb::DEFAULT_SHARDS);
     }
 
     #[test]
@@ -384,7 +382,7 @@ mod tests {
         assert_eq!(snap.counter("db.lock_contentions{host=host-a}"), 0);
 
         // Per-shard busy gauges partition the store's total busy time.
-        let per_shard: u64 = (0..db.config().shards)
+        let per_shard: u64 = (0..ogsa_xmldb::DEFAULT_SHARDS)
             .map(|i| snap.gauge(&format!("db.shard_busy_us{{host=host-a,shard={i}}}")))
             .sum();
         assert!(per_shard > 0, "calibrated inserts charge shard busy time");

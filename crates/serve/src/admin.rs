@@ -43,8 +43,6 @@ pub struct ObsConfig {
     /// Requests at or above this wall latency are always retained in
     /// full by the flight recorder and attached as histogram exemplars.
     pub slow_threshold_us: u64,
-    /// Capacity of the slow-trace ring.
-    pub slow_capacity: usize,
 }
 
 impl Default for ObsConfig {
@@ -52,7 +50,6 @@ impl Default for ObsConfig {
         ObsConfig {
             admin_addr: "127.0.0.1:0".to_owned(),
             slow_threshold_us: ogsa_telemetry::flight::DEFAULT_SLOW_THRESHOLD_US,
-            slow_capacity: ogsa_telemetry::flight::DEFAULT_SLOW_CAPACITY,
         }
     }
 }
@@ -112,7 +109,7 @@ impl AdminPlane {
                 exemplars: ExemplarStore::new(),
                 recorder: FlightRecorder::new(
                     config.slow_threshold_us,
-                    config.slow_capacity,
+                    ogsa_telemetry::flight::DEFAULT_SLOW_CAPACITY,
                     ogsa_telemetry::flight::DEFAULT_RESERVOIR_CAPACITY,
                 ),
                 state: AtomicU8::new(ReadyState::Starting as u8),

@@ -303,8 +303,7 @@ pub fn write_response_typed(
     out.extend_from_slice(body.as_bytes());
 }
 
-/// Append a minimal request (what the serving-tier tests' load client
-/// replays) to `out`.
+/// Append a minimal request (what the serving-tier tests send) to `out`.
 pub fn write_request(out: &mut Vec<u8>, target: &str, host: &str, keep_alive: bool, body: &str) {
     out.extend_from_slice(b"POST ");
     out.extend_from_slice(target.as_bytes());

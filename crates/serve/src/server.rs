@@ -275,9 +275,6 @@ impl Server {
             shutdown: EventFd::new()?,
             threads: Vec::with_capacity(workers),
         };
-        // Spans opened while serving carry wall timestamps from here on;
-        // the deterministic exporters never render them.
-        net.telemetry().set_wall_clock(true);
         // An error in this loop drops `server`, which stops the workers
         // already started.
         for index in 0..workers {

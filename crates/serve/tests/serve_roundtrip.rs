@@ -3,14 +3,24 @@
 //! requests, one connection — exactly one serving-tier handshake charged
 //! in telemetry, the second request a resumption, mirroring the paper's
 //! socket-caching semantics.
+//!
+//! Then the tier with many requests in flight, driven from the test thread
+//! alone: every request is written before any answer is read, so what is
+//! checked never waits on a wall-clock threshold. A thousand and
+//! twenty-four connections open at once are all served, and the
+//! observability plane scrapes consistently while requests are in flight.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use ogsa_container::Testbed;
 use ogsa_counter::{CounterApi, TransferCounter, WsrfCounter};
 use ogsa_security::SecurityPolicy;
-use ogsa_serve::{ServeConfig, Server};
+use ogsa_serve::{ObsConfig, ServeConfig, Server};
+use ogsa_sim::CostModel;
+use ogsa_telemetry::prometheus::parse_exposition;
+use ogsa_xmldb::BackendKind;
 
 /// Split a bound address like `http://host-a/services/X` into
 /// (`host-a`, `/services/X`).
@@ -134,9 +144,10 @@ fn signed_wsrf_and_transfer_round_trip_one_keep_alive_connection() {
     }));
 }
 
-#[test]
-fn closing_connection_and_reconnecting_charges_a_second_handshake() {
-    let tb = Testbed::free();
+/// Deploy a signed WS-Transfer counter on `tb`'s `host-a` and return a
+/// signed `Get` of it as an HTTP request. Replayed verbatim, it is still
+/// verified, and its answer signed, on every dispatch.
+fn signed_get(tb: &Testbed, keep_alive: bool) -> Vec<u8> {
     let container = tb.container("host-a", SecurityPolicy::X509Sign);
     let wxf = TransferCounter::deploy(&container);
     let agent = tb.client("host-b", "CN=socket-client,O=VO", SecurityPolicy::X509Sign);
@@ -147,15 +158,32 @@ fn closing_connection_and_reconnecting_charges_a_second_handshake() {
         ogsa_transfer::messages::get_request(),
     );
     let (host, target) = split_address(&addr);
+    let mut req = Vec::new();
+    ogsa_serve::http::write_request(&mut req, target, host, keep_alive, &wire);
+    req
+}
 
+/// A testbed that keeps no spans: the serving tier still captures each
+/// request for its flight recorder, and metrics still count.
+fn quiet_testbed() -> Testbed {
+    Testbed::new_quiet(CostModel::free(), BackendKind::Memory)
+}
+
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
+#[test]
+fn closing_connection_and_reconnecting_charges_a_second_handshake() {
+    let tb = Testbed::free();
+    let req = signed_get(&tb, false);
     let server = Server::bind(tb.network(), ServeConfig::default()).expect("bind");
     for _ in 0..2 {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-            .unwrap();
-        let mut req = Vec::new();
-        ogsa_serve::http::write_request(&mut req, target, host, false, &wire);
+        let mut stream = connect(server.addr());
         stream.write_all(&req).unwrap();
         let (status, _) = read_response(&mut stream);
         assert_eq!(status, 200);
@@ -163,4 +191,129 @@ fn closing_connection_and_reconnecting_charges_a_second_handshake() {
     let metrics = tb.telemetry().metrics().snapshot();
     assert_eq!(metrics.counter("serve.handshakes"), 2);
     assert_eq!(metrics.counter("serve.resumptions"), 0);
+}
+
+/// Raise the soft open-file limit toward `want` (capped at the hard
+/// limit): the test below holds both ends of 1 024 connections, more than
+/// the 1 024 descriptors stock CI runners allow by default. Best effort —
+/// a connect that still runs out of descriptors fails with its own error.
+fn raise_nofile_limit(want: u64) {
+    use std::os::raw::c_ulong;
+    /// Linux's `struct rlimit`: two `rlim_t`, which is `unsigned long`.
+    #[repr(C)]
+    struct Rlimit {
+        cur: c_ulong,
+        max: c_ulong,
+    }
+    const RLIMIT_NOFILE: i32 = 7;
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+    let want = c_ulong::try_from(want).unwrap_or(c_ulong::MAX);
+    let mut lim = Rlimit { cur: 0, max: 0 };
+    // SAFETY: both calls take a pointer to a live, aligned `Rlimit` laid out
+    // as the C struct; `getrlimit` writes only that struct and `setrlimit`
+    // only reads it.
+    unsafe {
+        if getrlimit(RLIMIT_NOFILE, &mut lim) == 0 && lim.cur < want {
+            let raised = Rlimit {
+                cur: want.min(lim.max),
+                max: lim.max,
+            };
+            setrlimit(RLIMIT_NOFILE, &raised);
+        }
+    }
+}
+
+/// Keep-alive connections held open at once by the test below.
+const CONNECTIONS: usize = 1024;
+
+/// All 1 024 connections are opened before any request, as a burst of
+/// clients would, on a default two-worker server. Each round writes one
+/// request on every connection before reading any answer, so all 1 024
+/// are in flight together; the second round reuses every connection.
+#[test]
+fn a_thousand_and_twenty_four_open_connections_are_all_served() {
+    let tb = quiet_testbed();
+    let req = signed_get(&tb, true);
+    raise_nofile_limit(2 * CONNECTIONS as u64 + 512);
+    let server = Server::bind(tb.network(), ServeConfig::default()).expect("bind");
+    let mut streams: Vec<_> = (0..CONNECTIONS).map(|_| connect(server.addr())).collect();
+    for round in 0..2 {
+        for stream in &mut streams {
+            stream.write_all(&req).expect("write request");
+        }
+        for (i, stream) in streams.iter_mut().enumerate() {
+            let (status, body) = read_response(stream);
+            assert_eq!(status, 200, "round {round}, connection {i}: {body}");
+        }
+    }
+    assert_eq!(server.stats().http_errors(), 0);
+    assert_eq!(server.stats().dispatch_panics(), 0);
+}
+
+/// `serve_requests` from one `GET /metrics` on the admin port, after
+/// checking that the exposition parses and its histograms are consistent.
+fn scrape_requests(admin: SocketAddr) -> u64 {
+    let mut stream = connect(admin);
+    let mut req = Vec::new();
+    ogsa_serve::http::write_get_request(&mut req, "/metrics", "scraper", false);
+    stream.write_all(&req).unwrap();
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, 200, "{body}");
+    let exp = parse_exposition(&body).expect("strict exposition parse");
+    exp.check_histograms().expect("consistent histograms");
+    exp.get("serve_requests", &[])
+        .expect("serve_requests")
+        .value as u64
+}
+
+/// With a slow threshold of 0 every request is retained and becomes an
+/// exemplar. Each of three rounds writes a request on each of 16
+/// connections, scrapes `/metrics` while they are in flight, then reads
+/// the answers: 48 requests, fewer than the slow ring holds, so none is
+/// evicted and every exemplar must resolve to its trace.
+#[test]
+fn scrapes_with_requests_in_flight_agree_and_every_exemplar_resolves() {
+    let tb = quiet_testbed();
+    let req = signed_get(&tb, true);
+    let config = ServeConfig {
+        observe: ObsConfig {
+            slow_threshold_us: 0,
+            ..ObsConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(tb.network(), config).expect("bind");
+    let mut streams: Vec<_> = (0..16).map(|_| connect(server.addr())).collect();
+    let (mut scraped, mut answered) = (Vec::new(), 0);
+    for _ in 0..3 {
+        for stream in &mut streams {
+            stream.write_all(&req).expect("write request");
+        }
+        scraped.push(scrape_requests(server.admin_addr()));
+        for stream in &mut streams {
+            let (status, body) = read_response(stream);
+            assert_eq!(status, 200, "{body}");
+            answered += 1;
+        }
+    }
+    scraped.push(scrape_requests(server.admin_addr()));
+    assert!(scraped.windows(2).all(|w| w[0] <= w[1]), "{scraped:?}");
+    assert!(scraped[3] >= answered, "{scraped:?} < {answered}");
+
+    let plane = server.plane();
+    let exemplars: Vec<_> = plane.exemplars().snapshot().into_iter().flatten().collect();
+    assert!(!exemplars.is_empty());
+    let traces = plane.recorder().dump();
+    for e in &exemplars {
+        assert!(
+            traces.iter().any(|t| t.seq == e.seq
+                && t.slow
+                && t.latency_us == e.latency_us
+                && t.spans.iter().any(|s| s.name == "serve:request")),
+            "exemplar {e:?} resolves to no retained slow trace"
+        );
+    }
 }

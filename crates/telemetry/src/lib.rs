@@ -39,7 +39,7 @@ pub use metrics::{series_key, Histogram, MetricsRegistry, MetricsSnapshot, LATEN
 pub use span::{SpanEvent, SpanId, SpanKind, SpanRecord, TraceId};
 pub use wallclock::{wall_now_us, Exemplar, ExemplarStore, WallHistogram, WallSnapshot};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use capture::{Stamp, LOCAL};
@@ -62,10 +62,6 @@ struct TelemetryInner {
     next_id: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
     metrics: MetricsRegistry,
-    /// When set, spans additionally carry monotonic host-clock stamps
-    /// ([`wallclock::wall_now_us`]). Excluded from every deterministic
-    /// exporter; read by the live-observability plane.
-    wall: AtomicBool,
 }
 
 impl Telemetry {
@@ -88,7 +84,6 @@ impl Telemetry {
                 next_id: AtomicU64::new(1),
                 spans: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::new(),
-                wall: AtomicBool::new(false),
             }),
         }
     }
@@ -111,19 +106,10 @@ impl Telemetry {
         Arc::as_ptr(&self.inner) as *const () as usize
     }
 
-    /// Stamp wall-clock timestamps onto spans from now on. Wall stamps are
-    /// excluded from the deterministic exporters, so flipping this cannot
-    /// change any virtual-time figure or dump.
-    pub fn set_wall_clock(&self, on: bool) {
-        self.inner.wall.store(on, Ordering::Relaxed);
-    }
-
-    pub fn wall_clock_enabled(&self) -> bool {
-        self.inner.wall.load(Ordering::Relaxed)
-    }
-
     /// Start capturing this thread's finished spans into this thread's
-    /// capture buffer (reused from the last capture). Works even on a
+    /// capture buffer (reused from the last capture). Spans opened under a
+    /// capture carry wall-clock stamps ([`wallclock::wall_now_us`]), which
+    /// the deterministic exporters never render. Works even on a
     /// disabled instance — the global store stays empty (or, on an enabled
     /// instance, is fed exactly as without the capture), so deterministic
     /// dumps are unaffected. The serving tier brackets each request with
@@ -184,8 +170,9 @@ impl Telemetry {
         self.open(kind, name, Some((trace, parent)))
     }
 
-    /// One thread-local access: decide whether to record, find the parent,
-    /// and push the new span as this thread's innermost.
+    /// One thread-local access: decide whether to record and whether to
+    /// stamp the wall clock, find the parent, and push the new span as this
+    /// thread's innermost.
     fn open(
         &self,
         kind: SpanKind,
@@ -195,7 +182,8 @@ impl Telemetry {
         let (key, inner) = (self.instance_key(), &self.inner);
         let stamp = LOCAL.with(|l| {
             let mut l = l.borrow_mut();
-            if !l.recording(key, inner.enabled) {
+            let capturing = l.capture(key).is_some();
+            if !(inner.enabled || capturing) {
                 return None;
             }
             let id = SpanId(inner.next_id.fetch_add(1, Ordering::Relaxed));
@@ -204,7 +192,7 @@ impl Telemetry {
                 None => (TraceId(id.0), None),
             });
             l.ctx.push((key, trace, id));
-            let wall_start_us = self.wall_clock_enabled().then(wallclock::wall_now_us);
+            let wall_start_us = capturing.then(wallclock::wall_now_us);
             let start = inner.clock.now();
             Some(Stamp {
                 trace,
@@ -508,15 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_stamps_only_when_enabled() {
+    fn wall_clock_stamps_only_under_a_capture() {
         let tel = Telemetry::new(VirtualClock::new());
         tel.span(SpanKind::Other, "before").finish();
-        tel.set_wall_clock(true);
-        assert!(tel.wall_clock_enabled());
+        tel.begin_capture();
+        tel.span(SpanKind::Other, "during").finish();
+        tel.end_capture();
         tel.span(SpanKind::Other, "after").finish();
         let spans = tel.finished_spans();
-        assert_eq!(spans[0].wall_start_us, None);
-        assert_eq!(spans[0].wall_end_us, None);
+        for outside in [&spans[0], &spans[2]] {
+            assert_eq!(outside.wall_start_us, None);
+            assert_eq!(outside.wall_end_us, None);
+        }
         let (ws, we) = (
             spans[1].wall_start_us.expect("stamped"),
             spans[1].wall_end_us.expect("stamped"),

@@ -117,7 +117,8 @@ pub struct SpanRecord {
     pub start: SimInstant,
     pub end: SimInstant,
     /// Monotonic host-clock stamps ([`crate::wallclock::wall_now_us`]),
-    /// populated only when [`crate::Telemetry::set_wall_clock`] is on.
+    /// populated only for spans opened under a capture
+    /// ([`crate::Telemetry::begin_capture`]).
     /// Deliberately **excluded** from every deterministic exporter
     /// ([`crate::export`]): the byte-identical same-seed JSONL/Chrome
     /// dumps are statements about virtual time only. Live-observability

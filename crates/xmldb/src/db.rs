@@ -1,11 +1,10 @@
 //! The database and its collections.
 //!
 //! Collections are **key-sharded**: each collection spreads its documents
-//! over `DbConfig::shards` independently locked BTreeMaps, so writers to
+//! over [`DEFAULT_SHARDS`] independently locked BTreeMaps, so writers to
 //! different resources proceed in parallel while writers to the same key
-//! still serialise on that key's shard. The shard count never changes what
-//! an operation *costs* — single-client virtual-time figures are identical
-//! at any shard count — it only changes which lock an operation takes and
+//! still serialise on that key's shard. A shard never changes what an
+//! operation *costs*; it only decides which lock an operation takes and
 //! which shard its cost is attributed to in [`DbStats`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -19,26 +18,11 @@ use parking_lot::RwLock;
 
 use crate::backend::{BackendKind, CostProfile};
 use crate::error::DbError;
-use crate::stats::{DbStats, MAX_SHARDS};
+use crate::stats::DbStats;
 
-/// Default shard count for new databases. Sharding is cost-invariant, so
-/// this only affects how much parallelism concurrent clients can extract.
+/// Shards per collection, in every database. Sharding is cost-invariant,
+/// so this only bounds how much parallelism concurrent clients can extract.
 pub const DEFAULT_SHARDS: usize = 8;
-
-/// Structural configuration for a [`Database`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DbConfig {
-    /// Shards per collection, clamped to `1..=`[`MAX_SHARDS`].
-    pub shards: usize,
-}
-
-impl Default for DbConfig {
-    fn default() -> Self {
-        DbConfig {
-            shards: DEFAULT_SHARDS,
-        }
-    }
-}
 
 /// Observer invoked with the key of every document that is updated or
 /// removed through the collection, after the shard lock is released.
@@ -62,7 +46,6 @@ struct DbInner {
     clock: VirtualClock,
     model: Arc<CostModel>,
     default_backend: BackendKind,
-    config: DbConfig,
     stats: DbStats,
     tel: Telemetry,
 }
@@ -70,39 +53,33 @@ struct DbInner {
 impl Database {
     /// A database with the given clock/model and default backend for new
     /// collections, on host `local`. Not traced — see
-    /// [`Database::with_config`].
+    /// [`Database::traced`].
     pub fn new(clock: VirtualClock, model: Arc<CostModel>, default_backend: BackendKind) -> Self {
-        Database::with_config(
+        Database::traced(
             "local",
             clock,
             model,
             default_backend,
             Telemetry::disabled(),
-            DbConfig::default(),
         )
     }
 
-    /// Full-control constructor: the database of `host`, opening `db` spans
-    /// and counting into `tel` (which should share `clock`, so span
-    /// durations line up with charged costs), with structural configuration.
-    pub fn with_config(
+    /// The database of `host`, opening `db` spans and counting into `tel`
+    /// (which should share `clock`, so span durations line up with charged
+    /// costs).
+    pub fn traced(
         host: &str,
         clock: VirtualClock,
         model: Arc<CostModel>,
         default_backend: BackendKind,
         tel: Telemetry,
-        config: DbConfig,
     ) -> Self {
-        let config = DbConfig {
-            shards: config.shards.clamp(1, MAX_SHARDS),
-        };
         Database {
             inner: Arc::new(DbInner {
                 collections: RwLock::new(HashMap::new()),
                 clock,
                 model,
                 default_backend,
-                config,
                 stats: DbStats::new(tel.metrics().clone(), host),
                 tel,
             }),
@@ -140,7 +117,7 @@ impl Database {
                 };
                 Arc::new(Collection {
                     name: name.to_owned(),
-                    shards: Shards::new(self.inner.config.shards, 0, BTreeMap::new, on_contention),
+                    shards: Shards::new(DEFAULT_SHARDS, 0, BTreeMap::new, on_contention),
                     clock: self.inner.clock.clone(),
                     profile: backend.cost_profile(&self.inner.model),
                     backend,
@@ -179,11 +156,6 @@ impl Database {
     /// Shared operation counters.
     pub fn stats(&self) -> &DbStats {
         &self.inner.stats
-    }
-
-    /// The structural configuration collections are created with.
-    pub fn config(&self) -> DbConfig {
-        self.inner.config
     }
 
     /// The clock costs are charged to.
@@ -676,32 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn costs_do_not_depend_on_shard_count() {
-        let cost_with_shards = |shards: usize| {
-            let db = Database::with_config(
-                "local",
-                VirtualClock::new(),
-                Arc::new(CostModel::calibrated_2005()),
-                BackendKind::SimDisk,
-                Telemetry::disabled(),
-                DbConfig { shards },
-            );
-            let c = db.collection("counters");
-            let t0 = db.clock().now();
-            c.insert("c1", doc(0)).unwrap();
-            c.get("c1");
-            c.update("c1", doc(1)).unwrap();
-            c.upsert("c2", doc(2));
-            c.keys();
-            c.remove("c1");
-            db.clock().now().since(t0)
-        };
-        let single = cost_with_shards(1);
-        assert_eq!(single, cost_with_shards(4));
-        assert_eq!(single, cost_with_shards(MAX_SHARDS));
-    }
-
-    #[test]
     fn shard_routing_is_stable_and_in_range() {
         let db = xindice();
         let c = db.collection("counters");
@@ -716,22 +662,6 @@ mod tests {
         let hit: std::collections::HashSet<usize> =
             (0..100).map(|i| c.shard_of(&format!("res-{i}"))).collect();
         assert!(hit.len() > 1);
-    }
-
-    #[test]
-    fn shard_count_is_clamped() {
-        let mk = |shards| {
-            Database::with_config(
-                "local",
-                VirtualClock::new(),
-                Arc::new(CostModel::free()),
-                BackendKind::Memory,
-                Telemetry::disabled(),
-                DbConfig { shards },
-            )
-        };
-        assert_eq!(mk(0).collection("c").shard_count(), 1);
-        assert_eq!(mk(1000).collection("c").shard_count(), MAX_SHARDS);
     }
 
     #[test]
@@ -790,7 +720,7 @@ mod tests {
         // Every charged microsecond is attributed to exactly one shard
         // (queries are spread, everything else lands on the key's shard).
         assert_eq!(db.stats().total_busy_us(), elapsed.as_micros());
-        let busy = db.stats().shard_busy_snapshot(c.shard_count());
+        let busy = db.stats().shard_busy_snapshot();
         assert_eq!(busy.iter().sum::<u64>(), elapsed.as_micros());
         assert!(db.stats().shard_busy_us(c.shard_of("a")) >= model.db_insert_us + model.db_read_us);
     }

@@ -49,7 +49,7 @@ pub mod wal;
 
 pub use backend::{BackendKind, CostProfile, CustomBackend};
 pub use cache::ResourceCache;
-pub use db::{Collection, Database, DbConfig, InvalidationHook, DEFAULT_SHARDS};
+pub use db::{Collection, Database, InvalidationHook, DEFAULT_SHARDS};
 pub use durable::{DurableBackend, DurableConfig, RecoveryReport, WalObserver};
 pub use error::DbError;
 pub use repl::{
@@ -57,5 +57,5 @@ pub use repl::{
     ReplicaNode, Replicator, ShipError,
 };
 pub use snapshot::{encode_store, StoreImage};
-pub use stats::{DbStats, MAX_SHARDS};
+pub use stats::DbStats;
 pub use wal::{CrashPoint, FsyncPolicy, SimMedium, TornReason};

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use ogsa_telemetry::{series_key, MetricsRegistry, MetricsSnapshot};
 
-/// Upper bound on the shard count of any collection; the per-shard busy
-/// accounting below is statically sized to it.
-pub const MAX_SHARDS: usize = 64;
+use crate::db::DEFAULT_SHARDS;
 
 /// A typed read view over one database's counters, plus its shard busy time.
 #[derive(Debug, Clone)]
@@ -24,7 +22,7 @@ pub struct DbStats {
     host: Arc<str>,
     /// Virtual microseconds of database work attributed to each shard: how
     /// the key routing spreads the store's work, not how long it took.
-    shard_busy_us: Arc<[AtomicU64; MAX_SHARDS]>,
+    shard_busy_us: Arc<[AtomicU64; DEFAULT_SHARDS]>,
 }
 
 /// Times a shard lock of `host`'s database was found held: the sum of its
@@ -82,36 +80,34 @@ impl DbStats {
 
     /// Attribute `us` virtual microseconds of store work to `shard`.
     pub(crate) fn add_shard_busy(&self, shard: usize, us: u64) {
-        self.shard_busy_us[shard % MAX_SHARDS].fetch_add(us, Ordering::Relaxed);
+        self.shard_busy_us[shard % DEFAULT_SHARDS].fetch_add(us, Ordering::Relaxed);
     }
 
     /// Busy time attributed to one shard so far.
     pub fn shard_busy_us(&self, shard: usize) -> u64 {
-        self.shard_busy_us[shard % MAX_SHARDS].load(Ordering::Relaxed)
+        self.shard_busy_us[shard % DEFAULT_SHARDS].load(Ordering::Relaxed)
     }
 
-    /// Busy time per shard for the first `shards` shards.
-    pub fn shard_busy_snapshot(&self, shards: usize) -> Vec<u64> {
-        (0..shards.min(MAX_SHARDS))
-            .map(|i| self.shard_busy_us(i))
-            .collect()
+    /// Busy time per shard.
+    pub fn shard_busy_snapshot(&self) -> Vec<u64> {
+        (0..DEFAULT_SHARDS).map(|i| self.shard_busy_us(i)).collect()
     }
 
     /// Total store busy time across all shards.
     pub fn total_busy_us(&self) -> u64 {
-        self.shard_busy_snapshot(MAX_SHARDS).into_iter().sum()
+        self.shard_busy_snapshot().into_iter().sum()
     }
 
     /// Publish on every `gather()` of the registry the gauges
-    /// `db.shard_busy_us{host,shard}` of the first `shards` shards and
+    /// `db.shard_busy_us{host,shard}` of every shard and
     /// `db.lock_contentions{host}`, the sum of the contention series.
-    pub fn register_gauges(&self, shards: usize) {
+    pub fn register_gauges(&self) {
         let (busy, host) = (self.shard_busy_us.clone(), self.host.clone());
         self.metrics.register_collector(move |snap| {
             let contentions = lock_contentions_in(snap, &host);
             let key = series_key("db.lock_contentions", &[("host", &host)]);
             snap.counters.insert(key, contentions);
-            for (shard, busy) in busy[..shards.min(MAX_SHARDS)].iter().enumerate() {
+            for (shard, busy) in busy.iter().enumerate() {
                 let labels = [("host", &*host), ("shard", &shard.to_string())];
                 snap.set_gauge("db.shard_busy_us", &labels, busy.load(Ordering::Relaxed));
             }
@@ -171,14 +167,14 @@ mod tests {
         s.add_shard_busy(3, 2);
         assert_eq!(s.shard_busy_us(0), 100);
         assert_eq!(s.shard_busy_us(3), 42);
-        assert_eq!(s.shard_busy_snapshot(4), vec![100, 0, 0, 42]);
+        assert_eq!(s.shard_busy_snapshot(), vec![100, 0, 0, 42, 0, 0, 0, 0]);
         assert_eq!(s.total_busy_us(), 142);
     }
 
     #[test]
-    fn shard_index_wraps_at_max() {
+    fn shard_index_wraps_at_the_shard_count() {
         let s = DbStats::new(MetricsRegistry::new(), "a");
-        s.add_shard_busy(MAX_SHARDS + 1, 7);
+        s.add_shard_busy(DEFAULT_SHARDS + 1, 7);
         assert_eq!(s.shard_busy_us(1), 7);
     }
 }

@@ -1,19 +1,16 @@
-//! Custom-backend × sharding coverage: the two features were grown in
-//! separate PRs (the `CustomBackend` seam, then `DbConfig::shards`) and
+//! Custom-backend × sharding coverage: the two features were grown
+//! separately (the `CustomBackend` seam, then key-sharded collections) and
 //! nothing exercised them together. These tests pin down the contract: a
 //! sharded collection still notifies a custom backend exactly once per
-//! mutation, delivers a batch as one unit, charges the custom cost profile
-//! into per-shard busy accounting, and keeps virtual-time figures
-//! invariant across shard counts.
+//! mutation, delivers a batch as one unit, and charges the custom cost
+//! profile into per-shard busy accounting.
 
 use std::sync::Arc;
 
 use ogsa_sim::{CostModel, VirtualClock};
-use ogsa_telemetry::Telemetry;
 use ogsa_xml::Element;
 use ogsa_xmldb::{
-    BackendKind, CostProfile, CustomBackend, Database, DbConfig, DurableBackend, DurableConfig,
-    FsyncPolicy,
+    BackendKind, CostProfile, CustomBackend, Database, DurableBackend, DurableConfig, FsyncPolicy,
 };
 use parking_lot::Mutex;
 
@@ -47,23 +44,16 @@ impl CustomBackend for Recorder {
     }
 }
 
-fn sharded_db(shards: usize, backend: BackendKind, model: CostModel) -> (Database, VirtualClock) {
+fn sharded_db(backend: BackendKind, model: CostModel) -> (Database, VirtualClock) {
     let clock = VirtualClock::new();
-    let db = Database::with_config(
-        "local",
-        clock.clone(),
-        Arc::new(model),
-        backend,
-        Telemetry::disabled(),
-        DbConfig { shards },
-    );
+    let db = Database::new(clock.clone(), Arc::new(model), backend);
     (db, clock)
 }
 
 #[test]
 fn sharded_collection_notifies_a_custom_backend_exactly_once_per_write() {
     let rec = Arc::new(Recorder::default());
-    let (db, _) = sharded_db(8, BackendKind::Custom(rec.clone()), CostModel::free());
+    let (db, _) = sharded_db(BackendKind::Custom(rec.clone()), CostModel::free());
     let c = db.collection("res");
 
     // Enough keys to land on several shards.
@@ -97,7 +87,7 @@ fn sharded_collection_notifies_a_custom_backend_exactly_once_per_write() {
 #[test]
 fn sharded_batch_reaches_the_custom_backend_as_one_unit() {
     let rec = Arc::new(Recorder::default());
-    let (db, _) = sharded_db(8, BackendKind::Custom(rec.clone()), CostModel::free());
+    let (db, _) = sharded_db(BackendKind::Custom(rec.clone()), CostModel::free());
     let c = db.collection("res");
 
     let entries: Vec<(String, Element)> = (0..12).map(|i| (format!("b{i}"), doc(i))).collect();
@@ -134,7 +124,7 @@ fn custom_cost_profile_charges_into_per_shard_accounting() {
     let model = CostModel::calibrated_2005();
     let insert_us = model.db_insert_us;
     let batch_us = model.db_batch_insert_us;
-    let (db, clock) = sharded_db(8, BackendKind::Custom(rec.clone()), model);
+    let (db, clock) = sharded_db(BackendKind::Custom(rec.clone()), model);
     let start = clock.now();
     let c = db.collection("res");
 
@@ -150,33 +140,9 @@ fn custom_cost_profile_charges_into_per_shard_accounting() {
     assert_eq!(clock.now().since(start).as_micros(), want_us);
     assert_eq!(db.stats().total_busy_us(), want_us);
     // The busy time is attributed across shards, not piled on shard 0.
-    let busy = db.stats().shard_busy_snapshot(8);
+    let busy = db.stats().shard_busy_snapshot();
     assert!(busy.iter().filter(|&&b| b > 0).count() > 1);
     assert_eq!(busy.iter().sum::<u64>(), want_us);
-}
-
-#[test]
-fn virtual_time_figures_are_invariant_across_shard_counts() {
-    let run = |shards: usize| {
-        let rec = Arc::new(Recorder::default());
-        let (db, clock) = sharded_db(
-            shards,
-            BackendKind::Custom(rec.clone()),
-            CostModel::calibrated_2005(),
-        );
-        let c = db.collection("res");
-        for i in 0..10 {
-            c.insert(&format!("k{i}"), doc(i)).unwrap();
-        }
-        c.update("k2", doc(22)).unwrap();
-        c.remove("k7").unwrap();
-        c.insert_many((0..5).map(|i| (format!("b{i}"), doc(i))).collect())
-            .unwrap();
-        let writes = rec.writes.lock().len();
-        (clock.now(), db.stats().total_busy_us(), writes)
-    };
-    assert_eq!(run(1), run(4));
-    assert_eq!(run(4), run(16));
 }
 
 #[test]
@@ -186,13 +152,10 @@ fn durable_backend_composes_with_sharding() {
         snapshot_every: 0,
     }));
     let make_db = |b: Arc<DurableBackend>| {
-        Database::with_config(
-            "local",
+        Database::new(
             VirtualClock::new(),
             Arc::new(CostModel::free()),
             BackendKind::Custom(b),
-            Telemetry::disabled(),
-            DbConfig { shards: 4 },
         )
     };
     let db = make_db(backend.clone());

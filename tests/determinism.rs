@@ -111,7 +111,6 @@ fn signed_counter_dump(observe: bool) -> String {
     tb.network().set_synchronous_oneways(true);
     let tel = tb.telemetry();
     if observe {
-        tel.set_wall_clock(true);
         tel.begin_capture();
     }
     let container = tb.container("host-a", SecurityPolicy::X509Sign);
