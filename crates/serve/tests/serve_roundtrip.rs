@@ -95,10 +95,7 @@ fn signed_wsrf_and_transfer_round_trip_one_keep_alive_connection() {
     );
 
     let server = Server::bind(tb.network(), ServeConfig::default()).expect("bind serving tier");
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .unwrap();
+    let mut stream = connect(server.addr());
 
     // Request 1: WSRF GetResourceProperty.
     let (host, target) = split_address(&wsrf_addr);
